@@ -22,7 +22,7 @@ from .cpd import CPDModel
 from .errors import ContractError, SchemaError, TenfitError
 from .harness import run_experiment, run_sweep
 from .metrics import component_expression_export, fms, regression_metrics
-from .modelio import load_dataset, load_model, save_model, write_dataset
+from .modelio import cell_error, load_dataset, load_model, save_model, write_dataset
 from .optim import TrainConfig, fit
 
 
@@ -138,7 +138,12 @@ def _read_indices_csv(path, space) -> np.ndarray:
         missing = [n for n in names if n not in (reader.fieldnames or [])]
         if missing:
             raise SchemaError(f"indices CSV is missing columns {missing}")
-        rows = [[int(r[n]) for n in names] for r in reader]
+        rows = []
+        for row, record in enumerate(reader, start=1):
+            try:
+                rows.append([int(record[n]) for n in names])
+            except (TypeError, ValueError):
+                raise cell_error(path, row, record, dict.fromkeys(names, int)) from None
     return np.asarray(rows, dtype=np.int64).reshape(len(rows), space.ndim)
 
 

@@ -112,10 +112,17 @@ def predict_indices(factors: FactorSet, indices: np.ndarray) -> np.ndarray:
     shape = np.asarray(factors.shape)
     if indices.min() < 0 or np.any(indices >= shape):
         raise IndexError("index out of range")
-    prod = np.ones((indices.shape[0], factors.rank))
-    for m, f in enumerate(factors.factors):
-        prod *= f[indices[:, m]]
-    return prod.sum(axis=1)
+    rows = [f.take(indices[:, m], axis=0) for m, f in enumerate(factors.factors)]
+    return _prefix_products(rows)[-1] @ np.ones(factors.rank)
+
+
+def _prefix_products(rows: list[np.ndarray]) -> list[np.ndarray]:
+    """Running products of gathered factor rows; the last is the full
+    per-entry product, whose row sums are the predictions."""
+    prefix = [rows[0]]
+    for r in rows[1:]:
+        prefix.append(prefix[-1] * r)
+    return prefix
 
 
 def reconstruct_full(factors: FactorSet, cell_cap: int = 10_000_000) -> DenseTensor:
@@ -155,53 +162,68 @@ def smoothness_penalty(factors: FactorSet, cfg: SmoothnessConfig) -> float:
     return cfg.weight * total
 
 
+def masked_objective(obs: ObservationSet, rank: int, cfg: SmoothnessConfig | None = None):
+    """Fused masked_mse + smoothness_penalty and its gradient over one
+    observation set (the masked-CP gradient of CP-WOPT).
+
+    Returns `objective(factors, grad=True)` for a list of I_m x R factor
+    matrices: `(loss, grads)`, or the loss alone when `grad` is false. The
+    index columns and scatter keys are built here once, so each call makes
+    one forward pass (prefix products) and one backward pass over a running
+    suffix product that scatters with `np.bincount`. Rows untouched by any
+    observation receive gradient only from the smoothness term. Factor
+    shapes are not checked per call; `grad_masked_loss` checks them.
+    """
+    cfg = cfg or SmoothnessConfig()
+    cfg.validate_for(obs.space.ndim)
+    if obs.n == 0:
+        raise DegenerateDataError("masked loss is undefined on an empty observation set")
+    n, shape, values = obs.n, obs.space.shape(), obs.values
+    cols = [np.ascontiguousarray(obs.indices[:, m]) for m in range(len(shape))]
+    keys = [(c[:, None] * rank + np.arange(rank)).ravel() for c in cols]
+    ones, twos = np.ones(rank), np.full(rank, 2.0 / n)
+    smooth_modes = cfg.modes if cfg.weight > 0 else ()
+
+    def scatter(m, weights):
+        flat = np.bincount(keys[m], weights=weights.ravel(), minlength=shape[m] * rank)
+        return flat.reshape(shape[m], rank)
+
+    def objective(factors, grad=True):
+        rows = [f.take(c, axis=0) for f, c in zip(factors, cols)]
+        prefix = _prefix_products(rows)
+        residuals = prefix[-1] @ ones - values
+        loss = float(residuals @ residuals) / n
+        diffs = [(m, factors[m][1:] - factors[m][:-1]) for m in smooth_modes]
+        if diffs:
+            loss += cfg.weight * sum(float(np.vdot(d, d)) for _, d in diffs)
+        if not grad:
+            return loss
+
+        grads = [None] * len(factors)
+        suffix = residuals[:, None] * twos  # d loss / d prediction, per component
+        for m in range(len(factors) - 1, 0, -1):
+            grads[m] = scatter(m, prefix[m - 1] * suffix)
+            suffix = suffix * rows[m]
+        grads[0] = scatter(0, suffix)
+        for m, d in diffs:
+            step = (2.0 * cfg.weight) * d
+            grads[m][:-1] -= step
+            grads[m][1:] += step
+        return loss, grads
+
+    return objective
+
+
 def grad_masked_loss(
     factors: FactorSet, obs: ObservationSet, cfg: SmoothnessConfig | None = None
 ) -> list[np.ndarray]:
     """Exact gradient of masked_mse + smoothness_penalty w.r.t. every factor
-    entry.
-
-    Rows untouched by any observation receive gradient only from the
-    smoothness term (zero for plain CPD).
-    """
-    cfg = cfg or SmoothnessConfig()
-    cfg.validate_for(factors.ndim)
-    if obs.n == 0:
-        raise DegenerateDataError("gradient is undefined on an empty observation set")
+    entry."""
     if obs.space.shape() != factors.shape:
         raise ContractError(
             f"observation shape {obs.space.shape()} != factor shape {factors.shape}"
         )
-
-    idx = obs.indices
-    n, ndim, rank = obs.n, factors.ndim, factors.rank
-    rows = [f[idx[:, m]] for m, f in enumerate(factors.factors)]
-
-    # Leave-one-out products via prefix/suffix over modes.
-    prefix = [np.ones((n, rank))]
-    for m in range(ndim):
-        prefix.append(prefix[-1] * rows[m])
-    suffix = [np.ones((n, rank))]
-    for m in range(ndim - 1, -1, -1):
-        suffix.append(suffix[-1] * rows[m])
-    suffix = suffix[::-1]
-
-    residuals = prefix[ndim].sum(axis=1) - obs.values
-    coef = (2.0 / n) * residuals
-
-    grads = []
-    for m, f in enumerate(factors.factors):
-        partial = prefix[m] * suffix[m + 1]
-        g = np.zeros_like(f)
-        np.add.at(g, idx[:, m], coef[:, None] * partial)
-        grads.append(g)
-
-    if cfg.weight > 0:
-        for m in cfg.modes:
-            diffs = np.diff(factors.factors[m], axis=0)
-            grads[m][:-1] -= 2.0 * cfg.weight * diffs
-            grads[m][1:] += 2.0 * cfg.weight * diffs
-    return grads
+    return masked_objective(obs, factors.rank, cfg)(factors.factors)[1]
 
 
 @dataclass

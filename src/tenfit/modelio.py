@@ -69,6 +69,21 @@ def write_observations_csv(obs: ObservationSet, path) -> None:
             writer.writerow([int(i) for i in row] + [repr(float(value))])
 
 
+def cell_error(path, row: int, record: dict, parsers: dict) -> SchemaError:
+    """The SchemaError for the first cell of a CSV record that its parser
+    (column -> int or float) rejects, naming the file, the 1-based data row
+    and the column."""
+    for column, parse in parsers.items():
+        try:
+            parse(record[column])
+        except (TypeError, ValueError):
+            return SchemaError(
+                f"{path}: row {row}, column {column!r}: "
+                f"cannot read {record[column]!r} as {parse.__name__}"
+            )
+    return SchemaError(f"{path}: row {row} is malformed")
+
+
 def read_observations_csv(path, space: DesignSpace, normalizer: Normalizer) -> ObservationSet:
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -77,9 +92,13 @@ def read_observations_csv(path, space: DesignSpace, normalizer: Normalizer) -> O
         if missing:
             raise SchemaError(f"observations CSV is missing columns {missing}")
         indices, values = [], []
-        for row in reader:
-            indices.append([int(row[n]) for n in names])
-            values.append(float(row["value"]))
+        for row, record in enumerate(reader, start=1):
+            try:
+                indices.append([int(record[n]) for n in names])
+                values.append(float(record["value"]))
+            except (TypeError, ValueError):
+                parsers = {**dict.fromkeys(names, int), "value": float}
+                raise cell_error(path, row, record, parsers) from None
     return ObservationSet(
         space=space,
         indices=np.asarray(indices, dtype=np.int64).reshape(len(values), space.ndim),

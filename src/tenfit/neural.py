@@ -11,7 +11,7 @@ explicitly so training stays deterministic and the gradients are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -193,16 +193,6 @@ def _check_compatible(bank: EmbeddingBank, head: ConvHead) -> None:
         raise ContractError("bank and head disagree on rank")
 
 
-def _gather(bank: EmbeddingBank, indices: np.ndarray) -> np.ndarray:
-    """Stack gathered embedding rows into (n, S, R, M)."""
-    n = indices.shape[0]
-    x = np.empty((n, bank.n_groups, bank.rank, bank.n_modes))
-    for s, group in enumerate(bank.groups):
-        for m, emb in enumerate(group):
-            x[:, s, :, m] = emb[indices[:, m]]
-    return x
-
-
 def _validate_indices(indices, shape) -> np.ndarray:
     indices = np.atleast_2d(np.asarray(indices, dtype=np.int64))
     if indices.shape[1] != len(shape):
@@ -212,17 +202,93 @@ def _validate_indices(indices, shape) -> np.ndarray:
     return indices
 
 
+def _embedding_keys(indices: np.ndarray, shape, n_groups: int, rank: int) -> np.ndarray:
+    """(n, R, S, M) positions of the gathered embedding entries in the
+    concatenation of all embedding matrices in pack_params order. The gather
+    and the gradient scatter share them."""
+    sizes = np.asarray(shape, dtype=np.int64) * rank
+    starts = np.arange(n_groups)[:, None] * sizes.sum() + (np.cumsum(sizes) - sizes)
+    return (
+        starts[None, None]
+        + indices[:, None, None, :] * rank
+        + np.arange(rank)[None, :, None, None]
+    )
+
+
+def _split_embeddings(flat: np.ndarray, shape, n_groups: int, rank: int) -> list:
+    """Per-matrix views of a concatenation of embedding matrices."""
+    sizes = [int(s) * rank for s in shape] * n_groups
+    return [part.reshape(-1, rank) for part in np.split(flat, np.cumsum(sizes)[:-1])]
+
+
+def _head_arrays(head: ConvHead) -> list:
+    """The eight head arrays in field (and pack_params) order."""
+    return [getattr(head, f.name) for f in fields(head)]
+
+
+def _rank_matrix(rank_kernels: np.ndarray) -> np.ndarray:
+    """(D, C, R) rank kernels as a (D, R*C) matrix over the rank-major
+    flattening of the mode-conv output."""
+    return rank_kernels.transpose(0, 2, 1).reshape(rank_kernels.shape[0], -1)
+
+
+def _forward_keys(embeddings: np.ndarray, head: list, keys: np.ndarray):
+    """Batched forward pass over concatenated embeddings and the eight head
+    arrays. Both convolutions are linear maps, over S*M and over R*C, so each
+    is one matmul. The cache holds x as (n, S, R, M) and z1, a1 as (n, C, R),
+    as transposed views of the layouts the matmuls use."""
+    mode_k, mode_b, rank_k, rank_b, dense_w, dense_b, out_w, out_b = head
+    n, rank = keys.shape[:2]
+    channels = mode_k.shape[0]
+    x = embeddings.take(keys)  # (n, R, S, M)
+    z1 = x.reshape(n * rank, -1) @ mode_k.reshape(channels, -1).T + mode_b  # (n*R, C)
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1.reshape(n, -1) @ _rank_matrix(rank_k).T + rank_b
+    a2 = np.maximum(z2, 0.0)
+    z3 = a2 @ dense_w.T + dense_b
+    a3 = np.maximum(z3, 0.0)
+    preds = a3 @ out_w + out_b
+
+    def by_channel(z):
+        return z.reshape(n, rank, channels).transpose(0, 2, 1)
+
+    return preds, (x.transpose(0, 2, 1, 3), by_channel(z1), by_channel(a1), z2, a2, z3, a3)
+
+
+def _backward_keys(head: list, keys: np.ndarray, cache, dpreds, n_embedding: int):
+    """Gradients of sum(dpreds * preds): the flat embedding gradient
+    (scattered with one bincount over `keys`) and the eight head gradients."""
+    mode_k, mode_b, rank_k, rank_b, dense_w, dense_b, out_w, out_b = head
+    x, z1, a1, z2, a2, z3, a3 = cache
+    n, rank = keys.shape[:2]
+    channels = mode_k.shape[0]
+
+    g_out_b = np.asarray(dpreds.sum())
+    g_out_w = a3.T @ dpreds
+    dz3 = np.outer(dpreds, out_w) * (z3 > 0)
+    g_dense_w = dz3.T @ a2
+    g_dense_b = dz3.sum(axis=0)
+    dz2 = (dz3 @ dense_w) * (z2 > 0)
+
+    a1_flat = a1.transpose(0, 2, 1).reshape(n, -1)  # (n, R*C)
+    g_rank_k = (dz2.T @ a1_flat).reshape(-1, rank, channels).transpose(0, 2, 1)
+    g_rank_b = dz2.sum(axis=0)
+    dz1 = (dz2 @ _rank_matrix(rank_k)).reshape(n * rank, channels)
+    dz1 *= z1.transpose(0, 2, 1).reshape(n * rank, channels) > 0
+
+    x_flat = x.transpose(0, 2, 1, 3).reshape(n * rank, -1)  # (n*R, S*M)
+    g_mode_k = (dz1.T @ x_flat).reshape(mode_k.shape)
+    g_mode_b = dz1.sum(axis=0)
+    dx = dz1 @ mode_k.reshape(channels, -1)  # same element order as keys
+    g_emb = np.bincount(keys.ravel(), weights=dx.ravel(), minlength=n_embedding)
+    return g_emb, [g_mode_k, g_mode_b, g_rank_k, g_rank_b, g_dense_w, g_dense_b, g_out_w, g_out_b]
+
+
 def _forward(bank: EmbeddingBank, head: ConvHead, indices: np.ndarray):
     """Batched forward pass; returns predictions plus the cache backward needs."""
-    x = _gather(bank, indices)
-    z1 = np.einsum("nsrm,csm->ncr", x, head.mode_kernels) + head.mode_bias[None, :, None]
-    a1 = np.maximum(z1, 0.0)
-    z2 = np.einsum("ncr,dcr->nd", a1, head.rank_kernels) + head.rank_bias
-    a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ head.dense_w.T + head.dense_b
-    a3 = np.maximum(z3, 0.0)
-    preds = a3 @ head.out_w + head.out_b
-    return preds, (x, z1, a1, z2, a2, z3, a3)
+    embeddings = np.concatenate([e for group in bank.groups for e in group], axis=None)
+    keys = _embedding_keys(indices, bank.shape, bank.n_groups, bank.rank)
+    return _forward_keys(embeddings, _head_arrays(head), keys)
 
 
 def neural_forward(bank: EmbeddingBank, head: ConvHead, index) -> float:
@@ -242,50 +308,35 @@ def predict_batch(bank: EmbeddingBank, head: ConvHead, indices) -> np.ndarray:
     return preds
 
 
-def _backward(bank: EmbeddingBank, head: ConvHead, indices, cache, dpreds):
-    """Gradients of sum(dpreds * preds) in canonical parameter order."""
-    x, z1, a1, z2, a2, z3, a3 = cache
+def _masked_objective(obs: ObservationSet, n_groups: int, rank: int):
+    """Masked-MSE objective over one observation set for a pack_params list.
 
-    g_out_b = np.asarray(dpreds.sum())
-    g_out_w = a3.T @ dpreds
-    da3 = np.outer(dpreds, head.out_w)
-    dz3 = da3 * (z3 > 0)
-    g_dense_w = dz3.T @ a2
-    g_dense_b = dz3.sum(axis=0)
-    da2 = dz3 @ head.dense_w
-    dz2 = da2 * (z2 > 0)
-    g_rank_k = np.einsum("nd,ncr->dcr", dz2, a1)
-    g_rank_b = dz2.sum(axis=0)
-    da1 = np.einsum("nd,dcr->ncr", dz2, head.rank_kernels)
-    dz1 = da1 * (z1 > 0)
-    g_mode_k = np.einsum("ncr,nsrm->csm", dz1, x)
-    g_mode_b = dz1.sum(axis=(0, 2))
-    dx = np.einsum("ncr,csm->nsrm", dz1, head.mode_kernels)
+    Returns `objective(params, grad=True)`: `(loss, grads)` in pack_params
+    order, or the loss alone when `grad` is false. The gather/scatter keys
+    are built here once; the parameter list is sliced directly, with no
+    bank or head built per call."""
+    shape = obs.space.shape()
+    n_emb = n_groups * len(shape)
+    keys = _embedding_keys(obs.indices, shape, n_groups, rank)
+    n, values = obs.n, obs.values
 
-    g_bank = [[np.zeros_like(e) for e in group] for group in bank.groups]
-    for s in range(bank.n_groups):
-        for m in range(bank.n_modes):
-            np.add.at(g_bank[s][m], indices[:, m], dx[:, s, :, m])
+    def objective(params, grad=True):
+        embeddings = np.concatenate(params[:n_emb], axis=None)
+        head = params[n_emb:]
+        preds, cache = _forward_keys(embeddings, head, keys)
+        residuals = preds - values
+        loss = float(residuals @ residuals) / n
+        if not grad:
+            return loss
+        g_emb, g_head = _backward_keys(head, keys, cache, (2.0 / n) * residuals, embeddings.size)
+        return loss, _split_embeddings(g_emb, shape, n_groups, rank) + g_head
 
-    flat = [g for group in g_bank for g in group]
-    flat += [g_mode_k, g_mode_b, g_rank_k, g_rank_b, g_dense_w, g_dense_b, g_out_w, g_out_b]
-    return flat
+    return objective
 
 
 def pack_params(bank: EmbeddingBank, head: ConvHead) -> list:
     """Canonical flat parameter list: embeddings group-major, then head."""
-    flat = [e for group in bank.groups for e in group]
-    flat += [
-        head.mode_kernels,
-        head.mode_bias,
-        head.rank_kernels,
-        head.rank_bias,
-        head.dense_w,
-        head.dense_b,
-        head.out_w,
-        head.out_b,
-    ]
-    return flat
+    return [e for group in bank.groups for e in group] + _head_arrays(head)
 
 
 def unpack_params(params: list, n_groups: int, n_modes: int):
@@ -315,10 +366,8 @@ def neural_grad(bank: EmbeddingBank, head: ConvHead, obs: ObservationSet) -> lis
     _check_compatible(bank, head)
     if obs.n == 0:
         raise DegenerateDataError("gradient is undefined on an empty observation set")
-    indices = _validate_indices(obs.indices, bank.shape)
-    preds, cache = _forward(bank, head, indices)
-    dpreds = (2.0 / obs.n) * (preds - obs.values)
-    return _backward(bank, head, indices, cache, dpreds)
+    _validate_indices(obs.indices, bank.shape)
+    return _masked_objective(obs, bank.n_groups, bank.rank)(pack_params(bank, head))[1]
 
 
 @dataclass
@@ -369,27 +418,16 @@ def costco_fit(
         )
         return pack_params(bank, head)
 
-    def objective(params):
-        bank, head = unpack_params(params, n_init_groups, n_modes)
-        preds, cache = _forward(bank, head, fit_obs.indices)
-        residuals = preds - fit_obs.values
-        loss = float(np.mean(residuals**2))
-        grads = _backward(bank, head, fit_obs.indices, cache, (2.0 / fit_obs.n) * residuals)
-        return loss, grads
-
-    def loss_only(params):
-        bank, head = unpack_params(params, n_init_groups, n_modes)
-        return neural_loss(bank, head, fit_obs)
-
-    def val_loss(params):
-        bank, head = unpack_params(params, n_init_groups, n_modes)
-        return neural_loss(bank, head, val_obs)
+    objective = _masked_objective(fit_obs, n_init_groups, cfg.rank)
+    val_objective = (
+        _masked_objective(val_obs, n_init_groups, cfg.rank) if val_obs is not None else None
+    )
 
     trainable = Trainable(
         init=init,
         loss_and_grad=objective,
-        loss=loss_only,
-        val_loss=val_loss if val_obs is not None else None,
+        loss=lambda params: objective(params, grad=False),
+        val_loss=(lambda params: val_objective(params, grad=False)) if val_objective else None,
     )
     params, report = run_restarts(trainable, cfg)
     bank, head = unpack_params(params, n_init_groups, n_modes)

@@ -3,7 +3,8 @@
 The engine is model-agnostic: anything that can produce a seeded parameter
 list and a (loss, gradients) evaluation can be trained. Restarts are seeded
 as seed + restart_index and the one with the lowest final training loss
-wins.
+wins; a restart that diverges is recorded and skipped, and the fit fails
+only when every restart diverges.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ObservationSet
-from .cpd import (
-    CPDModel,
-    FactorSet,
-    SmoothnessConfig,
-    grad_masked_loss,
-    init_factors,
-    masked_mse,
-    smoothness_penalty,
-)
+from .cpd import CPDModel, FactorSet, SmoothnessConfig, init_factors, masked_objective
 from .errors import ContractError, DegenerateDataError, DivergenceError
 
 ParamList = list  # list[np.ndarray]
@@ -130,13 +123,19 @@ class TrainReport:
             "restart": int(self.restart),
             "epochs_run": int(self.epochs_run),
             "seconds": float(self.seconds),
+            # null marks a restart that diverged
+            "restart_final_losses": [
+                float(x) if math.isfinite(x) else None for x in self.restart_final_losses
+            ],
         }
 
 
 @dataclass
 class Trainable:
     """Closures the restart engine needs: seeded init, training objective,
-    loss-only evaluation, and (optionally) a validation loss."""
+    loss-only evaluation, and (optionally) a validation loss. Each closure
+    takes the parameter list; `loss_and_grad` returns gradients parallel to
+    it."""
 
     init: Callable
     loss_and_grad: Callable
@@ -144,25 +143,41 @@ class Trainable:
     val_loss: Callable | None = None
 
 
+def _views(flat: np.ndarray, shapes) -> list:
+    """Consecutive reshaped views of a flat buffer, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
 def _train_single(trainable: Trainable, cfg: TrainConfig, restart: int):
-    params = trainable.init(cfg.seed + restart)
-    state = AdamState.fresh(params, cfg.lr)
+    """Train one seeded restart. Its parameters live in one contiguous
+    buffer that the returned per-array parameters are views of, so each
+    epoch is a single Adam step over that buffer."""
+    init = trainable.init(cfg.seed + restart)
+    flat = np.concatenate(init, axis=None, dtype=float)
+    params = _views(flat, [np.shape(p) for p in init])
+    state = AdamState.fresh([flat], cfg.lr)
     losses = []
 
     early = cfg.patience is not None and trainable.val_loss is not None
-    best_params = None
+    best_flat = None
     best_val = math.inf
     stale = 0
     if early:
         best_val = trainable.val_loss(params)
-        best_params = [p.copy() for p in params]
+        best_flat = flat.copy()
 
     for epoch in range(cfg.epochs):
         loss, grads = trainable.loss_and_grad(params)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch} of restart {restart}")
         losses.append(float(loss))
-        params, state = adam_step(params, grads, state)
+        (stepped,), state = adam_step([flat], [np.concatenate(grads, axis=None)], state)
+        flat[...] = stepped
         if early:
             val = trainable.val_loss(params)
             if not math.isfinite(val):
@@ -171,7 +186,7 @@ def _train_single(trainable: Trainable, cfg: TrainConfig, restart: int):
                 )
             if val < best_val:
                 best_val = val
-                best_params = [p.copy() for p in params]
+                best_flat = flat.copy()
                 stale = 0
             else:
                 stale += 1
@@ -179,7 +194,7 @@ def _train_single(trainable: Trainable, cfg: TrainConfig, restart: int):
                     break
 
     if early:
-        params = best_params
+        flat[...] = best_flat
     final = float(trainable.loss(params))
     if not math.isfinite(final):
         raise DivergenceError(f"non-finite final loss in restart {restart}")
@@ -188,12 +203,19 @@ def _train_single(trainable: Trainable, cfg: TrainConfig, restart: int):
 
 def run_restarts(trainable: Trainable, cfg: TrainConfig):
     """Train cfg.restarts seeded initializations and keep the best by final
-    training loss."""
+    training loss. A diverged restart counts as an infinite final loss; the
+    first divergence is raised only when no restart survives."""
     start = time.perf_counter()
-    results = []
+    results, errors = [], []
     for r in range(cfg.restarts):
-        results.append(_train_single(trainable, cfg, r))
-    finals = [res[2] for res in results]
+        try:
+            results.append(_train_single(trainable, cfg, r))
+        except DivergenceError as exc:
+            results.append(None)
+            errors.append(exc)
+    if len(errors) == cfg.restarts:
+        raise errors[0]
+    finals = [res[2] if res is not None else math.inf for res in results]
     best = int(np.argmin(finals))
     params, losses, final = results[best]
     report = TrainReport(
@@ -257,25 +279,14 @@ def fit(
         smoothness = SmoothnessConfig()
 
     fit_obs, val_obs = _carve_validation(obs_train, cfg)
-
-    def objective(params):
-        factors = FactorSet(params)
-        loss = masked_mse(factors, fit_obs) + smoothness_penalty(factors, smoothness)
-        grads = grad_masked_loss(factors, fit_obs, smoothness)
-        return loss, grads
-
-    def loss_only(params):
-        factors = FactorSet(params)
-        return masked_mse(factors, fit_obs) + smoothness_penalty(factors, smoothness)
-
-    def val_loss(params):
-        return masked_mse(FactorSet(params), val_obs)
+    objective = masked_objective(fit_obs, cfg.rank, smoothness)
+    val_objective = masked_objective(val_obs, cfg.rank) if val_obs is not None else None
 
     trainable = Trainable(
         init=lambda seed: init_factors(shape, cfg.rank, seed).factors,
         loss_and_grad=objective,
-        loss=loss_only,
-        val_loss=val_loss if val_obs is not None else None,
+        loss=lambda params: objective(params, grad=False),
+        val_loss=(lambda params: val_objective(params, grad=False)) if val_objective else None,
     )
     params, report = run_restarts(trainable, cfg)
     model = CPDModel(

@@ -80,8 +80,22 @@ class TestFitPredictEvaluate:
         model_path = self.fit_model(dataset_dir, tmp_path)
         assert model_path.exists()
         report = json.loads(model_path.with_suffix(".report.json").read_text())
-        assert set(report) == {"losses", "final_loss", "restart", "epochs_run", "seconds"}
+        assert set(report) == {
+            "losses",
+            "final_loss",
+            "restart",
+            "epochs_run",
+            "seconds",
+            "restart_final_losses",
+        }
         assert report["epochs_run"] == 300
+        assert report["restart_final_losses"] == [report["final_loss"]]
+
+    def test_fit_report_lists_every_restart(self, dataset_dir, tmp_path):
+        model_path = self.fit_model(dataset_dir, tmp_path, extra=("--restarts", "3"))
+        report = json.loads(model_path.with_suffix(".report.json").read_text())
+        assert len(report["restart_final_losses"]) == 3
+        assert report["final_loss"] == min(report["restart_final_losses"])
 
     def test_predict_round_trip(self, dataset_dir, tmp_path):
         model_path = self.fit_model(dataset_dir, tmp_path)
@@ -97,6 +111,21 @@ class TestFitPredictEvaluate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert all(np.isfinite(float(r["prediction"])) for r in rows)
+
+    def test_predict_non_integer_cell_is_schema_error(self, dataset_dir, tmp_path, capsys):
+        model_path = self.fit_model(dataset_dir, tmp_path)
+        indices_path = tmp_path / "indices.csv"
+        indices_path.write_text("geometry,thickness,ux\n0,1,2\n1,1.5,0\n")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path), "--indices", str(indices_path),
+                     "--out", str(tmp_path / "preds.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "SchemaError"
+        assert "indices.csv" in payload["message"]
+        assert "row 2" in payload["message"] and "'thickness'" in payload["message"]
 
     def test_predict_denormalize(self, dataset_dir, tmp_path):
         model_path = self.fit_model(dataset_dir, tmp_path)
@@ -216,3 +245,20 @@ class TestErrorReporting:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert set(err) == {"error", "message"}
+
+    def test_non_integer_observation_cell_yields_json_error(self, dataset_dir, tmp_path, capsys):
+        obs_path = dataset_dir / "obs.csv"
+        lines = obs_path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "1.5"
+        lines[3] = ",".join(cells)
+        obs_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["fit", "--obs", str(dataset_dir), "--model", "cpd",
+                     "--rank", "2", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "SchemaError"
+        assert "obs.csv" in payload["message"] and "row 3" in payload["message"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import full_grid_indices, low_rank_values, obs_from_values
@@ -5,6 +7,7 @@ from conftest import full_grid_indices, low_rank_values, obs_from_values
 from tenfit.cpd import reconstruct_full
 from tenfit.errors import ContractError, DivergenceError
 from tenfit.metrics import regression_metrics
+from tenfit.neural import pack_params
 from tenfit.optim import (
     AdamState,
     TrainConfig,
@@ -13,6 +16,7 @@ from tenfit.optim import (
     adam_step,
     fit,
     predict_set,
+    run_restarts,
 )
 
 
@@ -96,14 +100,35 @@ class TestFit:
         assert report.final_loss == min(report.restart_final_losses)
         assert report.restart == int(np.argmin(report.restart_final_losses))
 
-    def test_bit_identical_loss_series(self):
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("cpd", {}),
+            ("cpd_s", {"smooth_weight": 0.2}),
+            ("costco", {}),
+            ("cpd", {"epochs": 2000, "patience": 5, "val_fraction": 0.3}),
+        ],
+        ids=["cpd", "cpd_s", "costco", "cpd_early_stop"],
+    )
+    def test_bit_identical_loss_series(self, kind, extra):
         shape = (4, 3, 2)
         train, _ = synthetic_split(shape, rank=2, seed=7)
-        cfg = TrainConfig(rank=2, epochs=200, lr=0.03, restarts=2, seed=3)
-        _, report_a = fit(shape, train, cfg, "cpd")
-        _, report_b = fit(shape, train, cfg, "cpd")
+        settings = {"rank": 2, "epochs": 200, "lr": 0.03, "restarts": 2, "seed": 3, **extra}
+        cfg = TrainConfig(**settings)
+        model_a, report_a = fit(shape, train, cfg, kind, n_init_groups=2, conv_channels=4)
+        model_b, report_b = fit(shape, train, cfg, kind, n_init_groups=2, conv_channels=4)
         assert report_a.losses == report_b.losses
         assert report_a.final_loss == report_b.final_loss
+        if "patience" in extra:
+            assert report_a.epochs_run < cfg.epochs  # the early stop was exercised
+
+        def arrays(model):
+            if kind == "costco":
+                return pack_params(model.bank, model.head)
+            return model.factors.factors
+
+        pairs = list(zip(arrays(model_a), arrays(model_b)))
+        assert pairs and all(np.array_equal(a, b) for a, b in pairs)
 
     def test_monotone_trend(self):
         shape = (5, 4, 3)
@@ -119,6 +144,26 @@ class TestFit:
         cfg = TrainConfig(rank=2, epochs=50, lr=1e160, seed=0)
         with pytest.raises(DivergenceError, match=r"epoch \d+ of restart 0"):
             fit(shape, train, cfg, "cpd")
+
+    def test_diverged_restart_is_skipped(self):
+        # restart 1 (seed 0 + 1) starts far out and diverges at its first
+        # epoch; restarts 0 and 2 converge and the best of them wins.
+        def loss(params):
+            x = params[0][0]
+            return math.inf if abs(x) > 100 else float(x * x)
+
+        trainable = Trainable(
+            init=lambda seed: [np.array([1000.0 if seed == 1 else 1.0 + seed])],
+            loss_and_grad=lambda params: (loss(params), [2.0 * params[0]]),
+            loss=loss,
+        )
+        cfg = TrainConfig(rank=1, epochs=50, lr=0.1, restarts=3, seed=0)
+        params, report = run_restarts(trainable, cfg)
+        assert report.restart_final_losses[1] == math.inf
+        assert all(math.isfinite(report.restart_final_losses[r]) for r in (0, 2))
+        assert report.restart in (0, 2)
+        assert report.final_loss == min(report.restart_final_losses)
+        assert report.to_json()["restart_final_losses"][1] is None
 
     def test_cpd_s_penalizes_roughness(self):
         shape = (6, 4)
@@ -222,5 +267,13 @@ class TestTrainReportJson:
         obs = obs_from_values(shape, [0.1, 0.2, 0.3, 0.4])
         _, report = fit(shape, obs, TrainConfig(rank=1, epochs=10), "cpd")
         payload = report.to_json()
-        assert set(payload) == {"losses", "final_loss", "restart", "epochs_run", "seconds"}
+        assert set(payload) == {
+            "losses",
+            "final_loss",
+            "restart",
+            "epochs_run",
+            "seconds",
+            "restart_final_losses",
+        }
         assert len(payload["losses"]) == payload["epochs_run"] == 10
+        assert payload["restart_final_losses"] == [payload["final_loss"]]
