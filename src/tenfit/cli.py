@@ -23,7 +23,7 @@ from .errors import ContractError, SchemaError, TenfitError
 from .harness import run_experiment, run_sweep
 from .metrics import component_expression_export, fms, regression_metrics
 from .modelio import cell_error, load_dataset, load_model, save_model, write_dataset
-from .optim import TrainConfig, fit
+from .optim import MODEL_KINDS, TrainConfig, fit
 
 
 def _read_csv_records(path) -> tuple[list[dict], list[str]]:
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="train one model on a dataset directory")
     p.add_argument("--obs", required=True, help="dataset directory from ingest")
-    p.add_argument("--model", required=True, choices=("cpd", "cpd_s", "costco"))
+    p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--epochs", type=int, default=3000)
     p.add_argument("--lr", type=float, default=0.01)

@@ -162,42 +162,57 @@ def smoothness_penalty(factors: FactorSet, cfg: SmoothnessConfig) -> float:
     return cfg.weight * total
 
 
-def masked_objective(obs: ObservationSet, rank: int, cfg: SmoothnessConfig | None = None):
-    """Fused masked_mse + smoothness_penalty and its gradient over one
-    observation set (the masked-CP gradient of CP-WOPT).
+def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
+    """Fused masked_mse + smoothness_penalty and its gradient for B fits at
+    once (the masked-CP gradient of CP-WOPT).
 
-    Returns `objective(factors, grad=True)` for a list of I_m x R factor
-    matrices: `(loss, grads)`, or the loss alone when `grad` is false. The
-    index columns and scatter keys are built here once, so each call makes
-    one forward pass (prefix products) and one backward pass over a running
-    suffix product that scatters with `np.bincount`. Rows untouched by any
+    `obs_sets` are B observation sets over one space; their sizes may
+    differ. Returns `objective(factors, grad=True)` for a list of
+    (B, I_m, R) factor stacks, fit b's factors at `[b]`: `(losses, grads)`
+    with losses of shape (B,) and grads parallel to the factors, or the
+    losses alone when `grad` is false. The rows of all sets are concatenated
+    and each gathers from its own fit's block of the (B*I_m, R) view of a
+    stack, so one forward pass (prefix products) and one backward pass over a
+    running suffix product serve the batch. Per-fit losses are a bincount
+    over a fit id, each row's gradient is scaled by 2/n of its own fit, and
+    the scatter is one `np.bincount` per mode over keys built here once. A
+    row's prediction sums its components left to right, so every fit gets
+    the same bits whatever its position in the batch. Rows untouched by any
     observation receive gradient only from the smoothness term. Factor
     shapes are not checked per call; `grad_masked_loss` checks them.
     """
     cfg = cfg or SmoothnessConfig()
-    cfg.validate_for(obs.space.ndim)
-    if obs.n == 0:
+    shape = obs_sets[0].space.shape()
+    cfg.validate_for(len(shape))
+    if any(obs.n == 0 for obs in obs_sets):
         raise DegenerateDataError("masked loss is undefined on an empty observation set")
-    n, shape, values = obs.n, obs.space.shape(), obs.values
-    cols = [np.ascontiguousarray(obs.indices[:, m]) for m in range(len(shape))]
+    if any(obs.space.shape() != shape for obs in obs_sets):
+        raise ContractError("observation sets of one batch must share their shape")
+    n_fits = len(obs_sets)
+    counts = np.array([obs.n for obs in obs_sets])
+    fit_id = np.repeat(np.arange(n_fits), counts)
+    indices = np.concatenate([obs.indices for obs in obs_sets])
+    values = np.concatenate([obs.values for obs in obs_sets])
+    cols = [fit_id * size + indices[:, m] for m, size in enumerate(shape)]
     keys = [(c[:, None] * rank + np.arange(rank)).ravel() for c in cols]
-    ones, twos = np.ones(rank), np.full(rank, 2.0 / n)
+    twos = np.repeat((2.0 / counts)[fit_id][:, None], rank, axis=1)
     smooth_modes = cfg.modes if cfg.weight > 0 else ()
 
     def scatter(m, weights):
-        flat = np.bincount(keys[m], weights=weights.ravel(), minlength=shape[m] * rank)
-        return flat.reshape(shape[m], rank)
+        flat = np.bincount(keys[m], weights=weights.ravel(), minlength=n_fits * shape[m] * rank)
+        return flat.reshape(n_fits, shape[m], rank)
 
     def objective(factors, grad=True):
-        rows = [f.take(c, axis=0) for f, c in zip(factors, cols)]
+        rows = [f.reshape(-1, rank).take(c, axis=0) for f, c in zip(factors, cols)]
         prefix = _prefix_products(rows)
-        residuals = prefix[-1] @ ones - values
-        loss = float(residuals @ residuals) / n
-        diffs = [(m, factors[m][1:] - factors[m][:-1]) for m in smooth_modes]
+        residuals = _component_sum(prefix[-1]) - values
+        losses = np.bincount(fit_id, weights=residuals * residuals, minlength=n_fits) / counts
+        diffs = [(m, factors[m][:, 1:] - factors[m][:, :-1]) for m in smooth_modes]
         if diffs:
-            loss += cfg.weight * sum(float(np.vdot(d, d)) for _, d in diffs)
+            penalty = sum(np.einsum("bij,bij->b", d, d) for _, d in diffs)
+            losses = losses + cfg.weight * penalty
         if not grad:
-            return loss
+            return losses
 
         grads = [None] * len(factors)
         suffix = residuals[:, None] * twos  # d loss / d prediction, per component
@@ -207,11 +222,19 @@ def masked_objective(obs: ObservationSet, rank: int, cfg: SmoothnessConfig | Non
         grads[0] = scatter(0, suffix)
         for m, d in diffs:
             step = (2.0 * cfg.weight) * d
-            grads[m][:-1] -= step
-            grads[m][1:] += step
-        return loss, grads
+            grads[m][:, :-1] -= step
+            grads[m][:, 1:] += step
+        return losses, grads
 
     return objective
+
+
+def _component_sum(products: np.ndarray) -> np.ndarray:
+    """Row sums of an (n, R) array, added column by column from the left."""
+    total = products[:, 0].copy()
+    for r in range(1, products.shape[1]):
+        total += products[:, r]
+    return total
 
 
 def grad_masked_loss(
@@ -223,7 +246,8 @@ def grad_masked_loss(
         raise ContractError(
             f"observation shape {obs.space.shape()} != factor shape {factors.shape}"
         )
-    return masked_objective(obs, factors.rank, cfg)(factors.factors)[1]
+    _, grads = masked_objective([obs], factors.rank, cfg)([f[None] for f in factors.factors])
+    return [g[0] for g in grads]
 
 
 @dataclass

@@ -10,7 +10,7 @@ mean +/- population std, and exports factor analyses and grids.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .cpd import CPDModel
 from .errors import ContractError, SplitError, StratumExhaustedError, TenfitError
 from .metrics import component_expression_export, fms, regression_metrics
 from .modelio import load_dataset
-from .optim import TrainConfig, fit
+from .optim import MODEL_KINDS, TrainConfig, fit_batch
 
 
 @dataclass(frozen=True)
@@ -298,37 +298,43 @@ def ood_sweep(
     hidden_units: int = 16,
 ) -> dict:
     """Out-of-distribution sweep: fixed in-region count, growing out-of-region
-    counts, metrics restricted to test rows outside the region."""
+    counts, metrics restricted to test rows outside the region. For each
+    count, every iteration is split first and each model kind is fitted to
+    all of them in shared batches."""
     n_out_list = [int(k) for k in n_out_list]
     if any(b <= a for a, b in zip(n_out_list, n_out_list[1:])):
         raise ContractError("n_out_list must be strictly increasing")
     results = {kind: [] for kind in model_kinds}
+    seeds = [cfg.seed + it for it in range(iterations)]
     for n_out in n_out_list:
-        per_kind = {kind: [] for kind in model_kinds}
-        for it in range(iterations):
-            seed = cfg.seed + it
+        trains, ood_tests = [], []
+        for seed in seeds:
             train, test = biased_split(obs, region, n_in, n_out, seed)
             train, test = renormalize_splits(train, test, normalization)
-            ood_rows = np.flatnonzero(~region.mask(test))
-            ood_test = test.take(ood_rows)
-            for kind in model_kinds:
-                model, _ = fit(
-                    obs.space.shape(),
-                    train,
-                    replace(cfg, seed=seed),
-                    kind,
-                    n_init_groups=n_init_groups,
-                    conv_channels=conv_channels,
-                    hidden_units=hidden_units,
-                )
-                preds = model.predict(ood_test.indices)
-                per_kind[kind].append(regression_metrics(ood_test.values, preds).to_json())
+            trains.append(train)
+            ood_tests.append(test.take(np.flatnonzero(~region.mask(test))))
         for kind in model_kinds:
+            outcomes = fit_batch(
+                obs.space.shape(),
+                trains,
+                cfg,
+                kind,
+                seeds=seeds,
+                n_init_groups=n_init_groups,
+                conv_channels=conv_channels,
+                hidden_units=hidden_units,
+            )
+            per_iteration = []
+            for outcome, ood_test in zip(outcomes, ood_tests):
+                if isinstance(outcome, TenfitError):
+                    raise outcome
+                preds = outcome[0].predict(ood_test.indices)
+                per_iteration.append(regression_metrics(ood_test.values, preds).to_json())
             results[kind].append(
                 {
                     "n_out": n_out,
-                    "metrics": _aggregate_metric_dicts(per_kind[kind]),
-                    "per_iteration": per_kind[kind],
+                    "metrics": _aggregate_metric_dicts(per_iteration),
+                    "per_iteration": per_iteration,
                 }
             )
     return {
@@ -372,7 +378,7 @@ def _train_config_from(entry: dict, space: DesignSpace) -> TrainConfig:
 
 def model_spec_from_config(entry: dict, space: DesignSpace, taken=()) -> ModelSpec:
     kind = entry.get("kind")
-    if kind not in ("cpd", "cpd_s", "costco"):
+    if kind not in MODEL_KINDS:
         raise ContractError(f"unknown model kind {kind!r}")
     name = entry.get("name", kind)
     if name in taken:
@@ -425,11 +431,15 @@ def plan_from_config(entry: dict, space: DesignSpace) -> SamplingPlan:
 def run_experiment(config: dict, out_dir) -> dict:
     """Execute the full protocol described by an experiment config.
 
-    For every plan, iteration, and model: split, fit, predict the test rows,
-    and score. Emits aggregated metrics, per-iteration records, per-cell
-    error grids for biased plans, factor exports for the best linear models,
-    and the uniform-vs-biased factor match score when both plans are present.
-    A failed (plan, model, iteration) cell is recorded and skipped.
+    For every plan: split every iteration, fit each model to all of them
+    (iterations and restarts trained in shared batches by `fit_batch`), then
+    predict the test rows and score, in (iteration, model) order. Emits
+    aggregated metrics, per-iteration records (with the epochs run and every
+    restart's final loss), per-cell error grids for biased plans, factor
+    exports for the best linear models, and the uniform-vs-biased factor
+    match score when both plans are present. A failed (plan, model,
+    iteration) cell, factor export or factor match is recorded in
+    `failures` and skipped.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -454,44 +464,54 @@ def run_experiment(config: dict, out_dir) -> dict:
     cpd_factors: dict[tuple[str, int], CPDModel] = {}
     grids: dict[tuple[str, str], list] = {}
 
+    def fail(plan_name, model_name, iteration, exc):
+        failures.append(
+            {
+                "plan": plan_name,
+                "model": model_name,
+                "iteration": iteration,
+                "error": type(exc).__name__,
+                "message": str(exc),
+            }
+        )
+
+    seeds = [base_seed + it for it in range(iterations)]
     for plan in plans:
-        for it in range(iterations):
-            seed = base_seed + it
+        splits = []  # per iteration: (train, test), or the split's error
+        for seed in seeds:
             try:
                 train, test = split_plan(plan, obs, seed)
-                train, test = renormalize_splits(train, test, scope)
+                splits.append(renormalize_splits(train, test, scope))
             except TenfitError as exc:
-                failures.append(
-                    {
-                        "plan": plan.name,
-                        "model": None,
-                        "iteration": it,
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                    }
-                )
+                splits.append(exc)
+        done = [it for it, split in enumerate(splits) if not isinstance(split, TenfitError)]
+        outcomes = {}
+        for spec in specs:
+            fitted = fit_batch(
+                space.shape(),
+                [splits[it][0] for it in done],
+                spec.cfg,
+                spec.kind,
+                seeds=[seeds[it] for it in done],
+                **spec.fit_kwargs,
+            )
+            outcomes[spec.name] = dict(zip(done, fitted))
+
+        for it, split in enumerate(splits):
+            if isinstance(split, TenfitError):
+                fail(plan.name, None, it, split)
                 continue
+            _, test = split
             for spec in specs:
                 try:
-                    model, report = fit(
-                        space.shape(),
-                        train,
-                        replace(spec.cfg, seed=seed),
-                        spec.kind,
-                        **spec.fit_kwargs,
-                    )
+                    outcome = outcomes[spec.name][it]
+                    if isinstance(outcome, TenfitError):
+                        raise outcome
+                    model, report = outcome
                     preds = model.predict(test.indices)
                     metrics = regression_metrics(test.values, preds).to_json()
                 except TenfitError as exc:
-                    failures.append(
-                        {
-                            "plan": plan.name,
-                            "model": spec.name,
-                            "iteration": it,
-                            "error": type(exc).__name__,
-                            "message": str(exc),
-                        }
-                    )
+                    fail(plan.name, spec.name, it, exc)
                     continue
                 record = {
                     "plan": plan.name,
@@ -500,6 +520,8 @@ def run_experiment(config: dict, out_dir) -> dict:
                     "metrics": metrics,
                     "final_loss": report.final_loss,
                     "restart": report.restart,
+                    "epochs_run": report.epochs_run,
+                    "restart_final_losses": report.to_json()["restart_final_losses"],
                 }
                 (per_iter_dir / f"{plan.name}__{spec.name}__{it:03d}.json").write_text(
                     json.dumps(record, indent=2), encoding="utf-8"
@@ -530,9 +552,12 @@ def run_experiment(config: dict, out_dir) -> dict:
             )
 
     for (plan_name, model_name), (_, model) in best_linear.items():
-        component_expression_export(
-            model.factors, space, out / "factors" / f"{plan_name}__{model_name}"
-        )
+        try:
+            component_expression_export(
+                model.factors, space, out / "factors" / f"{plan_name}__{model_name}"
+            )
+        except TenfitError as exc:
+            fail(plan_name, model_name, None, exc)
 
     fms_summary = None
     uniform_plans = [p.name for p in plans if p.kind == "uniform"]
@@ -546,7 +571,11 @@ def run_experiment(config: dict, out_dir) -> dict:
             mb = cpd_factors.get((bname, it))
             if mu is None or mb is None:
                 continue
-            comparison = fms(mu.factors, mb.factors)
+            try:
+                comparison = fms(mu.factors, mb.factors)
+            except TenfitError as exc:
+                fail(f"{uname} vs {bname}", fms_kind, it, exc)
+                continue
             scores.append(comparison.fms)
             permutations.append(list(comparison.permutation))
         if scores:
@@ -590,7 +619,7 @@ def run_sweep(config: dict, out_dir) -> dict:
     cfg = _train_config_from(config, space)
     kinds = list(config.get("models", ["cpd"]))
     for kind in kinds:
-        if kind not in ("cpd", "cpd_s", "costco"):
+        if kind not in MODEL_KINDS:
             raise ContractError(f"unknown model kind {kind!r}")
     table = ood_sweep(
         obs,

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +18,13 @@ from .core import Axis, DesignSpace, Normalizer, ObservationSet
 from .cpd import CPDModel, FactorSet, SmoothnessConfig
 from .errors import ContractError, SchemaError
 from .neural import ConvHead, EmbeddingBank, NeuralModel
+from .optim import MODEL_KINDS
 
 SCHEMA_FILENAME = "schema.json"
 OBSERVATIONS_FILENAME = "obs.csv"
 NORMALIZER_FILENAME = "normalizer.json"
+FORMAT_VERSION = 1  # of model files
+_HEAD_FIELDS = tuple(f.name for f in fields(ConvHead))
 
 
 def schema_to_json(space: DesignSpace) -> dict:
@@ -137,14 +142,25 @@ def _array_to_json(array: np.ndarray) -> dict:
     return {"shape": list(array.shape), "data": array.ravel().tolist()}
 
 
-def _array_from_json(payload: dict) -> np.ndarray:
-    return np.asarray(payload["data"], dtype=float).reshape(payload["shape"])
+def _array_from_json(payload: dict, shape, path, what: str) -> np.ndarray:
+    """A stored array, checked against the shape the model needs."""
+    try:
+        stored = [int(s) for s in payload["shape"]]
+        data = np.asarray(payload["data"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {what} is not a stored array ({exc})") from None
+    shape = tuple(shape)
+    if stored != list(shape) or data.shape != (math.prod(shape),):
+        raise SchemaError(
+            f"{path}: {what} has shape {stored} and {data.size} values, expected shape {shape}"
+        )
+    return data.reshape(shape)
 
 
 def save_model(model, path) -> None:
     """Write a fitted model (linear or neural) as a single JSON file."""
     payload = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "rank": model.rank,
         "shape": list(model.shape),
@@ -172,14 +188,7 @@ def save_model(model, path) -> None:
             "embeddings": [
                 [_array_to_json(e) for e in group] for group in model.bank.groups
             ],
-            "mode_kernels": _array_to_json(head.mode_kernels),
-            "mode_bias": _array_to_json(head.mode_bias),
-            "rank_kernels": _array_to_json(head.rank_kernels),
-            "rank_bias": _array_to_json(head.rank_bias),
-            "dense_w": _array_to_json(head.dense_w),
-            "dense_b": _array_to_json(head.dense_b),
-            "out_w": _array_to_json(head.out_w),
-            "out_b": _array_to_json(head.out_b),
+            **{name: _array_to_json(getattr(head, name)) for name in _HEAD_FIELDS},
         }
     else:
         raise ContractError(f"cannot serialize model type {type(model).__name__}")
@@ -187,39 +196,87 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """Read a model file written by save_model. The file is checked before
+    use: its format version, and every stored array against the shape the
+    schema, the rank and the head sizes call for; a file that fails raises a
+    SchemaError naming it."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     kind = payload.get("kind")
-    space = schema_from_json(payload["schema"])
-    norm = payload.get("normalizer")
-    normalizer = Normalizer(float(norm["y_min"]), float(norm["y_max"])) if norm else None
-
-    if kind in ("cpd", "cpd_s"):
-        factors = FactorSet([_array_from_json(f) for f in payload["params"]["factors"]])
-        smooth = payload.get("smoothness", {})
-        return CPDModel(
-            kind=kind,
-            factors=factors,
-            space=space,
-            normalizer=normalizer,
-            smoothness=SmoothnessConfig(
+    if kind not in MODEL_KINDS:
+        raise ContractError(f"unknown model kind {kind!r} in {path}")
+    if payload.get("format_version") != FORMAT_VERSION:
+        raise SchemaError(
+            f"{path}: format_version {payload.get('format_version')!r} is not {FORMAT_VERSION}"
+        )
+    try:
+        space = schema_from_json(payload["schema"])
+        rank = int(payload["rank"])
+        params = payload["params"]
+        norm = payload.get("normalizer")
+        normalizer = Normalizer(float(norm["y_min"]), float(norm["y_max"])) if norm else None
+        if kind == "costco":
+            config = payload["config"]
+            groups, channels, hidden = (
+                int(config[k]) for k in ("n_init_groups", "conv_channels", "hidden_units")
+            )
+            stored_groups = [list(group) for group in params["embeddings"]]
+            head_payload = {name: params[name] for name in _HEAD_FIELDS}
+        else:
+            smooth = payload.get("smoothness", {})
+            smoothness = SmoothnessConfig(
                 weight=float(smooth.get("weight", 0.0)),
                 modes=tuple(smooth.get("modes", ())),
-            ),
+            )
+            stored_factors = list(params["factors"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
+    shape = space.shape()
+    if rank < 1 or payload.get("shape") != list(shape):
+        raise SchemaError(
+            f"{path}: rank {rank} and shape {payload.get('shape')} do not fit the schema "
+            f"shape {list(shape)}"
         )
-    if kind == "costco":
-        params = payload["params"]
-        bank = EmbeddingBank(
-            [[_array_from_json(e) for e in group] for group in params["embeddings"]]
+
+    if kind in ("cpd", "cpd_s"):
+        if len(stored_factors) != len(shape):
+            raise SchemaError(f"{path}: {len(stored_factors)} factors for {len(shape)} modes")
+        factors = FactorSet(
+            [
+                _array_from_json(f, (size, rank), path, f"factor {m}")
+                for m, (f, size) in enumerate(zip(stored_factors, shape))
+            ]
         )
-        head = ConvHead(
-            mode_kernels=_array_from_json(params["mode_kernels"]),
-            mode_bias=_array_from_json(params["mode_bias"]),
-            rank_kernels=_array_from_json(params["rank_kernels"]),
-            rank_bias=_array_from_json(params["rank_bias"]),
-            dense_w=_array_from_json(params["dense_w"]),
-            dense_b=_array_from_json(params["dense_b"]),
-            out_w=_array_from_json(params["out_w"]),
-            out_b=_array_from_json(params["out_b"]),
+        return CPDModel(
+            kind=kind, factors=factors, space=space, normalizer=normalizer, smoothness=smoothness
         )
-        return NeuralModel(bank=bank, head=head, space=space, normalizer=normalizer)
-    raise ContractError(f"unknown model kind {kind!r} in {path}")
+
+    if len(stored_groups) != groups or any(len(g) != len(shape) for g in stored_groups):
+        raise SchemaError(
+            f"{path}: embeddings are not {groups} groups of {len(shape)} mode matrices"
+        )
+    bank = EmbeddingBank(
+        [
+            [
+                _array_from_json(e, (size, rank), path, f"embedding {s}/{m}")
+                for m, (e, size) in enumerate(zip(group, shape))
+            ]
+            for s, group in enumerate(stored_groups)
+        ]
+    )
+    head_shapes = {
+        "mode_kernels": (channels, groups, len(shape)),
+        "mode_bias": (channels,),
+        "rank_kernels": (channels, channels, rank),
+        "rank_bias": (channels,),
+        "dense_w": (hidden, channels),
+        "dense_b": (hidden,),
+        "out_w": (hidden,),
+        "out_b": (),
+    }
+    head = ConvHead(
+        **{
+            name: _array_from_json(head_payload[name], head_shapes[name], path, name)
+            for name in _HEAD_FIELDS
+        }
+    )
+    return NeuralModel(bank=bank, head=head, space=space, normalizer=normalizer)

@@ -216,9 +216,11 @@ def _embedding_keys(indices: np.ndarray, shape, n_groups: int, rank: int) -> np.
 
 
 def _split_embeddings(flat: np.ndarray, shape, n_groups: int, rank: int) -> list:
-    """Per-matrix views of a concatenation of embedding matrices."""
+    """Per-matrix (B, I_m, R) views of B stacked concatenations of embedding
+    matrices, given as a (B, size) array."""
     sizes = [int(s) * rank for s in shape] * n_groups
-    return [part.reshape(-1, rank) for part in np.split(flat, np.cumsum(sizes)[:-1])]
+    parts = np.split(flat, np.cumsum(sizes)[:-1], axis=1)
+    return [part.reshape(len(flat), -1, rank) for part in parts]
 
 
 def _head_arrays(head: ConvHead) -> list:
@@ -227,68 +229,84 @@ def _head_arrays(head: ConvHead) -> list:
 
 
 def _rank_matrix(rank_kernels: np.ndarray) -> np.ndarray:
-    """(D, C, R) rank kernels as a (D, R*C) matrix over the rank-major
+    """(B, D, C, R) rank kernels as (B, D, R*C) matrices over the rank-major
     flattening of the mode-conv output."""
-    return rank_kernels.transpose(0, 2, 1).reshape(rank_kernels.shape[0], -1)
+    n_fits, d = rank_kernels.shape[:2]
+    return rank_kernels.transpose(0, 1, 3, 2).reshape(n_fits, d, -1)
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Each matrix of a (B, p, q) stack transposed."""
+    return a.transpose(0, 2, 1)
 
 
 def _forward_keys(embeddings: np.ndarray, head: list, keys: np.ndarray):
-    """Batched forward pass over concatenated embeddings and the eight head
-    arrays. Both convolutions are linear maps, over S*M and over R*C, so each
-    is one matmul. The cache holds x as (n, S, R, M) and z1, a1 as (n, C, R),
-    as transposed views of the layouts the matmuls use."""
+    """Forward pass of B fits at once over their stacked embeddings (B, size),
+    their stacked head arrays (each with a leading B axis) and their gather
+    keys (B, n, R, S, M), already offset into the flattened embeddings. Both
+    convolutions are linear maps, over S*M and over R*C, so each is one
+    stacked matmul. The cache holds x as (B, n, S, R, M) and z1, a1 as
+    (B, n, C, R), as transposed views of the layouts the matmuls use."""
     mode_k, mode_b, rank_k, rank_b, dense_w, dense_b, out_w, out_b = head
-    n, rank = keys.shape[:2]
-    channels = mode_k.shape[0]
-    x = embeddings.take(keys)  # (n, R, S, M)
-    z1 = x.reshape(n * rank, -1) @ mode_k.reshape(channels, -1).T + mode_b  # (n*R, C)
+    n_fits, n, rank = keys.shape[:3]
+    channels = mode_k.shape[1]
+    x = embeddings.take(keys)  # (B, n, R, S, M)
+    z1 = x.reshape(n_fits, n * rank, -1) @ _t(mode_k.reshape(n_fits, channels, -1))
+    z1 += mode_b[:, None]  # (B, n*R, C)
     a1 = np.maximum(z1, 0.0)
-    z2 = a1.reshape(n, -1) @ _rank_matrix(rank_k).T + rank_b
+    z2 = a1.reshape(n_fits, n, -1) @ _t(_rank_matrix(rank_k)) + rank_b[:, None]
     a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ dense_w.T + dense_b
+    z3 = a2 @ _t(dense_w) + dense_b[:, None]
     a3 = np.maximum(z3, 0.0)
-    preds = a3 @ out_w + out_b
+    preds = (a3 @ out_w[:, :, None])[..., 0] + out_b[:, None]
 
     def by_channel(z):
-        return z.reshape(n, rank, channels).transpose(0, 2, 1)
+        return z.reshape(n_fits, n, rank, channels).transpose(0, 1, 3, 2)
 
-    return preds, (x.transpose(0, 2, 1, 3), by_channel(z1), by_channel(a1), z2, a2, z3, a3)
+    x = x.transpose(0, 1, 3, 2, 4)
+    return preds, (x, by_channel(z1), by_channel(a1), z2, a2, z3, a3)
 
 
 def _backward_keys(head: list, keys: np.ndarray, cache, dpreds, n_embedding: int):
-    """Gradients of sum(dpreds * preds): the flat embedding gradient
-    (scattered with one bincount over `keys`) and the eight head gradients."""
+    """Gradients of sum(dpreds * preds) for B fits: the (B, size) embedding
+    gradient (scattered with one bincount over `keys`) and the eight stacked
+    head gradients."""
     mode_k, mode_b, rank_k, rank_b, dense_w, dense_b, out_w, out_b = head
     x, z1, a1, z2, a2, z3, a3 = cache
-    n, rank = keys.shape[:2]
-    channels = mode_k.shape[0]
+    n_fits, n, rank = keys.shape[:3]
+    channels = mode_k.shape[1]
 
-    g_out_b = np.asarray(dpreds.sum())
-    g_out_w = a3.T @ dpreds
-    dz3 = np.outer(dpreds, out_w) * (z3 > 0)
-    g_dense_w = dz3.T @ a2
-    g_dense_b = dz3.sum(axis=0)
+    g_out_b = dpreds.sum(axis=1)
+    g_out_w = (_t(a3) @ dpreds[:, :, None])[..., 0]
+    dz3 = dpreds[:, :, None] * out_w[:, None, :] * (z3 > 0)
+    g_dense_w = _t(dz3) @ a2
+    g_dense_b = dz3.sum(axis=1)
     dz2 = (dz3 @ dense_w) * (z2 > 0)
 
-    a1_flat = a1.transpose(0, 2, 1).reshape(n, -1)  # (n, R*C)
-    g_rank_k = (dz2.T @ a1_flat).reshape(-1, rank, channels).transpose(0, 2, 1)
-    g_rank_b = dz2.sum(axis=0)
-    dz1 = (dz2 @ _rank_matrix(rank_k)).reshape(n * rank, channels)
-    dz1 *= z1.transpose(0, 2, 1).reshape(n * rank, channels) > 0
+    a1_flat = a1.transpose(0, 1, 3, 2).reshape(n_fits, n, -1)  # (B, n, R*C)
+    g_rank_k = (_t(dz2) @ a1_flat).reshape(rank_k.shape[:2] + (rank, channels))
+    g_rank_k = g_rank_k.transpose(0, 1, 3, 2)
+    g_rank_b = dz2.sum(axis=1)
+    dz1 = (dz2 @ _rank_matrix(rank_k)).reshape(n_fits, n * rank, channels)
+    dz1 *= z1.transpose(0, 1, 3, 2).reshape(n_fits, n * rank, channels) > 0
 
-    x_flat = x.transpose(0, 2, 1, 3).reshape(n * rank, -1)  # (n*R, S*M)
-    g_mode_k = (dz1.T @ x_flat).reshape(mode_k.shape)
-    g_mode_b = dz1.sum(axis=0)
-    dx = dz1 @ mode_k.reshape(channels, -1)  # same element order as keys
-    g_emb = np.bincount(keys.ravel(), weights=dx.ravel(), minlength=n_embedding)
-    return g_emb, [g_mode_k, g_mode_b, g_rank_k, g_rank_b, g_dense_w, g_dense_b, g_out_w, g_out_b]
+    x_flat = x.transpose(0, 1, 3, 2, 4).reshape(n_fits, n * rank, -1)  # (B, n*R, S*M)
+    g_mode_k = (_t(dz1) @ x_flat).reshape(mode_k.shape)
+    g_mode_b = dz1.sum(axis=1)
+    dx = dz1 @ mode_k.reshape(n_fits, channels, -1)  # same element order as keys
+    g_emb = np.bincount(keys.ravel(), weights=dx.ravel(), minlength=n_fits * n_embedding)
+    g_head = [g_mode_k, g_mode_b, g_rank_k, g_rank_b, g_dense_w, g_dense_b, g_out_w, g_out_b]
+    return g_emb.reshape(n_fits, n_embedding), g_head
 
 
 def _forward(bank: EmbeddingBank, head: ConvHead, indices: np.ndarray):
-    """Batched forward pass; returns predictions plus the cache backward needs."""
+    """Forward pass of one model; returns predictions plus the cache backward
+    needs, without the batch axis."""
     embeddings = np.concatenate([e for group in bank.groups for e in group], axis=None)
     keys = _embedding_keys(indices, bank.shape, bank.n_groups, bank.rank)
-    return _forward_keys(embeddings, _head_arrays(head), keys)
+    head_arrays = [a[None] for a in _head_arrays(head)]
+    preds, cache = _forward_keys(embeddings[None], head_arrays, keys[None])
+    return preds[0], tuple(c[0] for c in cache)
 
 
 def neural_forward(bank: EmbeddingBank, head: ConvHead, index) -> float:
@@ -308,28 +326,36 @@ def predict_batch(bank: EmbeddingBank, head: ConvHead, indices) -> np.ndarray:
     return preds
 
 
-def _masked_objective(obs: ObservationSet, n_groups: int, rank: int):
-    """Masked-MSE objective over one observation set for a pack_params list.
+def _masked_objective(obs_sets, n_groups: int, rank: int):
+    """Masked-MSE objective over B observation sets of one size, for stacked
+    pack_params lists.
 
-    Returns `objective(params, grad=True)`: `(loss, grads)` in pack_params
-    order, or the loss alone when `grad` is false. The gather/scatter keys
-    are built here once; the parameter list is sliced directly, with no
-    bank or head built per call."""
-    shape = obs.space.shape()
-    n_emb = n_groups * len(shape)
-    keys = _embedding_keys(obs.indices, shape, n_groups, rank)
-    n, values = obs.n, obs.values
+    Returns `objective(params, grad=True)` for a list whose arrays carry fit
+    b's pack_params arrays at `[b]`: `(losses, grads)` with losses of shape
+    (B,) and grads parallel to params, or the losses alone when `grad` is
+    false. The gather/scatter keys are built here once, offset so that each
+    fit reads and writes only its own embeddings; the parameter list is
+    sliced directly, with no bank or head built per call."""
+    shape = obs_sets[0].space.shape()
+    n = obs_sets[0].n
+    if any(obs.n != n or obs.space.shape() != shape for obs in obs_sets):
+        raise ContractError("observation sets of one batch must share their size and shape")
+    n_fits, n_emb = len(obs_sets), n_groups * len(shape)
+    size = n_groups * sum(shape) * rank  # embedding entries per fit
+    keys = np.stack([_embedding_keys(obs.indices, shape, n_groups, rank) for obs in obs_sets])
+    keys += (np.arange(n_fits) * size)[:, None, None, None, None]
+    values = np.stack([obs.values for obs in obs_sets])
 
     def objective(params, grad=True):
-        embeddings = np.concatenate(params[:n_emb], axis=None)
+        embeddings = np.concatenate([p.reshape(n_fits, -1) for p in params[:n_emb]], axis=1)
         head = params[n_emb:]
         preds, cache = _forward_keys(embeddings, head, keys)
         residuals = preds - values
-        loss = float(residuals @ residuals) / n
+        losses = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0] / n
         if not grad:
-            return loss
-        g_emb, g_head = _backward_keys(head, keys, cache, (2.0 / n) * residuals, embeddings.size)
-        return loss, _split_embeddings(g_emb, shape, n_groups, rank) + g_head
+            return losses
+        g_emb, g_head = _backward_keys(head, keys, cache, (2.0 / n) * residuals, size)
+        return losses, _split_embeddings(g_emb, shape, n_groups, rank) + g_head
 
     return objective
 
@@ -367,7 +393,9 @@ def neural_grad(bank: EmbeddingBank, head: ConvHead, obs: ObservationSet) -> lis
     if obs.n == 0:
         raise DegenerateDataError("gradient is undefined on an empty observation set")
     _validate_indices(obs.indices, bank.shape)
-    return _masked_objective(obs, bank.n_groups, bank.rank)(pack_params(bank, head))[1]
+    params = [p[None] for p in pack_params(bank, head)]
+    _, grads = _masked_objective([obs], bank.n_groups, bank.rank)(params)
+    return [g[0] for g in grads]
 
 
 @dataclass
@@ -392,24 +420,14 @@ class NeuralModel:
         return predict_batch(self.bank, self.head, indices)
 
 
-def costco_fit(
-    obs_train: ObservationSet,
-    cfg,
-    n_init_groups: int = 3,
-    conv_channels: int = 8,
-    hidden_units: int = 16,
-):
-    """Train embeddings and head jointly with the shared Adam engine."""
-    from .optim import Trainable, _carve_validation, run_restarts
+def costco_trainable(shape, cfg, n_init_groups: int, conv_channels: int, hidden_units: int):
+    """The optim engine's view of CoSTCo: seeded embeddings and head trained
+    jointly on the masked MSE, with batches of one training-set size."""
+    from .optim import Trainable  # local import avoids a module cycle
 
     if n_init_groups < 1:
         raise ContractError("need at least one initialization group")
-    if obs_train.n == 0:
-        raise DegenerateDataError("cannot fit on an empty observation set")
-    shape = obs_train.space.shape()
     n_modes = len(shape)
-
-    fit_obs, val_obs = _carve_validation(obs_train, cfg)
 
     def init(seed):
         bank = init_embedding_bank(shape, cfg.rank, n_init_groups, seed)
@@ -418,23 +436,37 @@ def costco_fit(
         )
         return pack_params(bank, head)
 
-    objective = _masked_objective(fit_obs, n_init_groups, cfg.rank)
-    val_objective = (
-        _masked_objective(val_obs, n_init_groups, cfg.rank) if val_obs is not None else None
+    return Trainable(
+        init=init,
+        objective=lambda sets: _masked_objective(sets, n_init_groups, cfg.rank),
+        val_objective=lambda sets: _masked_objective(sets, n_init_groups, cfg.rank),
+        same_size=True,
     )
 
-    trainable = Trainable(
-        init=init,
-        loss_and_grad=objective,
-        loss=lambda params: objective(params, grad=False),
-        val_loss=(lambda params: val_objective(params, grad=False)) if val_objective else None,
+
+def costco_model(params: list, obs_train: ObservationSet, n_init_groups: int) -> NeuralModel:
+    """A trained parameter list as a standalone model of its training set."""
+    bank, head = unpack_params(params, n_init_groups, obs_train.space.ndim)
+    return NeuralModel(bank=bank, head=head, space=obs_train.space, normalizer=obs_train.normalizer)
+
+
+def costco_fit(
+    obs_train: ObservationSet,
+    cfg,
+    n_init_groups: int = 3,
+    conv_channels: int = 8,
+    hidden_units: int = 16,
+):
+    """Train embeddings and head jointly on one training set; returns
+    (model, TrainReport)."""
+    from .optim import fit  # local import avoids a module cycle
+
+    return fit(
+        obs_train.space.shape(),
+        obs_train,
+        cfg,
+        "costco",
+        n_init_groups=n_init_groups,
+        conv_channels=conv_channels,
+        hidden_units=hidden_units,
     )
-    params, report = run_restarts(trainable, cfg)
-    bank, head = unpack_params(params, n_init_groups, n_modes)
-    model = NeuralModel(
-        bank=bank,
-        head=head,
-        space=obs_train.space,
-        normalizer=obs_train.normalizer,
-    )
-    return model, report

@@ -262,3 +262,46 @@ class TestErrorReporting:
         payload = json.loads(err)
         assert payload["error"] == "SchemaError"
         assert "obs.csv" in payload["message"] and "row 3" in payload["message"]
+
+
+class TestModelFileValidation:
+    """A damaged model file is a SchemaError naming it, reported by the CLI as
+    one line of JSON, never a traceback from predict."""
+
+    def predict_with(self, dataset_dir, tmp_path, capsys, damage):
+        model_path = TestFitPredictEvaluate().fit_model(dataset_dir, tmp_path)
+        payload = json.loads(model_path.read_text())
+        damage(payload)
+        model_path.write_text(json.dumps(payload))
+        indices_path = tmp_path / "indices.csv"
+        indices_path.write_text("geometry,thickness,ux\n2,1,2\n")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path), "--indices", str(indices_path),
+                     "--out", str(tmp_path / "preds.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "SchemaError"
+        assert "cpd.json" in payload["message"]
+        return payload["message"]
+
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_factor_rows_disagreeing_with_schema(self, dataset_dir, tmp_path, capsys, version):
+        # mode 0 (geometry) has 3 values in the schema; keep 2 factor rows
+        def damage(payload):
+            factor = payload["params"]["factors"][0]
+            factor["shape"] = [2, 2]
+            factor["data"] = factor["data"][:4]
+            payload["format_version"] = version
+
+        message = self.predict_with(dataset_dir, tmp_path, capsys, damage)
+        assert ("format_version 99" in message) if version == 99 else ("factor 0" in message)
+
+    def test_truncated_data_array(self, dataset_dir, tmp_path, capsys):
+        def damage(payload):
+            factor = payload["params"]["factors"][1]
+            factor["data"] = factor["data"][:-1]
+
+        message = self.predict_with(dataset_dir, tmp_path, capsys, damage)
+        assert "factor 1" in message and "3 values" in message

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from conftest import full_grid_indices, low_rank_values, obs_from_values
 
+from tenfit import harness
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
-from tenfit.errors import ContractError, SplitError, StratumExhaustedError
+from tenfit.errors import ContractError, DegenerateDataError, SplitError, StratumExhaustedError
 from tenfit.harness import (
     RegionSpec,
     SamplingPlan,
@@ -361,6 +362,48 @@ class TestRunExperiment:
         assert all(f["error"] == "DivergenceError" for f in summary["failures"])
         # healthy models unaffected
         assert "cpd" in summary["aggregates"]["uniform"]
+
+    def test_records_say_how_each_fit_converged(self, tmp_path):
+        config = self.experiment_config(self.make_dataset(tmp_path))
+        config["models"] = [
+            {"kind": "cpd", "rank": 2, "epochs": 2000, "lr": 0.05, "restarts": 2,
+             "patience": 5, "val_fraction": 0.3},
+        ]
+        out_dir = tmp_path / "out"
+        summary = run_experiment(config, out_dir)
+        assert not summary["failures"]
+        records = [json.loads(p.read_text()) for p in (out_dir / "per_iteration").glob("*.json")]
+        assert len(records) == 6
+        for record in records:
+            assert 1 <= record["epochs_run"] < 2000  # the early stop was exercised
+            assert len(record["restart_final_losses"]) == 2
+            assert record["final_loss"] == min(record["restart_final_losses"])
+        assert "seconds" not in json.dumps(summary)
+
+    def test_fms_failure_is_recorded(self, tmp_path, monkeypatch):
+        def zero_norm_column(a, b):
+            raise DegenerateDataError("zero-norm column")
+
+        monkeypatch.setattr(harness, "fms", zero_norm_column)
+        out_dir = tmp_path / "out"
+        summary = run_experiment(self.experiment_config(self.make_dataset(tmp_path)), out_dir)
+        assert summary["fms"] is None
+        assert [f["iteration"] for f in summary["failures"]] == [0, 1, 2]
+        assert all(f["error"] == "DegenerateDataError" for f in summary["failures"])
+        assert json.loads((out_dir / "summary.json").read_text()) == summary
+        assert "cpd" in summary["aggregates"]["biased"]
+
+    def test_export_failure_is_recorded(self, tmp_path, monkeypatch):
+        def zero_norm_column(factors, space, out_dir):
+            raise DegenerateDataError("zero-norm column")
+
+        monkeypatch.setattr(harness, "component_expression_export", zero_norm_column)
+        out_dir = tmp_path / "out"
+        summary = run_experiment(self.experiment_config(self.make_dataset(tmp_path)), out_dir)
+        failed = {(f["plan"], f["model"]) for f in summary["failures"]}
+        assert failed == {(p, m) for p in ("uniform", "biased") for m in ("cpd", "cpd_s")}
+        assert summary["fms"] is not None
+        assert (out_dir / "summary.json").exists()
 
     def test_reruns_identical(self, tmp_path):
         data_dir = self.make_dataset(tmp_path)

@@ -50,11 +50,13 @@ def test_fused_objectives_match_reference_kernels():
         weight = float(rng.uniform(0.01, 0.5))
         for modes in ((), tuple(range(ndim)), (0, ndim - 1)):
             cfg = SmoothnessConfig(weight=weight if modes else 0.0, modes=modes)
-            loss, grads = masked_objective(obs, rank, cfg)(factors)
+            objective = masked_objective([obs], rank, cfg)
+            (loss,), grads = objective([f[None] for f in factors])
+            grads = [g[0] for g in grads]
             ref_loss, ref_grads = cpd_loss_and_grad(
                 factors, obs.indices, obs.values, cfg.weight, cfg.modes
             )
-            assert masked_objective(obs, rank, cfg)(factors, grad=False) == loss
+            assert objective([f[None] for f in factors], grad=False) == loss
             assert [g.shape for g in grads] == [g.shape for g in ref_grads]
             worst = max(worst, rel_err(loss, ref_loss), *map(rel_err, grads, ref_grads))
             # the unobserved row gets only the smoothness gradient
@@ -64,7 +66,9 @@ def test_fused_objectives_match_reference_kernels():
         n_groups = int(rng.integers(1, 4))
         bank = init_embedding_bank(shape, rank, n_groups, seed=trial)
         head = init_conv_head(rank, ndim, n_groups, int(rng.integers(1, 6)), 7, seed=trial + 50)
-        loss, grads = _masked_objective(obs, n_groups, rank)(pack_params(bank, head))
+        params = [p[None] for p in pack_params(bank, head)]
+        (loss,), grads = _masked_objective([obs], n_groups, rank)(params)
+        grads = [g[0] for g in grads]
         ref_loss, ref_grads = costco_loss_and_grad(bank, head, obs.indices, obs.values)
         assert [g.shape for g in grads] == [g.shape for g in ref_grads]
         worst = max(worst, rel_err(loss, ref_loss), *map(rel_err, grads, ref_grads))

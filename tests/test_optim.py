@@ -10,14 +10,18 @@ from tenfit.metrics import regression_metrics
 from tenfit.neural import pack_params
 from tenfit.optim import (
     AdamState,
+    Run,
     TrainConfig,
     Trainable,
-    _train_single,
     adam_step,
     fit,
     predict_set,
-    run_restarts,
+    train_batch,
+    train_fits,
 )
+
+# Placeholder data for engine tests whose objectives ignore their data.
+UNUSED_DATA = obs_from_values((2,), [0.0, 1.0])
 
 
 def synthetic_split(shape, rank, seed, observed_fraction=0.7):
@@ -148,17 +152,20 @@ class TestFit:
     def test_diverged_restart_is_skipped(self):
         # restart 1 (seed 0 + 1) starts far out and diverges at its first
         # epoch; restarts 0 and 2 converge and the best of them wins.
-        def loss(params):
-            x = params[0][0]
-            return math.inf if abs(x) > 100 else float(x * x)
+        def objective(data_sets):
+            def batch(params, grad=True):
+                x = params[0][:, 0]
+                losses = np.where(np.abs(x) > 100, math.inf, x * x)
+                return (losses, [2.0 * params[0]]) if grad else losses
+
+            return batch
 
         trainable = Trainable(
             init=lambda seed: [np.array([1000.0 if seed == 1 else 1.0 + seed])],
-            loss_and_grad=lambda params: (loss(params), [2.0 * params[0]]),
-            loss=loss,
+            objective=objective,
         )
         cfg = TrainConfig(rank=1, epochs=50, lr=0.1, restarts=3, seed=0)
-        params, report = run_restarts(trainable, cfg)
+        ((params, report),) = train_fits(trainable, [UNUSED_DATA], [cfg.seed], cfg)
         assert report.restart_final_losses[1] == math.inf
         assert all(math.isfinite(report.restart_final_losses[r]) for r in (0, 2))
         assert report.restart in (0, 2)
@@ -196,21 +203,29 @@ class TestEarlyStopping:
         # the kept checkpoint must be the best (initial) one.
         calls = {"n": 0}
 
-        def loss_and_grad(params):
-            return float(params[0][0] ** 2), [2.0 * params[0]]
+        def objective(data_sets):
+            def batch(params, grad=True):
+                losses = params[0][:, 0] ** 2
+                return (losses, [2.0 * params[0]]) if grad else losses
 
-        def val_loss(params):
-            calls["n"] += 1
-            return float((params[0][0] - 1.0) ** 2)  # best at x=1, start x=0.9
+            return batch
+
+        def val_objective(data_sets):
+            def batch(params, grad=False):
+                calls["n"] += 1
+                return (params[0][:, 0] - 1.0) ** 2  # best at x=1, start x=0.9
+
+            return batch
 
         trainable = Trainable(
             init=lambda seed: [np.array([0.9])],
-            loss_and_grad=loss_and_grad,
-            loss=lambda params: float(params[0][0] ** 2),
-            val_loss=val_loss,
+            objective=objective,
+            val_objective=val_objective,
         )
         cfg = TrainConfig(rank=1, epochs=500, lr=0.05, patience=4, val_fraction=0.5)
-        params, losses, final = _train_single(trainable, cfg, restart=0)
+        run = Run(fit=0, restart=0, seed=0, data=UNUSED_DATA, val=UNUSED_DATA)
+        (result,) = train_batch(trainable, [run], cfg)
+        params, losses = result.params, result.losses
         assert len(losses) < 500  # stopped early
         assert params[0][0] == pytest.approx(0.9)  # initial checkpoint kept
 
