@@ -1,0 +1,195 @@
+"""Layer bench: the CPD objective per call, and training cost per fit-epoch
+at growing batch sizes.
+
+    python3 bench/kernels.py --out results.json
+
+Run it from the repository root; it imports tenfit from ./src. Two tables:
+
+- `objective`: `cpd.masked_objective` at the sizes the benchmark workloads
+  train (experiment_large's 3,456-row fit, serve_cli's 3,840-row set-up
+  fit, experiment_large's 384-row validation pass, the lattice's cpd and
+  cpd_s batches and the OOD sweep's cpd batches). Each entry gives the
+  median over rounds of the us per call and of the minor page faults per
+  call (`resource.getrusage`), measured over a fixed number of calls.
+- `batch`: `optim.train_batch` on B same-size fits, in us per fit-epoch
+  (the best of several rounds), for CPD and CoSTCo; these measurements set
+  `optim.MAX_BATCH_ROWS` and `neural.COSTCO_MAX_BATCH_ROWS`.
+
+BLAS/OpenMP threads are pinned to 1, as in perfbench. The output records
+the Python, numpy and BLAS versions, nproc and the git commit.
+"""
+
+from __future__ import annotations
+
+import os
+
+# Pin BLAS/OpenMP threads before numpy loads, as perfbench does.
+THREADS = "1"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = THREADS
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from tenfit import cpd, neural, optim  # noqa: E402
+from tenfit.core import DesignSpace, Normalizer, ObservationSet  # noqa: E402
+
+LATTICE = (5, 2, 3, 3, 3)  # 270 cells
+LARGE = (8, 4, 5, 5, 6)  # 4,800 cells
+RANK = 3
+
+# name, shape, rows per fit, fits, smoothed (cpd_s), gradient
+OBJECTIVE_CASES = [
+    ("large_fit", LARGE, 3456, 1, False, True),
+    ("serve_setup_fit", LARGE, 3840, 1, False, True),
+    ("large_validation", LARGE, 384, 1, False, False),
+    ("lattice_cpd_216", LATTICE, 216, 9, False, True),
+    ("lattice_cpd_84", LATTICE, 84, 9, False, True),
+    ("lattice_cpd_s_216", LATTICE, 216, 3, True, True),
+    ("lattice_cpd_s_84", LATTICE, 84, 3, True, True),
+    ("sweep_cpd_154", LATTICE, 154, 2, False, True),
+    ("sweep_cpd_74", LATTICE, 74, 2, False, True),
+]
+
+# kind, shape, rows per fit, batch sizes
+BATCH_CASES = [
+    ("cpd", LATTICE, 216, (1, 9, 12, 16, 20, 24, 28, 31)),
+    ("cpd", LARGE, 768, (1, 3, 5, 6, 7, 9)),
+    ("cpd", LARGE, 1000, (1, 2, 3, 4, 6)),
+    ("cpd", LARGE, 3456, (1, 2)),
+    ("costco", LATTICE, 154, (1, 2, 3, 4, 5, 6)),
+    ("costco", LATTICE, 74, (1, 4, 6, 8, 10, 12)),
+    ("costco", LATTICE, 40, (1, 8, 12, 15, 20)),
+]
+
+
+def git_sha():
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True, text=True
+        )
+    except OSError:
+        return None
+    return out.stdout.strip() or None
+
+
+def environment():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": THREADS,
+        "nproc": os.cpu_count(),
+        "git_sha": git_sha(),
+    }
+
+
+def observations(shape, n, rng):
+    """n distinct random cells of `shape` with uniform values."""
+    flat = np.sort(rng.choice(int(np.prod(shape)), size=n, replace=False))
+    return ObservationSet(
+        space=DesignSpace.from_shape(shape),
+        indices=np.stack(np.unravel_index(flat, shape), axis=1),
+        values=rng.uniform(-1, 1, size=n),
+        normalizer=Normalizer(0.0, 1.0),
+    )
+
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def bench_objective(shape, n, n_fits, smoothed, grad, calls, rounds, rng):
+    sets = [observations(shape, n, rng) for _ in range(n_fits)]
+    smoothness = cpd.SmoothnessConfig(0.1, tuple(range(len(shape)))) if smoothed else None
+    objective = cpd.masked_objective(sets, RANK, smoothness)
+    factors = [rng.normal(0, 0.5, size=(n_fits, size, RANK)) for size in shape]
+    for _ in range(calls):  # warm up
+        objective(factors, grad=grad)
+    us, faults = [], []
+    for _ in range(rounds):
+        faults_start, start = minor_faults(), time.perf_counter()
+        for _ in range(calls):
+            objective(factors, grad=grad)
+        us.append((time.perf_counter() - start) / calls * 1e6)
+        faults.append((minor_faults() - faults_start) / calls)
+    return {
+        "rows": n * n_fits,
+        "us_per_call": round(statistics.median(us), 2),
+        "minor_faults_per_call": round(statistics.median(faults), 2),
+    }
+
+
+def trainable(kind, shape, cfg):
+    if kind == "costco":
+        return neural.costco_trainable(shape, cfg, 3, 8, 16)
+    return optim.Trainable(
+        init=lambda seed: cpd.init_factors(shape, RANK, seed).factors,
+        objective=lambda sets: cpd.masked_objective(sets, RANK),
+    )
+
+
+def bench_batch(rounds, epochs, rng):
+    """us per fit-epoch of every BATCH_CASES entry, the best of `rounds`;
+    each round runs every entry once, so a slow spell of the host hits all
+    of them alike."""
+    entries = []
+    for kind, shape, n, sizes in BATCH_CASES:
+        cfg = optim.TrainConfig(rank=RANK, epochs=epochs, lr=0.01)
+        engine = trainable(kind, shape, cfg)
+        for n_fits in sizes:
+            runs = [
+                optim.Run(fit=b, restart=0, seed=b, data=observations(shape, n, rng))
+                for b in range(n_fits)
+            ]
+            entries.append(({"kind": kind, "cells": int(np.prod(shape)), "n": n,
+                             "fits": n_fits, "rows": n * n_fits}, engine, runs, cfg))
+    best = [float("inf")] * len(entries)
+    for _ in range(rounds):
+        for i, (_, engine, runs, cfg) in enumerate(entries):
+            start = time.perf_counter()
+            optim.train_batch(engine, runs, cfg)
+            best[i] = min(best[i], (time.perf_counter() - start) / (epochs * len(runs)))
+    return [{**entry, "us_per_fit_epoch": round(us * 1e6, 2)}
+            for (entry, *_), us in zip(entries, best)]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="write the JSON here (default: stdout only)")
+    parser.add_argument("--calls", type=int, default=200, help="objective calls per round")
+    parser.add_argument("--rounds", type=int, default=7, help="objective rounds per case")
+    parser.add_argument("--batch-rounds", type=int, default=16, help="train_batch rounds")
+    parser.add_argument("--epochs", type=int, default=80, help="epochs per train_batch call")
+    args = parser.parse_args(argv)
+
+    rng = np.random.default_rng(0)
+    result = {"environment": environment(), "objective": {}}
+    for name, shape, n, n_fits, smoothed, grad in OBJECTIVE_CASES:
+        entry = bench_objective(shape, n, n_fits, smoothed, grad, args.calls, args.rounds, rng)
+        result["objective"][name] = {"fits": n_fits, "grad": grad, **entry}
+        print(name, entry, file=sys.stderr)
+    result["batch"] = bench_batch(args.batch_rounds, args.epochs, rng)
+    for entry in result["batch"]:
+        print(entry, file=sys.stderr)
+    text = json.dumps(result, indent=1)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    print(text)
+
+
+if __name__ == "__main__":
+    main()

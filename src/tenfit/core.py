@@ -188,7 +188,8 @@ class ObservationSet:
             raise ContractError("indices and values disagree on length")
         if idx.size and (idx.min() < 0 or np.any(idx >= np.asarray(shape))):
             raise ContractError("observation index out of range for the design space")
-        if len(np.unique(idx, axis=0)) != idx.shape[0]:
+        ordered = idx[np.lexsort(idx.T)]  # equal tuples end up adjacent
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise ContractError("duplicate observation index tuples")
         if not np.all(np.isfinite(vals)):
             raise ContractError("observation values must be finite")

@@ -112,17 +112,10 @@ def predict_indices(factors: FactorSet, indices: np.ndarray) -> np.ndarray:
     shape = np.asarray(factors.shape)
     if indices.min() < 0 or np.any(indices >= shape):
         raise IndexError("index out of range")
-    rows = [f.take(indices[:, m], axis=0) for m, f in enumerate(factors.factors)]
-    return _prefix_products(rows)[-1] @ np.ones(factors.rank)
-
-
-def _prefix_products(rows: list[np.ndarray]) -> list[np.ndarray]:
-    """Running products of gathered factor rows; the last is the full
-    per-entry product, whose row sums are the predictions."""
-    prefix = [rows[0]]
-    for r in rows[1:]:
-        prefix.append(prefix[-1] * r)
-    return prefix
+    product = factors.factors[0].take(indices[:, 0], axis=0)
+    for m, f in enumerate(factors.factors[1:], start=1):
+        product *= f.take(indices[:, m], axis=0)
+    return _component_sum(product)
 
 
 def reconstruct_full(factors: FactorSet, cell_cap: int = 10_000_000) -> DenseTensor:
@@ -178,8 +171,14 @@ def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
     the scatter is one `np.bincount` per mode over keys built here once. A
     row's prediction sums its components left to right, so every fit gets
     the same bits whatever its position in the batch. Rows untouched by any
-    observation receive gradient only from the smoothness term. Factor
-    shapes are not checked per call; `grad_masked_loss` checks them.
+    observation receive gradient only from the smoothness term. Every call
+    checks the stack shapes and raises ContractError on a mismatch.
+
+    The closure owns its (n, R) and (n,) work arrays and every call writes
+    into them, so a large fit does not allocate (and page-fault) them anew
+    each epoch. A closure is therefore not re-entrant: do not call one from
+    two threads at once. The returned losses and gradients are fresh arrays
+    that never alias the work arrays.
     """
     cfg = cfg or SmoothnessConfig()
     shape = obs_sets[0].space.shape()
@@ -197,16 +196,31 @@ def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
     keys = [(c[:, None] * rank + np.arange(rank)).ravel() for c in cols]
     twos = np.repeat((2.0 / counts)[fit_id][:, None], rank, axis=1)
     smooth_modes = cfg.modes if cfg.weight > 0 else ()
+    stack_shapes = [(n_fits, size, rank) for size in shape]
+
+    n = len(values)
+    rows = [np.empty((n, rank)) for _ in shape]  # gathered factor rows
+    prefix = rows[:1] + [np.empty((n, rank)) for _ in shape[1:]]
+    suffix, product = np.empty((n, rank)), np.empty((n, rank))
+    residuals, squares = np.empty(n), np.empty(n)
 
     def scatter(m, weights):
         flat = np.bincount(keys[m], weights=weights.ravel(), minlength=n_fits * shape[m] * rank)
         return flat.reshape(n_fits, shape[m], rank)
 
     def objective(factors, grad=True):
-        rows = [f.reshape(-1, rank).take(c, axis=0) for f, c in zip(factors, cols)]
-        prefix = _prefix_products(rows)
-        residuals = _component_sum(prefix[-1]) - values
-        losses = np.bincount(fit_id, weights=residuals * residuals, minlength=n_fits) / counts
+        if [np.shape(f) for f in factors] != stack_shapes:
+            raise ContractError(f"factor stacks must have shapes {stack_shapes}")
+        for f, c, out in zip(factors, cols, rows):
+            # the shapes were checked, so every key is in range and "clip"
+            # (which writes straight into `out`) never clips
+            f.reshape(-1, rank).take(c, axis=0, out=out, mode="clip")
+        for m in range(1, len(shape)):
+            np.multiply(prefix[m - 1], rows[m], out=prefix[m])
+        _component_sum(prefix[-1], out=residuals)
+        np.subtract(residuals, values, out=residuals)
+        np.multiply(residuals, residuals, out=squares)
+        losses = np.bincount(fit_id, weights=squares, minlength=n_fits) / counts
         diffs = [(m, factors[m][:, 1:] - factors[m][:, :-1]) for m in smooth_modes]
         if diffs:
             penalty = sum(np.einsum("bij,bij->b", d, d) for _, d in diffs)
@@ -215,10 +229,10 @@ def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
             return losses
 
         grads = [None] * len(factors)
-        suffix = residuals[:, None] * twos  # d loss / d prediction, per component
+        np.multiply(residuals[:, None], twos, out=suffix)  # d loss / d prediction
         for m in range(len(factors) - 1, 0, -1):
-            grads[m] = scatter(m, prefix[m - 1] * suffix)
-            suffix = suffix * rows[m]
+            grads[m] = scatter(m, np.multiply(prefix[m - 1], suffix, out=product))
+            np.multiply(suffix, rows[m], out=suffix)
         grads[0] = scatter(0, suffix)
         for m, d in diffs:
             step = (2.0 * cfg.weight) * d
@@ -229,23 +243,23 @@ def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
     return objective
 
 
-def _component_sum(products: np.ndarray) -> np.ndarray:
-    """Row sums of an (n, R) array, added column by column from the left."""
-    total = products[:, 0].copy()
+def _component_sum(products: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of an (n, R) array, added column by column from the left
+    (into `out` when given)."""
+    if out is None:
+        out = np.empty(products.shape[0])
+    out[:] = products[:, 0]
     for r in range(1, products.shape[1]):
-        total += products[:, r]
-    return total
+        out += products[:, r]
+    return out
 
 
 def grad_masked_loss(
     factors: FactorSet, obs: ObservationSet, cfg: SmoothnessConfig | None = None
 ) -> list[np.ndarray]:
     """Exact gradient of masked_mse + smoothness_penalty w.r.t. every factor
-    entry."""
-    if obs.space.shape() != factors.shape:
-        raise ContractError(
-            f"observation shape {obs.space.shape()} != factor shape {factors.shape}"
-        )
+    entry; factors that disagree with the observation shape raise
+    ContractError."""
     _, grads = masked_objective([obs], factors.rank, cfg)([f[None] for f in factors.factors])
     return [g[0] for g in grads]
 

@@ -420,9 +420,23 @@ class NeuralModel:
         return predict_batch(self.bank, self.head, indices)
 
 
+COSTCO_MAX_BATCH_ROWS = 500
+"""Most observed training rows one batched CoSTCo objective call covers.
+A CoSTCo row carries about 15 times the per-call temporaries of a CPD row
+(its conv inputs and their gradients are R*S*M wide, the hidden layer R*C),
+so its batching gain peaks far earlier than CPD's. Measured with
+`bench/kernels.py`'s `train_batch` table on the 270-cell shape at R=3, best
+of 16 rounds, in us per fit-epoch: at n=154, 230 alone, 145 at B=3 (462
+rows), 133 at B=4 (616) and 167-194 at B=5-6; at n=74, 176 alone, 82-84 at
+B=4-6 (296-444 rows) and 98-117 at B=8-12 (592-888 rows); at n=40, 155
+alone, 46 at B=8-12 (320-480 rows) and 59-65 at B=15-20 (600-800 rows).
+"""
+
+
 def costco_trainable(shape, cfg, n_init_groups: int, conv_channels: int, hidden_units: int):
     """The optim engine's view of CoSTCo: seeded embeddings and head trained
-    jointly on the masked MSE, with batches of one training-set size."""
+    jointly on the masked MSE, with batches of one training-set size and at
+    most COSTCO_MAX_BATCH_ROWS rows."""
     from .optim import Trainable  # local import avoids a module cycle
 
     if n_init_groups < 1:
@@ -441,6 +455,7 @@ def costco_trainable(shape, cfg, n_init_groups: int, conv_channels: int, hidden_
         objective=lambda sets: _masked_objective(sets, n_init_groups, cfg.rank),
         val_objective=lambda sets: _masked_objective(sets, n_init_groups, cfg.rank),
         same_size=True,
+        max_rows=COSTCO_MAX_BATCH_ROWS,
     )
 
 

@@ -143,16 +143,19 @@ class TrainReport:
 
 MODEL_KINDS = ("cpd", "cpd_s", "costco")
 
-MAX_BATCH_ROWS = 2_600
-"""Most observed training rows one batched objective call covers. The runs
-of a batch are split to stay at or under it; a run larger than it trains
-alone. Batching removes per-call overhead, but a call's (rows, R)
-temporaries grow with the batch, and past about 2,600 rows a fit-epoch
-costs more again. Measured with `train_batch` at R=3, in us per fit-epoch
-(numpy 2.4, OpenBLAS on one thread, 2-vCPU KVM guest): CPD at n=216 ran
-63.5 alone, 24.3 at B=9 (1,944 rows), 23.0 at B=12 (2,592 rows) and 38.8
-at B=14 (3,024 rows); at n=1,000 on a 4,800-cell shape, 123 alone, 91.7 at
-B=3 and 165 at B=4 (4,000 rows).
+MAX_BATCH_ROWS = 4_000
+"""Most observed training rows one batched CPD objective call covers (the
+engine's default bound; CoSTCo sets its own, see
+`neural.COSTCO_MAX_BATCH_ROWS`). The runs of a batch are split to stay at
+or under it; a run larger than it trains alone. Batching removes per-call
+overhead until a fit-epoch stops getting cheaper. Measured with
+`bench/kernels.py`'s `train_batch` table at R=3, best of 16 rounds, in us
+per fit-epoch (numpy 2.4, OpenBLAS on one thread, 2-vCPU KVM guest): at
+n=216, 68.0 alone, 24.7 at B=9 (1,944 rows) and 22.2-25.4 from 2,592 to
+6,696 rows; at n=768 on a 4,800-cell shape, 146 alone, 76.6 at B=5
+(3,840 rows) and 83-92 from 4,608 to 6,912 rows; at n=1,000, 142 alone and
+105-119 from 2,000 to 6,000 rows. Two fits of 3,456 rows train apart (B=2
+was no cheaper per fit-epoch than B=1).
 """
 
 
@@ -166,13 +169,15 @@ class Trainable:
     batch axis and returns `(losses, grads)`, losses of shape (B,) and grads
     parallel to params, or the losses alone when `grad` is false.
     `val_objective(data_sets)` builds the batched validation loss the same
-    way. `same_size` says whether one batch needs data sets of one size.
+    way. `same_size` says whether one batch needs data sets of one size;
+    `max_rows` bounds the training rows of one batch.
     """
 
     init: Callable
     objective: Callable
     val_objective: Callable | None = None
     same_size: bool = False
+    max_rows: int = MAX_BATCH_ROWS
 
 
 @dataclass
@@ -319,15 +324,15 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
     return results
 
 
-def _batches(runs: list, same_size: bool) -> list:
-    """Consecutive runs grouped into batches of at most MAX_BATCH_ROWS
-    training rows (a larger run alone); with `same_size`, a batch holds runs
-    of one size only."""
+def _batches(runs: list, trainable: Trainable) -> list:
+    """Consecutive runs grouped into batches of at most `trainable.max_rows`
+    training rows (a larger run alone); with `trainable.same_size`, a batch
+    holds runs of one size only."""
     batches, rows = [], 0
     for run in runs:
         n = run.data.n
-        fits = batches and rows + n <= MAX_BATCH_ROWS
-        if fits and (not same_size or batches[-1][0].data.n == n):
+        fits = batches and rows + n <= trainable.max_rows
+        if fits and (not trainable.same_size or batches[-1][0].data.n == n):
             batches[-1].append(run)
             rows += n
         else:
@@ -366,7 +371,7 @@ def train_fits(trainable: Trainable, train_sets: list, seeds: list, cfg: TrainCo
             continue
         runs += [Run(i, r, seed + r, fit_obs, val_obs) for r in range(cfg.restarts)]
     results = []
-    for batch in _batches(runs, trainable.same_size):
+    for batch in _batches(runs, trainable):
         results += train_batch(trainable, batch, cfg)
     seconds = time.perf_counter() - start
 
@@ -444,6 +449,7 @@ def fit_batch(
             init=lambda seed: init_factors(shape, cfg.rank, seed).factors,
             objective=lambda sets: masked_objective(sets, cfg.rank, smoothness),
             val_objective=lambda sets: masked_objective(sets, cfg.rank),
+            max_rows=MAX_BATCH_ROWS,
         )
 
         def build(params, obs):

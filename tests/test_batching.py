@@ -109,13 +109,16 @@ def test_diverging_fit_leaves_batch_mates_untouched(kind):
 
 def test_batch_split_at_the_row_bound_changes_nothing(monkeypatch):
     shape = (4, 3, 3)
-    rng = np.random.default_rng(8)
-    trains = [observations(shape, n, rng) for n in (30, 25, 33)]
     cfg = TrainConfig(rank=2, epochs=40, lr=0.05, restarts=3, patience=3, val_fraction=0.2)
-    whole = fit_batch(shape, trains, cfg, "cpd", seeds=[1, 2, 3])
-    monkeypatch.setattr("tenfit.optim.MAX_BATCH_ROWS", 50)  # about two runs a batch
-    split = fit_batch(shape, trains, cfg, "cpd", seeds=[1, 2, 3])
-    for (model_a, report_a), (model_b, report_b) in zip(whole, split):
-        assert all(np.array_equal(a, b) for a, b in zip(arrays(model_a), arrays(model_b)))
-        assert report_a.losses == report_b.losses
-        assert report_a.restart_final_losses == report_b.restart_final_losses
+    for kind, sizes in (("cpd", (30, 25, 33)), ("costco", (30, 30, 30))):
+        rng = np.random.default_rng(8)
+        trains = [observations(shape, n, rng) for n in sizes]
+        whole = fit_batch(shape, trains, cfg, kind, seeds=[1, 2, 3], **HEAD)
+        with monkeypatch.context() as patch:  # about two runs a batch
+            patch.setattr("tenfit.optim.MAX_BATCH_ROWS", 50)
+            patch.setattr("tenfit.neural.COSTCO_MAX_BATCH_ROWS", 50)
+            split = fit_batch(shape, trains, cfg, kind, seeds=[1, 2, 3], **HEAD)
+        for (model_a, report_a), (model_b, report_b) in zip(whole, split):
+            assert all(np.array_equal(a, b) for a, b in zip(arrays(model_a), arrays(model_b)))
+            assert report_a.losses == report_b.losses
+            assert report_a.restart_final_losses == report_b.restart_final_losses

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenfit.core import (
     Axis,
@@ -194,6 +196,32 @@ class TestObservationSetInvariants:
                 values=np.array([0.5, 0.6]),
                 normalizer=Normalizer(0, 1),
             )
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_duplicate_check_matches_unique_rows(self, data):
+        shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)))
+        cell = st.tuples(*(st.integers(0, size - 1) for size in shape))
+        rows = data.draw(st.lists(cell, min_size=0, max_size=40, unique=True))
+        if rows and data.draw(st.booleans(), label="add a duplicate"):
+            copy = rows[data.draw(st.integers(0, len(rows) - 1))]
+            rows.insert(data.draw(st.integers(0, len(rows))), copy)
+        indices = np.array(rows, dtype=np.int64).reshape(len(rows), len(shape))
+        duplicated = len(np.unique(indices, axis=0)) != len(rows)
+
+        def build():
+            return ObservationSet(
+                space=DesignSpace.from_shape(shape),
+                indices=indices,
+                values=np.zeros(len(rows)),
+                normalizer=Normalizer(0, 1),
+            )
+
+        if duplicated:
+            with pytest.raises(ContractError, match="duplicate observation index tuples"):
+                build()
+        else:
+            assert build().n == len(rows)
 
     def test_arrays_frozen(self):
         space = DesignSpace.from_shape((2, 2))

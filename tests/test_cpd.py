@@ -12,10 +12,11 @@ from tenfit.cpd import (
     init_factors,
     masked_mse,
     predict_entry,
+    predict_indices,
     reconstruct_full,
     smoothness_penalty,
 )
-from tenfit.errors import CapacityError, DegenerateDataError
+from tenfit.errors import CapacityError, ContractError, DegenerateDataError
 
 
 def outer_product_oracle(factors: FactorSet) -> np.ndarray:
@@ -116,6 +117,19 @@ class TestPredictEntry:
             predict_entry(factors, (0, 2))
         with pytest.raises(IndexError):
             predict_entry(factors, (0, -1))
+
+
+class TestPredictIndices:
+    def test_prediction_does_not_depend_on_the_query(self):
+        # rank 8 is where a BLAS matvec's sum for a row depends on its
+        # position in the matrix; each cell must predict the same bits
+        # alone as inside a full-grid query
+        shape = (5, 2, 3, 3, 3)
+        factors = init_factors(shape, 8, seed=3)
+        grid = full_grid_indices(shape)
+        whole = predict_indices(factors, grid)
+        alone = np.concatenate([predict_indices(factors, cell[None]) for cell in grid])
+        assert np.array_equal(alone, whole)
 
 
 class TestReconstructFull:
@@ -260,6 +274,11 @@ class TestGradMaskedLoss:
             masked_mse(factors, empty)
         with pytest.raises(DegenerateDataError):
             grad_masked_loss(factors, empty, SmoothnessConfig())
+
+    def test_shape_mismatch_rejected(self):
+        obs = obs_from_values((2, 3), np.arange(6.0))
+        with pytest.raises(ContractError):
+            grad_masked_loss(init_factors((3, 2), 1, seed=0), obs)
 
 
 class TestComponentPermutationInvariance:

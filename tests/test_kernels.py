@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 from conftest import full_grid_indices
 from oracles import costco_loss_and_grad, cpd_loss_and_grad
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
 from tenfit.cpd import SmoothnessConfig, masked_objective
+from tenfit.errors import ContractError
 from tenfit.neural import (
     _masked_objective,
     init_conv_head,
@@ -76,3 +78,47 @@ def test_fused_objectives_match_reference_kernels():
             assert np.all(grads[s * ndim][0] == 0.0)
 
     assert worst <= TOLERANCE, f"worst relative error {worst:.2e}"
+
+
+@pytest.mark.parametrize("cfg", [SmoothnessConfig(), SmoothnessConfig(weight=0.2, modes=(0, 2))])
+def test_cpd_objective_results_outlive_the_next_call(cfg):
+    # the closure reuses its work arrays; what one call returns must not
+    # change when the next call runs on other factors
+    rng = np.random.default_rng(7)
+    shape, rank = (4, 3, 5), 3
+    sets = [random_observations(rng, shape, n) for n in (20, 31)]
+    objective = masked_objective(sets, rank, cfg)
+    first = [rng.normal(0, 0.8, size=(2, s, rank)) for s in shape]
+    second = [rng.normal(0, 0.8, size=(2, s, rank)) for s in shape]
+    losses, grads = objective(first)
+    val_losses = objective(first, grad=False)
+    kept = losses.copy(), val_losses.copy(), [g.copy() for g in grads]
+
+    losses_2, grads_2 = objective(second)
+    objective(second, grad=False)
+    assert np.array_equal(losses, kept[0]) and np.array_equal(val_losses, kept[1])
+    assert all(np.array_equal(g, k) for g, k in zip(grads, kept[2]))
+    for b, obs in enumerate(sets):
+        ref_loss, ref_grads = cpd_loss_and_grad(
+            [f[b] for f in second], obs.indices, obs.values, cfg.weight, cfg.modes
+        )
+        assert rel_err(losses_2[b], ref_loss) <= TOLERANCE
+        assert all(rel_err(g[b], r) <= TOLERANCE for g, r in zip(grads_2, ref_grads))
+
+
+@pytest.mark.parametrize(
+    "stacks",
+    [
+        [(1, 5, 2), (1, 3, 2)],  # mode 0 one row short
+        [(1, 4, 2), (1, 4, 2)],  # mode 1 one row long
+        [(1, 6, 2), (1, 3, 3)],  # rank disagrees
+        [(2, 6, 2), (2, 3, 2)],  # two fits for one data set
+        [(1, 6, 2)],  # a mode missing
+    ],
+)
+def test_cpd_objective_rejects_wrong_factor_shapes(stacks):
+    rng = np.random.default_rng(1)
+    obs = random_observations(rng, (6, 3), 10)
+    objective = masked_objective([obs], 2)
+    with pytest.raises(ContractError, match="factor stacks"):
+        objective([rng.normal(size=s) for s in stacks])
