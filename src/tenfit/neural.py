@@ -425,11 +425,11 @@ COSTCO_MAX_BATCH_ROWS = 500
 A CoSTCo row carries about 15 times the per-call temporaries of a CPD row
 (its conv inputs and their gradients are R*S*M wide, the hidden layer R*C),
 so its batching gain peaks far earlier than CPD's. Measured with
-`bench/kernels.py`'s `train_batch` table on the 270-cell shape at R=3, best
-of 16 rounds, in us per fit-epoch: at n=154, 230 alone, 145 at B=3 (462
-rows), 133 at B=4 (616) and 167-194 at B=5-6; at n=74, 176 alone, 82-84 at
-B=4-6 (296-444 rows) and 98-117 at B=8-12 (592-888 rows); at n=40, 155
-alone, 46 at B=8-12 (320-480 rows) and 59-65 at B=15-20 (600-800 rows).
+`bench/kernels.py`'s `batch` table on the 270-cell shape at R=3, best of 16
+rounds, in us per fit-epoch: at n=154, 250 alone, 146 at B=3 (462 rows),
+148-159 at B=4-5 and 217 at B=6 (924 rows); at n=74, 184 alone, 82-86 at
+B=4-6 (296-444 rows) and 90-110 at B=8-12 (592-888 rows); at n=40, 241
+alone and 55-63 from 320 to 800 rows.
 """
 
 

@@ -148,14 +148,17 @@ MAX_BATCH_ROWS = 4_000
 engine's default bound; CoSTCo sets its own, see
 `neural.COSTCO_MAX_BATCH_ROWS`). The runs of a batch are split to stay at
 or under it; a run larger than it trains alone. Batching removes per-call
-overhead until a fit-epoch stops getting cheaper. Measured with
-`bench/kernels.py`'s `train_batch` table at R=3, best of 16 rounds, in us
+overhead until a fit-epoch stops getting cheaper, which happens between
+about 2,000 and 4,000 rows; past that the cost is flat up to 6,912 rows
+(the objective reuses its work buffers, so there is no cliff). Measured
+with `bench/kernels.py`'s `batch` table at R=3, best of 16 rounds, in us
 per fit-epoch (numpy 2.4, OpenBLAS on one thread, 2-vCPU KVM guest): at
-n=216, 68.0 alone, 24.7 at B=9 (1,944 rows) and 22.2-25.4 from 2,592 to
-6,696 rows; at n=768 on a 4,800-cell shape, 146 alone, 76.6 at B=5
-(3,840 rows) and 83-92 from 4,608 to 6,912 rows; at n=1,000, 142 alone and
-105-119 from 2,000 to 6,000 rows. Two fits of 3,456 rows train apart (B=2
-was no cheaper per fit-epoch than B=1).
+n=216, 67.5 alone, 26.0 at B=9 (1,944 rows) and 23.7-26.6 from 2,592 to
+6,696 rows; at n=768 on a 4,800-cell shape, 111 alone and 78.8-84.5 from
+2,304 to 6,912 rows (a separate 16-round sweep read 97.7 at 2,304 and 76.6
+at 3,840); at n=1,000, 128 alone and 103-112 from 2,000 to 6,000 rows.
+Two fits of 3,456 rows train apart: B=2 was no cheaper per fit-epoch
+(365 against 363).
 """
 
 
