@@ -135,7 +135,7 @@ def bench_objective(shape, n, n_fits, smoothed, grad, calls, rounds, rng):
 
 def trainable(kind, shape, cfg):
     if kind == "costco":
-        return neural.costco_trainable(shape, cfg, 3, 8, 16)
+        return neural.costco_trainable(shape, cfg)
     return optim.Trainable(
         init=lambda seed: cpd.init_factors(shape, RANK, seed).factors,
         objective=lambda sets: cpd.masked_objective(sets, RANK),

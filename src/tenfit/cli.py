@@ -20,10 +20,10 @@ import numpy as np
 from .core import CATEGORICAL, ORDINAL, build_design_space, encode_observations
 from .cpd import CPDModel
 from .errors import ContractError, SchemaError, TenfitError
-from .harness import run_experiment, run_sweep
+from .harness import _train_config_from, run_experiment, run_sweep
 from .metrics import component_expression_export, fms, regression_metrics
 from .modelio import cell_error, load_dataset, load_model, save_model, write_dataset
-from .optim import MODEL_KINDS, TrainConfig, fit
+from .optim import MODEL_KINDS, fit
 
 
 def _read_csv_records(path) -> tuple[list[dict], list[str]]:
@@ -83,36 +83,11 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _train_config(args, space) -> TrainConfig:
-    if args.smooth_modes:
-        smooth_modes = tuple(space.axis_position(n) for n in _split_csv_list(args.smooth_modes))
-    else:
-        smooth_modes = space.ordinal_modes()
-    return TrainConfig(
-        rank=args.rank,
-        epochs=args.epochs,
-        lr=args.lr,
-        smooth_weight=args.lambda_smooth,
-        smooth_modes=smooth_modes,
-        seed=args.seed,
-        restarts=args.restarts,
-        patience=args.patience,
-        val_fraction=args.val_fraction,
-    )
-
-
 def cmd_fit(args) -> int:
     space, obs = load_dataset(args.obs)
-    cfg = _train_config(args, space)
-    model, report = fit(
-        space.shape(),
-        obs,
-        cfg,
-        args.model,
-        n_init_groups=args.groups,
-        conv_channels=args.channels,
-        hidden_units=args.hidden,
-    )
+    smooth_modes = _split_csv_list(args.smooth_modes) if args.smooth_modes else None
+    cfg = _train_config_from({**vars(args), "smooth_modes": smooth_modes}, space)
+    model, report = fit(space.shape(), obs, cfg, args.model)
     save_model(model, args.out)
     report_path = Path(args.out).with_suffix(".report.json")
     report_path.write_text(json.dumps(report.to_json()), encoding="utf-8")
@@ -297,7 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TenfitError, TypeError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (TenfitError, TypeError, OSError, json.JSONDecodeError, KeyError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1

@@ -158,11 +158,6 @@ class Normalizer:
         return float(out) if out.ndim == 0 else out
 
 
-def invert_normalization(v, normalizer: Normalizer):
-    """Map a normalized value back to original outcome units."""
-    return normalizer.denormalize(v)
-
-
 @dataclass(frozen=True)
 class ObservationSet:
     """Sparse COO observations over a design space.
@@ -201,9 +196,6 @@ class ObservationSet:
     @property
     def n(self) -> int:
         return self.indices.shape[0]
-
-    def __len__(self) -> int:
-        return self.n
 
     def canonical_order(self) -> "ObservationSet":
         """Rows sorted lexicographically by index tuple; makes downstream
@@ -257,29 +249,6 @@ class DenseTensor:
     @property
     def array(self) -> np.ndarray:
         return self.data.reshape(self.shape)
-
-    def flat_index(self, index: Sequence[int]) -> int:
-        if len(index) != len(self.shape):
-            raise IndexError(f"index {tuple(index)} has wrong arity for shape {self.shape}")
-        offset = 0
-        for i, size in zip(index, self.shape):
-            i = int(i)
-            if not 0 <= i < size:
-                raise IndexError(f"index {tuple(index)} out of range for shape {self.shape}")
-            offset = offset * size + i
-        return offset
-
-    def index_of(self, offset: int) -> tuple[int, ...]:
-        if not 0 <= offset < self.data.shape[0]:
-            raise IndexError(f"flat offset {offset} out of range")
-        out = []
-        for size in reversed(self.shape):
-            offset, i = divmod(offset, size)
-            out.append(i)
-        return tuple(reversed(out))
-
-    def at(self, index: Sequence[int]) -> float:
-        return float(self.data[self.flat_index(index)])
 
 
 def build_design_space(

@@ -84,26 +84,9 @@ def init_factors(shape, rank: int, seed: int) -> FactorSet:
     return FactorSet([rng.normal(0.0, 0.5, size=(int(s), rank)) for s in shape])
 
 
-def _check_index(index, shape) -> tuple[int, ...]:
-    index = tuple(int(i) for i in index)
-    if len(index) != len(shape):
-        raise IndexError(f"index {index} has wrong arity for shape {shape}")
-    for i, size in zip(index, shape):
-        if not 0 <= i < size:
-            raise IndexError(f"index {index} out of range for shape {shape}")
-    return index
-
-
-def predict_entry(factors: FactorSet, index) -> float:
-    """Predicted value at one cell: sum over components of the product of the
-    selected factor rows."""
-    index = _check_index(index, factors.shape)
-    rows = np.stack([f[i] for f, i in zip(factors.factors, index)])
-    return float(rows.prod(axis=0).sum())
-
-
 def predict_indices(factors: FactorSet, indices: np.ndarray) -> np.ndarray:
-    """Vectorized predict_entry over an (n, M) index array."""
+    """Predicted values at the cells of an (n, M) index array: per cell, the
+    sum over components of the product of the selected factor rows."""
     indices = np.atleast_2d(np.asarray(indices, dtype=np.int64))
     if indices.size == 0:
         return np.zeros(0)
@@ -284,3 +267,38 @@ class CPDModel:
 
     def predict(self, indices) -> np.ndarray:
         return predict_indices(self.factors, np.asarray(indices, dtype=np.int64))
+
+
+def _smoothness(cfg, kind: str, ndim: int) -> SmoothnessConfig:
+    """CPD-S's penalty as a TrainConfig sets it (on every mode unless
+    `cfg.smooth_modes` names some); none for CPD."""
+    if kind != "cpd_s":
+        return SmoothnessConfig()
+    modes = cfg.smooth_modes if cfg.smooth_modes is not None else range(ndim)
+    return SmoothnessConfig(weight=cfg.smooth_weight, modes=tuple(modes))
+
+
+def cpd_trainable(shape, cfg, kind: str):
+    """The optim engine's view of CPD (kind "cpd") or CPD-S ("cpd_s"):
+    seeded factors trained on the masked MSE plus CPD-S's penalty, with
+    early stopping on the plain masked MSE."""
+    from .optim import MAX_BATCH_ROWS, Trainable  # local import avoids a module cycle
+
+    smoothness = _smoothness(cfg, kind, len(shape))
+    return Trainable(
+        init=lambda seed: init_factors(shape, cfg.rank, seed).factors,
+        objective=lambda sets: masked_objective(sets, cfg.rank, smoothness),
+        val_objective=lambda sets: masked_objective(sets, cfg.rank),
+        max_rows=MAX_BATCH_ROWS,
+    )
+
+
+def cpd_model(params: list, obs_train: ObservationSet, cfg, kind: str) -> CPDModel:
+    """A trained factor list as a standalone model of its training set."""
+    return CPDModel(
+        kind=kind,
+        factors=FactorSet(params),
+        space=obs_train.space,
+        normalizer=obs_train.normalizer,
+        smoothness=_smoothness(cfg, kind, len(params)),
+    )

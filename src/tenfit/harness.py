@@ -2,15 +2,17 @@
 
 Two sampling protocols are supported: a uniform train/test split and a
 biased one that draws heavily from an axis-aligned region of a 2-axis
-projection and sparsely from the rest. The experiment runner repeats
-split -> fit -> evaluate over iterations and model kinds, aggregates
-mean +/- population std, and exports factor analyses and grids.
+projection and sparsely from the rest. The experiment runner and the OOD
+sweep share one split -> fit loop over iterations and model specs and then
+score on held-out rows (the sweep on those outside the region only); the
+runner aggregates mean +/- population std and exports factor analyses and
+grids.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -90,8 +92,6 @@ class SamplingPlan:
     region: RegionSpec | None = None
     n_in: int | None = None
     n_out: int | None = None
-    seed: int = 0
-    iterations: int = 1
     name: str | None = None
 
     def __post_init__(self):
@@ -105,8 +105,6 @@ class SamplingPlan:
                 raise ContractError("stratum counts must be non-negative")
         else:
             raise ContractError(f"unknown plan kind {self.kind!r}")
-        if self.iterations < 1:
-            raise ContractError("iterations must be >= 1")
         if self.name is None:
             object.__setattr__(self, "name", self.kind)
 
@@ -284,6 +282,51 @@ def _aggregate_metric_dicts(reports) -> dict:
     return out
 
 
+@dataclass
+class ModelSpec:
+    """One model column of an experiment: kind, name, and its train config."""
+
+    name: str
+    kind: str
+    cfg: TrainConfig
+
+
+def _split_and_fit(plan: SamplingPlan, obs: ObservationSet, specs, seeds, scope: str):
+    """The split -> renormalize -> fit loop of one plan, shared by
+    experiments and sweeps.
+
+    Iteration i splits with seeds[i]; each model spec is then fitted to the
+    training sides of all the iterations that split, in shared batches
+    (`fit_batch`, iteration i's fit seeded with seeds[i]). Returns the
+    splits, per iteration `(train, test)` or the split's TenfitError, and
+    the fits, per spec name `{iteration: (model, TrainReport) or
+    TenfitError}`. A bad scope or no iterations raises before any split.
+    """
+    if not seeds:
+        raise ContractError("iterations must be >= 1")
+    if scope not in ("train", "full"):
+        raise ContractError(f"unknown normalization scope {scope!r}")
+    splits = []
+    for seed in seeds:
+        try:
+            train, test = split_plan(plan, obs, seed)
+            splits.append(renormalize_splits(train, test, scope))
+        except TenfitError as exc:
+            splits.append(exc)
+    done = [it for it, split in enumerate(splits) if not isinstance(split, TenfitError)]
+    fits = {}
+    for spec in specs:
+        outcomes = fit_batch(
+            obs.space.shape(),
+            [splits[it][0] for it in done],
+            spec.cfg,
+            spec.kind,
+            seeds=[seeds[it] for it in done],
+        )
+        fits[spec.name] = dict(zip(done, outcomes))
+    return splits, fits
+
+
 def ood_sweep(
     obs: ObservationSet,
     region: RegionSpec,
@@ -293,44 +336,33 @@ def ood_sweep(
     model_kinds,
     iterations: int = 10,
     normalization: str = "train",
-    n_init_groups: int = 3,
-    conv_channels: int = 8,
-    hidden_units: int = 16,
 ) -> dict:
     """Out-of-distribution sweep: fixed in-region count, growing out-of-region
-    counts, metrics restricted to test rows outside the region. For each
-    count, every iteration is split first and each model kind is fitted to
-    all of them in shared batches."""
+    counts, metrics restricted to test rows outside the region. Each count
+    is a biased plan through the experiments' split -> fit loop; the first
+    split or fit error raises."""
     n_out_list = [int(k) for k in n_out_list]
     if any(b <= a for a, b in zip(n_out_list, n_out_list[1:])):
         raise ContractError("n_out_list must be strictly increasing")
+    specs = [ModelSpec(name=kind, kind=kind, cfg=cfg) for kind in model_kinds]
     results = {kind: [] for kind in model_kinds}
     seeds = [cfg.seed + it for it in range(iterations)]
     for n_out in n_out_list:
-        trains, ood_tests = [], []
-        for seed in seeds:
-            train, test = biased_split(obs, region, n_in, n_out, seed)
-            train, test = renormalize_splits(train, test, normalization)
-            trains.append(train)
-            ood_tests.append(test.take(np.flatnonzero(~region.mask(test))))
-        for kind in model_kinds:
-            outcomes = fit_batch(
-                obs.space.shape(),
-                trains,
-                cfg,
-                kind,
-                seeds=seeds,
-                n_init_groups=n_init_groups,
-                conv_channels=conv_channels,
-                hidden_units=hidden_units,
-            )
+        plan = SamplingPlan(kind="biased", region=region, n_in=n_in, n_out=n_out)
+        splits, fits = _split_and_fit(plan, obs, specs, seeds, normalization)
+        for split in splits:
+            if isinstance(split, TenfitError):
+                raise split
+        ood_tests = [test.take(np.flatnonzero(~region.mask(test))) for _, test in splits]
+        for spec in specs:
             per_iteration = []
-            for outcome, ood_test in zip(outcomes, ood_tests):
+            for it, ood_test in enumerate(ood_tests):
+                outcome = fits[spec.name][it]
                 if isinstance(outcome, TenfitError):
                     raise outcome
                 preds = outcome[0].predict(ood_test.indices)
                 per_iteration.append(regression_metrics(ood_test.values, preds).to_json())
-            results[kind].append(
+            results[spec.name].append(
                 {
                     "n_out": n_out,
                     "metrics": _aggregate_metric_dicts(per_iteration),
@@ -345,85 +377,112 @@ def ood_sweep(
     }
 
 
-@dataclass
-class ModelSpec:
-    """One model column of an experiment: kind, name, and its train config."""
+_REQUIRED = object()
 
-    name: str
-    kind: str
-    cfg: TrainConfig
-    fit_kwargs: dict = field(default_factory=dict)
+
+def _read(entry: dict, key: str, cast, default=_REQUIRED):
+    """`cast(entry[key])`, or `default` when the key is absent. A missing
+    required key, or a value `cast` rejects, raises a ContractError naming
+    the key."""
+    if key not in entry:
+        if default is _REQUIRED:
+            raise ContractError(f"config needs a {key!r} value")
+        return default
+    try:
+        return cast(entry[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ContractError(f"config value {entry[key]!r} of {key!r} is not valid") from None
+
+
+def _object(entry, what: str) -> dict:
+    if not isinstance(entry, dict):
+        raise ContractError(f"{what} must be a JSON object, not {entry!r}")
+    return entry
+
+
+def _name(entry: dict, default: str) -> str:
+    """A plan or model name; it becomes part of output file names."""
+    name = entry.get("name", default)
+    if not isinstance(name, str) or "/" in name or "\0" in name:
+        raise ContractError(f"name {name!r} is not a usable file name")
+    return name
+
+
+def _pair(values) -> tuple:
+    lo, hi = values
+    return lo, hi
 
 
 def _train_config_from(entry: dict, space: DesignSpace) -> TrainConfig:
-    if "rank" not in entry:
-        raise ContractError(f"model entry {entry.get('kind')!r} needs a rank")
+    """The TrainConfig of a model entry, of a sweep config, or of the
+    `tenfit fit` options (smooth_modes as a list of axis names)."""
     smooth_modes = entry.get("smooth_modes")
     if smooth_modes is not None:
         smooth_modes = tuple(space.axis_position(name) for name in smooth_modes)
     else:
         smooth_modes = space.ordinal_modes()
     return TrainConfig(
-        rank=int(entry["rank"]),
-        epochs=int(entry.get("epochs", 3000)),
-        lr=float(entry.get("lr", 0.01)),
-        smooth_weight=float(entry.get("lambda_smooth", 0.1)),
+        rank=_read(entry, "rank", int),
+        epochs=_read(entry, "epochs", int, 3000),
+        lr=_read(entry, "lr", float, 0.01),
+        smooth_weight=_read(entry, "lambda_smooth", float, 0.1),
         smooth_modes=smooth_modes,
-        seed=int(entry.get("seed", 0)),
-        restarts=int(entry.get("restarts", 1)),
-        patience=entry.get("patience"),
-        val_fraction=float(entry.get("val_fraction", 0.0)),
+        seed=_read(entry, "seed", int, 0),
+        restarts=_read(entry, "restarts", int, 1),
+        patience=_read(entry, "patience", lambda v: None if v is None else int(v), None),
+        val_fraction=_read(entry, "val_fraction", float, 0.0),
+        n_init_groups=_read(entry, "groups", int, 3),
+        conv_channels=_read(entry, "channels", int, 8),
+        hidden_units=_read(entry, "hidden", int, 16),
     )
 
 
 def model_spec_from_config(entry: dict, space: DesignSpace, taken=()) -> ModelSpec:
-    kind = entry.get("kind")
+    kind = _object(entry, "model entry").get("kind")
     if kind not in MODEL_KINDS:
         raise ContractError(f"unknown model kind {kind!r}")
-    name = entry.get("name", kind)
+    name = _name(entry, kind)
     if name in taken:
         raise ContractError(f"duplicate model name {name!r}")
-    fit_kwargs = {}
-    if kind == "costco":
-        fit_kwargs = {
-            "n_init_groups": int(entry.get("groups", 3)),
-            "conv_channels": int(entry.get("channels", 8)),
-            "hidden_units": int(entry.get("hidden", 16)),
-        }
-    return ModelSpec(name=name, kind=kind, cfg=_train_config_from(entry, space), fit_kwargs=fit_kwargs)
+    return ModelSpec(name=name, kind=kind, cfg=_train_config_from(entry, space))
 
 
 def region_from_config(entry: dict, space: DesignSpace) -> RegionSpec:
+    _object(entry, "region")
     if "a_values" in entry or "b_values" in entry:
         region = region_from_values(
-            space, entry["axis_a"], entry["axis_b"], entry["a_values"], entry["b_values"]
+            space,
+            entry["axis_a"],
+            entry["axis_b"],
+            _read(entry, "a_values", _pair),
+            _read(entry, "b_values", _pair),
         )
     else:
         region = RegionSpec(
             axis_a=entry["axis_a"],
             axis_b=entry["axis_b"],
-            a_range=tuple(entry["a_range"]),
-            b_range=tuple(entry["b_range"]),
+            a_range=_read(entry, "a_range", lambda v: tuple(int(i) for i in _pair(v))),
+            b_range=_read(entry, "b_range", lambda v: tuple(int(i) for i in _pair(v))),
         )
     region.validate(space)
     return region
 
 
 def plan_from_config(entry: dict, space: DesignSpace) -> SamplingPlan:
-    kind = entry.get("kind")
+    kind = _object(entry, "plan").get("kind")
     if kind == "uniform":
         return SamplingPlan(
             kind="uniform",
-            fraction=float(entry["fraction"]),
-            name=entry.get("name", "uniform"),
+            fraction=_read(entry, "fraction", float),
+            name=_name(entry, "uniform"),
         )
     if kind == "biased":
         return SamplingPlan(
             kind="biased",
             region=region_from_config(entry["region"], space),
-            n_in=int(entry["n_in"]),
-            n_out=int(entry["n_out"]),
-            name=entry.get("name", "biased"),
+            n_in=_read(entry, "n_in", int),
+            n_out=_read(entry, "n_out", int),
+            name=_name(entry, "biased"),
         )
     raise ContractError(f"unknown plan kind {kind!r}")
 
@@ -431,15 +490,14 @@ def plan_from_config(entry: dict, space: DesignSpace) -> SamplingPlan:
 def run_experiment(config: dict, out_dir) -> dict:
     """Execute the full protocol described by an experiment config.
 
-    For every plan: split every iteration, fit each model to all of them
-    (iterations and restarts trained in shared batches by `fit_batch`), then
-    predict the test rows and score, in (iteration, model) order. Emits
-    aggregated metrics, per-iteration records (with the epochs run and every
-    restart's final loss), per-cell error grids for biased plans, factor
-    exports for the best linear models, and the uniform-vs-biased factor
-    match score when both plans are present. A failed (plan, model,
-    iteration) cell, factor export or factor match is recorded in
-    `failures` and skipped.
+    For every plan: split every iteration and fit each model to all of them
+    (`_split_and_fit`), then predict the test rows and score, in (iteration,
+    model) order. Emits aggregated metrics, per-iteration records (with the
+    epochs run and every restart's final loss), per-cell error grids for
+    biased plans, factor exports for the best linear models, and the
+    uniform-vs-biased factor match score when both plans are present. A
+    failed (plan, model, iteration) cell, factor export or factor match is
+    recorded in `failures` and skipped.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -447,8 +505,10 @@ def run_experiment(config: dict, out_dir) -> dict:
     per_iter_dir.mkdir(exist_ok=True)
 
     space, obs = load_dataset(config["dataset"])
-    iterations = int(config.get("iterations", 10))
-    base_seed = int(config.get("seed", 0))
+    iterations = _read(config, "iterations", int, 10)
+    base_seed = _read(config, "seed", int, 0)
+    if base_seed < 0:
+        raise ContractError("seed must be >= 0")
     scope = config.get("normalization", "train")
     plans = [plan_from_config(p, space) for p in config["plans"]]
     if len({p.name for p in plans}) != len(plans):
@@ -477,26 +537,7 @@ def run_experiment(config: dict, out_dir) -> dict:
 
     seeds = [base_seed + it for it in range(iterations)]
     for plan in plans:
-        splits = []  # per iteration: (train, test), or the split's error
-        for seed in seeds:
-            try:
-                train, test = split_plan(plan, obs, seed)
-                splits.append(renormalize_splits(train, test, scope))
-            except TenfitError as exc:
-                splits.append(exc)
-        done = [it for it, split in enumerate(splits) if not isinstance(split, TenfitError)]
-        outcomes = {}
-        for spec in specs:
-            fitted = fit_batch(
-                space.shape(),
-                [splits[it][0] for it in done],
-                spec.cfg,
-                spec.kind,
-                seeds=[seeds[it] for it in done],
-                **spec.fit_kwargs,
-            )
-            outcomes[spec.name] = dict(zip(done, fitted))
-
+        splits, fits = _split_and_fit(plan, obs, specs, seeds, scope)
         for it, split in enumerate(splits):
             if isinstance(split, TenfitError):
                 fail(plan.name, None, it, split)
@@ -504,7 +545,7 @@ def run_experiment(config: dict, out_dir) -> dict:
             _, test = split
             for spec in specs:
                 try:
-                    outcome = outcomes[spec.name][it]
+                    outcome = fits[spec.name][it]
                     if isinstance(outcome, TenfitError):
                         raise outcome
                     model, report = outcome
@@ -527,7 +568,7 @@ def run_experiment(config: dict, out_dir) -> dict:
                     json.dumps(record, indent=2), encoding="utf-8"
                 )
                 metric_rows.setdefault((plan.name, spec.name), []).append(metrics)
-                if spec.kind in ("cpd", "cpd_s"):
+                if isinstance(model, CPDModel):
                     key = (plan.name, spec.name)
                     if key not in best_linear or report.final_loss < best_linear[key][0]:
                         best_linear[key] = (report.final_loss, model)
@@ -616,23 +657,19 @@ def run_sweep(config: dict, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     space, obs = load_dataset(config["dataset"])
     region = region_from_config(config["region"], space)
-    cfg = _train_config_from(config, space)
-    kinds = list(config.get("models", ["cpd"]))
-    for kind in kinds:
-        if kind not in MODEL_KINDS:
-            raise ContractError(f"unknown model kind {kind!r}")
+    specs = [
+        model_spec_from_config({**config, "kind": kind}, space)
+        for kind in config.get("models", ["cpd"])
+    ]
     table = ood_sweep(
         obs,
         region,
-        n_in=int(config["n_in"]),
-        n_out_list=config["n_out_list"],
-        cfg=cfg,
-        model_kinds=kinds,
-        iterations=int(config.get("iterations", 10)),
+        n_in=_read(config, "n_in", int),
+        n_out_list=_read(config, "n_out_list", lambda counts: [int(k) for k in counts]),
+        cfg=_train_config_from(config, space),
+        model_kinds=[spec.kind for spec in specs],
+        iterations=_read(config, "iterations", int, 10),
         normalization=config.get("normalization", "train"),
-        n_init_groups=int(config.get("groups", 3)),
-        conv_channels=int(config.get("channels", 8)),
-        hidden_units=int(config.get("hidden", 16)),
     )
     (out / "sweep.json").write_text(json.dumps(table, indent=2), encoding="utf-8")
     return table

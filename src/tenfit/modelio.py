@@ -201,6 +201,8 @@ def load_model(path):
     schema, the rank and the head sizes call for; a file that fails raises a
     SchemaError naming it."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: a model file holds one JSON object, not {payload!r}")
     kind = payload.get("kind")
     if kind not in MODEL_KINDS:
         raise ContractError(f"unknown model kind {kind!r} in {path}")

@@ -77,29 +77,8 @@ class ConvHead:
     out_b: np.ndarray
 
     def __post_init__(self):
-        arrays = [
-            np.asarray(getattr(self, name), dtype=float)
-            for name in (
-                "mode_kernels",
-                "mode_bias",
-                "rank_kernels",
-                "rank_bias",
-                "dense_w",
-                "dense_b",
-                "out_w",
-                "out_b",
-            )
-        ]
-        (
-            self.mode_kernels,
-            self.mode_bias,
-            self.rank_kernels,
-            self.rank_bias,
-            self.dense_w,
-            self.dense_b,
-            self.out_w,
-            self.out_b,
-        ) = arrays
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
         c = self.mode_kernels.shape[0]
         if self.mode_bias.shape != (c,):
             raise ContractError("mode bias width must match mode kernel count")
@@ -149,7 +128,7 @@ def init_embedding_bank(shape, rank: int, n_groups: int, seed: int) -> Embedding
 
 
 def init_conv_head(
-    rank: int, n_modes: int, n_groups: int, channels: int, hidden_units: int, seed: int
+    rank: int, n_modes: int, n_groups: int, channels: int, hidden: int, seed: int
 ) -> ConvHead:
     """He-scaled Gaussian kernels with small positive biases (keeps the
     rectifiers initially active)."""
@@ -163,25 +142,9 @@ def init_conv_head(
         mode_bias=np.full(channels, 0.01),
         rank_kernels=draw((channels, channels, rank), channels * rank),
         rank_bias=np.full(channels, 0.01),
-        dense_w=draw((hidden_units, channels), channels),
-        dense_b=np.full(hidden_units, 0.01),
-        out_w=draw((hidden_units,), hidden_units),
-        out_b=np.zeros(()),
-    )
-
-
-def summing_head(n_groups: int, rank: int, n_modes: int) -> ConvHead:
-    """Head whose output is the plain sum of all stack entries (exact on
-    non-negative pre-activations); the reference configuration for shape and
-    reduction checks."""
-    return ConvHead(
-        mode_kernels=np.ones((1, n_groups, n_modes)),
-        mode_bias=np.zeros(1),
-        rank_kernels=np.ones((1, 1, rank)),
-        rank_bias=np.zeros(1),
-        dense_w=np.ones((1, 1)),
-        dense_b=np.zeros(1),
-        out_w=np.ones(1),
+        dense_w=draw((hidden, channels), channels),
+        dense_b=np.full(hidden, 0.01),
+        out_w=draw((hidden,), hidden),
         out_b=np.zeros(()),
     )
 
@@ -309,14 +272,6 @@ def _forward(bank: EmbeddingBank, head: ConvHead, indices: np.ndarray):
     return preds[0], tuple(c[0] for c in cache)
 
 
-def neural_forward(bank: EmbeddingBank, head: ConvHead, index) -> float:
-    """Scalar prediction for one index tuple."""
-    _check_compatible(bank, head)
-    indices = _validate_indices([tuple(index)], bank.shape)
-    preds, _ = _forward(bank, head, indices)
-    return float(preds[0])
-
-
 def predict_batch(bank: EmbeddingBank, head: ConvHead, indices) -> np.ndarray:
     _check_compatible(bank, head)
     indices = _validate_indices(indices, bank.shape)
@@ -433,55 +388,40 @@ alone and 55-63 from 320 to 800 rows.
 """
 
 
-def costco_trainable(shape, cfg, n_init_groups: int, conv_channels: int, hidden_units: int):
-    """The optim engine's view of CoSTCo: seeded embeddings and head trained
-    jointly on the masked MSE, with batches of one training-set size and at
-    most COSTCO_MAX_BATCH_ROWS rows."""
+def costco_trainable(shape, cfg):
+    """The optim engine's view of CoSTCo with the head sizes of a
+    TrainConfig: seeded embeddings and head trained jointly on the masked
+    MSE, with batches of one training-set size and at most
+    COSTCO_MAX_BATCH_ROWS rows."""
     from .optim import Trainable  # local import avoids a module cycle
 
-    if n_init_groups < 1:
-        raise ContractError("need at least one initialization group")
-    n_modes = len(shape)
+    groups = cfg.n_init_groups
 
     def init(seed):
-        bank = init_embedding_bank(shape, cfg.rank, n_init_groups, seed)
+        bank = init_embedding_bank(shape, cfg.rank, groups, seed)
         head = init_conv_head(
-            cfg.rank, n_modes, n_init_groups, conv_channels, hidden_units, seed + 1
+            cfg.rank, len(shape), groups, cfg.conv_channels, cfg.hidden_units, seed + 1
         )
         return pack_params(bank, head)
 
     return Trainable(
         init=init,
-        objective=lambda sets: _masked_objective(sets, n_init_groups, cfg.rank),
-        val_objective=lambda sets: _masked_objective(sets, n_init_groups, cfg.rank),
+        objective=lambda sets: _masked_objective(sets, groups, cfg.rank),
+        val_objective=lambda sets: _masked_objective(sets, groups, cfg.rank),
         same_size=True,
         max_rows=COSTCO_MAX_BATCH_ROWS,
     )
 
 
-def costco_model(params: list, obs_train: ObservationSet, n_init_groups: int) -> NeuralModel:
+def costco_model(params: list, obs_train: ObservationSet, cfg) -> NeuralModel:
     """A trained parameter list as a standalone model of its training set."""
-    bank, head = unpack_params(params, n_init_groups, obs_train.space.ndim)
+    bank, head = unpack_params(params, cfg.n_init_groups, obs_train.space.ndim)
     return NeuralModel(bank=bank, head=head, space=obs_train.space, normalizer=obs_train.normalizer)
 
 
-def costco_fit(
-    obs_train: ObservationSet,
-    cfg,
-    n_init_groups: int = 3,
-    conv_channels: int = 8,
-    hidden_units: int = 16,
-):
-    """Train embeddings and head jointly on one training set; returns
-    (model, TrainReport)."""
+def costco_fit(obs_train: ObservationSet, cfg):
+    """Train embeddings and head jointly on one training set, with the head
+    sizes of the TrainConfig; returns (model, TrainReport)."""
     from .optim import fit  # local import avoids a module cycle
 
-    return fit(
-        obs_train.space.shape(),
-        obs_train,
-        cfg,
-        "costco",
-        n_init_groups=n_init_groups,
-        conv_channels=conv_channels,
-        hidden_units=hidden_units,
-    )
+    return fit(obs_train.space.shape(), obs_train, cfg, "costco")

@@ -23,13 +23,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .core import ObservationSet
-from .cpd import CPDModel, FactorSet, SmoothnessConfig, init_factors, masked_objective
+from .cpd import cpd_model, cpd_trainable
 from .errors import ContractError, DegenerateDataError, DivergenceError, TenfitError
+from .neural import costco_model, costco_trainable
 
 ParamList = list  # list[np.ndarray]
 
@@ -47,22 +49,12 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def fresh(
-        cls,
-        params: ParamList,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> "AdamState":
+    def fresh(cls, params: ParamList, lr: float) -> "AdamState":
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
             t=0,
             lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
         )
 
 
@@ -87,7 +79,8 @@ def adam_step(params: ParamList, grads: ParamList, state: AdamState):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for a full-batch Adam fit."""
+    """Knobs for a full-batch Adam fit. The smoothness fields apply to CPD-S
+    only and the three head sizes to CoSTCo only."""
 
     rank: int
     epochs: int = 3000
@@ -98,6 +91,9 @@ class TrainConfig:
     restarts: int = 1
     patience: int | None = None
     val_fraction: float = 0.0
+    n_init_groups: int = 3
+    conv_channels: int = 8
+    hidden_units: int = 16
 
     def __post_init__(self):
         if self.rank < 1:
@@ -114,6 +110,10 @@ class TrainConfig:
             raise ContractError("patience requires a positive validation fraction")
         if self.smooth_weight < 0:
             raise ContractError("smoothness weight must be non-negative")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
+        if min(self.n_init_groups, self.conv_channels, self.hidden_units) < 1:
+            raise ContractError("CoSTCo head sizes must be >= 1")
 
 
 @dataclass
@@ -140,8 +140,6 @@ class TrainReport:
             ],
         }
 
-
-MODEL_KINDS = ("cpd", "cpd_s", "costco")
 
 MAX_BATCH_ROWS = 4_000
 """Most observed training rows one batched CPD objective call covers (the
@@ -410,59 +408,31 @@ def _train_set_error(obs: ObservationSet, shape) -> TenfitError | None:
     return None
 
 
-def fit_batch(
-    shape,
-    train_sets,
-    cfg: TrainConfig,
-    model_kind: str,
-    seeds=None,
-    n_init_groups: int = 3,
-    conv_channels: int = 8,
-    hidden_units: int = 16,
-) -> list:
+MODEL_KINDS = {
+    "cpd": (partial(cpd_trainable, kind="cpd"), partial(cpd_model, kind="cpd")),
+    "cpd_s": (partial(cpd_trainable, kind="cpd_s"), partial(cpd_model, kind="cpd_s")),
+    "costco": (costco_trainable, costco_model),
+}
+"""Every model kind, mapped to the engine's view of it, `trainable(shape,
+cfg)`, and to its model builder, `model(params, obs_train, cfg)`."""
+
+
+def fit_batch(shape, train_sets, cfg: TrainConfig, model_kind: str, seeds=None) -> list:
     """Fit one model kind to each of several training sets, all of them
     (and all their restarts) trained in shared batches.
 
     `seeds` gives each set's seed (default: `cfg.seed` for every set).
     Returns, per set, `(model, TrainReport)` or the TenfitError that ended
-    that fit; a bad model kind or head size raises at once. Each model
-    carries the design space and the normalizer of its training set so it
-    can be used standalone.
+    that fit; a bad model kind raises at once. Each model carries the design
+    space and the normalizer of its training set so it can be used
+    standalone.
     """
     if model_kind not in MODEL_KINDS:
         raise ContractError(f"unknown model kind {model_kind!r}")
     shape = tuple(int(s) for s in shape)
     seeds = [cfg.seed] * len(train_sets) if seeds is None else [int(s) for s in seeds]
-
-    if model_kind == "costco":
-        from .neural import costco_model, costco_trainable  # local import avoids a module cycle
-
-        trainable = costco_trainable(shape, cfg, n_init_groups, conv_channels, hidden_units)
-
-        def build(params, obs):
-            return costco_model(params, obs, n_init_groups)
-
-    else:
-        if model_kind == "cpd_s":
-            modes = cfg.smooth_modes if cfg.smooth_modes is not None else range(len(shape))
-            smoothness = SmoothnessConfig(weight=cfg.smooth_weight, modes=tuple(modes))
-        else:
-            smoothness = SmoothnessConfig()
-        trainable = Trainable(
-            init=lambda seed: init_factors(shape, cfg.rank, seed).factors,
-            objective=lambda sets: masked_objective(sets, cfg.rank, smoothness),
-            val_objective=lambda sets: masked_objective(sets, cfg.rank),
-            max_rows=MAX_BATCH_ROWS,
-        )
-
-        def build(params, obs):
-            return CPDModel(
-                kind=model_kind,
-                factors=FactorSet(params),
-                space=obs.space,
-                normalizer=obs.normalizer,
-                smoothness=smoothness,
-            )
+    make_trainable, make_model = MODEL_KINDS[model_kind]
+    trainable = make_trainable(shape, cfg)
 
     outcomes = [_train_set_error(obs, shape) for obs in train_sets]
     todo = [i for i, error in enumerate(outcomes) if error is None]
@@ -472,38 +442,14 @@ def fit_batch(
             outcomes[i] = outcome
         else:
             params, report = outcome
-            outcomes[i] = (build(params, train_sets[i]), report)
+            outcomes[i] = (make_model(params, train_sets[i], cfg), report)
     return outcomes
 
 
-def fit(
-    shape,
-    obs_train: ObservationSet,
-    cfg: TrainConfig,
-    model_kind: str,
-    n_init_groups: int = 3,
-    conv_channels: int = 8,
-    hidden_units: int = 16,
-):
+def fit(shape, obs_train: ObservationSet, cfg: TrainConfig, model_kind: str):
     """Fit one model kind to the training observations: `fit_batch` with a
     batch of one. Returns (model, TrainReport) or raises the fit's error."""
-    (outcome,) = fit_batch(
-        shape,
-        [obs_train],
-        cfg,
-        model_kind,
-        n_init_groups=n_init_groups,
-        conv_channels=conv_channels,
-        hidden_units=hidden_units,
-    )
+    (outcome,) = fit_batch(shape, [obs_train], cfg, model_kind)
     if isinstance(outcome, TenfitError):
         raise outcome
     return outcome
-
-
-def predict_set(model, indices) -> np.ndarray:
-    """Entry-wise predictions for a list of index tuples."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        return np.zeros(0)
-    return np.asarray(model.predict(indices), dtype=float)

@@ -1,5 +1,6 @@
 """Reference kernels kept as independent oracles for the fused training
-objectives.
+objectives, and the per-cell CPD prediction the vectorized one is checked
+against.
 
 These are the straightforward forms of the masked-CP gradient (prefix and
 suffix products with an `np.add.at` scatter) and of the CoSTCo forward and
@@ -9,6 +10,24 @@ same quantities with reshaped matmuls and a single `np.bincount` scatter.
 """
 
 import numpy as np
+
+
+def _check_index(index, shape) -> tuple[int, ...]:
+    index = tuple(int(i) for i in index)
+    if len(index) != len(shape):
+        raise IndexError(f"index {index} has wrong arity for shape {shape}")
+    for i, size in zip(index, shape):
+        if not 0 <= i < size:
+            raise IndexError(f"index {index} out of range for shape {shape}")
+    return index
+
+
+def predict_entry(factors, index) -> float:
+    """Predicted value at one cell of a FactorSet: sum over components of
+    the product of the selected factor rows."""
+    index = _check_index(index, factors.shape)
+    rows = np.stack([f[i] for f, i in zip(factors.factors, index)])
+    return float(rows.prod(axis=0).sum())
 
 
 def cpd_loss_and_grad(factors, indices, values, smooth_weight=0.0, smooth_modes=()):

@@ -422,9 +422,11 @@ def test_criterion_9_costco_capacity_and_determinism():
         values=rng.uniform(0, 1, size=50),
         normalizer=Normalizer(0.0, 1.0),
     )
-    cfg = TrainConfig(rank=3, epochs=3000, lr=0.01, seed=7)
-    _, report_a = fit(shape, obs, cfg, "costco", n_init_groups=3, conv_channels=8, hidden_units=16)
-    _, report_b = fit(shape, obs, cfg, "costco", n_init_groups=3, conv_channels=8, hidden_units=16)
+    cfg = TrainConfig(
+        rank=3, epochs=3000, lr=0.01, seed=7, n_init_groups=3, conv_channels=8, hidden_units=16
+    )
+    _, report_a = fit(shape, obs, cfg, "costco")
+    _, report_b = fit(shape, obs, cfg, "costco")
     ok = report_a.final_loss <= 1e-3 and report_a.losses == report_b.losses
     _report(
         "9 costco capacity + determinism",

@@ -18,7 +18,7 @@ from tenfit.errors import DivergenceError
 from tenfit.neural import pack_params
 from tenfit.optim import MAX_BATCH_ROWS, TrainConfig, fit, fit_batch
 
-HEAD = {"n_init_groups": 2, "conv_channels": 3, "hidden_units": 4}
+HEAD = {"n_init_groups": 2, "conv_channels": 3, "hidden_units": 4}  # TrainConfig fields
 
 
 def observations(shape, n, rng, scale=1.0):
@@ -39,7 +39,7 @@ def arrays(model):
 
 def assert_matches_solo(shape, train, seed, cfg, kind, outcome):
     model, report = outcome
-    solo_model, solo_report = fit(shape, train, replace(cfg, seed=seed), kind, **HEAD)
+    solo_model, solo_report = fit(shape, train, replace(cfg, seed=seed), kind)
     pairs = list(zip(arrays(model), arrays(solo_model)))
     assert pairs and all(np.array_equal(a, b) for a, b in pairs)
     assert report.epochs_run == solo_report.epochs_run
@@ -74,6 +74,7 @@ def batches(draw):
         restarts=2,
         patience=patience,
         val_fraction=0.3 if patience else 0.0,
+        **HEAD,
     )
     return kind, shape, sizes, cfg, draw(st.integers(0, 2**16))
 
@@ -86,7 +87,7 @@ def test_batched_fits_match_solo_fits(case):
     trains = [observations(shape, n, rng) for n in sizes]
     assert sum(sizes) * cfg.restarts <= MAX_BATCH_ROWS  # one batch
     seeds = [seed + 10 * b for b in range(len(trains))]
-    outcomes = fit_batch(shape, trains, cfg, kind, seeds=seeds, **HEAD)
+    outcomes = fit_batch(shape, trains, cfg, kind, seeds=seeds)
     for train, fit_seed, outcome in zip(trains, seeds, outcomes):
         assert_matches_solo(shape, train, fit_seed, cfg, kind, outcome)
 
@@ -98,9 +99,9 @@ def test_diverging_fit_leaves_batch_mates_untouched(kind):
     rng = np.random.default_rng(5)
     trains = [observations(shape, 20, rng), observations(shape, 20, rng, scale=1e200),
               observations(shape, 20, rng)]
-    cfg = TrainConfig(rank=2, epochs=40, lr=0.05, restarts=2)
+    cfg = TrainConfig(rank=2, epochs=40, lr=0.05, restarts=2, **HEAD)
     seeds = [11, 12, 13]
-    outcomes = fit_batch(shape, trains, cfg, kind, seeds=seeds, **HEAD)
+    outcomes = fit_batch(shape, trains, cfg, kind, seeds=seeds)
     assert isinstance(outcomes[1], DivergenceError)
     assert "non-finite loss at epoch 0 of restart 0" in str(outcomes[1])
     for b in (0, 2):
@@ -109,15 +110,17 @@ def test_diverging_fit_leaves_batch_mates_untouched(kind):
 
 def test_batch_split_at_the_row_bound_changes_nothing(monkeypatch):
     shape = (4, 3, 3)
-    cfg = TrainConfig(rank=2, epochs=40, lr=0.05, restarts=3, patience=3, val_fraction=0.2)
+    cfg = TrainConfig(
+        rank=2, epochs=40, lr=0.05, restarts=3, patience=3, val_fraction=0.2, **HEAD
+    )
     for kind, sizes in (("cpd", (30, 25, 33)), ("costco", (30, 30, 30))):
         rng = np.random.default_rng(8)
         trains = [observations(shape, n, rng) for n in sizes]
-        whole = fit_batch(shape, trains, cfg, kind, seeds=[1, 2, 3], **HEAD)
+        whole = fit_batch(shape, trains, cfg, kind, seeds=[1, 2, 3])
         with monkeypatch.context() as patch:  # about two runs a batch
             patch.setattr("tenfit.optim.MAX_BATCH_ROWS", 50)
             patch.setattr("tenfit.neural.COSTCO_MAX_BATCH_ROWS", 50)
-            split = fit_batch(shape, trains, cfg, kind, seeds=[1, 2, 3], **HEAD)
+            split = fit_batch(shape, trains, cfg, kind, seeds=[1, 2, 3])
         for (model_a, report_a), (model_b, report_b) in zip(whole, split):
             assert all(np.array_equal(a, b) for a, b in zip(arrays(model_a), arrays(model_b)))
             assert report_a.losses == report_b.losses

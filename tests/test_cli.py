@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenfit.cli import main
 
@@ -22,8 +28,7 @@ def write_demo_csv(path, n_geometries=3, thicknesses=(0.4, 0.8), lengths=(1, 2, 
     return len(rows)
 
 
-@pytest.fixture
-def dataset_dir(tmp_path):
+def ingest_demo(tmp_path):
     csv_path = tmp_path / "demo.csv"
     write_demo_csv(csv_path)
     out = tmp_path / "ds"
@@ -38,6 +43,58 @@ def dataset_dir(tmp_path):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture
+def dataset_dir(tmp_path):
+    return ingest_demo(tmp_path)
+
+
+REGION = {"axis_a": "geometry", "axis_b": "ux", "a_range": [0, 1], "b_range": [0, 1]}
+
+
+def experiment_config(dataset_dir, epochs=80):
+    return {
+        "dataset": str(dataset_dir),
+        "iterations": 2,
+        "seed": 1,
+        "models": [{"kind": "cpd", "rank": 2, "epochs": epochs, "lr": 0.05}],
+        "plans": [
+            {"kind": "uniform", "fraction": 0.8},
+            {"kind": "biased", "region": dict(REGION), "n_in": 6, "n_out": 3},
+        ],
+    }
+
+
+def sweep_config(dataset_dir, epochs=60):
+    return {
+        "dataset": str(dataset_dir),
+        "region": dict(REGION),
+        "n_in": 5,
+        "n_out_list": [2, 4],
+        "iterations": 2,
+        "seed": 1,
+        "rank": 2,
+        "epochs": epochs,
+        "lr": 0.05,
+        "models": ["cpd"],
+    }
+
+
+def run_config(command, config, tmp_path):
+    """Exit code and stderr of `tenfit <command>` on a config written to disk."""
+    config_path = tmp_path / f"{command}.json"
+    config_path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
+    return code, err.getvalue()
+
+
+def one_json_error(code, err) -> dict:
+    assert code == 1
+    assert err.count("\n") == 1
+    return json.loads(err)
 
 
 class TestIngest:
@@ -194,21 +251,7 @@ class TestFactorsAndFms:
 
 class TestExperimentAndSweep:
     def test_experiment_config_run(self, dataset_dir, tmp_path):
-        config = {
-            "dataset": str(dataset_dir),
-            "iterations": 2,
-            "seed": 1,
-            "models": [{"kind": "cpd", "rank": 2, "epochs": 80, "lr": 0.05}],
-            "plans": [
-                {"kind": "uniform", "fraction": 0.8},
-                {
-                    "kind": "biased",
-                    "region": {"axis_a": "geometry", "axis_b": "ux", "a_range": [0, 1], "b_range": [0, 1]},
-                    "n_in": 6,
-                    "n_out": 3,
-                },
-            ],
-        }
+        config = experiment_config(dataset_dir)
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps(config))
         out_dir = tmp_path / "exp_out"
@@ -218,24 +261,108 @@ class TestExperimentAndSweep:
         assert "uniform" in summary["aggregates"]
 
     def test_sweep_config_run(self, dataset_dir, tmp_path):
-        config = {
-            "dataset": str(dataset_dir),
-            "region": {"axis_a": "geometry", "axis_b": "ux", "a_range": [0, 1], "b_range": [0, 1]},
-            "n_in": 5,
-            "n_out_list": [2, 4],
-            "iterations": 2,
-            "seed": 1,
-            "rank": 2,
-            "epochs": 60,
-            "lr": 0.05,
-            "models": ["cpd"],
-        }
+        config = sweep_config(dataset_dir)
         config_path = tmp_path / "sweep.json"
         config_path.write_text(json.dumps(config))
         out_dir = tmp_path / "sweep_out"
         assert main(["sweep", "--config", str(config_path), "--out", str(out_dir)]) == 0
         table = json.loads((out_dir / "sweep.json").read_text())
         assert [row["n_out"] for row in table["models"]["cpd"]] == [2, 4]
+
+    @pytest.mark.parametrize("command", ["experiment", "sweep"])
+    def test_unknown_normalization_scope_exits_1(self, dataset_dir, tmp_path, command):
+        build = experiment_config if command == "experiment" else sweep_config
+        config = {**build(dataset_dir, epochs=5), "normalization": "bogus"}
+        payload = one_json_error(*run_config(command, config, tmp_path))
+        assert payload["error"] == "ContractError"
+        assert "bogus" in payload["message"]
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def replace_field(config, path, value):
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+
+
+class TestConfigErrors:
+    """A bad config value is a ContractError naming its key, reported as one
+    line of JSON."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("iterations",), "two"), (("models", 0, "rank"), "x"),
+         (("plans", 1, "region", "a_range"), [0])],
+        ids=["iterations", "rank", "a_range"],
+    )
+    def test_bad_value_names_its_key(self, dataset_dir, tmp_path, path, value):
+        config = experiment_config(dataset_dir, epochs=5)
+        replace_field(config, path, value)
+        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        assert payload["error"] == "ContractError"
+        assert repr(path[-1]) in payload["message"]
+
+    @pytest.mark.parametrize("command", ["experiment", "sweep"])
+    def test_config_path_is_a_directory(self, tmp_path, capsys, command):
+        code = main([command, "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        payload = one_json_error(code, capsys.readouterr().err)
+        assert payload["error"] == "IsADirectoryError"
+
+
+# Drawn replacement values. Numbers stay small: a large count of epochs,
+# iterations or rank is a valid request for that much work and memory.
+JSON_VALUES = st.one_of(
+    st.integers(-3, 6),
+    st.floats(-3, 6, allow_nan=False),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.integers(-3, 6), st.text(max_size=3)), max_size=3),
+    st.none(),
+    st.dictionaries(
+        st.text(max_size=4),
+        st.one_of(st.integers(-3, 6), st.dictionaries(st.text(max_size=2), st.none(), max_size=1)),
+        max_size=2,
+    ),
+)
+
+
+def field_paths(node, prefix=()):
+    """Every key path of a JSON value, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+def fuzz_configs(dataset_dir):
+    experiment = experiment_config(dataset_dir, epochs=2)
+    experiment["normalization"] = "train"
+    experiment["models"] += [
+        {"kind": "cpd_s", "name": "smooth", "rank": 2, "epochs": 2, "lambda_smooth": 0.1,
+         "smooth_modes": ["ux"], "restarts": 2, "patience": 1, "val_fraction": 0.3, "seed": 0},
+        {"kind": "costco", "rank": 2, "epochs": 2, "groups": 2, "channels": 2, "hidden": 3},
+    ]
+    sweep = sweep_config(dataset_dir, epochs=2)
+    sweep.update({"models": ["cpd", "costco"], "normalization": "full", "groups": 2})
+    return {"experiment": experiment, "sweep": sweep}
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    return fuzz_configs(ingest_demo(tmp_path_factory.mktemp("fuzz")))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_config_fuzz_never_escapes(fuzz_base, data):
+    command = data.draw(st.sampled_from(["experiment", "sweep"]))
+    config = json.loads(json.dumps(fuzz_base[command]))
+    path = data.draw(st.sampled_from(sorted(field_paths(config), key=repr)))
+    replace_field(config, path, data.draw(JSON_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_config(command, config, Path(tmp))
+    if code != 0:
+        assert set(one_json_error(code, err)) == {"error", "message"}
 
 
 class TestErrorReporting:
@@ -269,10 +396,12 @@ class TestModelFileValidation:
     one line of JSON, never a traceback from predict."""
 
     def predict_with(self, dataset_dir, tmp_path, capsys, damage):
+        """`damage` edits the model file's JSON in place or returns a
+        replacement for it."""
         model_path = TestFitPredictEvaluate().fit_model(dataset_dir, tmp_path)
         payload = json.loads(model_path.read_text())
-        damage(payload)
-        model_path.write_text(json.dumps(payload))
+        replacement = damage(payload)
+        model_path.write_text(json.dumps(payload if replacement is None else replacement))
         indices_path = tmp_path / "indices.csv"
         indices_path.write_text("geometry,thickness,ux\n2,1,2\n")
         capsys.readouterr()
@@ -305,3 +434,7 @@ class TestModelFileValidation:
 
         message = self.predict_with(dataset_dir, tmp_path, capsys, damage)
         assert "factor 1" in message and "3 values" in message
+
+    def test_top_level_not_an_object(self, dataset_dir, tmp_path, capsys):
+        message = self.predict_with(dataset_dir, tmp_path, capsys, lambda payload: [1, 2])
+        assert "[1, 2]" in message

@@ -11,7 +11,6 @@ from tenfit.core import (
     ObservationSet,
     build_design_space,
     encode_observations,
-    invert_normalization,
 )
 from tenfit.errors import ContractError, DegenerateDataError, SchemaError
 
@@ -158,9 +157,9 @@ class TestEncodeObservations:
 class TestNormalization:
     def test_invert_endpoints(self):
         norm = Normalizer(2.0, 6.0)
-        assert invert_normalization(0.0, norm) == 2.0
-        assert invert_normalization(1.0, norm) == 6.0
-        assert invert_normalization(0.5, norm) == 4.0
+        assert norm.denormalize(0.0) == 2.0
+        assert norm.denormalize(1.0) == 6.0
+        assert norm.denormalize(0.5) == 4.0
 
     def test_round_trip_within_1e12_relative(self):
         rng = np.random.default_rng(7)
@@ -248,19 +247,21 @@ class TestObservationSetInvariants:
 
 class TestDenseTensor:
     def test_flat_index_round_trip_exhaustive(self):
+        # the flat data is row-major: offset k holds the cell that
+        # np.unravel_index(k) names in the array view
         shape = (17, 13, 9, 5)
-        tensor = DenseTensor(shape=shape, data=np.zeros(17 * 13 * 9 * 5))
+        tensor = DenseTensor(shape=shape, data=np.arange(17 * 13 * 9 * 5))
         for offset in range(tensor.data.shape[0]):
-            index = tensor.index_of(offset)
-            assert tensor.flat_index(index) == offset
+            index = np.unravel_index(offset, shape)
+            assert tensor.array[index] == offset
             assert offset == int(np.ravel_multi_index(index, shape))
 
     def test_at_matches_array(self):
         rng = np.random.default_rng(0)
         array = rng.normal(size=(4, 3, 2))
         tensor = DenseTensor.from_array(array)
-        assert tensor.at((2, 1, 0)) == array[2, 1, 0]
-        assert tensor.at((3, 2, 1)) == array[3, 2, 1]
+        assert tensor.array[2, 1, 0] == array[2, 1, 0]
+        assert tensor.array[3, 2, 1] == array[3, 2, 1]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractError):
@@ -269,9 +270,9 @@ class TestDenseTensor:
     def test_bounds(self):
         tensor = DenseTensor(shape=(2, 2), data=np.zeros(4))
         with pytest.raises(IndexError):
-            tensor.at((2, 0))
+            tensor.array[2, 0]
         with pytest.raises(IndexError):
-            tensor.flat_index((0,))
+            tensor.array[0, 0, 0]
 
 
 class TestAxis:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from conftest import full_grid_indices, obs_from_values
+from oracles import predict_entry
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
 from tenfit.cpd import (
@@ -11,7 +12,6 @@ from tenfit.cpd import (
     grad_masked_loss,
     init_factors,
     masked_mse,
-    predict_entry,
     predict_indices,
     reconstruct_full,
     smoothness_penalty,
@@ -146,7 +146,7 @@ class TestReconstructFull:
         factors = FactorSet([rng.normal(size=(3, 2)) for _ in range(3)])
         tensor = reconstruct_full(factors)
         for index in itertools.product(range(3), repeat=3):
-            assert abs(tensor.at(index) - predict_entry(factors, index)) <= 1e-14
+            assert abs(tensor.array[index] - predict_entry(factors, index)) <= 1e-14
 
     def test_capacity_cap(self):
         factors = init_factors((20, 20, 20), 1, seed=0)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from tenfit.harness import (
     run_experiment,
     uniform_split,
 )
+from tenfit.metrics import regression_metrics
 from tenfit.modelio import write_dataset
-from tenfit.optim import TrainConfig
+from tenfit.optim import TrainConfig, fit
 
 
 def random_obs(shape, n, seed, low=0.0, high=1.0):
@@ -276,6 +278,33 @@ class TestOodSweep:
         train, test = renormalize_splits(train, test, "train")
         expected_n = int((~region.mask(test)).sum())
         assert row["per_iteration"][0]["n"] == expected_n
+
+    @pytest.mark.parametrize("kind", ["cpd", "costco"])
+    def test_matches_hand_rolled_protocol(self, kind):
+        # split, renormalize, fit alone and score on the out-of-region test
+        # rows, per (n_out, iteration): the sweep must give the same bits,
+        # with the CoSTCo head sizes taken from the TrainConfig
+        obs = self.setup_obs()
+        region = self.region()
+        cfg = TrainConfig(
+            rank=2, epochs=25, lr=0.05, seed=4, restarts=2,
+            n_init_groups=2, conv_channels=3, hidden_units=5,
+        )
+        table = ood_sweep(obs, region, 6, [2, 5], cfg, [kind], iterations=3)
+        rows = table["models"][kind]
+        assert [row["n_out"] for row in rows] == [2, 5]
+        for row in rows:
+            for it, metrics in enumerate(row["per_iteration"]):
+                seed = cfg.seed + it
+                train, test = biased_split(obs, region, 6, row["n_out"], seed=seed)
+                train, test = renormalize_splits(train, test, "train")
+                model, _ = fit(obs.space.shape(), train, replace(cfg, seed=seed), kind)
+                if kind == "costco":
+                    head = model.head
+                    assert (model.bank.n_groups, head.channels, head.hidden_units) == (2, 3, 5)
+                ood_test = test.take(np.flatnonzero(~region.mask(test)))
+                preds = model.predict(ood_test.indices)
+                assert metrics == regression_metrics(ood_test.values, preds).to_json()
 
     def test_sweep_deterministic(self):
         obs = self.setup_obs()

@@ -117,11 +117,10 @@ class TestModelJson:
         model, _ = fit(
             shape,
             obs,
-            TrainConfig(rank=2, epochs=40, lr=0.01, seed=2),
+            TrainConfig(
+                rank=2, epochs=40, lr=0.01, seed=2, n_init_groups=2, conv_channels=4, hidden_units=6
+            ),
             "costco",
-            n_init_groups=2,
-            conv_channels=4,
-            hidden_units=6,
         )
         path = tmp_path / "model.json"
         save_model(model, path)

@@ -1,11 +1,10 @@
-import itertools
-
 import numpy as np
 import pytest
 from conftest import full_grid_indices, obs_from_values
+from oracles import predict_entry
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
-from tenfit.cpd import FactorSet, predict_entry
+from tenfit.cpd import FactorSet
 from tenfit.errors import ContractError, DegenerateDataError
 from tenfit.neural import (
     ConvHead,
@@ -13,12 +12,10 @@ from tenfit.neural import (
     costco_fit,
     init_conv_head,
     init_embedding_bank,
-    neural_forward,
     neural_grad,
     neural_loss,
     pack_params,
     predict_batch,
-    summing_head,
     unpack_params,
     _forward,
 )
@@ -34,6 +31,21 @@ def zero_head(n_groups, rank, n_modes, channels=2, hidden=3):
         dense_w=np.zeros((hidden, channels)),
         dense_b=np.zeros(hidden),
         out_w=np.zeros(hidden),
+        out_b=np.zeros(()),
+    )
+
+
+def summing_head(n_groups, rank, n_modes):
+    """Head whose output is the plain sum of all stack entries (exact on
+    non-negative pre-activations)."""
+    return ConvHead(
+        mode_kernels=np.ones((1, n_groups, n_modes)),
+        mode_bias=np.zeros(1),
+        rank_kernels=np.ones((1, 1, rank)),
+        rank_bias=np.zeros(1),
+        dense_w=np.ones((1, 1)),
+        dense_b=np.zeros(1),
+        out_w=np.ones(1),
         out_b=np.zeros(()),
     )
 
@@ -76,15 +88,15 @@ class TestForward:
         shape = (3, 4, 2)
         bank = zero_bank(shape, 2, 2)
         head = zero_head(2, 2, 3)
-        for index in itertools.product(range(3), range(4), range(2)):
-            assert neural_forward(bank, head, index) == 0.0
+        preds = predict_batch(bank, head, full_grid_indices(shape))
+        assert np.all(preds == 0.0)
 
     def test_summing_head_hand_case(self):
         # S=1, R=2, M=3, all-ones embedding rows -> sum of the 2x3 stack = 6
         shape = (3, 3, 3)
         bank = EmbeddingBank([[np.ones((3, 2)) for _ in range(3)]])
         head = summing_head(1, 2, 3)
-        assert neural_forward(bank, head, (0, 1, 2)) == 6.0
+        assert predict_batch(bank, head, [(0, 1, 2)])[0] == 6.0
 
     def test_finite_outputs_over_random_sweep(self):
         shape = (6, 5, 4)
@@ -99,16 +111,16 @@ class TestForward:
         shape = (3, 3, 3)
         bank = init_embedding_bank(shape, 2, 2, seed=4)
         head = init_conv_head(2, 3, 2, 4, 8, seed=5)
-        a = neural_forward(bank, head, (1, 2, 0))
-        b = neural_forward(bank, head, (1, 2, 0))
-        assert a == b
+        a = predict_batch(bank, head, [(1, 2, 0)])
+        b = predict_batch(bank, head, [(1, 2, 0)])
+        assert a[0] == b[0]
 
     def test_bounds_error(self):
         shape = (3, 3, 3)
         bank = init_embedding_bank(shape, 2, 1, seed=0)
         head = init_conv_head(2, 3, 1, 4, 8, seed=0)
         with pytest.raises(IndexError):
-            neural_forward(bank, head, (0, 3, 0))
+            predict_batch(bank, head, [(0, 3, 0)])
 
     def test_shape_chain(self):
         # conv over modes -> (C, R); conv over rank -> (C,); dense -> (H,); out -> scalar
@@ -133,7 +145,7 @@ class TestForward:
         bank = init_embedding_bank((3, 3), 2, 2, seed=0)
         head = init_conv_head(2, 2, 3, 4, 8, seed=0)  # 3 groups vs bank's 2
         with pytest.raises(ContractError):
-            neural_forward(bank, head, (0, 0))
+            predict_batch(bank, head, [(0, 0)])
 
 
 class TestContainsLinearPredictor:
@@ -149,10 +161,9 @@ class TestContainsLinearPredictor:
             [[informative.copy(), np.zeros((4, rank)), np.zeros((3, rank))]]
         )
         head = summing_head(1, rank, 3)
-        for index in itertools.product(range(5), range(4), range(3)):
-            assert neural_forward(bank, head, index) == pytest.approx(
-                predict_entry(factors, index), abs=1e-10
-            )
+        grid = full_grid_indices(shape)
+        for index, pred in zip(grid, predict_batch(bank, head, grid)):
+            assert pred == pytest.approx(predict_entry(factors, index), abs=1e-10)
 
 
 class TestNeuralGrad:
@@ -235,33 +246,42 @@ class TestCostcoFit:
             values=rng.uniform(0, 1, size=50),
             normalizer=Normalizer(0, 1),
         )
-        cfg = TrainConfig(rank=3, epochs=3000, lr=0.01, seed=7)
-        model, report = costco_fit(obs, cfg, n_init_groups=3, conv_channels=8, hidden_units=16)
+        cfg = TrainConfig(
+            rank=3, epochs=3000, lr=0.01, seed=7, n_init_groups=3, conv_channels=8, hidden_units=16
+        )
+        model, report = costco_fit(obs, cfg)
         assert report.final_loss <= 1e-3
         assert model.shape == shape
 
     def test_seed_determinism(self):
         shape = (3, 3, 3)
         obs = obs_from_values(shape, np.linspace(0, 1, 27))
-        cfg = TrainConfig(rank=2, epochs=150, lr=0.01, seed=11)
-        _, report_a = costco_fit(obs, cfg, n_init_groups=2, conv_channels=4, hidden_units=8)
-        _, report_b = costco_fit(obs, cfg, n_init_groups=2, conv_channels=4, hidden_units=8)
+        cfg = TrainConfig(
+            rank=2, epochs=150, lr=0.01, seed=11, n_init_groups=2, conv_channels=4, hidden_units=8
+        )
+        _, report_a = costco_fit(obs, cfg)
+        _, report_b = costco_fit(obs, cfg)
         assert report_a.losses == report_b.losses
         assert report_a.final_loss == report_b.final_loss
 
     def test_single_group_topology(self):
         shape = (3, 3, 3)
         obs = obs_from_values(shape, np.linspace(0, 1, 27))
-        cfg = TrainConfig(rank=2, epochs=30, lr=0.01, seed=0)
-        model, _ = costco_fit(obs, cfg, n_init_groups=1, conv_channels=4, hidden_units=8)
+        cfg = TrainConfig(
+            rank=2, epochs=30, lr=0.01, seed=0, n_init_groups=1, conv_channels=4, hidden_units=8
+        )
+        model, _ = costco_fit(obs, cfg)
         assert model.bank.n_groups == 1
         assert model.head.mode_kernels.shape == (4, 1, 3)
 
     def test_restart_selection(self):
         shape = (3, 3, 3)
         obs = obs_from_values(shape, np.linspace(0, 1, 27))
-        cfg = TrainConfig(rank=2, epochs=100, lr=0.01, seed=3, restarts=3)
-        _, report = costco_fit(obs, cfg, n_init_groups=2, conv_channels=4, hidden_units=8)
+        cfg = TrainConfig(
+            rank=2, epochs=100, lr=0.01, seed=3, restarts=3,
+            n_init_groups=2, conv_channels=4, hidden_units=8,
+        )
+        _, report = costco_fit(obs, cfg)
         assert report.final_loss == min(report.restart_final_losses)
 
 

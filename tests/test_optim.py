@@ -15,7 +15,6 @@ from tenfit.optim import (
     Trainable,
     adam_step,
     fit,
-    predict_set,
     train_batch,
     train_fits,
 )
@@ -118,9 +117,9 @@ class TestFit:
         shape = (4, 3, 2)
         train, _ = synthetic_split(shape, rank=2, seed=7)
         settings = {"rank": 2, "epochs": 200, "lr": 0.03, "restarts": 2, "seed": 3, **extra}
-        cfg = TrainConfig(**settings)
-        model_a, report_a = fit(shape, train, cfg, kind, n_init_groups=2, conv_channels=4)
-        model_b, report_b = fit(shape, train, cfg, kind, n_init_groups=2, conv_channels=4)
+        cfg = TrainConfig(**settings, n_init_groups=2, conv_channels=4)
+        model_a, report_a = fit(shape, train, cfg, kind)
+        model_b, report_b = fit(shape, train, cfg, kind)
         assert report_a.losses == report_b.losses
         assert report_a.final_loss == report_b.final_loss
         if "patience" in extra:
@@ -250,14 +249,14 @@ class TestPredictSet:
         shape = (2, 2)
         obs = obs_from_values(shape, [0.1, 0.2, 0.3, 0.4])
         model, _ = fit(shape, obs, TrainConfig(rank=1, epochs=5), "cpd")
-        assert predict_set(model, []).tolist() == []
+        assert model.predict([]).tolist() == []
 
     def test_full_grid_matches_reconstruction(self):
         shape = (2, 2)
         obs = obs_from_values(shape, [0.1, 0.2, 0.3, 0.4])
         model, _ = fit(shape, obs, TrainConfig(rank=1, epochs=50), "cpd")
         grid = full_grid_indices(shape)
-        preds = predict_set(model, grid)
+        preds = model.predict(grid)
         dense = reconstruct_full(model.factors).array
         assert preds == pytest.approx(dense.ravel(), rel=1e-12)
 
@@ -265,7 +264,7 @@ class TestPredictSet:
         shape = (2, 2)
         obs = obs_from_values(shape, [0.1, 0.2, 0.3, 0.4])
         model, _ = fit(shape, obs, TrainConfig(rank=1, epochs=50), "cpd")
-        preds = predict_set(model, [(1, 1), (1, 1)])
+        preds = model.predict([(1, 1), (1, 1)])
         assert preds[0] == preds[1]
 
     def test_bounds_error(self):
@@ -273,7 +272,7 @@ class TestPredictSet:
         obs = obs_from_values(shape, [0.1, 0.2, 0.3, 0.4])
         model, _ = fit(shape, obs, TrainConfig(rank=1, epochs=5), "cpd")
         with pytest.raises(IndexError):
-            predict_set(model, [(0, 5)])
+            model.predict([(0, 5)])
 
 
 class TestTrainReportJson:
