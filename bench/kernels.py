@@ -136,10 +136,7 @@ def bench_objective(shape, n, n_fits, smoothed, grad, calls, rounds, rng):
 def trainable(kind, shape, cfg):
     if kind == "costco":
         return neural.costco_trainable(shape, cfg)
-    return optim.Trainable(
-        init=lambda seed: cpd.init_factors(shape, RANK, seed).factors,
-        objective=lambda sets: cpd.masked_objective(sets, RANK),
-    )
+    return cpd.cpd_trainable(shape, cfg, kind="cpd")
 
 
 def bench_batch(rounds, epochs, rng):

@@ -272,7 +272,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TenfitError, TypeError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (
+        TenfitError, TypeError, OSError, json.JSONDecodeError, KeyError, UnicodeDecodeError
+    ) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ the sum over components of the product of one factor row per mode.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -265,6 +265,16 @@ class CPDModel:
     def shape(self) -> tuple[int, ...]:
         return self.factors.shape
 
+    @property
+    def params(self) -> dict:
+        """The factors by their layout names (the layout reads only the rank)."""
+        names = [name for name, _ in cpd_layout(self.shape, self)]
+        return dict(zip(names, self.factors.factors))
+
+    def settings(self) -> dict:
+        """The model file's block of CPD-S settings."""
+        return {"smoothness": asdict(self.smoothness)}
+
     def predict(self, indices) -> np.ndarray:
         return predict_indices(self.factors, np.asarray(indices, dtype=np.int64))
 
@@ -278,6 +288,12 @@ def _smoothness(cfg, kind: str, ndim: int) -> SmoothnessConfig:
     return SmoothnessConfig(weight=cfg.smooth_weight, modes=tuple(modes))
 
 
+def cpd_layout(shape, cfg) -> list:
+    """CPD's named parameter shapes: one (I_m, R) factor matrix per mode,
+    named factors/m."""
+    return [(f"factors/{m}", (int(size), cfg.rank)) for m, size in enumerate(shape)]
+
+
 def cpd_trainable(shape, cfg, kind: str):
     """The optim engine's view of CPD (kind "cpd") or CPD-S ("cpd_s"):
     seeded factors trained on the masked MSE plus CPD-S's penalty, with
@@ -286,6 +302,7 @@ def cpd_trainable(shape, cfg, kind: str):
 
     smoothness = _smoothness(cfg, kind, len(shape))
     return Trainable(
+        layout=cpd_layout(shape, cfg),
         init=lambda seed: init_factors(shape, cfg.rank, seed).factors,
         objective=lambda sets: masked_objective(sets, cfg.rank, smoothness),
         val_objective=lambda sets: masked_objective(sets, cfg.rank),
@@ -293,12 +310,12 @@ def cpd_trainable(shape, cfg, kind: str):
     )
 
 
-def cpd_model(params: list, obs_train: ObservationSet, cfg, kind: str) -> CPDModel:
-    """A trained factor list as a standalone model of its training set."""
+def cpd_model(params: list, space: DesignSpace, normalizer, cfg, kind: str) -> CPDModel:
+    """Trained factors, in layout order, as a standalone model."""
     return CPDModel(
         kind=kind,
         factors=FactorSet(params),
-        space=obs_train.space,
-        normalizer=obs_train.normalizer,
+        space=space,
+        normalizer=normalizer,
         smoothness=_smoothness(cfg, kind, len(params)),
     )

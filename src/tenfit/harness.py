@@ -415,18 +415,18 @@ def _pair(values) -> tuple:
 
 def _train_config_from(entry: dict, space: DesignSpace) -> TrainConfig:
     """The TrainConfig of a model entry, of a sweep config, or of the
-    `tenfit fit` options (smooth_modes as a list of axis names)."""
-    smooth_modes = entry.get("smooth_modes")
-    if smooth_modes is not None:
-        smooth_modes = tuple(space.axis_position(name) for name in smooth_modes)
-    else:
-        smooth_modes = space.ordinal_modes()
+    `tenfit fit` options (smooth_modes as a list of axis names; none means
+    the ordinal axes)."""
+
+    def modes(names):
+        return space.ordinal_modes() if names is None else tuple(map(space.axis_position, names))
+
     return TrainConfig(
         rank=_read(entry, "rank", int),
         epochs=_read(entry, "epochs", int, 3000),
         lr=_read(entry, "lr", float, 0.01),
         smooth_weight=_read(entry, "lambda_smooth", float, 0.1),
-        smooth_modes=smooth_modes,
+        smooth_modes=_read(entry, "smooth_modes", modes, space.ordinal_modes()),
         seed=_read(entry, "seed", int, 0),
         restarts=_read(entry, "restarts", int, 1),
         patience=_read(entry, "patience", lambda v: None if v is None else int(v), None),
@@ -437,10 +437,14 @@ def _train_config_from(entry: dict, space: DesignSpace) -> TrainConfig:
     )
 
 
+def _model_kind(value) -> str:
+    if value not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {value!r}")
+    return value
+
+
 def model_spec_from_config(entry: dict, space: DesignSpace, taken=()) -> ModelSpec:
-    kind = _object(entry, "model entry").get("kind")
-    if kind not in MODEL_KINDS:
-        raise ContractError(f"unknown model kind {kind!r}")
+    kind = _read(_object(entry, "model entry"), "kind", _model_kind)
     name = _name(entry, kind)
     if name in taken:
         raise ContractError(f"duplicate model name {name!r}")

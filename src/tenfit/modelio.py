@@ -9,22 +9,19 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .core import Axis, DesignSpace, Normalizer, ObservationSet
-from .cpd import CPDModel, FactorSet, SmoothnessConfig
 from .errors import ContractError, SchemaError
-from .neural import ConvHead, EmbeddingBank, NeuralModel
-from .optim import MODEL_KINDS
+from .optim import MODEL_KINDS, TrainConfig
 
 SCHEMA_FILENAME = "schema.json"
 OBSERVATIONS_FILENAME = "obs.csv"
 NORMALIZER_FILENAME = "normalizer.json"
 FORMAT_VERSION = 1  # of model files
-_HEAD_FIELDS = tuple(f.name for f in fields(ConvHead))
 
 
 def schema_to_json(space: DesignSpace) -> dict:
@@ -56,13 +53,22 @@ def read_schema(path) -> DesignSpace:
 
 
 def write_normalizer(normalizer: Normalizer, path) -> None:
-    payload = {"y_min": normalizer.y_min, "y_max": normalizer.y_max}
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(normalizer), indent=2), encoding="utf-8")
+
+
+def _normalizer_from_json(payload, path) -> Normalizer:
+    """A stored normalizer: two finite numbers with y_min <= y_max."""
+    try:
+        y_min, y_max = float(payload["y_min"]), float(payload["y_max"])
+        if not (math.isfinite(y_min) and math.isfinite(y_max) and y_min <= y_max):
+            raise ValueError(f"y_min {y_min} and y_max {y_max} are not a finite range")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: normalizer needs y_min <= y_max, both finite ({exc})") from None
+    return Normalizer(y_min=y_min, y_max=y_max)
 
 
 def read_normalizer(path) -> Normalizer:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Normalizer(y_min=float(payload["y_min"]), y_max=float(payload["y_max"]))
+    return _normalizer_from_json(json.loads(Path(path).read_text(encoding="utf-8")), path)
 
 
 def write_observations_csv(obs: ObservationSet, path) -> None:
@@ -137,11 +143,6 @@ def load_dataset(path):
     return space, obs
 
 
-def _array_to_json(array: np.ndarray) -> dict:
-    array = np.asarray(array, dtype=float)
-    return {"shape": list(array.shape), "data": array.ravel().tolist()}
-
-
 def _array_from_json(payload: dict, shape, path, what: str) -> np.ndarray:
     """A stored array, checked against the shape the model needs."""
     try:
@@ -154,57 +155,75 @@ def _array_from_json(payload: dict, shape, path, what: str) -> np.ndarray:
         raise SchemaError(
             f"{path}: {what} has shape {stored} and {data.size} values, expected shape {shape}"
         )
+    if not np.all(np.isfinite(data)):
+        raise SchemaError(f"{path}: {what} holds a non-finite value")
     return data.reshape(shape)
 
 
+def _nest(arrays: dict) -> dict:
+    """Named arrays as nested JSON: the array named "a/0/1" is stored at
+    ["a"][0][1] (a level whose keys are all numbers is a list)."""
+    root: dict = {}
+    for name, array in arrays.items():
+        *parents, leaf = name.split("/")
+        node = root
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = {"shape": list(array.shape), "data": array.ravel().tolist()}
+
+    def listed(node):
+        if "data" in node:
+            return node
+        children = {key: listed(child) for key, child in node.items()}
+        return list(children.values()) if all(key.isdigit() for key in node) else children
+
+    return listed(root)
+
+
+def _flatten(node, name: str = "") -> dict:
+    """The inverse of _nest: the stored arrays of nested JSON by name (a
+    stored array is a dict holding "data", or anything not a container)."""
+    if isinstance(node, dict) and "data" not in node:
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return {name[:-1]: node}
+    return {k: v for key, child in children for k, v in _flatten(child, f"{name}{key}/").items()}
+
+
+def _label(name: str) -> str:
+    """How errors name a layout array: "factor 0" for factors/0."""
+    group, _, rest = name.partition("/")
+    return f"{group[:-1]} {rest}" if rest else name
+
+
 def save_model(model, path) -> None:
-    """Write a fitted model (linear or neural) as a single JSON file."""
+    """Write a fitted model (linear or neural) as a single JSON file: its
+    kind's settings, and its arrays nested by layout name under "params"."""
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "rank": model.rank,
         "shape": list(model.shape),
         "schema": schema_to_json(model.space),
-        "normalizer": (
-            {"y_min": model.normalizer.y_min, "y_max": model.normalizer.y_max}
-            if model.normalizer is not None
-            else None
-        ),
+        "normalizer": asdict(model.normalizer) if model.normalizer is not None else None,
+        **model.settings(),
+        "params": _nest(model.params),
     }
-    if isinstance(model, CPDModel):
-        payload["smoothness"] = {
-            "weight": model.smoothness.weight,
-            "modes": list(model.smoothness.modes),
-        }
-        payload["params"] = {"factors": [_array_to_json(f) for f in model.factors.factors]}
-    elif isinstance(model, NeuralModel):
-        head = model.head
-        payload["config"] = {
-            "n_init_groups": model.bank.n_groups,
-            "conv_channels": head.channels,
-            "hidden_units": head.hidden_units,
-        }
-        payload["params"] = {
-            "embeddings": [
-                [_array_to_json(e) for e in group] for group in model.bank.groups
-            ],
-            **{name: _array_to_json(getattr(head, name)) for name in _HEAD_FIELDS},
-        }
-    else:
-        raise ContractError(f"cannot serialize model type {type(model).__name__}")
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_model(path):
     """Read a model file written by save_model. The file is checked before
-    use: its format version, and every stored array against the shape the
-    schema, the rank and the head sizes call for; a file that fails raises a
-    SchemaError naming it."""
+    use: its format version, and its arrays against its kind's layout for
+    its shape, rank and settings (the same names, each shape, finite
+    values); a file that fails raises a SchemaError naming it."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: a model file holds one JSON object, not {payload!r}")
     kind = payload.get("kind")
-    if kind not in MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise ContractError(f"unknown model kind {kind!r} in {path}")
     if payload.get("format_version") != FORMAT_VERSION:
         raise SchemaError(
@@ -212,73 +231,27 @@ def load_model(path):
         )
     try:
         space = schema_from_json(payload["schema"])
-        rank = int(payload["rank"])
-        params = payload["params"]
         norm = payload.get("normalizer")
-        normalizer = Normalizer(float(norm["y_min"]), float(norm["y_max"])) if norm else None
-        if kind == "costco":
-            config = payload["config"]
-            groups, channels, hidden = (
-                int(config[k]) for k in ("n_init_groups", "conv_channels", "hidden_units")
-            )
-            stored_groups = [list(group) for group in params["embeddings"]]
-            head_payload = {name: params[name] for name in _HEAD_FIELDS}
-        else:
-            smooth = payload.get("smoothness", {})
-            smoothness = SmoothnessConfig(
-                weight=float(smooth.get("weight", 0.0)),
-                modes=tuple(smooth.get("modes", ())),
-            )
-            stored_factors = list(params["factors"])
-    except (KeyError, TypeError, ValueError) as exc:
+        normalizer = _normalizer_from_json(norm, path) if norm is not None else None
+        smooth = payload.get("smoothness", {})
+        cfg = TrainConfig(
+            rank=int(payload["rank"]),
+            smooth_weight=float(smooth.get("weight", 0.0)),
+            smooth_modes=tuple(int(m) for m in smooth.get("modes", ())),
+            **{key: int(value) for key, value in payload.get("config", {}).items()},
+        )
+        stored = _flatten(payload["params"])
+    except (KeyError, TypeError, ValueError, AttributeError, ContractError) as exc:
         raise SchemaError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
     shape = space.shape()
-    if rank < 1 or payload.get("shape") != list(shape):
+    if payload.get("shape") != list(shape):
         raise SchemaError(
-            f"{path}: rank {rank} and shape {payload.get('shape')} do not fit the schema "
+            f"{path}: rank {cfg.rank} and shape {payload.get('shape')} do not fit the schema "
             f"shape {list(shape)}"
         )
-
-    if kind in ("cpd", "cpd_s"):
-        if len(stored_factors) != len(shape):
-            raise SchemaError(f"{path}: {len(stored_factors)} factors for {len(shape)} modes")
-        factors = FactorSet(
-            [
-                _array_from_json(f, (size, rank), path, f"factor {m}")
-                for m, (f, size) in enumerate(zip(stored_factors, shape))
-            ]
-        )
-        return CPDModel(
-            kind=kind, factors=factors, space=space, normalizer=normalizer, smoothness=smoothness
-        )
-
-    if len(stored_groups) != groups or any(len(g) != len(shape) for g in stored_groups):
-        raise SchemaError(
-            f"{path}: embeddings are not {groups} groups of {len(shape)} mode matrices"
-        )
-    bank = EmbeddingBank(
-        [
-            [
-                _array_from_json(e, (size, rank), path, f"embedding {s}/{m}")
-                for m, (e, size) in enumerate(zip(group, shape))
-            ]
-            for s, group in enumerate(stored_groups)
-        ]
-    )
-    head_shapes = {
-        "mode_kernels": (channels, groups, len(shape)),
-        "mode_bias": (channels,),
-        "rank_kernels": (channels, channels, rank),
-        "rank_bias": (channels,),
-        "dense_w": (hidden, channels),
-        "dense_b": (hidden,),
-        "out_w": (hidden,),
-        "out_b": (),
-    }
-    head = ConvHead(
-        **{
-            name: _array_from_json(head_payload[name], head_shapes[name], path, name)
-            for name in _HEAD_FIELDS
-        }
-    )
-    return NeuralModel(bank=bank, head=head, space=space, normalizer=normalizer)
+    make_layout, _, make_model = MODEL_KINDS[kind]
+    layout = dict(make_layout(shape, cfg))
+    if set(stored) != set(layout):
+        raise SchemaError(f"{path}: params holds {sorted(stored, key=str)}, not {list(layout)}")
+    params = [_array_from_json(stored[n], size, path, _label(n)) for n, size in layout.items()]
+    return make_model(params, space, normalizer, cfg)

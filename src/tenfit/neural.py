@@ -11,7 +11,9 @@ explicitly so training stays deterministic and the gradients are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,141 +21,44 @@ from .core import DesignSpace, Normalizer, ObservationSet
 from .errors import ContractError, DegenerateDataError
 
 
-@dataclass
-class EmbeddingBank:
-    """S initialization groups, each holding one I_m x R matrix per mode."""
-
-    groups: list  # list[list[np.ndarray]]
-
-    def __post_init__(self):
-        if not self.groups or not all(self.groups):
-            raise ContractError("embedding bank needs at least one group with one mode")
-        self.groups = [[np.asarray(e, dtype=float) for e in group] for group in self.groups]
-        ranks = {e.shape[1] for group in self.groups for e in group}
-        if len(ranks) != 1:
-            raise ContractError("all embeddings must share one column count")
-        mode_counts = {len(group) for group in self.groups}
-        if len(mode_counts) != 1:
-            raise ContractError("all groups must cover the same modes")
-        shapes = {tuple(e.shape[0] for e in group) for group in self.groups}
-        if len(shapes) != 1:
-            raise ContractError("all groups must share the mode sizes")
-        if not all(np.all(np.isfinite(e)) for group in self.groups for e in group):
-            raise ContractError("embedding entries must be finite")
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.groups[0])
-
-    @property
-    def rank(self) -> int:
-        return self.groups[0][0].shape[1]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(e.shape[0] for e in self.groups[0])
-
-
-@dataclass
-class ConvHead:
-    """Aggregation head: mode-axis conv, rank-axis conv, dense, scalar out.
-
-    mode_kernels (C, S, M) collapse the mode axis of the (S, R, M) stack,
-    rank_kernels (C, C, R) collapse the component axis, then a dense layer
-    (H, C) and an output vector (H,) produce the scalar.
-    """
-
-    mode_kernels: np.ndarray
-    mode_bias: np.ndarray
-    rank_kernels: np.ndarray
-    rank_bias: np.ndarray
-    dense_w: np.ndarray
-    dense_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
-
-    def __post_init__(self):
-        for f in fields(self):
-            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
-        c = self.mode_kernels.shape[0]
-        if self.mode_bias.shape != (c,):
-            raise ContractError("mode bias width must match mode kernel count")
-        if self.rank_kernels.ndim != 3 or self.rank_kernels.shape[1] != c:
-            raise ContractError("rank kernels must consume the mode-conv channels")
-        c2 = self.rank_kernels.shape[0]
-        if self.rank_bias.shape != (c2,):
-            raise ContractError("rank bias width must match rank kernel count")
-        if self.dense_w.ndim != 2 or self.dense_w.shape[1] != c2:
-            raise ContractError("dense layer must consume the rank-conv channels")
-        h = self.dense_w.shape[0]
-        if self.dense_b.shape != (h,) or self.out_w.shape != (h,):
-            raise ContractError("dense bias and output weights must match the hidden width")
-        if self.out_b.shape != ():
-            raise ContractError("output bias must be a scalar")
-
-    @property
-    def channels(self) -> int:
-        return self.mode_kernels.shape[0]
-
-    @property
-    def hidden_units(self) -> int:
-        return self.dense_w.shape[0]
-
-    @property
-    def n_groups(self) -> int:
-        return self.mode_kernels.shape[1]
-
-    @property
-    def n_modes(self) -> int:
-        return self.mode_kernels.shape[2]
-
-    @property
-    def rank(self) -> int:
-        return self.rank_kernels.shape[2]
-
-
-def init_embedding_bank(shape, rank: int, n_groups: int, seed: int) -> EmbeddingBank:
-    """Seeded Gaussian(0, 0.5) embeddings, one independent draw per group."""
-    if n_groups < 1:
-        raise ContractError("need at least one initialization group")
-    rng = np.random.default_rng(seed)
-    groups = [
-        [rng.normal(0.0, 0.5, size=(int(s), rank)) for s in shape] for _ in range(n_groups)
+def costco_layout(shape, cfg) -> list:
+    """CoSTCo's named parameter shapes for a space of `shape` and the rank
+    and head sizes of a TrainConfig: the embeddings embeddings/s/m (I_m, R),
+    group-major, then the head. mode_kernels (C, S, M) collapse the mode
+    axis of the (S, R, M) stack, rank_kernels (C, C, R) the component axis,
+    then a dense layer (H, C) and an output vector (H,) give the scalar."""
+    c, h, s, r = cfg.conv_channels, cfg.hidden_units, cfg.n_init_groups, cfg.rank
+    embeddings = [
+        (f"embeddings/{g}/{m}", (int(size), r)) for g in range(s) for m, size in enumerate(shape)
     ]
-    return EmbeddingBank(groups)
+    return embeddings + [
+        ("mode_kernels", (c, s, len(shape))),
+        ("mode_bias", (c,)),
+        ("rank_kernels", (c, c, r)),
+        ("rank_bias", (c,)),
+        ("dense_w", (h, c)),
+        ("dense_b", (h,)),
+        ("out_w", (h,)),
+        ("out_b", ()),
+    ]
 
 
-def init_conv_head(
-    rank: int, n_modes: int, n_groups: int, channels: int, hidden: int, seed: int
-) -> ConvHead:
-    """He-scaled Gaussian kernels with small positive biases (keeps the
-    rectifiers initially active)."""
+def costco_init(shape, cfg, seed: int) -> list:
+    """Seeded arrays in layout order: Gaussian(0, 0.5) embeddings drawn
+    group by group from `seed`, He-scaled Gaussian kernels drawn from
+    `seed + 1`, and small positive biases (they keep the rectifiers
+    initially active) with a zero output bias."""
+    layout = costco_layout(shape, cfg)
+    n_emb = len(layout) - 8
     rng = np.random.default_rng(seed)
-
-    def draw(shape, fan_in):
-        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-    return ConvHead(
-        mode_kernels=draw((channels, n_groups, n_modes), n_groups * n_modes),
-        mode_bias=np.full(channels, 0.01),
-        rank_kernels=draw((channels, channels, rank), channels * rank),
-        rank_bias=np.full(channels, 0.01),
-        dense_w=draw((hidden, channels), channels),
-        dense_b=np.full(hidden, 0.01),
-        out_w=draw((hidden,), hidden),
-        out_b=np.zeros(()),
-    )
-
-
-def _check_compatible(bank: EmbeddingBank, head: ConvHead) -> None:
-    if bank.n_groups != head.n_groups or bank.n_modes != head.n_modes:
-        raise ContractError("bank and head disagree on groups or modes")
-    if bank.rank != head.rank:
-        raise ContractError("bank and head disagree on rank")
+    arrays = [rng.normal(0.0, 0.5, size=size) for _, size in layout[:n_emb]]
+    rng = np.random.default_rng(seed + 1)
+    for name, size in layout[n_emb:]:
+        if name.endswith(("kernels", "_w")):  # fan-in: the axes after the first
+            arrays.append(rng.normal(0.0, np.sqrt(2.0 / math.prod(size[1:] or size)), size=size))
+        else:
+            arrays.append(np.full(size, 0.0 if name == "out_b" else 0.01))
+    return arrays
 
 
 def _validate_indices(indices, shape) -> np.ndarray:
@@ -167,7 +72,7 @@ def _validate_indices(indices, shape) -> np.ndarray:
 
 def _embedding_keys(indices: np.ndarray, shape, n_groups: int, rank: int) -> np.ndarray:
     """(n, R, S, M) positions of the gathered embedding entries in the
-    concatenation of all embedding matrices in pack_params order. The gather
+    concatenation of all embedding matrices in layout order. The gather
     and the gradient scatter share them."""
     sizes = np.asarray(shape, dtype=np.int64) * rank
     starts = np.arange(n_groups)[:, None] * sizes.sum() + (np.cumsum(sizes) - sizes)
@@ -184,11 +89,6 @@ def _split_embeddings(flat: np.ndarray, shape, n_groups: int, rank: int) -> list
     sizes = [int(s) * rank for s in shape] * n_groups
     parts = np.split(flat, np.cumsum(sizes)[:-1], axis=1)
     return [part.reshape(len(flat), -1, rank) for part in parts]
-
-
-def _head_arrays(head: ConvHead) -> list:
-    """The eight head arrays in field (and pack_params) order."""
-    return [getattr(head, f.name) for f in fields(head)]
 
 
 def _rank_matrix(rank_kernels: np.ndarray) -> np.ndarray:
@@ -262,35 +162,30 @@ def _backward_keys(head: list, keys: np.ndarray, cache, dpreds, n_embedding: int
     return g_emb.reshape(n_fits, n_embedding), g_head
 
 
-def _forward(bank: EmbeddingBank, head: ConvHead, indices: np.ndarray):
-    """Forward pass of one model; returns predictions plus the cache backward
-    needs, without the batch axis."""
-    embeddings = np.concatenate([e for group in bank.groups for e in group], axis=None)
-    keys = _embedding_keys(indices, bank.shape, bank.n_groups, bank.rank)
-    head_arrays = [a[None] for a in _head_arrays(head)]
-    preds, cache = _forward_keys(embeddings[None], head_arrays, keys[None])
-    return preds[0], tuple(c[0] for c in cache)
-
-
-def predict_batch(bank: EmbeddingBank, head: ConvHead, indices) -> np.ndarray:
-    _check_compatible(bank, head)
-    indices = _validate_indices(indices, bank.shape)
+def predict_batch(params: dict, shape, indices) -> np.ndarray:
+    """Predictions at the cells of an (n, M) index array for one model's
+    arrays, given by name in costco_layout order, over a space of `shape`."""
+    indices = _validate_indices(indices, shape)
     if indices.size == 0:
         return np.zeros(0)
-    preds, _ = _forward(bank, head, indices)
-    return preds
+    arrays = list(params.values())
+    n_emb = len(arrays) - 8
+    embeddings = np.concatenate(arrays[:n_emb], axis=None)
+    keys = _embedding_keys(indices, shape, n_emb // len(shape), params["rank_kernels"].shape[2])
+    preds, _ = _forward_keys(embeddings[None], [a[None] for a in arrays[n_emb:]], keys[None])
+    return preds[0]
 
 
 def _masked_objective(obs_sets, n_groups: int, rank: int):
-    """Masked-MSE objective over B observation sets of one size, for stacked
-    pack_params lists.
+    """Masked-MSE objective over B observation sets of one size, for
+    parameter lists stacked in costco_layout order.
 
     Returns `objective(params, grad=True)` for a list whose arrays carry fit
-    b's pack_params arrays at `[b]`: `(losses, grads)` with losses of shape
+    b's arrays at `[b]`: `(losses, grads)` with losses of shape
     (B,) and grads parallel to params, or the losses alone when `grad` is
     false. The gather/scatter keys are built here once, offset so that each
     fit reads and writes only its own embeddings; the parameter list is
-    sliced directly, with no bank or head built per call."""
+    sliced directly, with no model built per call."""
     shape = obs_sets[0].space.shape()
     n = obs_sets[0].n
     if any(obs.n != n or obs.space.shape() != shape for obs in obs_sets):
@@ -315,64 +210,51 @@ def _masked_objective(obs_sets, n_groups: int, rank: int):
     return objective
 
 
-def pack_params(bank: EmbeddingBank, head: ConvHead) -> list:
-    """Canonical flat parameter list: embeddings group-major, then head."""
-    return [e for group in bank.groups for e in group] + _head_arrays(head)
-
-
-def unpack_params(params: list, n_groups: int, n_modes: int):
-    """Inverse of pack_params."""
-    n_emb = n_groups * n_modes
-    if len(params) != n_emb + 8:
-        raise ContractError("parameter list has unexpected arity")
-    groups = [
-        [params[s * n_modes + m] for m in range(n_modes)] for s in range(n_groups)
-    ]
-    bank = EmbeddingBank(groups)
-    head = ConvHead(*params[n_emb:])
-    return bank, head
-
-
-def neural_loss(bank: EmbeddingBank, head: ConvHead, obs: ObservationSet) -> float:
+def neural_loss(model: "NeuralModel", obs: ObservationSet) -> float:
     """Masked MSE of the neural prediction over the observed entries."""
     if obs.n == 0:
         raise DegenerateDataError("masked MSE is undefined on an empty observation set")
-    preds = predict_batch(bank, head, obs.indices)
+    preds = model.predict(obs.indices)
     return float(np.mean((preds - obs.values) ** 2))
-
-
-def neural_grad(bank: EmbeddingBank, head: ConvHead, obs: ObservationSet) -> list:
-    """Exact masked-MSE gradient for every bank and head parameter, in
-    pack_params order."""
-    _check_compatible(bank, head)
-    if obs.n == 0:
-        raise DegenerateDataError("gradient is undefined on an empty observation set")
-    _validate_indices(obs.indices, bank.shape)
-    params = [p[None] for p in pack_params(bank, head)]
-    _, grads = _masked_objective([obs], bank.n_groups, bank.rank)(params)
-    return [g[0] for g in grads]
 
 
 @dataclass
 class NeuralModel:
-    """A trained neural completion model plus its usage context."""
+    """A trained neural completion model plus its usage context: its arrays
+    by costco_layout name, and the TrainConfig whose rank and head sizes
+    give that layout."""
 
-    bank: EmbeddingBank
-    head: ConvHead
+    params: dict
     space: DesignSpace
-    normalizer: Normalizer | None = None
+    normalizer: Normalizer | None
+    cfg: object
     kind: str = "costco"
+
+    def __post_init__(self):
+        layout = costco_layout(self.space.shape(), self.cfg)
+        if set(self.params) != {name for name, _ in layout}:
+            raise ContractError(f"CoSTCo arrays {sorted(self.params)} are not its layout's")
+        self.params = {name: np.asarray(self.params[name], dtype=float) for name, _ in layout}
+        for name, shape in layout:
+            array = self.params[name]
+            if array.shape != shape or not np.all(np.isfinite(array)):
+                raise ContractError(f"{name} is not a finite {shape} array: {array.shape}")
 
     @property
     def rank(self) -> int:
-        return self.bank.rank
+        return self.cfg.rank
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.bank.shape
+        return self.space.shape()
+
+    def settings(self) -> dict:
+        """The model file's block of head sizes."""
+        names = ("n_init_groups", "conv_channels", "hidden_units")
+        return {"config": {name: getattr(self.cfg, name) for name in names}}
 
     def predict(self, indices) -> np.ndarray:
-        return predict_batch(self.bank, self.head, indices)
+        return predict_batch(self.params, self.shape, indices)
 
 
 COSTCO_MAX_BATCH_ROWS = 500
@@ -395,28 +277,21 @@ def costco_trainable(shape, cfg):
     COSTCO_MAX_BATCH_ROWS rows."""
     from .optim import Trainable  # local import avoids a module cycle
 
-    groups = cfg.n_init_groups
-
-    def init(seed):
-        bank = init_embedding_bank(shape, cfg.rank, groups, seed)
-        head = init_conv_head(
-            cfg.rank, len(shape), groups, cfg.conv_channels, cfg.hidden_units, seed + 1
-        )
-        return pack_params(bank, head)
-
+    objective = partial(_masked_objective, n_groups=cfg.n_init_groups, rank=cfg.rank)
     return Trainable(
-        init=init,
-        objective=lambda sets: _masked_objective(sets, groups, cfg.rank),
-        val_objective=lambda sets: _masked_objective(sets, groups, cfg.rank),
+        layout=costco_layout(shape, cfg),
+        init=partial(costco_init, shape, cfg),
+        objective=objective,
+        val_objective=objective,
         same_size=True,
         max_rows=COSTCO_MAX_BATCH_ROWS,
     )
 
 
-def costco_model(params: list, obs_train: ObservationSet, cfg) -> NeuralModel:
-    """A trained parameter list as a standalone model of its training set."""
-    bank, head = unpack_params(params, cfg.n_init_groups, obs_train.space.ndim)
-    return NeuralModel(bank=bank, head=head, space=obs_train.space, normalizer=obs_train.normalizer)
+def costco_model(params: list, space: DesignSpace, normalizer, cfg) -> NeuralModel:
+    """Trained arrays, in layout order, as a standalone model."""
+    names = [name for name, _ in costco_layout(space.shape(), cfg)]
+    return NeuralModel(dict(zip(names, params)), space, normalizer, cfg)
 
 
 def costco_fit(obs_train: ObservationSet, cfg):

@@ -29,9 +29,9 @@ from typing import Callable
 import numpy as np
 
 from .core import ObservationSet
-from .cpd import cpd_model, cpd_trainable
+from .cpd import cpd_layout, cpd_model, cpd_trainable
 from .errors import ContractError, DegenerateDataError, DivergenceError, TenfitError
-from .neural import costco_model, costco_trainable
+from .neural import costco_layout, costco_model, costco_trainable
 
 ParamList = list  # list[np.ndarray]
 
@@ -164,8 +164,10 @@ Two fits of 3,456 rows train apart: B=2 was no cheaper per fit-epoch
 class Trainable:
     """What the engine needs to train one model kind.
 
-    `init(seed)` gives one fit's parameter list. `objective(data_sets)`
-    builds the batched training objective over B data sets:
+    `layout` names the kind's parameter arrays and gives their shapes, as
+    `[(name, shape), ...]`; `init(seed)` gives one fit's arrays in that
+    order. `objective(data_sets)` builds the batched training objective
+    over B data sets:
     `objective(params, grad=True)` takes the parameter arrays with a leading
     batch axis and returns `(losses, grads)`, losses of shape (B,) and grads
     parallel to params, or the losses alone when `grad` is false.
@@ -174,6 +176,7 @@ class Trainable:
     `max_rows` bounds the training rows of one batch.
     """
 
+    layout: list
     init: Callable
     objective: Callable
     val_objective: Callable | None = None
@@ -234,7 +237,7 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
     """
     n_runs = len(runs)
     inits = [trainable.init(run.seed) for run in runs]
-    shapes = [np.shape(p) for p in inits[0]]
+    shapes = [shape for _, shape in trainable.layout]
     blocks = [np.stack([init[k] for init in inits]) for k in range(len(shapes))]
     flat = np.concatenate(blocks, axis=None, dtype=float)
     state = AdamState.fresh([flat], cfg.lr)
@@ -409,12 +412,15 @@ def _train_set_error(obs: ObservationSet, shape) -> TenfitError | None:
 
 
 MODEL_KINDS = {
-    "cpd": (partial(cpd_trainable, kind="cpd"), partial(cpd_model, kind="cpd")),
-    "cpd_s": (partial(cpd_trainable, kind="cpd_s"), partial(cpd_model, kind="cpd_s")),
-    "costco": (costco_trainable, costco_model),
+    kind: (cpd_layout, partial(cpd_trainable, kind=kind), partial(cpd_model, kind=kind))
+    for kind in ("cpd", "cpd_s")
 }
-"""Every model kind, mapped to the engine's view of it, `trainable(shape,
-cfg)`, and to its model builder, `model(params, obs_train, cfg)`."""
+MODEL_KINDS["costco"] = (costco_layout, costco_trainable, costco_model)
+"""Every model kind, mapped to its parameter layout, `layout(shape, cfg) ->
+[(name, shape), ...]`, whose names are also the model file's array paths;
+to the engine's view of it, `trainable(shape, cfg)`; and to its model
+builder, `model(params, space, normalizer, cfg)`, for arrays in layout
+order."""
 
 
 def fit_batch(shape, train_sets, cfg: TrainConfig, model_kind: str, seeds=None) -> list:
@@ -431,7 +437,7 @@ def fit_batch(shape, train_sets, cfg: TrainConfig, model_kind: str, seeds=None) 
         raise ContractError(f"unknown model kind {model_kind!r}")
     shape = tuple(int(s) for s in shape)
     seeds = [cfg.seed] * len(train_sets) if seeds is None else [int(s) for s in seeds]
-    make_trainable, make_model = MODEL_KINDS[model_kind]
+    _, make_trainable, make_model = MODEL_KINDS[model_kind]
     trainable = make_trainable(shape, cfg)
 
     outcomes = [_train_set_error(obs, shape) for obs in train_sets]
@@ -442,7 +448,8 @@ def fit_batch(shape, train_sets, cfg: TrainConfig, model_kind: str, seeds=None) 
             outcomes[i] = outcome
         else:
             params, report = outcome
-            outcomes[i] = (make_model(params, train_sets[i], cfg), report)
+            obs = train_sets[i]
+            outcomes[i] = (make_model(params, obs.space, obs.normalizer, cfg), report)
     return outcomes
 
 

@@ -7,9 +7,15 @@ suffix products with an `np.add.at` scatter) and of the CoSTCo forward and
 backward passes (one `np.einsum` per contraction, one `np.add.at` per
 embedding matrix). They favour clarity over speed; the package computes the
 same quantities with reshaped matmuls and a single `np.bincount` scatter.
+
+`neural_grad` is not an oracle: it reads the package's own CoSTCo gradient
+for one model, which the finite-difference checks compare.
 """
 
 import numpy as np
+
+from tenfit.errors import DegenerateDataError
+from tenfit.neural import _masked_objective
 
 
 def _check_index(index, shape) -> tuple[int, ...]:
@@ -64,53 +70,68 @@ def cpd_loss_and_grad(factors, indices, values, smooth_weight=0.0, smooth_modes=
     return loss, grads
 
 
-def costco_forward(bank, head, indices):
-    """Predictions and the (x, z1, a1, z2, a2, z3, a3) cache, with x as
-    (n, S, R, M) and z1, a1 as (n, C, R)."""
+def costco_forward(params, indices):
+    """Predictions and the (x, z1, a1, z2, a2, z3, a3) cache of CoSTCo
+    arrays given by layout name, with x as (n, S, R, M) and z1, a1 as
+    (n, C, R)."""
     n = indices.shape[0]
-    x = np.empty((n, bank.n_groups, bank.rank, bank.n_modes))
-    for s, group in enumerate(bank.groups):
-        for m, emb in enumerate(group):
-            x[:, s, :, m] = emb[indices[:, m]]
-    z1 = np.einsum("nsrm,csm->ncr", x, head.mode_kernels) + head.mode_bias[None, :, None]
+    _, n_groups, n_modes = params["mode_kernels"].shape
+    rank = params["rank_kernels"].shape[2]
+    x = np.empty((n, n_groups, rank, n_modes))
+    for s in range(n_groups):
+        for m in range(n_modes):
+            x[:, s, :, m] = params[f"embeddings/{s}/{m}"][indices[:, m]]
+    z1 = np.einsum("nsrm,csm->ncr", x, params["mode_kernels"]) + params["mode_bias"][None, :, None]
     a1 = np.maximum(z1, 0.0)
-    z2 = np.einsum("ncr,dcr->nd", a1, head.rank_kernels) + head.rank_bias
+    z2 = np.einsum("ncr,dcr->nd", a1, params["rank_kernels"]) + params["rank_bias"]
     a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ head.dense_w.T + head.dense_b
+    z3 = a2 @ params["dense_w"].T + params["dense_b"]
     a3 = np.maximum(z3, 0.0)
-    preds = a3 @ head.out_w + head.out_b
+    preds = a3 @ params["out_w"] + params["out_b"]
     return preds, (x, z1, a1, z2, a2, z3, a3)
 
 
-def costco_backward(bank, head, indices, cache, dpreds):
+def costco_backward(params, indices, cache, dpreds):
     """Gradients of sum(dpreds * preds), embeddings group-major then the
-    eight head arrays."""
+    eight head arrays (the layout order)."""
     x, z1, a1, z2, a2, z3, a3 = cache
+    _, n_groups, n_modes = params["mode_kernels"].shape
     g_out_b = np.asarray(dpreds.sum())
     g_out_w = a3.T @ dpreds
-    dz3 = np.outer(dpreds, head.out_w) * (z3 > 0)
+    dz3 = np.outer(dpreds, params["out_w"]) * (z3 > 0)
     g_dense_w = dz3.T @ a2
     g_dense_b = dz3.sum(axis=0)
-    dz2 = (dz3 @ head.dense_w) * (z2 > 0)
+    dz2 = (dz3 @ params["dense_w"]) * (z2 > 0)
     g_rank_k = np.einsum("nd,ncr->dcr", dz2, a1)
     g_rank_b = dz2.sum(axis=0)
-    dz1 = np.einsum("nd,dcr->ncr", dz2, head.rank_kernels) * (z1 > 0)
+    dz1 = np.einsum("nd,dcr->ncr", dz2, params["rank_kernels"]) * (z1 > 0)
     g_mode_k = np.einsum("ncr,nsrm->csm", dz1, x)
     g_mode_b = dz1.sum(axis=(0, 2))
-    dx = np.einsum("ncr,csm->nsrm", dz1, head.mode_kernels)
+    dx = np.einsum("ncr,csm->nsrm", dz1, params["mode_kernels"])
 
-    g_bank = [[np.zeros_like(e) for e in group] for group in bank.groups]
-    for s in range(bank.n_groups):
-        for m in range(bank.n_modes):
-            np.add.at(g_bank[s][m], indices[:, m], dx[:, s, :, m])
-    flat = [g for group in g_bank for g in group]
+    flat = []
+    for s in range(n_groups):
+        for m in range(n_modes):
+            g = np.zeros_like(params[f"embeddings/{s}/{m}"])
+            np.add.at(g, indices[:, m], dx[:, s, :, m])
+            flat.append(g)
     flat += [g_mode_k, g_mode_b, g_rank_k, g_rank_b, g_dense_w, g_dense_b, g_out_w, g_out_b]
     return flat
 
 
-def costco_loss_and_grad(bank, head, indices, values):
-    """Masked MSE of the CoSTCo prediction and its gradient in pack order."""
-    preds, cache = costco_forward(bank, head, indices)
+def costco_loss_and_grad(params, indices, values):
+    """Masked MSE of the CoSTCo prediction and its gradient in layout order."""
+    preds, cache = costco_forward(params, indices)
     residuals = preds - values
     dpreds = (2.0 / len(values)) * residuals
-    return float(np.mean(residuals**2)), costco_backward(bank, head, indices, cache, dpreds)
+    return float(np.mean(residuals**2)), costco_backward(params, indices, cache, dpreds)
+
+
+def neural_grad(model, obs) -> list:
+    """The package's exact masked-MSE gradient of every array of a
+    NeuralModel, in layout order: one call of the training objective."""
+    if obs.n == 0:
+        raise DegenerateDataError("gradient is undefined on an empty observation set")
+    objective = _masked_objective([obs], model.cfg.n_init_groups, model.rank)
+    _, grads = objective([p[None] for p in model.params.values()])
+    return [g[0] for g in grads]

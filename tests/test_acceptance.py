@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import full_grid_indices, low_rank_values, obs_from_values
+from oracles import costco_forward, neural_grad
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
 from tenfit.cpd import (
@@ -32,15 +33,7 @@ from tenfit.harness import (
 )
 from tenfit.metrics import fms, regression_metrics
 from tenfit.modelio import write_dataset
-from tenfit.neural import (
-    init_conv_head,
-    init_embedding_bank,
-    neural_grad,
-    neural_loss,
-    pack_params,
-    unpack_params,
-    _forward,
-)
+from tenfit.neural import NeuralModel, costco_init, costco_layout, neural_loss
 from tenfit.optim import TrainConfig, fit
 
 
@@ -134,12 +127,13 @@ def _neural_instance(rng, margin=1e-3):
     )
     while True:  # keep pre-activations off the rectifier kinks
         seed = int(rng.integers(1 << 30))
-        bank = init_embedding_bank(shape, 2, 2, seed=seed)
-        head = init_conv_head(2, 3, 2, 4, 6, seed=seed + 1)
-        _, cache = _forward(bank, head, picked)
+        cfg = TrainConfig(rank=2, n_init_groups=2, conv_channels=4, hidden_units=6)
+        names = [name for name, _ in costco_layout(shape, cfg)]
+        params = dict(zip(names, costco_init(shape, cfg, seed)))
+        _, cache = costco_forward(params, picked)
         _, z1, _, z2, _, z3, _ = cache
         if min(np.abs(z1).min(), np.abs(z2).min(), np.abs(z3).min()) > margin:
-            return bank, head, obs
+            return NeuralModel(params, obs.space, None, cfg), obs
 
 
 def test_criterion_3_gradient_correctness():
@@ -156,19 +150,21 @@ def test_criterion_3_gradient_correctness():
     worst_neural = 0.0
     h = 1e-5
     for _ in range(20):
-        bank, head, obs = _neural_instance(rng)
-        params = pack_params(bank, head)
-        analytic = neural_grad(bank, head, obs)
+        model, obs = _neural_instance(rng)
+        names, params = list(model.params), list(model.params.values())
+
+        def loss(arrays):
+            rebuilt = NeuralModel(dict(zip(names, arrays)), obs.space, None, model.cfg)
+            return neural_loss(rebuilt, obs)
+
+        analytic = neural_grad(model, obs)
         for k, p in enumerate(params):
             for j in range(p.size):
                 plus = [q.copy() for q in params]
                 plus[k].ravel()[j] += h
                 minus = [q.copy() for q in params]
                 minus[k].ravel()[j] -= h
-                fd = (
-                    neural_loss(*unpack_params(plus, 2, 3), obs)
-                    - neural_loss(*unpack_params(minus, 2, 3), obs)
-                ) / (2 * h)
+                fd = (loss(plus) - loss(minus)) / (2 * h)
                 a = analytic[k].ravel()[j]
                 denom = max(abs(a), abs(fd), 1e-6)
                 worst_neural = max(worst_neural, abs(a - fd) / denom)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
 from tenfit.errors import DivergenceError
-from tenfit.neural import pack_params
 from tenfit.optim import MAX_BATCH_ROWS, TrainConfig, fit, fit_batch
 
 HEAD = {"n_init_groups": 2, "conv_channels": 3, "hidden_units": 4}  # TrainConfig fields
@@ -32,9 +31,7 @@ def observations(shape, n, rng, scale=1.0):
 
 
 def arrays(model):
-    if model.kind == "costco":
-        return pack_params(model.bank, model.head)
-    return model.factors.factors
+    return list(model.params.values())
 
 
 def assert_matches_solo(shape, train, seed, cfg, kind, outcome):

@@ -293,8 +293,9 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "path, value",
         [(("iterations",), "two"), (("models", 0, "rank"), "x"),
-         (("plans", 1, "region", "a_range"), [0])],
-        ids=["iterations", "rank", "a_range"],
+         (("plans", 1, "region", "a_range"), [0]), (("models", 0, "smooth_modes"), 5),
+         (("models", 0, "kind"), [1])],
+        ids=["iterations", "rank", "a_range", "smooth_modes", "kind"],
     )
     def test_bad_value_names_its_key(self, dataset_dir, tmp_path, path, value):
         config = experiment_config(dataset_dir, epochs=5)
@@ -365,7 +366,42 @@ def test_config_fuzz_never_escapes(fuzz_base, data):
         assert set(one_json_error(code, err)) == {"error", "message"}
 
 
+BAD_NORMALIZERS = {
+    "missing_y_max": {"y_min": 0.0},
+    "list": [0.0, 1.0],
+    "reversed": {"y_min": 2.0, "y_max": 1.0},
+    "nan": {"y_min": float("nan"), "y_max": 1.0},
+}
+
+
 class TestErrorReporting:
+    @pytest.mark.parametrize("kind", ["config", "model", "obs"])
+    def test_non_utf8_file_yields_json_error(self, dataset_dir, tmp_path, capsys, kind):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe")
+        out = str(tmp_path / "out")
+        argv = {
+            "config": ["experiment", "--config", str(bad), "--out", out],
+            "model": ["predict", "--model", str(bad), "--indices", str(bad), "--out", out],
+            "obs": ["fit", "--obs", str(dataset_dir), "--model", "cpd", "--rank", "2",
+                    "--out", out],
+        }[kind]
+        if kind == "obs":
+            (dataset_dir / "obs.csv").write_bytes(b"\xff\xfe")
+        capsys.readouterr()
+        payload = one_json_error(main(argv), capsys.readouterr().err)
+        assert payload["error"] == "UnicodeDecodeError"
+
+    @pytest.mark.parametrize("bad", sorted(BAD_NORMALIZERS))
+    def test_bad_normalizer_json(self, dataset_dir, tmp_path, capsys, bad):
+        (dataset_dir / "normalizer.json").write_text(json.dumps(BAD_NORMALIZERS[bad]))
+        capsys.readouterr()
+        code = main(["fit", "--obs", str(dataset_dir), "--model", "cpd",
+                     "--rank", "2", "--out", str(tmp_path / "m.json")])
+        payload = one_json_error(code, capsys.readouterr().err)
+        assert payload["error"] == "SchemaError"
+        assert "normalizer.json" in payload["message"]
+
     def test_missing_file_yields_json_error(self, tmp_path, capsys):
         code = main(["fit", "--obs", str(tmp_path / "missing"), "--model", "cpd",
                      "--rank", "2", "--out", str(tmp_path / "m.json")])
@@ -395,10 +431,10 @@ class TestModelFileValidation:
     """A damaged model file is a SchemaError naming it, reported by the CLI as
     one line of JSON, never a traceback from predict."""
 
-    def predict_with(self, dataset_dir, tmp_path, capsys, damage):
-        """`damage` edits the model file's JSON in place or returns a
-        replacement for it."""
-        model_path = TestFitPredictEvaluate().fit_model(dataset_dir, tmp_path)
+    def predict_with(self, dataset_dir, tmp_path, capsys, damage, kind="cpd"):
+        """`damage` edits the JSON of a `kind` model file in place or returns
+        a replacement for it."""
+        model_path = TestFitPredictEvaluate().fit_model(dataset_dir, tmp_path, kind)
         payload = json.loads(model_path.read_text())
         replacement = damage(payload)
         model_path.write_text(json.dumps(payload if replacement is None else replacement))
@@ -412,7 +448,7 @@ class TestModelFileValidation:
         assert err.count("\n") == 1
         payload = json.loads(err)
         assert payload["error"] == "SchemaError"
-        assert "cpd.json" in payload["message"]
+        assert f"{kind}.json" in payload["message"]
         return payload["message"]
 
     @pytest.mark.parametrize("version", [1, 99])
@@ -438,3 +474,23 @@ class TestModelFileValidation:
     def test_top_level_not_an_object(self, dataset_dir, tmp_path, capsys):
         message = self.predict_with(dataset_dir, tmp_path, capsys, lambda payload: [1, 2])
         assert "[1, 2]" in message
+
+    @pytest.mark.parametrize(
+        "kind, array, value", [("costco", "out_w", "nan"), ("cpd", "factor 0", "inf")]
+    )
+    def test_non_finite_array(self, dataset_dir, tmp_path, capsys, kind, array, value):
+        def damage(payload):
+            params = payload["params"]
+            stored = params["out_w"] if kind == "costco" else params["factors"][0]
+            stored["data"][0] = float(value)
+
+        message = self.predict_with(dataset_dir, tmp_path, capsys, damage, kind)
+        assert array in message and "non-finite" in message
+
+    @pytest.mark.parametrize("bad", sorted(BAD_NORMALIZERS))
+    def test_bad_normalizer_block(self, dataset_dir, tmp_path, capsys, bad):
+        def damage(payload):
+            payload["normalizer"] = BAD_NORMALIZERS[bad]
+
+        message = self.predict_with(dataset_dir, tmp_path, capsys, damage)
+        assert "normalizer" in message

@@ -300,8 +300,9 @@ class TestOodSweep:
                 train, test = renormalize_splits(train, test, "train")
                 model, _ = fit(obs.space.shape(), train, replace(cfg, seed=seed), kind)
                 if kind == "costco":
-                    head = model.head
-                    assert (model.bank.n_groups, head.channels, head.hidden_units) == (2, 3, 5)
+                    channels, groups, _ = model.params["mode_kernels"].shape
+                    (hidden,) = model.params["out_w"].shape
+                    assert (groups, channels, hidden) == (2, 3, 5)
                 ood_test = test.take(np.flatnonzero(~region.mask(test)))
                 preds = model.predict(ood_test.indices)
                 assert metrics == regression_metrics(ood_test.values, preds).to_json()

@@ -6,12 +6,8 @@ from oracles import costco_loss_and_grad, cpd_loss_and_grad
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
 from tenfit.cpd import SmoothnessConfig, masked_objective
 from tenfit.errors import ContractError
-from tenfit.neural import (
-    _masked_objective,
-    init_conv_head,
-    init_embedding_bank,
-    pack_params,
-)
+from tenfit.neural import _masked_objective, costco_init, costco_layout
+from tenfit.optim import TrainConfig
 
 TOLERANCE = 1e-12
 
@@ -66,12 +62,14 @@ def test_fused_objectives_match_reference_kernels():
             assert np.all(grads[0][0] == smooth_only)
 
         n_groups = int(rng.integers(1, 4))
-        bank = init_embedding_bank(shape, rank, n_groups, seed=trial)
-        head = init_conv_head(rank, ndim, n_groups, int(rng.integers(1, 6)), 7, seed=trial + 50)
-        params = [p[None] for p in pack_params(bank, head)]
-        (loss,), grads = _masked_objective([obs], n_groups, rank)(params)
+        cfg = TrainConfig(
+            rank=rank, n_init_groups=n_groups, conv_channels=int(rng.integers(1, 6)), hidden_units=7
+        )
+        arrays = costco_init(shape, cfg, seed=trial)
+        (loss,), grads = _masked_objective([obs], n_groups, rank)([p[None] for p in arrays])
         grads = [g[0] for g in grads]
-        ref_loss, ref_grads = costco_loss_and_grad(bank, head, obs.indices, obs.values)
+        named = dict(zip([name for name, _ in costco_layout(shape, cfg)], arrays))
+        ref_loss, ref_grads = costco_loss_and_grad(named, obs.indices, obs.values)
         assert [g.shape for g in grads] == [g.shape for g in ref_grads]
         worst = max(worst, rel_err(loss, ref_loss), *map(rel_err, grads, ref_grads))
         for s in range(n_groups):  # the unobserved row gets no embedding gradient

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import obs_from_values
+from conftest import full_grid_indices, obs_from_values
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenfit.core import Axis, DesignSpace, Normalizer
 from tenfit.errors import ContractError, SchemaError
@@ -126,10 +129,9 @@ class TestModelJson:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.kind == "costco"
-        for ga, gb in zip(loaded.bank.groups, model.bank.groups):
-            for a, b in zip(ga, gb):
-                assert np.array_equal(a, b)
-        assert np.array_equal(loaded.head.out_w, model.head.out_w)
+        for name in [f"embeddings/{s}/{m}" for s in range(2) for m in range(3)]:
+            assert np.array_equal(loaded.params[name], model.params[name])
+        assert np.array_equal(loaded.params["out_w"], model.params["out_w"])
         grid = np.indices(shape).reshape(3, -1).T
         assert np.array_equal(loaded.predict(grid), model.predict(grid))
 
@@ -139,3 +141,56 @@ class TestModelJson:
         path.write_text(json.dumps(payload))
         with pytest.raises(ContractError):
             load_model(path)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestFormatOne:
+    """Model files written by an earlier release of format 1 (a CPD-S model
+    smoothing one mode, a CoSTCo model with non-default head sizes) still
+    load, predict the same bits, and are written back byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["cpd_s", "costco"])
+    def test_checked_in_model_file(self, tmp_path, kind):
+        path = DATA / f"model_{kind}.json"
+        model = load_model(path)
+        assert model.kind == kind
+        expected = json.loads((DATA / f"model_{kind}.predictions.json").read_text())
+        assert np.array_equal(model.predict(full_grid_indices(model.shape)), expected)
+        save_model(model, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+@st.composite
+def fitted_models(draw):
+    kind = draw(st.sampled_from(["cpd", "cpd_s", "costco"]))
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    n = int(np.prod(shape))
+    values = draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+    cfg = TrainConfig(
+        rank=draw(st.integers(1, 3)),
+        epochs=draw(st.integers(1, 3)),
+        lr=0.05,
+        seed=draw(st.integers(0, 50)),
+        restarts=draw(st.integers(1, 2)),
+        smooth_modes=tuple(draw(st.sets(st.integers(0, len(shape) - 1)))),
+        n_init_groups=draw(st.integers(1, 3)),
+        conv_channels=draw(st.integers(1, 4)),
+        hidden_units=draw(st.integers(1, 5)),
+    )
+    obs = obs_from_values(shape, values, normalizer=Normalizer(-2.0, 3.5))
+    model, _ = fit(shape, obs, cfg, kind)
+    return model
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(model=fitted_models())
+def test_save_load_save_is_byte_identical(tmp_path_factory, model):
+    tmp = tmp_path_factory.mktemp("round_trip")
+    save_model(model, tmp / "first.json")
+    loaded = load_model(tmp / "first.json")
+    save_model(loaded, tmp / "second.json")
+    assert (tmp / "second.json").read_bytes() == (tmp / "first.json").read_bytes()
+    grid = full_grid_indices(model.shape)
+    assert np.array_equal(loaded.predict(grid), model.predict(grid))

@@ -1,66 +1,71 @@
 import numpy as np
 import pytest
 from conftest import full_grid_indices, obs_from_values
-from oracles import predict_entry
+from oracles import costco_forward, neural_grad, predict_entry
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
 from tenfit.cpd import FactorSet
 from tenfit.errors import ContractError, DegenerateDataError
 from tenfit.neural import (
-    ConvHead,
-    EmbeddingBank,
+    NeuralModel,
+    _embedding_keys,
+    _forward_keys,
     costco_fit,
-    init_conv_head,
-    init_embedding_bank,
-    neural_grad,
+    costco_init,
+    costco_layout,
     neural_loss,
-    pack_params,
-    predict_batch,
-    unpack_params,
-    _forward,
 )
 from tenfit.optim import TrainConfig
 
 
-def zero_head(n_groups, rank, n_modes, channels=2, hidden=3):
-    return ConvHead(
-        mode_kernels=np.zeros((channels, n_groups, n_modes)),
-        mode_bias=np.zeros(channels),
-        rank_kernels=np.zeros((channels, channels, rank)),
-        rank_bias=np.zeros(channels),
-        dense_w=np.zeros((hidden, channels)),
-        dense_b=np.zeros(hidden),
-        out_w=np.zeros(hidden),
-        out_b=np.zeros(()),
+def head_cfg(rank, n_groups, channels, hidden):
+    return TrainConfig(
+        rank=rank, n_init_groups=n_groups, conv_channels=channels, hidden_units=hidden
     )
 
 
-def summing_head(n_groups, rank, n_modes):
-    """Head whose output is the plain sum of all stack entries (exact on
-    non-negative pre-activations)."""
-    return ConvHead(
-        mode_kernels=np.ones((1, n_groups, n_modes)),
-        mode_bias=np.zeros(1),
-        rank_kernels=np.ones((1, 1, rank)),
-        rank_bias=np.zeros(1),
-        dense_w=np.ones((1, 1)),
-        dense_b=np.zeros(1),
-        out_w=np.ones(1),
-        out_b=np.zeros(()),
-    )
+def model_of(shape, cfg, arrays) -> NeuralModel:
+    """A model of `shape` from arrays in layout order."""
+    names = [name for name, _ in costco_layout(shape, cfg)]
+    return NeuralModel(dict(zip(names, arrays)), DesignSpace.from_shape(shape), None, cfg)
 
 
-def zero_bank(shape, rank, n_groups):
-    return EmbeddingBank([[np.zeros((s, rank)) for s in shape] for _ in range(n_groups)])
+def init_model(shape, rank, n_groups, channels, hidden, seed) -> NeuralModel:
+    cfg = head_cfg(rank, n_groups, channels, hidden)
+    return model_of(shape, cfg, costco_init(shape, cfg, seed))
 
 
-def fd_neural_gradient(bank, head, obs, h=1e-6):
-    params = pack_params(bank, head)
-    n_groups, n_modes = bank.n_groups, bank.n_modes
+def zero_model(shape, rank, n_groups, channels=2, hidden=3) -> NeuralModel:
+    cfg = head_cfg(rank, n_groups, channels, hidden)
+    return model_of(shape, cfg, [np.zeros(size) for _, size in costco_layout(shape, cfg)])
+
+
+def summing_model(shape, rank, embeddings) -> NeuralModel:
+    """One group of embeddings under a head whose output is the plain sum of
+    all stack entries (exact on non-negative pre-activations)."""
+    cfg = head_cfg(rank, 1, 1, 1)
+    head = [np.ones(size) if name.endswith(("kernels", "_w")) else np.zeros(size)
+            for name, size in costco_layout(shape, cfg)[len(shape):]]
+    return model_of(shape, cfg, list(embeddings) + head)
+
+
+def forward(model, indices):
+    """The package's forward pass for one model: predictions plus the cache
+    backward needs, without the batch axis."""
+    arrays = list(model.params.values())
+    n_emb = len(arrays) - 8
+    keys = _embedding_keys(indices, model.shape, model.cfg.n_init_groups, model.rank)
+    embeddings = np.concatenate(arrays[:n_emb], axis=None)
+    preds, cache = _forward_keys(embeddings[None], [a[None] for a in arrays[n_emb:]], keys[None])
+    return preds[0], tuple(c[0] for c in cache)
+
+
+def fd_neural_gradient(model, obs, h=1e-6):
+    names = list(model.params)
+    params = list(model.params.values())
 
     def loss_of(plist):
-        b, hd = unpack_params(plist, n_groups, n_modes)
-        return neural_loss(b, hd, obs)
+        return neural_loss(NeuralModel(dict(zip(names, plist)), model.space, None, model.cfg), obs)
 
     grads = []
     for k, p in enumerate(params):
@@ -76,9 +81,9 @@ def fd_neural_gradient(bank, head, obs, h=1e-6):
     return grads
 
 
-def preactivation_margin(bank, head, indices):
+def preactivation_margin(model, indices):
     """Smallest |pre-activation| across all rectifier inputs for the batch."""
-    _, cache = _forward(bank, head, np.asarray(indices, dtype=np.int64))
+    _, cache = costco_forward(model.params, np.asarray(indices, dtype=np.int64))
     _, z1, _, z2, _, z3, _ = cache
     return min(np.abs(z1).min(), np.abs(z2).min(), np.abs(z3).min())
 
@@ -86,41 +91,36 @@ def preactivation_margin(bank, head, indices):
 class TestForward:
     def test_zero_network_outputs_zero(self):
         shape = (3, 4, 2)
-        bank = zero_bank(shape, 2, 2)
-        head = zero_head(2, 2, 3)
-        preds = predict_batch(bank, head, full_grid_indices(shape))
+        model = zero_model(shape, 2, 2)
+        preds = model.predict(full_grid_indices(shape))
         assert np.all(preds == 0.0)
 
     def test_summing_head_hand_case(self):
         # S=1, R=2, M=3, all-ones embedding rows -> sum of the 2x3 stack = 6
         shape = (3, 3, 3)
-        bank = EmbeddingBank([[np.ones((3, 2)) for _ in range(3)]])
-        head = summing_head(1, 2, 3)
-        assert predict_batch(bank, head, [(0, 1, 2)])[0] == 6.0
+        model = summing_model(shape, 2, [np.ones((3, 2)) for _ in range(3)])
+        assert model.predict([(0, 1, 2)])[0] == 6.0
 
     def test_finite_outputs_over_random_sweep(self):
         shape = (6, 5, 4)
-        bank = init_embedding_bank(shape, 3, 3, seed=1)
-        head = init_conv_head(3, 3, 3, 8, 16, seed=2)
+        model = init_model(shape, 3, 3, 8, 16, seed=1)
         rng = np.random.default_rng(3)
         indices = np.column_stack([rng.integers(0, s, size=10_000) for s in shape])
-        preds = predict_batch(bank, head, indices)
+        preds = model.predict(indices)
         assert np.all(np.isfinite(preds))
 
     def test_forward_purity(self):
         shape = (3, 3, 3)
-        bank = init_embedding_bank(shape, 2, 2, seed=4)
-        head = init_conv_head(2, 3, 2, 4, 8, seed=5)
-        a = predict_batch(bank, head, [(1, 2, 0)])
-        b = predict_batch(bank, head, [(1, 2, 0)])
+        model = init_model(shape, 2, 2, 4, 8, seed=4)
+        a = model.predict([(1, 2, 0)])
+        b = model.predict([(1, 2, 0)])
         assert a[0] == b[0]
 
     def test_bounds_error(self):
         shape = (3, 3, 3)
-        bank = init_embedding_bank(shape, 2, 1, seed=0)
-        head = init_conv_head(2, 3, 1, 4, 8, seed=0)
+        model = init_model(shape, 2, 1, 4, 8, seed=0)
         with pytest.raises(IndexError):
-            predict_batch(bank, head, [(0, 3, 0)])
+            model.predict([(0, 3, 0)])
 
     def test_shape_chain(self):
         # conv over modes -> (C, R); conv over rank -> (C,); dense -> (H,); out -> scalar
@@ -129,11 +129,10 @@ class TestForward:
             (3, (4, 3, 2), 2, 5, 7),
             (2, (3, 3, 3, 3), 4, 8, 16),
         ):
-            bank = init_embedding_bank(shape, rank, groups, seed=1)
-            head = init_conv_head(rank, len(shape), groups, channels, hidden, seed=2)
+            model = init_model(shape, rank, groups, channels, hidden, seed=1)
             indices = full_grid_indices(shape)[:5]
             n = len(indices)
-            preds, cache = _forward(bank, head, indices)
+            preds, cache = forward(model, indices)
             x, z1, _, z2, _, z3, _ = cache
             assert x.shape == (n, groups, rank, len(shape))
             assert z1.shape == (n, channels, rank)
@@ -142,10 +141,23 @@ class TestForward:
             assert preds.shape == (n,)
 
     def test_incompatible_bank_and_head(self):
-        bank = init_embedding_bank((3, 3), 2, 2, seed=0)
-        head = init_conv_head(2, 2, 3, 4, 8, seed=0)  # 3 groups vs bank's 2
-        with pytest.raises(ContractError):
-            predict_batch(bank, head, [(0, 0)])
+        # arrays that disagree with the layout in names, shapes or finiteness
+        shape = (3, 3)
+        cfg = head_cfg(2, 2, 4, 8)
+        damages = {
+            "mode_kernels": np.zeros((4, 3, 2)),  # a head for 3 groups over the bank's 2
+            "embeddings/1/0": np.zeros((2, 2)),
+            "dense_w": np.full((8, 4), np.nan),
+            "out_b": None,  # missing
+        }
+        for name, array in damages.items():
+            params = dict(init_model(shape, 2, 2, 4, 8, seed=0).params)
+            if array is None:
+                del params[name]
+            else:
+                params[name] = array
+            with pytest.raises(ContractError):
+                NeuralModel(params, DesignSpace.from_shape(shape), None, cfg)
 
 
 class TestContainsLinearPredictor:
@@ -157,29 +169,27 @@ class TestContainsLinearPredictor:
         rank = 3
         informative = rng.uniform(0.1, 1.0, size=(5, rank))
         factors = FactorSet([informative, np.ones((4, rank)), np.ones((3, rank))])
-        bank = EmbeddingBank(
-            [[informative.copy(), np.zeros((4, rank)), np.zeros((3, rank))]]
+        model = summing_model(
+            shape, rank, [informative.copy(), np.zeros((4, rank)), np.zeros((3, rank))]
         )
-        head = summing_head(1, rank, 3)
         grid = full_grid_indices(shape)
-        for index, pred in zip(grid, predict_batch(bank, head, grid)):
+        for index, pred in zip(grid, model.predict(grid)):
             assert pred == pytest.approx(predict_entry(factors, index), abs=1e-10)
 
 
 class TestNeuralGrad:
     def test_zero_residual_gives_zero_gradient(self):
         shape = (3, 3, 3)
-        bank = init_embedding_bank(shape, 2, 2, seed=4)
-        head = init_conv_head(2, 3, 2, 4, 8, seed=5)
+        model = init_model(shape, 2, 2, 4, 8, seed=4)
         indices = full_grid_indices(shape)[::3]
-        preds = predict_batch(bank, head, indices)
+        preds = model.predict(indices)
         obs = ObservationSet(
             space=DesignSpace.from_shape(shape),
             indices=indices,
             values=preds,
             normalizer=Normalizer(0, 1),
         )
-        grads = neural_grad(bank, head, obs)
+        grads = neural_grad(model, obs)
         assert all(np.allclose(g, 0.0, atol=1e-14) for g in grads)
 
     def test_matches_finite_differences_away_from_kinks(self):
@@ -195,35 +205,32 @@ class TestNeuralGrad:
         )
         seed = 0
         while True:  # resample until pre-activations clear the kink margin
-            bank = init_embedding_bank(shape, 2, 2, seed=seed)
-            head = init_conv_head(2, 3, 2, 4, 6, seed=seed + 100)
-            if preactivation_margin(bank, head, picked) > 1e-3:
+            model = init_model(shape, 2, 2, 4, 6, seed=seed)
+            if preactivation_margin(model, picked) > 1e-3:
                 break
             seed += 1
-        analytic = neural_grad(bank, head, obs)
-        numeric = fd_neural_gradient(bank, head, obs)
+        analytic = neural_grad(model, obs)
+        numeric = fd_neural_gradient(model, obs)
         for a, f in zip(analytic, numeric):
             denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
             assert np.max(np.abs(a - f) / denom) <= 1e-3
 
     def test_unreferenced_embedding_row_gradient_is_zero(self):
         shape = (4, 3, 2)
-        bank = init_embedding_bank(shape, 2, 2, seed=9)
-        head = init_conv_head(2, 3, 2, 4, 6, seed=10)
+        model = init_model(shape, 2, 2, 4, 6, seed=9)
         obs = ObservationSet(
             space=DesignSpace.from_shape(shape),
             indices=np.array([[0, 1, 1]]),
             values=np.array([0.4]),
             normalizer=Normalizer(0, 1),
         )
-        grads = neural_grad(bank, head, obs)
+        grads = neural_grad(model, obs)
         for s in range(2):  # mode-0 rows 1..3 unused in every group
             assert np.allclose(grads[s * 3][1:], 0.0)
 
     def test_empty_observations_rejected(self):
         shape = (2, 2)
-        bank = init_embedding_bank(shape, 1, 1, seed=0)
-        head = init_conv_head(1, 2, 1, 2, 2, seed=0)
+        model = init_model(shape, 1, 1, 2, 2, seed=0)
         empty = ObservationSet(
             space=DesignSpace.from_shape(shape),
             indices=np.zeros((0, 2), dtype=np.int64),
@@ -231,7 +238,9 @@ class TestNeuralGrad:
             normalizer=Normalizer(0, 1),
         )
         with pytest.raises(DegenerateDataError):
-            neural_grad(bank, head, empty)
+            neural_grad(model, empty)
+        with pytest.raises(DegenerateDataError):
+            neural_loss(model, empty)
 
 
 class TestCostcoFit:
@@ -271,8 +280,8 @@ class TestCostcoFit:
             rank=2, epochs=30, lr=0.01, seed=0, n_init_groups=1, conv_channels=4, hidden_units=8
         )
         model, _ = costco_fit(obs, cfg)
-        assert model.bank.n_groups == 1
-        assert model.head.mode_kernels.shape == (4, 1, 3)
+        assert model.cfg.n_init_groups == 1
+        assert model.params["mode_kernels"].shape == (4, 1, 3)
 
     def test_restart_selection(self):
         shape = (3, 3, 3)
@@ -283,21 +292,3 @@ class TestCostcoFit:
         )
         _, report = costco_fit(obs, cfg)
         assert report.final_loss == min(report.restart_final_losses)
-
-
-class TestPackUnpack:
-    def test_round_trip(self):
-        bank = init_embedding_bank((3, 4), 2, 2, seed=1)
-        head = init_conv_head(2, 2, 2, 3, 5, seed=2)
-        params = pack_params(bank, head)
-        bank2, head2 = unpack_params(params, 2, 2)
-        assert all(
-            np.array_equal(a, b)
-            for ga, gb in zip(bank.groups, bank2.groups)
-            for a, b in zip(ga, gb)
-        )
-        assert np.array_equal(head.dense_w, head2.dense_w)
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ContractError):
-            unpack_params([np.zeros((2, 2))] * 5, 2, 2)

@@ -7,7 +7,6 @@ from conftest import full_grid_indices, low_rank_values, obs_from_values
 from tenfit.cpd import reconstruct_full
 from tenfit.errors import ContractError, DivergenceError
 from tenfit.metrics import regression_metrics
-from tenfit.neural import pack_params
 from tenfit.optim import (
     AdamState,
     Run,
@@ -125,12 +124,7 @@ class TestFit:
         if "patience" in extra:
             assert report_a.epochs_run < cfg.epochs  # the early stop was exercised
 
-        def arrays(model):
-            if kind == "costco":
-                return pack_params(model.bank, model.head)
-            return model.factors.factors
-
-        pairs = list(zip(arrays(model_a), arrays(model_b)))
+        pairs = list(zip(model_a.params.values(), model_b.params.values()))
         assert pairs and all(np.array_equal(a, b) for a, b in pairs)
 
     def test_monotone_trend(self):
@@ -160,6 +154,7 @@ class TestFit:
             return batch
 
         trainable = Trainable(
+            layout=[("x", (1,))],
             init=lambda seed: [np.array([1000.0 if seed == 1 else 1.0 + seed])],
             objective=objective,
         )
@@ -217,6 +212,7 @@ class TestEarlyStopping:
             return batch
 
         trainable = Trainable(
+            layout=[("x", (1,))],
             init=lambda seed: [np.array([0.9])],
             objective=objective,
             val_objective=val_objective,
