@@ -15,14 +15,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .core import CATEGORICAL, ORDINAL, build_design_space, encode_observations
 from .cpd import CPDModel
 from .errors import ContractError, SchemaError, TenfitError
 from .harness import _train_config_from, run_experiment, run_sweep
 from .metrics import component_expression_export, fms, regression_metrics
-from .modelio import cell_error, load_dataset, load_model, save_model, write_dataset
+from .modelio import load_dataset, load_model, read_index_csv, save_model, write_dataset
+from .modelio import write_index_csv
 from .optim import MODEL_KINDS, fit
 
 
@@ -106,36 +105,15 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _read_indices_csv(path, space) -> np.ndarray:
-    names = [a.name for a in space.axes]
-    with Path(path).open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [n for n in names if n not in (reader.fieldnames or [])]
-        if missing:
-            raise SchemaError(f"indices CSV is missing columns {missing}")
-        rows = []
-        for row, record in enumerate(reader, start=1):
-            try:
-                rows.append([int(record[n]) for n in names])
-            except (TypeError, ValueError):
-                raise cell_error(path, row, record, dict.fromkeys(names, int)) from None
-    return np.asarray(rows, dtype=np.int64).reshape(len(rows), space.ndim)
-
-
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    indices = _read_indices_csv(args.indices, model.space)
-    preds = model.predict(indices) if indices.size else np.zeros(0)
+    indices, _ = read_index_csv(args.indices, model.space)
+    preds = model.predict(indices)
     if args.denormalize:
         if model.normalizer is None:
             raise ContractError("model carries no normalizer; cannot denormalize")
         preds = model.normalizer.denormalize(preds)
-    names = [a.name for a in model.space.axes]
-    with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + ["prediction"])
-        for row, p in zip(indices, np.atleast_1d(preds)):
-            writer.writerow([int(i) for i in row] + [repr(float(p))])
+    write_index_csv(args.out, model.space, indices, preds, "prediction")
     print(json.dumps({"predictions": str(args.out), "n": int(indices.shape[0])}, indent=2))
     return 0
 
@@ -211,21 +189,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("fit", help="train one model on a dataset directory")
+    # an option left out is absent, so TrainConfig's own default applies
+    p = sub.add_parser(
+        "fit", help="train one model on a dataset directory", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--obs", required=True, help="dataset directory from ingest")
     p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--epochs", type=int, default=3000)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--lambda-smooth", dest="lambda_smooth", type=float, default=0.1)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--lambda-smooth", dest="lambda_smooth", type=float)
     p.add_argument("--smooth-modes", dest="smooth_modes", default="", help="axis names (default: ordinal axes)")
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.0)
-    p.add_argument("--groups", type=int, default=3, help="costco: initialization groups")
-    p.add_argument("--channels", type=int, default=8, help="costco: conv channels")
-    p.add_argument("--hidden", type=int, default=16, help="costco: dense width")
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--val-fraction", dest="val_fraction", type=float)
+    p.add_argument("--groups", type=int, help="costco: initialization groups")
+    p.add_argument("--channels", type=int, help="costco: conv channels")
+    p.add_argument("--hidden", type=int, help="costco: dense width")
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_fit)
 

@@ -356,3 +356,18 @@ def check_dense_capacity(shape: Sequence[int], cell_cap: int = 10_000_000) -> No
         raise CapacityError(
             f"dense tensor of {cells} cells exceeds the cap of {cell_cap}"
         )
+
+
+def check_indices(indices, shape: Sequence[int]) -> np.ndarray:
+    """Query cells as an (n, M) int64 array for a space of `shape`. Empty
+    input gives a (0, M) array; a wrong arity or an index outside its axis
+    raises IndexError."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size == 0:
+        return indices.reshape(0, len(shape))
+    indices = np.atleast_2d(indices)
+    if indices.ndim != 2 or indices.shape[1] != len(shape):
+        raise IndexError(f"index arity {indices.shape[-1]} != mode count {len(shape)}")
+    if indices.min() < 0 or np.any(indices >= np.asarray(shape)):
+        raise IndexError("index out of range")
+    return indices

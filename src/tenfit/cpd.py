@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import DenseTensor, DesignSpace, Normalizer, ObservationSet, check_dense_capacity
+from .core import DenseTensor, DesignSpace, Normalizer, ObservationSet
+from .core import check_dense_capacity, check_indices
 from .errors import ContractError, DegenerateDataError
 
 
@@ -87,14 +88,7 @@ def init_factors(shape, rank: int, seed: int) -> FactorSet:
 def predict_indices(factors: FactorSet, indices: np.ndarray) -> np.ndarray:
     """Predicted values at the cells of an (n, M) index array: per cell, the
     sum over components of the product of the selected factor rows."""
-    indices = np.atleast_2d(np.asarray(indices, dtype=np.int64))
-    if indices.size == 0:
-        return np.zeros(0)
-    if indices.shape[1] != factors.ndim:
-        raise IndexError(f"index arity {indices.shape[1]} != mode count {factors.ndim}")
-    shape = np.asarray(factors.shape)
-    if indices.min() < 0 or np.any(indices >= shape):
-        raise IndexError("index out of range")
+    indices = check_indices(indices, factors.shape)
     product = factors.factors[0].take(indices[:, 0], axis=0)
     for m, f in enumerate(factors.factors[1:], start=1):
         product *= f.take(indices[:, m], axis=0)
@@ -276,7 +270,7 @@ class CPDModel:
         return {"smoothness": asdict(self.smoothness)}
 
     def predict(self, indices) -> np.ndarray:
-        return predict_indices(self.factors, np.asarray(indices, dtype=np.int64))
+        return predict_indices(self.factors, indices)
 
 
 def _smoothness(cfg, kind: str, ndim: int) -> SmoothnessConfig:

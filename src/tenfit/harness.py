@@ -3,10 +3,12 @@
 Two sampling protocols are supported: a uniform train/test split and a
 biased one that draws heavily from an axis-aligned region of a 2-axis
 projection and sparsely from the rest. The experiment runner and the OOD
-sweep share one split -> fit loop over iterations and model specs and then
-score on held-out rows (the sweep on those outside the region only); the
-runner aggregates mean +/- population std and exports factor analyses and
-grids.
+sweep share one scoring loop per plan: split -> renormalize -> fit ->
+predict -> score, over iterations and model specs (the sweep scores only the
+test rows outside the region and stops at the first error). The runner
+reads and checks its whole config, scores every plan, recording each failed
+cell, and only then writes: per-iteration records, aggregates (mean +/-
+population std), error grids, factor exports and the factor match score.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .cpd import CPDModel
 from .errors import ContractError, SplitError, StratumExhaustedError, TenfitError
 from .metrics import component_expression_export, fms, regression_metrics
 from .modelio import load_dataset
-from .optim import MODEL_KINDS, TrainConfig, fit_batch
+from .optim import MODEL_KINDS, TrainConfig, TrainReport, fit_batch
 
 
 @dataclass(frozen=True)
@@ -158,12 +160,6 @@ def biased_split(
     return canon.take(train_pos), canon.take(test_pos)
 
 
-def split_plan(plan: SamplingPlan, obs: ObservationSet, seed: int):
-    if plan.kind == "uniform":
-        return uniform_split(obs, plan.fraction, seed)
-    return biased_split(obs, plan.region, plan.n_in, plan.n_out, seed)
-
-
 def renormalize_splits(train: ObservationSet, test: ObservationSet, scope: str = "train"):
     """Refit the normalizer on the training rows only (scope="train") or keep
     the ingest-time normalization (scope="full")."""
@@ -282,7 +278,7 @@ def _aggregate_metric_dicts(reports) -> dict:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     """One model column of an experiment: kind, name, and its train config."""
 
@@ -291,16 +287,31 @@ class ModelSpec:
     cfg: TrainConfig
 
 
-def _split_and_fit(plan: SamplingPlan, obs: ObservationSet, specs, seeds, scope: str):
-    """The split -> renormalize -> fit loop of one plan, shared by
-    experiments and sweeps.
+@dataclass
+class ScoredCell:
+    """One fitted and scored (iteration, model) cell of a sampling plan: the
+    model and its TrainReport, the test rows it was scored on, its
+    predictions there and their metrics as JSON."""
 
-    Iteration i splits with seeds[i]; each model spec is then fitted to the
+    model: object
+    report: TrainReport
+    test: ObservationSet
+    preds: np.ndarray
+    metrics: dict
+
+
+def _scored_cells(plan: SamplingPlan, obs: ObservationSet, specs, seeds, scope: str, keep=None):
+    """The split -> renormalize -> fit -> predict -> score loop of one plan,
+    shared by experiments and sweeps.
+
+    Iteration i splits with seeds[i]; `keep(test)`, when given, is the
+    boolean mask of the test rows to score. Each model spec is fitted to the
     training sides of all the iterations that split, in shared batches
-    (`fit_batch`, iteration i's fit seeded with seeds[i]). Returns the
-    splits, per iteration `(train, test)` or the split's TenfitError, and
-    the fits, per spec name `{iteration: (model, TrainReport) or
-    TenfitError}`. A bad scope or no iterations raises before any split.
+    (`fit_batch`, iteration i's fit seeded with seeds[i]). Yields
+    `(iteration, spec, outcome)` in (iteration, spec) order, the outcome a
+    ScoredCell or the TenfitError of that cell's fit or scoring; a failed
+    split yields its error once, with spec None. A bad scope or no
+    iterations raises before any split.
     """
     if not seeds:
         raise ContractError("iterations must be >= 1")
@@ -309,22 +320,35 @@ def _split_and_fit(plan: SamplingPlan, obs: ObservationSet, specs, seeds, scope:
     splits = []
     for seed in seeds:
         try:
-            train, test = split_plan(plan, obs, seed)
-            splits.append(renormalize_splits(train, test, scope))
+            if plan.kind == "uniform":
+                split = uniform_split(obs, plan.fraction, seed)
+            else:
+                split = biased_split(obs, plan.region, plan.n_in, plan.n_out, seed)
+            train, test = renormalize_splits(*split, scope)
+            splits.append((train, test if keep is None else test.take(np.flatnonzero(keep(test)))))
         except TenfitError as exc:
             splits.append(exc)
     done = [it for it, split in enumerate(splits) if not isinstance(split, TenfitError)]
+    trains, done_seeds = [splits[it][0] for it in done], [seeds[it] for it in done]
     fits = {}
     for spec in specs:
-        outcomes = fit_batch(
-            obs.space.shape(),
-            [splits[it][0] for it in done],
-            spec.cfg,
-            spec.kind,
-            seeds=[seeds[it] for it in done],
-        )
+        outcomes = fit_batch(obs.space.shape(), trains, spec.cfg, spec.kind, seeds=done_seeds)
         fits[spec.name] = dict(zip(done, outcomes))
-    return splits, fits
+    for it, split in enumerate(splits):
+        if isinstance(split, TenfitError):
+            yield it, None, split
+            continue
+        test = split[1]
+        for spec in specs:
+            outcome = fits[spec.name][it]
+            if not isinstance(outcome, TenfitError):
+                try:
+                    preds = outcome[0].predict(test.indices)
+                    metrics = regression_metrics(test.values, preds).to_json()
+                    outcome = ScoredCell(*outcome, test, preds, metrics)
+                except TenfitError as exc:
+                    outcome = exc
+            yield it, spec, outcome
 
 
 def ood_sweep(
@@ -339,36 +363,25 @@ def ood_sweep(
 ) -> dict:
     """Out-of-distribution sweep: fixed in-region count, growing out-of-region
     counts, metrics restricted to test rows outside the region. Each count
-    is a biased plan through the experiments' split -> fit loop; the first
-    split or fit error raises."""
+    is a biased plan through the experiments' scoring loop; the first
+    split, fit or scoring error raises."""
     n_out_list = [int(k) for k in n_out_list]
     if any(b <= a for a, b in zip(n_out_list, n_out_list[1:])):
         raise ContractError("n_out_list must be strictly increasing")
     specs = [ModelSpec(name=kind, kind=kind, cfg=cfg) for kind in model_kinds]
-    results = {kind: [] for kind in model_kinds}
+    results = {spec.name: [] for spec in specs}
     seeds = [cfg.seed + it for it in range(iterations)]
     for n_out in n_out_list:
         plan = SamplingPlan(kind="biased", region=region, n_in=n_in, n_out=n_out)
-        splits, fits = _split_and_fit(plan, obs, specs, seeds, normalization)
-        for split in splits:
-            if isinstance(split, TenfitError):
-                raise split
-        ood_tests = [test.take(np.flatnonzero(~region.mask(test))) for _, test in splits]
-        for spec in specs:
-            per_iteration = []
-            for it, ood_test in enumerate(ood_tests):
-                outcome = fits[spec.name][it]
-                if isinstance(outcome, TenfitError):
-                    raise outcome
-                preds = outcome[0].predict(ood_test.indices)
-                per_iteration.append(regression_metrics(ood_test.values, preds).to_json())
-            results[spec.name].append(
-                {
-                    "n_out": n_out,
-                    "metrics": _aggregate_metric_dicts(per_iteration),
-                    "per_iteration": per_iteration,
-                }
-            )
+        per_iteration = {spec.name: [] for spec in specs}
+        cells = _scored_cells(plan, obs, specs, seeds, normalization, lambda t: ~region.mask(t))
+        for _, spec, outcome in cells:
+            if isinstance(outcome, TenfitError):
+                raise outcome
+            per_iteration[spec.name].append(outcome.metrics)
+        for name, rows in per_iteration.items():
+            metrics = _aggregate_metric_dicts(rows)
+            results[name].append({"n_out": n_out, "metrics": metrics, "per_iteration": rows})
     return {
         "n_in": n_in,
         "iterations": iterations,
@@ -413,27 +426,43 @@ def _pair(values) -> tuple:
     return lo, hi
 
 
+def _entries(values) -> list:
+    """A non-empty JSON list (a string is not a list of entries)."""
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"{values!r} is not a non-empty list")
+    return values
+
+
+# config key -> (TrainConfig field, cast); an absent key keeps the field's default
+_TRAIN_KEYS = {
+    "epochs": ("epochs", int),
+    "lr": ("lr", float),
+    "lambda_smooth": ("smooth_weight", float),
+    "seed": ("seed", int),
+    "restarts": ("restarts", int),
+    "patience": ("patience", lambda v: None if v is None else int(v)),
+    "val_fraction": ("val_fraction", float),
+    "groups": ("n_init_groups", int),
+    "channels": ("conv_channels", int),
+    "hidden": ("hidden_units", int),
+}
+
+
 def _train_config_from(entry: dict, space: DesignSpace) -> TrainConfig:
     """The TrainConfig of a model entry, of a sweep config, or of the
     `tenfit fit` options (smooth_modes as a list of axis names; none means
     the ordinal axes)."""
 
     def modes(names):
+        if isinstance(names, str):
+            raise TypeError(f"{names!r} is not a list of axis names")
         return space.ordinal_modes() if names is None else tuple(map(space.axis_position, names))
 
+    given = {f: _read(entry, key, cast) for key, (f, cast) in _TRAIN_KEYS.items() if key in entry}
     return TrainConfig(
         rank=_read(entry, "rank", int),
-        epochs=_read(entry, "epochs", int, 3000),
-        lr=_read(entry, "lr", float, 0.01),
-        smooth_weight=_read(entry, "lambda_smooth", float, 0.1),
         smooth_modes=_read(entry, "smooth_modes", modes, space.ordinal_modes()),
-        seed=_read(entry, "seed", int, 0),
-        restarts=_read(entry, "restarts", int, 1),
-        patience=_read(entry, "patience", lambda v: None if v is None else int(v), None),
-        val_fraction=_read(entry, "val_fraction", float, 0.0),
-        n_init_groups=_read(entry, "groups", int, 3),
-        conv_channels=_read(entry, "channels", int, 8),
-        hidden_units=_read(entry, "hidden", int, 16),
+        **given,
     )
 
 
@@ -443,12 +472,9 @@ def _model_kind(value) -> str:
     return value
 
 
-def model_spec_from_config(entry: dict, space: DesignSpace, taken=()) -> ModelSpec:
+def model_spec_from_config(entry: dict, space: DesignSpace) -> ModelSpec:
     kind = _read(_object(entry, "model entry"), "kind", _model_kind)
-    name = _name(entry, kind)
-    if name in taken:
-        raise ContractError(f"duplicate model name {name!r}")
-    return ModelSpec(name=name, kind=kind, cfg=_train_config_from(entry, space))
+    return ModelSpec(name=_name(entry, kind), kind=kind, cfg=_train_config_from(entry, space))
 
 
 def region_from_config(entry: dict, space: DesignSpace) -> RegionSpec:
@@ -491,157 +517,126 @@ def plan_from_config(entry: dict, space: DesignSpace) -> SamplingPlan:
     raise ContractError(f"unknown plan kind {kind!r}")
 
 
+def _read_run(config: dict):
+    """The keys experiment and sweep configs share: the dataset's space and
+    observations, the iteration count, the base seed and the normalization
+    scope (checked when the scoring loop starts)."""
+    space, obs = load_dataset(_read(config, "dataset", Path))
+    seed = _read(config, "seed", int, 0)
+    if seed < 0:
+        raise ContractError("seed must be >= 0")
+    iterations = _read(config, "iterations", int, 10)
+    return space, obs, iterations, seed, config.get("normalization", "train")
+
+
+def _failure(plan: str, model, iteration, exc: TenfitError) -> dict:
+    """The `failures` record of a failed cell, factor export or factor match."""
+    error, message = type(exc).__name__, str(exc)
+    return dict(plan=plan, model=model, iteration=iteration, error=error, message=message)
+
+
+def _write_json(path: Path, payload) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+
+
+def _write_cells(out: Path, scored: dict, failures: list) -> dict:
+    """Per (plan, model): write each scored cell's per-iteration record, the
+    error grid over the iterations of a biased plan, and the factors of a
+    linear model's lowest-loss fit (a failed export is appended to
+    `failures`). Returns the aggregated metrics by plan and model name."""
+    (out / "per_iteration").mkdir(parents=True, exist_ok=True)
+    aggregates: dict = {}
+    for (plan, spec), cells in scored.items():
+        stem = f"{plan.name}__{spec.name}"
+        for it, cell in cells.items():
+            report = cell.report.to_json()
+            record = dict(plan=plan.name, model=spec.name, iteration=it, metrics=cell.metrics)
+            for key in ("final_loss", "restart", "epochs_run", "restart_final_losses"):
+                record[key] = report[key]
+            _write_json(out / "per_iteration" / f"{stem}__{it:03d}.json", record)
+        metrics = [cell.metrics for cell in cells.values()]
+        aggregates.setdefault(plan.name, {})[spec.name] = _aggregate_metric_dicts(metrics)
+        if plan.kind == "biased":
+            grids = [per_cell_errors(c.preds, c.test, plan.region) for c in cells.values()]
+            _write_json(out / "grids" / f"{stem}.json", aggregate_error_grids(grids).to_json())
+        best = min(cells.values(), key=lambda cell: cell.report.final_loss).model
+        if isinstance(best, CPDModel):
+            try:
+                component_expression_export(best.factors, best.space, out / "factors" / stem)
+            except TenfitError as exc:
+                failures.append(_failure(plan.name, spec.name, None, exc))
+    return aggregates
+
+
+def _write_fms(out: Path, scored: dict, plans, specs, failures: list):
+    """The factor match score of the first cpd model between the first
+    uniform and the first biased plan, per iteration both fitted; None (and
+    no file) when no iteration scores, as without such a model or plan pair.
+    A failed match is appended to `failures`."""
+    spec = next((s for s in specs if s.kind == "cpd"), None)
+    uniform = next((p for p in plans if p.kind == "uniform"), None)
+    biased = next((p for p in plans if p.kind == "biased"), None)
+    in_uniform, in_biased = scored.get((uniform, spec), {}), scored.get((biased, spec), {})
+    scores, permutations = [], []
+    for it in sorted(in_uniform.keys() & in_biased.keys()):
+        try:
+            comparison = fms(in_uniform[it].model.factors, in_biased[it].model.factors)
+        except TenfitError as exc:
+            failures.append(_failure(f"{uniform.name} vs {biased.name}", spec.name, it, exc))
+            continue
+        scores.append(comparison.fms)
+        permutations.append(list(comparison.permutation))
+    if not scores:
+        return None
+    summary = {
+        "model": spec.name,
+        "uniform_plan": uniform.name,
+        "biased_plan": biased.name,
+        "per_iteration": scores,
+        "permutations": permutations,
+        "mean": float(np.mean(scores)),
+        "std": float(np.std(scores)),
+    }
+    _write_json(out / "fms_uniform_vs_biased.json", summary)
+    return summary
+
+
 def run_experiment(config: dict, out_dir) -> dict:
     """Execute the full protocol described by an experiment config.
 
-    For every plan: split every iteration and fit each model to all of them
-    (`_split_and_fit`), then predict the test rows and score, in (iteration,
-    model) order. Emits aggregated metrics, per-iteration records (with the
-    epochs run and every restart's final loss), per-cell error grids for
-    biased plans, factor exports for the best linear models, and the
-    uniform-vs-biased factor match score when both plans are present. A
-    failed (plan, model, iteration) cell, factor export or factor match is
-    recorded in `failures` and skipped.
+    Reads and checks the config, then scores every plan's (iteration,
+    model) cells through the split -> fit -> score loop and only then
+    writes: per-iteration records (with the epochs run and every restart's
+    final loss), aggregated metrics, per-cell error grids for biased plans,
+    factor exports for the best linear models, and the uniform-vs-biased
+    factor match score when both plans are present. A failed cell, factor
+    export or factor match is recorded in `failures` and skipped.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    per_iter_dir = out / "per_iteration"
-    per_iter_dir.mkdir(exist_ok=True)
+    space, obs, iterations, seed, scope = _read_run(config)
+    plans = [plan_from_config(p, space) for p in _read(config, "plans", _entries)]
+    specs = [model_spec_from_config(m, space) for m in _read(config, "models", _entries)]
+    for what, names in (("plan", [p.name for p in plans]), ("model", [s.name for s in specs])):
+        if len(set(names)) != len(names):
+            raise ContractError(f"{what} names {names} are not unique")
 
-    space, obs = load_dataset(config["dataset"])
-    iterations = _read(config, "iterations", int, 10)
-    base_seed = _read(config, "seed", int, 0)
-    if base_seed < 0:
-        raise ContractError("seed must be >= 0")
-    scope = config.get("normalization", "train")
-    plans = [plan_from_config(p, space) for p in config["plans"]]
-    if len({p.name for p in plans}) != len(plans):
-        raise ContractError("plan names must be unique")
-    specs = []
-    for entry in config["models"]:
-        specs.append(model_spec_from_config(entry, space, taken=[s.name for s in specs]))
-
-    fms_kind = next((s.name for s in specs if s.kind == "cpd"), None)
-    metric_rows: dict[tuple[str, str], list] = {}
+    seeds = [seed + it for it in range(iterations)]
+    scored: dict[tuple[SamplingPlan, ModelSpec], dict[int, ScoredCell]] = {}
     failures = []
-    best_linear: dict[tuple[str, str], tuple[float, CPDModel]] = {}
-    cpd_factors: dict[tuple[str, int], CPDModel] = {}
-    grids: dict[tuple[str, str], list] = {}
-
-    def fail(plan_name, model_name, iteration, exc):
-        failures.append(
-            {
-                "plan": plan_name,
-                "model": model_name,
-                "iteration": iteration,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        )
-
-    seeds = [base_seed + it for it in range(iterations)]
     for plan in plans:
-        splits, fits = _split_and_fit(plan, obs, specs, seeds, scope)
-        for it, split in enumerate(splits):
-            if isinstance(split, TenfitError):
-                fail(plan.name, None, it, split)
-                continue
-            _, test = split
-            for spec in specs:
-                try:
-                    outcome = fits[spec.name][it]
-                    if isinstance(outcome, TenfitError):
-                        raise outcome
-                    model, report = outcome
-                    preds = model.predict(test.indices)
-                    metrics = regression_metrics(test.values, preds).to_json()
-                except TenfitError as exc:
-                    fail(plan.name, spec.name, it, exc)
-                    continue
-                record = {
-                    "plan": plan.name,
-                    "model": spec.name,
-                    "iteration": it,
-                    "metrics": metrics,
-                    "final_loss": report.final_loss,
-                    "restart": report.restart,
-                    "epochs_run": report.epochs_run,
-                    "restart_final_losses": report.to_json()["restart_final_losses"],
-                }
-                (per_iter_dir / f"{plan.name}__{spec.name}__{it:03d}.json").write_text(
-                    json.dumps(record, indent=2), encoding="utf-8"
-                )
-                metric_rows.setdefault((plan.name, spec.name), []).append(metrics)
-                if isinstance(model, CPDModel):
-                    key = (plan.name, spec.name)
-                    if key not in best_linear or report.final_loss < best_linear[key][0]:
-                        best_linear[key] = (report.final_loss, model)
-                if spec.name == fms_kind:
-                    cpd_factors[(plan.name, it)] = model
-                if plan.kind == "biased":
-                    grids.setdefault((plan.name, spec.name), []).append(
-                        per_cell_errors(preds, test, plan.region)
-                    )
+        for it, spec, outcome in _scored_cells(plan, obs, specs, seeds, scope):
+            if isinstance(outcome, TenfitError):
+                failures.append(_failure(plan.name, spec.name if spec else None, it, outcome))
+            else:
+                scored.setdefault((plan, spec), {})[it] = outcome
 
-    aggregates: dict = {}
-    for (plan_name, model_name), rows in metric_rows.items():
-        aggregates.setdefault(plan_name, {})[model_name] = _aggregate_metric_dicts(rows)
-
-    if grids:
-        grid_dir = out / "grids"
-        grid_dir.mkdir(exist_ok=True)
-        for (plan_name, model_name), glist in grids.items():
-            payload = aggregate_error_grids(glist).to_json()
-            (grid_dir / f"{plan_name}__{model_name}.json").write_text(
-                json.dumps(payload, indent=2), encoding="utf-8"
-            )
-
-    for (plan_name, model_name), (_, model) in best_linear.items():
-        try:
-            component_expression_export(
-                model.factors, space, out / "factors" / f"{plan_name}__{model_name}"
-            )
-        except TenfitError as exc:
-            fail(plan_name, model_name, None, exc)
-
-    fms_summary = None
-    uniform_plans = [p.name for p in plans if p.kind == "uniform"]
-    biased_plans = [p.name for p in plans if p.kind == "biased"]
-    if fms_kind and uniform_plans and biased_plans:
-        uname, bname = uniform_plans[0], biased_plans[0]
-        scores = []
-        permutations = []
-        for it in range(iterations):
-            mu = cpd_factors.get((uname, it))
-            mb = cpd_factors.get((bname, it))
-            if mu is None or mb is None:
-                continue
-            try:
-                comparison = fms(mu.factors, mb.factors)
-            except TenfitError as exc:
-                fail(f"{uname} vs {bname}", fms_kind, it, exc)
-                continue
-            scores.append(comparison.fms)
-            permutations.append(list(comparison.permutation))
-        if scores:
-            arr = np.asarray(scores)
-            fms_summary = {
-                "model": fms_kind,
-                "uniform_plan": uname,
-                "biased_plan": bname,
-                "per_iteration": scores,
-                "permutations": permutations,
-                "mean": float(arr.mean()),
-                "std": float(arr.std()),
-            }
-            (out / "fms_uniform_vs_biased.json").write_text(
-                json.dumps(fms_summary, indent=2), encoding="utf-8"
-            )
-
+    out = Path(out_dir)
+    aggregates = _write_cells(out, scored, failures)
+    fms_summary = _write_fms(out, scored, plans, specs, failures)
     summary = {
         "metadata": {
             "iterations": iterations,
-            "seed": base_seed,
+            "seed": seed,
             "normalization": scope,
             "std_convention": "population",
             "plans": [p.name for p in plans],
@@ -651,29 +646,24 @@ def run_experiment(config: dict, out_dir) -> dict:
         "failures": failures,
         "fms": fms_summary,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
+    _write_json(out / "summary.json", summary)
     return summary
 
 
 def run_sweep(config: dict, out_dir) -> dict:
-    """Execute an OOD sweep config and persist the table."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    space, obs = load_dataset(config["dataset"])
-    region = region_from_config(config["region"], space)
-    specs = [
-        model_spec_from_config({**config, "kind": kind}, space)
-        for kind in config.get("models", ["cpd"])
-    ]
+    """Execute an OOD sweep config and persist the table; every model shares
+    the config's one TrainConfig."""
+    space, obs, iterations, _, scope = _read_run(config)
+    kinds = _read(config, "models", lambda v: [_model_kind(k) for k in _entries(v)], ["cpd"])
     table = ood_sweep(
         obs,
-        region,
+        region_from_config(config["region"], space),
         n_in=_read(config, "n_in", int),
-        n_out_list=_read(config, "n_out_list", lambda counts: [int(k) for k in counts]),
+        n_out_list=_read(config, "n_out_list", lambda v: [int(k) for k in _entries(v)]),
         cfg=_train_config_from(config, space),
-        model_kinds=[spec.kind for spec in specs],
-        iterations=_read(config, "iterations", int, 10),
-        normalization=config.get("normalization", "train"),
+        model_kinds=kinds,
+        iterations=iterations,
+        normalization=scope,
     )
-    (out / "sweep.json").write_text(json.dumps(table, indent=2), encoding="utf-8")
+    _write_json(Path(out_dir) / "sweep.json", table)
     return table

@@ -71,16 +71,16 @@ def read_normalizer(path) -> Normalizer:
     return _normalizer_from_json(json.loads(Path(path).read_text(encoding="utf-8")), path)
 
 
-def write_observations_csv(obs: ObservationSet, path) -> None:
-    """0-based index columns (named after the axes) plus a value column."""
+def write_index_csv(path, space: DesignSpace, indices, values, value: str = "value") -> None:
+    """0-based index columns (named after the axes) plus one float column `value`."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([a.name for a in obs.space.axes] + ["value"])
-        for row, value in zip(obs.indices, obs.values):
-            writer.writerow([int(i) for i in row] + [repr(float(value))])
+        writer.writerow([a.name for a in space.axes] + [value])
+        for row, y in zip(indices, values):
+            writer.writerow([int(i) for i in row] + [repr(float(y))])
 
 
-def cell_error(path, row: int, record: dict, parsers: dict) -> SchemaError:
+def _cell_error(path, row: int, record: dict, parsers: dict) -> SchemaError:
     """The SchemaError for the first cell of a CSV record that its parser
     (column -> int or float) rejects, naming the file, the 1-based data row
     and the column."""
@@ -95,27 +95,42 @@ def cell_error(path, row: int, record: dict, parsers: dict) -> SchemaError:
     return SchemaError(f"{path}: row {row} is malformed")
 
 
-def read_observations_csv(path, space: DesignSpace, normalizer: Normalizer) -> ObservationSet:
+def read_index_csv(path, space: DesignSpace, value: str | None = None):
+    """The rows of a CSV with one 0-based index column per axis of `space`
+    and, when `value` names it, a float column: (indices, values), an (n, M)
+    int64 array with every index checked against its axis size and an (n,)
+    float array (None without a value column). A missing column or a bad
+    cell is a SchemaError naming the file, and for a cell its 1-based data
+    row and its column."""
+    names = [a.name for a in space.axes]
+    parsers = {**dict.fromkeys(names, int), **({value: float} if value else {})}
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        names = [a.name for a in space.axes]
-        missing = [n for n in (*names, "value") if n not in (reader.fieldnames or [])]
+        missing = [n for n in parsers if n not in (reader.fieldnames or [])]
         if missing:
-            raise SchemaError(f"observations CSV is missing columns {missing}")
-        indices, values = [], []
+            raise SchemaError(f"{path}: CSV is missing columns {missing}")
+        rows, values = [], []
         for row, record in enumerate(reader, start=1):
             try:
-                indices.append([int(record[n]) for n in names])
-                values.append(float(record["value"]))
+                rows.append([int(record[n]) for n in names])
+                if value:
+                    values.append(float(record[value]))
             except (TypeError, ValueError):
-                parsers = {**dict.fromkeys(names, int), "value": float}
-                raise cell_error(path, row, record, parsers) from None
-    return ObservationSet(
-        space=space,
-        indices=np.asarray(indices, dtype=np.int64).reshape(len(values), space.ndim),
-        values=np.asarray(values, dtype=float),
-        normalizer=normalizer,
-    )
+                raise _cell_error(path, row, record, parsers) from None
+    shape = space.shape()
+    try:
+        indices = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(names))
+        bad = np.argwhere((indices < 0) | (indices >= np.asarray(shape)))
+    except OverflowError:  # beyond int64, so outside its axis too
+        bad = [(r, m) for r, cells in enumerate(rows) for m, i in enumerate(cells)
+               if not 0 <= i < shape[m]]
+    if len(bad):
+        r, m = bad[0]
+        raise SchemaError(
+            f"{path}: row {r + 1}, column {names[m]!r}: index {rows[r][m]} is not in "
+            f"0..{shape[m] - 1}"
+        )
+    return indices, np.asarray(values, dtype=float) if value else None
 
 
 def write_dataset(obs: ObservationSet, out_dir) -> dict:
@@ -123,7 +138,7 @@ def write_dataset(obs: ObservationSet, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_schema(obs.space, out / SCHEMA_FILENAME)
-    write_observations_csv(obs, out / OBSERVATIONS_FILENAME)
+    write_index_csv(out / OBSERVATIONS_FILENAME, obs.space, obs.indices, obs.values)
     write_normalizer(obs.normalizer, out / NORMALIZER_FILENAME)
     return {
         "schema": str(out / SCHEMA_FILENAME),
@@ -139,8 +154,8 @@ def load_dataset(path):
         raise SchemaError(f"dataset path {root} is not an ingest directory")
     space = read_schema(root / SCHEMA_FILENAME)
     normalizer = read_normalizer(root / NORMALIZER_FILENAME)
-    obs = read_observations_csv(root / OBSERVATIONS_FILENAME, space, normalizer)
-    return space, obs
+    indices, values = read_index_csv(root / OBSERVATIONS_FILENAME, space, "value")
+    return space, ObservationSet(space=space, indices=indices, values=values, normalizer=normalizer)
 
 
 def _array_from_json(payload: dict, shape, path, what: str) -> np.ndarray:

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import DesignSpace, Normalizer, ObservationSet
+from .core import DesignSpace, Normalizer, ObservationSet, check_indices
 from .errors import ContractError, DegenerateDataError
 
 
@@ -59,15 +59,6 @@ def costco_init(shape, cfg, seed: int) -> list:
         else:
             arrays.append(np.full(size, 0.0 if name == "out_b" else 0.01))
     return arrays
-
-
-def _validate_indices(indices, shape) -> np.ndarray:
-    indices = np.atleast_2d(np.asarray(indices, dtype=np.int64))
-    if indices.shape[1] != len(shape):
-        raise IndexError(f"index arity {indices.shape[1]} != mode count {len(shape)}")
-    if indices.size and (indices.min() < 0 or np.any(indices >= np.asarray(shape))):
-        raise IndexError("index out of range")
-    return indices
 
 
 def _embedding_keys(indices: np.ndarray, shape, n_groups: int, rank: int) -> np.ndarray:
@@ -165,7 +156,7 @@ def _backward_keys(head: list, keys: np.ndarray, cache, dpreds, n_embedding: int
 def predict_batch(params: dict, shape, indices) -> np.ndarray:
     """Predictions at the cells of an (n, M) index array for one model's
     arrays, given by name in costco_layout order, over a space of `shape`."""
-    indices = _validate_indices(indices, shape)
+    indices = check_indices(indices, shape)
     if indices.size == 0:
         return np.zeros(0)
     arrays = list(params.values())

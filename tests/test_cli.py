@@ -184,6 +184,23 @@ class TestFitPredictEvaluate:
         assert "indices.csv" in payload["message"]
         assert "row 2" in payload["message"] and "'thickness'" in payload["message"]
 
+    @pytest.mark.parametrize("kind", ["cpd", "costco"])
+    @pytest.mark.parametrize("cells, column", [("0,1,5", "'ux'"), ("-1,0,0", "'geometry'")])
+    def test_predict_index_outside_its_axis_is_schema_error(
+        self, dataset_dir, tmp_path, capsys, kind, cells, column
+    ):
+        # ux has 3 values and geometry 3: 5 and -1 are no cells of the space
+        model_path = self.fit_model(dataset_dir, tmp_path, kind)
+        indices_path = tmp_path / "indices.csv"
+        indices_path.write_text(f"geometry,thickness,ux\n0,1,2\n{cells}\n")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path), "--indices", str(indices_path),
+                     "--out", str(tmp_path / "preds.csv")])
+        payload = one_json_error(code, capsys.readouterr().err)
+        assert payload["error"] == "SchemaError"
+        assert "indices.csv" in payload["message"]
+        assert "row 2" in payload["message"] and column in payload["message"]
+
     def test_predict_denormalize(self, dataset_dir, tmp_path):
         model_path = self.fit_model(dataset_dir, tmp_path)
         indices_path = tmp_path / "indices.csv"
@@ -291,18 +308,26 @@ class TestConfigErrors:
     line of JSON."""
 
     @pytest.mark.parametrize(
-        "path, value",
-        [(("iterations",), "two"), (("models", 0, "rank"), "x"),
-         (("plans", 1, "region", "a_range"), [0]), (("models", 0, "smooth_modes"), 5),
-         (("models", 0, "kind"), [1])],
-        ids=["iterations", "rank", "a_range", "smooth_modes", "kind"],
+        "command, path, value",
+        [("experiment", ("iterations",), "two"), ("experiment", ("models", 0, "rank"), "x"),
+         ("experiment", ("plans", 1, "region", "a_range"), [0]),
+         ("experiment", ("models", 0, "smooth_modes"), 5),
+         ("experiment", ("models", 0, "kind"), [1]),
+         ("experiment", ("models", 0, "smooth_modes"), "ux"),
+         ("experiment", ("plans",), []), ("experiment", ("models",), []),
+         ("sweep", ("models",), []), ("sweep", ("n_out_list",), []),
+         ("sweep", ("models",), "cpd")],
+        ids=["iterations", "rank", "a_range", "smooth_modes", "kind", "smooth_modes_string",
+             "no_plans", "no_models", "sweep_no_models", "sweep_no_counts", "sweep_models_string"],
     )
-    def test_bad_value_names_its_key(self, dataset_dir, tmp_path, path, value):
-        config = experiment_config(dataset_dir, epochs=5)
+    def test_bad_value_names_its_key(self, dataset_dir, tmp_path, command, path, value):
+        build = experiment_config if command == "experiment" else sweep_config
+        config = build(dataset_dir, epochs=5)
         replace_field(config, path, value)
-        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        payload = one_json_error(*run_config(command, config, tmp_path))
         assert payload["error"] == "ContractError"
         assert repr(path[-1]) in payload["message"]
+        assert not (tmp_path / "out").exists()  # rejected before any output is written
 
     @pytest.mark.parametrize("command", ["experiment", "sweep"])
     def test_config_path_is_a_directory(self, tmp_path, capsys, command):

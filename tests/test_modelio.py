@@ -12,12 +12,12 @@ from tenfit.errors import ContractError, SchemaError
 from tenfit.modelio import (
     load_dataset,
     load_model,
-    read_observations_csv,
+    read_index_csv,
     read_schema,
     save_model,
     schema_to_json,
     write_dataset,
-    write_observations_csv,
+    write_index_csv,
     write_schema,
 )
 from tenfit.optim import TrainConfig, fit
@@ -64,15 +64,15 @@ class TestObservationsCsv:
     def test_round_trip(self, tmp_path):
         obs = obs_from_values((2, 3), np.linspace(0, 1, 6), normalizer=Normalizer(2.0, 6.0))
         path = tmp_path / "obs.csv"
-        write_observations_csv(obs, path)
-        loaded = read_observations_csv(path, obs.space, obs.normalizer)
-        assert np.array_equal(loaded.indices, obs.indices)
-        assert np.array_equal(loaded.values, obs.values)
+        write_index_csv(path, obs.space, obs.indices, obs.values)
+        indices, values = read_index_csv(path, obs.space, "value")
+        assert np.array_equal(indices, obs.indices)
+        assert np.array_equal(values, obs.values)
 
     def test_header_is_axis_names_plus_value(self, tmp_path):
         obs = obs_from_values((2, 2), [0.0, 0.25, 0.5, 1.0])
         path = tmp_path / "obs.csv"
-        write_observations_csv(obs, path)
+        write_index_csv(path, obs.space, obs.indices, obs.values)
         header = path.read_text().splitlines()[0]
         assert header == "p0,p1,value"
 
@@ -80,7 +80,7 @@ class TestObservationsCsv:
         path = tmp_path / "obs.csv"
         path.write_text("p0,value\n0,0.5\n")
         with pytest.raises(SchemaError):
-            read_observations_csv(path, DesignSpace.from_shape((2, 2)), Normalizer(0, 1))
+            read_index_csv(path, DesignSpace.from_shape((2, 2)), "value")
 
 
 class TestDatasetDir:

@@ -242,10 +242,13 @@ class TestEarlyStopping:
 
 class TestPredictSet:
     def test_empty_indices(self):
+        # every model kind answers an empty query, as a list or an (0, M) array
         shape = (2, 2)
         obs = obs_from_values(shape, [0.1, 0.2, 0.3, 0.4])
-        model, _ = fit(shape, obs, TrainConfig(rank=1, epochs=5), "cpd")
-        assert model.predict([]).tolist() == []
+        for kind in ("cpd", "costco"):
+            model, _ = fit(shape, obs, TrainConfig(rank=1, epochs=5), kind)
+            for query in ([], np.zeros((0, 2), dtype=np.int64)):
+                assert model.predict(query).shape == (0,)
 
     def test_full_grid_matches_reconstruction(self):
         shape = (2, 2)
