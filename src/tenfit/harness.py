@@ -370,6 +370,8 @@ def ood_sweep(
         raise ContractError("n_out_list must be strictly increasing")
     specs = [ModelSpec(name=kind, kind=kind, cfg=cfg) for kind in model_kinds]
     results = {spec.name: [] for spec in specs}
+    if len(results) != len(specs):
+        raise ContractError(f"model kinds {list(model_kinds)} are not distinct")
     seeds = [cfg.seed + it for it in range(iterations)]
     for n_out in n_out_list:
         plan = SamplingPlan(kind="biased", region=region, n_in=n_in, n_out=n_out)
@@ -578,23 +580,21 @@ def _write_fms(out: Path, scored: dict, plans, specs, failures: list):
     uniform = next((p for p in plans if p.kind == "uniform"), None)
     biased = next((p for p in plans if p.kind == "biased"), None)
     in_uniform, in_biased = scored.get((uniform, spec), {}), scored.get((biased, spec), {})
-    scores, permutations = [], []
+    comparisons = []
     for it in sorted(in_uniform.keys() & in_biased.keys()):
         try:
-            comparison = fms(in_uniform[it].model.factors, in_biased[it].model.factors)
+            comparisons.append(fms(in_uniform[it].model.factors, in_biased[it].model.factors))
         except TenfitError as exc:
             failures.append(_failure(f"{uniform.name} vs {biased.name}", spec.name, it, exc))
-            continue
-        scores.append(comparison.fms)
-        permutations.append(list(comparison.permutation))
-    if not scores:
+    if not comparisons:
         return None
+    scores = [comparison.fms for comparison in comparisons]
     summary = {
         "model": spec.name,
         "uniform_plan": uniform.name,
         "biased_plan": biased.name,
         "per_iteration": scores,
-        "permutations": permutations,
+        "permutations": [list(comparison.permutation) for comparison in comparisons],
         "mean": float(np.mean(scores)),
         "std": float(np.std(scores)),
     }

@@ -127,8 +127,7 @@ def read_index_csv(path, space: DesignSpace, value: str | None = None):
     if len(bad):
         r, m = bad[0]
         raise SchemaError(
-            f"{path}: row {r + 1}, column {names[m]!r}: index {rows[r][m]} is not in "
-            f"0..{shape[m] - 1}"
+            f"{path}: row {r + 1}, column {names[m]!r}: index {rows[r][m]} not in 0..{shape[m] - 1}"
         )
     return indices, np.asarray(values, dtype=float) if value else None
 

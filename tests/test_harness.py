@@ -262,6 +262,11 @@ class TestOodSweep:
         with pytest.raises(ContractError):
             ood_sweep(self.setup_obs(), self.region(), 5, [4, 4], cfg, ["cpd"], iterations=1)
 
+    def test_requires_distinct_kinds(self):
+        cfg = TrainConfig(rank=2, epochs=5, lr=0.05)
+        with pytest.raises(ContractError):
+            ood_sweep(self.setup_obs(), self.region(), 5, [4], cfg, ["cpd", "cpd"], iterations=1)
+
     def test_exhaustion_propagates(self):
         cfg = TrainConfig(rank=2, epochs=5, lr=0.05)
         with pytest.raises(StratumExhaustedError):
