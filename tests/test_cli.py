@@ -189,7 +189,7 @@ class TestFitPredictEvaluate:
     def test_predict_index_outside_its_axis_is_schema_error(
         self, dataset_dir, tmp_path, capsys, kind, cells, column
     ):
-        # ux has 3 values and geometry 3: 5 and -1 are no cells of the space
+        # ux and geometry have 3 values each, so 5 and -1 name no cell
         model_path = self.fit_model(dataset_dir, tmp_path, kind)
         indices_path = tmp_path / "indices.csv"
         indices_path.write_text(f"geometry,thickness,ux\n0,1,2\n{cells}\n")

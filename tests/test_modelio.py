@@ -82,6 +82,13 @@ class TestObservationsCsv:
         with pytest.raises(SchemaError):
             read_index_csv(path, DesignSpace.from_shape((2, 2)), "value")
 
+    @pytest.mark.parametrize("index", ["2", "-1", "99999999999999999999"])
+    def test_index_outside_its_axis_names_the_cell(self, tmp_path, index):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"p0,p1,value\n0,0,0.5\n1,{index},0.25\n")
+        with pytest.raises(SchemaError, match=r"obs.csv: row 2, column 'p1'"):
+            read_index_csv(path, DesignSpace.from_shape((2, 2)), "value")
+
 
 class TestDatasetDir:
     def test_write_and_load(self, tmp_path):
