@@ -1,16 +1,18 @@
-"""Layer bench: the CPD objective per call, and training cost per fit-epoch
-at growing batch sizes.
+"""Layer bench: the CPD and CoSTCo objectives per call, and training cost
+per fit-epoch at growing batch sizes.
 
     python3 bench/kernels.py --out results.json
 
 Run it from the repository root; it imports tenfit from ./src. Two tables:
 
-- `objective`: `cpd.masked_objective` at the sizes the benchmark workloads
-  train (experiment_large's 3,456-row fit, serve_cli's 3,840-row set-up
-  fit, experiment_large's 384-row validation pass, the lattice's cpd and
-  cpd_s batches and the OOD sweep's cpd batches). Each entry gives the
-  median over rounds of the us per call and of the minor page faults per
-  call (`resource.getrusage`), measured over a fixed number of calls.
+- `objective`: the training objective of a model kind's trainable
+  (`cpd.masked_objective`, `neural._masked_objective`) at the sizes the
+  benchmark workloads train (experiment_large's 3,456-row fit, serve_cli's
+  3,840-row set-up fits, experiment_large's 384-row validation pass, the
+  lattice's cpd and cpd_s batches and the OOD sweep's cpd and costco
+  batches). Each entry gives the median over rounds of the us per call and
+  of the minor page faults per call (`resource.getrusage`), measured over a
+  fixed number of calls.
 - `batch`: `optim.train_batch` on B same-size fits, in us per fit-epoch
   (the best of several rounds), for CPD and CoSTCo; these measurements set
   `optim.MAX_BATCH_ROWS` and `neural.COSTCO_MAX_BATCH_ROWS`.
@@ -43,24 +45,28 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from tenfit import cpd, neural, optim  # noqa: E402
+from tenfit import optim  # noqa: E402
 from tenfit.core import DesignSpace, Normalizer, ObservationSet  # noqa: E402
 
 LATTICE = (5, 2, 3, 3, 3)  # 270 cells
 LARGE = (8, 4, 5, 5, 6)  # 4,800 cells
 RANK = 3
 
-# name, shape, rows per fit, fits, smoothed (cpd_s), gradient
+# name, kind, shape, rows per fit, fits, gradient
 OBJECTIVE_CASES = [
-    ("large_fit", LARGE, 3456, 1, False, True),
-    ("serve_setup_fit", LARGE, 3840, 1, False, True),
-    ("large_validation", LARGE, 384, 1, False, False),
-    ("lattice_cpd_216", LATTICE, 216, 9, False, True),
-    ("lattice_cpd_84", LATTICE, 84, 9, False, True),
-    ("lattice_cpd_s_216", LATTICE, 216, 3, True, True),
-    ("lattice_cpd_s_84", LATTICE, 84, 3, True, True),
-    ("sweep_cpd_154", LATTICE, 154, 2, False, True),
-    ("sweep_cpd_74", LATTICE, 74, 2, False, True),
+    ("large_fit", "cpd", LARGE, 3456, 1, True),
+    ("serve_setup_fit", "cpd", LARGE, 3840, 1, True),
+    ("large_validation", "cpd", LARGE, 384, 1, False),
+    ("lattice_cpd_216", "cpd", LATTICE, 216, 9, True),
+    ("lattice_cpd_84", "cpd", LATTICE, 84, 9, True),
+    ("lattice_cpd_s_216", "cpd_s", LATTICE, 216, 3, True),
+    ("lattice_cpd_s_84", "cpd_s", LATTICE, 84, 3, True),
+    ("sweep_cpd_154", "cpd", LATTICE, 154, 2, True),
+    ("sweep_cpd_74", "cpd", LATTICE, 74, 2, True),
+    ("sweep_costco_154", "costco", LATTICE, 154, 2, True),
+    ("sweep_costco_114", "costco", LATTICE, 114, 2, True),
+    ("sweep_costco_74", "costco", LATTICE, 74, 2, True),
+    ("serve_setup_costco", "costco", LARGE, 3840, 1, True),
 ]
 
 # kind, shape, rows per fit, batch sizes
@@ -112,18 +118,20 @@ def minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def bench_objective(shape, n, n_fits, smoothed, grad, calls, rounds, rng):
-    sets = [observations(shape, n, rng) for _ in range(n_fits)]
-    smoothness = cpd.SmoothnessConfig(0.1, tuple(range(len(shape)))) if smoothed else None
-    objective = cpd.masked_objective(sets, RANK, smoothness)
-    factors = [rng.normal(0, 0.5, size=(n_fits, size, RANK)) for size in shape]
+def bench_objective(kind, shape, n, n_fits, grad, calls, rounds, rng):
+    """The objective of `kind`'s trainable (cpd_s smoothing every mode with
+    weight 0.1) over n_fits sets of n rows, at seeded initial parameters."""
+    cfg = optim.TrainConfig(rank=RANK, smooth_weight=0.1, smooth_modes=tuple(range(len(shape))))
+    engine = trainable(kind, shape, cfg)
+    objective = engine.objective([observations(shape, n, rng) for _ in range(n_fits)])
+    params = [np.stack(arrays) for arrays in zip(*map(engine.init, range(n_fits)))]
     for _ in range(calls):  # warm up
-        objective(factors, grad=grad)
+        objective(params, grad=grad)
     us, faults = [], []
     for _ in range(rounds):
         faults_start, start = minor_faults(), time.perf_counter()
         for _ in range(calls):
-            objective(factors, grad=grad)
+            objective(params, grad=grad)
         us.append((time.perf_counter() - start) / calls * 1e6)
         faults.append((minor_faults() - faults_start) / calls)
     return {
@@ -134,9 +142,7 @@ def bench_objective(shape, n, n_fits, smoothed, grad, calls, rounds, rng):
 
 
 def trainable(kind, shape, cfg):
-    if kind == "costco":
-        return neural.costco_trainable(shape, cfg)
-    return cpd.cpd_trainable(shape, cfg, kind="cpd")
+    return optim.MODEL_KINDS[kind][1](shape, cfg)
 
 
 def bench_batch(rounds, epochs, rng):
@@ -175,9 +181,9 @@ def main(argv=None):
 
     rng = np.random.default_rng(0)
     result = {"environment": environment(), "objective": {}}
-    for name, shape, n, n_fits, smoothed, grad in OBJECTIVE_CASES:
-        entry = bench_objective(shape, n, n_fits, smoothed, grad, args.calls, args.rounds, rng)
-        result["objective"][name] = {"fits": n_fits, "grad": grad, **entry}
+    for name, kind, shape, n, n_fits, grad in OBJECTIVE_CASES:
+        entry = bench_objective(kind, shape, n, n_fits, grad, args.calls, args.rounds, rng)
+        result["objective"][name] = {"kind": kind, "fits": n_fits, "grad": grad, **entry}
         print(name, entry, file=sys.stderr)
     result["batch"] = bench_batch(args.batch_rounds, args.epochs, rng)
     for entry in result["batch"]:

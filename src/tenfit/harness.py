@@ -3,12 +3,13 @@
 Two sampling protocols are supported: a uniform train/test split and a
 biased one that draws heavily from an axis-aligned region of a 2-axis
 projection and sparsely from the rest. The experiment runner and the OOD
-sweep share one scoring loop per plan: split -> renormalize -> fit ->
-predict -> score, over iterations and model specs (the sweep scores only the
-test rows outside the region and stops at the first error). The runner
-reads and checks its whole config, scores every plan, recording each failed
-cell, and only then writes: per-iteration records, aggregates (mean +/-
-population std), error grids, factor exports and the factor match score.
+sweep share one scoring loop: split -> renormalize -> fit -> predict ->
+score, over plans, iterations and model specs, with one batched fit per
+model spec across all plans (the sweep scores only the test rows outside
+the region and stops at the first error). The runner reads and checks its
+whole config, scores every plan, recording each failed cell, and only then
+writes: per-iteration records, aggregates (mean +/- population std), error
+grids, factor exports and the factor match score.
 """
 
 from __future__ import annotations
@@ -300,47 +301,51 @@ class ScoredCell:
     metrics: dict
 
 
-def _scored_cells(plan: SamplingPlan, obs: ObservationSet, specs, seeds, scope: str, keep=None):
-    """The split -> renormalize -> fit -> predict -> score loop of one plan,
-    shared by experiments and sweeps.
+def _scored_cells(plans, obs: ObservationSet, specs, seeds, scope: str, keep=None):
+    """The split -> renormalize -> fit -> predict -> score loop of a run's
+    plans, shared by experiments and sweeps.
 
-    Iteration i splits with seeds[i]; `keep(test)`, when given, is the
-    boolean mask of the test rows to score. Each model spec is fitted to the
-    training sides of all the iterations that split, in shared batches
-    (`fit_batch`, iteration i's fit seeded with seeds[i]). Yields
-    `(iteration, spec, outcome)` in (iteration, spec) order, the outcome a
-    ScoredCell or the TenfitError of that cell's fit or scoring; a failed
-    split yields its error once, with spec None. A bad scope or no
-    iterations raises before any split.
+    Iteration i of every plan splits with seeds[i]; `keep(test)`, when
+    given, is the boolean mask of the test rows to score. Each model spec
+    is then fitted once, to the training sides of every (plan, iteration)
+    that split, all of them in shared batches (`fit_batch`, iteration i's
+    fit seeded with seeds[i]). Yields `(plan, iteration, spec, outcome)` in
+    (plan, iteration, spec) order, the outcome a ScoredCell or the
+    TenfitError of that cell's fit or scoring; a failed split yields its
+    error once, with spec None. A bad scope or no iterations raises before
+    any split.
     """
     if not seeds:
         raise ContractError("iterations must be >= 1")
     if scope not in ("train", "full"):
         raise ContractError(f"unknown normalization scope {scope!r}")
-    splits = []
-    for seed in seeds:
-        try:
-            if plan.kind == "uniform":
-                split = uniform_split(obs, plan.fraction, seed)
-            else:
-                split = biased_split(obs, plan.region, plan.n_in, plan.n_out, seed)
-            train, test = renormalize_splits(*split, scope)
-            splits.append((train, test if keep is None else test.take(np.flatnonzero(keep(test)))))
-        except TenfitError as exc:
-            splits.append(exc)
-    done = [it for it, split in enumerate(splits) if not isinstance(split, TenfitError)]
-    trains, done_seeds = [splits[it][0] for it in done], [seeds[it] for it in done]
+    splits = {}
+    for plan in plans:
+        for it, seed in enumerate(seeds):
+            try:
+                if plan.kind == "uniform":
+                    split = uniform_split(obs, plan.fraction, seed)
+                else:
+                    split = biased_split(obs, plan.region, plan.n_in, plan.n_out, seed)
+                train, test = renormalize_splits(*split, scope)
+                if keep is not None:
+                    test = test.take(np.flatnonzero(keep(test)))
+                splits[plan, it] = (train, test)
+            except TenfitError as exc:
+                splits[plan, it] = exc
+    done = [cell for cell, split in splits.items() if not isinstance(split, TenfitError)]
+    trains, done_seeds = [splits[cell][0] for cell in done], [seeds[it] for _, it in done]
     fits = {}
     for spec in specs:
         outcomes = fit_batch(obs.space.shape(), trains, spec.cfg, spec.kind, seeds=done_seeds)
         fits[spec.name] = dict(zip(done, outcomes))
-    for it, split in enumerate(splits):
+    for (plan, it), split in splits.items():
         if isinstance(split, TenfitError):
-            yield it, None, split
+            yield plan, it, None, split
             continue
         test = split[1]
         for spec in specs:
-            outcome = fits[spec.name][it]
+            outcome = fits[spec.name][plan, it]
             if not isinstance(outcome, TenfitError):
                 try:
                     preds = outcome[0].predict(test.indices)
@@ -348,7 +353,7 @@ def _scored_cells(plan: SamplingPlan, obs: ObservationSet, specs, seeds, scope: 
                     outcome = ScoredCell(*outcome, test, preds, metrics)
                 except TenfitError as exc:
                     outcome = exc
-            yield it, spec, outcome
+            yield plan, it, spec, outcome
 
 
 def ood_sweep(
@@ -363,8 +368,10 @@ def ood_sweep(
 ) -> dict:
     """Out-of-distribution sweep: fixed in-region count, growing out-of-region
     counts, metrics restricted to test rows outside the region. Each count
-    is a biased plan through the experiments' scoring loop; the first
-    split, fit or scoring error raises."""
+    is a biased plan, and all of them go through one call of the
+    experiments' scoring loop, so each model kind trains once across every
+    count. The first split, fit or scoring error in (count, iteration,
+    model) order raises."""
     n_out_list = [int(k) for k in n_out_list]
     if any(b <= a for a, b in zip(n_out_list, n_out_list[1:])):
         raise ContractError("n_out_list must be strictly increasing")
@@ -373,17 +380,16 @@ def ood_sweep(
     if len(results) != len(specs):
         raise ContractError(f"model kinds {list(model_kinds)} are not distinct")
     seeds = [cfg.seed + it for it in range(iterations)]
-    for n_out in n_out_list:
-        plan = SamplingPlan(kind="biased", region=region, n_in=n_in, n_out=n_out)
-        per_iteration = {spec.name: [] for spec in specs}
-        cells = _scored_cells(plan, obs, specs, seeds, normalization, lambda t: ~region.mask(t))
-        for _, spec, outcome in cells:
-            if isinstance(outcome, TenfitError):
-                raise outcome
-            per_iteration[spec.name].append(outcome.metrics)
-        for name, rows in per_iteration.items():
-            metrics = _aggregate_metric_dicts(rows)
-            results[name].append({"n_out": n_out, "metrics": metrics, "per_iteration": rows})
+    plans = [SamplingPlan(kind="biased", region=region, n_in=n_in, n_out=k) for k in n_out_list]
+    per_iteration = {(plan, spec.name): [] for plan in plans for spec in specs}
+    cells = _scored_cells(plans, obs, specs, seeds, normalization, lambda t: ~region.mask(t))
+    for plan, _, spec, outcome in cells:
+        if isinstance(outcome, TenfitError):
+            raise outcome
+        per_iteration[plan, spec.name].append(outcome.metrics)
+    for (plan, name), rows in per_iteration.items():
+        metrics = _aggregate_metric_dicts(rows)
+        results[name].append({"n_out": plan.n_out, "metrics": metrics, "per_iteration": rows})
     return {
         "n_in": n_in,
         "iterations": iterations,
@@ -475,7 +481,11 @@ def _model_kind(value) -> str:
 
 
 def model_spec_from_config(entry: dict, space: DesignSpace) -> ModelSpec:
+    """A model entry of an experiment config. It takes no `seed`: iteration
+    i of every model is seeded with the config's top-level seed + i."""
     kind = _read(_object(entry, "model entry"), "kind", _model_kind)
+    if "seed" in entry:
+        raise ContractError("a model entry takes no 'seed'; set the config's top-level 'seed'")
     return ModelSpec(name=_name(entry, kind), kind=kind, cfg=_train_config_from(entry, space))
 
 
@@ -605,13 +615,15 @@ def _write_fms(out: Path, scored: dict, plans, specs, failures: list):
 def run_experiment(config: dict, out_dir) -> dict:
     """Execute the full protocol described by an experiment config.
 
-    Reads and checks the config, then scores every plan's (iteration,
-    model) cells through the split -> fit -> score loop and only then
-    writes: per-iteration records (with the epochs run and every restart's
-    final loss), aggregated metrics, per-cell error grids for biased plans,
-    factor exports for the best linear models, and the uniform-vs-biased
-    factor match score when both plans are present. A failed cell, factor
-    export or factor match is recorded in `failures` and skipped.
+    Reads and checks the config, then scores every (plan, iteration,
+    model) cell through one call of the split -> fit -> score loop, which
+    fits each model's iterations and restarts of every plan together, and
+    only then writes: per-iteration records (with the epochs run and every
+    restart's final loss), aggregated metrics, per-cell error grids for
+    biased plans, factor exports for the best linear models, and the
+    uniform-vs-biased factor match score when both plans are present. A
+    failed cell, factor export or factor match is recorded in `failures`
+    and skipped.
     """
     space, obs, iterations, seed, scope = _read_run(config)
     plans = [plan_from_config(p, space) for p in _read(config, "plans", _entries)]
@@ -623,12 +635,11 @@ def run_experiment(config: dict, out_dir) -> dict:
     seeds = [seed + it for it in range(iterations)]
     scored: dict[tuple[SamplingPlan, ModelSpec], dict[int, ScoredCell]] = {}
     failures = []
-    for plan in plans:
-        for it, spec, outcome in _scored_cells(plan, obs, specs, seeds, scope):
-            if isinstance(outcome, TenfitError):
-                failures.append(_failure(plan.name, spec.name if spec else None, it, outcome))
-            else:
-                scored.setdefault((plan, spec), {})[it] = outcome
+    for plan, it, spec, outcome in _scored_cells(plans, obs, specs, seeds, scope):
+        if isinstance(outcome, TenfitError):
+            failures.append(_failure(plan.name, spec.name if spec else None, it, outcome))
+        else:
+            scored.setdefault((plan, spec), {})[it] = outcome
 
     out = Path(out_dir)
     aggregates = _write_cells(out, scored, failures)

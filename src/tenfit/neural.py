@@ -61,25 +61,22 @@ def costco_init(shape, cfg, seed: int) -> list:
     return arrays
 
 
-def _embedding_keys(indices: np.ndarray, shape, n_groups: int, rank: int) -> np.ndarray:
-    """(n, R, S, M) positions of the gathered embedding entries in the
-    concatenation of all embedding matrices in layout order. The gather
-    and the gradient scatter share them."""
+def _embedding_keys(
+    indices: np.ndarray, shape, n_groups: int, rank: int, n_fits: int = 1, fit: int = 0
+) -> np.ndarray:
+    """(n, R, S, M) positions of fit `fit`'s gathered embedding entries in
+    the concatenation, in layout order, of the (n_fits, I_m, R) stacks of
+    every embedding matrix: the order of the training engine's flat buffer,
+    and for one fit the concatenation of its matrices. The gather and the
+    gradient scatter share them."""
     sizes = np.asarray(shape, dtype=np.int64) * rank
     starts = np.arange(n_groups)[:, None] * sizes.sum() + (np.cumsum(sizes) - sizes)
+    starts = n_fits * starts + fit * sizes
     return (
         starts[None, None]
         + indices[:, None, None, :] * rank
         + np.arange(rank)[None, :, None, None]
     )
-
-
-def _split_embeddings(flat: np.ndarray, shape, n_groups: int, rank: int) -> list:
-    """Per-matrix (B, I_m, R) views of B stacked concatenations of embedding
-    matrices, given as a (B, size) array."""
-    sizes = [int(s) * rank for s in shape] * n_groups
-    parts = np.split(flat, np.cumsum(sizes)[:-1], axis=1)
-    return [part.reshape(len(flat), -1, rank) for part in parts]
 
 
 def _rank_matrix(rank_kernels: np.ndarray) -> np.ndarray:
@@ -95,12 +92,13 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 def _forward_keys(embeddings: np.ndarray, head: list, keys: np.ndarray):
-    """Forward pass of B fits at once over their stacked embeddings (B, size),
-    their stacked head arrays (each with a leading B axis) and their gather
-    keys (B, n, R, S, M), already offset into the flattened embeddings. Both
-    convolutions are linear maps, over S*M and over R*C, so each is one
-    stacked matmul. The cache holds x as (B, n, S, R, M) and z1, a1 as
-    (B, n, C, R), as transposed views of the layouts the matmuls use."""
+    """Forward pass of B fits at once over their embeddings (every
+    embedding matrix's (B, I_m, R) stack, concatenated flat), their stacked
+    head arrays (each with a leading B axis) and their gather keys
+    (B, n, R, S, M) into the flat embeddings. Both convolutions are linear
+    maps, over S*M and over R*C, so each is one stacked matmul. The cache
+    holds x as (B, n, S, R, M) and z1, a1 as (B, n, C, R), as transposed
+    views of the layouts the matmuls use."""
     mode_k, mode_b, rank_k, rank_b, dense_w, dense_b, out_w, out_b = head
     n_fits, n, rank = keys.shape[:3]
     channels = mode_k.shape[1]
@@ -122,9 +120,9 @@ def _forward_keys(embeddings: np.ndarray, head: list, keys: np.ndarray):
 
 
 def _backward_keys(head: list, keys: np.ndarray, cache, dpreds, n_embedding: int):
-    """Gradients of sum(dpreds * preds) for B fits: the (B, size) embedding
-    gradient (scattered with one bincount over `keys`) and the eight stacked
-    head gradients."""
+    """Gradients of sum(dpreds * preds) for B fits: the embedding gradient,
+    in the flat order of `keys` (scattered with one bincount over them), and
+    the eight stacked head gradients."""
     mode_k, mode_b, rank_k, rank_b, dense_w, dense_b, out_w, out_b = head
     x, z1, a1, z2, a2, z3, a3 = cache
     n_fits, n, rank = keys.shape[:3]
@@ -150,7 +148,7 @@ def _backward_keys(head: list, keys: np.ndarray, cache, dpreds, n_embedding: int
     dx = dz1 @ mode_k.reshape(n_fits, channels, -1)  # same element order as keys
     g_emb = np.bincount(keys.ravel(), weights=dx.ravel(), minlength=n_fits * n_embedding)
     g_head = [g_mode_k, g_mode_b, g_rank_k, g_rank_b, g_dense_w, g_dense_b, g_out_w, g_out_b]
-    return g_emb.reshape(n_fits, n_embedding), g_head
+    return g_emb, g_head
 
 
 def predict_batch(params: dict, shape, indices) -> np.ndarray:
@@ -163,7 +161,7 @@ def predict_batch(params: dict, shape, indices) -> np.ndarray:
     n_emb = len(arrays) - 8
     embeddings = np.concatenate(arrays[:n_emb], axis=None)
     keys = _embedding_keys(indices, shape, n_emb // len(shape), params["rank_kernels"].shape[2])
-    preds, _ = _forward_keys(embeddings[None], [a[None] for a in arrays[n_emb:]], keys[None])
+    preds, _ = _forward_keys(embeddings, [a[None] for a in arrays[n_emb:]], keys[None])
     return preds[0]
 
 
@@ -174,21 +172,27 @@ def _masked_objective(obs_sets, n_groups: int, rank: int):
     Returns `objective(params, grad=True)` for a list whose arrays carry fit
     b's arrays at `[b]`: `(losses, grads)` with losses of shape
     (B,) and grads parallel to params, or the losses alone when `grad` is
-    false. The gather/scatter keys are built here once, offset so that each
-    fit reads and writes only its own embeddings; the parameter list is
-    sliced directly, with no model built per call."""
+    false. The gather/scatter keys are built here once and index the
+    embedding stacks concatenated flat, in layout order, so each fit reads
+    and writes only its own embeddings and each matrix's gradient is one
+    contiguous slice of the scatter; the parameter list is sliced directly,
+    with no model built per call."""
     shape = obs_sets[0].space.shape()
     n = obs_sets[0].n
     if any(obs.n != n or obs.space.shape() != shape for obs in obs_sets):
         raise ContractError("observation sets of one batch must share their size and shape")
     n_fits, n_emb = len(obs_sets), n_groups * len(shape)
     size = n_groups * sum(shape) * rank  # embedding entries per fit
-    keys = np.stack([_embedding_keys(obs.indices, shape, n_groups, rank) for obs in obs_sets])
-    keys += (np.arange(n_fits) * size)[:, None, None, None, None]
+    keys = np.stack([
+        _embedding_keys(obs.indices, shape, n_groups, rank, n_fits, b)
+        for b, obs in enumerate(obs_sets)
+    ])
     values = np.stack([obs.values for obs in obs_sets])
+    bounds = n_fits * rank * np.cumsum([0] + list(shape) * n_groups)
+    emb_shapes = [(n_fits, i, rank) for i in shape] * n_groups
 
     def objective(params, grad=True):
-        embeddings = np.concatenate([p.reshape(n_fits, -1) for p in params[:n_emb]], axis=1)
+        embeddings = np.concatenate(params[:n_emb], axis=None)
         head = params[n_emb:]
         preds, cache = _forward_keys(embeddings, head, keys)
         residuals = preds - values
@@ -196,7 +200,8 @@ def _masked_objective(obs_sets, n_groups: int, rank: int):
         if not grad:
             return losses
         g_emb, g_head = _backward_keys(head, keys, cache, (2.0 / n) * residuals, size)
-        return losses, _split_embeddings(g_emb, shape, n_groups, rank) + g_head
+        g_embs = [g_emb[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], emb_shapes)]
+        return losses, g_embs + g_head
 
     return objective
 

@@ -8,7 +8,10 @@ batch of one. The members live in one flat buffer laid out parameter-major:
 the k-th parameter array of every member forms one contiguous (B, *shape_k)
 block (for CPD, each mode's (B*I_m, R) block), so one objective call and one
 Adam step per epoch serve the whole batch, and a member gets the same bits
-as when trained alone.
+as when trained alone. The step updates the flat buffer in place, with
+moment, gradient and scratch buffers allocated once per batch; it makes the
+same IEEE operations in the same order as `adam_step`, which stays the
+reference it matches bit for bit.
 
 Restarts are seeded as seed + restart_index. Under early stopping each
 member keeps its own patience counter and best-validation checkpoint: the
@@ -118,7 +121,10 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Loss trajectory and restart bookkeeping for one fit."""
+    """Loss trajectory and restart bookkeeping for one fit. `seconds` is
+    the wall time of the `train_fits` call that trained it, which covers
+    every fit trained with it: in an experiment or a sweep, one model's
+    fits of every plan."""
 
     losses: list
     final_loss: float
@@ -223,11 +229,31 @@ def _owners(shapes, n_fits: int) -> np.ndarray:
     return np.concatenate([np.repeat(slots, math.prod(shape)) for shape in shapes])
 
 
+def _adam_update(p, g, m, v, scratch, t: int, lr: float) -> None:
+    """Step t of `adam_step` on one flat buffer, in place: p, m and v are
+    updated, and g and scratch are used as work space. Each element goes
+    through the same IEEE operations in the same order, so the bits equal
+    adam_step's."""
+    beta1, beta2, eps = AdamState.beta1, AdamState.beta2, AdamState.eps
+    m *= beta1
+    m += np.multiply(g, 1 - beta1, out=scratch)
+    v *= beta2
+    np.multiply(g, 1 - beta2, out=scratch)
+    v += np.multiply(scratch, g, out=scratch)
+    np.divide(m, 1 - beta1**t, out=g)
+    g *= lr
+    np.divide(v, 1 - beta2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    g /= scratch
+    p -= g
+
+
 def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
     """Train the runs together in one stacked Adam loop; returns one
     RunResult per run.
 
-    Each epoch makes one objective call and one `adam_step` call for all
+    Each epoch makes one objective call and one in-place Adam step for all
     live members. A member leaves the batch when its training or validation
     loss turns non-finite (it diverged) or, under early stopping, when its
     validation loss has not improved for more than `cfg.patience` epochs.
@@ -240,7 +266,8 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
     shapes = [shape for _, shape in trainable.layout]
     blocks = [np.stack([init[k] for init in inits]) for k in range(len(shapes))]
     flat = np.concatenate(blocks, axis=None, dtype=float)
-    state = AdamState.fresh([flat], cfg.lr)
+    # Adam moments, the gradient and one scratch array, each as long as flat
+    m, v, g, scratch = (np.zeros_like(flat) for _ in range(4))
     early = cfg.patience is not None and runs[0].val is not None
     history = np.zeros((n_runs, cfg.epochs))
     epochs_run = np.zeros(n_runs, dtype=np.int64)
@@ -279,8 +306,8 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
         leaving = ~np.isfinite(losses)
         if leaving.any():
             diverge(leaving, "", epoch, epoch)
-        (stepped,), state = adam_step([flat], [np.concatenate(grads, axis=None)], state)
-        flat[...] = stepped
+        np.concatenate(grads, axis=None, out=g)
+        _adam_update(flat, g, m, v, scratch, epoch + 1, cfg.lr)
         if early:
             val = val_objective(params, grad=False)
             bad_val = ~np.isfinite(val) & ~leaving
@@ -301,8 +328,8 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
             if not live.size:
                 break
             elements = staying[owners]
-            flat = flat[elements]
-            state = replace(state, m=[state.m[0][elements]], v=[state.v[0][elements]])
+            flat, m, v = flat[elements], m[elements], v[elements]
+            g, scratch = g[: flat.size], scratch[: flat.size]
             if early:
                 best, best_val, stale = best[elements], best_val[staying], stale[staying]
             params, owners, objective, val_objective = build()

@@ -365,7 +365,7 @@ def fuzz_configs(dataset_dir):
     experiment["normalization"] = "train"
     experiment["models"] += [
         {"kind": "cpd_s", "name": "smooth", "rank": 2, "epochs": 2, "lambda_smooth": 0.1,
-         "smooth_modes": ["ux"], "restarts": 2, "patience": 1, "val_fraction": 0.3, "seed": 0},
+         "smooth_modes": ["ux"], "restarts": 2, "patience": 1, "val_fraction": 0.3},
         {"kind": "costco", "rank": 2, "epochs": 2, "groups": 2, "channels": 2, "hidden": 3},
     ]
     sweep = sweep_config(dataset_dir, epochs=2)

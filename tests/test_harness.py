@@ -22,7 +22,7 @@ from tenfit.harness import (
 )
 from tenfit.metrics import regression_metrics
 from tenfit.modelio import write_dataset
-from tenfit.optim import TrainConfig, fit
+from tenfit.optim import TrainConfig, fit, fit_batch
 
 
 def random_obs(shape, n, seed, low=0.0, high=1.0):
@@ -319,6 +319,26 @@ class TestOodSweep:
         b = ood_sweep(obs, self.region(), 6, [2, 4], cfg, ["cpd"], iterations=2)
         assert a == b
 
+    def test_one_fit_batch_call_per_kind(self, monkeypatch):
+        calls = count_fit_batch_calls(monkeypatch)
+        cfg = TrainConfig(rank=2, epochs=5, lr=0.05, n_init_groups=2, conv_channels=2)
+        table = ood_sweep(self.setup_obs(), self.region(), 6, [2, 3, 4], cfg,
+                          ["cpd", "costco"], iterations=2)
+        assert [row["n_out"] for row in table["models"]["costco"]] == [2, 3, 4]
+        assert calls == [("cpd", 6), ("costco", 6)]
+
+
+def count_fit_batch_calls(monkeypatch) -> list:
+    """Record (model kind, training sets) of every harness fit_batch call."""
+    calls = []
+
+    def counted(shape, train_sets, cfg, model_kind, seeds=None):
+        calls.append((model_kind, len(train_sets)))
+        return fit_batch(shape, train_sets, cfg, model_kind, seeds=seeds)
+
+    monkeypatch.setattr(harness, "fit_batch", counted)
+    return calls
+
 
 class TestRunExperiment:
     def make_dataset(self, tmp_path):
@@ -439,6 +459,40 @@ class TestRunExperiment:
         assert failed == {(p, m) for p in ("uniform", "biased") for m in ("cpd", "cpd_s")}
         assert summary["fms"] is not None
         assert (out_dir / "summary.json").exists()
+
+    def test_one_fit_batch_call_per_model(self, tmp_path, monkeypatch):
+        calls = count_fit_batch_calls(monkeypatch)
+        summary = run_experiment(self.experiment_config(self.make_dataset(tmp_path)),
+                                 tmp_path / "out")
+        assert not summary["failures"]
+        assert calls == [("cpd", 6), ("cpd_s", 6)]  # 2 plans x 3 iterations each
+
+    def test_two_plans_match_one_plan_runs(self, tmp_path):
+        config = self.experiment_config(self.make_dataset(tmp_path))
+        config["iterations"] = 2
+        config["models"] = [
+            {"kind": "cpd", "rank": 2, "epochs": 60, "lr": 0.05, "restarts": 2},
+            {"kind": "costco", "rank": 2, "epochs": 40, "lr": 0.05, "groups": 2,
+             "channels": 3, "hidden": 4},
+        ]
+
+        def records(plans, out):
+            run_experiment({**config, "plans": plans}, tmp_path / out)
+            folder = tmp_path / out / "per_iteration"
+            return {path.name: path.read_bytes() for path in folder.glob("*.json")}
+
+        together = records(config["plans"], "together")
+        alone = {}
+        for i, plan in enumerate(config["plans"]):
+            alone.update(records([plan], f"alone{i}"))
+        assert len(together) == 8 and together == alone
+
+    def test_model_seed_rejected(self, tmp_path):
+        config = self.experiment_config(self.make_dataset(tmp_path))
+        config["models"][1]["seed"] = 3
+        with pytest.raises(ContractError, match="'seed'"):
+            run_experiment(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_reruns_identical(self, tmp_path):
         data_dir = self.make_dataset(tmp_path)

@@ -8,6 +8,7 @@ from tenfit.cpd import reconstruct_full
 from tenfit.errors import ContractError, DivergenceError
 from tenfit.metrics import regression_metrics
 from tenfit.optim import (
+    MODEL_KINDS,
     AdamState,
     Run,
     TrainConfig,
@@ -74,6 +75,27 @@ class TestAdamStep:
         for _ in range(50):
             params, state = adam_step(params, [rng.normal(size=5)], state)
         assert np.all(state.v[0] >= 0)
+
+    @pytest.mark.parametrize("kind", ["cpd", "costco"])
+    def test_train_batch_steps_like_adam_step(self, kind):
+        """train_batch's in-place update on its flat buffer gives the bits
+        of the objective plus the reference adam_step, epoch by epoch."""
+        shape, epochs = (4, 3, 2), 25
+        train, _ = synthetic_split(shape, rank=2, seed=5)
+        cfg = TrainConfig(rank=2, epochs=epochs, lr=0.03, n_init_groups=2, conv_channels=3)
+        trainable = MODEL_KINDS[kind][1](shape, cfg)
+        (result,) = train_batch(trainable, [Run(0, 0, 9, train)], cfg)
+
+        objective = trainable.objective([train])
+        params = [p[None] for p in trainable.init(9)]
+        state, losses = AdamState.fresh(params, cfg.lr), []
+        for _ in range(epochs):
+            (loss,), grads = objective(params)
+            losses.append(loss)
+            params, state = adam_step(params, grads, state)
+        assert result.losses == losses
+        assert len(result.params) == len(params)
+        assert all(np.array_equal(a, b[0]) for a, b in zip(result.params, params))
 
 
 class TestFit:
