@@ -1,9 +1,10 @@
-"""Layer bench: the CPD and CoSTCo objectives per call, and training cost
-per fit-epoch at growing batch sizes.
+"""Layer bench: the CPD and CoSTCo objectives per call, training cost per
+fit-epoch at growing batch sizes, and batches trained serially against in
+worker processes.
 
     python3 bench/kernels.py --out results.json
 
-Run it from the repository root; it imports tenfit from ./src. Two tables:
+Run it from the repository root; it imports tenfit from ./src. Three tables:
 
 - `objective`: the training objective of a model kind's trainable
   (`cpd.masked_objective`, `neural._masked_objective`) at the sizes the
@@ -16,6 +17,13 @@ Run it from the repository root; it imports tenfit from ./src. Two tables:
 - `batch`: `optim.train_batch` on B same-size fits, in us per fit-epoch
   (the best of several rounds), for CPD and CoSTCo; these measurements set
   `optim.MAX_BATCH_ROWS` and `neural.COSTCO_MAX_BATCH_ROWS`.
+- `parallel`: `optim.train_fits` on 1 to 4 CoSTCo batches of 2 fits at the
+  OOD sweep's sizes and epochs, trained one after another in this process
+  (`serial_ms`) and in forked worker processes (`pooled_ms`), medians over
+  rounds in ms per call. Serial and pooled calls alternate within each
+  round, so a slow spell of the host hits both alike. The `startup` entry
+  is the same comparison at one epoch, where the pooled time is almost all
+  the cost of starting, feeding and reaping the workers.
 
 BLAS/OpenMP threads are pinned to 1, as in perfbench. The output records
 the Python, numpy and BLAS versions, nproc and the git commit.
@@ -68,6 +76,13 @@ OBJECTIVE_CASES = [
     ("sweep_costco_74", "costco", LATTICE, 74, 2, True),
     ("serve_setup_costco", "costco", LARGE, 3840, 1, True),
 ]
+
+# Training rows per fit of the OOD sweep's CoSTCo batches (n_out 100, 60
+# and 20 on the lattice), each batch 2 fits trained for the sweep's 300
+# epochs; a fourth batch repeats the largest size.
+PARALLEL_SIZES = (154, 114, 74, 154)
+PARALLEL_FITS = 2
+PARALLEL_EPOCHS = 300
 
 # kind, shape, rows per fit, batch sizes
 BATCH_CASES = [
@@ -170,6 +185,54 @@ def bench_batch(rounds, epochs, rng):
             for (entry, *_), us in zip(entries, best)]
 
 
+def train_fits_on(cpus, trainable, train_sets, seeds, cfg):
+    """`optim.train_fits` as it runs with `cpus` usable CPUs."""
+    usable = optim._usable_cpus
+    optim._usable_cpus = lambda: cpus
+    try:
+        return optim.train_fits(trainable, train_sets, seeds, cfg)
+    finally:
+        optim._usable_cpus = usable
+
+
+def bench_parallel(rounds, rng):
+    """ms per `train_fits` call on 1-4 CoSTCo batches, serial and pooled
+    (median of `rounds`), and the same at one epoch as `startup`. Every
+    pooled call's final losses must equal the serial call's."""
+    cpus = optim._usable_cpus()
+    entries = []
+    for name, n_batches, epochs in [("startup", 2, 1)] + [
+        (f"{k}_batches", k, PARALLEL_EPOCHS) for k in range(1, len(PARALLEL_SIZES) + 1)
+    ]:
+        cfg = optim.TrainConfig(rank=RANK, epochs=epochs, lr=0.01)
+        engine = trainable("costco", LATTICE, cfg)
+        sets = [observations(LATTICE, n, rng)
+                for n in PARALLEL_SIZES[:n_batches] for _ in range(PARALLEL_FITS)]
+        entry = {"name": name, "batches": n_batches, "fits": len(sets), "epochs": epochs,
+                 "rows": [s.n for s in sets[::PARALLEL_FITS]],
+                 "workers": min(n_batches, cpus)}
+        entries.append((entry, engine, sets, cfg))
+    times = [([], []) for _ in entries]
+    for _ in range(rounds):
+        for (entry, engine, sets, cfg), (serial, pooled) in zip(entries, times):
+            seeds = list(range(len(sets)))
+            losses = []
+            for side, usable in ((serial, 1), (pooled, cpus)):
+                start = time.perf_counter()
+                outcomes = train_fits_on(usable, engine, sets, seeds, cfg)
+                side.append((time.perf_counter() - start) * 1e3)
+                losses.append([report.final_loss for _, report in outcomes])
+            if losses[0] != losses[1]:
+                raise AssertionError(f"{entry['name']}: pooled losses differ from serial")
+    table = []
+    for (entry, *_), (serial, pooled) in zip(entries, times):
+        serial_ms, pooled_ms = statistics.median(serial), statistics.median(pooled)
+        table.append({**entry, "serial_ms": round(serial_ms, 2),
+                      "pooled_ms": round(pooled_ms, 2),
+                      "speedup": round(serial_ms / pooled_ms, 3)})
+    return table
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the JSON here (default: stdout only)")
@@ -177,6 +240,8 @@ def main(argv=None):
     parser.add_argument("--rounds", type=int, default=7, help="objective rounds per case")
     parser.add_argument("--batch-rounds", type=int, default=16, help="train_batch rounds")
     parser.add_argument("--epochs", type=int, default=80, help="epochs per train_batch call")
+    parser.add_argument("--parallel-rounds", type=int, default=9,
+                        help="serial/pooled rounds of the parallel table")
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(0)
@@ -187,6 +252,9 @@ def main(argv=None):
         print(name, entry, file=sys.stderr)
     result["batch"] = bench_batch(args.batch_rounds, args.epochs, rng)
     for entry in result["batch"]:
+        print(entry, file=sys.stderr)
+    result["parallel"] = bench_parallel(args.parallel_rounds, rng)
+    for entry in result["parallel"]:
         print(entry, file=sys.stderr)
     text = json.dumps(result, indent=1)
     if args.out:

@@ -32,3 +32,8 @@ class StratumExhaustedError(TenfitError):
 
 class DivergenceError(TenfitError):
     """Training produced a non-finite loss."""
+
+
+class WorkerError(TenfitError):
+    """A worker process training a batch of fits ended without returning
+    its results."""

@@ -19,11 +19,24 @@ checkpoint is chosen by validation loss, and the winning restart is the one
 with the lowest final training loss at its checkpoint. A member whose loss
 turns non-finite is recorded as diverged and dropped from its batch; a fit
 fails only when every restart of it diverges.
+
+The batches of one `train_fits` call are independent, so when there is
+more than one batch and more than one usable CPU they train in forked
+worker processes, one process per batch and at most one per usable CPU.
+A worker runs the same code on the same inputs as the serial loop and the
+results are gathered in batch order, so every output is bit for bit the
+same whatever the worker count. Where fork is unavailable, or other
+threads are running (a forked child could inherit a lock one of them
+holds), the batches train one after another in this process. A worker
+that dies without returning its batch leaves a WorkerError on each of the
+batch's runs, which then count as failed restarts.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -33,7 +46,13 @@ import numpy as np
 
 from .core import ObservationSet
 from .cpd import cpd_layout, cpd_model, cpd_trainable
-from .errors import ContractError, DegenerateDataError, DivergenceError, TenfitError
+from .errors import (
+    ContractError,
+    DegenerateDataError,
+    DivergenceError,
+    TenfitError,
+    WorkerError,
+)
 from .neural import costco_layout, costco_model, costco_trainable
 
 ParamList = list  # list[np.ndarray]
@@ -204,13 +223,14 @@ class Run:
 
 @dataclass
 class RunResult:
-    """A trained run: its parameters and final training loss, or the
-    DivergenceError that ended it, and its loss series."""
+    """A trained run: its parameters and final training loss, or the error
+    that ended it (a DivergenceError, or a WorkerError when the process
+    training it died), and its loss series."""
 
     params: list | None
     final_loss: float
     losses: list
-    error: DivergenceError | None = None
+    error: TenfitError | None = None
 
 
 def _views(flat: np.ndarray, shapes, n_fits: int) -> list:
@@ -372,6 +392,80 @@ def _batches(runs: list, trainable: Trainable) -> list:
     return batches
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _train_in_worker(send, trainable: Trainable, batch: list, cfg: TrainConfig) -> None:
+    """A forked worker's body: train one batch and send back its results,
+    or the exception that ended it."""
+    try:
+        payload = train_batch(trainable, batch, cfg)
+    except Exception as exc:  # the parent raises it, as the serial loop would
+        payload = exc
+    send.send(payload)
+
+
+def _train_in_workers(trainable: Trainable, batches: list, cfg: TrainConfig, workers: int) -> list:
+    """Train each batch in a forked process, at most `workers` at a time and
+    the largest (in training rows) first; returns the RunResults in batch
+    order, as the serial loop does.
+
+    Fork hands a worker the trainable, its batch and the config without
+    pickling them (trainables hold closures). A worker that ends without
+    sending its results fails its own batch only: each of its runs gets a
+    WorkerError naming the batch and the exit status. An exception raised
+    in a worker is raised here, the first in batch order.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    context = multiprocessing.get_context("fork")
+    outcomes: list = [None] * len(batches)
+    todo = sorted(range(len(batches)), key=lambda i: -sum(run.data.n for run in batches[i]))
+    running: dict = {}  # receiving end of a worker's pipe -> (batch, process)
+    try:
+        while todo or running:
+            while todo and len(running) < workers:
+                i = todo.pop(0)
+                receive, send = context.Pipe(duplex=False)
+                process = context.Process(
+                    target=_train_in_worker, args=(send, trainable, batches[i], cfg)
+                )
+                process.start()
+                send.close()  # the worker then holds the only writing end
+                running[receive] = (i, process)
+            for receive in wait(list(running)):
+                i, process = running.pop(receive)
+                try:
+                    outcomes[i] = receive.recv()
+                except (EOFError, OSError):  # the worker ended before sending
+                    pass
+                receive.close()
+                process.join()
+                if outcomes[i] is None:
+                    error = WorkerError(
+                        f"the worker process training batch {i} of {len(batches)} exited "
+                        f"with status {process.exitcode} before returning its results"
+                    )
+                    outcomes[i] = [RunResult(None, math.inf, [], error) for _ in batches[i]]
+    finally:  # on an interrupt, leave no worker behind
+        for receive, (_, process) in running.items():
+            process.kill()
+            process.join()
+            receive.close()
+    results = []
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        results += outcome
+    return results
+
+
 def _carve_validation(obs: ObservationSet, cfg: TrainConfig, seed: int):
     if cfg.patience is None or cfg.val_fraction == 0:
         return obs, None
@@ -388,8 +482,17 @@ def train_fits(trainable: Trainable, train_sets: list, seeds: list, cfg: TrainCo
     `train_batch`, and each set keeps the restart with the lowest final
     training loss; a diverged restart counts as an infinite final loss.
     Returns, per set, `(params, TrainReport)` or the TenfitError that ended
-    its fit: the first restart's divergence when no restart survives.
-    `seconds` in a report is the wall time of this whole call.
+    its fit: the first restart's error when no restart survives.
+
+    With more than one batch and more than one usable CPU (the process's
+    CPU affinity), the batches train in `min(batches, usable CPUs)` forked
+    worker processes and their results are gathered in batch order, so the
+    outputs are bit for bit those of the serial loop whatever the worker
+    count. Where fork is unavailable or other threads are running, the
+    batches train one after another in this process. A worker that dies
+    fails its batch's runs with a WorkerError; a fit with a restart that
+    survives in another batch keeps that restart. `seconds` in a report is
+    the wall time of this whole call, workers included.
     """
     start = time.perf_counter()
     outcomes: list = [None] * len(train_sets)
@@ -401,9 +504,14 @@ def train_fits(trainable: Trainable, train_sets: list, seeds: list, cfg: TrainCo
             outcomes[i] = exc
             continue
         runs += [Run(i, r, seed + r, fit_obs, val_obs) for r in range(cfg.restarts)]
-    results = []
-    for batch in _batches(runs, trainable):
-        results += train_batch(trainable, batch, cfg)
+    batches = _batches(runs, trainable)
+    workers = min(len(batches), _usable_cpus())
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        results = _train_in_workers(trainable, batches, cfg, workers)
+    else:
+        results = []
+        for batch in batches:
+            results += train_batch(trainable, batch, cfg)
     seconds = time.perf_counter() - start
 
     by_fit: dict = {}
@@ -412,7 +520,7 @@ def train_fits(trainable: Trainable, train_sets: list, seeds: list, cfg: TrainCo
     for i, restarts in by_fit.items():
         finals = [r.final_loss for r in restarts]
         best = int(np.argmin(finals))
-        if restarts[best].error is not None:  # every restart diverged
+        if restarts[best].error is not None:  # every restart failed
             outcomes[i] = restarts[0].error
             continue
         winner = restarts[best]

@@ -5,6 +5,9 @@ epoch; each must still come out with the parameters it gets when trained
 alone, whatever its batch mates do, including stopping early or diverging.
 """
 
+import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
-from tenfit.errors import DivergenceError
+from tenfit import optim
+from tenfit.errors import ContractError, DivergenceError, WorkerError
 from tenfit.optim import MAX_BATCH_ROWS, TrainConfig, fit, fit_batch
 
 HEAD = {"n_init_groups": 2, "conv_channels": 3, "hidden_units": 4}  # TrainConfig fields
@@ -122,3 +126,136 @@ def test_batch_split_at_the_row_bound_changes_nothing(monkeypatch):
             assert all(np.array_equal(a, b) for a, b in zip(arrays(model_a), arrays(model_b)))
             assert report_a.losses == report_b.losses
             assert report_a.restart_final_losses == report_b.restart_final_losses
+
+
+# Worker processes: a call's batches train in forked workers when there is
+# more than one batch and more than one usable CPU. `_usable_cpus` is set to
+# 2 for the pooled side and to 1 for the serial side, so both paths run on
+# any machine.
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def run_with_cpus(monkeypatch, cpus, *args, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(optim, "_usable_cpus", lambda: cpus)
+        return fit_batch(*args, **kwargs)
+
+
+def assert_same_outcomes(outcomes, expected):
+    assert len(outcomes) == len(expected)
+    for outcome, reference in zip(outcomes, expected):
+        (model, report), (ref_model, ref_report) = outcome, reference
+        pairs = list(zip(arrays(model), arrays(ref_model)))
+        assert pairs and all(np.array_equal(a, b) for a, b in pairs)
+        assert report.losses == ref_report.losses
+        assert report.restart == ref_report.restart
+        assert report.restart_final_losses == ref_report.restart_final_losses
+        assert report.epochs_run == ref_report.epochs_run
+
+
+def pooled_calls(monkeypatch):
+    """Count the calls that train in worker processes."""
+    calls = []
+    pooled = optim._train_in_workers
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return pooled(*args)
+
+    monkeypatch.setattr(optim, "_train_in_workers", counting)
+    return calls
+
+
+def early_stopped_cpd_case(monkeypatch):
+    """Three early-stopped CPD fits of 2 restarts, one batch per fit."""
+    monkeypatch.setattr(optim, "MAX_BATCH_ROWS", 50)
+    shape = (4, 3, 3)
+    rng = np.random.default_rng(8)
+    trains = [observations(shape, n, rng) for n in (30, 25, 33)]
+    cfg = TrainConfig(rank=2, epochs=40, lr=0.05, restarts=2, patience=3, val_fraction=0.2)
+    return shape, trains, cfg, [1, 2, 3]
+
+
+@needs_fork
+@pytest.mark.parametrize("case", ["costco_sweep", "cpd_early_stop"])
+def test_pooled_batches_equal_serial_bit_for_bit(monkeypatch, case):
+    if case == "costco_sweep":  # the OOD sweep's shape: 3 sizes, 2 fits each
+        shape = (5, 2, 3, 3, 3)
+        rng = np.random.default_rng(4)
+        trains = [observations(shape, n, rng) for n in (74, 74, 114, 114, 154, 154)]
+        cfg = TrainConfig(rank=3, epochs=25, lr=0.01, **HEAD)
+        kind, seeds, n_batches = "costco", [0, 1, 0, 1, 0, 1], 3
+    else:  # two fits, one batch each, that stop early
+        shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
+        trains, seeds = trains[:2], seeds[:2]
+        kind, n_batches = "cpd", 2
+    calls = pooled_calls(monkeypatch)
+    pooled = run_with_cpus(monkeypatch, 2, shape, trains, cfg, kind, seeds=seeds)
+    serial = run_with_cpus(monkeypatch, 1, shape, trains, cfg, kind, seeds=seeds)
+    assert calls == [n_batches]  # only the first call trained in workers
+    if cfg.patience:
+        assert all(report.epochs_run < cfg.epochs for _, report in serial)
+    assert_same_outcomes(pooled, serial)
+
+
+@needs_fork
+def test_dead_worker_is_a_recorded_failure(monkeypatch):
+    shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
+    monkeypatch.setattr(optim, "MAX_BATCH_ROWS", 30)  # one batch per restart
+    serial = run_with_cpus(monkeypatch, 1, shape, trains, cfg, "cpd", seeds=seeds)
+    train_batch = optim.train_batch
+
+    def dying(trainable, batch, cfg):  # forked workers inherit this patch
+        if any(run.fit == 1 or (run.fit == 2 and run.restart == 1) for run in batch):
+            os._exit(3)
+        return train_batch(trainable, batch, cfg)
+
+    monkeypatch.setattr(optim, "train_batch", dying)
+    outcomes = run_with_cpus(monkeypatch, 2, shape, trains, cfg, "cpd", seeds=seeds)
+    assert isinstance(outcomes[1], WorkerError)
+    assert "exited with status 3" in str(outcomes[1])
+    assert "batch 2 of 6" in str(outcomes[1])
+    assert_same_outcomes(outcomes[:1], serial[:1])
+    # fit 2 keeps the restart that survived in another batch
+    _, report = outcomes[2]
+    assert report.restart == 0
+    assert report.restart_final_losses == [serial[2][1].restart_final_losses[0], math.inf]
+
+
+@needs_fork
+def test_worker_exception_is_raised_as_serially(monkeypatch):
+    shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
+
+    def failing(trainable, batch, cfg):
+        raise ContractError(f"bad batch of fit {batch[0].fit}")
+
+    monkeypatch.setattr(optim, "train_batch", failing)
+    for cpus in (1, 2):
+        with pytest.raises(ContractError, match="^bad batch of fit 0$"):
+            run_with_cpus(monkeypatch, cpus, shape, trains, cfg, "cpd", seeds=seeds)
+
+
+def test_serial_cases_start_no_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker process was started")
+
+    shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork)
+    # one batch, however many CPUs
+    (outcome,) = run_with_cpus(monkeypatch, 2, shape, trains[:1], replace(cfg, restarts=1), "cpd")
+    assert not isinstance(outcome, Exception)
+    # several batches on one usable CPU
+    outcomes = run_with_cpus(monkeypatch, 1, shape, trains, cfg, "cpd", seeds=seeds)
+    assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+    # several batches while another thread runs
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        outcomes = run_with_cpus(monkeypatch, 2, shape, trains, cfg, "cpd", seeds=seeds)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert not any(isinstance(outcome, Exception) for outcome in outcomes)
