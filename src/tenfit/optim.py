@@ -20,16 +20,8 @@ with the lowest final training loss at its checkpoint. A member whose loss
 turns non-finite is recorded as diverged and dropped from its batch; a fit
 fails only when every restart of it diverges.
 
-The batches of one `train_fits` call are independent, so when there is
-more than one batch and more than one usable CPU they train in forked
-worker processes, one process per batch and at most one per usable CPU.
-A worker runs the same code on the same inputs as the serial loop and the
-results are gathered in batch order, so every output is bit for bit the
-same whatever the worker count. Where fork is unavailable, or other
-threads are running (a forked child could inherit a lock one of them
-holds), the batches train one after another in this process. A worker
-that dies without returning its batch leaves a WorkerError on each of the
-batch's runs, which then count as failed restarts.
+The batches of one `train_fits` call are independent; when it can, it
+trains them in forked worker processes, with the same bits as serially.
 """
 
 from __future__ import annotations
@@ -413,13 +405,13 @@ def _train_in_worker(send, trainable: Trainable, batch: list, cfg: TrainConfig) 
 def _train_in_workers(trainable: Trainable, batches: list, cfg: TrainConfig, workers: int) -> list:
     """Train each batch in a forked process, at most `workers` at a time and
     the largest (in training rows) first; returns the RunResults in batch
-    order, as the serial loop does.
+    order, as the serial loop does. Fork hands a worker its inputs without
+    pickling them (trainables hold closures).
 
-    Fork hands a worker the trainable, its batch and the config without
-    pickling them (trainables hold closures). A worker that ends without
-    sending its results fails its own batch only: each of its runs gets a
-    WorkerError naming the batch and the exit status. An exception raised
-    in a worker is raised here, the first in batch order.
+    A worker that ends without sending its results fails its own batch
+    only: each of its runs gets a WorkerError naming the batch and the exit
+    status. An exception raised in a worker is raised here, the first in
+    batch order.
     """
     import multiprocessing
     from multiprocessing.connection import wait
@@ -488,11 +480,12 @@ def train_fits(trainable: Trainable, train_sets: list, seeds: list, cfg: TrainCo
     CPU affinity), the batches train in `min(batches, usable CPUs)` forked
     worker processes and their results are gathered in batch order, so the
     outputs are bit for bit those of the serial loop whatever the worker
-    count. Where fork is unavailable or other threads are running, the
-    batches train one after another in this process. A worker that dies
-    fails its batch's runs with a WorkerError; a fit with a restart that
-    survives in another batch keeps that restart. `seconds` in a report is
-    the wall time of this whole call, workers included.
+    count. Where fork is unavailable or other threads are running (a child
+    could inherit a lock one of them holds), the batches train one after
+    another in this process. A worker that dies fails its batch's runs with
+    a WorkerError; a fit with a restart that survives in another batch
+    keeps that restart. `seconds` in a report is the wall time of this
+    whole call, workers included.
     """
     start = time.perf_counter()
     outcomes: list = [None] * len(train_sets)

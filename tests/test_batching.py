@@ -226,13 +226,17 @@ def test_dead_worker_is_a_recorded_failure(monkeypatch):
 @needs_fork
 def test_worker_exception_is_raised_as_serially(monkeypatch):
     shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
+    monkeypatch.setattr(optim, "MAX_BATCH_ROWS", 30)  # one batch per restart
+    train_batch = optim.train_batch
 
-    def failing(trainable, batch, cfg):
-        raise ContractError(f"bad batch of fit {batch[0].fit}")
+    def failing(trainable, batch, cfg):  # fit 2's batches are the largest: they fail first
+        if batch[0].fit > 0:
+            raise ContractError(f"bad batch of fit {batch[0].fit}")
+        return train_batch(trainable, batch, cfg)
 
     monkeypatch.setattr(optim, "train_batch", failing)
     for cpus in (1, 2):
-        with pytest.raises(ContractError, match="^bad batch of fit 0$"):
+        with pytest.raises(ContractError, match="^bad batch of fit 1$"):
             run_with_cpus(monkeypatch, cpus, shape, trains, cfg, "cpd", seeds=seeds)
 
 
