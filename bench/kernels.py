@@ -1,10 +1,10 @@
 """Layer bench: the CPD and CoSTCo objectives per call, training cost per
-fit-epoch at growing batch sizes, and batches trained serially against in
-worker processes.
+fit-epoch at growing batch sizes, batches trained serially against in
+worker processes, and the factor match score per call.
 
     python3 bench/kernels.py --out results.json
 
-Run it from the repository root; it imports tenfit from ./src. Three tables:
+Run it from the repository root; it imports tenfit from ./src. Four tables:
 
 - `objective`: the training objective of a model kind's trainable
   (`cpd.masked_objective`, `neural._masked_objective`) at the sizes the
@@ -24,6 +24,10 @@ Run it from the repository root; it imports tenfit from ./src. Three tables:
   round, so a slow spell of the host hits both alike. The `startup` entry
   is the same comparison at one epoch, where the pooled time is almost all
   the cost of starting, feeding and reaping the workers.
+- `fms`: `metrics.fms` between two random factor sets of the lattice shape
+  at ranks 3, 5, 7 and 8 (the paper's ranks go up to 8), in us per call:
+  the median over rounds, each round repeating the call for at least
+  0.1 s.
 
 BLAS/OpenMP threads are pinned to 1, as in perfbench. The output records
 the Python, numpy and BLAS versions, nproc and the git commit.
@@ -55,6 +59,8 @@ import numpy as np  # noqa: E402
 
 from tenfit import optim  # noqa: E402
 from tenfit.core import DesignSpace, Normalizer, ObservationSet  # noqa: E402
+from tenfit.cpd import FactorSet  # noqa: E402
+from tenfit.metrics import fms  # noqa: E402
 
 LATTICE = (5, 2, 3, 3, 3)  # 270 cells
 LARGE = (8, 4, 5, 5, 6)  # 4,800 cells
@@ -83,6 +89,9 @@ OBJECTIVE_CASES = [
 PARALLEL_SIZES = (154, 114, 74, 154)
 PARALLEL_FITS = 2
 PARALLEL_EPOCHS = 300
+
+FMS_RANKS = (3, 5, 7, 8)
+FMS_ROUND_S = 0.1
 
 # kind, shape, rows per fit, batch sizes
 BATCH_CASES = [
@@ -233,6 +242,25 @@ def bench_parallel(rounds, rng):
     return table
 
 
+def bench_fms(rounds, rng):
+    """us per `fms` call at each FMS_RANKS rank on the lattice shape, the
+    median of `rounds` rounds of at least FMS_ROUND_S seconds each."""
+    table = []
+    for rank in FMS_RANKS:
+        a, b = (FactorSet([rng.normal(size=(s, rank)) for s in LATTICE]) for _ in range(2))
+        fms(a, b)  # warm up
+        us = []
+        for _ in range(rounds):
+            calls, start = 0, time.perf_counter()
+            while not calls or time.perf_counter() - start < FMS_ROUND_S:
+                fms(a, b)
+                calls += 1
+            us.append((time.perf_counter() - start) / calls * 1e6)
+        table.append({"rank": rank, "shape": list(LATTICE),
+                      "us_per_call": round(statistics.median(us), 2)})
+    return table
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the JSON here (default: stdout only)")
@@ -255,6 +283,9 @@ def main(argv=None):
         print(entry, file=sys.stderr)
     result["parallel"] = bench_parallel(args.parallel_rounds, rng)
     for entry in result["parallel"]:
+        print(entry, file=sys.stderr)
+    result["fms"] = bench_fms(args.rounds, rng)
+    for entry in result["fms"]:
         print(entry, file=sys.stderr)
     text = json.dumps(result, indent=1)
     if args.out:

@@ -13,11 +13,8 @@ from .cpd import (
     CPDModel,
     FactorSet,
     SmoothnessConfig,
-    grad_masked_loss,
     init_factors,
-    masked_mse,
     reconstruct_full,
-    smoothness_penalty,
 )
 from .errors import (
     CapacityError,
@@ -50,8 +47,8 @@ from .metrics import (
     regression_metrics,
 )
 from .modelio import load_dataset, load_model, save_model, write_dataset
-from .neural import NeuralModel, costco_fit
-from .optim import AdamState, TrainConfig, TrainReport, adam_step, fit
+from .neural import NeuralModel
+from .optim import TrainConfig, TrainReport, fit
 
 __version__ = "0.1.0"
 
@@ -66,11 +63,8 @@ __all__ = [
     "CPDModel",
     "FactorSet",
     "SmoothnessConfig",
-    "grad_masked_loss",
     "init_factors",
-    "masked_mse",
     "reconstruct_full",
-    "smoothness_penalty",
     "CapacityError",
     "ContractError",
     "DegenerateDataError",
@@ -100,10 +94,7 @@ __all__ = [
     "save_model",
     "write_dataset",
     "NeuralModel",
-    "costco_fit",
-    "AdamState",
     "TrainConfig",
     "TrainReport",
-    "adam_step",
     "fit",
 ]

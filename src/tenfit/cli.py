@@ -21,7 +21,7 @@ from .errors import ContractError, SchemaError, TenfitError
 from .harness import _train_config_from, run_experiment, run_sweep
 from .metrics import component_expression_export, fms, regression_metrics
 from .modelio import load_dataset, load_model, read_index_csv, save_model, write_dataset
-from .modelio import write_index_csv
+from .modelio import write_atomic, write_index_csv
 from .optim import MODEL_KINDS, fit
 
 
@@ -89,7 +89,7 @@ def cmd_fit(args) -> int:
     model, report = fit(space.shape(), obs, cfg, args.model)
     save_model(model, args.out)
     report_path = Path(args.out).with_suffix(".report.json")
-    report_path.write_text(json.dumps(report.to_json()), encoding="utf-8")
+    write_atomic(report_path, json.dumps(report.to_json()))
     print(
         json.dumps(
             {
@@ -127,7 +127,7 @@ def cmd_evaluate(args) -> int:
         )
     preds = model.predict(obs.indices)
     report = regression_metrics(obs.values, preds)
-    Path(args.out).write_text(json.dumps(report.to_json(), indent=2), encoding="utf-8")
+    write_atomic(args.out, json.dumps(report.to_json(), indent=2))
     print(json.dumps(report.to_json(), indent=2))
     return 0
 
@@ -154,7 +154,7 @@ def cmd_fms(args) -> int:
         if not isinstance(model, CPDModel):
             raise ContractError(f"{label} must be a linear model (cpd or cpd_s)")
     comparison = fms(model_a.factors, model_b.factors)
-    Path(args.out).write_text(json.dumps(comparison.to_json(), indent=2), encoding="utf-8")
+    write_atomic(args.out, json.dumps(comparison.to_json(), indent=2))
     print(json.dumps(comparison.to_json(), indent=2))
     return 0
 

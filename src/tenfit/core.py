@@ -14,12 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    ContractError,
-    DegenerateDataError,
-    SchemaError,
-)
+from .errors import ContractError, DegenerateDataError, SchemaError
 
 ORDINAL = "ordinal"
 CATEGORICAL = "categorical"
@@ -256,18 +251,17 @@ def build_design_space(
     axis_names: Sequence[str],
     outcome_name: str,
     kinds: Mapping[str, str],
-    declared_orders: Mapping[str, Sequence] | None = None,
 ) -> DesignSpace:
     """Derive the design-space schema from tabular records.
 
-    Each axis's values are the distinct values observed across records:
-    numeric ascending for ordinal axes, a declared order (or lexicographic)
-    for categorical ones. The resulting shape spans the full combinatorial
-    space implied by those values.
+    Each axis's values are the distinct values observed across records,
+    sorted: numeric ascending for ordinal axes, lexicographic for
+    categorical ones, so the schema does not depend on record order. The
+    resulting shape spans the full combinatorial space implied by those
+    values.
     """
     if not records:
         raise SchemaError("need at least one record")
-    declared_orders = declared_orders or {}
     for pos, record in enumerate(records):
         for name in (*axis_names, outcome_name):
             if name not in record:
@@ -278,20 +272,7 @@ def build_design_space(
         kind = kinds.get(name)
         if kind not in (ORDINAL, CATEGORICAL):
             raise SchemaError(f"axis {name!r}: kind must be ordinal or categorical")
-        observed = {_canonical_value(kind, r[name]) for r in records}
-        if kind == ORDINAL:
-            values = tuple(sorted(observed))
-        elif name in declared_orders:
-            declared = [_canonical_value(kind, v) for v in declared_orders[name]]
-            extra = observed - set(declared)
-            if extra:
-                raise SchemaError(
-                    f"axis {name!r}: values {sorted(extra)} missing from declared order"
-                )
-            values = tuple(v for v in declared if v in observed)
-        else:
-            # Lexicographic keeps the schema independent of record order.
-            values = tuple(sorted(observed))
+        values = tuple(sorted({_canonical_value(kind, r[name]) for r in records}))
         axes.append(Axis(name=name, kind=kind, values=values))
     return DesignSpace(axes=tuple(axes), outcome_name=outcome_name)
 
@@ -348,14 +329,6 @@ def encode_observations(
         [normalizer.normalize(float(np.mean(grouped[k]))) for k in keys], dtype=float
     )
     return ObservationSet(space=space, indices=indices, values=values, normalizer=normalizer)
-
-
-def check_dense_capacity(shape: Sequence[int], cell_cap: int = 10_000_000) -> None:
-    cells = math.prod(int(s) for s in shape)
-    if cells > cell_cap:
-        raise CapacityError(
-            f"dense tensor of {cells} cells exceeds the cap of {cell_cap}"
-        )
 
 
 def check_indices(indices, shape: Sequence[int]) -> np.ndarray:

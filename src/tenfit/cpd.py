@@ -7,14 +7,16 @@ the sum over components of the product of one factor row per mode.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import DenseTensor, DesignSpace, Normalizer, ObservationSet
-from .core import check_dense_capacity, check_indices
-from .errors import ContractError, DegenerateDataError
+from .core import DenseTensor, DesignSpace, Normalizer, ObservationSet, check_indices
+from .errors import CapacityError, ContractError, DegenerateDataError
+
+DENSE_CELL_CAP = 10_000_000  # cells reconstruct_full materializes at most
 
 
 @dataclass
@@ -46,15 +48,6 @@ class FactorSet:
     @property
     def ndim(self) -> int:
         return len(self.factors)
-
-    def copy(self) -> "FactorSet":
-        return FactorSet([f.copy() for f in self.factors])
-
-    def permute_components(self, permutation) -> "FactorSet":
-        perm = np.asarray(permutation, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(self.rank)):
-            raise ContractError("permutation must be a bijection on components")
-        return FactorSet([f[:, perm] for f in self.factors])
 
 
 @dataclass(frozen=True)
@@ -95,9 +88,12 @@ def predict_indices(factors: FactorSet, indices: np.ndarray) -> np.ndarray:
     return _component_sum(product)
 
 
-def reconstruct_full(factors: FactorSet, cell_cap: int = 10_000_000) -> DenseTensor:
-    """Materialize the full tensor implied by the factors (capped cell count)."""
-    check_dense_capacity(factors.shape, cell_cap)
+def reconstruct_full(factors: FactorSet) -> DenseTensor:
+    """Materialize the full tensor implied by the factors; a shape of more
+    than DENSE_CELL_CAP cells raises CapacityError."""
+    cells = math.prod(factors.shape)
+    if cells > DENSE_CELL_CAP:
+        raise CapacityError(f"dense tensor of {cells} cells exceeds the cap of {DENSE_CELL_CAP}")
     letters = string.ascii_lowercase
     if factors.ndim > len(letters):
         raise ContractError("too many modes for dense reconstruction")

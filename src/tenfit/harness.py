@@ -24,7 +24,7 @@ from .core import DesignSpace, Normalizer, ObservationSet
 from .cpd import CPDModel
 from .errors import ContractError, SplitError, StratumExhaustedError, TenfitError
 from .metrics import component_expression_export, fms, regression_metrics
-from .modelio import load_dataset
+from .modelio import load_dataset, write_atomic
 from .optim import MODEL_KINDS, TrainConfig, TrainReport, fit_batch
 
 
@@ -183,7 +183,7 @@ class RegionErrorGrid:
     mean: np.ndarray
     std: np.ndarray
     count: np.ndarray
-    region: RegionSpec | None = None
+    region: RegionSpec
 
     def to_json(self) -> dict:
         def cellify(arr):
@@ -197,24 +197,21 @@ class RegionErrorGrid:
             "mean": cellify(self.mean),
             "std": cellify(self.std),
             "count": self.count.astype(int).tolist(),
-            "region": self.region.to_json() if self.region is not None else None,
+            "region": self.region.to_json(),
         }
 
 
 def per_cell_errors(
-    test_predictions, obs_test: ObservationSet, region: RegionSpec | None = None, axes=None
+    test_predictions, obs_test: ObservationSet, region: RegionSpec
 ) -> RegionErrorGrid:
-    """Aggregate |y - yhat| per (axis_a value, axis_b value) cell for one
-    evaluation; cells without test rows stay absent."""
+    """Aggregate |y - yhat| per (axis_a value, axis_b value) cell of the
+    region's two axes for one evaluation; cells without test rows stay
+    absent."""
     preds = np.asarray(test_predictions, dtype=float).ravel()
     if preds.shape[0] != obs_test.n:
         raise ContractError("predictions are not aligned with the test observations")
-    if axes is None:
-        if region is None:
-            raise ContractError("need either a region or an axis pair")
-        axes = (region.axis_a, region.axis_b)
-    ia = obs_test.space.axis_position(axes[0])
-    ib = obs_test.space.axis_position(axes[1])
+    ia = obs_test.space.axis_position(region.axis_a)
+    ib = obs_test.space.axis_position(region.axis_b)
     na = obs_test.space.axes[ia].size
     nb = obs_test.space.axes[ib].size
 
@@ -232,8 +229,8 @@ def per_cell_errors(
     mean[count == 0] = np.nan
     std[count == 0] = np.nan
     return RegionErrorGrid(
-        axis_a=axes[0],
-        axis_b=axes[1],
+        axis_a=region.axis_a,
+        axis_b=region.axis_b,
         mean=mean.reshape(na, nb),
         std=std.reshape(na, nb),
         count=count.reshape(na, nb),
@@ -549,7 +546,7 @@ def _failure(plan: str, model, iteration, exc: TenfitError) -> dict:
 
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    write_atomic(path, json.dumps(payload, indent=2))
 
 
 def _write_cells(out: Path, scored: dict, failures: list) -> dict:

@@ -9,7 +9,7 @@ under the pairing that maximizes the total.
 from __future__ import annotations
 
 import csv
-import itertools
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -21,9 +21,9 @@ from scipy.optimize import linear_sum_assignment
 from .core import DesignSpace
 from .cpd import FactorSet
 from .errors import ContractError, DegenerateDataError
+from .modelio import write_atomic
 
 MAPE_ZERO_TOLERANCE = 1e-8
-EXHAUSTIVE_RANK_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -98,35 +98,19 @@ def _congruence_products(a: FactorSet, b: FactorSet) -> np.ndarray:
     return products
 
 
-def fms(a: FactorSet, b: FactorSet, method: str = "auto") -> FactorComparison:
-    """Factor match score with the optimal component permutation of b.
-
-    Exhaustive search for rank <= 8, Hungarian assignment above (or force
-    either via `method`). Cosine signs are kept, so a component flipped in
-    an odd number of modes contributes negatively.
+def fms(a: FactorSet, b: FactorSet) -> FactorComparison:
+    """Factor match score with the optimal component permutation of b,
+    found by linear assignment (the Hungarian method) at every rank. Cosine
+    signs are kept, so a component flipped in an odd number of modes
+    contributes negatively.
     """
     if a.ndim != b.ndim or a.shape != b.shape:
         raise ContractError(f"factor shapes differ: {a.shape} vs {b.shape}")
     if a.rank != b.rank:
         raise ContractError(f"ranks differ: {a.rank} vs {b.rank}")
-    if method not in ("auto", "exhaustive", "assignment"):
-        raise ContractError(f"unknown fms method {method!r}")
     products = _congruence_products(a, b)
-    rank = a.rank
-
-    if method == "exhaustive" or (method == "auto" and rank <= EXHAUSTIVE_RANK_LIMIT):
-        best_perm, best_total = None, -np.inf
-        rows = np.arange(rank)
-        for perm in itertools.permutations(range(rank)):
-            total = products[rows, perm].sum()
-            if total > best_total:
-                best_total, best_perm = total, perm
-        perm = np.asarray(best_perm)
-    else:
-        row_ind, col_ind = linear_sum_assignment(products, maximize=True)
-        perm = col_ind[np.argsort(row_ind)]
-
-    per_component = products[np.arange(rank), perm]
+    _, perm = linear_sum_assignment(products, maximize=True)  # rows come back as 0..R-1
+    per_component = products[np.arange(a.rank), perm]
     return FactorComparison(
         fms=float(per_component.mean()),
         permutation=tuple(int(p) for p in perm),
@@ -188,11 +172,12 @@ def component_expression_export(
             normalized_components(factors, m) if normalized else np.abs(factors.factors[m])
         )
         path = out_dir / f"mode_{m}_{_safe_name(axis.name)}.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i, value in enumerate(axis.values):
-                writer.writerow([_format_value(value)] + [repr(x) for x in matrix[i]])
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(header)
+        for i, value in enumerate(axis.values):
+            writer.writerow([_format_value(value)] + [repr(x) for x in matrix[i]])
+        write_atomic(path, buffer.getvalue())
         csv_paths.append(str(path))
         for r in range(factors.rank):
             column = matrix[:, r]
@@ -206,5 +191,5 @@ def component_expression_export(
 
     highlight_path = out_dir / "highlights.json"
     payload = {"threshold_quantile": quantile, "highlights": highlights}
-    highlight_path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    write_atomic(highlight_path, json.dumps(payload, indent=2))
     return {"csv": csv_paths, "highlights": str(highlight_path)}

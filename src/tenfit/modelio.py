@@ -7,8 +7,10 @@ is bit-exact against the arrays that were saved.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -44,18 +46,6 @@ def schema_from_json(payload: dict) -> DesignSpace:
         raise SchemaError(f"malformed schema JSON: {exc}") from exc
 
 
-def write_schema(space: DesignSpace, path) -> None:
-    Path(path).write_text(json.dumps(schema_to_json(space), indent=2), encoding="utf-8")
-
-
-def read_schema(path) -> DesignSpace:
-    return schema_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def write_normalizer(normalizer: Normalizer, path) -> None:
-    Path(path).write_text(json.dumps(asdict(normalizer), indent=2), encoding="utf-8")
-
-
 def _normalizer_from_json(payload, path) -> Normalizer:
     """A stored normalizer: two finite numbers with y_min <= y_max."""
     try:
@@ -67,17 +57,29 @@ def _normalizer_from_json(payload, path) -> Normalizer:
     return Normalizer(y_min=y_min, y_max=y_max)
 
 
-def read_normalizer(path) -> Normalizer:
-    return _normalizer_from_json(json.loads(Path(path).read_text(encoding="utf-8")), path)
+def write_atomic(path, text: str) -> None:
+    """Write `text` as UTF-8, newlines as given, to a temp file beside `path`,
+    then move it over `path` with os.replace: `path` keeps its old bytes or
+    gets all the new ones, never a part. A failed write removes the temp
+    file. Every output file of the package is written through here."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_index_csv(path, space: DesignSpace, indices, values, value: str = "value") -> None:
     """0-based index columns (named after the axes) plus one float column `value`."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([a.name for a in space.axes] + [value])
-        for row, y in zip(indices, values):
-            writer.writerow([int(i) for i in row] + [repr(float(y))])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow([a.name for a in space.axes] + [value])
+    for row, y in zip(indices, values):
+        writer.writerow([int(i) for i in row] + [repr(float(y))])
+    write_atomic(path, buffer.getvalue())
 
 
 def _cell_error(path, row: int, record: dict, parsers: dict) -> SchemaError:
@@ -136,9 +138,9 @@ def write_dataset(obs: ObservationSet, out_dir) -> dict:
     """Persist an ingested dataset as schema.json + obs.csv + normalizer.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_schema(obs.space, out / SCHEMA_FILENAME)
+    write_atomic(out / SCHEMA_FILENAME, json.dumps(schema_to_json(obs.space), indent=2))
     write_index_csv(out / OBSERVATIONS_FILENAME, obs.space, obs.indices, obs.values)
-    write_normalizer(obs.normalizer, out / NORMALIZER_FILENAME)
+    write_atomic(out / NORMALIZER_FILENAME, json.dumps(asdict(obs.normalizer), indent=2))
     return {
         "schema": str(out / SCHEMA_FILENAME),
         "observations": str(out / OBSERVATIONS_FILENAME),
@@ -151,8 +153,9 @@ def load_dataset(path):
     root = Path(path)
     if not root.is_dir():
         raise SchemaError(f"dataset path {root} is not an ingest directory")
-    space = read_schema(root / SCHEMA_FILENAME)
-    normalizer = read_normalizer(root / NORMALIZER_FILENAME)
+    space = schema_from_json(json.loads((root / SCHEMA_FILENAME).read_text(encoding="utf-8")))
+    path = root / NORMALIZER_FILENAME
+    normalizer = _normalizer_from_json(json.loads(path.read_text(encoding="utf-8")), path)
     indices, values = read_index_csv(root / OBSERVATIONS_FILENAME, space, "value")
     return space, ObservationSet(space=space, indices=indices, values=values, normalizer=normalizer)
 
@@ -225,7 +228,7 @@ def save_model(model, path) -> None:
         **model.settings(),
         "params": _nest(model.params),
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    write_atomic(path, json.dumps(payload))
 
 
 def load_model(path):

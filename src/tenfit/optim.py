@@ -94,7 +94,9 @@ def adam_step(params: ParamList, grads: ParamList, state: AdamState):
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for a full-batch Adam fit. The smoothness fields apply to CPD-S
-    only and the three head sizes to CoSTCo only."""
+    only and the three head sizes to CoSTCo only. `smooth_modes=None`
+    smooths every mode; configs and `tenfit fit` pass the ordinal axes'
+    modes when they name none."""
 
     rank: int
     epochs: int = 3000

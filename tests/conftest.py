@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
-from tenfit.cpd import init_factors, reconstruct_full
+from tenfit.cpd import FactorSet, init_factors, reconstruct_full
 
 
 def full_grid_indices(shape) -> np.ndarray:
@@ -18,6 +18,18 @@ def obs_from_values(shape, values, normalizer=None) -> ObservationSet:
         values=np.asarray(values, dtype=float).ravel(),
         normalizer=normalizer or Normalizer(0.0, 1.0),
     )
+
+
+def copy_factors(factors: FactorSet) -> FactorSet:
+    """A factor set whose matrices are copies, safe to edit in place."""
+    return FactorSet([f.copy() for f in factors.factors])
+
+
+def permute_components(factors: FactorSet, permutation) -> FactorSet:
+    """The factor set with its components (columns) in the order given by
+    `permutation`, a bijection on 0..R-1."""
+    assert sorted(permutation) == list(range(factors.rank))
+    return FactorSet([f[:, list(permutation)] for f in factors.factors])
 
 
 def low_rank_values(shape, rank, seed, unit_std=True) -> np.ndarray:

@@ -8,13 +8,20 @@ backward passes (one `np.einsum` per contraction, one `np.add.at` per
 embedding matrix). They favour clarity over speed; the package computes the
 same quantities with reshaped matmuls and a single `np.bincount` scatter.
 
+`exhaustive_fms` is the reference for the factor match score's component
+pairing: it tries every permutation, where the package solves a linear
+assignment.
+
 `neural_grad` is not an oracle: it reads the package's own CoSTCo gradient
 for one model, which the finite-difference checks compare.
 """
 
+import itertools
+
 import numpy as np
 
 from tenfit.errors import DegenerateDataError
+from tenfit.metrics import _congruence_products
 from tenfit.neural import _masked_objective
 
 
@@ -135,3 +142,18 @@ def neural_grad(model, obs) -> list:
     objective = _masked_objective([obs], model.cfg.n_init_groups, model.rank)
     _, grads = objective([p[None] for p in model.params.values()])
     return [g[0] for g in grads]
+
+
+def exhaustive_fms(a, b):
+    """(score, permutation) of the factor match score by exhaustive search
+    over the R! component permutations of b, on the package's congruence
+    products: the first permutation in lexicographic order with the largest
+    total, and the mean of its per-component products."""
+    products = _congruence_products(a, b)
+    rows = np.arange(a.rank)
+    best_perm, best_total = None, -np.inf
+    for perm in itertools.permutations(range(a.rank)):
+        total = products[rows, perm].sum()
+        if total > best_total:
+            best_total, best_perm = total, perm
+    return float(products[rows, best_perm].mean()), best_perm

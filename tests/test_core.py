@@ -75,13 +75,6 @@ class TestBuildDesignSpace:
         space_b = build_design_space(shuffled, LATTICE_AXES, "stiffness", LATTICE_KINDS)
         assert space_a == space_b
 
-    def test_declared_categorical_order(self):
-        records = [{"g": "b", "y": 1.0}, {"g": "a", "y": 2.0}]
-        space = build_design_space(
-            records, ["g"], "y", {"g": "categorical"}, declared_orders={"g": ["b", "a"]}
-        )
-        assert space.axes[0].values == ("b", "a")
-
     def test_ordinal_values_sorted(self):
         records = [{"a": 3, "y": 0.0}, {"a": 1, "y": 1.0}, {"a": 2, "y": 2.0}]
         space = build_design_space(records, ["a"], "y", {"a": "ordinal"})

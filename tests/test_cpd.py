@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import full_grid_indices, obs_from_values
+from conftest import copy_factors, full_grid_indices, obs_from_values, permute_components
 from oracles import predict_entry
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
@@ -41,9 +41,9 @@ def fd_gradient(factors, obs, cfg, h=1e-5):
         g = np.zeros_like(matrix)
         for i in range(matrix.shape[0]):
             for r in range(matrix.shape[1]):
-                plus = factors.copy()
+                plus = copy_factors(factors)
                 plus.factors[m][i, r] += h
-                minus = factors.copy()
+                minus = copy_factors(factors)
                 minus.factors[m][i, r] -= h
                 g[i, r] = (loss(plus) - loss(minus)) / (2 * h)
         grads.append(g)
@@ -149,9 +149,10 @@ class TestReconstructFull:
             assert abs(tensor.array[index] - predict_entry(factors, index)) <= 1e-14
 
     def test_capacity_cap(self):
-        factors = init_factors((20, 20, 20), 1, seed=0)
+        # 216^3 = 10,077,696 cells, just over the 1e7 cap
+        factors = init_factors((216, 216, 216), 1, seed=0)
         with pytest.raises(CapacityError):
-            reconstruct_full(factors, cell_cap=100)
+            reconstruct_full(factors)
 
     def test_largest_paper_scale_shape_fits_default_cap(self):
         # 35 x 23 x 22 x 22 x 3 = 1,168,860 cells, under the 1e7 default cap
@@ -285,7 +286,7 @@ class TestComponentPermutationInvariance:
     def test_common_column_permutation_preserves_predictions(self):
         rng = np.random.default_rng(12)
         factors = FactorSet([rng.normal(size=(s, 3)) for s in (3, 4, 2)])
-        permuted = factors.permute_components([2, 0, 1])
+        permuted = permute_components(factors, [2, 0, 1])
         for index in itertools.product(range(3), range(4), range(2)):
             assert predict_entry(factors, index) == pytest.approx(
                 predict_entry(permuted, index), rel=1e-12, abs=1e-15

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import full_grid_indices, low_rank_values, obs_from_values
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenfit import harness
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
@@ -154,6 +156,75 @@ class TestBiasedSplit:
             assert not as_row_set(train) & as_row_set(test)
 
 
+@st.composite
+def observation_sets(draw):
+    """2 to all cells of a 2- to 4-mode space, each with a value in [0, 1]."""
+    shape = tuple(draw(st.lists(st.integers(2, 5), min_size=2, max_size=4)))
+    cells = int(np.prod(shape))
+    flat = draw(st.lists(st.integers(0, cells - 1), min_size=2, max_size=cells, unique=True))
+    values = draw(st.lists(st.floats(0, 1), min_size=len(flat), max_size=len(flat)))
+    return ObservationSet(
+        space=DesignSpace.from_shape(shape),
+        indices=np.stack(np.unravel_index(flat, shape), axis=1),
+        values=values,
+        normalizer=Normalizer(0.0, 1.0),
+    )
+
+
+def assert_partition_of(obs, split, again):
+    """`split` is a disjoint cover of obs's rows, and `again` (the same split
+    of the rows in another order) has the same rows in the same order."""
+    train, test = split
+    assert not as_row_set(train) & as_row_set(test)
+    assert as_row_set(train) | as_row_set(test) == as_row_set(obs)
+    for side, other in zip(split, again):
+        assert np.array_equal(side.indices, other.indices)
+        assert np.array_equal(side.values, other.values)
+
+
+SPLIT_PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@SPLIT_PROPERTIES
+@given(obs=observation_sets(), fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_uniform_split_partition_properties(obs, fraction, seed, data):
+    shuffled = obs.take(data.draw(st.permutations(range(obs.n))))
+    n_train = int(np.floor(fraction * obs.n + 0.5))
+    if not 1 <= n_train < obs.n:
+        with pytest.raises(SplitError):
+            uniform_split(obs, fraction, seed)
+        return
+    train, test = uniform_split(obs, fraction, seed)
+    assert (train.n, test.n) == (n_train, obs.n - n_train)
+    assert_partition_of(obs, (train, test), uniform_split(shuffled, fraction, seed))
+
+
+@SPLIT_PROPERTIES
+@given(obs=observation_sets(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_biased_split_partition_properties(obs, seed, data):
+    shuffled = obs.take(data.draw(st.permutations(range(obs.n))))
+    a_size, b_size = obs.space.shape()[:2]
+    a_lo, b_lo = data.draw(st.integers(0, a_size - 1)), data.draw(st.integers(0, b_size - 1))
+    region = RegionSpec(
+        axis_a="p0",
+        axis_b="p1",
+        a_range=(a_lo, data.draw(st.integers(a_lo, a_size - 1))),
+        b_range=(b_lo, data.draw(st.integers(b_lo, b_size - 1))),
+    )
+    available_in = int(region.mask(obs).sum())
+    n_in = data.draw(st.integers(0, available_in))
+    n_out = data.draw(st.integers(0, obs.n - available_in))
+    if n_in + n_out in (0, obs.n):
+        with pytest.raises(SplitError):
+            biased_split(obs, region, n_in, n_out, seed)
+        return
+    train, test = biased_split(obs, region, n_in, n_out, seed)
+    assert (train.n, test.n) == (n_in + n_out, obs.n - n_in - n_out)
+    assert int(region.mask(train).sum()) == n_in
+    assert_partition_of(obs, (train, test), biased_split(shuffled, region, n_in, n_out, seed))
+
+
 class TestRegionSpec:
     def test_axes_must_differ(self):
         with pytest.raises(ContractError):
@@ -192,10 +263,14 @@ class TestRenormalization:
         assert train2 is train and test2 is test
 
 
+# the grid's axes are the region's; its ranges do not change the grid
+P0_P1 = RegionSpec(axis_a="p0", axis_b="p1", a_range=(0, 0), b_range=(0, 0))
+
+
 class TestPerCellErrors:
     def test_all_correct_gives_zero_grid(self):
         obs = random_obs((4, 3, 2), 20, seed=24)
-        grid = per_cell_errors(obs.values, obs, axes=("p0", "p1"))
+        grid = per_cell_errors(obs.values, obs, P0_P1)
         observed = grid.count > 0
         assert np.all(grid.mean[observed] == 0.0)
         assert np.all(np.isnan(grid.mean[~observed]))
@@ -208,7 +283,7 @@ class TestPerCellErrors:
             values=np.array([0.7]),
             normalizer=Normalizer(0, 1),
         )
-        grid = per_cell_errors(np.array([0.5]), obs, axes=("p0", "p1"))
+        grid = per_cell_errors(np.array([0.5]), obs, P0_P1)
         assert grid.mean[1, 2] == pytest.approx(0.2)
         assert grid.std[1, 2] == 0.0
         assert grid.count[1, 2] == 1
@@ -216,14 +291,14 @@ class TestPerCellErrors:
 
     def test_sparse_coverage_leaves_absent_cells(self):
         obs = random_obs((6, 6, 3), 10, seed=25)
-        grid = per_cell_errors(np.zeros(10), obs, axes=("p0", "p1"))
+        grid = per_cell_errors(np.zeros(10), obs, P0_P1)
         assert np.isnan(grid.mean).any()
         assert (grid.count == 0).any()
 
     def test_alignment_contract(self):
         obs = random_obs((3, 3), 5, seed=26)
         with pytest.raises(ContractError):
-            per_cell_errors(np.zeros(4), obs, axes=("p0", "p1"))
+            per_cell_errors(np.zeros(4), obs, P0_P1)
 
     def test_aggregation_of_identical_grids_has_zero_std(self):
         # dyadic errors make the cross-iteration mean exact, so std is exactly 0
@@ -234,7 +309,7 @@ class TestPerCellErrors:
             values=np.array([0.25, 0.5, 0.75]),
             normalizer=Normalizer(0, 1),
         )
-        grid = per_cell_errors(np.zeros(3), obs, axes=("p0", "p1"))
+        grid = per_cell_errors(np.zeros(3), obs, P0_P1)
         agg = aggregate_error_grids([grid, grid, grid])
         observed = agg.count > 0
         assert np.all(agg.std[observed] == 0.0)
@@ -243,7 +318,7 @@ class TestPerCellErrors:
 
     def test_aggregation_of_identical_grids_float_tolerance(self):
         obs = random_obs((3, 3), 6, seed=27)
-        grid = per_cell_errors(np.zeros(6), obs, axes=("p0", "p1"))
+        grid = per_cell_errors(np.zeros(6), obs, P0_P1)
         agg = aggregate_error_grids([grid, grid, grid])
         observed = agg.count > 0
         assert np.all(agg.std[observed] <= 1e-15)

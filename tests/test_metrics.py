@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from conftest import copy_factors, permute_components
+from oracles import exhaustive_fms
 
 from tenfit.core import Axis, DesignSpace
 from tenfit.cpd import FactorSet, init_factors
@@ -105,7 +107,7 @@ class TestFms:
         rng = np.random.default_rng(2)
         a, _ = random_factor_pair(rng, rank=4)
         sigma = [2, 0, 3, 1]
-        b = a.permute_components(sigma)
+        b = permute_components(a, sigma)
         result = fms(a, b)
         assert result.fms == pytest.approx(1.0, abs=1e-12)
         assert [sigma[r] for r in range(4)] == [result.permutation.index(r) for r in range(4)]
@@ -113,7 +115,7 @@ class TestFms:
     def test_two_mode_sign_flip_is_invisible(self):
         rng = np.random.default_rng(3)
         a, _ = random_factor_pair(rng, rank=3)
-        b = a.copy()
+        b = copy_factors(a)
         b.factors[0][:, 1] *= -1.0
         b.factors[2][:, 1] *= -1.0
         assert fms(a, b).fms == pytest.approx(1.0, abs=1e-12)
@@ -124,7 +126,7 @@ class TestFms:
         rng = np.random.default_rng(4)
         for rank in (2, 3, 5):
             a = orthogonal_factors(rng, rank=rank)
-            b = a.copy()
+            b = copy_factors(a)
             b.factors[1][:, 0] *= -1.0
             result = fms(a, b)
             assert result.fms == pytest.approx((rank - 2) / rank, abs=1e-9)
@@ -146,25 +148,38 @@ class TestFms:
         rng = np.random.default_rng(7)
         a, b = random_factor_pair(rng)
         base = fms(a, b).fms
-        scaled = b.copy()
+        scaled = copy_factors(b)
         scaled.factors[0][:, 1] *= 7.0
         scaled.factors[2][:, 0] *= 0.003
         assert fms(a, scaled).fms == pytest.approx(base, abs=1e-12)
 
     def test_exhaustive_and_assignment_agree(self):
+        # the same pairing and the same score bits as trying every permutation
         rng = np.random.default_rng(8)
         for _ in range(100):
-            rank = int(rng.integers(1, 7))
+            rank = int(rng.integers(1, 8))
             shape = tuple(int(rng.integers(2, 6)) for _ in range(int(rng.integers(2, 4))))
             a = FactorSet([rng.normal(size=(s, rank)) for s in shape])
             b = FactorSet([rng.normal(size=(s, rank)) for s in shape])
-            exhaustive = fms(a, b, method="exhaustive")
-            assignment = fms(a, b, method="assignment")
-            assert exhaustive.fms == pytest.approx(assignment.fms, abs=1e-12)
+            score, permutation = exhaustive_fms(a, b)
+            result = fms(a, b)
+            assert result.permutation == permutation
+            assert result.fms == score
+
+    def test_recovers_rescaled_permutation_at_rank_8(self):
+        rng = np.random.default_rng(13)
+        a = FactorSet([rng.normal(size=(s, 8)) for s in (5, 2, 3, 3, 3)])
+        sigma = [5, 2, 7, 0, 3, 6, 1, 4]
+        b = permute_components(a, sigma)
+        for matrix in b.factors:
+            matrix *= rng.uniform(0.1, 10.0, size=8)
+        result = fms(a, b)
+        assert result.fms == pytest.approx(1.0, abs=1e-12)
+        assert result.permutation == tuple(sigma.index(r) for r in range(8))
 
     def test_zero_norm_column_rejected(self):
         a = FactorSet([np.ones((3, 2)), np.ones((2, 2))])
-        b = a.copy()
+        b = copy_factors(a)
         b.factors[0][:, 0] = 0.0
         with pytest.raises(DegenerateDataError):
             fms(a, b)
@@ -197,7 +212,7 @@ class TestNormalizedComponents:
         rng = np.random.default_rng(11)
         factors = FactorSet([rng.normal(size=(4, 3)), rng.normal(size=(3, 3))])
         base = normalized_components(factors, 0)
-        scaled = factors.copy()
+        scaled = copy_factors(factors)
         scaled.factors[0][:, 2] *= 7.0
         assert np.allclose(normalized_components(scaled, 0), base, atol=1e-12)
 

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -7,18 +8,16 @@ from conftest import full_grid_indices, obs_from_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenfit.core import Axis, DesignSpace, Normalizer
+from tenfit.core import Axis, DesignSpace, Normalizer, ObservationSet
 from tenfit.errors import ContractError, SchemaError
 from tenfit.modelio import (
     load_dataset,
     load_model,
     read_index_csv,
-    read_schema,
     save_model,
     schema_to_json,
     write_dataset,
     write_index_csv,
-    write_schema,
 )
 from tenfit.optim import TrainConfig, fit
 
@@ -33,11 +32,18 @@ def sample_space():
     )
 
 
+def write_sample_dataset(out_dir, space=None):
+    """A fully observed dataset over `space` (default sample_space()) in out_dir."""
+    space = space or sample_space()
+    indices = full_grid_indices(space.shape())
+    values = np.linspace(0, 1, len(indices))
+    write_dataset(ObservationSet(space, indices, values, Normalizer(0.0, 1.0)), out_dir)
+
+
 class TestSchemaJson:
     def test_exact_layout(self, tmp_path):
-        path = tmp_path / "schema.json"
-        write_schema(sample_space(), path)
-        payload = json.loads(path.read_text())
+        write_sample_dataset(tmp_path)
+        payload = json.loads((tmp_path / "schema.json").read_text())
         assert set(payload) == {"axes", "outcome"}
         assert payload["outcome"] == "stiffness"
         assert payload["axes"][0] == {
@@ -48,16 +54,15 @@ class TestSchemaJson:
         assert payload["axes"][1]["values"] == [0.4, 0.8, 1.2]
 
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "schema.json"
-        space = sample_space()
-        write_schema(space, path)
-        assert read_schema(path) == space
+        write_sample_dataset(tmp_path)
+        space, _ = load_dataset(tmp_path)
+        assert space == sample_space()
 
     def test_malformed_rejected(self, tmp_path):
-        path = tmp_path / "schema.json"
-        path.write_text('{"axes": "nope"}')
+        write_sample_dataset(tmp_path)
+        (tmp_path / "schema.json").write_text('{"axes": "nope"}')
         with pytest.raises(SchemaError):
-            read_schema(path)
+            load_dataset(tmp_path)
 
 
 class TestObservationsCsv:
@@ -148,6 +153,35 @@ class TestModelJson:
         path.write_text(json.dumps(payload))
         with pytest.raises(ContractError):
             load_model(path)
+
+
+class TestAtomicOutput:
+    """An output file is replaced whole or not at all, and a failed write
+    leaves no temp file beside it."""
+
+    def test_failed_csv_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("old\n")
+        with pytest.raises(ValueError):
+            write_index_csv(path, DesignSpace.from_shape((3,)), [[0], [1], [2]], [0.5, 0.25, "x"])
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_replace_keeps_the_old_model_file(self, tmp_path, monkeypatch):
+        obs = obs_from_values((3, 2), np.linspace(0, 1, 6))
+        models = [fit((3, 2), obs, TrainConfig(rank=1, epochs=5, seed=s), "cpd")[0] for s in (1, 2)]
+        path = tmp_path / "model.json"
+        save_model(models[0], path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            save_model(models[1], path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 DATA = Path(__file__).parent / "data"
