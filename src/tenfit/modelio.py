@@ -61,14 +61,17 @@ def write_atomic(path, text: str) -> None:
     """Write `text` as UTF-8, newlines as given, to a temp file beside `path`,
     then move it over `path` with os.replace: `path` keeps its old bytes or
     gets all the new ones, never a part. A failed write removes the temp
-    file. Every output file of the package is written through here."""
+    file, and an OSError names `path`, not the temp file. Every output file
+    of the package is written through here."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

@@ -16,6 +16,7 @@ from tenfit.modelio import (
     read_index_csv,
     save_model,
     schema_to_json,
+    write_atomic,
     write_dataset,
     write_index_csv,
 )
@@ -182,6 +183,14 @@ class TestAtomicOutput:
             save_model(models[1], path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("where", ["missing/out.json", "taken"])
+    def test_failed_write_names_the_target(self, tmp_path, where):
+        (tmp_path / "taken").mkdir()
+        path = tmp_path / where
+        with pytest.raises(OSError, match=f"'{path}'$"):
+            write_atomic(path, "{}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 DATA = Path(__file__).parent / "data"
