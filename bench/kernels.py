@@ -15,15 +15,28 @@ Run it from the repository root; it imports tenfit from ./src. Four tables:
   of the minor page faults per call (`resource.getrusage`), measured over a
   fixed number of calls.
 - `batch`: `optim.train_batch` on B same-size fits, in us per fit-epoch
-  (the best of several rounds), for CPD and CoSTCo; these measurements set
-  `optim.MAX_BATCH_ROWS` and `neural.COSTCO_MAX_BATCH_ROWS`.
-- `parallel`: `optim.train_fits` on 1 to 4 CoSTCo batches of 2 fits at the
-  OOD sweep's sizes and epochs, trained one after another in this process
-  (`serial_ms`) and in forked worker processes (`pooled_ms`), medians over
-  rounds in ms per call. Serial and pooled calls alternate within each
-  round, so a slow spell of the host hits both alike. The `startup` entry
-  is the same comparison at one epoch, where the pooled time is almost all
-  the cost of starting, feeding and reaping the workers.
+  and per row-epoch (the best of several rounds), for CPD, CPD-S and
+  CoSTCo; these measurements set `optim.MAX_BATCH_ROWS`,
+  `neural.COSTCO_MAX_BATCH_ROWS` and each kind's cost per row-epoch
+  (`cpd.CPD_ROW_EPOCH_US`, `cpd.CPD_S_ROW_EPOCH_US`,
+  `neural.COSTCO_ROW_EPOCH_US`).
+- `parallel`: `optim.train_fits` calls, medians over rounds in ms per call,
+  each with the call's estimated work (`est_work_ms`, the engine's own
+  estimate). The sides of an entry alternate within each round, so a slow
+  spell of the host hits them alike, and must give equal final losses.
+  - 1 to 4 CoSTCo batches of 2 fits at the OOD sweep's sizes and epochs,
+    and the first two of them at fewer epochs (`startup` at one epoch,
+    `break_even_<epochs>`): trained one after another in this process
+    (`serial_ms`), as `train_fits` chooses with every usable CPU
+    (`pooled_ms`: serial below `optim.POOL_MIN_WORK_US`) and always in
+    forked workers (`forked_ms`). Where `forked_ms` meets `serial_ms` sets
+    the threshold; at one epoch `forked_ms` is almost all the cost of
+    starting, feeding and reaping the workers.
+  - `lattice_mixed`: experiment_lattice's cpd and cpd_s batches (2 plans x
+    3 iterations, 500 epochs, cpd with 3 restarts), in one call on one CPU
+    (`serial_ms`), in one call per kind as every usable CPU allows
+    (`per_kind_ms`, one batch each, so serial) and in one call for both
+    (`pooled_ms`).
 - `fms`: `metrics.fms` between two random factor sets of the lattice shape
   at ranks 3, 5, 7 and 8 (the paper's ranks go up to 8), in us per call:
   the median over rounds, each round repeating the call for at least
@@ -89,6 +102,11 @@ OBJECTIVE_CASES = [
 PARALLEL_SIZES = (154, 114, 74, 154)
 PARALLEL_FITS = 2
 PARALLEL_EPOCHS = 300
+BREAK_EVEN_EPOCHS = (10, 20, 40, 80)  # of the first two batches
+
+# experiment_lattice's training sets: uniform (0.8) and biased (54 in, 30
+# out) splits of the 270-cell lattice, 3 iterations each
+LATTICE_SETS = (216, 84) * 3
 
 FMS_RANKS = (3, 5, 7, 8)
 FMS_ROUND_S = 0.1
@@ -99,6 +117,8 @@ BATCH_CASES = [
     ("cpd", LARGE, 768, (1, 3, 5, 6, 7, 9)),
     ("cpd", LARGE, 1000, (1, 2, 3, 4, 6)),
     ("cpd", LARGE, 3456, (1, 2)),
+    ("cpd_s", LATTICE, 216, (1, 3, 9, 12, 20)),
+    ("cpd_s", LATTICE, 84, (3, 9, 27)),
     ("costco", LATTICE, 154, (1, 2, 3, 4, 5, 6)),
     ("costco", LATTICE, 74, (1, 4, 6, 8, 10, 12)),
     ("costco", LATTICE, 40, (1, 8, 12, 15, 20)),
@@ -190,55 +210,86 @@ def bench_batch(rounds, epochs, rng):
             start = time.perf_counter()
             optim.train_batch(engine, runs, cfg)
             best[i] = min(best[i], (time.perf_counter() - start) / (epochs * len(runs)))
-    return [{**entry, "us_per_fit_epoch": round(us * 1e6, 2)}
+    return [{**entry, "us_per_fit_epoch": round(us * 1e6, 2),
+             "us_per_row_epoch": round(us * 1e6 / entry["n"], 3)}
             for (entry, *_), us in zip(entries, best)]
 
 
-def train_fits_on(cpus, trainable, train_sets, seeds, cfg):
-    """`optim.train_fits` as it runs with `cpus` usable CPUs."""
-    usable = optim._usable_cpus
+def train_fits_on(cpus, groups, min_work=None):
+    """`optim.train_fits` as it runs with `cpus` usable CPUs and, when
+    given, a pool threshold of `min_work` us; returns the final losses."""
+    saved = optim._usable_cpus, optim.POOL_MIN_WORK_US
     optim._usable_cpus = lambda: cpus
+    if min_work is not None:
+        optim.POOL_MIN_WORK_US = min_work
     try:
-        return optim.train_fits(trainable, train_sets, seeds, cfg)
+        outcomes = optim.train_fits(groups)
     finally:
-        optim._usable_cpus = usable
+        optim._usable_cpus, optim.POOL_MIN_WORK_US = saved
+    return [report.final_loss for group in outcomes for _, report in group]
+
+
+def estimated_work_ms(groups):
+    """The engine's estimate of a call's work: rows x restarts x epochs x
+    the kind's cost per row-epoch."""
+    return sum(sum(s.n for s in sets) * cfg.restarts * cfg.epochs * engine.row_epoch_us
+               for engine, sets, _, cfg in groups) / 1e3
 
 
 def bench_parallel(rounds, rng):
-    """ms per `train_fits` call on 1-4 CoSTCo batches, serial and pooled
-    (median of `rounds`), and the same at one epoch as `startup`. Every
-    pooled call's final losses must equal the serial call's."""
+    """ms per `train_fits` call of each entry's sides (median of `rounds`);
+    every side must give the same final losses."""
     cpus = optim._usable_cpus()
     entries = []
-    for name, n_batches, epochs in [("startup", 2, 1)] + [
+    costco = [("startup", 2, 1)] + [(f"break_even_{e}", 2, e) for e in BREAK_EVEN_EPOCHS] + [
         (f"{k}_batches", k, PARALLEL_EPOCHS) for k in range(1, len(PARALLEL_SIZES) + 1)
-    ]:
+    ]
+    for name, n_batches, epochs in costco:
         cfg = optim.TrainConfig(rank=RANK, epochs=epochs, lr=0.01)
-        engine = trainable("costco", LATTICE, cfg)
         sets = [observations(LATTICE, n, rng)
                 for n in PARALLEL_SIZES[:n_batches] for _ in range(PARALLEL_FITS)]
+        groups = [(trainable("costco", LATTICE, cfg), sets, list(range(len(sets))), cfg)]
+        sides = {
+            "serial": lambda groups=groups: train_fits_on(1, groups),
+            "pooled": lambda groups=groups: train_fits_on(cpus, groups),
+            "forked": lambda groups=groups: train_fits_on(cpus, groups, min_work=0),
+        }
         entry = {"name": name, "batches": n_batches, "fits": len(sets), "epochs": epochs,
                  "rows": [s.n for s in sets[::PARALLEL_FITS]],
                  "workers": min(n_batches, cpus)}
-        entries.append((entry, engine, sets, cfg))
-    times = [([], []) for _ in entries]
+        entries.append((entry, groups, sides))
+    sets = [observations(LATTICE, n, rng) for n in LATTICE_SETS]
+    seeds = [it for it in range(3) for _ in range(2)]
+    models = [("cpd", dict(restarts=3)),
+              ("cpd_s", dict(smooth_weight=0.002, smooth_modes=(1, 2, 3, 4)))]
+    groups = []
+    for kind, settings in models:
+        cfg = optim.TrainConfig(rank=RANK, epochs=500, lr=0.02, **settings)
+        groups.append((trainable(kind, LATTICE, cfg), sets, seeds, cfg))
+    sides = {
+        "serial": lambda: train_fits_on(1, groups),
+        "per_kind": lambda: [loss for group in groups for loss in train_fits_on(cpus, [group])],
+        "pooled": lambda: train_fits_on(cpus, groups),
+    }
+    entry = {"name": "lattice_mixed", "batches": 2, "fits": len(sets) * 2, "epochs": 500,
+             "rows": [sum(LATTICE_SETS) * 3, sum(LATTICE_SETS)], "workers": min(2, cpus)}
+    entries.append((entry, groups, sides))
+
+    times = [{side: [] for side in sides} for _, _, sides in entries]
     for _ in range(rounds):
-        for (entry, engine, sets, cfg), (serial, pooled) in zip(entries, times):
-            seeds = list(range(len(sets)))
+        for (entry, _, sides), spent in zip(entries, times):
             losses = []
-            for side, usable in ((serial, 1), (pooled, cpus)):
+            for side, call in sides.items():
                 start = time.perf_counter()
-                outcomes = train_fits_on(usable, engine, sets, seeds, cfg)
-                side.append((time.perf_counter() - start) * 1e3)
-                losses.append([report.final_loss for _, report in outcomes])
-            if losses[0] != losses[1]:
-                raise AssertionError(f"{entry['name']}: pooled losses differ from serial")
+                losses.append(call())
+                spent[side].append((time.perf_counter() - start) * 1e3)
+            if any(other != losses[0] for other in losses[1:]):
+                raise AssertionError(f"{entry['name']}: final losses differ between sides")
     table = []
-    for (entry, *_), (serial, pooled) in zip(entries, times):
-        serial_ms, pooled_ms = statistics.median(serial), statistics.median(pooled)
-        table.append({**entry, "serial_ms": round(serial_ms, 2),
-                      "pooled_ms": round(pooled_ms, 2),
-                      "speedup": round(serial_ms / pooled_ms, 3)})
+    for (entry, groups, _), spent in zip(entries, times):
+        ms = {f"{side}_ms": round(statistics.median(t), 2) for side, t in spent.items()}
+        table.append({**entry, "est_work_ms": round(estimated_work_ms(groups), 2), **ms,
+                      "speedup": round(ms["serial_ms"] / ms["pooled_ms"], 3)})
     return table
 
 

@@ -288,7 +288,7 @@ def cpd_trainable(shape, cfg, kind: str):
     """The optim engine's view of CPD (kind "cpd") or CPD-S ("cpd_s"):
     seeded factors trained on the masked MSE plus CPD-S's penalty, with
     early stopping on the plain masked MSE."""
-    from .optim import MAX_BATCH_ROWS, Trainable  # local import avoids a module cycle
+    from .optim import MAX_BATCH_ROWS, ROW_EPOCH_US, Trainable  # avoids a module cycle
 
     smoothness = _smoothness(cfg, kind, len(shape))
     return Trainable(
@@ -297,6 +297,7 @@ def cpd_trainable(shape, cfg, kind: str):
         objective=lambda sets: masked_objective(sets, cfg.rank, smoothness),
         val_objective=lambda sets: masked_objective(sets, cfg.rank),
         max_rows=MAX_BATCH_ROWS,
+        row_epoch_us=ROW_EPOCH_US,
     )
 
 

@@ -303,10 +303,10 @@ def _scored_cells(plans, obs: ObservationSet, specs, seeds, scope: str, keep=Non
     plans, shared by experiments and sweeps.
 
     Iteration i of every plan splits with seeds[i]; `keep(test)`, when
-    given, is the boolean mask of the test rows to score. Each model spec
-    is then fitted once, to the training sides of every (plan, iteration)
-    that split, all of them in shared batches (`fit_batch`, iteration i's
-    fit seeded with seeds[i]). Yields `(plan, iteration, spec, outcome)` in
+    given, is the boolean mask of the test rows to score. Every model spec
+    is then fitted to the training sides of every (plan, iteration) that
+    split, in one `fit_batch` call whose batches share one worker pool
+    (iteration i's fit seeded with seeds[i]). Yields `(plan, iteration, spec, outcome)` in
     (plan, iteration, spec) order, the outcome a ScoredCell or the
     TenfitError of that cell's fit or scoring; a failed split yields its
     error once, with spec None. A bad scope or no iterations raises before
@@ -332,10 +332,9 @@ def _scored_cells(plans, obs: ObservationSet, specs, seeds, scope: str, keep=Non
                 splits[plan, it] = exc
     done = [cell for cell, split in splits.items() if not isinstance(split, TenfitError)]
     trains, done_seeds = [splits[cell][0] for cell in done], [seeds[it] for _, it in done]
-    fits = {}
-    for spec in specs:
-        outcomes = fit_batch(obs.space.shape(), trains, spec.cfg, spec.kind, seeds=done_seeds)
-        fits[spec.name] = dict(zip(done, outcomes))
+    models = [(spec.kind, spec.cfg) for spec in specs]
+    outcomes = fit_batch(obs.space.shape(), models, trains, done_seeds)
+    fits = {spec.name: dict(zip(done, fitted)) for spec, fitted in zip(specs, outcomes)}
     for (plan, it), split in splits.items():
         if isinstance(split, TenfitError):
             yield plan, it, None, split

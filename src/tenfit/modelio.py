@@ -35,15 +35,17 @@ def schema_to_json(space: DesignSpace) -> dict:
     }
 
 
-def schema_from_json(payload: dict) -> DesignSpace:
+def schema_from_json(payload: dict, path) -> DesignSpace:
+    """The design space of a stored schema; a malformed one raises a
+    SchemaError naming `path`, the file it was read from."""
     try:
         axes = tuple(
             Axis(name=a["name"], kind=a["kind"], values=tuple(a["values"]))
             for a in payload["axes"]
         )
         return DesignSpace(axes=axes, outcome_name=payload["outcome"])
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed schema JSON: {exc}") from exc
+    except (KeyError, TypeError, SchemaError) as exc:
+        raise SchemaError(f"{path}: malformed schema ({type(exc).__name__}: {exc})") from None
 
 
 def _normalizer_from_json(payload, path) -> Normalizer:
@@ -156,7 +158,8 @@ def load_dataset(path):
     root = Path(path)
     if not root.is_dir():
         raise SchemaError(f"dataset path {root} is not an ingest directory")
-    space = schema_from_json(json.loads((root / SCHEMA_FILENAME).read_text(encoding="utf-8")))
+    path = root / SCHEMA_FILENAME
+    space = schema_from_json(json.loads(path.read_text(encoding="utf-8")), path)
     path = root / NORMALIZER_FILENAME
     normalizer = _normalizer_from_json(json.loads(path.read_text(encoding="utf-8")), path)
     indices, values = read_index_csv(root / OBSERVATIONS_FILENAME, space, "value")
@@ -250,7 +253,7 @@ def load_model(path):
             f"{path}: format_version {payload.get('format_version')!r} is not {FORMAT_VERSION}"
         )
     try:
-        space = schema_from_json(payload["schema"])
+        space = schema_from_json(payload["schema"], path)
         norm = payload.get("normalizer")
         normalizer = _normalizer_from_json(norm, path) if norm is not None else None
         smooth = payload.get("smoothness", {})

@@ -265,6 +265,13 @@ B=4-6 (296-444 rows) and 90-110 at B=8-12 (592-888 rows); at n=40, 241
 alone and 55-63 from 320 to 800 rows.
 """
 
+COSTCO_ROW_EPOCH_US = 0.8
+"""CoSTCo's training cost per observed row and epoch, in us, as
+`optim.ROW_EPOCH_US` is CPD's: from `bench/kernels.py`'s `batch` table on
+the 270-cell shape at R=3 (`BENCH_10.json`), 0.71-0.87 at n=154 in
+batches of 308 to 924 rows, 0.73-0.91 at n=74 (296-888 rows) and
+0.89-0.99 at n=40 (320-800 rows): about nine times CPD's."""
+
 
 def costco_trainable(shape, cfg):
     """The optim engine's view of CoSTCo with the head sizes of a
@@ -281,6 +288,7 @@ def costco_trainable(shape, cfg):
         val_objective=objective,
         same_size=True,
         max_rows=COSTCO_MAX_BATCH_ROWS,
+        row_epoch_us=COSTCO_ROW_EPOCH_US,
     )
 
 

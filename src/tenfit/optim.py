@@ -20,8 +20,9 @@ with the lowest final training loss at its checkpoint. A member whose loss
 turns non-finite is recorded as diverged and dropped from its batch; a fit
 fails only when every restart of it diverges.
 
-The batches of one `train_fits` call are independent; when it can, it
-trains them in forked worker processes, with the same bits as serially.
+The batches of one `train_fits` call, of every model it trains, are
+independent; when their estimated work pays for it, they train in forked
+worker processes, with the same bits as serially.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class TrainConfig:
 class TrainReport:
     """Loss trajectory and restart bookkeeping for one fit. `seconds` is
     the wall time of the `train_fits` call that trained it, which covers
-    every fit trained with it: in an experiment or a sweep, one model's
+    every fit trained with it: in an experiment or a sweep, every model's
     fits of every plan."""
 
     losses: list
@@ -178,6 +179,20 @@ Two fits of 3,456 rows train apart: B=2 was no cheaper per fit-epoch
 (365 against 363).
 """
 
+ROW_EPOCH_US = 0.09
+"""CPD's and CPD-S's training cost per observed row and epoch, in us (the
+engine's default; CoSTCo sets its own, see `neural.COSTCO_ROW_EPOCH_US`).
+The engine estimates a batch's work as its training rows x epochs x this
+cost, to start the longest batches first and to train serially when a
+call's work would not pay for worker processes. From `bench/kernels.py`'s
+`batch` table at R=3 in batches of 1,944 to 6,912 rows (`BENCH_10.json`):
+0.084-0.092 for 216-row fits on the 270-cell shape, 0.083-0.095 for 768-
+and 0.085-0.091 for 1,000-row fits on the 4,800-cell shape. CPD-S's
+penalty adds a cost per fit, not per row; its entries (`BENCH_11.json`)
+read the same as CPD's at these batch sizes, within the host's noise.
+Smaller batches cost more per row.
+"""
+
 
 @dataclass
 class Trainable:
@@ -192,7 +207,9 @@ class Trainable:
     parallel to params, or the losses alone when `grad` is false.
     `val_objective(data_sets)` builds the batched validation loss the same
     way. `same_size` says whether one batch needs data sets of one size;
-    `max_rows` bounds the training rows of one batch.
+    `max_rows` bounds the training rows of one batch. `row_epoch_us` is the
+    kind's measured cost of one training row for one epoch, in us; the
+    engine estimates a batch's work from it to order and place batches.
     """
 
     layout: list
@@ -201,6 +218,7 @@ class Trainable:
     val_objective: Callable | None = None
     same_size: bool = False
     max_rows: int = MAX_BATCH_ROWS
+    row_epoch_us: float = ROW_EPOCH_US
 
 
 @dataclass
@@ -394,42 +412,59 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _train_in_worker(send, trainable: Trainable, batch: list, cfg: TrainConfig) -> None:
-    """A forked worker's body: train one batch and send back its results,
-    or the exception that ended it."""
+POOL_MIN_WORK_US = 4 * 7_500
+"""The least estimated work, in us, for which a call trains its batches in
+worker processes; below it they train serially. A worker adds about
+7.5 ms: fork, the copy-on-write faults of its first writes, sending its
+results back, exit and reaping (`bench/kernels.py`'s `parallel` table,
+`startup` entry: two one-epoch CoSTCo batches took 20.4 ms in two workers
+against 5.1 ms serially, `BENCH_10.json`). The multiple of 4 is where the
+same table's `break_even` entries, two CoSTCo batches at 10 to 80 epochs
+trained serially and in workers, cross (`BENCH_11.json`)."""
+
+
+def _work(job) -> float:
+    """A batch job's estimated training time in us: its training rows x
+    epochs x its kind's cost per row-epoch."""
+    trainable, runs, cfg = job
+    return sum(run.data.n for run in runs) * cfg.epochs * trainable.row_epoch_us
+
+
+def _train_in_worker(send, job) -> None:
+    """A forked worker's body: train one batch job and send back its
+    results, or the exception that ended it."""
     try:
-        payload = train_batch(trainable, batch, cfg)
+        payload = train_batch(*job)
     except Exception as exc:  # the parent raises it, as the serial loop would
         payload = exc
     send.send(payload)
 
 
-def _train_in_workers(trainable: Trainable, batches: list, cfg: TrainConfig, workers: int) -> list:
-    """Train each batch in a forked process, at most `workers` at a time and
-    the largest (in training rows) first; returns the RunResults in batch
-    order, as the serial loop does. Fork hands a worker its inputs without
-    pickling them (trainables hold closures).
+def _train_in_workers(jobs: list, workers: int) -> list:
+    """Train each batch job, a `(trainable, runs, cfg)` triple, in a forked
+    process, at most `workers` at a time and the longest estimated work
+    first; returns one RunResult list per job, in job order, as the serial
+    loop does. Fork hands a worker its inputs without pickling them
+    (trainables hold closures).
 
     A worker that ends without sending its results fails its own batch
     only: each of its runs gets a WorkerError naming the batch and the exit
     status. An exception raised in a worker is raised here, the first in
-    batch order.
+    job order.
     """
     import multiprocessing
     from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
-    outcomes: list = [None] * len(batches)
-    todo = sorted(range(len(batches)), key=lambda i: -sum(run.data.n for run in batches[i]))
-    running: dict = {}  # receiving end of a worker's pipe -> (batch, process)
+    outcomes: list = [None] * len(jobs)
+    todo = sorted(range(len(jobs)), key=lambda i: -_work(jobs[i]))
+    running: dict = {}  # receiving end of a worker's pipe -> (job, process)
     try:
         while todo or running:
             while todo and len(running) < workers:
                 i = todo.pop(0)
                 receive, send = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_train_in_worker, args=(send, trainable, batches[i], cfg)
-                )
+                process = context.Process(target=_train_in_worker, args=(send, jobs[i]))
                 process.start()
                 send.close()  # the worker then holds the only writing end
                 running[receive] = (i, process)
@@ -443,21 +478,19 @@ def _train_in_workers(trainable: Trainable, batches: list, cfg: TrainConfig, wor
                 process.join()
                 if outcomes[i] is None:
                     error = WorkerError(
-                        f"the worker process training batch {i} of {len(batches)} exited "
+                        f"the worker process training batch {i} of {len(jobs)} exited "
                         f"with status {process.exitcode} before returning its results"
                     )
-                    outcomes[i] = [RunResult(None, math.inf, [], error) for _ in batches[i]]
+                    outcomes[i] = [RunResult(None, math.inf, [], error) for _ in jobs[i][1]]
     finally:  # on an interrupt, leave no worker behind
         for receive, (_, process) in running.items():
             process.kill()
             process.join()
             receive.close()
-    results = []
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
-        results += outcome
-    return results
+    return outcomes
 
 
 def _carve_validation(obs: ObservationSet, cfg: TrainConfig, seed: int):
@@ -468,58 +501,67 @@ def _carve_validation(obs: ObservationSet, cfg: TrainConfig, seed: int):
     return uniform_split(obs, 1.0 - cfg.val_fraction, seed=seed)
 
 
-def train_fits(trainable: Trainable, train_sets: list, seeds: list, cfg: TrainConfig) -> list:
-    """Fit every training set with cfg.restarts seeded restarts (seed + r).
+def train_fits(groups: list) -> list:
+    """Fit every group's training sets, each group a `(trainable,
+    train_sets, seeds, cfg)` tuple, with cfg.restarts seeded restarts
+    (seed + r) each.
 
     Under early stopping each set first gives up a validation share, drawn
-    with its seed. All restarts of all sets are trained in batches of
-    `train_batch`, and each set keeps the restart with the lowest final
-    training loss; a diverged restart counts as an infinite final loss.
-    Returns, per set, `(params, TrainReport)` or the TenfitError that ended
-    its fit: the first restart's error when no restart survives.
+    with its seed. A group's restarts of all its sets are cut into batches
+    of `train_batch` by its trainable, and each set keeps the restart with
+    the lowest final training loss; a diverged restart counts as an
+    infinite final loss. Returns, per group, per set `(params,
+    TrainReport)` or the TenfitError that ended its fit: the first
+    restart's error when no restart survives.
 
-    With more than one batch and more than one usable CPU (the process's
-    CPU affinity), the batches train in `min(batches, usable CPUs)` forked
-    worker processes and their results are gathered in batch order, so the
-    outputs are bit for bit those of the serial loop whatever the worker
-    count. Where fork is unavailable or other threads are running (a child
-    could inherit a lock one of them holds), the batches train one after
-    another in this process. A worker that dies fails its batch's runs with
-    a WorkerError; a fit with a restart that survives in another batch
-    keeps that restart. `seconds` in a report is the wall time of this
-    whole call, workers included.
+    The batches of every group train together. With more than one batch,
+    more than one usable CPU (the process's CPU affinity) and an estimated
+    work of at least POOL_MIN_WORK_US, they train in `min(batches, usable
+    CPUs)` forked worker processes, the longest estimated work first, and
+    their results are gathered in (group, batch) order, so the outputs are
+    bit for bit those of the serial loop whatever the worker count. Where
+    fork is unavailable or other threads are running (a child could
+    inherit a lock one of them holds), the batches train one after another
+    in this process. A worker that dies fails its batch's runs with a
+    WorkerError; a fit with a restart that survives in another batch keeps
+    that restart. `seconds` in a report is the wall time of this whole
+    call, workers included, so it covers every group: in an experiment or
+    a sweep, every model of the scoring loop.
     """
     start = time.perf_counter()
-    outcomes: list = [None] * len(train_sets)
-    runs = []
-    for i, (obs, seed) in enumerate(zip(train_sets, seeds)):
-        try:
-            fit_obs, val_obs = _carve_validation(obs, cfg, seed)
-        except TenfitError as exc:
-            outcomes[i] = exc
-            continue
-        runs += [Run(i, r, seed + r, fit_obs, val_obs) for r in range(cfg.restarts)]
-    batches = _batches(runs, trainable)
-    workers = min(len(batches), _usable_cpus())
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        results = _train_in_workers(trainable, batches, cfg, workers)
+    outcomes = [[None] * len(train_sets) for _, train_sets, _, _ in groups]
+    runs, jobs = [], []  # (group, Run) pairs and batch jobs, in (group, batch) order
+    for g, (trainable, train_sets, seeds, cfg) in enumerate(groups):
+        group_runs = []
+        for i, (obs, seed) in enumerate(zip(train_sets, seeds)):
+            try:
+                fit_obs, val_obs = _carve_validation(obs, cfg, seed)
+            except TenfitError as exc:
+                outcomes[g][i] = exc
+                continue
+            group_runs += [Run(i, r, seed + r, fit_obs, val_obs) for r in range(cfg.restarts)]
+        runs += [(g, run) for run in group_runs]
+        jobs += [(trainable, batch, cfg) for batch in _batches(group_runs, trainable)]
+    workers = min(len(jobs), _usable_cpus())
+    pays = sum(map(_work, jobs)) >= POOL_MIN_WORK_US
+    if workers > 1 and pays and hasattr(os, "fork") and threading.active_count() == 1:
+        trained = _train_in_workers(jobs, workers)
     else:
-        results = []
-        for batch in batches:
-            results += train_batch(trainable, batch, cfg)
+        trained = [train_batch(*job) for job in jobs]
+    results = [result for job_results in trained for result in job_results]
     seconds = time.perf_counter() - start
 
     by_fit: dict = {}
-    for run, result in zip(runs, results):
-        by_fit.setdefault(run.fit, []).append(result)
-    for i, restarts in by_fit.items():
+    for (g, run), result in zip(runs, results):
+        by_fit.setdefault((g, run.fit), []).append(result)
+    for (g, i), restarts in by_fit.items():
         finals = [r.final_loss for r in restarts]
         best = int(np.argmin(finals))
         if restarts[best].error is not None:  # every restart failed
-            outcomes[i] = restarts[0].error
+            outcomes[g][i] = restarts[0].error
             continue
         winner = restarts[best]
-        outcomes[i] = (
+        outcomes[g][i] = (
             winner.params,
             TrainReport(
                 losses=winner.losses,
@@ -553,40 +595,44 @@ builder, `model(params, space, normalizer, cfg)`, for arrays in layout
 order."""
 
 
-def fit_batch(shape, train_sets, cfg: TrainConfig, model_kind: str, seeds=None) -> list:
-    """Fit one model kind to each of several training sets, all of them
-    (and all their restarts) trained in shared batches.
+def fit_batch(shape, models, train_sets, seeds) -> list:
+    """Fit each model, a `(model_kind, cfg)` pair, to each of several
+    training sets, set i seeded with seeds[i]. Every fit of every model,
+    and all their restarts, train in one `train_fits` call: batches of one
+    model each, sharing one worker pool.
 
-    `seeds` gives each set's seed (default: `cfg.seed` for every set).
-    Returns, per set, `(model, TrainReport)` or the TenfitError that ended
-    that fit; a bad model kind raises at once. Each model carries the design
-    space and the normalizer of its training set so it can be used
-    standalone.
+    Returns, per model, per set `(model, TrainReport)` or the TenfitError
+    that ended that fit; a bad model kind raises at once. Each model
+    carries the design space and the normalizer of its training set so it
+    can be used standalone.
     """
-    if model_kind not in MODEL_KINDS:
-        raise ContractError(f"unknown model kind {model_kind!r}")
+    for model_kind, _ in models:
+        if model_kind not in MODEL_KINDS:
+            raise ContractError(f"unknown model kind {model_kind!r}")
     shape = tuple(int(s) for s in shape)
-    seeds = [cfg.seed] * len(train_sets) if seeds is None else [int(s) for s in seeds]
-    _, make_trainable, make_model = MODEL_KINDS[model_kind]
-    trainable = make_trainable(shape, cfg)
-
-    outcomes = [_train_set_error(obs, shape) for obs in train_sets]
-    todo = [i for i, error in enumerate(outcomes) if error is None]
-    trained = train_fits(trainable, [train_sets[i] for i in todo], [seeds[i] for i in todo], cfg)
-    for i, outcome in zip(todo, trained):
-        if isinstance(outcome, TenfitError):
+    errors = [_train_set_error(obs, shape) for obs in train_sets]
+    todo = [i for i, error in enumerate(errors) if error is None]
+    sets, todo_seeds = [train_sets[i] for i in todo], [int(seeds[i]) for i in todo]
+    groups = [(MODEL_KINDS[kind][1](shape, cfg), sets, todo_seeds, cfg) for kind, cfg in models]
+    results = []
+    for (model_kind, cfg), trained in zip(models, train_fits(groups)):
+        make_model = MODEL_KINDS[model_kind][2]
+        outcomes = list(errors)
+        for i, outcome in zip(todo, trained):
+            if not isinstance(outcome, TenfitError):
+                params, report = outcome
+                obs = train_sets[i]
+                outcome = (make_model(params, obs.space, obs.normalizer, cfg), report)
             outcomes[i] = outcome
-        else:
-            params, report = outcome
-            obs = train_sets[i]
-            outcomes[i] = (make_model(params, obs.space, obs.normalizer, cfg), report)
-    return outcomes
+        results.append(outcomes)
+    return results
 
 
 def fit(shape, obs_train: ObservationSet, cfg: TrainConfig, model_kind: str):
-    """Fit one model kind to the training observations: `fit_batch` with a
-    batch of one. Returns (model, TrainReport) or raises the fit's error."""
-    (outcome,) = fit_batch(shape, [obs_train], cfg, model_kind)
+    """Fit one model kind to the training observations: `fit_batch` with one
+    model and one set, seeded with cfg.seed. Returns (model, TrainReport)
+    or raises the fit's error."""
+    ((outcome,),) = fit_batch(shape, [(model_kind, cfg)], [obs_train], [cfg.seed])
     if isinstance(outcome, TenfitError):
         raise outcome
     return outcome

@@ -88,7 +88,7 @@ def test_batched_fits_match_solo_fits(case):
     trains = [observations(shape, n, rng) for n in sizes]
     assert sum(sizes) * cfg.restarts <= MAX_BATCH_ROWS  # one batch
     seeds = [seed + 10 * b for b in range(len(trains))]
-    outcomes = fit_batch(shape, trains, cfg, kind, seeds=seeds)
+    (outcomes,) = fit_batch(shape, [(kind, cfg)], trains, seeds)
     for train, fit_seed, outcome in zip(trains, seeds, outcomes):
         assert_matches_solo(shape, train, fit_seed, cfg, kind, outcome)
 
@@ -102,7 +102,7 @@ def test_diverging_fit_leaves_batch_mates_untouched(kind):
               observations(shape, 20, rng)]
     cfg = TrainConfig(rank=2, epochs=40, lr=0.05, restarts=2, **HEAD)
     seeds = [11, 12, 13]
-    outcomes = fit_batch(shape, trains, cfg, kind, seeds=seeds)
+    (outcomes,) = fit_batch(shape, [(kind, cfg)], trains, seeds)
     assert isinstance(outcomes[1], DivergenceError)
     assert "non-finite loss at epoch 0 of restart 0" in str(outcomes[1])
     for b in (0, 2):
@@ -117,11 +117,11 @@ def test_batch_split_at_the_row_bound_changes_nothing(monkeypatch):
     for kind, sizes in (("cpd", (30, 25, 33)), ("costco", (30, 30, 30))):
         rng = np.random.default_rng(8)
         trains = [observations(shape, n, rng) for n in sizes]
-        whole = fit_batch(shape, trains, cfg, kind, seeds=[1, 2, 3])
+        (whole,) = fit_batch(shape, [(kind, cfg)], trains, [1, 2, 3])
         with monkeypatch.context() as patch:  # about two runs a batch
             patch.setattr("tenfit.optim.MAX_BATCH_ROWS", 50)
             patch.setattr("tenfit.neural.COSTCO_MAX_BATCH_ROWS", 50)
-            split = fit_batch(shape, trains, cfg, kind, seeds=[1, 2, 3])
+            (split,) = fit_batch(shape, [(kind, cfg)], trains, [1, 2, 3])
         for (model_a, report_a), (model_b, report_b) in zip(whole, split):
             assert all(np.array_equal(a, b) for a, b in zip(arrays(model_a), arrays(model_b)))
             assert report_a.losses == report_b.losses
@@ -129,17 +129,20 @@ def test_batch_split_at_the_row_bound_changes_nothing(monkeypatch):
 
 
 # Worker processes: a call's batches train in forked workers when there is
-# more than one batch and more than one usable CPU. `_usable_cpus` is set to
-# 2 for the pooled side and to 1 for the serial side, so both paths run on
-# any machine.
+# more than one batch, more than one usable CPU and enough estimated work.
+# `run_with_cpus` sets `_usable_cpus` to 2 for the pooled side and to 1 for
+# the serial side, so both paths run on any machine, and sets the work
+# threshold to 0, so that the small calls of these tests use the pool.
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
-def run_with_cpus(monkeypatch, cpus, *args, **kwargs):
+def run_with_cpus(monkeypatch, cpus, shape, models, trains, seeds):
+    """`fit_batch` with `cpus` usable CPUs and no work threshold."""
     with monkeypatch.context() as patch:
         patch.setattr(optim, "_usable_cpus", lambda: cpus)
-        return fit_batch(*args, **kwargs)
+        patch.setattr(optim, "POOL_MIN_WORK_US", 0)
+        return fit_batch(shape, models, trains, seeds)
 
 
 def assert_same_outcomes(outcomes, expected):
@@ -155,13 +158,13 @@ def assert_same_outcomes(outcomes, expected):
 
 
 def pooled_calls(monkeypatch):
-    """Count the calls that train in worker processes."""
+    """Count the batch jobs of every call that trains in worker processes."""
     calls = []
     pooled = optim._train_in_workers
 
-    def counting(*args):
-        calls.append(len(args[1]))
-        return pooled(*args)
+    def counting(jobs, workers):
+        calls.append(len(jobs))
+        return pooled(jobs, workers)
 
     monkeypatch.setattr(optim, "_train_in_workers", counting)
     return calls
@@ -175,6 +178,23 @@ def early_stopped_cpd_case(monkeypatch):
     trains = [observations(shape, n, rng) for n in (30, 25, 33)]
     cfg = TrainConfig(rank=2, epochs=40, lr=0.05, restarts=2, patience=3, val_fraction=0.2)
     return shape, trains, cfg, [1, 2, 3]
+
+
+def mixed_kinds_case(monkeypatch):
+    """cpd, early-stopped cpd_s and costco fitted to the same three sets in
+    one call: 2 cpd batches, 2 cpd_s batches and 3 costco batches."""
+    monkeypatch.setattr(optim, "MAX_BATCH_ROWS", 90)
+    monkeypatch.setattr("tenfit.neural.COSTCO_MAX_BATCH_ROWS", 40)
+    shape = (4, 3, 3)
+    rng = np.random.default_rng(9)
+    trains = [observations(shape, 30, rng) for _ in range(3)]
+    models = [
+        ("cpd", TrainConfig(rank=2, epochs=30, lr=0.05, restarts=2)),
+        ("cpd_s", TrainConfig(rank=2, epochs=40, lr=0.05, smooth_weight=0.1, restarts=2,
+                              patience=3, val_fraction=0.2)),
+        ("costco", TrainConfig(rank=2, epochs=20, lr=0.05, **HEAD)),
+    ]
+    return shape, models, trains, [4, 5, 6]
 
 
 @needs_fork
@@ -191,8 +211,8 @@ def test_pooled_batches_equal_serial_bit_for_bit(monkeypatch, case):
         trains, seeds = trains[:2], seeds[:2]
         kind, n_batches = "cpd", 2
     calls = pooled_calls(monkeypatch)
-    pooled = run_with_cpus(monkeypatch, 2, shape, trains, cfg, kind, seeds=seeds)
-    serial = run_with_cpus(monkeypatch, 1, shape, trains, cfg, kind, seeds=seeds)
+    (pooled,) = run_with_cpus(monkeypatch, 2, shape, [(kind, cfg)], trains, seeds)
+    (serial,) = run_with_cpus(monkeypatch, 1, shape, [(kind, cfg)], trains, seeds)
     assert calls == [n_batches]  # only the first call trained in workers
     if cfg.patience:
         assert all(report.epochs_run < cfg.epochs for _, report in serial)
@@ -200,10 +220,52 @@ def test_pooled_batches_equal_serial_bit_for_bit(monkeypatch, case):
 
 
 @needs_fork
+def test_mixed_kinds_pooled_equal_serial_bit_for_bit(monkeypatch):
+    shape, models, trains, seeds = mixed_kinds_case(monkeypatch)
+    calls = pooled_calls(monkeypatch)
+    pooled = run_with_cpus(monkeypatch, 2, shape, models, trains, seeds)
+    serial = run_with_cpus(monkeypatch, 1, shape, models, trains, seeds)
+    assert calls == [2 + 2 + 3]  # one pool for every model's batches
+    assert all(report.epochs_run < 40 for _, report in serial[1])  # cpd_s stopped early
+    for model_pooled, model_serial, model in zip(pooled, serial, models):
+        assert_same_outcomes(model_pooled, model_serial)
+        (alone,) = run_with_cpus(monkeypatch, 1, shape, [model], trains, seeds)
+        assert_same_outcomes(model_serial, alone)
+
+
+@needs_fork
+def test_pool_starts_the_longest_estimated_work_first(monkeypatch, tmp_path):
+    shape = (5, 2, 3, 3, 3)
+    rng = np.random.default_rng(6)
+    log = tmp_path / "started"
+
+    def job(kind, sizes, cfg):
+        engine = optim.MODEL_KINDS[kind][1](shape, cfg)
+        runs = [optim.Run(b, 0, b, observations(shape, n, rng)) for b, n in enumerate(sizes)]
+        return engine, runs, cfg
+
+    cfg = TrainConfig(rank=2, epochs=2, lr=0.01, **HEAD)
+    jobs = [job("cpd", [228] * 3, cfg), job("costco", [154] * 2, cfg), job("cpd", [40], cfg)]
+    # by rows the cpd batch of 684 would start first; a CoSTCo row costs more
+    assert [sum(run.data.n for run in runs) for _, runs, _ in jobs] == [684, 308, 40]
+    train_batch = optim.train_batch
+
+    def logged(trainable, batch, cfg):  # forked workers inherit this patch
+        with log.open("a") as fh:
+            fh.write(f"{sum(run.data.n for run in batch)}\n")
+        return train_batch(trainable, batch, cfg)
+
+    monkeypatch.setattr(optim, "train_batch", logged)
+    results = optim._train_in_workers(jobs, workers=1)
+    assert log.read_text().split() == ["308", "684", "40"]
+    assert [len(job_results) for job_results in results] == [3, 2, 1]  # in job order
+
+
+@needs_fork
 def test_dead_worker_is_a_recorded_failure(monkeypatch):
     shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
     monkeypatch.setattr(optim, "MAX_BATCH_ROWS", 30)  # one batch per restart
-    serial = run_with_cpus(monkeypatch, 1, shape, trains, cfg, "cpd", seeds=seeds)
+    (serial,) = run_with_cpus(monkeypatch, 1, shape, [("cpd", cfg)], trains, seeds)
     train_batch = optim.train_batch
 
     def dying(trainable, batch, cfg):  # forked workers inherit this patch
@@ -212,7 +274,7 @@ def test_dead_worker_is_a_recorded_failure(monkeypatch):
         return train_batch(trainable, batch, cfg)
 
     monkeypatch.setattr(optim, "train_batch", dying)
-    outcomes = run_with_cpus(monkeypatch, 2, shape, trains, cfg, "cpd", seeds=seeds)
+    (outcomes,) = run_with_cpus(monkeypatch, 2, shape, [("cpd", cfg)], trains, seeds)
     assert isinstance(outcomes[1], WorkerError)
     assert "exited with status 3" in str(outcomes[1])
     assert "batch 2 of 6" in str(outcomes[1])
@@ -221,6 +283,26 @@ def test_dead_worker_is_a_recorded_failure(monkeypatch):
     _, report = outcomes[2]
     assert report.restart == 0
     assert report.restart_final_losses == [serial[2][1].restart_final_losses[0], math.inf]
+
+
+@needs_fork
+def test_dead_worker_fails_only_its_kinds_batch(monkeypatch):
+    shape, models, trains, seeds = mixed_kinds_case(monkeypatch)
+    serial = run_with_cpus(monkeypatch, 1, shape, models, trains, seeds)
+    train_batch = optim.train_batch
+
+    def dying(trainable, batch, cfg):  # kill the worker of CoSTCo's fit 1
+        if trainable.same_size and batch[0].fit == 1:
+            os._exit(4)
+        return train_batch(trainable, batch, cfg)
+
+    monkeypatch.setattr(optim, "train_batch", dying)
+    cpd, cpd_s, costco = run_with_cpus(monkeypatch, 2, shape, models, trains, seeds)
+    assert isinstance(costco[1], WorkerError)
+    assert "batch 5 of 7" in str(costco[1]) and "exited with status 4" in str(costco[1])
+    assert_same_outcomes([costco[0], costco[2]], [serial[2][0], serial[2][2]])
+    assert_same_outcomes(cpd, serial[0])
+    assert_same_outcomes(cpd_s, serial[1])
 
 
 @needs_fork
@@ -237,29 +319,55 @@ def test_worker_exception_is_raised_as_serially(monkeypatch):
     monkeypatch.setattr(optim, "train_batch", failing)
     for cpus in (1, 2):
         with pytest.raises(ContractError, match="^bad batch of fit 1$"):
-            run_with_cpus(monkeypatch, cpus, shape, trains, cfg, "cpd", seeds=seeds)
+            run_with_cpus(monkeypatch, cpus, shape, [("cpd", cfg)], trains, seeds)
 
 
-def test_serial_cases_start_no_process(monkeypatch):
+def forbid_fork(monkeypatch):
     def no_fork():
         raise AssertionError("a worker process was started")
 
-    shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
     monkeypatch.setattr(os, "fork", no_fork)
+
+
+def test_serial_cases_start_no_process(monkeypatch):
+    shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
+    forbid_fork(monkeypatch)
+    models = [("cpd", cfg)]
     # one batch, however many CPUs
-    (outcome,) = run_with_cpus(monkeypatch, 2, shape, trains[:1], replace(cfg, restarts=1), "cpd")
+    ((outcome,),) = run_with_cpus(
+        monkeypatch, 2, shape, [("cpd", replace(cfg, restarts=1))], trains[:1], seeds[:1]
+    )
     assert not isinstance(outcome, Exception)
     # several batches on one usable CPU
-    outcomes = run_with_cpus(monkeypatch, 1, shape, trains, cfg, "cpd", seeds=seeds)
+    (outcomes,) = run_with_cpus(monkeypatch, 1, shape, models, trains, seeds)
     assert not any(isinstance(outcome, Exception) for outcome in outcomes)
     # several batches while another thread runs
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        outcomes = run_with_cpus(monkeypatch, 2, shape, trains, cfg, "cpd", seeds=seeds)
+        (outcomes,) = run_with_cpus(monkeypatch, 2, shape, models, trains, seeds)
     finally:
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+
+
+def test_tiny_two_spec_call_starts_no_process(monkeypatch):
+    shape, models, trains, seeds = mixed_kinds_case(monkeypatch)
+    models = models[::2]  # cpd and costco: 5 batches
+    jobs = []
+    batches = optim._batches
+
+    def counted(runs, trainable):
+        made = batches(runs, trainable)
+        jobs.extend(made)
+        return made
+
+    monkeypatch.setattr(optim, "_batches", counted)
+    monkeypatch.setattr(optim, "_usable_cpus", lambda: 2)
+    forbid_fork(monkeypatch)
+    outcomes = fit_batch(shape, models, trains, seeds)
+    assert len(jobs) == 5
+    assert not any(isinstance(outcome, Exception) for model in outcomes for outcome in model)

@@ -256,6 +256,21 @@ class TestFactorsAndFms:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ContractError"
 
+    def test_fms_names_a_model_file_with_a_malformed_schema(self, dataset_dir, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        main(["fit", "--obs", str(dataset_dir), "--model", "cpd", "--rank", "2",
+              "--epochs", "20", "--lr", "0.05", "--seed", "1", "--out", str(model_path)])
+        payload = json.loads(model_path.read_text())
+        del payload["schema"]["axes"][1]["kind"]
+        damaged = tmp_path / "damaged.json"
+        damaged.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["fms", "--a", str(damaged), "--b", str(model_path),
+                     "--out", str(tmp_path / "fms.json")])
+        error = one_json_error(code, capsys.readouterr().err)
+        assert error["error"] == "SchemaError"
+        assert str(damaged) in error["message"] and "'kind'" in error["message"]
+
     def test_fms_of_model_with_itself(self, dataset_dir, tmp_path):
         model_path = tmp_path / "m.json"
         main(["fit", "--obs", str(dataset_dir), "--model", "cpd", "--rank", "2",
@@ -426,6 +441,15 @@ class TestErrorReporting:
         payload = one_json_error(code, capsys.readouterr().err)
         assert payload["error"] == "SchemaError"
         assert "normalizer.json" in payload["message"]
+
+    def test_malformed_schema_json_names_its_file(self, dataset_dir, tmp_path, capsys):
+        (dataset_dir / "schema.json").write_text(json.dumps({"axes": "nope", "outcome": "y"}))
+        capsys.readouterr()
+        code = main(["fit", "--obs", str(dataset_dir), "--model", "cpd",
+                     "--rank", "2", "--out", str(tmp_path / "m.json")])
+        payload = one_json_error(code, capsys.readouterr().err)
+        assert payload["error"] == "SchemaError"
+        assert str(dataset_dir / "schema.json") in payload["message"]
 
     def test_missing_file_yields_json_error(self, tmp_path, capsys):
         code = main(["fit", "--obs", str(tmp_path / "missing"), "--model", "cpd",

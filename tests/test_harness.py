@@ -7,7 +7,7 @@ from conftest import full_grid_indices, low_rank_values, obs_from_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenfit import harness
+from tenfit import harness, optim
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
 from tenfit.errors import ContractError, DegenerateDataError, SplitError, StratumExhaustedError
 from tenfit.harness import (
@@ -24,7 +24,7 @@ from tenfit.harness import (
 )
 from tenfit.metrics import regression_metrics
 from tenfit.modelio import write_dataset
-from tenfit.optim import TrainConfig, fit, fit_batch
+from tenfit.optim import TrainConfig, fit, fit_batch, train_fits
 
 
 def random_obs(shape, n, seed, low=0.0, high=1.0):
@@ -394,24 +394,30 @@ class TestOodSweep:
         b = ood_sweep(obs, self.region(), 6, [2, 4], cfg, ["cpd"], iterations=2)
         assert a == b
 
-    def test_one_fit_batch_call_per_kind(self, monkeypatch):
-        calls = count_fit_batch_calls(monkeypatch)
+    def test_one_training_call_for_every_kind(self, monkeypatch):
+        calls = count_training_calls(monkeypatch)
         cfg = TrainConfig(rank=2, epochs=5, lr=0.05, n_init_groups=2, conv_channels=2)
         table = ood_sweep(self.setup_obs(), self.region(), 6, [2, 3, 4], cfg,
                           ["cpd", "costco"], iterations=2)
         assert [row["n_out"] for row in table["models"]["costco"]] == [2, 3, 4]
-        assert calls == [("cpd", 6), ("costco", 6)]
+        assert calls == [(["cpd", "costco"], [[6, 6]])]  # 3 counts x 2 iterations each
 
 
-def count_fit_batch_calls(monkeypatch) -> list:
-    """Record (model kind, training sets) of every harness fit_batch call."""
+def count_training_calls(monkeypatch) -> list:
+    """Record every harness fit_batch call as (its model kinds, the
+    training-set count of each group of every `train_fits` call it makes)."""
     calls = []
 
-    def counted(shape, train_sets, cfg, model_kind, seeds=None):
-        calls.append((model_kind, len(train_sets)))
-        return fit_batch(shape, train_sets, cfg, model_kind, seeds=seeds)
+    def counted_train_fits(groups):
+        calls[-1][1].append([len(train_sets) for _, train_sets, _, _ in groups])
+        return train_fits(groups)
 
-    monkeypatch.setattr(harness, "fit_batch", counted)
+    def counted_fit_batch(shape, models, train_sets, seeds):
+        calls.append(([kind for kind, _ in models], []))
+        return fit_batch(shape, models, train_sets, seeds)
+
+    monkeypatch.setattr(optim, "train_fits", counted_train_fits)
+    monkeypatch.setattr(harness, "fit_batch", counted_fit_batch)
     return calls
 
 
@@ -535,12 +541,12 @@ class TestRunExperiment:
         assert summary["fms"] is not None
         assert (out_dir / "summary.json").exists()
 
-    def test_one_fit_batch_call_per_model(self, tmp_path, monkeypatch):
-        calls = count_fit_batch_calls(monkeypatch)
+    def test_one_training_call_for_every_model(self, tmp_path, monkeypatch):
+        calls = count_training_calls(monkeypatch)
         summary = run_experiment(self.experiment_config(self.make_dataset(tmp_path)),
                                  tmp_path / "out")
         assert not summary["failures"]
-        assert calls == [("cpd", 6), ("cpd_s", 6)]  # 2 plans x 3 iterations each
+        assert calls == [(["cpd", "cpd_s"], [[6, 6]])]  # 2 plans x 3 iterations each
 
     def test_two_plans_match_one_plan_runs(self, tmp_path):
         config = self.experiment_config(self.make_dataset(tmp_path))

@@ -181,7 +181,7 @@ class TestFit:
             objective=objective,
         )
         cfg = TrainConfig(rank=1, epochs=50, lr=0.1, restarts=3, seed=0)
-        ((params, report),) = train_fits(trainable, [UNUSED_DATA], [cfg.seed], cfg)
+        (((params, report),),) = train_fits([(trainable, [UNUSED_DATA], [cfg.seed], cfg)])
         assert report.restart_final_losses[1] == math.inf
         assert all(math.isfinite(report.restart_final_losses[r]) for r in (0, 2))
         assert report.restart in (0, 2)
