@@ -284,6 +284,14 @@ def cpd_layout(shape, cfg) -> list:
     return [(f"factors/{m}", (int(size), cfg.rank)) for m, size in enumerate(shape)]
 
 
+CPD_S_ROW_EPOCH_US = 0.13
+"""CPD-S's training cost per observed row and epoch, in us, as
+`optim.ROW_EPOCH_US` is CPD's: the smoothness penalty's gradient adds work
+per fit, which per row came to 1.27-1.46 times CPD's cost in
+`bench/kernels.py`'s `batch` table (216-row fits on the 270-cell shape,
+B=9-20, `BENCH_11.json`)."""
+
+
 def cpd_trainable(shape, cfg, kind: str):
     """The optim engine's view of CPD (kind "cpd") or CPD-S ("cpd_s"):
     seeded factors trained on the masked MSE plus CPD-S's penalty, with
@@ -297,7 +305,7 @@ def cpd_trainable(shape, cfg, kind: str):
         objective=lambda sets: masked_objective(sets, cfg.rank, smoothness),
         val_objective=lambda sets: masked_objective(sets, cfg.rank),
         max_rows=MAX_BATCH_ROWS,
-        row_epoch_us=ROW_EPOCH_US,
+        row_epoch_us=CPD_S_ROW_EPOCH_US if kind == "cpd_s" else ROW_EPOCH_US,
     )
 
 

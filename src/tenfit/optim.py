@@ -180,17 +180,15 @@ Two fits of 3,456 rows train apart: B=2 was no cheaper per fit-epoch
 """
 
 ROW_EPOCH_US = 0.09
-"""CPD's and CPD-S's training cost per observed row and epoch, in us (the
-engine's default; CoSTCo sets its own, see `neural.COSTCO_ROW_EPOCH_US`).
-The engine estimates a batch's work as its training rows x epochs x this
-cost, to start the longest batches first and to train serially when a
-call's work would not pay for worker processes. From `bench/kernels.py`'s
-`batch` table at R=3 in batches of 1,944 to 6,912 rows (`BENCH_10.json`):
-0.084-0.092 for 216-row fits on the 270-cell shape, 0.083-0.095 for 768-
-and 0.085-0.091 for 1,000-row fits on the 4,800-cell shape. CPD-S's
-penalty adds a cost per fit, not per row; its entries (`BENCH_11.json`)
-read the same as CPD's at these batch sizes, within the host's noise.
-Smaller batches cost more per row.
+"""CPD's training cost per observed row and epoch, in us (the engine's
+default; CPD-S and CoSTCo set their own, see `cpd.CPD_S_ROW_EPOCH_US` and
+`neural.COSTCO_ROW_EPOCH_US`). The engine estimates a batch's work as its
+training rows x epochs x this cost, to start the longest batches first and
+to train serially when a call's work would not pay for worker processes.
+From `bench/kernels.py`'s `batch` table at R=3 in batches of 1,944 to
+6,912 rows (`BENCH_10.json`): 0.084-0.092 for 216-row fits on the
+270-cell shape, 0.083-0.095 for 768- and 0.085-0.091 for 1,000-row fits
+on the 4,800-cell shape. Smaller batches cost more per row.
 """
 
 
@@ -420,7 +418,9 @@ results back, exit and reaping (`bench/kernels.py`'s `parallel` table,
 `startup` entry: two one-epoch CoSTCo batches took 20.4 ms in two workers
 against 5.1 ms serially, `BENCH_10.json`). The multiple of 4 is where the
 same table's `break_even` entries, two CoSTCo batches at 10 to 80 epochs
-trained serially and in workers, cross (`BENCH_11.json`)."""
+trained serially and in workers, cross: in `BENCH_11.json` the workers
+lost at 17 ms of estimated work (74 against 43 ms) and broke even at 34 ms
+(89 against 89 ms)."""
 
 
 def _work(job) -> float:
