@@ -284,7 +284,7 @@ def cpd_layout(shape, cfg) -> list:
     return [(f"factors/{m}", (int(size), cfg.rank)) for m, size in enumerate(shape)]
 
 
-CPD_S_ROW_EPOCH_US = 0.13
+CPD_S_ROW_EPOCH_US = 0.12
 """CPD-S's training cost per observed row and epoch, in us, as
 `optim.ROW_EPOCH_US` is CPD's: the smoothness penalty's gradient adds work
 per fit, which per row came to 1.27-1.46 times CPD's cost in
