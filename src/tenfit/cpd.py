@@ -287,7 +287,7 @@ def cpd_layout(shape, cfg) -> list:
 CPD_S_ROW_EPOCH_US = 0.12
 """CPD-S's training cost per observed row and epoch, in us, as
 `optim.ROW_EPOCH_US` is CPD's: the smoothness penalty's gradient adds work
-per fit, which per row came to 1.27-1.46 times CPD's cost in
+per fit, which per row came to 1.18-1.38 times CPD's cost in
 `bench/kernels.py`'s `batch` table (216-row fits on the 270-cell shape,
 B=9-20, `BENCH_11.json`)."""
 

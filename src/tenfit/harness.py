@@ -306,11 +306,11 @@ def _scored_cells(plans, obs: ObservationSet, specs, seeds, scope: str, keep=Non
     given, is the boolean mask of the test rows to score. Every model spec
     is then fitted to the training sides of every (plan, iteration) that
     split, in one `fit_batch` call whose batches share one worker pool
-    (iteration i's fit seeded with seeds[i]). Yields `(plan, iteration, spec, outcome)` in
-    (plan, iteration, spec) order, the outcome a ScoredCell or the
-    TenfitError of that cell's fit or scoring; a failed split yields its
-    error once, with spec None. A bad scope or no iterations raises before
-    any split.
+    (iteration i's fit seeded with seeds[i]). Yields `(plan, iteration,
+    spec, outcome)` in (plan, iteration, spec) order, the outcome a
+    ScoredCell or the TenfitError of that cell's fit or scoring; a failed
+    split yields its error once, with spec None. A bad scope or no
+    iterations raises before any split.
     """
     if not seeds:
         raise ContractError("iterations must be >= 1")

@@ -415,12 +415,14 @@ POOL_MIN_WORK_US = 4 * 7_500
 worker processes; below it they train serially. A worker adds about
 7.5 ms: fork, the copy-on-write faults of its first writes, sending its
 results back, exit and reaping (`bench/kernels.py`'s `parallel` table,
-`startup` entry: two one-epoch CoSTCo batches took 20.4 ms in two workers
-against 5.1 ms serially, `BENCH_10.json`). The multiple of 4 is where the
-same table's `break_even` entries, two CoSTCo batches at 10 to 80 epochs
-trained serially and in workers, cross: in `BENCH_11.json` the workers
-lost at 17 ms of estimated work (74 against 43 ms) and broke even at 34 ms
-(89 against 89 ms)."""
+`startup` entry: two one-epoch CoSTCo batches took 19.2 ms in two workers
+against 5.1 ms serially, `BENCH_11.json`). The multiple of 4 comes from
+the same table's `break_even` entries, two CoSTCo batches at 10 to 80
+epochs trained serially and in workers: in `BENCH_11.json` the workers
+lost at 8.6 ms of estimated work (27.9 against 20.5 ms) and won from
+17 ms on (34.4 against 37.9 ms); two earlier runs of the table on a
+busier host put the crossing at about 25 and 34 ms. Near the threshold
+either path costs within a few ms of the other."""
 
 
 def _work(job) -> float:
@@ -531,11 +533,15 @@ def train_fits(groups: list) -> list:
     start = time.perf_counter()
     outcomes = [[None] * len(train_sets) for _, train_sets, _, _ in groups]
     runs, jobs = [], []  # (group, Run) pairs and batch jobs, in (group, batch) order
+    carved = {}  # groups fitting one set with one seed and share carve it once
     for g, (trainable, train_sets, seeds, cfg) in enumerate(groups):
         group_runs = []
         for i, (obs, seed) in enumerate(zip(train_sets, seeds)):
+            key = (id(obs), seed, cfg.val_fraction if cfg.patience is not None else 0.0)
             try:
-                fit_obs, val_obs = _carve_validation(obs, cfg, seed)
+                if key not in carved:
+                    carved[key] = _carve_validation(obs, cfg, seed)
+                fit_obs, val_obs = carved[key]
             except TenfitError as exc:
                 outcomes[g][i] = exc
                 continue

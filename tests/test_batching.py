@@ -181,15 +181,17 @@ def early_stopped_cpd_case(monkeypatch):
 
 
 def mixed_kinds_case(monkeypatch):
-    """cpd, early-stopped cpd_s and costco fitted to the same three sets in
-    one call: 2 cpd batches, 2 cpd_s batches and 3 costco batches."""
+    """cpd and cpd_s, both early-stopped with one validation share, and
+    costco fitted to the same three sets in one call: 2 cpd batches, 2
+    cpd_s batches and 3 costco batches."""
     monkeypatch.setattr(optim, "MAX_BATCH_ROWS", 90)
     monkeypatch.setattr("tenfit.neural.COSTCO_MAX_BATCH_ROWS", 40)
     shape = (4, 3, 3)
     rng = np.random.default_rng(9)
     trains = [observations(shape, 30, rng) for _ in range(3)]
     models = [
-        ("cpd", TrainConfig(rank=2, epochs=30, lr=0.05, restarts=2)),
+        ("cpd", TrainConfig(rank=2, epochs=30, lr=0.05, restarts=2, patience=3,
+                            val_fraction=0.2)),
         ("cpd_s", TrainConfig(rank=2, epochs=40, lr=0.05, smooth_weight=0.1, restarts=2,
                               patience=3, val_fraction=0.2)),
         ("costco", TrainConfig(rank=2, epochs=20, lr=0.05, **HEAD)),
