@@ -18,16 +18,16 @@ Run it from the repository root; it imports tenfit from ./src. Four tables:
   and per row-epoch (the best of several rounds), for CPD, CPD-S and
   CoSTCo; these measurements set `optim.MAX_BATCH_ROWS`,
   `neural.COSTCO_MAX_BATCH_ROWS` and each kind's cost per row-epoch
-  (`cpd.CPD_ROW_EPOCH_US`, `cpd.CPD_S_ROW_EPOCH_US`,
+  (`optim.ROW_EPOCH_US`, `cpd.CPD_S_ROW_EPOCH_US`,
   `neural.COSTCO_ROW_EPOCH_US`).
-- `parallel`: `optim.train_fits` calls, medians over rounds in ms per call,
+- `parallel`: `optim.fit_batch` calls, medians over rounds in ms per call,
   each with the call's estimated work (`est_work_ms`, the engine's own
   estimate). The sides of an entry alternate within each round, so a slow
   spell of the host hits them alike, and must give equal final losses.
   - 1 to 4 CoSTCo batches of 2 fits at the OOD sweep's sizes and epochs,
     and the first two of them at fewer epochs (`startup` at one epoch,
     `break_even_<epochs>`): trained one after another in this process
-    (`serial_ms`), as `train_fits` chooses with every usable CPU
+    (`serial_ms`), as `fit_batch` chooses with every usable CPU
     (`pooled_ms`: serial below `optim.POOL_MIN_WORK_US`) and always in
     forked workers (`forked_ms`). Where `forked_ms` meets `serial_ms` sets
     the threshold; at one epoch `forked_ms` is almost all the cost of
@@ -105,8 +105,9 @@ PARALLEL_EPOCHS = 300
 BREAK_EVEN_EPOCHS = (10, 20, 40, 80)  # of the first two batches
 
 # experiment_lattice's training sets: uniform (0.8) and biased (54 in, 30
-# out) splits of the 270-cell lattice, 3 iterations each
+# out) splits of the 270-cell lattice, 3 iterations each, and its epochs
 LATTICE_SETS = (216, 84) * 3
+LATTICE_EPOCHS = 500
 
 FMS_RANKS = (3, 5, 7, 8)
 FMS_ROUND_S = 0.1
@@ -186,7 +187,7 @@ def bench_objective(kind, shape, n, n_fits, grad, calls, rounds, rng):
 
 
 def trainable(kind, shape, cfg):
-    return optim.MODEL_KINDS[kind][1](shape, cfg)
+    return optim.MODEL_KINDS[kind](shape, cfg)
 
 
 def bench_batch(rounds, epochs, rng):
@@ -215,29 +216,32 @@ def bench_batch(rounds, epochs, rng):
             for (entry, *_), us in zip(entries, best)]
 
 
-def train_fits_on(cpus, groups, min_work=None):
-    """`optim.train_fits` as it runs with `cpus` usable CPUs and, when
-    given, a pool threshold of `min_work` us; returns the final losses."""
+def fit_batch_on(cpus, call, min_work=None):
+    """`optim.fit_batch` on a `(shape, models, sets, seeds)` call as it runs
+    with `cpus` usable CPUs and, when given, a pool threshold of `min_work`
+    us; returns the final losses."""
     saved = optim._usable_cpus, optim.POOL_MIN_WORK_US
     optim._usable_cpus = lambda: cpus
     if min_work is not None:
         optim.POOL_MIN_WORK_US = min_work
     try:
-        outcomes = optim.train_fits(groups)
+        outcomes = optim.fit_batch(*call)
     finally:
         optim._usable_cpus, optim.POOL_MIN_WORK_US = saved
-    return [report.final_loss for group in outcomes for _, report in group]
+    return [report.final_loss for model in outcomes for _, report in model]
 
 
-def estimated_work_ms(groups):
+def estimated_work_ms(call):
     """The engine's estimate of a call's work: rows x restarts x epochs x
     the kind's cost per row-epoch."""
-    return sum(sum(s.n for s in sets) * cfg.restarts * cfg.epochs * engine.row_epoch_us
-               for engine, sets, _, cfg in groups) / 1e3
+    shape, models, sets, _ = call
+    rows = sum(s.n for s in sets)
+    return sum(rows * cfg.restarts * cfg.epochs * trainable(kind, shape, cfg).row_epoch_us
+               for kind, cfg in models) / 1e3
 
 
 def bench_parallel(rounds, rng):
-    """ms per `train_fits` call of each entry's sides (median of `rounds`);
+    """ms per `fit_batch` call of each entry's sides (median of `rounds`);
     every side must give the same final losses."""
     cpus = optim._usable_cpus()
     entries = []
@@ -248,47 +252,47 @@ def bench_parallel(rounds, rng):
         cfg = optim.TrainConfig(rank=RANK, epochs=epochs, lr=0.01)
         sets = [observations(LATTICE, n, rng)
                 for n in PARALLEL_SIZES[:n_batches] for _ in range(PARALLEL_FITS)]
-        groups = [(trainable("costco", LATTICE, cfg), sets, list(range(len(sets))), cfg)]
+        call = (LATTICE, [("costco", cfg)], sets, list(range(len(sets))))
         sides = {
-            "serial": lambda groups=groups: train_fits_on(1, groups),
-            "pooled": lambda groups=groups: train_fits_on(cpus, groups),
-            "forked": lambda groups=groups: train_fits_on(cpus, groups, min_work=0),
+            "serial": lambda call=call: fit_batch_on(1, call),
+            "pooled": lambda call=call: fit_batch_on(cpus, call),
+            "forked": lambda call=call: fit_batch_on(cpus, call, min_work=0),
         }
         entry = {"name": name, "batches": n_batches, "fits": len(sets), "epochs": epochs,
                  "rows": [s.n for s in sets[::PARALLEL_FITS]],
                  "workers": min(n_batches, cpus)}
-        entries.append((entry, groups, sides))
+        entries.append((entry, call, sides))
     sets = [observations(LATTICE, n, rng) for n in LATTICE_SETS]
     seeds = [it for it in range(3) for _ in range(2)]
     models = [("cpd", dict(restarts=3)),
               ("cpd_s", dict(smooth_weight=0.002, smooth_modes=(1, 2, 3, 4)))]
-    groups = []
-    for kind, settings in models:
-        cfg = optim.TrainConfig(rank=RANK, epochs=500, lr=0.02, **settings)
-        groups.append((trainable(kind, LATTICE, cfg), sets, seeds, cfg))
+    models = [(kind, optim.TrainConfig(rank=RANK, epochs=LATTICE_EPOCHS, lr=0.02, **settings))
+              for kind, settings in models]
+    call = (LATTICE, models, sets, seeds)
     sides = {
-        "serial": lambda: train_fits_on(1, groups),
-        "per_kind": lambda: [loss for group in groups for loss in train_fits_on(cpus, [group])],
-        "pooled": lambda: train_fits_on(cpus, groups),
+        "serial": lambda: fit_batch_on(1, call),
+        "per_kind": lambda: [loss for model in models
+                             for loss in fit_batch_on(cpus, (LATTICE, [model], sets, seeds))],
+        "pooled": lambda: fit_batch_on(cpus, call),
     }
-    entry = {"name": "lattice_mixed", "batches": 2, "fits": len(sets) * 2, "epochs": 500,
+    entry = {"name": "lattice_mixed", "batches": 2, "fits": len(sets) * 2, "epochs": LATTICE_EPOCHS,
              "rows": [sum(LATTICE_SETS) * 3, sum(LATTICE_SETS)], "workers": min(2, cpus)}
-    entries.append((entry, groups, sides))
+    entries.append((entry, call, sides))
 
     times = [{side: [] for side in sides} for _, _, sides in entries]
     for _ in range(rounds):
         for (entry, _, sides), spent in zip(entries, times):
             losses = []
-            for side, call in sides.items():
+            for side, run in sides.items():
                 start = time.perf_counter()
-                losses.append(call())
+                losses.append(run())
                 spent[side].append((time.perf_counter() - start) * 1e3)
             if any(other != losses[0] for other in losses[1:]):
                 raise AssertionError(f"{entry['name']}: final losses differ between sides")
     table = []
-    for (entry, groups, _), spent in zip(entries, times):
+    for (entry, call, _), spent in zip(entries, times):
         ms = {f"{side}_ms": round(statistics.median(t), 2) for side, t in spent.items()}
-        table.append({**entry, "est_work_ms": round(estimated_work_ms(groups), 2), **ms,
+        table.append({**entry, "est_work_ms": round(estimated_work_ms(call), 2), **ms,
                       "speedup": round(ms["serial_ms"] / ms["pooled_ms"], 3)})
     return table
 

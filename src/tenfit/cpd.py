@@ -269,15 +269,6 @@ class CPDModel:
         return predict_indices(self.factors, indices)
 
 
-def _smoothness(cfg, kind: str, ndim: int) -> SmoothnessConfig:
-    """CPD-S's penalty as a TrainConfig sets it (on every mode unless
-    `cfg.smooth_modes` names some); none for CPD."""
-    if kind != "cpd_s":
-        return SmoothnessConfig()
-    modes = cfg.smooth_modes if cfg.smooth_modes is not None else range(ndim)
-    return SmoothnessConfig(weight=cfg.smooth_weight, modes=tuple(modes))
-
-
 def cpd_layout(shape, cfg) -> list:
     """CPD's named parameter shapes: one (I_m, R) factor matrix per mode,
     named factors/m."""
@@ -294,27 +285,23 @@ B=9-20, `BENCH_11.json`)."""
 
 def cpd_trainable(shape, cfg, kind: str):
     """The optim engine's view of CPD (kind "cpd") or CPD-S ("cpd_s"):
-    seeded factors trained on the masked MSE plus CPD-S's penalty, with
-    early stopping on the plain masked MSE."""
+    seeded factors trained on the masked MSE plus CPD-S's penalty (on every
+    mode unless `cfg.smooth_modes` names some), with early stopping on the
+    plain masked MSE."""
     from .optim import MAX_BATCH_ROWS, ROW_EPOCH_US, Trainable  # avoids a module cycle
 
-    smoothness = _smoothness(cfg, kind, len(shape))
+    smoothness = SmoothnessConfig()
+    if kind == "cpd_s":
+        modes = cfg.smooth_modes if cfg.smooth_modes is not None else range(len(shape))
+        smoothness = SmoothnessConfig(weight=cfg.smooth_weight, modes=tuple(modes))
     return Trainable(
         layout=cpd_layout(shape, cfg),
         init=lambda seed: init_factors(shape, cfg.rank, seed).factors,
         objective=lambda sets: masked_objective(sets, cfg.rank, smoothness),
         val_objective=lambda sets: masked_objective(sets, cfg.rank),
+        model=lambda params, space, normalizer: CPDModel(
+            kind, FactorSet(params), space, normalizer, smoothness
+        ),
         max_rows=MAX_BATCH_ROWS,
         row_epoch_us=CPD_S_ROW_EPOCH_US if kind == "cpd_s" else ROW_EPOCH_US,
-    )
-
-
-def cpd_model(params: list, space: DesignSpace, normalizer, cfg, kind: str) -> CPDModel:
-    """Trained factors, in layout order, as a standalone model."""
-    return CPDModel(
-        kind=kind,
-        factors=FactorSet(params),
-        space=space,
-        normalizer=normalizer,
-        smoothness=_smoothness(cfg, kind, len(params)),
     )

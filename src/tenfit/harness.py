@@ -425,6 +425,13 @@ def _name(entry: dict, default: str) -> str:
     return name
 
 
+def _int(value) -> int:
+    """An integer config value: not a bool, nor a number with a fraction."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _pair(values) -> tuple:
     lo, hi = values
     return lo, hi
@@ -439,16 +446,16 @@ def _entries(values) -> list:
 
 # config key -> (TrainConfig field, cast); an absent key keeps the field's default
 _TRAIN_KEYS = {
-    "epochs": ("epochs", int),
+    "epochs": ("epochs", _int),
     "lr": ("lr", float),
     "lambda_smooth": ("smooth_weight", float),
-    "seed": ("seed", int),
-    "restarts": ("restarts", int),
-    "patience": ("patience", lambda v: None if v is None else int(v)),
+    "seed": ("seed", _int),
+    "restarts": ("restarts", _int),
+    "patience": ("patience", lambda v: None if v is None else _int(v)),
     "val_fraction": ("val_fraction", float),
-    "groups": ("n_init_groups", int),
-    "channels": ("conv_channels", int),
-    "hidden": ("hidden_units", int),
+    "groups": ("n_init_groups", _int),
+    "channels": ("conv_channels", _int),
+    "hidden": ("hidden_units", _int),
 }
 
 
@@ -464,7 +471,7 @@ def _train_config_from(entry: dict, space: DesignSpace) -> TrainConfig:
 
     given = {f: _read(entry, key, cast) for key, (f, cast) in _TRAIN_KEYS.items() if key in entry}
     return TrainConfig(
-        rank=_read(entry, "rank", int),
+        rank=_read(entry, "rank", _int),
         smooth_modes=_read(entry, "smooth_modes", modes, space.ordinal_modes()),
         **given,
     )
@@ -499,8 +506,8 @@ def region_from_config(entry: dict, space: DesignSpace) -> RegionSpec:
         region = RegionSpec(
             axis_a=entry["axis_a"],
             axis_b=entry["axis_b"],
-            a_range=_read(entry, "a_range", lambda v: tuple(int(i) for i in _pair(v))),
-            b_range=_read(entry, "b_range", lambda v: tuple(int(i) for i in _pair(v))),
+            a_range=_read(entry, "a_range", lambda v: tuple(map(_int, _pair(v)))),
+            b_range=_read(entry, "b_range", lambda v: tuple(map(_int, _pair(v)))),
         )
     region.validate(space)
     return region
@@ -518,8 +525,8 @@ def plan_from_config(entry: dict, space: DesignSpace) -> SamplingPlan:
         return SamplingPlan(
             kind="biased",
             region=region_from_config(entry["region"], space),
-            n_in=_read(entry, "n_in", int),
-            n_out=_read(entry, "n_out", int),
+            n_in=_read(entry, "n_in", _int),
+            n_out=_read(entry, "n_out", _int),
             name=_name(entry, "biased"),
         )
     raise ContractError(f"unknown plan kind {kind!r}")
@@ -530,10 +537,10 @@ def _read_run(config: dict):
     observations, the iteration count, the base seed and the normalization
     scope (checked when the scoring loop starts)."""
     space, obs = load_dataset(_read(config, "dataset", Path))
-    seed = _read(config, "seed", int, 0)
+    seed = _read(config, "seed", _int, 0)
     if seed < 0:
         raise ContractError("seed must be >= 0")
-    iterations = _read(config, "iterations", int, 10)
+    iterations = _read(config, "iterations", _int, 10)
     return space, obs, iterations, seed, config.get("normalization", "train")
 
 
@@ -665,8 +672,8 @@ def run_sweep(config: dict, out_dir) -> dict:
     table = ood_sweep(
         obs,
         region_from_config(config["region"], space),
-        n_in=_read(config, "n_in", int),
-        n_out_list=_read(config, "n_out_list", lambda v: [int(k) for k in _entries(v)]),
+        n_in=_read(config, "n_in", _int),
+        n_out_list=_read(config, "n_out_list", lambda v: [_int(k) for k in _entries(v)]),
         cfg=_train_config_from(config, space),
         model_kinds=kinds,
         iterations=iterations,

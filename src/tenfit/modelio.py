@@ -272,9 +272,9 @@ def load_model(path):
             f"{path}: rank {cfg.rank} and shape {payload.get('shape')} do not fit the schema "
             f"shape {list(shape)}"
         )
-    make_layout, _, make_model = MODEL_KINDS[kind]
-    layout = dict(make_layout(shape, cfg))
+    trainable = MODEL_KINDS[kind](shape, cfg)
+    layout = dict(trainable.layout)
     if set(stored) != set(layout):
         raise SchemaError(f"{path}: params holds {sorted(stored, key=str)}, not {list(layout)}")
     params = [_array_from_json(stored[n], size, path, _label(n)) for n, size in layout.items()]
-    return make_model(params, space, normalizer, cfg)
+    return trainable.model(params, space, normalizer)

@@ -280,22 +280,21 @@ def costco_trainable(shape, cfg):
     COSTCO_MAX_BATCH_ROWS rows."""
     from .optim import Trainable  # local import avoids a module cycle
 
+    layout = costco_layout(shape, cfg)
+    names = [name for name, _ in layout]
     objective = partial(_masked_objective, n_groups=cfg.n_init_groups, rank=cfg.rank)
     return Trainable(
-        layout=costco_layout(shape, cfg),
+        layout=layout,
         init=partial(costco_init, shape, cfg),
         objective=objective,
         val_objective=objective,
+        model=lambda params, space, normalizer: NeuralModel(
+            dict(zip(names, params)), space, normalizer, cfg
+        ),
         same_size=True,
         max_rows=COSTCO_MAX_BATCH_ROWS,
         row_epoch_us=COSTCO_ROW_EPOCH_US,
     )
-
-
-def costco_model(params: list, space: DesignSpace, normalizer, cfg) -> NeuralModel:
-    """Trained arrays, in layout order, as a standalone model."""
-    names = [name for name, _ in costco_layout(space.shape(), cfg)]
-    return NeuralModel(dict(zip(names, params)), space, normalizer, cfg)
 
 
 def costco_fit(obs_train: ObservationSet, cfg):

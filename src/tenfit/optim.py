@@ -20,7 +20,7 @@ with the lowest final training loss at its checkpoint. A member whose loss
 turns non-finite is recorded as diverged and dropped from its batch; a fit
 fails only when every restart of it diverges.
 
-The batches of one `train_fits` call, of every model it trains, are
+The batches of one `fit_batch` call, of every model it trains, are
 independent; when their estimated work pays for it, they train in forked
 worker processes, with the same bits as serially.
 """
@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ObservationSet
-from .cpd import cpd_layout, cpd_model, cpd_trainable
+from .cpd import cpd_trainable
 from .errors import (
     ContractError,
     DegenerateDataError,
@@ -46,7 +46,7 @@ from .errors import (
     TenfitError,
     WorkerError,
 )
-from .neural import costco_layout, costco_model, costco_trainable
+from .neural import costco_trainable
 
 ParamList = list  # list[np.ndarray]
 
@@ -136,7 +136,7 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     """Loss trajectory and restart bookkeeping for one fit. `seconds` is
-    the wall time of the `train_fits` call that trained it, which covers
+    the wall time of the `fit_batch` call that trained it, which covers
     every fit trained with it: in an experiment or a sweep, every model's
     fits of every plan."""
 
@@ -208,12 +208,15 @@ class Trainable:
     `max_rows` bounds the training rows of one batch. `row_epoch_us` is the
     kind's measured cost of one training row for one epoch, in us; the
     engine estimates a batch's work from it to order and place batches.
+    `model(params, space, normalizer)` builds the fitted model from one
+    fit's arrays in layout order.
     """
 
     layout: list
     init: Callable
     objective: Callable
     val_objective: Callable | None = None
+    model: Callable | None = None
     same_size: bool = False
     max_rows: int = MAX_BATCH_ROWS
     row_epoch_us: float = ROW_EPOCH_US
@@ -422,12 +425,17 @@ epochs trained serially and in workers: in `BENCH_11.json` the workers
 lost at 8.6 ms of estimated work (27.9 against 20.5 ms) and won from
 17 ms on (34.4 against 37.9 ms); two earlier runs of the table on a
 busier host put the crossing at about 25 and 34 ms. Near the threshold
-either path costs within a few ms of the other."""
+either path costs within a few ms of the other. The threshold is in
+`_work`'s estimated units, which leave out the per-call cost."""
 
 
 def _work(job) -> float:
     """A batch job's estimated training time in us: its training rows x
-    epochs x its kind's cost per row-epoch."""
+    epochs x its kind's cost per row-epoch. It has no per-call term, so
+    small batches take 1.5-2.4 times it (`BENCH_11.json`'s `parallel`
+    table: 117 ms serially for one CoSTCo batch estimated at 73.9 ms, 260.7
+    for `lattice_mixed` at 175.5); the pool's start order and
+    POOL_MIN_WORK_US are calibrated in these estimated units."""
     trainable, runs, cfg = job
     return sum(run.data.n for run in runs) * cfg.epochs * trainable.row_epoch_us
 
@@ -495,59 +503,88 @@ def _train_in_workers(jobs: list, workers: int) -> list:
     return outcomes
 
 
-def _carve_validation(obs: ObservationSet, cfg: TrainConfig, seed: int):
-    if cfg.patience is None or cfg.val_fraction == 0:
+def _train_set_error(obs: ObservationSet, shape) -> TenfitError | None:
+    if obs.n == 0:
+        return DegenerateDataError("cannot fit on an empty observation set")
+    if shape != obs.space.shape():
+        return ContractError(f"shape {shape} disagrees with observation space {obs.space.shape()}")
+    return None
+
+
+def _carve_validation(obs: ObservationSet, share: float, seed: int):
+    if share == 0:
         return obs, None
     from .harness import uniform_split  # local import avoids a module cycle
 
-    return uniform_split(obs, 1.0 - cfg.val_fraction, seed=seed)
+    return uniform_split(obs, 1.0 - share, seed=seed)
 
 
-def train_fits(groups: list) -> list:
-    """Fit every group's training sets, each group a `(trainable,
-    train_sets, seeds, cfg)` tuple, with cfg.restarts seeded restarts
-    (seed + r) each.
+MODEL_KINDS = {
+    "cpd": partial(cpd_trainable, kind="cpd"),
+    "cpd_s": partial(cpd_trainable, kind="cpd_s"),
+    "costco": costco_trainable,
+}
+"""Every model kind, mapped to its `trainable(shape, cfg)`: the engine's
+view of the kind, whose `layout` names also the model file's array paths
+and whose `model` builds the fitted model."""
+
+
+def fit_batch(shape, models, train_sets, seeds) -> list:
+    """Fit each model, a `(model_kind, cfg)` pair, to each of several
+    training sets, set i seeded with seeds[i], with cfg.restarts seeded
+    restarts (seed + r) each.
 
     Under early stopping each set first gives up a validation share, drawn
-    with its seed. A group's restarts of all its sets are cut into batches
-    of `train_batch` by its trainable, and each set keeps the restart with
-    the lowest final training loss; a diverged restart counts as an
-    infinite final loss. Returns, per group, per set `(params,
-    TrainReport)` or the TenfitError that ended its fit: the first
-    restart's error when no restart survives.
+    with its seed; models that fit one set with one share carve it once.
+    A model's restarts of all its sets are cut into batches of
+    `train_batch` by its trainable, and each set keeps the restart with the
+    lowest final training loss; a diverged restart counts as an infinite
+    final loss. Returns, per model, per set `(model, TrainReport)` or the
+    TenfitError that ended that fit: the first restart's error when no
+    restart survives. A bad model kind raises at once. Each model carries
+    the design space and the normalizer of its training set so it can be
+    used standalone.
 
-    The batches of every group train together. With more than one batch,
+    The batches of every model train together. With more than one batch,
     more than one usable CPU (the process's CPU affinity) and an estimated
     work of at least POOL_MIN_WORK_US, they train in `min(batches, usable
     CPUs)` forked worker processes, the longest estimated work first, and
-    their results are gathered in (group, batch) order, so the outputs are
+    their results are gathered in (model, batch) order, so the outputs are
     bit for bit those of the serial loop whatever the worker count. Where
     fork is unavailable or other threads are running (a child could
     inherit a lock one of them holds), the batches train one after another
     in this process. A worker that dies fails its batch's runs with a
     WorkerError; a fit with a restart that survives in another batch keeps
     that restart. `seconds` in a report is the wall time of this whole
-    call, workers included, so it covers every group: in an experiment or
+    call, workers included, so it covers every model: in an experiment or
     a sweep, every model of the scoring loop.
     """
     start = time.perf_counter()
-    outcomes = [[None] * len(train_sets) for _, train_sets, _, _ in groups]
-    runs, jobs = [], []  # (group, Run) pairs and batch jobs, in (group, batch) order
-    carved = {}  # groups fitting one set with one seed and share carve it once
-    for g, (trainable, train_sets, seeds, cfg) in enumerate(groups):
-        group_runs = []
-        for i, (obs, seed) in enumerate(zip(train_sets, seeds)):
-            key = (id(obs), seed, cfg.val_fraction if cfg.patience is not None else 0.0)
-            try:
-                if key not in carved:
-                    carved[key] = _carve_validation(obs, cfg, seed)
-                fit_obs, val_obs = carved[key]
-            except TenfitError as exc:
-                outcomes[g][i] = exc
+    for model_kind, _ in models:
+        if model_kind not in MODEL_KINDS:
+            raise ContractError(f"unknown model kind {model_kind!r}")
+    shape = tuple(int(s) for s in shape)
+    trainables = [MODEL_KINDS[kind](shape, cfg) for kind, cfg in models]
+    errors = [_train_set_error(obs, shape) for obs in train_sets]
+    outcomes = [list(errors) for _ in models]
+    runs, jobs = [], []  # (model, Run) pairs and batch jobs, in (model, batch) order
+    carved = {}  # (set position, validation share) -> (training, validation) sets
+    for j, ((_, cfg), trainable) in enumerate(zip(models, trainables)):
+        model_runs = []
+        share = cfg.val_fraction if cfg.patience is not None else 0.0
+        for i, (obs, seed) in enumerate(zip(train_sets, map(int, seeds))):
+            if errors[i] is not None:
                 continue
-            group_runs += [Run(i, r, seed + r, fit_obs, val_obs) for r in range(cfg.restarts)]
-        runs += [(g, run) for run in group_runs]
-        jobs += [(trainable, batch, cfg) for batch in _batches(group_runs, trainable)]
+            try:
+                if (i, share) not in carved:
+                    carved[i, share] = _carve_validation(obs, share, seed)
+                fit_obs, val_obs = carved[i, share]
+            except TenfitError as exc:
+                outcomes[j][i] = exc
+                continue
+            model_runs += [Run(i, r, seed + r, fit_obs, val_obs) for r in range(cfg.restarts)]
+        runs += [(j, run) for run in model_runs]
+        jobs += [(trainable, batch, cfg) for batch in _batches(model_runs, trainable)]
     workers = min(len(jobs), _usable_cpus())
     pays = sum(map(_work, jobs)) >= POOL_MIN_WORK_US
     if workers > 1 and pays and hasattr(os, "fork") and threading.active_count() == 1:
@@ -558,80 +595,25 @@ def train_fits(groups: list) -> list:
     seconds = time.perf_counter() - start
 
     by_fit: dict = {}
-    for (g, run), result in zip(runs, results):
-        by_fit.setdefault((g, run.fit), []).append(result)
-    for (g, i), restarts in by_fit.items():
+    for (j, run), result in zip(runs, results):
+        by_fit.setdefault((j, run.fit), []).append(result)
+    for (j, i), restarts in by_fit.items():
         finals = [r.final_loss for r in restarts]
         best = int(np.argmin(finals))
         if restarts[best].error is not None:  # every restart failed
-            outcomes[g][i] = restarts[0].error
+            outcomes[j][i] = restarts[0].error
             continue
-        winner = restarts[best]
-        outcomes[g][i] = (
-            winner.params,
-            TrainReport(
-                losses=winner.losses,
-                final_loss=winner.final_loss,
-                restart=best,
-                epochs_run=len(winner.losses),
-                seconds=seconds,
-                restart_final_losses=finals,
-            ),
+        winner, obs = restarts[best], train_sets[i]
+        report = TrainReport(
+            losses=winner.losses,
+            final_loss=winner.final_loss,
+            restart=best,
+            epochs_run=len(winner.losses),
+            seconds=seconds,
+            restart_final_losses=finals,
         )
+        outcomes[j][i] = (trainables[j].model(winner.params, obs.space, obs.normalizer), report)
     return outcomes
-
-
-def _train_set_error(obs: ObservationSet, shape) -> TenfitError | None:
-    if obs.n == 0:
-        return DegenerateDataError("cannot fit on an empty observation set")
-    if shape != obs.space.shape():
-        return ContractError(f"shape {shape} disagrees with observation space {obs.space.shape()}")
-    return None
-
-
-MODEL_KINDS = {
-    kind: (cpd_layout, partial(cpd_trainable, kind=kind), partial(cpd_model, kind=kind))
-    for kind in ("cpd", "cpd_s")
-}
-MODEL_KINDS["costco"] = (costco_layout, costco_trainable, costco_model)
-"""Every model kind, mapped to its parameter layout, `layout(shape, cfg) ->
-[(name, shape), ...]`, whose names are also the model file's array paths;
-to the engine's view of it, `trainable(shape, cfg)`; and to its model
-builder, `model(params, space, normalizer, cfg)`, for arrays in layout
-order."""
-
-
-def fit_batch(shape, models, train_sets, seeds) -> list:
-    """Fit each model, a `(model_kind, cfg)` pair, to each of several
-    training sets, set i seeded with seeds[i]. Every fit of every model,
-    and all their restarts, train in one `train_fits` call: batches of one
-    model each, sharing one worker pool.
-
-    Returns, per model, per set `(model, TrainReport)` or the TenfitError
-    that ended that fit; a bad model kind raises at once. Each model
-    carries the design space and the normalizer of its training set so it
-    can be used standalone.
-    """
-    for model_kind, _ in models:
-        if model_kind not in MODEL_KINDS:
-            raise ContractError(f"unknown model kind {model_kind!r}")
-    shape = tuple(int(s) for s in shape)
-    errors = [_train_set_error(obs, shape) for obs in train_sets]
-    todo = [i for i, error in enumerate(errors) if error is None]
-    sets, todo_seeds = [train_sets[i] for i in todo], [int(seeds[i]) for i in todo]
-    groups = [(MODEL_KINDS[kind][1](shape, cfg), sets, todo_seeds, cfg) for kind, cfg in models]
-    results = []
-    for (model_kind, cfg), trained in zip(models, train_fits(groups)):
-        make_model = MODEL_KINDS[model_kind][2]
-        outcomes = list(errors)
-        for i, outcome in zip(todo, trained):
-            if not isinstance(outcome, TenfitError):
-                params, report = outcome
-                obs = train_sets[i]
-                outcome = (make_model(params, obs.space, obs.normalizer, cfg), report)
-            outcomes[i] = outcome
-        results.append(outcomes)
-    return results
 
 
 def fit(shape, obs_train: ObservationSet, cfg: TrainConfig, model_kind: str):

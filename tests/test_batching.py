@@ -235,6 +235,40 @@ def test_mixed_kinds_pooled_equal_serial_bit_for_bit(monkeypatch):
         assert_same_outcomes(model_serial, alone)
 
 
+def test_models_sharing_a_validation_share_carve_it_once(monkeypatch):
+    """Models that fit one set with one validation share train on one carve
+    of it; a model with another share on the same set gets its own carve
+    and the fit it gets alone."""
+    shape = (4, 3, 3)
+    rng = np.random.default_rng(10)
+    trains = [observations(shape, 30, rng) for _ in range(2)]
+    seeds = [4, 5]
+    early = TrainConfig(rank=2, epochs=30, lr=0.05, patience=3, val_fraction=0.2)
+    models = [
+        ("cpd", early),
+        ("cpd_s", replace(early, smooth_weight=0.1)),
+        ("cpd", replace(early, val_fraction=0.4)),
+        ("cpd", TrainConfig(rank=2, epochs=30, lr=0.05)),
+    ]
+    carves = []
+    carve = optim._carve_validation
+
+    def counted(obs, share, seed):
+        carves.append((obs, share, seed))
+        return carve(obs, share, seed)
+
+    monkeypatch.setattr(optim, "_carve_validation", counted)
+    outcomes = fit_batch(shape, models, trains, seeds)
+    position = {id(train): i for i, train in enumerate(trains)}
+    # one carve per set and share: 0.2 for the first two models, 0.4, none
+    assert sorted((position[id(obs)], share, seed) for obs, share, seed in carves) == [
+        (i, share, seeds[i]) for i in range(2) for share in (0.0, 0.2, 0.4)
+    ]
+    for (kind, cfg), model_outcomes in zip(models, outcomes):
+        for train, seed, outcome in zip(trains, seeds, model_outcomes):
+            assert_matches_solo(shape, train, seed, cfg, kind, outcome)
+
+
 @needs_fork
 def test_pool_starts_the_longest_estimated_work_first(monkeypatch, tmp_path):
     shape = (5, 2, 3, 3, 3)
@@ -242,7 +276,7 @@ def test_pool_starts_the_longest_estimated_work_first(monkeypatch, tmp_path):
     log = tmp_path / "started"
 
     def job(kind, sizes, cfg):
-        engine = optim.MODEL_KINDS[kind][1](shape, cfg)
+        engine = optim.MODEL_KINDS[kind](shape, cfg)
         runs = [optim.Run(b, 0, b, observations(shape, n, rng)) for b, n in enumerate(sizes)]
         return engine, runs, cfg
 

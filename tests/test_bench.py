@@ -1,0 +1,73 @@
+"""`bench/kernels.py` runs on the engine it measures: its helpers are
+loaded from the script and run on calls small enough for the suite."""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tenfit import optim
+from tenfit.neural import COSTCO_ROW_EPOCH_US
+
+SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "kernels.py"
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """The script as a module; the thread variables and the import path it
+    sets are restored afterwards."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_parallel_sides_give_equal_losses(kernels, monkeypatch):
+    rng = np.random.default_rng(0)
+    cfg = optim.TrainConfig(rank=2, epochs=3, lr=0.01, n_init_groups=2, conv_channels=2,
+                            hidden_units=3)
+    sets = [kernels.observations(kernels.LATTICE, n, rng) for n in (40, 40, 30, 30)]
+    call = (kernels.LATTICE, [("costco", cfg)], sets, [0, 1, 0, 1])
+    pooled = []
+    train_in_workers = optim._train_in_workers
+
+    def counted(jobs, workers):
+        pooled.append(len(jobs))
+        return train_in_workers(jobs, workers)
+
+    monkeypatch.setattr(optim, "_train_in_workers", counted)
+    threshold = optim.POOL_MIN_WORK_US
+    serial = kernels.fit_batch_on(1, call)
+    forked = kernels.fit_batch_on(2, call, min_work=0)
+    assert pooled == [2]  # one batch per set size, trained in workers
+    assert len(serial) == 4 and serial == forked
+    assert kernels.estimated_work_ms(call) == pytest.approx(140 * 3 * COSTCO_ROW_EPOCH_US / 1e3)
+    assert optim.POOL_MIN_WORK_US == threshold  # the forced threshold is put back
+
+
+@pytest.mark.parametrize("kind", ["cpd", "cpd_s", "costco"])
+def test_objective_entry_runs(kernels, kind):
+    entry = kernels.bench_objective(kind, kernels.LATTICE, 20, 2, True, calls=1, rounds=1,
+                                    rng=np.random.default_rng(1))
+    assert entry["rows"] == 40 and entry["us_per_call"] > 0
+
+
+def test_parallel_table_runs(kernels, monkeypatch):
+    """Every entry of the `parallel` table at tiny sizes and epochs; the
+    table raises if its sides' final losses differ."""
+    monkeypatch.setattr(kernels, "PARALLEL_SIZES", (20, 12))
+    monkeypatch.setattr(kernels, "PARALLEL_EPOCHS", 2)
+    monkeypatch.setattr(kernels, "BREAK_EVEN_EPOCHS", (2,))
+    monkeypatch.setattr(kernels, "LATTICE_SETS", (20, 12) * 3)
+    monkeypatch.setattr(kernels, "LATTICE_EPOCHS", 2)
+    table = kernels.bench_parallel(1, np.random.default_rng(2))
+    names = ["startup", "break_even_2", "1_batches", "2_batches", "lattice_mixed"]
+    assert [entry["name"] for entry in table] == names
+    assert all(entry["est_work_ms"] > 0 and entry["serial_ms"] > 0 for entry in table)

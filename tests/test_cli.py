@@ -331,9 +331,19 @@ class TestConfigErrors:
          ("experiment", ("models", 0, "smooth_modes"), "ux"),
          ("experiment", ("plans",), []), ("experiment", ("models",), []),
          ("sweep", ("models",), []), ("sweep", ("n_out_list",), []),
-         ("sweep", ("models",), "cpd")],
+         ("sweep", ("models",), "cpd"),
+         ("experiment", ("models", 0, "rank"), 2.7),
+         ("experiment", ("models", 0, "epochs"), 5.9),
+         ("experiment", ("models", 0, "restarts"), True),
+         ("experiment", ("iterations",), 1.5),
+         ("experiment", ("plans", 1, "n_in"), 4.5),
+         ("experiment", ("plans", 1, "region", "b_range"), [0, 1.5]),
+         ("sweep", ("n_out_list",), [2, 4.5]),
+         ("sweep", ("seed",), False)],
         ids=["iterations", "rank", "a_range", "smooth_modes", "kind", "smooth_modes_string",
-             "no_plans", "no_models", "sweep_no_models", "sweep_no_counts", "sweep_models_string"],
+             "no_plans", "no_models", "sweep_no_models", "sweep_no_counts", "sweep_models_string",
+             "rank_fraction", "epochs_fraction", "restarts_bool", "iterations_fraction",
+             "n_in_fraction", "b_range_fraction", "sweep_count_fraction", "sweep_seed_bool"],
     )
     def test_bad_value_names_its_key(self, dataset_dir, tmp_path, command, path, value):
         build = experiment_config if command == "experiment" else sweep_config
@@ -343,6 +353,15 @@ class TestConfigErrors:
         assert payload["error"] == "ContractError"
         assert repr(path[-1]) in payload["message"]
         assert not (tmp_path / "out").exists()  # rejected before any output is written
+
+    def test_integral_float_values_are_integers(self, dataset_dir, tmp_path):
+        config = experiment_config(dataset_dir, epochs=5)
+        config["models"][0].update(rank=2.0, epochs=5.0)
+        config["iterations"] = 2.0
+        code, err = run_config("experiment", config, tmp_path)
+        assert code == 0, err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["metadata"]["iterations"] == 2
 
     @pytest.mark.parametrize("command", ["experiment", "sweep"])
     def test_config_path_is_a_directory(self, tmp_path, capsys, command):

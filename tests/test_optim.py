@@ -7,6 +7,7 @@ from conftest import full_grid_indices, low_rank_values, obs_from_values
 from tenfit.cpd import reconstruct_full
 from tenfit.errors import ContractError, DivergenceError
 from tenfit.metrics import regression_metrics
+from tenfit import optim
 from tenfit.optim import (
     MODEL_KINDS,
     AdamState,
@@ -15,8 +16,8 @@ from tenfit.optim import (
     Trainable,
     adam_step,
     fit,
+    fit_batch,
     train_batch,
-    train_fits,
 )
 
 # Placeholder data for engine tests whose objectives ignore their data.
@@ -83,7 +84,7 @@ class TestAdamStep:
         shape, epochs = (4, 3, 2), 25
         train, _ = synthetic_split(shape, rank=2, seed=5)
         cfg = TrainConfig(rank=2, epochs=epochs, lr=0.03, n_init_groups=2, conv_channels=3)
-        trainable = MODEL_KINDS[kind][1](shape, cfg)
+        trainable = MODEL_KINDS[kind](shape, cfg)
         (result,) = train_batch(trainable, [Run(0, 0, 9, train)], cfg)
 
         objective = trainable.objective([train])
@@ -164,7 +165,7 @@ class TestFit:
         with pytest.raises(DivergenceError, match=r"epoch \d+ of restart 0"):
             fit(shape, train, cfg, "cpd")
 
-    def test_diverged_restart_is_skipped(self):
+    def test_diverged_restart_is_skipped(self, monkeypatch):
         # restart 1 (seed 0 + 1) starts far out and diverges at its first
         # epoch; restarts 0 and 2 converge and the best of them wins.
         def objective(data_sets):
@@ -179,9 +180,11 @@ class TestFit:
             layout=[("x", (1,))],
             init=lambda seed: [np.array([1000.0 if seed == 1 else 1.0 + seed])],
             objective=objective,
+            model=lambda params, space, normalizer: params,
         )
+        monkeypatch.setitem(optim.MODEL_KINDS, "toy", lambda shape, cfg: trainable)
         cfg = TrainConfig(rank=1, epochs=50, lr=0.1, restarts=3, seed=0)
-        (((params, report),),) = train_fits([(trainable, [UNUSED_DATA], [cfg.seed], cfg)])
+        (((params, report),),) = fit_batch((2,), [("toy", cfg)], [UNUSED_DATA], [cfg.seed])
         assert report.restart_final_losses[1] == math.inf
         assert all(math.isfinite(report.restart_final_losses[r]) for r in (0, 2))
         assert report.restart in (0, 2)
