@@ -1,10 +1,11 @@
 """Layer bench: the CPD and CoSTCo objectives per call, training cost per
 fit-epoch at growing batch sizes, batches trained serially against in
-worker processes, and the factor match score per call.
+worker processes, the factor match score per call, and the index-CSV codec
+per row.
 
     python3 bench/kernels.py --out results.json
 
-Run it from the repository root; it imports tenfit from ./src. Four tables:
+Run it from the repository root; it imports tenfit from ./src. Five tables:
 
 - `objective`: the training objective of a model kind's trainable
   (`cpd.masked_objective`, `neural._masked_objective`) at the sizes the
@@ -41,6 +42,12 @@ Run it from the repository root; it imports tenfit from ./src. Four tables:
   at ranks 3, 5, 7 and 8 (the paper's ranks go up to 8), in us per call:
   the median over rounds, each round repeating the call for at least
   0.1 s.
+- `io`: `modelio.read_index_csv` with and without its value column,
+  `modelio.write_index_csv` and `modelio.load_dataset` on the full grid of
+  the lattice (270 rows) and of the large shape (4,800 rows: serve_cli's
+  grid predict), in us per row and ms per call: the median over rounds,
+  each round repeating the call for at least 0.1 s. Files go to a
+  temporary directory.
 
 BLAS/OpenMP threads are pinned to 1, as in perfbench. The output records
 the Python, numpy and BLAS versions, nproc and the git commit.
@@ -62,6 +69,7 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -74,6 +82,8 @@ from tenfit import optim  # noqa: E402
 from tenfit.core import DesignSpace, Normalizer, ObservationSet  # noqa: E402
 from tenfit.cpd import FactorSet  # noqa: E402
 from tenfit.metrics import fms  # noqa: E402
+from tenfit.modelio import load_dataset, read_index_csv  # noqa: E402
+from tenfit.modelio import write_dataset, write_index_csv  # noqa: E402
 
 LATTICE = (5, 2, 3, 3, 3)  # 270 cells
 LARGE = (8, 4, 5, 5, 6)  # 4,800 cells
@@ -111,6 +121,9 @@ LATTICE_EPOCHS = 500
 
 FMS_RANKS = (3, 5, 7, 8)
 FMS_ROUND_S = 0.1
+
+IO_SHAPES = (LATTICE, LARGE)  # full grids of 270 and 4,800 rows
+IO_ROUND_S = 0.1
 
 # kind, shape, rows per fit, batch sizes
 BATCH_CASES = [
@@ -297,22 +310,52 @@ def bench_parallel(rounds, rng):
     return table
 
 
+def us_per_call(call, rounds, round_s):
+    """The median over `rounds` rounds of us per call, each round repeating
+    `call` for at least `round_s` seconds, after one warm-up call."""
+    call()
+    us = []
+    for _ in range(rounds):
+        calls, start = 0, time.perf_counter()
+        while not calls or time.perf_counter() - start < round_s:
+            call()
+            calls += 1
+        us.append((time.perf_counter() - start) / calls * 1e6)
+    return statistics.median(us)
+
+
 def bench_fms(rounds, rng):
     """us per `fms` call at each FMS_RANKS rank on the lattice shape, the
     median of `rounds` rounds of at least FMS_ROUND_S seconds each."""
     table = []
     for rank in FMS_RANKS:
         a, b = (FactorSet([rng.normal(size=(s, rank)) for s in LATTICE]) for _ in range(2))
-        fms(a, b)  # warm up
-        us = []
-        for _ in range(rounds):
-            calls, start = 0, time.perf_counter()
-            while not calls or time.perf_counter() - start < FMS_ROUND_S:
-                fms(a, b)
-                calls += 1
-            us.append((time.perf_counter() - start) / calls * 1e6)
-        table.append({"rank": rank, "shape": list(LATTICE),
-                      "us_per_call": round(statistics.median(us), 2)})
+        us = us_per_call(lambda: fms(a, b), rounds, FMS_ROUND_S)
+        table.append({"rank": rank, "shape": list(LATTICE), "us_per_call": round(us, 2)})
+    return table
+
+
+def bench_io(rounds, rng, work_dir):
+    """us per row of the index-CSV reader, writer and dataset loader on the
+    full grid of each IO_SHAPES shape, with files under `work_dir`."""
+    table = []
+    for shape in IO_SHAPES:
+        obs = observations(shape, int(np.prod(shape)), rng)
+        space, n = obs.space, obs.n
+        path = Path(work_dir) / "grid.csv"
+        write_index_csv(path, space, obs.indices, obs.values, "prediction")
+        write_dataset(obs, Path(work_dir) / "dataset")
+        calls = {
+            "read_index_csv": lambda: read_index_csv(path, space),
+            "read_index_csv_value": lambda: read_index_csv(path, space, "prediction"),
+            "write_index_csv": lambda: write_index_csv(path, space, obs.indices, obs.values,
+                                                       "prediction"),
+            "load_dataset": lambda: load_dataset(Path(work_dir) / "dataset"),
+        }
+        for name, call in calls.items():
+            us = us_per_call(call, rounds, IO_ROUND_S)
+            table.append({"call": name, "shape": list(shape), "rows": n,
+                          "us_per_row": round(us / n, 3), "ms_per_call": round(us / 1e3, 3)})
     return table
 
 
@@ -341,6 +384,10 @@ def main(argv=None):
         print(entry, file=sys.stderr)
     result["fms"] = bench_fms(args.rounds, rng)
     for entry in result["fms"]:
+        print(entry, file=sys.stderr)
+    with tempfile.TemporaryDirectory() as work_dir:
+        result["io"] = bench_io(args.rounds, rng, work_dir)
+    for entry in result["io"]:
         print(entry, file=sys.stderr)
     text = json.dumps(result, indent=1)
     if args.out:

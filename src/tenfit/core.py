@@ -325,9 +325,10 @@ def encode_observations(
 
     keys = sorted(grouped)
     indices = np.array(keys, dtype=np.int64).reshape(len(keys), space.ndim)
-    values = np.array(
-        [normalizer.normalize(float(np.mean(grouped[k]))) for k in keys], dtype=float
-    )
+    # A single record's mean is itself, plus 0.0 as np.mean's sum adds it
+    # (so -0.0 becomes 0.0); every cell is normalized in one call.
+    means = [ys[0] + 0.0 if len(ys) == 1 else np.mean(ys) for ys in map(grouped.__getitem__, keys)]
+    values = normalizer.normalize(np.array(means, dtype=float))
     return ObservationSet(space=space, indices=indices, values=values, normalizer=normalizer)
 
 

@@ -24,7 +24,7 @@ from .core import DesignSpace, Normalizer, ObservationSet
 from .cpd import CPDModel
 from .errors import ContractError, SplitError, StratumExhaustedError, TenfitError
 from .metrics import component_expression_export, fms, regression_metrics
-from .modelio import load_dataset, write_atomic
+from .modelio import as_float, as_int, load_dataset, write_atomic
 from .optim import MODEL_KINDS, TrainConfig, TrainReport, fit_batch
 
 
@@ -425,13 +425,6 @@ def _name(entry: dict, default: str) -> str:
     return name
 
 
-def _int(value) -> int:
-    """An integer config value: not a bool, nor a number with a fraction."""
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
 def _pair(values) -> tuple:
     lo, hi = values
     return lo, hi
@@ -446,16 +439,16 @@ def _entries(values) -> list:
 
 # config key -> (TrainConfig field, cast); an absent key keeps the field's default
 _TRAIN_KEYS = {
-    "epochs": ("epochs", _int),
-    "lr": ("lr", float),
-    "lambda_smooth": ("smooth_weight", float),
-    "seed": ("seed", _int),
-    "restarts": ("restarts", _int),
-    "patience": ("patience", lambda v: None if v is None else _int(v)),
-    "val_fraction": ("val_fraction", float),
-    "groups": ("n_init_groups", _int),
-    "channels": ("conv_channels", _int),
-    "hidden": ("hidden_units", _int),
+    "epochs": ("epochs", as_int),
+    "lr": ("lr", as_float),
+    "lambda_smooth": ("smooth_weight", as_float),
+    "seed": ("seed", as_int),
+    "restarts": ("restarts", as_int),
+    "patience": ("patience", lambda v: None if v is None else as_int(v)),
+    "val_fraction": ("val_fraction", as_float),
+    "groups": ("n_init_groups", as_int),
+    "channels": ("conv_channels", as_int),
+    "hidden": ("hidden_units", as_int),
 }
 
 
@@ -471,7 +464,7 @@ def _train_config_from(entry: dict, space: DesignSpace) -> TrainConfig:
 
     given = {f: _read(entry, key, cast) for key, (f, cast) in _TRAIN_KEYS.items() if key in entry}
     return TrainConfig(
-        rank=_read(entry, "rank", _int),
+        rank=_read(entry, "rank", as_int),
         smooth_modes=_read(entry, "smooth_modes", modes, space.ordinal_modes()),
         **given,
     )
@@ -506,8 +499,8 @@ def region_from_config(entry: dict, space: DesignSpace) -> RegionSpec:
         region = RegionSpec(
             axis_a=entry["axis_a"],
             axis_b=entry["axis_b"],
-            a_range=_read(entry, "a_range", lambda v: tuple(map(_int, _pair(v)))),
-            b_range=_read(entry, "b_range", lambda v: tuple(map(_int, _pair(v)))),
+            a_range=_read(entry, "a_range", lambda v: tuple(map(as_int, _pair(v)))),
+            b_range=_read(entry, "b_range", lambda v: tuple(map(as_int, _pair(v)))),
         )
     region.validate(space)
     return region
@@ -518,15 +511,15 @@ def plan_from_config(entry: dict, space: DesignSpace) -> SamplingPlan:
     if kind == "uniform":
         return SamplingPlan(
             kind="uniform",
-            fraction=_read(entry, "fraction", float),
+            fraction=_read(entry, "fraction", as_float),
             name=_name(entry, "uniform"),
         )
     if kind == "biased":
         return SamplingPlan(
             kind="biased",
             region=region_from_config(entry["region"], space),
-            n_in=_read(entry, "n_in", _int),
-            n_out=_read(entry, "n_out", _int),
+            n_in=_read(entry, "n_in", as_int),
+            n_out=_read(entry, "n_out", as_int),
             name=_name(entry, "biased"),
         )
     raise ContractError(f"unknown plan kind {kind!r}")
@@ -537,10 +530,10 @@ def _read_run(config: dict):
     observations, the iteration count, the base seed and the normalization
     scope (checked when the scoring loop starts)."""
     space, obs = load_dataset(_read(config, "dataset", Path))
-    seed = _read(config, "seed", _int, 0)
+    seed = _read(config, "seed", as_int, 0)
     if seed < 0:
         raise ContractError("seed must be >= 0")
-    iterations = _read(config, "iterations", _int, 10)
+    iterations = _read(config, "iterations", as_int, 10)
     return space, obs, iterations, seed, config.get("normalization", "train")
 
 
@@ -672,8 +665,8 @@ def run_sweep(config: dict, out_dir) -> dict:
     table = ood_sweep(
         obs,
         region_from_config(config["region"], space),
-        n_in=_read(config, "n_in", _int),
-        n_out_list=_read(config, "n_out_list", lambda v: [_int(k) for k in _entries(v)]),
+        n_in=_read(config, "n_in", as_int),
+        n_out_list=_read(config, "n_out_list", lambda v: [as_int(k) for k in _entries(v)]),
         cfg=_train_config_from(config, space),
         model_kinds=kinds,
         iterations=iterations,

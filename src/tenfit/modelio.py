@@ -59,6 +59,22 @@ def _normalizer_from_json(payload, path) -> Normalizer:
     return Normalizer(y_min=y_min, y_max=y_max)
 
 
+def as_int(value) -> int:
+    """An integer setting of a config or a model file: not a bool, a
+    string, nor a number with a fraction."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def as_float(value) -> float:
+    """A float setting of a config or a model file: a number, not a bool or
+    a string."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def write_atomic(path, text: str) -> None:
     """Write `text` as UTF-8, newlines as given, to a temp file beside `path`,
     then move it over `path` with os.replace: `path` keeps its old bytes or
@@ -78,12 +94,17 @@ def write_atomic(path, text: str) -> None:
 
 
 def write_index_csv(path, space: DesignSpace, indices, values, value: str = "value") -> None:
-    """0-based index columns (named after the axes) plus one float column `value`."""
+    """0-based index columns (named after the axes) plus one float column
+    `value`: the header as csv.writer quotes it, then one CRLF-ended line
+    per row of integers and shortest-round-trip float reprs, joined column
+    by column rather than written row by row."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow([a.name for a in space.axes] + [value])
-    for row, y in zip(indices, values):
-        writer.writerow([int(i) for i in row] + [repr(float(y))])
+    csv.writer(buffer).writerow([a.name for a in space.axes] + [value])
+    columns = np.asarray(indices, dtype=np.int64).reshape(-1, space.ndim).T.tolist()
+    cells = [map(str, column) for column in columns]
+    cells.append(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+    body = "\r\n".join(map(",".join, zip(*cells)))
+    buffer.write(f"{body}\r\n" if body else "")
     write_atomic(path, buffer.getvalue())
 
 
@@ -102,41 +123,69 @@ def _cell_error(path, row: int, record: dict, parsers: dict) -> SchemaError:
     return SchemaError(f"{path}: row {row} is malformed")
 
 
+def _bounds_error(path, row: int, column: str, index: int, size: int) -> SchemaError:
+    """The SchemaError for an index outside its axis of `size` values."""
+    return SchemaError(f"{path}: row {row}, column {column!r}: index {index} not in 0..{size - 1}")
+
+
+def _scan_rows(path, header: list, rows: list, parsers: dict, names: list, value, shape):
+    """The error of the first bad row of a file that failed column-wise
+    reading, found row by row as csv.DictReader records (a short row's
+    missing cells are None): a cell its parser rejects, else the first
+    index outside its axis."""
+    parsed = []
+    for row, cells in enumerate(rows, start=1):
+        record = {**dict(zip(header, cells)), **dict.fromkeys(header[len(cells):])}
+        try:
+            parsed.append([int(record[n]) for n in names])
+            if value:
+                float(record[value])
+        except (TypeError, ValueError):
+            return _cell_error(path, row, record, parsers)
+    for row, cells in enumerate(parsed, start=1):
+        for name, index, size in zip(names, cells, shape):
+            if not 0 <= index < size:
+                return _bounds_error(path, row, name, index, size)
+    return SchemaError(f"{path}: malformed index CSV")
+
+
 def read_index_csv(path, space: DesignSpace, value: str | None = None):
     """The rows of a CSV with one 0-based index column per axis of `space`
     and, when `value` names it, a float column: (indices, values), an (n, M)
     int64 array with every index checked against its axis size and an (n,)
-    float array (None without a value column). A missing column or a bad
-    cell is a SchemaError naming the file, and for a cell its 1-based data
-    row and its column."""
+    float array (None without a value column). Blank lines are skipped,
+    other columns are ignored, a repeated column name takes its last
+    column, and cells are read by Python's int() and float(). A missing
+    column or a bad cell is a SchemaError naming the file, and for a cell
+    its 1-based data row and its column.
+
+    Each column is converted at once; only a file that fails that (a short
+    row, a cell int() or float() rejects, an index beyond int64) is scanned
+    again row by row for its first bad cell."""
     names = [a.name for a in space.axes]
     parsers = {**dict.fromkeys(names, int), **({value: float} if value else {})}
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [n for n in parsers if n not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [n for n in parsers if n not in header]
         if missing:
             raise SchemaError(f"{path}: CSV is missing columns {missing}")
-        rows, values = [], []
-        for row, record in enumerate(reader, start=1):
-            try:
-                rows.append([int(record[n]) for n in names])
-                if value:
-                    values.append(float(record[value]))
-            except (TypeError, ValueError):
-                raise _cell_error(path, row, record, parsers) from None
-    shape = space.shape()
+        rows = [cells for cells in reader if cells]
+    position = {column: p for p, column in enumerate(header)}  # a repeated name: its last
+    columns = list(zip(*rows)) or [()] * len(header)  # as many as the shortest row has
+    shape, n = space.shape(), len(rows)
     try:
-        indices = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(names))
-        bad = np.argwhere((indices < 0) | (indices >= np.asarray(shape)))
-    except OverflowError:  # beyond int64, so outside its axis too
-        bad = [(r, m) for r, cells in enumerate(rows) for m, i in enumerate(cells)
-               if not 0 <= i < shape[m]]
+        indices = np.stack(
+            [np.fromiter(map(int, columns[position[name]]), np.int64, n) for name in names], axis=1
+        )
+        values = np.fromiter(map(float, columns[position[value]]), float, n) if value else None
+    except (IndexError, TypeError, ValueError, OverflowError):
+        raise _scan_rows(path, header, rows, parsers, names, value, shape) from None
+    bad = np.argwhere((indices < 0) | (indices >= np.asarray(shape)))
     if len(bad):
         r, m = bad[0]
-        raise SchemaError(
-            f"{path}: row {r + 1}, column {names[m]!r}: index {rows[r][m]} not in 0..{shape[m] - 1}"
-        )
-    return indices, np.asarray(values, dtype=float) if value else None
+        raise _bounds_error(path, r + 1, names[m], indices[r, m], shape[m])
+    return indices, values
 
 
 def write_dataset(obs: ObservationSet, out_dir) -> dict:
@@ -258,13 +307,13 @@ def load_model(path):
         normalizer = _normalizer_from_json(norm, path) if norm is not None else None
         smooth = payload.get("smoothness", {})
         cfg = TrainConfig(
-            rank=int(payload["rank"]),
-            smooth_weight=float(smooth.get("weight", 0.0)),
-            smooth_modes=tuple(int(m) for m in smooth.get("modes", ())),
-            **{key: int(value) for key, value in payload.get("config", {}).items()},
+            rank=as_int(payload["rank"]),
+            smooth_weight=as_float(smooth.get("weight", 0.0)),
+            smooth_modes=tuple(map(as_int, smooth.get("modes", ()))),
+            **{key: as_int(value) for key, value in payload.get("config", {}).items()},
         )
         stored = _flatten(payload["params"])
-    except (KeyError, TypeError, ValueError, AttributeError, ContractError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError, ContractError) as exc:
         raise SchemaError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
     shape = space.shape()
     if payload.get("shape") != list(shape):

@@ -12,16 +12,26 @@ same quantities with reshaped matmuls and a single `np.bincount` scatter.
 pairing: it tries every permutation, where the package solves a linear
 assignment.
 
+`read_index_csv` and `write_index_csv` are the row-by-row index-CSV codec
+the package's column-wise one replaced: one `csv.DictReader` record per row
+read, one `csv.writer.writerow` call per row written. The package must
+write the same bytes and read the same arrays, or raise the same
+SchemaError.
+
 `neural_grad` is not an oracle: it reads the package's own CoSTCo gradient
 for one model, which the finite-difference checks compare.
 """
 
+import csv
+import io
 import itertools
+from pathlib import Path
 
 import numpy as np
 
-from tenfit.errors import DegenerateDataError
+from tenfit.errors import DegenerateDataError, SchemaError
 from tenfit.metrics import _congruence_products
+from tenfit.modelio import _cell_error, write_atomic
 from tenfit.neural import _masked_objective
 
 
@@ -157,3 +167,45 @@ def exhaustive_fms(a, b):
         if total > best_total:
             best_total, best_perm = total, perm
     return float(products[rows, best_perm].mean()), best_perm
+
+
+def write_index_csv(path, space, indices, values, value="value"):
+    """Index columns plus one float column, one writerow call per row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow([a.name for a in space.axes] + [value])
+    for row, y in zip(indices, values):
+        writer.writerow([int(i) for i in row] + [repr(float(y))])
+    write_atomic(path, buffer.getvalue())
+
+
+def read_index_csv(path, space, value=None):
+    """(indices, values) of an index CSV, one DictReader record per row."""
+    names = [a.name for a in space.axes]
+    parsers = {**dict.fromkeys(names, int), **({value: float} if value else {})}
+    with Path(path).open("r", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [n for n in parsers if n not in (reader.fieldnames or [])]
+        if missing:
+            raise SchemaError(f"{path}: CSV is missing columns {missing}")
+        rows, values = [], []
+        for row, record in enumerate(reader, start=1):
+            try:
+                rows.append([int(record[n]) for n in names])
+                if value:
+                    values.append(float(record[value]))
+            except (TypeError, ValueError):
+                raise _cell_error(path, row, record, parsers) from None
+    shape = space.shape()
+    try:
+        indices = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(names))
+        bad = np.argwhere((indices < 0) | (indices >= np.asarray(shape)))
+    except OverflowError:  # beyond int64, so outside its axis too
+        bad = [(r, m) for r, cells in enumerate(rows) for m, i in enumerate(cells)
+               if not 0 <= i < shape[m]]
+    if len(bad):
+        r, m = bad[0]
+        raise SchemaError(
+            f"{path}: row {r + 1}, column {names[m]!r}: index {rows[r][m]} not in 0..{shape[m] - 1}"
+        )
+    return indices, np.asarray(values, dtype=float) if value else None

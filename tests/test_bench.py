@@ -71,3 +71,15 @@ def test_parallel_table_runs(kernels, monkeypatch):
     names = ["startup", "break_even_2", "1_batches", "2_batches", "lattice_mixed"]
     assert [entry["name"] for entry in table] == names
     assert all(entry["est_work_ms"] > 0 and entry["serial_ms"] > 0 for entry in table)
+
+
+def test_io_table_runs(kernels, monkeypatch, tmp_path):
+    """Every entry of the `io` table on tiny grids."""
+    monkeypatch.setattr(kernels, "IO_SHAPES", ((2, 3), (3,)))
+    monkeypatch.setattr(kernels, "IO_ROUND_S", 0.0)
+    table = kernels.bench_io(1, np.random.default_rng(3), tmp_path)
+    calls = ["read_index_csv", "read_index_csv_value", "write_index_csv", "load_dataset"]
+    assert [(entry["call"], entry["rows"]) for entry in table] == [
+        (call, rows) for rows in (6, 3) for call in calls
+    ]
+    assert all(entry["us_per_row"] > 0 for entry in table)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import full_grid_indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -339,11 +340,18 @@ class TestConfigErrors:
          ("experiment", ("plans", 1, "n_in"), 4.5),
          ("experiment", ("plans", 1, "region", "b_range"), [0, 1.5]),
          ("sweep", ("n_out_list",), [2, 4.5]),
-         ("sweep", ("seed",), False)],
+         ("sweep", ("seed",), False),
+         ("experiment", ("models", 0, "lr"), True),
+         ("experiment", ("models", 0, "lambda_smooth"), "0.5"),
+         ("experiment", ("models", 0, "val_fraction"), False),
+         ("experiment", ("plans", 0, "fraction"), "0.5"),
+         ("sweep", ("lr",), "0.05")],
         ids=["iterations", "rank", "a_range", "smooth_modes", "kind", "smooth_modes_string",
              "no_plans", "no_models", "sweep_no_models", "sweep_no_counts", "sweep_models_string",
              "rank_fraction", "epochs_fraction", "restarts_bool", "iterations_fraction",
-             "n_in_fraction", "b_range_fraction", "sweep_count_fraction", "sweep_seed_bool"],
+             "n_in_fraction", "b_range_fraction", "sweep_count_fraction", "sweep_seed_bool",
+             "lr_bool", "lambda_smooth_string", "val_fraction_bool", "fraction_string",
+             "sweep_lr_string"],
     )
     def test_bad_value_names_its_key(self, dataset_dir, tmp_path, command, path, value):
         build = experiment_config if command == "experiment" else sweep_config
@@ -562,3 +570,49 @@ class TestModelFileValidation:
 
         message = self.predict_with(dataset_dir, tmp_path, capsys, damage)
         assert "normalizer" in message
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestModelFileIntegers:
+    """The integer settings of a model file (its rank, the smoothed modes,
+    the CoSTCo head sizes) are read as strictly as config integers: a
+    fraction, a string or a bool is a SchemaError naming the file."""
+
+    FIELDS = {
+        "rank": ("cpd_s", ("rank",)),
+        "smooth_mode": ("cpd_s", ("smoothness", "modes", 0)),
+        "head_size": ("costco", ("config", "hidden_units")),
+    }
+
+    def predict(self, tmp_path, capsys, kind, path=None, value=None):
+        payload = json.loads((DATA / f"model_{kind}.json").read_text())
+        if path is not None:
+            replace_field(payload, path, value)
+        model_path = tmp_path / f"{kind}.json"
+        model_path.write_text(json.dumps(payload))
+        indices_path = tmp_path / "grid.csv"
+        with indices_path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["geometry", "thickness", "ux"])
+            writer.writerows(full_grid_indices((3, 2, 3)).tolist())
+        capsys.readouterr()
+        return main(["predict", "--model", str(model_path), "--indices", str(indices_path),
+                     "--out", str(tmp_path / "preds.csv")])
+
+    @pytest.mark.parametrize("value", [2.7, "2", True], ids=["fraction", "string", "bool"])
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_non_integer_is_a_schema_error(self, tmp_path, capsys, field, value):
+        kind, path = self.FIELDS[field]
+        payload = one_json_error(self.predict(tmp_path, capsys, kind, path, value),
+                                 capsys.readouterr().err)
+        assert payload["error"] == "SchemaError"
+        assert str(tmp_path / f"{kind}.json") in payload["message"]
+
+    @pytest.mark.parametrize("kind", ["cpd_s", "costco"])
+    def test_checked_in_files_still_predict(self, tmp_path, capsys, kind):
+        assert self.predict(tmp_path, capsys, kind) == 0
+        with (tmp_path / "preds.csv").open(newline="") as fh:
+            got = [float(row["prediction"]) for row in csv.DictReader(fh)]
+        assert got == json.loads((DATA / f"model_{kind}.predictions.json").read_text())

@@ -140,6 +140,31 @@ class TestEncodeObservations:
         by_index = {tuple(i): v for i, v in zip(obs.indices, obs.values)}
         assert by_index[(0,)] == pytest.approx(0.5)  # mean(0, 4) -> 2 -> normalized
 
+    @pytest.mark.parametrize(
+        "outcomes, normalizer",
+        [
+            ([0.1, 0.2, 0.7, -0.0, 0.3, 1e-300, 0.0, 5e-324, 2.5, 0.1, 0.7], None),
+            ([0.1, -0.0, 0.0, 0.3, 7.0, 0.0, 0.1, 1 / 3], Normalizer(0.0, 7.0)),
+            ([-0.0, 1.3, -2.6, 1.3, -0.0, 0.1, 4.4, 0.2], Normalizer(-0.0, 4.4)),
+            ([3.0] * 9, None),
+        ],
+        ids=["duplicates", "signed_zeros", "zero_minimum", "degenerate_range"],
+    )
+    def test_values_bit_equal_the_per_cell_reference(self, outcomes, normalizer):
+        """One np.mean and one normalize call per cell, the form the
+        vectorized encoding replaced, gives the same bits."""
+        records = [{"a": i % 7, "y": y} for i, y in enumerate(outcomes)]
+        space = build_design_space(records, ["a"], "y", {"a": "ordinal"})
+        obs = encode_observations(records, space, normalizer=normalizer)
+        normalizer = normalizer or Normalizer.fit(outcomes)
+        grouped = {}
+        for record in records:
+            grouped.setdefault(space.axes[0].index_of(record["a"]), []).append(record["y"])
+        expected = [normalizer.normalize(float(np.mean(grouped[k]))) for k in sorted(grouped)]
+        assert any(len(ys) == 1 for ys in grouped.values())
+        assert any(len(ys) > 1 for ys in grouped.values())
+        assert obs.values.tobytes() == np.array(expected, dtype=float).tobytes()
+
     def test_duplicates_rejected_in_strict_mode(self):
         records = [{"a": 1, "y": 0.0}, {"a": 1, "y": 4.0}]
         space = build_design_space(records, ["a"], "y", {"a": "ordinal"})

@@ -601,3 +601,30 @@ class TestSamplingPlanValidation:
     def test_unknown_kind(self):
         with pytest.raises(ContractError):
             SamplingPlan(kind="stratified", fraction=0.5)
+
+
+class TestConfigFloats:
+    """Float config values are numbers: a bool or a numeric string is a
+    ContractError naming its key, as for integer keys."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lr", True), ("lr", "0.1"), ("lambda_smooth", "0.5"), ("val_fraction", False),
+         ("val_fraction", None)],
+    )
+    def test_bool_or_string_names_its_key(self, key, value):
+        with pytest.raises(ContractError, match=repr(key)):
+            harness._train_config_from({"rank": 2, key: value}, DesignSpace.from_shape((3, 2)))
+
+    def test_numbers_are_taken(self):
+        cfg = harness._train_config_from(
+            {"rank": 2, "lr": 0.1, "lambda_smooth": 1, "val_fraction": 0.25},
+            DesignSpace.from_shape((3, 2)),
+        )
+        assert (cfg.lr, cfg.smooth_weight, cfg.val_fraction) == (0.1, 1.0, 0.25)
+
+    @pytest.mark.parametrize("fraction", [True, "0.5"])
+    def test_plan_fraction(self, fraction):
+        with pytest.raises(ContractError, match="'fraction'"):
+            harness.plan_from_config({"kind": "uniform", "fraction": fraction},
+                                     DesignSpace.from_shape((3, 2)))

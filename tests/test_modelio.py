@@ -3,6 +3,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from conftest import full_grid_indices, obs_from_values
 from hypothesis import given, settings
@@ -94,6 +95,114 @@ class TestObservationsCsv:
         path.write_text(f"p0,p1,value\n0,0,0.5\n1,{index},0.25\n")
         with pytest.raises(SchemaError, match=r"obs.csv: row 2, column 'p1'"):
             read_index_csv(path, DesignSpace.from_shape((2, 2)), "value")
+
+
+# name -> (CSV text, value column); read over DesignSpace.from_shape((3, 12))
+INDEX_CSV_CORPUS = {
+    "plain": ("p0,p1,value\r\n0,1,0.5\r\n2,11,-0.25\r\n", "value"),
+    "blank_lines": ("p0,p1,value\n\n0,1,0.5\n\n\n1,2,0.25\n\n", "value"),
+    "blank_first_line": ("\np0,p1,value\n0,1,0.5\n", "value"),
+    "whitespace_row": ("p0,p1,value\n0,1,0.5\n \n", "value"),
+    "short_row": ("p0,p1,value\n0,1,0.5\n1,2\n", "value"),
+    "short_index_row": ("p0,p1,value\n0,1,0.5\n1\n", "value"),
+    "extra_trailing_field": ("p0,p1,value\n0,1,0.5,9\n1,2,0.25,\n", "value"),
+    "extra_columns": ("a,p0,b,p1,value,c\nx,0,y,1,0.5,z\n,2,,3,1e-3,\n", "value"),
+    "reordered_columns": ("value,p1,p0\n0.5,2,1\n0.75,0,2\n", "value"),
+    "repeated_name_last_wins": ("p0,p1,p1,value\n0,abc,2,0.5\n1,-7,3,0.5\n", "value"),
+    "repeated_name_last_is_bad": ("p0,p1,value,p1\n0,1,0.5,x\n", "value"),
+    "int_syntax": ("p0,p1,value\n 1 ,+2,0.5\n-0,1_0,0.25\n", "value"),
+    "nan_and_inf": ("p0,p1,value\n0,0,nan\n1,1,-inf\n2,2,Infinity\n0,3, 1.5 \n", "value"),
+    "float_index": ("p0,p1,value\n0,1,0.5\n1,1.0,0.5\n", "value"),
+    "word_index": ("p0,p1,value\n0,one,0.5\n", "value"),
+    "empty_index": ("p0,p1,value\n,1,0.5\n", "value"),
+    "word_value": ("p0,p1,value\n0,1,0.5\n1,1,abc\n", "value"),
+    "empty_value": ("p0,p1,value\n0,1,\n", "value"),
+    "negative_index": ("p0,p1,value\n0,0,0.5\n1,-1,0.25\n", "value"),
+    "index_at_axis_size": ("p0,p1,value\n0,0,0.5\n3,1,0.25\n", "value"),
+    "index_beyond_int64": ("p0,p1,value\n0,0,0.5\n1,99999999999999999999,0.25\n", "value"),
+    "overflow_then_bad_cell": ("p0,p1,value\n99999999999999999999,0,0.5\n1,x,0.25\n", "value"),
+    "bounds_then_bad_cell": ("p0,p1,value\n5,0,0.5\n1,1,x\n", "value"),
+    "missing_column": ("p0,value\n0,0.5\n", "value"),
+    "missing_value_column": ("p0,p1\n0,1\n", "value"),
+    "empty_file": ("", "value"),
+    "header_only": ("p0,p1,value\r\n", "value"),
+    "indices_only": ("p0,p1\n0,1\n2,11\n", None),
+    "indices_only_header": ("p0,p1\n", None),
+    "indices_only_short_row": ("p0,p1,value\n0,1,0.5\n2\n", None),
+    "indices_only_bad_value_ignored": ("p0,p1,value\n0,1,abc\n", None),
+    "quoted_cells": ('"p0","p1","value"\n"0","1","0.5"\n', "value"),
+}
+
+
+def read_outcome(read, path, space, value):
+    """(indices, values) of a reader, or the text of its SchemaError."""
+    try:
+        return read(path, space, value)
+    except SchemaError as exc:
+        return str(exc)
+
+
+class TestIndexCsvCodec:
+    """The column-wise codec against the row-by-row one it replaced
+    (`oracles.read_index_csv`, `oracles.write_index_csv`)."""
+
+    @pytest.mark.parametrize("name", INDEX_CSV_CORPUS)
+    def test_reader_matches_the_reference(self, tmp_path, name):
+        text, value = INDEX_CSV_CORPUS[name]
+        path = tmp_path / "index.csv"
+        path.write_bytes(text.encode())
+        space = DesignSpace.from_shape((3, 12))
+        got = read_outcome(read_index_csv, path, space, value)
+        want = read_outcome(oracles.read_index_csv, path, space, value)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        for a, b in zip(got, want):
+            if b is None:
+                assert a is None
+                continue
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308, float("nan"), float("inf")]),
+)
+
+
+@st.composite
+def index_tables(draw):
+    """(space, indices, values, value name): random axis names, including
+    ones csv quotes, a random shape and 0 to 12 rows."""
+    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    value = draw(NAMES.filter(lambda name: name not in names))
+    shape = [draw(st.integers(1, 6)) for _ in names]
+    space = DesignSpace(
+        axes=tuple(Axis(n, "ordinal", tuple(map(float, range(s)))) for n, s in zip(names, shape)),
+        outcome_name="y",
+    )
+    n = draw(st.integers(0, 12))
+    indices = np.array(
+        [[draw(st.integers(0, s - 1)) for s in shape] for _ in range(n)], dtype=np.int64
+    ).reshape(n, len(shape))
+    values = np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float)
+    return space, indices, values, value
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(table=index_tables())
+def test_writer_matches_the_reference_and_reads_back(tmp_path_factory, table):
+    space, indices, values, value = table
+    tmp = tmp_path_factory.mktemp("codec")
+    write_index_csv(tmp / "new.csv", space, indices, values, value)
+    oracles.write_index_csv(tmp / "old.csv", space, indices, values, value)
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+    got_indices, got_values = read_index_csv(tmp / "new.csv", space, value)
+    assert got_indices.dtype == np.int64 and np.array_equal(got_indices, indices)
+    assert list(map(repr, got_values.tolist())) == list(map(repr, values.tolist()))
 
 
 class TestDatasetDir:
