@@ -17,9 +17,9 @@ Run it from the repository root; it imports tenfit from ./src. Five tables:
   fixed number of calls.
 - `batch`: `optim.train_batch` on B same-size fits, in us per fit-epoch
   and per row-epoch (the best of several rounds), for CPD, CPD-S and
-  CoSTCo; these measurements set `optim.MAX_BATCH_ROWS`,
+  CoSTCo; these measurements set `cpd.CPD_MAX_BATCH_ROWS`,
   `neural.COSTCO_MAX_BATCH_ROWS` and each kind's cost per row-epoch
-  (`optim.ROW_EPOCH_US`, `cpd.CPD_S_ROW_EPOCH_US`,
+  (`cpd.CPD_ROW_EPOCH_US`, `cpd.CPD_S_ROW_EPOCH_US`,
   `neural.COSTCO_ROW_EPOCH_US`).
 - `parallel`: `optim.fit_batch` calls, medians over rounds in ms per call,
   each with the call's estimated work (`est_work_ms`, the engine's own

@@ -8,6 +8,7 @@ from .core import (
     ObservationSet,
     build_design_space,
     encode_observations,
+    uniform_split,
 )
 from .cpd import (
     CPDModel,
@@ -36,7 +37,6 @@ from .harness import (
     per_cell_errors,
     run_experiment,
     run_sweep,
-    uniform_split,
 )
 from .metrics import (
     FactorComparison,
@@ -60,6 +60,7 @@ __all__ = [
     "ObservationSet",
     "build_design_space",
     "encode_observations",
+    "uniform_split",
     "CPDModel",
     "FactorSet",
     "SmoothnessConfig",
@@ -82,7 +83,6 @@ __all__ = [
     "per_cell_errors",
     "run_experiment",
     "run_sweep",
-    "uniform_split",
     "FactorComparison",
     "MetricsReport",
     "component_expression_export",

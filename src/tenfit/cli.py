@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -18,10 +19,10 @@ from pathlib import Path
 from .core import CATEGORICAL, ORDINAL, build_design_space, encode_observations
 from .cpd import CPDModel
 from .errors import ContractError, SchemaError, TenfitError
-from .harness import _train_config_from, run_experiment, run_sweep
+from .harness import _TRAIN_KEYS, _train_config_from, run_experiment, run_sweep
 from .metrics import component_expression_export, fms, regression_metrics
-from .modelio import load_dataset, load_model, read_index_csv, save_model, write_dataset
-from .modelio import write_atomic, write_index_csv
+from .modelio import as_float, load_dataset, load_model, read_index_csv, save_model
+from .modelio import write_atomic, write_dataset, write_index_csv
 from .optim import MODEL_KINDS, fit
 
 
@@ -46,7 +47,7 @@ def _split_csv_list(text) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()] if text else []
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> dict:
     records, fieldnames = _read_csv_records(args.data)
     if args.outcome not in fieldnames:
         raise SchemaError(f"outcome column {args.outcome!r} not in CSV header")
@@ -78,11 +79,10 @@ def cmd_ingest(args) -> int:
             "n_cells": space.n_cells(),
         }
     )
-    print(json.dumps(manifest, indent=2))
-    return 0
+    return manifest
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> dict:
     space, obs = load_dataset(args.obs)
     smooth_modes = _split_csv_list(args.smooth_modes) if args.smooth_modes else None
     cfg = _train_config_from({**vars(args), "smooth_modes": smooth_modes}, space)
@@ -90,22 +90,16 @@ def cmd_fit(args) -> int:
     save_model(model, args.out)
     report_path = Path(args.out).with_suffix(".report.json")
     write_atomic(report_path, json.dumps(report.to_json()))
-    print(
-        json.dumps(
-            {
-                "model": str(args.out),
-                "report": str(report_path),
-                "final_loss": report.final_loss,
-                "restart": report.restart,
-                "epochs_run": report.epochs_run,
-            },
-            indent=2,
-        )
-    )
-    return 0
+    return {
+        "model": str(args.out),
+        "report": str(report_path),
+        "final_loss": report.final_loss,
+        "restart": report.restart,
+        "epochs_run": report.epochs_run,
+    }
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> dict:
     model = load_model(args.model)
     indices, _ = read_index_csv(args.indices, model.space)
     preds = model.predict(indices)
@@ -114,11 +108,10 @@ def cmd_predict(args) -> int:
             raise ContractError("model carries no normalizer; cannot denormalize")
         preds = model.normalizer.denormalize(preds)
     write_index_csv(args.out, model.space, indices, preds, "prediction")
-    print(json.dumps({"predictions": str(args.out), "n": int(indices.shape[0])}, indent=2))
-    return 0
+    return {"predictions": str(args.out), "n": int(indices.shape[0])}
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> dict:
     model = load_model(args.model)
     space, obs = load_dataset(args.test)
     if space.shape() != model.shape:
@@ -126,54 +119,50 @@ def cmd_evaluate(args) -> int:
             f"test-space shape {space.shape()} != model shape {model.shape}"
         )
     preds = model.predict(obs.indices)
-    report = regression_metrics(obs.values, preds)
-    write_atomic(args.out, json.dumps(report.to_json(), indent=2))
-    print(json.dumps(report.to_json(), indent=2))
-    return 0
+    report = regression_metrics(obs.values, preds).to_json()
+    write_atomic(args.out, json.dumps(report, indent=2))
+    return report
 
 
-def cmd_factors(args) -> int:
+def cmd_factors(args) -> dict:
     model = load_model(args.model)
     if not isinstance(model, CPDModel):
         raise ContractError("factor export needs a linear model (cpd or cpd_s)")
-    manifest = component_expression_export(
+    return component_expression_export(
         model.factors,
         model.space,
         args.out,
         quantile=args.quantile,
         normalized=args.normalized,
     )
-    print(json.dumps(manifest, indent=2))
-    return 0
 
 
-def cmd_fms(args) -> int:
+def cmd_fms(args) -> dict:
     model_a = load_model(args.a)
     model_b = load_model(args.b)
     for label, model in (("--a", model_a), ("--b", model_b)):
         if not isinstance(model, CPDModel):
             raise ContractError(f"{label} must be a linear model (cpd or cpd_s)")
-    comparison = fms(model_a.factors, model_b.factors)
-    write_atomic(args.out, json.dumps(comparison.to_json(), indent=2))
-    print(json.dumps(comparison.to_json(), indent=2))
-    return 0
+    comparison = fms(model_a.factors, model_b.factors).to_json()
+    write_atomic(args.out, json.dumps(comparison, indent=2))
+    return comparison
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> dict:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     summary = run_experiment(config, args.out)
-    print(json.dumps({"out": str(args.out), "failures": len(summary["failures"])}, indent=2))
-    return 0
+    return {"out": str(args.out), "failures": len(summary["failures"])}
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> dict:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     run_sweep(config, args.out)
-    print(json.dumps({"out": str(args.out)}, indent=2))
-    return 0
+    return {"out": str(args.out)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="tenfit",
         description="Tensor-completion surrogate modeling for discrete design spaces.",
@@ -196,17 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs", required=True, help="dataset directory from ingest")
     p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lambda-smooth", dest="lambda_smooth", type=float)
     p.add_argument("--smooth-modes", dest="smooth_modes", default="", help="axis names (default: ordinal axes)")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--groups", type=int, help="costco: initialization groups")
-    p.add_argument("--channels", type=int, help="costco: conv channels")
-    p.add_argument("--hidden", type=int, help="costco: dense width")
+    heads = {"groups": "initialization groups", "channels": "conv channels", "hidden": "dense width"}
+    for key, (_, cast) in _TRAIN_KEYS.items():  # one flag per config key
+        kind = float if cast is as_float else int
+        text = f"costco: {heads[key]}" if key in heads else None
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_fit)
 
@@ -249,10 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        print(json.dumps(args.func(args), indent=2))
+        return 0
     except (
         TenfitError, TypeError, OSError, json.JSONDecodeError, KeyError, UnicodeDecodeError
     ) as exc:

@@ -1,4 +1,5 @@
-"""Design-space schema, sparse observations, and dense tensors.
+"""Design-space schema, sparse observations, the uniform split, the
+training engine's view of a model kind, and dense tensors.
 
 A design space is an ordered list of axes (one per design parameter), each
 with an enumerated value list; its Cartesian product defines the tensor
@@ -10,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateDataError, SchemaError
+from .errors import ContractError, DegenerateDataError, SchemaError, SplitError
 
 ORDINAL = "ordinal"
 CATEGORICAL = "categorical"
@@ -216,6 +217,53 @@ class ObservationSet:
             values=new_normalizer.normalize(original),
             normalizer=new_normalizer,
         )
+
+
+def uniform_split(obs: ObservationSet, fraction: float, seed: int):
+    """Disjoint exhaustive partition with |train| = round(fraction * n);
+    deterministic per seed and independent of the input row order."""
+    if not 0 < fraction < 1:
+        raise ContractError("train fraction must lie in (0, 1)")
+    if obs.n < 2:
+        raise SplitError("need at least two observations to split")
+    n_train = int(np.floor(fraction * obs.n + 0.5))
+    if n_train < 1 or n_train >= obs.n:
+        raise SplitError(f"fraction {fraction} leaves an empty side for n={obs.n}")
+    canon = obs.canonical_order()
+    perm = np.random.default_rng(seed).permutation(obs.n)
+    train_pos = np.sort(perm[:n_train])
+    test_pos = np.sort(perm[n_train:])
+    return canon.take(train_pos), canon.take(test_pos)
+
+
+@dataclass
+class Trainable:
+    """What the training engine (`optim`) needs to train one model kind.
+
+    `layout` names the kind's parameter arrays and gives their shapes, as
+    `[(name, shape), ...]`; `init(seed)` gives one fit's arrays in that
+    order. `objective(data_sets)` builds the batched training objective
+    over B data sets:
+    `objective(params, grad=True)` takes the parameter arrays with a leading
+    batch axis and returns `(losses, grads)`, losses of shape (B,) and grads
+    parallel to params, or the losses alone when `grad` is false.
+    `val_objective(data_sets)` builds the batched validation loss the same
+    way. `model(params, space, normalizer)` builds the fitted model from one
+    fit's arrays in layout order. `max_rows` bounds the training rows of one
+    batch, and `same_size` says whether one batch needs data sets of one
+    size. `row_epoch_us` is the kind's measured cost of one training row
+    for one epoch, in us; the engine estimates a batch's work from it to
+    order and place batches.
+    """
+
+    layout: list
+    init: Callable
+    objective: Callable
+    val_objective: Callable
+    model: Callable
+    max_rows: int
+    row_epoch_us: float
+    same_size: bool = False
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import DenseTensor, DesignSpace, Normalizer, ObservationSet, check_indices
+from .core import DenseTensor, DesignSpace, Normalizer, ObservationSet, Trainable, check_indices
 from .errors import CapacityError, ContractError, DegenerateDataError
 
 DENSE_CELL_CAP = 10_000_000  # cells reconstruct_full materializes at most
@@ -275,9 +275,38 @@ def cpd_layout(shape, cfg) -> list:
     return [(f"factors/{m}", (int(size), cfg.rank)) for m, size in enumerate(shape)]
 
 
+CPD_MAX_BATCH_ROWS = 4_000
+"""Most observed training rows one batched CPD or CPD-S objective call covers
+(CoSTCo sets its own, see `neural.COSTCO_MAX_BATCH_ROWS`). The runs of a
+batch are split to stay at or under it; a run larger than it trains alone.
+Batching removes per-call overhead until a fit-epoch stops getting
+cheaper, which happens between about 2,000 and 4,000 rows; past that the
+cost is flat up to 6,912 rows (the objective reuses its work buffers, so
+there is no cliff). Measured with `bench/kernels.py`'s `batch` table at
+R=3, best of 16 rounds, in us per fit-epoch (numpy 2.4, OpenBLAS on one
+thread, 2-vCPU KVM guest): at n=216, 67.5 alone, 26.0 at B=9 (1,944 rows)
+and 23.7-26.6 from 2,592 to 6,696 rows; at n=768 on a 4,800-cell shape,
+111 alone and 78.8-84.5 from 2,304 to 6,912 rows (a separate 16-round
+sweep read 97.7 at 2,304 and 76.6 at 3,840); at n=1,000, 128 alone and
+103-112 from 2,000 to 6,000 rows. Two fits of 3,456 rows train apart: B=2
+was no cheaper per fit-epoch (365 against 363).
+"""
+
+CPD_ROW_EPOCH_US = 0.09
+"""CPD's training cost per observed row and epoch, in us (CPD-S and CoSTCo
+set their own, see `CPD_S_ROW_EPOCH_US` and
+`neural.COSTCO_ROW_EPOCH_US`). The engine estimates a batch's work as its
+training rows x epochs x this cost, to start the longest batches first and
+to train serially when a call's work would not pay for worker processes.
+From `bench/kernels.py`'s `batch` table at R=3 in batches of 1,944 to
+6,912 rows (`BENCH_10.json`): 0.084-0.092 for 216-row fits on the
+270-cell shape, 0.083-0.095 for 768- and 0.085-0.091 for 1,000-row fits
+on the 4,800-cell shape. Smaller batches cost more per row.
+"""
+
 CPD_S_ROW_EPOCH_US = 0.12
 """CPD-S's training cost per observed row and epoch, in us, as
-`optim.ROW_EPOCH_US` is CPD's: the smoothness penalty's gradient adds work
+`CPD_ROW_EPOCH_US` is CPD's: the smoothness penalty's gradient adds work
 per fit, which per row came to 1.18-1.38 times CPD's cost in
 `bench/kernels.py`'s `batch` table (216-row fits on the 270-cell shape,
 B=9-20, `BENCH_11.json`)."""
@@ -288,8 +317,6 @@ def cpd_trainable(shape, cfg, kind: str):
     seeded factors trained on the masked MSE plus CPD-S's penalty (on every
     mode unless `cfg.smooth_modes` names some), with early stopping on the
     plain masked MSE."""
-    from .optim import MAX_BATCH_ROWS, ROW_EPOCH_US, Trainable  # avoids a module cycle
-
     smoothness = SmoothnessConfig()
     if kind == "cpd_s":
         modes = cfg.smooth_modes if cfg.smooth_modes is not None else range(len(shape))
@@ -302,6 +329,6 @@ def cpd_trainable(shape, cfg, kind: str):
         model=lambda params, space, normalizer: CPDModel(
             kind, FactorSet(params), space, normalizer, smoothness
         ),
-        max_rows=MAX_BATCH_ROWS,
-        row_epoch_us=CPD_S_ROW_EPOCH_US if kind == "cpd_s" else ROW_EPOCH_US,
+        max_rows=CPD_MAX_BATCH_ROWS,
+        row_epoch_us=CPD_S_ROW_EPOCH_US if kind == "cpd_s" else CPD_ROW_EPOCH_US,
     )

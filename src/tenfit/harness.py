@@ -1,8 +1,9 @@
 """Sampling protocols, error disaggregation, and experiment orchestration.
 
-Two sampling protocols are supported: a uniform train/test split and a
-biased one that draws heavily from an axis-aligned region of a 2-axis
-projection and sparsely from the rest. The experiment runner and the OOD
+Two sampling protocols are supported: a uniform train/test split (in
+`core`, which the training engine's validation carve shares) and a biased
+one that draws heavily from an axis-aligned region of a 2-axis projection
+and sparsely from the rest. The experiment runner and the OOD
 sweep share one scoring loop: split -> renormalize -> fit -> predict ->
 score, over plans, iterations and model specs, with one batched fit per
 model spec across all plans (the sweep scores only the test rows outside
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DesignSpace, Normalizer, ObservationSet
+from .core import DesignSpace, Normalizer, ObservationSet, uniform_split
 from .cpd import CPDModel
 from .errors import ContractError, SplitError, StratumExhaustedError, TenfitError
 from .metrics import component_expression_export, fms, regression_metrics
@@ -110,25 +111,6 @@ class SamplingPlan:
             raise ContractError(f"unknown plan kind {self.kind!r}")
         if self.name is None:
             object.__setattr__(self, "name", self.kind)
-
-
-def uniform_split(obs: ObservationSet, fraction: float, seed: int):
-    """Disjoint exhaustive partition with |train| = round(fraction * n);
-    deterministic per seed and independent of the input row order."""
-    if not 0 < fraction < 1:
-        raise ContractError("train fraction must lie in (0, 1)")
-    if obs.n < 2:
-        raise SplitError("need at least two observations to split")
-    n_train = int(np.floor(fraction * obs.n + 0.5))
-    if n_train < 1 or n_train >= obs.n:
-        raise SplitError(
-            f"fraction {fraction} leaves an empty side for n={obs.n}"
-        )
-    canon = obs.canonical_order()
-    perm = np.random.default_rng(seed).permutation(obs.n)
-    train_pos = np.sort(perm[:n_train])
-    test_pos = np.sort(perm[n_train:])
-    return canon.take(train_pos), canon.take(test_pos)
 
 
 def biased_split(

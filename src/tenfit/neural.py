@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import DesignSpace, Normalizer, ObservationSet, check_indices
+from .core import DesignSpace, Normalizer, ObservationSet, Trainable, check_indices
 from .errors import ContractError, DegenerateDataError
 
 
@@ -267,7 +267,7 @@ alone and 55-63 from 320 to 800 rows.
 
 COSTCO_ROW_EPOCH_US = 0.8
 """CoSTCo's training cost per observed row and epoch, in us, as
-`optim.ROW_EPOCH_US` is CPD's: from `bench/kernels.py`'s `batch` table on
+`cpd.CPD_ROW_EPOCH_US` is CPD's: from `bench/kernels.py`'s `batch` table on
 the 270-cell shape at R=3 (`BENCH_10.json`), 0.71-0.87 at n=154 in
 batches of 308 to 924 rows, 0.73-0.91 at n=74 (296-888 rows) and
 0.89-0.99 at n=40 (320-800 rows): about nine times CPD's."""
@@ -278,8 +278,6 @@ def costco_trainable(shape, cfg):
     TrainConfig: seeded embeddings and head trained jointly on the masked
     MSE, with batches of one training-set size and at most
     COSTCO_MAX_BATCH_ROWS rows."""
-    from .optim import Trainable  # local import avoids a module cycle
-
     layout = costco_layout(shape, cfg)
     names = [name for name, _ in layout]
     objective = partial(_masked_objective, n_groups=cfg.n_init_groups, rank=cfg.rank)
@@ -300,6 +298,7 @@ def costco_trainable(shape, cfg):
 def costco_fit(obs_train: ObservationSet, cfg):
     """Train embeddings and head jointly on one training set, with the head
     sizes of the TrainConfig; returns (model, TrainReport)."""
-    from .optim import fit  # local import avoids a module cycle
+    # at call time, as optim imports this module; perfbench's TRACED names this wrapper
+    from .optim import fit
 
     return fit(obs_train.space.shape(), obs_train, cfg, "costco")

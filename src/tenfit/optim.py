@@ -33,11 +33,10 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
-from .core import ObservationSet
+from .core import ObservationSet, Trainable, uniform_split
 from .cpd import cpd_trainable
 from .errors import (
     ContractError,
@@ -97,7 +96,8 @@ class TrainConfig:
     """Knobs for a full-batch Adam fit. The smoothness fields apply to CPD-S
     only and the three head sizes to CoSTCo only. `smooth_modes=None`
     smooths every mode; configs and `tenfit fit` pass the ordinal axes'
-    modes when they name none."""
+    modes when they name none. Early stopping takes `patience` and a
+    positive `val_fraction` together; either alone is a ContractError."""
 
     rank: int
     epochs: int = 3000
@@ -125,6 +125,8 @@ class TrainConfig:
             raise ContractError("validation fraction must be in [0, 1)")
         if self.patience is not None and (self.patience < 1 or self.val_fraction == 0):
             raise ContractError("patience requires a positive validation fraction")
+        if self.patience is None and self.val_fraction > 0:
+            raise ContractError("a validation fraction requires patience")
         if self.smooth_weight < 0:
             raise ContractError("smoothness weight must be non-negative")
         if self.seed < 0:
@@ -159,67 +161,6 @@ class TrainReport:
                 float(x) if math.isfinite(x) else None for x in self.restart_final_losses
             ],
         }
-
-
-MAX_BATCH_ROWS = 4_000
-"""Most observed training rows one batched CPD objective call covers (the
-engine's default bound; CoSTCo sets its own, see
-`neural.COSTCO_MAX_BATCH_ROWS`). The runs of a batch are split to stay at
-or under it; a run larger than it trains alone. Batching removes per-call
-overhead until a fit-epoch stops getting cheaper, which happens between
-about 2,000 and 4,000 rows; past that the cost is flat up to 6,912 rows
-(the objective reuses its work buffers, so there is no cliff). Measured
-with `bench/kernels.py`'s `batch` table at R=3, best of 16 rounds, in us
-per fit-epoch (numpy 2.4, OpenBLAS on one thread, 2-vCPU KVM guest): at
-n=216, 67.5 alone, 26.0 at B=9 (1,944 rows) and 23.7-26.6 from 2,592 to
-6,696 rows; at n=768 on a 4,800-cell shape, 111 alone and 78.8-84.5 from
-2,304 to 6,912 rows (a separate 16-round sweep read 97.7 at 2,304 and 76.6
-at 3,840); at n=1,000, 128 alone and 103-112 from 2,000 to 6,000 rows.
-Two fits of 3,456 rows train apart: B=2 was no cheaper per fit-epoch
-(365 against 363).
-"""
-
-ROW_EPOCH_US = 0.09
-"""CPD's training cost per observed row and epoch, in us (the engine's
-default; CPD-S and CoSTCo set their own, see `cpd.CPD_S_ROW_EPOCH_US` and
-`neural.COSTCO_ROW_EPOCH_US`). The engine estimates a batch's work as its
-training rows x epochs x this cost, to start the longest batches first and
-to train serially when a call's work would not pay for worker processes.
-From `bench/kernels.py`'s `batch` table at R=3 in batches of 1,944 to
-6,912 rows (`BENCH_10.json`): 0.084-0.092 for 216-row fits on the
-270-cell shape, 0.083-0.095 for 768- and 0.085-0.091 for 1,000-row fits
-on the 4,800-cell shape. Smaller batches cost more per row.
-"""
-
-
-@dataclass
-class Trainable:
-    """What the engine needs to train one model kind.
-
-    `layout` names the kind's parameter arrays and gives their shapes, as
-    `[(name, shape), ...]`; `init(seed)` gives one fit's arrays in that
-    order. `objective(data_sets)` builds the batched training objective
-    over B data sets:
-    `objective(params, grad=True)` takes the parameter arrays with a leading
-    batch axis and returns `(losses, grads)`, losses of shape (B,) and grads
-    parallel to params, or the losses alone when `grad` is false.
-    `val_objective(data_sets)` builds the batched validation loss the same
-    way. `same_size` says whether one batch needs data sets of one size;
-    `max_rows` bounds the training rows of one batch. `row_epoch_us` is the
-    kind's measured cost of one training row for one epoch, in us; the
-    engine estimates a batch's work from it to order and place batches.
-    `model(params, space, normalizer)` builds the fitted model from one
-    fit's arrays in layout order.
-    """
-
-    layout: list
-    init: Callable
-    objective: Callable
-    val_objective: Callable | None = None
-    model: Callable | None = None
-    same_size: bool = False
-    max_rows: int = MAX_BATCH_ROWS
-    row_epoch_us: float = ROW_EPOCH_US
 
 
 @dataclass
@@ -514,8 +455,6 @@ def _train_set_error(obs: ObservationSet, shape) -> TenfitError | None:
 def _carve_validation(obs: ObservationSet, share: float, seed: int):
     if share == 0:
         return obs, None
-    from .harness import uniform_split  # local import avoids a module cycle
-
     return uniform_split(obs, 1.0 - share, seed=seed)
 
 
@@ -571,7 +510,7 @@ def fit_batch(shape, models, train_sets, seeds) -> list:
     carved = {}  # (set position, validation share) -> (training, validation) sets
     for j, ((_, cfg), trainable) in enumerate(zip(models, trainables)):
         model_runs = []
-        share = cfg.val_fraction if cfg.patience is not None else 0.0
+        share = cfg.val_fraction
         for i, (obs, seed) in enumerate(zip(train_sets, map(int, seeds))):
             if errors[i] is not None:
                 continue

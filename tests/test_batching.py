@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
 from tenfit import optim
 from tenfit.errors import ContractError, DivergenceError, WorkerError
-from tenfit.optim import MAX_BATCH_ROWS, TrainConfig, fit, fit_batch
+from tenfit.cpd import CPD_MAX_BATCH_ROWS
+from tenfit.optim import TrainConfig, fit, fit_batch
 
 HEAD = {"n_init_groups": 2, "conv_channels": 3, "hidden_units": 4}  # TrainConfig fields
 
@@ -86,7 +87,7 @@ def test_batched_fits_match_solo_fits(case):
     kind, shape, sizes, cfg, seed = case
     rng = np.random.default_rng(seed)
     trains = [observations(shape, n, rng) for n in sizes]
-    assert sum(sizes) * cfg.restarts <= MAX_BATCH_ROWS  # one batch
+    assert sum(sizes) * cfg.restarts <= CPD_MAX_BATCH_ROWS  # one batch
     seeds = [seed + 10 * b for b in range(len(trains))]
     (outcomes,) = fit_batch(shape, [(kind, cfg)], trains, seeds)
     for train, fit_seed, outcome in zip(trains, seeds, outcomes):
@@ -119,7 +120,7 @@ def test_batch_split_at_the_row_bound_changes_nothing(monkeypatch):
         trains = [observations(shape, n, rng) for n in sizes]
         (whole,) = fit_batch(shape, [(kind, cfg)], trains, [1, 2, 3])
         with monkeypatch.context() as patch:  # about two runs a batch
-            patch.setattr("tenfit.optim.MAX_BATCH_ROWS", 50)
+            patch.setattr("tenfit.cpd.CPD_MAX_BATCH_ROWS", 50)
             patch.setattr("tenfit.neural.COSTCO_MAX_BATCH_ROWS", 50)
             (split,) = fit_batch(shape, [(kind, cfg)], trains, [1, 2, 3])
         for (model_a, report_a), (model_b, report_b) in zip(whole, split):
@@ -172,7 +173,7 @@ def pooled_calls(monkeypatch):
 
 def early_stopped_cpd_case(monkeypatch):
     """Three early-stopped CPD fits of 2 restarts, one batch per fit."""
-    monkeypatch.setattr(optim, "MAX_BATCH_ROWS", 50)
+    monkeypatch.setattr("tenfit.cpd.CPD_MAX_BATCH_ROWS", 50)
     shape = (4, 3, 3)
     rng = np.random.default_rng(8)
     trains = [observations(shape, n, rng) for n in (30, 25, 33)]
@@ -184,7 +185,7 @@ def mixed_kinds_case(monkeypatch):
     """cpd and cpd_s, both early-stopped with one validation share, and
     costco fitted to the same three sets in one call: 2 cpd batches, 2
     cpd_s batches and 3 costco batches."""
-    monkeypatch.setattr(optim, "MAX_BATCH_ROWS", 90)
+    monkeypatch.setattr("tenfit.cpd.CPD_MAX_BATCH_ROWS", 90)
     monkeypatch.setattr("tenfit.neural.COSTCO_MAX_BATCH_ROWS", 40)
     shape = (4, 3, 3)
     rng = np.random.default_rng(9)
@@ -300,7 +301,7 @@ def test_pool_starts_the_longest_estimated_work_first(monkeypatch, tmp_path):
 @needs_fork
 def test_dead_worker_is_a_recorded_failure(monkeypatch):
     shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
-    monkeypatch.setattr(optim, "MAX_BATCH_ROWS", 30)  # one batch per restart
+    monkeypatch.setattr("tenfit.cpd.CPD_MAX_BATCH_ROWS", 30)  # one batch per restart
     (serial,) = run_with_cpus(monkeypatch, 1, shape, [("cpd", cfg)], trains, seeds)
     train_batch = optim.train_batch
 
@@ -344,7 +345,7 @@ def test_dead_worker_fails_only_its_kinds_batch(monkeypatch):
 @needs_fork
 def test_worker_exception_is_raised_as_serially(monkeypatch):
     shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
-    monkeypatch.setattr(optim, "MAX_BATCH_ROWS", 30)  # one batch per restart
+    monkeypatch.setattr("tenfit.cpd.CPD_MAX_BATCH_ROWS", 30)  # one batch per restart
     train_batch = optim.train_batch
 
     def failing(trainable, batch, cfg):  # fit 2's batches are the largest: they fail first

@@ -170,6 +170,24 @@ class TestFitPredictEvaluate:
         assert len(rows) == 2
         assert all(np.isfinite(float(r["prediction"])) for r in rows)
 
+    def test_parser_is_reused_after_an_argparse_error(self, dataset_dir, tmp_path, capsys):
+        # main builds its parser once per process; an argparse error (exit 2)
+        # must leave it able to parse the next call
+        model_path = self.fit_model(dataset_dir, tmp_path)
+        indices_path = tmp_path / "indices.csv"
+        indices_path.write_text("geometry,thickness,ux\n0,1,2\n2,0,0\n")
+        argv = ["predict", "--model", str(model_path), "--indices", str(indices_path)]
+        assert main([*argv, "--out", str(tmp_path / "before.csv")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--rank", "2"])  # no --out, an unknown flag
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "after.csv")]) == 0
+        printed = {"predictions": str(tmp_path / "after.csv"), "n": 2}
+        assert capsys.readouterr() == (json.dumps(printed, indent=2) + "\n", "")
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+
     def test_predict_non_integer_cell_is_schema_error(self, dataset_dir, tmp_path, capsys):
         model_path = self.fit_model(dataset_dir, tmp_path)
         indices_path = tmp_path / "indices.csv"
@@ -433,6 +451,58 @@ def test_config_fuzz_never_escapes(fuzz_base, data):
         assert set(one_json_error(code, err)) == {"error", "message"}
 
 
+# Whole files drawn as raw bytes, invalid UTF-8 included, or a valid file
+# with a run of bytes spliced in.
+def splice(valid: bytes, at: int, cut: int, insert: bytes) -> bytes:
+    at %= len(valid) + 1
+    return valid[:at] + insert + valid[at + cut :]
+
+
+def damaged(valid: bytes):
+    return st.one_of(
+        st.binary(max_size=200),
+        st.builds(splice, st.just(valid), st.integers(0, 10**6), st.integers(0, 8),
+                  st.one_of(st.binary(max_size=12), st.text(max_size=6).map(str.encode))),
+    )
+
+
+@pytest.fixture(scope="module")
+def byte_fuzz_base(tmp_path_factory):
+    dataset = ingest_demo(tmp_path_factory.mktemp("bytes"))
+    config = experiment_config(dataset, epochs=2)
+    config["iterations"] = 1
+    files = {name: (dataset / name).read_bytes() for name in ("obs.csv", "schema.json")}
+    return dataset, config, files
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_byte_fuzz_never_escapes(byte_fuzz_base, data):
+    """An experiment config, or a dataset's obs.csv or schema.json, of
+    arbitrary bytes: main exits 0, or 1 with one line of JSON on stderr."""
+    dataset, config, files = byte_fuzz_base
+    target = data.draw(st.sampled_from(["config", *sorted(files)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        copy = tmp / "dataset"
+        copy.mkdir()
+        for name in ("obs.csv", "schema.json", "normalizer.json"):
+            (copy / name).write_bytes((dataset / name).read_bytes())
+        config_path = tmp / "config.json"
+        config_path.write_text(json.dumps({**config, "dataset": str(copy)}))
+        if target == "config":
+            config_path.write_bytes(data.draw(st.binary(max_size=200)))
+        else:
+            (copy / target).write_bytes(data.draw(damaged(files[target])))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["experiment", "--config", str(config_path), "--out", str(tmp / "out")])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert set(one_json_error(code, err.getvalue())) == {"error", "message"}
+
+
 BAD_NORMALIZERS = {
     "missing_y_max": {"y_min": 0.0},
     "list": [0.0, 1.0],
@@ -501,6 +571,29 @@ class TestErrorReporting:
         payload = json.loads(err)
         assert payload["error"] == "SchemaError"
         assert "obs.csv" in payload["message"] and "row 3" in payload["message"]
+
+
+class TestValidationNeedsPatience:
+    """A validation share without patience would carve nothing: it is a
+    ContractError, reported as one line of JSON before anything is written."""
+
+    def test_experiment_model_entry(self, dataset_dir, tmp_path):
+        config = experiment_config(dataset_dir, epochs=5)
+        config["models"][0]["val_fraction"] = 0.2
+        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        assert payload == {"error": "ContractError",
+                           "message": "a validation fraction requires patience"}
+        assert not (tmp_path / "out").exists()
+
+    def test_fit_flag(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        code = main(["fit", "--obs", str(dataset_dir), "--model", "cpd", "--rank", "2",
+                     "--val-fraction", "0.2", "--out", str(out)])
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert one_json_error(code, printed.err)["error"] == "ContractError"
+        assert not out.exists() and not out.with_suffix(".report.json").exists()
 
 
 class TestModelFileValidation:

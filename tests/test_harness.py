@@ -618,7 +618,7 @@ class TestConfigFloats:
 
     def test_numbers_are_taken(self):
         cfg = harness._train_config_from(
-            {"rank": 2, "lr": 0.1, "lambda_smooth": 1, "val_fraction": 0.25},
+            {"rank": 2, "lr": 0.1, "lambda_smooth": 1, "val_fraction": 0.25, "patience": 3},
             DesignSpace.from_shape((3, 2)),
         )
         assert (cfg.lr, cfg.smooth_weight, cfg.val_fraction) == (0.1, 1.0, 0.25)

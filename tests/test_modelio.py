@@ -9,8 +9,15 @@ from conftest import full_grid_indices, obs_from_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenfit.core import Axis, DesignSpace, Normalizer, ObservationSet
-from tenfit.errors import ContractError, SchemaError
+from tenfit.core import (
+    Axis,
+    DesignSpace,
+    Normalizer,
+    ObservationSet,
+    build_design_space,
+    encode_observations,
+)
+from tenfit.errors import ContractError, DegenerateDataError, SchemaError
 from tenfit.modelio import (
     load_dataset,
     load_model,
@@ -353,3 +360,82 @@ def test_save_load_save_is_byte_identical(tmp_path_factory, model):
     assert (tmp / "second.json").read_bytes() == (tmp / "first.json").read_bytes()
     grid = full_grid_indices(model.shape)
     assert np.array_equal(loaded.predict(grid), model.predict(grid))
+
+
+@st.composite
+def record_sets(draw):
+    """Raw records over an ordinal float axis, a categorical string axis and
+    an ordinal axis given as strings, with finite outcomes and, often,
+    several records of one cell."""
+    floats = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=3, unique=True))
+    labels = draw(st.lists(st.text(max_size=5), min_size=1, max_size=3, unique=True))
+    counts = draw(st.lists(st.integers(-5, 40).map(str), min_size=1, max_size=2, unique=True))
+    cell = st.fixed_dictionaries({
+        "t": st.sampled_from(floats),
+        "g": st.sampled_from(labels),
+        "k": st.sampled_from(counts),
+        "y": st.floats(allow_nan=False, allow_infinity=False),
+    })
+    records = draw(st.lists(cell, min_size=1, max_size=12))
+    return records + draw(st.lists(st.sampled_from(records), max_size=4))  # duplicates
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def known_ingest_error(records):
+    """The error encode_observations raises today on records whose outcomes
+    it cannot normalize, or None. A cell's outcomes are averaged with
+    np.mean, whose rounding can leave the records' [min, max] range: when
+    every outcome is one value, such a mean makes the normalizer's zero
+    range reject it (DegenerateDataError). A mean or a difference beyond
+    the largest float gives non-finite values (ContractError)."""
+    ys = [r["y"] for r in records]
+    lo, hi = min(ys), max(ys)
+    cells: dict = {}
+    for r in records:
+        cells.setdefault((r["t"], r["g"], float(r["k"])), []).append(r["y"])
+    with np.errstate(all="ignore"):
+        means = np.array([np.mean(c) for c in cells.values()])
+        normalized = (means - lo) / (hi - lo)
+    if hi == lo:
+        return DegenerateDataError if np.any(means != lo) else None
+    return None if np.all(np.isfinite(normalized)) else ContractError
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(records=record_sets())
+def test_ingest_round_trip(tmp_path_factory, records):
+    """Records -> build_design_space -> encode_observations -> write_dataset
+    -> load_dataset gives back the same axes, indices, value bits and
+    normalizer, and a short cpd fit on the loaded set is bit-equal to a fit
+    on the in-memory one. Records that ingest cannot normalize raise the
+    error `known_ingest_error` names."""
+    kinds = {"t": "ordinal", "g": "categorical", "k": "ordinal"}
+    space = build_design_space(records, ["t", "g", "k"], "y", kinds)
+    error = known_ingest_error(records)
+    if error is not None:
+        with pytest.raises(error), np.errstate(over="ignore", invalid="ignore"):
+            encode_observations(records, space)
+        return
+    obs = encode_observations(records, space)
+    out = tmp_path_factory.mktemp("ingest")
+    write_dataset(obs, out)
+    loaded_space, loaded = load_dataset(out)
+    assert loaded_space == space
+    assert [bits(a.values) for a in loaded_space.axes if a.kind == "ordinal"] == [
+        bits(a.values) for a in space.axes if a.kind == "ordinal"
+    ]
+    assert loaded.indices.dtype == obs.indices.dtype
+    assert np.array_equal(loaded.indices, obs.indices)
+    assert bits(loaded.values) == bits(obs.values)
+    assert bits([loaded.normalizer.y_min, loaded.normalizer.y_max]) == bits(
+        [obs.normalizer.y_min, obs.normalizer.y_max]
+    )
+    cfg = TrainConfig(rank=2, epochs=15, lr=0.05, restarts=2, seed=3)
+    model, report = fit(space.shape(), obs, cfg, "cpd")
+    loaded_model, loaded_report = fit(loaded_space.shape(), loaded, cfg, "cpd")
+    assert [bits(f) for f in loaded_model.factors.factors] == [bits(f) for f in model.factors.factors]
+    assert bits(loaded_report.losses) == bits(report.losses)

@@ -180,7 +180,10 @@ class TestFit:
             layout=[("x", (1,))],
             init=lambda seed: [np.array([1000.0 if seed == 1 else 1.0 + seed])],
             objective=objective,
+            val_objective=objective,
             model=lambda params, space, normalizer: params,
+            max_rows=100,
+            row_epoch_us=1.0,
         )
         monkeypatch.setitem(optim.MODEL_KINDS, "toy", lambda shape, cfg: trainable)
         cfg = TrainConfig(rank=1, epochs=50, lr=0.1, restarts=3, seed=0)
@@ -241,6 +244,9 @@ class TestEarlyStopping:
             init=lambda seed: [np.array([0.9])],
             objective=objective,
             val_objective=val_objective,
+            model=lambda params, space, normalizer: params,
+            max_rows=100,
+            row_epoch_us=1.0,
         )
         cfg = TrainConfig(rank=1, epochs=500, lr=0.05, patience=4, val_fraction=0.5)
         run = Run(fit=0, restart=0, seed=0, data=UNUSED_DATA, val=UNUSED_DATA)
@@ -263,6 +269,12 @@ class TestEarlyStopping:
     def test_patience_requires_val_fraction(self):
         with pytest.raises(ContractError):
             TrainConfig(rank=1, patience=5, val_fraction=0.0)
+
+    def test_val_fraction_requires_patience(self):
+        # without patience the share would be carved from nothing: a fit
+        # would silently train on every row and never stop early
+        with pytest.raises(ContractError, match="requires patience"):
+            TrainConfig(rank=1, val_fraction=0.5)
 
 
 class TestPredictSet:
