@@ -237,9 +237,8 @@ def main(argv=None) -> int:
     try:
         print(json.dumps(args.func(args), indent=2))
         return 0
-    except (
-        TenfitError, TypeError, OSError, json.JSONDecodeError, KeyError, UnicodeDecodeError
-    ) as exc:
+    except (TenfitError, TypeError, OSError, KeyError, RecursionError,
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1

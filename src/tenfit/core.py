@@ -118,10 +118,15 @@ class DesignSpace:
 
 @dataclass(frozen=True)
 class Normalizer:
-    """Min-max record of the original outcome units."""
+    """Min-max record of the original outcome units. Its range y_max - y_min
+    must be a finite float >= 0, else construction is a ContractError."""
 
     y_min: float
     y_max: float
+
+    def __post_init__(self):
+        if not 0 <= self.span < math.inf:
+            raise ContractError(f"y_min {self.y_min} and y_max {self.y_max} are not a finite range")
 
     @classmethod
     def fit(cls, values: Iterable[float]) -> "Normalizer":
@@ -374,8 +379,11 @@ def encode_observations(
     keys = sorted(grouped)
     indices = np.array(keys, dtype=np.int64).reshape(len(keys), space.ndim)
     # A single record's mean is itself, plus 0.0 as np.mean's sum adds it
-    # (so -0.0 becomes 0.0); every cell is normalized in one call.
-    means = [ys[0] + 0.0 if len(ys) == 1 else np.mean(ys) for ys in map(grouped.__getitem__, keys)]
+    # (so -0.0 becomes 0.0); a mean that rounding or overflow took outside its
+    # records' [min, max] is clamped back. One call normalizes every cell.
+    with np.errstate(over="ignore"):
+        means = [ys[0] + 0.0 if len(ys) == 1 else min(max(np.mean(ys), min(ys)), max(ys))
+                 for ys in map(grouped.__getitem__, keys)]
     values = normalizer.normalize(np.array(means, dtype=float))
     return ObservationSet(space=space, indices=indices, values=values, normalizer=normalizer)
 

@@ -169,9 +169,7 @@ class RegionErrorGrid:
 
     def to_json(self) -> dict:
         def cellify(arr):
-            return [
-                [None if not np.isfinite(v) else float(v) for v in row] for row in arr
-            ]
+            return [[float(v) if np.isfinite(v) else None for v in row] for row in arr]
 
         return {
             "axis_a": self.axis_a,
@@ -181,6 +179,17 @@ class RegionErrorGrid:
             "count": self.count.astype(int).tolist(),
             "region": self.region.to_json(),
         }
+
+
+def _cell_stats(values, cells, n_cells: int):
+    """Count, mean and two-pass population std of the values in each of
+    n_cells cells, summed in the given order; NaN in a cell without values."""
+    count = np.bincount(cells, minlength=n_cells)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.bincount(cells, weights=values, minlength=n_cells) / count
+        deviations = values - mean[cells]
+        std = np.sqrt(np.bincount(cells, weights=deviations**2, minlength=n_cells) / count)
+    return count, mean, std
 
 
 def per_cell_errors(
@@ -197,19 +206,8 @@ def per_cell_errors(
     na = obs_test.space.axes[ia].size
     nb = obs_test.space.axes[ib].size
 
-    abs_err = np.abs(obs_test.values - preds)
     cell = obs_test.indices[:, ia] * nb + obs_test.indices[:, ib]
-    count = np.bincount(cell, minlength=na * nb).astype(np.int64)
-    total = np.bincount(cell, weights=abs_err, minlength=na * nb)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = total / count
-    # two-pass variance: exact zeros when a cell's errors are identical
-    deviations = abs_err - np.where(count[cell] > 0, mean[cell], 0.0)
-    sq = np.bincount(cell, weights=deviations**2, minlength=na * nb)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        std = np.sqrt(sq / count)
-    mean[count == 0] = np.nan
-    std[count == 0] = np.nan
+    count, mean, std = _cell_stats(np.abs(obs_test.values - preds), cell, na * nb)
     return RegionErrorGrid(
         axis_a=region.axis_a,
         axis_b=region.axis_b,
@@ -229,33 +227,28 @@ def aggregate_error_grids(grids) -> RegionErrorGrid:
     first = grids[0]
     if any(g.mean.shape != first.mean.shape for g in grids):
         raise ContractError("grids disagree on shape")
-    stack = np.stack([g.mean for g in grids])
-    present = np.isfinite(stack)
-    n_present = present.sum(axis=0)
-    denominator = np.maximum(n_present, 1)
-    mean = np.where(n_present > 0, np.nansum(stack, axis=0) / denominator, np.nan)
-    deviations = np.where(present, stack - np.where(present, mean, 0.0), 0.0)
-    std = np.where(n_present > 0, np.sqrt(np.sum(deviations**2, axis=0) / denominator), np.nan)
-    count = np.sum([g.count for g in grids], axis=0)
+    stack = np.stack([g.mean.ravel() for g in grids])
+    iteration, cell = np.nonzero(np.isfinite(stack))  # iteration-major order
+    _, mean, std = _cell_stats(stack[iteration, cell], cell, stack.shape[1])
     return RegionErrorGrid(
         axis_a=first.axis_a,
         axis_b=first.axis_b,
-        mean=mean,
-        std=std,
-        count=count,
+        mean=mean.reshape(first.mean.shape),
+        std=std.reshape(first.mean.shape),
+        count=np.sum([g.count for g in grids], axis=0),
         region=first.region,
     )
 
 
+def _mean_std(values) -> dict:
+    """Mean and population std of a list of numbers, as JSON."""
+    return {"mean": float(np.mean(values)), "std": float(np.std(values))}
+
+
 def _aggregate_metric_dicts(reports) -> dict:
     """Mean +/- population std per metric across iteration reports."""
-    keys = ("r2", "mae", "rmse", "mape")
-    out = {}
-    for key in keys:
-        vals = np.asarray([r[key] for r in reports], dtype=float)
-        out[key] = {"mean": float(vals.mean()), "std": float(vals.std())}
-    out["n_iterations"] = len(reports)
-    return out
+    out = {key: _mean_std([r[key] for r in reports]) for key in ("r2", "mae", "rmse", "mape")}
+    return {**out, "n_iterations": len(reports)}
 
 
 @dataclass(frozen=True)
@@ -280,32 +273,33 @@ class ScoredCell:
     metrics: dict
 
 
-def _scored_cells(plans, obs: ObservationSet, specs, seeds, scope: str, keep=None):
+def _scored_cells(plans, obs: ObservationSet, specs, seed, iterations, scope, keep=None):
     """The split -> renormalize -> fit -> predict -> score loop of a run's
     plans, shared by experiments and sweeps.
 
-    Iteration i of every plan splits with seeds[i]; `keep(test)`, when
-    given, is the boolean mask of the test rows to score. Every model spec
-    is then fitted to the training sides of every (plan, iteration) that
-    split, in one `fit_batch` call whose batches share one worker pool
-    (iteration i's fit seeded with seeds[i]). Yields `(plan, iteration,
-    spec, outcome)` in (plan, iteration, spec) order, the outcome a
-    ScoredCell or the TenfitError of that cell's fit or scoring; a failed
-    split yields its error once, with spec None. A bad scope or no
-    iterations raises before any split.
+    Iteration i is seeded with seed + i, both its split of every plan and
+    every model's fit of it. `keep(test)`, when given, is the boolean mask
+    of the test rows to score. Every model spec is fitted to the training
+    sides of every (plan, iteration) that split, in one `fit_batch` call
+    whose batches share one worker pool. Yields `(plan, iteration, spec,
+    outcome)` in (plan, iteration, spec) order, the outcome a ScoredCell or
+    the TenfitError of that cell's fit or scoring; a failed split yields
+    its error once, with spec None. A bad scope or no iterations raises
+    before any split.
     """
-    if not seeds:
+    if iterations < 1:
         raise ContractError("iterations must be >= 1")
     if scope not in ("train", "full"):
         raise ContractError(f"unknown normalization scope {scope!r}")
+    seeds = [seed + it for it in range(iterations)]
     splits = {}
     for plan in plans:
-        for it, seed in enumerate(seeds):
+        for it, it_seed in enumerate(seeds):
             try:
                 if plan.kind == "uniform":
-                    split = uniform_split(obs, plan.fraction, seed)
+                    split = uniform_split(obs, plan.fraction, it_seed)
                 else:
-                    split = biased_split(obs, plan.region, plan.n_in, plan.n_out, seed)
+                    split = biased_split(obs, plan.region, plan.n_in, plan.n_out, it_seed)
                 train, test = renormalize_splits(*split, scope)
                 if keep is not None:
                     test = test.take(np.flatnonzero(keep(test)))
@@ -357,10 +351,10 @@ def ood_sweep(
     results = {spec.name: [] for spec in specs}
     if len(results) != len(specs):
         raise ContractError(f"model kinds {list(model_kinds)} are not distinct")
-    seeds = [cfg.seed + it for it in range(iterations)]
     plans = [SamplingPlan(kind="biased", region=region, n_in=n_in, n_out=k) for k in n_out_list]
     per_iteration = {(plan, spec.name): [] for plan in plans for spec in specs}
-    cells = _scored_cells(plans, obs, specs, seeds, normalization, lambda t: ~region.mask(t))
+    cells = _scored_cells(plans, obs, specs, cfg.seed, iterations, normalization,
+                          lambda t: ~region.mask(t))
     for plan, _, spec, outcome in cells:
         if isinstance(outcome, TenfitError):
             raise outcome
@@ -583,8 +577,7 @@ def _write_fms(out: Path, scored: dict, plans, specs, failures: list):
         "biased_plan": biased.name,
         "per_iteration": scores,
         "permutations": [list(comparison.permutation) for comparison in comparisons],
-        "mean": float(np.mean(scores)),
-        "std": float(np.std(scores)),
+        **_mean_std(scores),
     }
     _write_json(out / "fms_uniform_vs_biased.json", summary)
     return summary
@@ -610,10 +603,9 @@ def run_experiment(config: dict, out_dir) -> dict:
         if len(set(names)) != len(names):
             raise ContractError(f"{what} names {names} are not unique")
 
-    seeds = [seed + it for it in range(iterations)]
     scored: dict[tuple[SamplingPlan, ModelSpec], dict[int, ScoredCell]] = {}
     failures = []
-    for plan, it, spec, outcome in _scored_cells(plans, obs, specs, seeds, scope):
+    for plan, it, spec, outcome in _scored_cells(plans, obs, specs, seed, iterations, scope):
         if isinstance(outcome, TenfitError):
             failures.append(_failure(plan.name, spec.name if spec else None, it, outcome))
         else:

@@ -86,15 +86,19 @@ class FactorComparison:
         }
 
 
+def _unit_columns(matrix: np.ndarray) -> np.ndarray:
+    """The matrix with every column scaled to unit l2 norm."""
+    norms = np.linalg.norm(matrix, axis=0)
+    if np.any(norms == 0):
+        raise DegenerateDataError("zero-norm factor column")
+    return matrix / norms
+
+
 def _congruence_products(a: FactorSet, b: FactorSet) -> np.ndarray:
     """(R, R) matrix of products over modes of column cosine similarities."""
     products = np.ones((a.rank, b.rank))
     for fa, fb in zip(a.factors, b.factors):
-        na = np.linalg.norm(fa, axis=0)
-        nb = np.linalg.norm(fb, axis=0)
-        if np.any(na == 0) or np.any(nb == 0):
-            raise DegenerateDataError("zero-norm factor column")
-        products *= (fa / na).T @ (fb / nb)
+        products *= _unit_columns(fa).T @ _unit_columns(fb)
     return products
 
 
@@ -123,11 +127,7 @@ def normalized_components(factors: FactorSet, mode: int) -> np.ndarray:
     normalization."""
     if not 0 <= mode < factors.ndim:
         raise ContractError(f"mode {mode} invalid for {factors.ndim} modes")
-    matrix = factors.factors[mode]
-    norms = np.linalg.norm(matrix, axis=0)
-    if np.any(norms == 0):
-        raise DegenerateDataError("zero-norm factor column")
-    return np.abs(matrix / norms)
+    return np.abs(_unit_columns(factors.factors[mode]))
 
 
 def _safe_name(label: str) -> str:

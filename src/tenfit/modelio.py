@@ -49,14 +49,11 @@ def schema_from_json(payload: dict, path) -> DesignSpace:
 
 
 def _normalizer_from_json(payload, path) -> Normalizer:
-    """A stored normalizer: two finite numbers with y_min <= y_max."""
+    """A stored normalizer: two numbers whose range Normalizer accepts."""
     try:
-        y_min, y_max = float(payload["y_min"]), float(payload["y_max"])
-        if not (math.isfinite(y_min) and math.isfinite(y_max) and y_min <= y_max):
-            raise ValueError(f"y_min {y_min} and y_max {y_max} are not a finite range")
-    except (KeyError, TypeError, ValueError) as exc:
+        return Normalizer(y_min=float(payload["y_min"]), y_max=float(payload["y_max"]))
+    except (KeyError, TypeError, ValueError, ContractError) as exc:
         raise SchemaError(f"{path}: normalizer needs y_min <= y_max, both finite ({exc})") from None
-    return Normalizer(y_min=y_min, y_max=y_max)
 
 
 def as_int(value) -> int:

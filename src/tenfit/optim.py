@@ -228,12 +228,13 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
     RunResult per run.
 
     Each epoch makes one objective call and one in-place Adam step for all
-    live members. A member leaves the batch when its training or validation
-    loss turns non-finite (it diverged) or, under early stopping, when its
-    validation loss has not improved for more than `cfg.patience` epochs.
-    The others go on in a compacted buffer, so their bits do not change.
-    The final training loss is taken at the kept parameters: the
-    best-validation checkpoint under early stopping, else the last step.
+    live members. A member leaves the batch through `leave` when its
+    training or validation loss turns non-finite (it diverged), when under
+    early stopping its validation loss has not improved for more than
+    `cfg.patience` epochs, or when its epochs run out. The others go on in
+    a compacted buffer, so their bits do not change. The final training
+    loss is taken at the kept parameters: the best-validation checkpoint
+    under early stopping, else the last step.
     """
     n_runs = len(runs)
     inits = [trainable.init(run.seed) for run in runs]
@@ -242,10 +243,9 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
     flat = np.concatenate(blocks, axis=None, dtype=float)
     # Adam moments, the gradient and one scratch array, each as long as flat
     m, v, g, scratch = (np.zeros_like(flat) for _ in range(4))
-    early = cfg.patience is not None and runs[0].val is not None
+    early = cfg.patience is not None
     history = np.zeros((n_runs, cfg.epochs))
-    epochs_run = np.zeros(n_runs, dtype=np.int64)
-    kept: list = [None] * n_runs  # final parameters, or the DivergenceError
+    ended: list = [None] * n_runs  # (parameters or DivergenceError, epochs run) per run
     live = np.arange(n_runs)  # the run in each batch slot
 
     def build():
@@ -254,19 +254,17 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
         val_objective = trainable.val_objective([run.val for run in members]) if early else None
         return _views(flat, shapes, live.size), _owners(shapes, live.size), objective, val_objective
 
-    def keep(slots, source, epochs):
+    def leave(slots, source, epochs, diverged=None):
+        # the runs in `slots` end after `epochs` epochs, kept from `source`
+        # or, when `diverged` names their non-finite loss, with that error
         views = _views(source, shapes, live.size)
         for slot in np.flatnonzero(slots):
-            kept[live[slot]] = [view[slot].copy() for view in views]
-            epochs_run[live[slot]] = epochs
-
-    def diverge(slots, what, epoch, epochs):
-        for slot in np.flatnonzero(slots):
-            restart = runs[live[slot]].restart
-            kept[live[slot]] = DivergenceError(
-                f"non-finite {what}loss at epoch {epoch} of restart {restart}"
-            )
-            epochs_run[live[slot]] = epochs
+            if diverged is None:
+                outcome = [view[slot].copy() for view in views]
+            else:
+                restart = runs[live[slot]].restart
+                outcome = DivergenceError(f"non-finite {diverged} of restart {restart}")
+            ended[live[slot]] = (outcome, epochs)
 
     params, owners, objective, val_objective = build()
     if early:
@@ -279,14 +277,14 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
         history[live, epoch] = losses
         leaving = ~np.isfinite(losses)
         if leaving.any():
-            diverge(leaving, "", epoch, epoch)
+            leave(leaving, flat, epoch, f"loss at epoch {epoch}")
         np.concatenate(grads, axis=None, out=g)
         _adam_update(flat, g, m, v, scratch, epoch + 1, cfg.lr)
         if early:
             val = val_objective(params, grad=False)
             bad_val = ~np.isfinite(val) & ~leaving
             if bad_val.any():
-                diverge(bad_val, "validation ", epoch, epoch + 1)
+                leave(bad_val, flat, epoch + 1, f"validation loss at epoch {epoch}")
                 leaving |= bad_val
             improved = val < best_val
             best_val = np.where(improved, val, best_val)
@@ -294,7 +292,7 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
             stale = np.where(improved, 0, stale + 1)
             stopped = (stale > cfg.patience) & ~leaving
             if stopped.any():
-                keep(stopped, best, epoch + 1)
+                leave(stopped, best, epoch + 1)
                 leaving |= stopped
         if leaving.any():
             staying = ~leaving
@@ -307,25 +305,22 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
             if early:
                 best, best_val, stale = best[elements], best_val[staying], stale[staying]
             params, owners, objective, val_objective = build()
-    else:
-        keep(np.ones(live.size, dtype=bool), best if early else flat, cfg.epochs)
+    leave(np.ones(live.size, dtype=bool), best if early else flat, cfg.epochs)
 
     finals = np.full(n_runs, math.inf)
-    survivors = [i for i in range(n_runs) if not isinstance(kept[i], DivergenceError)]
-    if survivors:
-        stacked = [np.stack([kept[i][k] for i in survivors]) for k in range(len(shapes))]
-        objective = trainable.objective([runs[i].data for i in survivors])
-        finals[survivors] = objective(stacked, grad=False)
+    kept = [i for i, (outcome, _) in enumerate(ended) if isinstance(outcome, list)]
+    if kept:
+        stacked = [np.stack([ended[i][0][k] for i in kept]) for k in range(len(shapes))]
+        finals[kept] = trainable.objective([runs[i].data for i in kept])(stacked, grad=False)
     results = []
-    for i, run in enumerate(runs):
-        losses = history[i, : epochs_run[i]].tolist()
-        error = kept[i] if isinstance(kept[i], DivergenceError) else None
-        if error is None and not math.isfinite(finals[i]):
-            error = DivergenceError(f"non-finite final loss in restart {run.restart}")
-        if error is not None:
-            results.append(RunResult(None, math.inf, losses, error))
+    for i, (run, (outcome, epochs)) in enumerate(zip(runs, ended)):
+        losses = history[i, :epochs].tolist()
+        if isinstance(outcome, list) and not math.isfinite(finals[i]):
+            outcome = DivergenceError(f"non-finite final loss in restart {run.restart}")
+        if isinstance(outcome, DivergenceError):
+            results.append(RunResult(None, math.inf, losses, outcome))
         else:
-            results.append(RunResult(kept[i], float(finals[i]), losses))
+            results.append(RunResult(outcome, float(finals[i]), losses))
     return results
 
 

@@ -508,6 +508,7 @@ BAD_NORMALIZERS = {
     "list": [0.0, 1.0],
     "reversed": {"y_min": 2.0, "y_max": 1.0},
     "nan": {"y_min": float("nan"), "y_max": 1.0},
+    "overflow": {"y_min": -1.7976931348623157e308, "y_max": 1.7976931348623157e308},
 }
 
 
@@ -547,6 +548,15 @@ class TestErrorReporting:
         payload = one_json_error(code, capsys.readouterr().err)
         assert payload["error"] == "SchemaError"
         assert str(dataset_dir / "schema.json") in payload["message"]
+
+    @pytest.mark.parametrize("command", ["experiment", "sweep"])
+    def test_deeply_nested_config_yields_json_error(self, tmp_path, capsys, command):
+        config_path = tmp_path / "deep.json"
+        config_path.write_text("[" * 100_000)
+        code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
+        payload = one_json_error(code, capsys.readouterr().err)
+        assert payload["error"] == "RecursionError"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_yields_json_error(self, tmp_path, capsys):
         code = main(["fit", "--obs", str(tmp_path / "missing"), "--model", "cpd",
@@ -594,6 +604,138 @@ class TestValidationNeedsPatience:
         assert printed.out == ""
         assert one_json_error(code, printed.err)["error"] == "ContractError"
         assert not out.exists() and not out.with_suffix(".report.json").exists()
+
+
+class TestErrorPathsNameTheirCause:
+    """Config, option and model errors that exit 1 with one line of JSON
+    naming the key, option or file at fault, before any output is written."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("rank", 0, "rank must be >= 1"), ("epochs", 0, "epochs must be >= 1"),
+         ("lr", 0.0, "learning rate must be positive"), ("restarts", 0, "restarts must be >= 1"),
+         ("lambda_smooth", -0.5, "smoothness weight must be non-negative")],
+    )
+    def test_train_config_checks(self, dataset_dir, tmp_path, key, value, message):
+        config = experiment_config(dataset_dir, epochs=5)
+        config["models"][0][key] = value
+        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        assert payload == {"error": "ContractError", "message": message}
+        assert not (tmp_path / "out").exists()
+
+    def test_train_config_seed_check(self, dataset_dir, tmp_path, capsys):
+        # a model entry takes no seed, so a fit's own seed is set by its flag
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        code = main(["fit", "--obs", str(dataset_dir), "--model", "cpd", "--rank", "2",
+                     "--seed", "-1", "--out", str(out)])
+        payload = one_json_error(code, capsys.readouterr().err)
+        assert payload == {"error": "ContractError", "message": "seed must be >= 0"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["experiment", "sweep"])
+    def test_negative_config_seed(self, dataset_dir, tmp_path, command):
+        build = experiment_config if command == "experiment" else sweep_config
+        config = {**build(dataset_dir, epochs=5), "seed": -1}
+        payload = one_json_error(*run_config(command, config, tmp_path))
+        assert payload == {"error": "ContractError", "message": "seed must be >= 0"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "a_values, b_values, error, named",
+        [(["g0", "g1"], [1], "ContractError", "'b_values'"),
+         (["g0", "g7"], [1, 2], "SchemaError", "axis 'geometry': unknown value 'g7'")],
+        ids=["one_value", "unknown_value"],
+    )
+    def test_region_by_values(self, dataset_dir, tmp_path, a_values, b_values, error, named):
+        config = experiment_config(dataset_dir, epochs=5)
+        config["plans"][1]["region"] = {
+            "axis_a": "geometry", "axis_b": "ux", "a_values": a_values, "b_values": b_values
+        }
+        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        assert payload["error"] == error and named in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_region_by_values_equals_region_by_ranges(self, dataset_dir, tmp_path):
+        config = experiment_config(dataset_dir, epochs=5)
+        for run in ("ranges", "values"):
+            (tmp_path / run).mkdir()
+        code, err = run_config("experiment", config, tmp_path / "ranges")
+        assert code == 0, err
+        config["plans"][1]["region"] = {
+            "axis_a": "geometry", "axis_b": "ux", "a_values": ["g0", "g1"], "b_values": [1, 2]
+        }
+        code, err = run_config("experiment", config, tmp_path / "values")
+        assert code == 0, err
+        by_ranges, by_values = (
+            (tmp_path / run / "out" / "summary.json").read_bytes() for run in ("ranges", "values")
+        )
+        assert by_values == by_ranges
+
+    @pytest.mark.parametrize("what", ["plans", "models"])
+    def test_unusable_name(self, dataset_dir, tmp_path, what):
+        config = experiment_config(dataset_dir, epochs=5)
+        config[what][0]["name"] = "a/b"
+        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        assert payload == {"error": "ContractError",
+                           "message": "name 'a/b' is not a usable file name"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("what", ["plan", "model"])
+    def test_duplicate_names(self, dataset_dir, tmp_path, what):
+        config = experiment_config(dataset_dir, epochs=5)
+        if what == "plan":
+            for plan in config["plans"]:
+                plan["name"] = "p"
+        else:
+            config["models"] *= 2
+        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        names = ["p", "p"] if what == "plan" else ["cpd", "cpd"]
+        assert payload == {"error": "ContractError",
+                           "message": f"{what} names {names} are not unique"}
+        assert not (tmp_path / "out").exists()
+
+    def test_denormalize_without_a_normalizer(self, dataset_dir, tmp_path, capsys):
+        model_path = TestFitPredictEvaluate().fit_model(dataset_dir, tmp_path)
+        payload = json.loads(model_path.read_text())
+        payload["normalizer"] = None
+        model_path.write_text(json.dumps(payload))
+        indices_path = tmp_path / "indices.csv"
+        indices_path.write_text("geometry,thickness,ux\n0,1,2\n")
+        out = tmp_path / "preds.csv"
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path), "--indices", str(indices_path),
+                     "--denormalize", "--out", str(out)])
+        assert one_json_error(code, capsys.readouterr().err) == {
+            "error": "ContractError", "message": "model carries no normalizer; cannot denormalize"
+        }
+        assert not out.exists()
+
+    def test_evaluate_on_a_test_set_of_another_shape(self, dataset_dir, tmp_path, capsys):
+        model_path = TestFitPredictEvaluate().fit_model(dataset_dir, tmp_path)
+        write_demo_csv(tmp_path / "small.csv", n_geometries=2)
+        assert main(["ingest", "--data", str(tmp_path / "small.csv"), "--outcome", "stiffness",
+                     "--categorical", "geometry", "--out", str(tmp_path / "small")]) == 0
+        out = tmp_path / "metrics.json"
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(model_path), "--test", str(tmp_path / "small"),
+                     "--out", str(out)])
+        assert one_json_error(code, capsys.readouterr().err) == {
+            "error": "ContractError", "message": "test-space shape (2, 2, 3) != model shape (3, 2, 3)"
+        }
+        assert not out.exists()
+
+    def test_fms_of_a_costco_model(self, dataset_dir, tmp_path, capsys):
+        fitted = TestFitPredictEvaluate()
+        linear = fitted.fit_model(dataset_dir, tmp_path)
+        neural = fitted.fit_model(dataset_dir, tmp_path, "costco", ("--epochs", "5"))
+        out = tmp_path / "fms.json"
+        capsys.readouterr()
+        code = main(["fms", "--a", str(linear), "--b", str(neural), "--out", str(out)])
+        assert one_json_error(code, capsys.readouterr().err) == {
+            "error": "ContractError", "message": "--b must be a linear model (cpd or cpd_s)"
+        }
+        assert not out.exists()
 
 
 class TestModelFileValidation:
@@ -655,6 +797,20 @@ class TestModelFileValidation:
 
         message = self.predict_with(dataset_dir, tmp_path, capsys, damage, kind)
         assert array in message and "non-finite" in message
+
+    def test_shape_disagreeing_with_schema(self, dataset_dir, tmp_path, capsys):
+        def damage(payload):
+            payload["shape"] = [9, 9, 9]
+
+        message = self.predict_with(dataset_dir, tmp_path, capsys, damage)
+        assert "shape [9, 9, 9]" in message and "schema shape [3, 2, 3]" in message
+
+    def test_params_not_matching_the_layout(self, dataset_dir, tmp_path, capsys):
+        def damage(payload):
+            del payload["params"]["factors"][2]
+
+        message = self.predict_with(dataset_dir, tmp_path, capsys, damage)
+        assert "params holds" in message and "factors/2" in message
 
     @pytest.mark.parametrize("bad", sorted(BAD_NORMALIZERS))
     def test_bad_normalizer_block(self, dataset_dir, tmp_path, capsys, bad):

@@ -165,6 +165,22 @@ class TestEncodeObservations:
         assert any(len(ys) > 1 for ys in grouped.values())
         assert obs.values.tobytes() == np.array(expected, dtype=float).tobytes()
 
+    @pytest.mark.parametrize(
+        "ys, others, expected",
+        [([8518819870301327.0] * 5, [], [0.0]), ([8.98846567431158e307] * 2, [], [0.0]),
+         ([0.1] * 3, [0.0], [1.0, 0.0])],
+        ids=["rounded", "overflowing", "rounded_with_range"],
+    )
+    def test_duplicate_mean_stays_within_its_records(self, ys, others, expected):
+        # np.mean of five 8518819870301327.0 rounds below them, of three 0.1
+        # above them, and of two 8.98846567431158e307 overflows; the cell's
+        # mean is clamped back to its records' one value
+        with np.errstate(over="ignore"):
+            assert np.mean(ys) != ys[0]
+        records = [{"a": 1, "y": y} for y in ys] + [{"a": 2, "y": y} for y in others]
+        space = build_design_space(records, ["a"], "y", {"a": "ordinal"})
+        assert encode_observations(records, space).values.tolist() == expected
+
     def test_duplicates_rejected_in_strict_mode(self):
         records = [{"a": 1, "y": 0.0}, {"a": 1, "y": 4.0}]
         space = build_design_space(records, ["a"], "y", {"a": "ordinal"})
@@ -187,6 +203,21 @@ class TestNormalization:
             norm = Normalizer.fit(y)
             back = norm.denormalize(norm.normalize(y))
             assert np.all(np.abs(back - y) <= 1e-12 * np.maximum(np.abs(y), 1.0))
+
+    @pytest.mark.parametrize(
+        "y_min, y_max",
+        [(-1.7976931348623157e308, 1.7976931348623157e308), (-9.9792015476736e291,
+         1.7976931348623157e308), (2.0, 1.0), (float("nan"), 1.0), (0.0, float("inf"))],
+        ids=["overflow", "just_overflow", "reversed", "nan", "infinite"],
+    )
+    def test_unrepresentable_range_rejected(self, y_min, y_max):
+        # an infinite span would normalize every value to 0 without an error
+        with pytest.raises(ContractError, match="not a finite range"):
+            Normalizer(y_min, y_max)
+
+    def test_fit_rejects_a_range_beyond_the_largest_float(self):
+        with pytest.raises(ContractError, match="not a finite range"):
+            Normalizer.fit([-9.9792015476736e291, 0.0, 1.7976931348623157e308])
 
     def test_invert_requires_positive_span(self):
         with pytest.raises(DegenerateDataError):

@@ -402,6 +402,14 @@ class TestOodSweep:
         assert [row["n_out"] for row in table["models"]["costco"]] == [2, 3, 4]
         assert calls == [(["cpd", "costco"], 6)]  # 3 counts x 2 iterations each
 
+    def test_scoring_error_stops_the_sweep(self):
+        # every out-of-region row holds one value, kept as stored, so the
+        # scored rows have no variance and R^2 is undefined
+        cfg = TrainConfig(rank=2, epochs=5, lr=0.05)
+        with pytest.raises(DegenerateDataError, match="all targets are identical"):
+            ood_sweep(flat_outside_obs(self.region()), self.region(), 6, [3], cfg, ["cpd"],
+                      iterations=1, normalization="full")
+
 
 def count_training_calls(monkeypatch) -> list:
     """Record every harness fit_batch call as (its model kinds, its
@@ -414,6 +422,13 @@ def count_training_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(harness, "fit_batch", counted_fit_batch)
     return calls
+
+
+def flat_outside_obs(region):
+    """The full (4, 3, 3) grid, low-rank inside `region` and 0.5 everywhere
+    outside it."""
+    obs = obs_from_values((4, 3, 3), low_rank_values((4, 3, 3), 2, seed=30))
+    return obs_from_values((4, 3, 3), np.where(region.mask(obs), obs.values, 0.5))
 
 
 class TestRunExperiment:
@@ -569,6 +584,23 @@ class TestRunExperiment:
         with pytest.raises(ContractError, match="'seed'"):
             run_experiment(config, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_scoring_error_is_recorded(self, tmp_path):
+        # the biased plan draws every in-region row, so it is scored on the
+        # out-of-region rows alone, which all hold one value
+        region = RegionSpec(axis_a="p0", axis_b="p1", a_range=(0, 1), b_range=(0, 1))
+        data_dir = tmp_path / "data"
+        write_dataset(flat_outside_obs(region), data_dir)
+        config = self.experiment_config(data_dir)
+        config.update(iterations=2, normalization="full", models=config["models"][:1])
+        config["plans"][1].update(n_in=12, n_out=6)
+        summary = run_experiment(config, tmp_path / "out")
+        assert summary["failures"] == [
+            dict(plan="biased", model="cpd", iteration=it, error="DegenerateDataError",
+                 message="R^2 is undefined when all targets are identical")
+            for it in range(2)
+        ]
+        assert list(summary["aggregates"]) == ["uniform"]
 
     def test_reruns_identical(self, tmp_path):
         data_dir = self.make_dataset(tmp_path)

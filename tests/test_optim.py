@@ -5,7 +5,7 @@ import pytest
 from conftest import full_grid_indices, low_rank_values, obs_from_values
 
 from tenfit.cpd import reconstruct_full
-from tenfit.errors import ContractError, DivergenceError
+from tenfit.errors import ContractError, DivergenceError, SplitError
 from tenfit.metrics import regression_metrics
 from tenfit import optim
 from tenfit.optim import (
@@ -327,3 +327,66 @@ class TestTrainReportJson:
         }
         assert len(payload["losses"]) == payload["epochs_run"] == 10
         assert payload["restart_final_losses"] == [payload["final_loss"]]
+
+
+class TestMemberExits:
+    """Ways a batch member or a fit ends that no other test reaches."""
+
+    def test_validation_divergence_names_its_epoch(self):
+        # restart 0's validation loss turns non-finite at epoch 3; restart 1
+        # trains on in the same batch to the last epoch
+        diverging = obs_from_values((2,), [0.0, 1.0])
+        calls = {"n": 0}
+
+        def objective(data_sets):
+            def batch(params, grad=True):
+                losses = params[0][:, 0] ** 2
+                return (losses, [2.0 * params[0]]) if grad else losses
+
+            return batch
+
+        def val_objective(data_sets):
+            def batch(params, grad=False):
+                calls["n"] += 1  # call 1 scores the initial parameters, call e + 2 epoch e
+                bad = [calls["n"] >= 5 and data is diverging for data in data_sets]
+                return np.where(bad, math.inf, params[0][:, 0] ** 2)
+
+            return batch
+
+        trainable = Trainable(
+            layout=[("x", (1,))],
+            init=lambda seed: [np.array([1.0 + seed])],
+            objective=objective,
+            val_objective=val_objective,
+            model=lambda params, space, normalizer: params,
+            max_rows=100,
+            row_epoch_us=1.0,
+        )
+        cfg = TrainConfig(rank=1, epochs=10, lr=0.1, restarts=2, patience=5, val_fraction=0.5)
+        runs = [Run(0, 0, 0, UNUSED_DATA, diverging), Run(0, 1, 1, UNUSED_DATA, UNUSED_DATA)]
+        failed, kept = train_batch(trainable, runs, cfg)
+        assert isinstance(failed.error, DivergenceError)
+        assert str(failed.error) == "non-finite validation loss at epoch 3 of restart 0"
+        assert len(failed.losses) == 4  # epochs_run is the epoch + 1
+        assert failed.params is None and failed.final_loss == math.inf
+        assert kept.error is None and len(kept.losses) == 10
+        assert math.isfinite(kept.final_loss)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_final_loss_fails_the_fit(self):
+        # the one training loss is taken before the step that overflows, so
+        # only the final loss at the kept parameters turns non-finite
+        shape = (3, 3)
+        train = obs_from_values(shape, np.linspace(0, 1, 9))
+        cfg = TrainConfig(rank=2, epochs=1, lr=1e160, seed=0)
+        with pytest.raises(DivergenceError, match="^non-finite final loss in restart 0$"):
+            fit(shape, train, cfg, "cpd")
+
+    def test_failed_validation_carve_fails_only_its_set(self):
+        # one row cannot be split into training and validation rows
+        obs = obs_from_values((2, 2), [0.1, 0.2, 0.3, 0.4])
+        cfg = TrainConfig(rank=1, epochs=20, lr=0.05, patience=5, val_fraction=0.5)
+        ((alone, whole),) = fit_batch((2, 2), [("cpd", cfg)], [obs.take([0]), obs], [0, 0])
+        assert isinstance(alone, SplitError)
+        model, report = whole
+        assert report.epochs_run >= 1 and math.isfinite(report.final_loss)
