@@ -1,11 +1,11 @@
 """Layer bench: the CPD and CoSTCo objectives per call, training cost per
 fit-epoch at growing batch sizes, batches trained serially against in
-worker processes, the factor match score per call, and the index-CSV codec
-per row.
+worker processes, the factor match score per call, the index-CSV codec
+per row, and the cold start of the CLI.
 
     python3 bench/kernels.py --out results.json
 
-Run it from the repository root; it imports tenfit from ./src. Five tables:
+Run it from the repository root; it imports tenfit from ./src. Six tables:
 
 - `objective`: the training objective of a model kind's trainable
   (`cpd.masked_objective`, `neural._masked_objective`) at the sizes the
@@ -48,6 +48,16 @@ Run it from the repository root; it imports tenfit from ./src. Five tables:
   grid predict), in us per row and ms per call: the median over rounds,
   each round repeating the call for at least 0.1 s. Files go to a
   temporary directory.
+- `coldstart`: three commands, each in a fresh `sys.executable` process
+  with ./src on PYTHONPATH: `import tenfit.cli`, `tenfit predict` of the
+  200 cells a small saved CPD model was fit on (`cli.main` from `-c`), and
+  `tenfit fms` between two such models. Each entry gives the median wall
+  time over rounds, from spawn to reaping, and the largest max RSS of the
+  child, read per child with `os.wait4` (`RUSAGE_CHILDREN` only ever
+  rises, so it cannot give one child's peak). A child's max RSS also
+  counts the process that spawned it, so a bare interpreter spawns them.
+  The commands alternate within each round. The models and CSVs go to a
+  temporary directory.
 
 BLAS/OpenMP threads are pinned to 1, as in perfbench. The output records
 the Python, numpy and BLAS versions, nproc and the git commit.
@@ -82,7 +92,7 @@ from tenfit import optim  # noqa: E402
 from tenfit.core import DesignSpace, Normalizer, ObservationSet  # noqa: E402
 from tenfit.cpd import FactorSet  # noqa: E402
 from tenfit.metrics import fms  # noqa: E402
-from tenfit.modelio import load_dataset, read_index_csv  # noqa: E402
+from tenfit.modelio import load_dataset, read_index_csv, save_model  # noqa: E402
 from tenfit.modelio import write_dataset, write_index_csv  # noqa: E402
 
 LATTICE = (5, 2, 3, 3, 3)  # 270 cells
@@ -124,6 +134,10 @@ FMS_ROUND_S = 0.1
 
 IO_SHAPES = (LATTICE, LARGE)  # full grids of 270 and 4,800 rows
 IO_ROUND_S = 0.1
+
+COLDSTART_CELLS = 200  # rows the saved models are fit on and predict
+COLDSTART_EPOCHS = 50
+RUN_CLI = "import sys; from tenfit.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # kind, shape, rows per fit, batch sizes
 BATCH_CASES = [
@@ -359,6 +373,63 @@ def bench_io(rounds, rng, work_dir):
     return table
 
 
+# Reads one JSON `[argv, env]` per line, spawns it and answers with its wall
+# seconds, exit code and max RSS in KiB. A child's max RSS also counts what
+# its spawner held when it exec'd, so this bare interpreter spawns the
+# cold-start commands rather than the bench with numpy loaded.
+LAUNCHER = """
+import json, os, sys, time
+for line in sys.stdin:
+    argv, env = json.loads(line)
+    start = time.perf_counter()
+    pid = os.posix_spawn(argv[0], argv, env,
+                         file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+    _, status, usage = os.wait4(pid, 0)
+    seconds = time.perf_counter() - start
+    print(json.dumps([seconds, os.waitstatus_to_exitcode(status), usage.ru_maxrss]), flush=True)
+"""
+
+
+def bench_coldstart(rounds, rng, work_dir):
+    """Median wall ms and largest max RSS of each cold-start command over
+    `rounds` rounds, on CPD models saved under `work_dir`."""
+    work_dir = Path(work_dir)
+    obs = observations(LATTICE, COLDSTART_CELLS, rng)
+    models = []
+    for seed in (0, 1):
+        cfg = optim.TrainConfig(rank=RANK, epochs=COLDSTART_EPOCHS, lr=0.02, seed=seed)
+        model, _ = optim.fit(LATTICE, obs, cfg, "cpd")
+        models.append(str(work_dir / f"cpd_{seed}.json"))
+        save_model(model, models[-1])
+    cells = work_dir / "cells.csv"
+    write_index_csv(cells, obs.space, obs.indices, obs.values)
+    python = sys.executable
+    commands = {
+        "import tenfit.cli": [python, "-c", "import tenfit.cli"],
+        "tenfit predict": [python, "-c", RUN_CLI, "predict", "--model", models[0],
+                           "--indices", str(cells), "--out", str(work_dir / "preds.csv")],
+        "tenfit fms": [python, "-c", RUN_CLI, "fms", "--a", models[0], "--b", models[1],
+                       "--out", str(work_dir / "fms.json")],
+    }
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    usage = {name: [] for name in commands}
+    launcher = subprocess.Popen([python, "-S", "-c", LAUNCHER], stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, text=True)
+    with launcher:
+        for _ in range(rounds):
+            for name, argv in commands.items():
+                launcher.stdin.write(json.dumps([argv, env]) + "\n")
+                launcher.stdin.flush()
+                seconds, code, kib = json.loads(launcher.stdout.readline())
+                if code:
+                    raise RuntimeError(f"{name} exited {code}; its stderr is above")
+                usage[name].append((seconds, kib / 1024))
+    return [{"command": name, "rounds": rounds,
+             "wall_ms": round(statistics.median(s for s, _ in runs) * 1e3, 1),
+             "max_rss_mb": round(max(mb for _, mb in runs), 1)}
+            for name, runs in usage.items()]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the JSON here (default: stdout only)")
@@ -387,7 +458,10 @@ def main(argv=None):
         print(entry, file=sys.stderr)
     with tempfile.TemporaryDirectory() as work_dir:
         result["io"] = bench_io(args.rounds, rng, work_dir)
+        result["coldstart"] = bench_coldstart(args.rounds, rng, work_dir)
     for entry in result["io"]:
+        print(entry, file=sys.stderr)
+    for entry in result["coldstart"]:
         print(entry, file=sys.stderr)
     text = json.dumps(result, indent=1)
     if args.out:

@@ -363,6 +363,10 @@ def encode_observations(
             raise TypeError(
                 f"record {pos}: outcome {record[space.outcome_name]!r} is not numeric"
             ) from None
+        if not math.isfinite(y):
+            raise ContractError(
+                f"record {pos}: outcome {space.outcome_name!r} is {y!r}, not a finite number"
+            )
         index_rows.append(tuple(row))
         outcomes.append(y)
 

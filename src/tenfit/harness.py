@@ -439,11 +439,18 @@ def _train_config_from(entry: dict, space: DesignSpace) -> TrainConfig:
         return space.ordinal_modes() if names is None else tuple(map(space.axis_position, names))
 
     given = {f: _read(entry, key, cast) for key, (f, cast) in _TRAIN_KEYS.items() if key in entry}
-    return TrainConfig(
-        rank=_read(entry, "rank", as_int),
-        smooth_modes=_read(entry, "smooth_modes", modes, space.ordinal_modes()),
-        **given,
-    )
+    rank = _read(entry, "rank", as_int)
+    smooth_modes = _read(entry, "smooth_modes", modes, space.ordinal_modes())
+    try:
+        return TrainConfig(rank=rank, smooth_modes=smooth_modes, **given)
+    except ContractError as exc:
+        # a check on one field ends "<check>: <field> is <value>"; name its key
+        check, _, named = str(exc).rpartition(": ")
+        field, _, value = named.partition(" is ")
+        keys = {f: key for key, (f, _) in _TRAIN_KEYS.items()}
+        if field not in keys:
+            raise
+        raise ContractError(f"{check}: {keys[field]!r} is {value}") from None
 
 
 def _model_kind(value) -> str:

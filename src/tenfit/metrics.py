@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import DesignSpace
 from .cpd import FactorSet
@@ -107,7 +106,13 @@ def fms(a: FactorSet, b: FactorSet) -> FactorComparison:
     found by linear assignment (the Hungarian method) at every rank. Cosine
     signs are kept, so a component flipped in an odd number of modes
     contributes negatively.
+
+    scipy is imported here, at the first call, and nowhere else in tenfit:
+    `scipy.optimize` costs about 48 MB and 0.4 s to load, which every
+    process that never compares factors would otherwise pay.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if a.ndim != b.ndim or a.shape != b.shape:
         raise ContractError(f"factor shapes differ: {a.shape} vs {b.shape}")
     if a.rank != b.rank:

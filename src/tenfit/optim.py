@@ -97,7 +97,9 @@ class TrainConfig:
     only and the three head sizes to CoSTCo only. `smooth_modes=None`
     smooths every mode; configs and `tenfit fit` pass the ordinal axes'
     modes when they name none. Early stopping takes `patience` and a
-    positive `val_fraction` together; either alone is a ContractError."""
+    positive `val_fraction` together; either alone is a ContractError. A
+    message that names the value at fault ends `<field> is <value>`, which
+    harness turns into the config key."""
 
     rank: int
     epochs: int = 3000
@@ -118,7 +120,7 @@ class TrainConfig:
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
         if self.lr <= 0:
-            raise ContractError("learning rate must be positive")
+            raise ContractError(f"learning rate must be positive: lr is {self.lr!r}")
         if self.restarts < 1:
             raise ContractError("restarts must be >= 1")
         if not 0 <= self.val_fraction < 1:
@@ -128,7 +130,9 @@ class TrainConfig:
         if self.patience is None and self.val_fraction > 0:
             raise ContractError("a validation fraction requires patience")
         if self.smooth_weight < 0:
-            raise ContractError("smoothness weight must be non-negative")
+            raise ContractError(
+                f"smoothness weight must be non-negative: smooth_weight is {self.smooth_weight!r}"
+            )
         if self.seed < 0:
             raise ContractError("seed must be >= 0")
         if min(self.n_init_groups, self.conv_channels, self.hidden_units) < 1:
@@ -352,12 +356,14 @@ def _usable_cpus() -> int:
 POOL_MIN_WORK_US = 4 * 7_500
 """The least estimated work, in us, for which a call trains its batches in
 worker processes; below it they train serially. A worker adds about
-7.5 ms: fork, the copy-on-write faults of its first writes, sending its
+5-6 ms: fork, the copy-on-write faults of its first writes, sending its
 results back, exit and reaping (`bench/kernels.py`'s `parallel` table,
-`startup` entry: two one-epoch CoSTCo batches took 19.2 ms in two workers
-against 5.1 ms serially, `BENCH_11.json`). The multiple of 4 comes from
-the same table's `break_even` entries, two CoSTCo batches at 10 to 80
-epochs trained serially and in workers: in `BENCH_11.json` the workers
+`startup` entry: two one-epoch CoSTCo batches took 17.6 and 15.7 ms in
+two workers against 6.1 and 5.8 ms serially in `BENCH_17.json`'s two
+runs, 8.2 and 7.5 ms a worker in its parent runs, when tenfit loaded
+scipy at import). The constant keeps the 7.5 ms of `BENCH_11.json`. The multiple of 4 comes
+from the same table's `break_even` entries, two CoSTCo batches at 10 to
+80 epochs trained serially and in workers: in `BENCH_11.json` the workers
 lost at 8.6 ms of estimated work (27.9 against 20.5 ms) and won from
 17 ms on (34.4 against 37.9 ms); two earlier runs of the table on a
 busier host put the crossing at about 25 and 34 ms. Near the threshold

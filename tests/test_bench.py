@@ -83,3 +83,14 @@ def test_io_table_runs(kernels, monkeypatch, tmp_path):
         (call, rows) for rows in (6, 3) for call in calls
     ]
     assert all(entry["us_per_row"] > 0 for entry in table)
+
+
+def test_coldstart_table_runs(kernels, monkeypatch, tmp_path):
+    """Every entry of the `coldstart` table on a tiny model, one round."""
+    monkeypatch.setattr(kernels, "COLDSTART_CELLS", 20)
+    monkeypatch.setattr(kernels, "COLDSTART_EPOCHS", 2)
+    table = kernels.bench_coldstart(1, np.random.default_rng(4), tmp_path)
+    commands = ["import tenfit.cli", "tenfit predict", "tenfit fms"]
+    assert [entry["command"] for entry in table] == commands
+    assert all(entry["wall_ms"] > 0 and entry["max_rss_mb"] > 0 for entry in table)
+    assert (tmp_path / "preds.csv").is_file() and (tmp_path / "fms.json").is_file()

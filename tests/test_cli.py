@@ -114,6 +114,19 @@ class TestIngest:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("row, value", [(0, "nan"), (1, "nan"), (0, "inf"), (2, "-inf")])
+    def test_non_finite_outcome_names_record_and_column(self, tmp_path, capsys, row, value):
+        outcomes = ["1.5", "2.5", "3.5"]
+        outcomes[row] = value
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("a,y\n" + "".join(f"{i},{y}\n" for i, y in enumerate(outcomes)))
+        out = tmp_path / "ds"
+        code = main(["ingest", "--data", str(csv_path), "--outcome", "y", "--out", str(out)])
+        payload = one_json_error(code, capsys.readouterr().err)
+        message = f"record {row}: outcome 'y' is {float(value)!r}, not a finite number"
+        assert payload == {"error": "ContractError", "message": message}
+        assert not out.exists()
+
 
 class TestFitPredictEvaluate:
     def fit_model(self, dataset_dir, tmp_path, kind="cpd", extra=()):
@@ -613,8 +626,9 @@ class TestErrorPathsNameTheirCause:
     @pytest.mark.parametrize(
         "key, value, message",
         [("rank", 0, "rank must be >= 1"), ("epochs", 0, "epochs must be >= 1"),
-         ("lr", 0.0, "learning rate must be positive"), ("restarts", 0, "restarts must be >= 1"),
-         ("lambda_smooth", -0.5, "smoothness weight must be non-negative")],
+         ("lr", 0.0, "learning rate must be positive: 'lr' is 0.0"),
+         ("restarts", 0, "restarts must be >= 1"),
+         ("lambda_smooth", -0.5, "smoothness weight must be non-negative: 'lambda_smooth' is -0.5")],
     )
     def test_train_config_checks(self, dataset_dir, tmp_path, key, value, message):
         config = experiment_config(dataset_dir, epochs=5)
@@ -797,6 +811,16 @@ class TestModelFileValidation:
 
         message = self.predict_with(dataset_dir, tmp_path, capsys, damage, kind)
         assert array in message and "non-finite" in message
+
+    def test_negative_smoothness_weight_names_the_field(self, dataset_dir, tmp_path, capsys):
+        # the file has no config key 'lambda_smooth'; TrainConfig names its field
+        def damage(payload):
+            payload["smoothness"]["weight"] = -0.5
+
+        message = self.predict_with(dataset_dir, tmp_path, capsys, damage)
+        assert message.endswith(
+            "(ContractError: smoothness weight must be non-negative: smooth_weight is -0.5)"
+        )
 
     def test_shape_disagreeing_with_schema(self, dataset_dir, tmp_path, capsys):
         def damage(payload):
