@@ -45,9 +45,11 @@ Run it from the repository root; it imports tenfit from ./src. Six tables:
 - `io`: `modelio.read_index_csv` with and without its value column,
   `modelio.write_index_csv` and `modelio.load_dataset` on the full grid of
   the lattice (270 rows) and of the large shape (4,800 rows: serve_cli's
-  grid predict), in us per row and ms per call: the median over rounds,
-  each round repeating the call for at least 0.1 s. Files go to a
-  temporary directory.
+  grid predict), and the ingest path's `core.build_design_space` and
+  `core.encode_observations` on one record per cell of those grids (axis 0
+  categorical, the others ordinal, as the benchmark workloads ingest), in
+  us per row and ms per call: the median over rounds, each round repeating
+  the call for at least 0.1 s. Files go to a temporary directory.
 - `coldstart`: three commands, each in a fresh `sys.executable` process
   with ./src on PYTHONPATH: `import tenfit.cli`, `tenfit predict` of the
   200 cells a small saved CPD model was fit on (`cli.main` from `-c`), and
@@ -89,7 +91,8 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from tenfit import optim  # noqa: E402
-from tenfit.core import DesignSpace, Normalizer, ObservationSet  # noqa: E402
+from tenfit.core import CATEGORICAL, ORDINAL, DesignSpace, Normalizer  # noqa: E402
+from tenfit.core import ObservationSet, build_design_space, encode_observations  # noqa: E402
 from tenfit.cpd import FactorSet  # noqa: E402
 from tenfit.metrics import fms  # noqa: E402
 from tenfit.modelio import load_dataset, read_index_csv, save_model  # noqa: E402
@@ -349,9 +352,20 @@ def bench_fms(rounds, rng):
     return table
 
 
+def grid_records(obs):
+    """One ingest record per cell of `obs`: axis 0's index as a label, the
+    other axes' as floats, and the cell's value as `y` (no random draws)."""
+    names = [a.name for a in obs.space.axes]
+    kinds = {name: CATEGORICAL if m == 0 else ORDINAL for m, name in enumerate(names)}
+    records = [{**dict(zip(names, map(float, cell))), names[0]: f"g{cell[0]}", "y": y}
+               for cell, y in zip(obs.indices.tolist(), obs.values.tolist())]
+    return records, names, kinds
+
+
 def bench_io(rounds, rng, work_dir):
-    """us per row of the index-CSV reader, writer and dataset loader on the
-    full grid of each IO_SHAPES shape, with files under `work_dir`."""
+    """us per row of the index-CSV reader, writer and dataset loader, and
+    of the two ingest calls, on the full grid of each IO_SHAPES shape, with
+    files under `work_dir`."""
     table = []
     for shape in IO_SHAPES:
         obs = observations(shape, int(np.prod(shape)), rng)
@@ -359,12 +373,16 @@ def bench_io(rounds, rng, work_dir):
         path = Path(work_dir) / "grid.csv"
         write_index_csv(path, space, obs.indices, obs.values, "prediction")
         write_dataset(obs, Path(work_dir) / "dataset")
+        records, names, kinds = grid_records(obs)
+        ingested = build_design_space(records, names, "y", kinds)
         calls = {
             "read_index_csv": lambda: read_index_csv(path, space),
             "read_index_csv_value": lambda: read_index_csv(path, space, "prediction"),
             "write_index_csv": lambda: write_index_csv(path, space, obs.indices, obs.values,
                                                        "prediction"),
             "load_dataset": lambda: load_dataset(Path(work_dir) / "dataset"),
+            "build_design_space": lambda: build_design_space(records, names, "y", kinds),
+            "encode_observations": lambda: encode_observations(records, ingested),
         }
         for name, call in calls.items():
             us = us_per_call(call, rounds, IO_ROUND_S)

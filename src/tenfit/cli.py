@@ -27,11 +27,17 @@ from .optim import MODEL_KINDS, fit
 
 
 def _read_csv_records(path) -> tuple[list[dict], list[str]]:
+    """Header -> cell records of a CSV's non-blank rows, and the header."""
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if not reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not header:
             raise SchemaError(f"{path}: missing CSV header")
-        return list(reader), list(reader.fieldnames)
+        rows = [cells for cells in reader if cells]
+    for row, cells in enumerate(rows, start=1):
+        if len(cells) != len(header):
+            raise SchemaError(f"{path}: row {row} has {len(cells)} cells, the header {len(header)}")
+    return [dict(zip(header, cells)) for cells in rows], header
 
 
 def _is_numeric_column(records, name) -> bool:
@@ -60,14 +66,9 @@ def cmd_ingest(args) -> dict:
     if ordinal & categorical:
         raise SchemaError(f"axes listed as both kinds: {sorted(ordinal & categorical)}")
 
-    kinds = {}
-    for name in axis_names:
-        if name in ordinal:
-            kinds[name] = ORDINAL
-        elif name in categorical:
-            kinds[name] = CATEGORICAL
-        else:
-            kinds[name] = ORDINAL if _is_numeric_column(records, name) else CATEGORICAL
+    kinds = {name: ORDINAL if name in ordinal else CATEGORICAL for name in axis_names}
+    for name in set(axis_names) - ordinal - categorical:  # undeclared: ordinal if all numeric
+        kinds[name] = ORDINAL if _is_numeric_column(records, name) else CATEGORICAL
 
     space = build_design_space(records, axis_names, args.outcome, kinds)
     obs = encode_observations(records, space, duplicates=args.duplicates)
@@ -237,8 +238,7 @@ def main(argv=None) -> int:
     try:
         print(json.dumps(args.func(args), indent=2))
         return 0
-    except (TenfitError, TypeError, OSError, KeyError, RecursionError,
-            json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (TenfitError, OSError, RecursionError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1

@@ -43,7 +43,7 @@ class Axis:
         if self.kind == ORDINAL:
             vals = list(self.values)
             if any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in vals):
-                raise TypeError(f"axis {self.name!r}: ordinal values must be numeric")
+                raise SchemaError(f"axis {self.name!r}: ordinal values must be numeric")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise SchemaError(f"axis {self.name!r}: ordinal values must increase strictly")
         object.__setattr__(self, "_lookup", {v: i for i, v in enumerate(self.values)})
@@ -68,7 +68,7 @@ def _canonical_value(kind: str, value):
         try:
             return float(value)
         except (TypeError, ValueError):
-            raise TypeError(f"non-numeric value {value!r} on an ordinal axis") from None
+            raise SchemaError(f"non-numeric value {value!r} on an ordinal axis") from None
     return str(value)
 
 
@@ -299,6 +299,17 @@ class DenseTensor:
         return self.data.reshape(self.shape)
 
 
+def _columns(records: Sequence[Mapping], names: Sequence[str]) -> list[list]:
+    """Each named field's values in record order, one list per name; the
+    first record that lacks a field is a SchemaError naming both."""
+    try:
+        return [[record[name] for record in records] for name in names]
+    except KeyError:
+        for pos, name in ((p, f) for p, r in enumerate(records) for f in names if f not in r):
+            raise SchemaError(f"record {pos} is missing field {name!r}") from None
+        raise
+
+
 def build_design_space(
     records: Sequence[Mapping],
     axis_names: Sequence[str],
@@ -315,17 +326,12 @@ def build_design_space(
     """
     if not records:
         raise SchemaError("need at least one record")
-    for pos, record in enumerate(records):
-        for name in (*axis_names, outcome_name):
-            if name not in record:
-                raise SchemaError(f"record {pos} is missing field {name!r}")
-
     axes = []
-    for name in axis_names:
+    for name, column in zip(axis_names, _columns(records, [*axis_names, outcome_name])):
         kind = kinds.get(name)
         if kind not in (ORDINAL, CATEGORICAL):
             raise SchemaError(f"axis {name!r}: kind must be ordinal or categorical")
-        values = tuple(sorted({_canonical_value(kind, r[name]) for r in records}))
+        values = tuple(sorted({_canonical_value(kind, v) for v in column}))
         axes.append(Axis(name=name, kind=kind, values=values))
     return DesignSpace(axes=tuple(axes), outcome_name=outcome_name)
 
@@ -339,57 +345,50 @@ def encode_observations(
     """Map records to COO entries with min-max normalized outcomes.
 
     The normalizer is fit on the provided records unless one is passed in.
-    Duplicate index tuples are averaged by default; `duplicates="error"`
-    rejects them instead.
+    Cells come out in index-tuple order, a cell's records averaged in
+    record order; `duplicates="error"` rejects repeated cells instead,
+    naming the first in record order.
     """
     if not records:
         raise SchemaError("need at least one record")
     if duplicates not in ("mean", "error"):
         raise ContractError(f"unknown duplicate policy {duplicates!r}")
 
-    index_rows = []
+    name, n = space.outcome_name, len(records)
+    *columns, raw_outcomes = _columns(records, [*(a.name for a in space.axes), name])
+    columns = [np.fromiter(map(a.index_of, c), np.int64, n) for a, c in zip(space.axes, columns)]
     outcomes = []
-    for pos, record in enumerate(records):
-        row = []
-        for axis in space.axes:
-            if axis.name not in record:
-                raise SchemaError(f"record {pos} is missing field {axis.name!r}")
-            row.append(axis.index_of(record[axis.name]))
-        if space.outcome_name not in record:
-            raise SchemaError(f"record {pos} is missing field {space.outcome_name!r}")
+    for pos, raw in enumerate(raw_outcomes):
         try:
-            y = float(record[space.outcome_name])
+            y = float(raw)
         except (TypeError, ValueError):
-            raise TypeError(
-                f"record {pos}: outcome {record[space.outcome_name]!r} is not numeric"
-            ) from None
+            raise SchemaError(f"record {pos}: outcome {raw!r} is not numeric") from None
         if not math.isfinite(y):
-            raise ContractError(
-                f"record {pos}: outcome {space.outcome_name!r} is {y!r}, not a finite number"
-            )
-        index_rows.append(tuple(row))
+            raise ContractError(f"record {pos}: outcome {name!r} is {y!r}, not a finite number")
         outcomes.append(y)
-
     if normalizer is None:
         normalizer = Normalizer.fit(outcomes)
-
-    grouped: dict[tuple[int, ...], list[float]] = {}
-    for row, y in zip(index_rows, outcomes):
-        grouped.setdefault(row, []).append(y)
-    if duplicates == "error" and any(len(v) > 1 for v in grouped.values()):
-        dupe = next(k for k, v in grouped.items() if len(v) > 1)
-        raise ContractError(f"duplicate records for index {dupe}")
-
-    keys = sorted(grouped)
-    indices = np.array(keys, dtype=np.int64).reshape(len(keys), space.ndim)
+    # index columns sorted by cell, stably, so a cell's records keep record
+    # order; one array per axis spares (n, M) temporaries and their page faults
+    order = np.lexsort(columns[::-1])
+    columns = [c[order] for c in columns]
+    changed = np.logical_or.reduce([c[1:] != c[:-1] for c in columns])
+    bounds = np.flatnonzero(np.r_[True, changed, True])  # each cell's first row, then n
+    repeated = np.flatnonzero(np.diff(bounds) > 1)
+    if duplicates == "error" and len(repeated):
+        first = bounds[repeated][np.argmin(order[bounds[repeated]])]
+        raise ContractError(f"duplicate records for index {tuple(int(c[first]) for c in columns)}")
     # A single record's mean is itself, plus 0.0 as np.mean's sum adds it
     # (so -0.0 becomes 0.0); a mean that rounding or overflow took outside its
     # records' [min, max] is clamped back. One call normalizes every cell.
+    ys = np.array(outcomes)[order]
+    means = ys[bounds[:-1]] + 0.0
     with np.errstate(over="ignore"):
-        means = [ys[0] + 0.0 if len(ys) == 1 else min(max(np.mean(ys), min(ys)), max(ys))
-                 for ys in map(grouped.__getitem__, keys)]
-    values = normalizer.normalize(np.array(means, dtype=float))
-    return ObservationSet(space=space, indices=indices, values=values, normalizer=normalizer)
+        for g in repeated:
+            group = ys[bounds[g]:bounds[g + 1]].tolist()
+            means[g] = min(max(np.mean(group), min(group)), max(group))
+    return ObservationSet(space=space, indices=np.stack([c[bounds[:-1]] for c in columns], axis=1),
+                          values=normalizer.normalize(means), normalizer=normalizer)
 
 
 def check_indices(indices, shape: Sequence[int]) -> np.ndarray:

@@ -373,16 +373,16 @@ def ood_sweep(
 _REQUIRED = object()
 
 
-def _read(entry: dict, key: str, cast, default=_REQUIRED):
-    """`cast(entry[key])`, or `default` when the key is absent. A missing
-    required key, or a value `cast` rejects, raises a ContractError naming
-    the key."""
+def _read(entry: dict, key: str, cast=None, default=_REQUIRED):
+    """`entry[key]`, passed through `cast` if given, or `default` when the
+    key is absent. A missing required key, or a value `cast` rejects,
+    raises a ContractError naming the key."""
     if key not in entry:
         if default is _REQUIRED:
             raise ContractError(f"config needs a {key!r} value")
         return default
     try:
-        return cast(entry[key])
+        return entry[key] if cast is None else cast(entry[key])
     except (TypeError, ValueError, OverflowError):
         raise ContractError(f"config value {entry[key]!r} of {key!r} is not valid") from None
 
@@ -469,19 +469,19 @@ def model_spec_from_config(entry: dict, space: DesignSpace) -> ModelSpec:
 
 
 def region_from_config(entry: dict, space: DesignSpace) -> RegionSpec:
-    _object(entry, "region")
+    axis_a, axis_b = (_read(_object(entry, "region"), key) for key in ("axis_a", "axis_b"))
     if "a_values" in entry or "b_values" in entry:
         region = region_from_values(
             space,
-            entry["axis_a"],
-            entry["axis_b"],
+            axis_a,
+            axis_b,
             _read(entry, "a_values", _pair),
             _read(entry, "b_values", _pair),
         )
     else:
         region = RegionSpec(
-            axis_a=entry["axis_a"],
-            axis_b=entry["axis_b"],
+            axis_a=axis_a,
+            axis_b=axis_b,
             a_range=_read(entry, "a_range", lambda v: tuple(map(as_int, _pair(v)))),
             b_range=_read(entry, "b_range", lambda v: tuple(map(as_int, _pair(v)))),
         )
@@ -500,7 +500,7 @@ def plan_from_config(entry: dict, space: DesignSpace) -> SamplingPlan:
     if kind == "biased":
         return SamplingPlan(
             kind="biased",
-            region=region_from_config(entry["region"], space),
+            region=region_from_config(_read(entry, "region"), space),
             n_in=_read(entry, "n_in", as_int),
             n_out=_read(entry, "n_out", as_int),
             name=_name(entry, "biased"),
@@ -512,7 +512,7 @@ def _read_run(config: dict):
     """The keys experiment and sweep configs share: the dataset's space and
     observations, the iteration count, the base seed and the normalization
     scope (checked when the scoring loop starts)."""
-    space, obs = load_dataset(_read(config, "dataset", Path))
+    space, obs = load_dataset(_read(_object(config, "config"), "dataset", Path))
     seed = _read(config, "seed", as_int, 0)
     if seed < 0:
         raise ContractError("seed must be >= 0")
@@ -645,7 +645,7 @@ def run_sweep(config: dict, out_dir) -> dict:
     kinds = _read(config, "models", lambda v: [_model_kind(k) for k in _entries(v)], ["cpd"])
     table = ood_sweep(
         obs,
-        region_from_config(config["region"], space),
+        region_from_config(_read(config, "region"), space),
         n_in=_read(config, "n_in", as_int),
         n_out_list=_read(config, "n_out_list", lambda v: [as_int(k) for k in _entries(v)]),
         cfg=_train_config_from(config, space),

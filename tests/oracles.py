@@ -18,6 +18,12 @@ read, one `csv.writer.writerow` call per row written. The package must
 write the same bytes and read the same arrays, or raise the same
 SchemaError.
 
+`encode_observations` is the record-by-record ingest the package's
+column-wise one replaced: one index tuple per record, outcomes grouped in a
+dict of lists whose sorted keys give the cells. The package must give the
+same indices, value bits and normalizer, or raise the same error, on every
+record set with at most one fault.
+
 `neural_grad` is not an oracle: it reads the package's own CoSTCo gradient
 for one model, which the finite-difference checks compare.
 """
@@ -25,11 +31,13 @@ for one model, which the finite-difference checks compare.
 import csv
 import io
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 
-from tenfit.errors import DegenerateDataError, SchemaError
+from tenfit.core import Normalizer, ObservationSet
+from tenfit.errors import ContractError, DegenerateDataError, SchemaError
 from tenfit.metrics import _congruence_products
 from tenfit.modelio import _cell_error, write_atomic
 from tenfit.neural import _masked_objective
@@ -209,3 +217,48 @@ def read_index_csv(path, space, value=None):
             f"{path}: row {r + 1}, column {names[m]!r}: index {rows[r][m]} not in 0..{shape[m] - 1}"
         )
     return indices, np.asarray(values, dtype=float) if value else None
+
+
+def encode_observations(records, space, duplicates="mean", normalizer=None):
+    """ObservationSet of records, one index tuple per record, a cell's
+    outcomes grouped in a dict of lists and averaged cell by cell."""
+    if not records:
+        raise SchemaError("need at least one record")
+    if duplicates not in ("mean", "error"):
+        raise ContractError(f"unknown duplicate policy {duplicates!r}")
+    index_rows, outcomes = [], []
+    for pos, record in enumerate(records):
+        row = []
+        for axis in space.axes:
+            if axis.name not in record:
+                raise SchemaError(f"record {pos} is missing field {axis.name!r}")
+            row.append(axis.index_of(record[axis.name]))
+        if space.outcome_name not in record:
+            raise SchemaError(f"record {pos} is missing field {space.outcome_name!r}")
+        try:
+            y = float(record[space.outcome_name])
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"record {pos}: outcome {record[space.outcome_name]!r} is not numeric"
+            ) from None
+        if not math.isfinite(y):
+            raise ContractError(
+                f"record {pos}: outcome {space.outcome_name!r} is {y!r}, not a finite number"
+            )
+        index_rows.append(tuple(row))
+        outcomes.append(y)
+    if normalizer is None:
+        normalizer = Normalizer.fit(outcomes)
+    grouped = {}
+    for row, y in zip(index_rows, outcomes):
+        grouped.setdefault(row, []).append(y)
+    if duplicates == "error" and any(len(v) > 1 for v in grouped.values()):
+        dupe = next(k for k, v in grouped.items() if len(v) > 1)
+        raise ContractError(f"duplicate records for index {dupe}")
+    keys = sorted(grouped)
+    indices = np.array(keys, dtype=np.int64).reshape(len(keys), space.ndim)
+    with np.errstate(over="ignore"):
+        means = [ys[0] + 0.0 if len(ys) == 1 else min(max(np.mean(ys), min(ys)), max(ys))
+                 for ys in map(grouped.__getitem__, keys)]
+    values = normalizer.normalize(np.array(means, dtype=float))
+    return ObservationSet(space=space, indices=indices, values=values, normalizer=normalizer)

@@ -74,11 +74,17 @@ def test_parallel_table_runs(kernels, monkeypatch):
 
 
 def test_io_table_runs(kernels, monkeypatch, tmp_path):
-    """Every entry of the `io` table on tiny grids."""
+    """Every entry of the `io` table on tiny grids; the ingest entries draw
+    no random numbers, so the tables after `io` keep their streams."""
     monkeypatch.setattr(kernels, "IO_SHAPES", ((2, 3), (3,)))
     monkeypatch.setattr(kernels, "IO_ROUND_S", 0.0)
-    table = kernels.bench_io(1, np.random.default_rng(3), tmp_path)
-    calls = ["read_index_csv", "read_index_csv_value", "write_index_csv", "load_dataset"]
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    table = kernels.bench_io(1, rng, tmp_path)
+    for shape in kernels.IO_SHAPES:  # the grids' own draws, and no more
+        kernels.observations(shape, int(np.prod(shape)), twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    calls = ["read_index_csv", "read_index_csv_value", "write_index_csv", "load_dataset",
+             "build_design_space", "encode_observations"]
     assert [(entry["call"], entry["rows"]) for entry in table] == [
         (call, rows) for rows in (6, 3) for call in calls
     ]

@@ -11,6 +11,7 @@ from conftest import full_grid_indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tenfit import cli
 from tenfit.cli import main
 
 
@@ -125,6 +126,19 @@ class TestIngest:
         payload = one_json_error(code, capsys.readouterr().err)
         message = f"record {row}: outcome 'y' is {float(value)!r}, not a finite number"
         assert payload == {"error": "ContractError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("last_row, cells", [("3.0,2", 2), ("3.0,2,y,9", 4)],
+                             ids=["short", "long"])
+    def test_ragged_row_names_file_and_row(self, tmp_path, capsys, last_row, cells):
+        # the blank line is skipped, so the ragged row is data row 2
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(f"y,a,b\n2.0,1,x\n\n{last_row}\n")
+        out = tmp_path / "ds"
+        code = main(["ingest", "--data", str(csv_path), "--outcome", "y", "--out", str(out)])
+        payload = one_json_error(code, capsys.readouterr().err)
+        message = f"{csv_path}: row 2 has {cells} cells, the header 3"
+        assert payload == {"error": "SchemaError", "message": message}
         assert not out.exists()
 
 
@@ -343,11 +357,22 @@ class TestExperimentAndSweep:
         assert not (tmp_path / "out" / "summary.json").exists()
 
 
+MISSING = object()  # a replacement value that deletes the key
+
+
 def replace_field(config, path, value):
+    """`config` with the field at `path` set to `value`, in place; the empty
+    path replaces the whole config."""
+    if not path:
+        return value
     parent = config
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return config
 
 
 class TestConfigErrors:
@@ -376,21 +401,27 @@ class TestConfigErrors:
          ("experiment", ("models", 0, "lambda_smooth"), "0.5"),
          ("experiment", ("models", 0, "val_fraction"), False),
          ("experiment", ("plans", 0, "fraction"), "0.5"),
-         ("sweep", ("lr",), "0.05")],
+         ("sweep", ("lr",), "0.05"),
+         ("sweep", ("region",), MISSING),
+         ("experiment", ("plans", 1, "region"), MISSING),
+         ("experiment", ("plans", 1, "region", "axis_a"), MISSING),
+         ("sweep", ("region", "axis_b"), MISSING),
+         ("experiment", (), "config"), ("sweep", (), 3), ("experiment", (), ["dataset"])],
         ids=["iterations", "rank", "a_range", "smooth_modes", "kind", "smooth_modes_string",
              "no_plans", "no_models", "sweep_no_models", "sweep_no_counts", "sweep_models_string",
              "rank_fraction", "epochs_fraction", "restarts_bool", "iterations_fraction",
              "n_in_fraction", "b_range_fraction", "sweep_count_fraction", "sweep_seed_bool",
              "lr_bool", "lambda_smooth_string", "val_fraction_bool", "fraction_string",
-             "sweep_lr_string"],
+             "sweep_lr_string", "sweep_no_region", "biased_no_region", "region_no_axis_a",
+             "region_no_axis_b", "config_string", "config_number", "config_list"],
     )
     def test_bad_value_names_its_key(self, dataset_dir, tmp_path, command, path, value):
         build = experiment_config if command == "experiment" else sweep_config
-        config = build(dataset_dir, epochs=5)
-        replace_field(config, path, value)
+        config = replace_field(build(dataset_dir, epochs=5), path, value)
         payload = one_json_error(*run_config(command, config, tmp_path))
         assert payload["error"] == "ContractError"
-        assert repr(path[-1]) in payload["message"]
+        named = repr(path[-1]) if path else "config must be a JSON object"
+        assert named in payload["message"]
         assert not (tmp_path / "out").exists()  # rejected before any output is written
 
     def test_integral_float_values_are_integers(self, dataset_dir, tmp_path):
@@ -526,6 +557,20 @@ BAD_NORMALIZERS = {
 
 
 class TestErrorReporting:
+    @pytest.mark.parametrize("error", [TypeError, KeyError])
+    def test_builtin_error_inside_a_command_propagates(self, dataset_dir, tmp_path, monkeypatch,
+                                                       error):
+        """A TypeError or KeyError is a fault of tenfit, not of its input,
+        so main lets it out as a traceback rather than a JSON line."""
+
+        def broken(path):
+            raise error("raised inside load_dataset")
+
+        monkeypatch.setattr(cli, "load_dataset", broken)
+        with pytest.raises(error, match="raised inside load_dataset"):
+            main(["fit", "--obs", str(dataset_dir), "--model", "cpd", "--rank", "2",
+                  "--out", str(tmp_path / "m.json")])
+
     @pytest.mark.parametrize("kind", ["config", "model", "obs"])
     def test_non_utf8_file_yields_json_error(self, dataset_dir, tmp_path, capsys, kind):
         bad = tmp_path / "bad"
@@ -658,8 +703,9 @@ class TestErrorPathsNameTheirCause:
     @pytest.mark.parametrize(
         "a_values, b_values, error, named",
         [(["g0", "g1"], [1], "ContractError", "'b_values'"),
-         (["g0", "g7"], [1, 2], "SchemaError", "axis 'geometry': unknown value 'g7'")],
-        ids=["one_value", "unknown_value"],
+         (["g0", "g7"], [1, 2], "SchemaError", "axis 'geometry': unknown value 'g7'"),
+         (["g0", "g1"], ["x", 2], "SchemaError", "non-numeric value 'x' on an ordinal axis")],
+        ids=["one_value", "unknown_value", "non_numeric_ordinal"],
     )
     def test_region_by_values(self, dataset_dir, tmp_path, a_values, b_values, error, named):
         config = experiment_config(dataset_dir, epochs=5)

@@ -1,4 +1,7 @@
+import contextlib
+
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,7 @@ from tenfit.core import (
     build_design_space,
     encode_observations,
 )
-from tenfit.errors import ContractError, DegenerateDataError, SchemaError
+from tenfit.errors import ContractError, DegenerateDataError, SchemaError, TenfitError
 
 LATTICE_AXES = ["geometry", "thickness", "ux", "uy", "uz"]
 LATTICE_KINDS = {
@@ -63,9 +66,9 @@ class TestBuildDesignSpace:
         with pytest.raises(SchemaError, match=r"record 1.*'y'"):
             build_design_space(records, ["a"], "y", {"a": "ordinal"})
 
-    def test_non_numeric_ordinal_is_type_error(self):
+    def test_non_numeric_ordinal_is_schema_error(self):
         records = [{"a": "not-a-number", "y": 1.0}]
-        with pytest.raises(TypeError):
+        with pytest.raises(SchemaError, match="non-numeric value 'not-a-number'"):
             build_design_space(records, ["a"], "y", {"a": "ordinal"})
 
     def test_schema_deterministic_under_record_order(self, lattice_records):
@@ -186,6 +189,74 @@ class TestEncodeObservations:
         space = build_design_space(records, ["a"], "y", {"a": "ordinal"})
         with pytest.raises(ContractError):
             encode_observations(records, space, duplicates="error")
+
+
+OUTCOMES = st.one_of(
+    st.floats(-10, 10),
+    st.sampled_from([-0.0, 0.0]),
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1 / 3]),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 8.98846567431158e307]),
+    st.floats(-10, 10).map(repr),  # as a CSV cell
+)
+RECORD_FAULTS = {
+    "missing_axis": lambda r: r.pop("t"),
+    "missing_outcome": lambda r: r.pop("y"),
+    "unknown_value": lambda r: r.update(g="zz"),
+    "non_numeric_ordinal": lambda r: r.update(t="x"),
+    "non_numeric_outcome": lambda r: r.update(y="x"),
+    "non_finite_outcome": lambda r: r.update(y="inf"),
+}
+
+
+@st.composite
+def ingest_cases(draw):
+    """Records on an ordinal axis (floats, signed zeros, numeric strings)
+    and a categorical one, with repeated cells and outcomes near +-1e308;
+    the space built from them; at times a unit normalizer or one fit on
+    some of their outcomes; then one fault in at most one record, and a
+    duplicate policy."""
+    ts = draw(st.lists(st.sampled_from([-0.0, 0.0, 0.25, -3.0, 7, "2", "1e3"]), min_size=1,
+                       max_size=3, unique_by=lambda t: float(t)))
+    cell = st.fixed_dictionaries(
+        {"t": st.sampled_from(ts), "g": st.sampled_from(["a", "b", "c", "d", 1]), "y": OUTCOMES}
+    )
+    records = draw(st.lists(cell, min_size=1, max_size=10))
+    records += [{**r, "y": y} for r, y in draw(st.lists(st.tuples(st.sampled_from(records),
+                                                                  OUTCOMES), max_size=10))]
+    space = build_design_space(records, ["t", "g"], "y", {"t": "ordinal", "g": "categorical"})
+    normalizer = draw(st.sampled_from([None, Normalizer(0.0, 1.0), "fit on some outcomes"]))
+    if normalizer == "fit on some outcomes":
+        ys, normalizer = draw(st.lists(st.sampled_from([r["y"] for r in records]), min_size=1)), None
+        with contextlib.suppress(ContractError):  # a range beyond the largest float
+            normalizer = Normalizer.fit(ys)
+    fault = draw(st.sampled_from([None] * 6 + sorted(RECORD_FAULTS)))
+    if fault:
+        pos = draw(st.integers(0, len(records) - 1))
+        records[pos] = dict(records[pos])
+        RECORD_FAULTS[fault](records[pos])
+    return records, space, draw(st.sampled_from(["mean", "error"])), normalizer
+
+
+def encoded(encode, records, space, duplicates, normalizer):
+    """The indices, value bits and normalizer bits `encode` gives, or the
+    type and message of its error."""
+    try:
+        obs = encode(records, space, duplicates=duplicates, normalizer=normalizer)
+    except TenfitError as exc:
+        return type(exc), str(exc)
+    return (obs.indices.dtype, obs.indices.tolist(), obs.values.tobytes(),
+            np.array([obs.normalizer.y_min, obs.normalizer.y_max]).tobytes())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=ingest_cases())
+def test_encode_matches_the_record_by_record_reference(case):
+    """Column-wise encoding equals the dict-of-lists reference in
+    `oracles`: same cells, value bits and normalizer bits, or the same
+    error."""
+    with np.errstate(over="ignore"):  # a tiny normalizer range can overflow to inf
+        assert encoded(encode_observations, *case) == encoded(oracles.encode_observations, *case)
 
 
 class TestNormalization:
