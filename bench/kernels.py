@@ -41,7 +41,9 @@ Run it from the repository root; it imports tenfit from ./src. Six tables:
 - `fms`: `metrics.fms` between two random factor sets of the lattice shape
   at ranks 3, 5, 7 and 8 (the paper's ranks go up to 8), in us per call:
   the median over rounds, each round repeating the call for at least
-  0.1 s.
+  0.1 s. A call covers the congruence products (numpy) and the component
+  pairing by `metrics._max_assignment`, a pure-Python port of SciPy's
+  assignment solver, whose cost grows as R^3.
 - `io`: `modelio.read_index_csv` with and without its value column,
   `modelio.write_index_csv` and `modelio.load_dataset` on the full grid of
   the lattice (270 rows) and of the large shape (4,800 rows: serve_cli's
@@ -53,8 +55,9 @@ Run it from the repository root; it imports tenfit from ./src. Six tables:
 - `coldstart`: three commands, each in a fresh `sys.executable` process
   with ./src on PYTHONPATH: `import tenfit.cli`, `tenfit predict` of the
   200 cells a small saved CPD model was fit on (`cli.main` from `-c`), and
-  `tenfit fms` between two such models. Each entry gives the median wall
-  time over rounds, from spawn to reaping, and the largest max RSS of the
+  `tenfit fms` between two such models; none of them loads SciPy, as
+  tenfit depends on numpy alone. Each entry gives the median wall time
+  over rounds, from spawn to reaping, and the largest max RSS of the
   child, read per child with `os.wait4` (`RUSAGE_CHILDREN` only ever
   rises, so it cannot give one child's peak). A child's max RSS also
   counts the process that spawned it, so a bare interpreter spawns them.

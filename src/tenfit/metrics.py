@@ -3,7 +3,9 @@
 The factor match score compares two decompositions of equal rank: for each
 candidate component pairing it multiplies the cosine similarity of the
 paired columns across all modes, then averages the per-component products
-under the pairing that maximizes the total.
+under the pairing that maximizes the total. That pairing is found by
+`_max_assignment`, a port of the shortest augmenting path solver behind
+SciPy's `linear_sum_assignment`, so tenfit needs only numpy.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,10 +89,22 @@ class FactorComparison:
 
 
 def _unit_columns(matrix: np.ndarray) -> np.ndarray:
-    """The matrix with every column scaled to unit l2 norm."""
-    norms = np.linalg.norm(matrix, axis=0)
-    if np.any(norms == 0):
-        raise DegenerateDataError("zero-norm factor column")
+    """The matrix with every column scaled to unit l2 norm.
+
+    A column whose plain norm overflows to inf or underflows to 0 while it
+    holds a nonzero entry is first divided by its largest absolute entry,
+    then by the norm of the result, so its true norm never has to be a
+    float; every other column keeps the plain norm's bits.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=0)
+    if not (norms.all() and np.isfinite(norms).all()):
+        peaks = np.max(np.abs(matrix), axis=0)
+        off = ((norms == 0) | np.isinf(norms)) & (peaks > 0)
+        matrix = matrix / np.where(off, peaks, 1.0)
+        norms[off] = np.linalg.norm(matrix[:, off], axis=0)
+        if not norms.all():
+            raise DegenerateDataError("zero-norm factor column")
     return matrix / norms
 
 
@@ -101,28 +116,84 @@ def _congruence_products(a: FactorSet, b: FactorSet) -> np.ndarray:
     return products
 
 
+def _max_assignment(scores: np.ndarray) -> list[int]:
+    """The column paired with each row of the square matrix `scores` by the
+    pairing with the largest total.
+
+    This is the shortest augmenting path method of Crouse, "On implementing
+    2D rectangular assignment algorithms" (IEEE TAES, 2016), ported step
+    for step from SciPy's `rectangular_lsap.cpp`, so that it returns the
+    permutation of SciPy's `linear_sum_assignment(scores, maximize=True)`,
+    ties included: it minimizes the negated matrix, scans the remaining
+    columns in SciPy's order (first reversed, the chosen one replaced by
+    the last), prefers an unassigned column at equal path cost, and sums
+    the reduced costs in SciPy's order on Python floats. A path cost that
+    stays infinite, which finite scores never give, is a `ContractError`.
+    """
+    cost = (-scores).tolist()
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur_row in range(n):
+        shortest = [math.inf] * n
+        rows_seen, cols_seen = [False] * n, [False] * n
+        remaining = list(range(n - 1, -1, -1))
+        min_val, i, sink = 0.0, cur_row, -1
+        while sink == -1:
+            rows_seen[i] = True
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ContractError("no finite pairing of factor components")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur_row] += min_val
+        for i in range(n):
+            if rows_seen[i] and i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(n):
+            if cols_seen[j]:
+                v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
+
+
 def fms(a: FactorSet, b: FactorSet) -> FactorComparison:
     """Factor match score with the optimal component permutation of b,
-    found by linear assignment (the Hungarian method) at every rank. Cosine
+    found by linear assignment (`_max_assignment`) at every rank. Cosine
     signs are kept, so a component flipped in an odd number of modes
     contributes negatively.
-
-    scipy is imported here, at the first call, and nowhere else in tenfit:
-    `scipy.optimize` costs about 48 MB and 0.4 s to load, which every
-    process that never compares factors would otherwise pay.
     """
-    from scipy.optimize import linear_sum_assignment
-
     if a.ndim != b.ndim or a.shape != b.shape:
         raise ContractError(f"factor shapes differ: {a.shape} vs {b.shape}")
     if a.rank != b.rank:
         raise ContractError(f"ranks differ: {a.rank} vs {b.rank}")
     products = _congruence_products(a, b)
-    _, perm = linear_sum_assignment(products, maximize=True)  # rows come back as 0..R-1
+    perm = _max_assignment(products)
     per_component = products[np.arange(a.rank), perm]
     return FactorComparison(
         fms=float(per_component.mean()),
-        permutation=tuple(int(p) for p in perm),
+        permutation=tuple(perm),
         per_component=tuple(float(c) for c in per_component),
     )
 

@@ -361,7 +361,7 @@ results back, exit and reaping (`bench/kernels.py`'s `parallel` table,
 `startup` entry: two one-epoch CoSTCo batches took 17.6 and 15.7 ms in
 two workers against 6.1 and 5.8 ms serially in `BENCH_17.json`'s two
 runs, 8.2 and 7.5 ms a worker in its parent runs, when tenfit loaded
-scipy at import). The constant keeps the 7.5 ms of `BENCH_11.json`. The multiple of 4 comes
+SciPy at import). The constant keeps the 7.5 ms of `BENCH_11.json`. The multiple of 4 comes
 from the same table's `break_even` entries, two CoSTCo batches at 10 to
 80 epochs trained serially and in workers: in `BENCH_11.json` the workers
 lost at 8.6 ms of estimated work (27.9 against 20.5 ms) and won from

@@ -7,14 +7,12 @@ share a layer, so neither imports the other). A function-level import of a
 package module would hide a cycle; the one allowed is `neural.costco_fit`'s
 import of `optim`, a thin wrapper kept because perfbench's tracer names it.
 
-No module imports scipy at module level: `scipy.optimize` alone costs about
-48 MB and 0.4 s to load, and only a factor comparison needs it. The one
-scipy import is `metrics.fms`'s call-time import of `scipy.optimize`.
+No module imports scipy: the factor match score's assignment solver is
+ported into `metrics`, and scipy is a test-only reference for it.
 
 These rules are checked on the source text, so nothing is imported. One
-test runs a fresh interpreter to see that `import tenfit` and the CLI's
-ingest, fit and predict leave `scipy.optimize` unloaded, and that a factor
-comparison loads it.
+test runs a fresh interpreter through the CLI's ingest, fit, predict, fms
+and an experiment that scores factors, and sees that no scipy module loads.
 """
 
 import ast
@@ -31,7 +29,6 @@ LAYERS = [
 ]
 LEVEL = {module: level for level, modules in enumerate(LAYERS) for module in modules}
 CALL_TIME_ALLOWED = {("neural", "costco_fit", "optim")}
-SCIPY_ALLOWED = {("metrics", "fms", "scipy.optimize")}
 
 
 def imports(tree: ast.Module):
@@ -102,7 +99,7 @@ def test_only_costco_fit_imports_at_call_time():
     assert call_time == CALL_TIME_ALLOWED
 
 
-def test_only_fms_imports_scipy():
+def test_no_module_imports_scipy():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for node, function in imports(ast.parse(path.read_text(encoding="utf-8"))):
@@ -112,18 +109,23 @@ def test_only_fms_imports_scipy():
                 names = [a.name for a in node.names]
             found.update((path.stem, function, name) for name in names
                          if name.split(".")[0] == "scipy")
-    assert found == SCIPY_ALLOWED
+    assert found == set()
 
 
 CHILD = """
 import json, sys
 from pathlib import Path
-import numpy as np
-import tenfit
-from tenfit import cli, metrics
-from tenfit.cpd import FactorSet
+from tenfit import cli
 
 work = Path(sys.argv[1])
+experiment = {
+    "dataset": str(work / "ds"), "iterations": 1, "seed": 0,
+    "models": [{"kind": "cpd", "rank": 2, "epochs": 5}],
+    "plans": [{"kind": "uniform", "fraction": 0.8},
+              {"kind": "biased", "n_in": 3, "n_out": 5,
+               "region": {"axis_a": "g", "axis_b": "x", "a_range": [0, 1], "b_range": [0, 1]}}],
+}
+(work / "experiment.json").write_text(json.dumps(experiment))
 for argv in (
     ["ingest", "--data", str(work / "data.csv"), "--outcome", "y", "--categorical", "g",
      "--out", str(work / "ds")],
@@ -131,22 +133,22 @@ for argv in (
      "--out", str(work / "model.json")],
     ["predict", "--model", str(work / "model.json"), "--indices", str(work / "cells.csv"),
      "--out", str(work / "preds.csv")],
+    ["fms", "--a", str(work / "model.json"), "--b", str(work / "model.json"),
+     "--out", str(work / "fms.json")],
+    ["experiment", "--config", str(work / "experiment.json"), "--out", str(work / "exp")],
 ):
     assert cli.main(argv) == 0, argv
-loaded = ["scipy.optimize" in sys.modules]
-factors = FactorSet([np.eye(3)[:, :2], np.eye(2)])
-metrics.fms(factors, factors)
-loaded.append("scipy.optimize" in sys.modules)
-print(json.dumps(loaded))
+assert (work / "exp" / "fms_uniform_vs_biased.json").is_file()
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_scipy_loads_only_for_a_factor_comparison(tmp_path):
-    rows = [f"g{g},{x},{g + 2 * x + 1}" for g in range(3) for x in range(2)]
+def test_cli_commands_leave_scipy_unloaded(tmp_path):
+    rows = [f"g{g},{x},{g + 2 * x + 1}" for g in range(4) for x in range(3)]
     (tmp_path / "data.csv").write_text("g,x,y\n" + "\n".join(rows) + "\n")
     (tmp_path / "cells.csv").write_text("g,x\n0,1\n2,0\n")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [False, True]
+    assert json.loads(done.stdout.splitlines()[-1]) == []

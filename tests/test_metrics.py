@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tenfit.core import Axis, DesignSpace
 from tenfit.cpd import FactorSet, init_factors
 from tenfit.errors import ContractError, DegenerateDataError
 from tenfit.metrics import (
+    _max_assignment,
     component_expression_export,
     fms,
     normalized_components,
@@ -177,6 +179,41 @@ class TestFms:
         assert result.fms == pytest.approx(1.0, abs=1e-12)
         assert result.permutation == tuple(sigma.index(r) for r in range(8))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_scale_invariance_where_column_norms_overflow_or_underflow(self, scale):
+        # the plain norm of these columns is inf (1e160) or 0 (1e-170)
+        rng = np.random.default_rng(14)
+        a, _ = random_factor_pair(rng)
+        b = FactorSet([f * scale for f in a.factors])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fms(a, b)
+        assert result.fms == pytest.approx(1.0, abs=1e-12)
+        assert result.permutation == (0, 1, 2)
+
+    def test_assignment_matches_scipy_on_a_seeded_corpus(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(15)
+        for k in range(6000):
+            rank = int(rng.integers(1, 13))
+            if k % 3 == 0:  # integer entries: full of ties
+                scores = rng.integers(-2, 3, size=(rank, rank)).astype(float)
+            elif k % 3 == 1:  # one decimal: some ties
+                scores = rng.uniform(-1, 1, size=(rank, rank)).round(1)
+            else:
+                scores = rng.normal(size=(rank, rank))
+            _, expected = optimize.linear_sum_assignment(scores, maximize=True)
+            assert _max_assignment(scores) == expected.tolist(), scores
+
+    def test_assignment_breaks_ties_as_scipy_does(self):
+        # (1, 2, 0), (2, 0, 1) and (2, 1, 0) all total 2; scipy 1.17 picks (2, 0, 1)
+        scores = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        assert _max_assignment(scores) == [2, 0, 1]
+
+    def test_assignment_without_a_finite_pairing_rejected(self):
+        with pytest.raises(ContractError):
+            _max_assignment(np.array([[0.0, -np.inf], [0.0, -np.inf]]))
+
     def test_zero_norm_column_rejected(self):
         a = FactorSet([np.ones((3, 2)), np.ones((2, 2))])
         b = copy_factors(a)
@@ -215,6 +252,20 @@ class TestNormalizedComponents:
         scaled = copy_factors(factors)
         scaled.factors[0][:, 2] *= 7.0
         assert np.allclose(normalized_components(scaled, 0), base, atol=1e-12)
+
+    # 7e307 puts the column's true norm, 2.1e308, beyond the largest float
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 7e307])
+    def test_columns_whose_norm_overflows_or_underflows(self, scale):
+        rng = np.random.default_rng(16)
+        matrix = rng.normal(size=(4, 3))
+        matrix[:, 0] = [1.0, -2.0, 2.0, 0.5]
+        scaled = matrix.copy()
+        scaled[:, 0] *= scale
+        result = normalized_components(FactorSet([scaled, np.ones((2, 3))]), 0)
+        expected = np.abs(matrix / np.linalg.norm(matrix, axis=0))
+        assert np.allclose(result[:, 0], expected[:, 0], rtol=1e-14, atol=0)
+        # the other columns keep the plain norm's bits
+        assert np.array_equal(result[:, 1:], expected[:, 1:])
 
     def test_columns_unit_norm(self):
         rng = np.random.default_rng(12)
