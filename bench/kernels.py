@@ -45,13 +45,16 @@ Run it from the repository root; it imports tenfit from ./src. Six tables:
   pairing by `metrics._max_assignment`, a pure-Python port of SciPy's
   assignment solver, whose cost grows as R^3.
 - `io`: `modelio.read_index_csv` with and without its value column,
-  `modelio.write_index_csv` and `modelio.load_dataset` on the full grid of
-  the lattice (270 rows) and of the large shape (4,800 rows: serve_cli's
-  grid predict), and the ingest path's `core.build_design_space` and
+  `modelio.write_index_csv`, `modelio.load_dataset` and the `predict` of a
+  cpd and a costco model (seeded initial arrays at R=3 and the default
+  CoSTCo head sizes, as serve_cli fits) on the full grid of the lattice
+  (270 rows) and of the large shape (4,800 rows: serve_cli's grid
+  predict), and the ingest path's `core.build_design_space` and
   `core.encode_observations` on one record per cell of those grids (axis 0
   categorical, the others ordinal, as the benchmark workloads ingest), in
-  us per row and ms per call: the median over rounds, each round repeating
-  the call for at least 0.1 s. Files go to a temporary directory.
+  us per row, ms per call and minor page faults per call
+  (`resource.getrusage`): the median over rounds, each round repeating the
+  call for at least 0.1 s. Files go to a temporary directory.
 - `coldstart`: three commands, each in a fresh `sys.executable` process
   with ./src on PYTHONPATH: `import tenfit.cli`, `tenfit predict` of the
   200 cells a small saved CPD model was fit on (`cli.main` from `-c`), and
@@ -331,17 +334,19 @@ def bench_parallel(rounds, rng):
 
 
 def us_per_call(call, rounds, round_s):
-    """The median over `rounds` rounds of us per call, each round repeating
-    `call` for at least `round_s` seconds, after one warm-up call."""
+    """The medians over `rounds` rounds of us and of minor page faults per
+    call, each round repeating `call` for at least `round_s` seconds, after
+    one warm-up call."""
     call()
-    us = []
+    us, faults = [], []
     for _ in range(rounds):
-        calls, start = 0, time.perf_counter()
+        calls, faults_start, start = 0, minor_faults(), time.perf_counter()
         while not calls or time.perf_counter() - start < round_s:
             call()
             calls += 1
         us.append((time.perf_counter() - start) / calls * 1e6)
-    return statistics.median(us)
+        faults.append((minor_faults() - faults_start) / calls)
+    return statistics.median(us), statistics.median(faults)
 
 
 def bench_fms(rounds, rng):
@@ -350,7 +355,7 @@ def bench_fms(rounds, rng):
     table = []
     for rank in FMS_RANKS:
         a, b = (FactorSet([rng.normal(size=(s, rank)) for s in LATTICE]) for _ in range(2))
-        us = us_per_call(lambda: fms(a, b), rounds, FMS_ROUND_S)
+        us, _ = us_per_call(lambda: fms(a, b), rounds, FMS_ROUND_S)
         table.append({"rank": rank, "shape": list(LATTICE), "us_per_call": round(us, 2)})
     return table
 
@@ -366,13 +371,18 @@ def grid_records(obs):
 
 
 def bench_io(rounds, rng, work_dir):
-    """us per row of the index-CSV reader, writer and dataset loader, and
-    of the two ingest calls, on the full grid of each IO_SHAPES shape, with
+    """us per row and minor page faults per call of the index-CSV reader,
+    writer and dataset loader, of the two ingest calls and of a cpd and a
+    costco model's predict, on the full grid of each IO_SHAPES shape, with
     files under `work_dir`."""
     table = []
     for shape in IO_SHAPES:
         obs = observations(shape, int(np.prod(shape)), rng)
         space, n = obs.space, obs.n
+        cfg = optim.TrainConfig(rank=RANK)  # serve_cli's rank and CoSTCo head sizes
+        models = {kind: trainable(kind, shape, cfg) for kind in ("cpd", "costco")}
+        models = {kind: engine.model(engine.init(0), space, None)
+                  for kind, engine in models.items()}
         path = Path(work_dir) / "grid.csv"
         write_index_csv(path, space, obs.indices, obs.values, "prediction")
         write_dataset(obs, Path(work_dir) / "dataset")
@@ -386,11 +396,14 @@ def bench_io(rounds, rng, work_dir):
             "load_dataset": lambda: load_dataset(Path(work_dir) / "dataset"),
             "build_design_space": lambda: build_design_space(records, names, "y", kinds),
             "encode_observations": lambda: encode_observations(records, ingested),
+            "predict_cpd": lambda: models["cpd"].predict(obs.indices),
+            "predict_costco": lambda: models["costco"].predict(obs.indices),
         }
         for name, call in calls.items():
-            us = us_per_call(call, rounds, IO_ROUND_S)
+            us, faults = us_per_call(call, rounds, IO_ROUND_S)
             table.append({"call": name, "shape": list(shape), "rows": n,
-                          "us_per_row": round(us / n, 3), "ms_per_call": round(us / 1e3, 3)})
+                          "us_per_row": round(us / n, 3), "ms_per_call": round(us / 1e3, 3),
+                          "minor_faults_per_call": round(faults, 1)})
     return table
 
 

@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .core import CATEGORICAL, ORDINAL, build_design_space, encode_observations
 from .cpd import CPDModel
 from .errors import ContractError, SchemaError, TenfitError
@@ -112,6 +114,29 @@ def cmd_predict(args) -> dict:
     return {"predictions": str(args.out), "n": int(indices.shape[0])}
 
 
+def _check_same_axes(test, model) -> None:
+    """A ContractError naming the first axis (name, kind or values) where
+    a test space of the model's shape differs from the model's: its
+    indices would score the wrong cells."""
+    for m, (a, b) in enumerate(zip(test.axes, model.axes)):
+        if a != b:
+            raise ContractError(f"test-space axis {m} ({b.name!r}) is not the model's: {a} != {b}")
+
+
+def _in_model_units(obs, normalizer):
+    """The outcomes of a test set in a model's normalized units. A test set
+    ingested on its own is min-max normalized over its own range; its
+    values go back to original units and through the model's normalizer.
+    They are returned untouched when the two normalizers are equal (the
+    round trip would change bits) or the model has none. A test set of one
+    distinct outcome has all its original values at its y_min."""
+    own = obs.normalizer
+    if normalizer is None or normalizer == own:
+        return obs.values
+    original = own.denormalize(obs.values) if own.span > 0 else np.full(obs.n, own.y_min)
+    return normalizer.normalize(original)
+
+
 def cmd_evaluate(args) -> dict:
     model = load_model(args.model)
     space, obs = load_dataset(args.test)
@@ -119,8 +144,9 @@ def cmd_evaluate(args) -> dict:
         raise ContractError(
             f"test-space shape {space.shape()} != model shape {model.shape}"
         )
+    _check_same_axes(space, model.space)
     preds = model.predict(obs.indices)
-    report = regression_metrics(obs.values, preds).to_json()
+    report = regression_metrics(_in_model_units(obs, model.normalizer), preds).to_json()
     write_atomic(args.out, json.dumps(report, indent=2))
     return report
 

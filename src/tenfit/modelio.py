@@ -94,11 +94,27 @@ def write_index_csv(path, space: DesignSpace, indices, values, value: str = "val
     """0-based index columns (named after the axes) plus one float column
     `value`: the header as csv.writer quotes it, then one CRLF-ended line
     per row of integers and shortest-round-trip float reprs, joined column
-    by column rather than written row by row."""
+    by column rather than written row by row.
+
+    An index cell is looked up in its axis's table of `str(i)` for
+    i in 0..size-1, so it costs no int-to-text conversion of its own; the
+    indices are first checked against `space.shape()`, and one outside its
+    axis is a ContractError (a negative one would pick a wrong label)."""
+    shape = space.shape()
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1, space.ndim)
+    bad = np.argwhere((indices < 0) | (indices >= np.asarray(shape)))
+    if len(bad):
+        r, m = bad[0]
+        raise ContractError(
+            f"row {r} of the indices: {space.axes[m].name!r} index {indices[r, m]} "
+            f"not in 0..{shape[m] - 1}"
+        )
     buffer = io.StringIO()
     csv.writer(buffer).writerow([a.name for a in space.axes] + [value])
-    columns = np.asarray(indices, dtype=np.int64).reshape(-1, space.ndim).T.tolist()
-    cells = [map(str, column) for column in columns]
+    cells = [
+        map([str(i) for i in range(size)].__getitem__, column)
+        for size, column in zip(shape, indices.T.tolist())
+    ]
     cells.append(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
     body = "\r\n".join(map(",".join, zip(*cells)))
     buffer.write(f"{body}\r\n" if body else "")
@@ -146,6 +162,17 @@ def _scan_rows(path, header: list, rows: list, parsers: dict, names: list, value
     return SchemaError(f"{path}: malformed index CSV")
 
 
+def _index_column(cells, size: int) -> np.ndarray:
+    """The int64 array of one index column: each cell looked up in the
+    table of its axis's canonical spellings, or, when a cell is not there,
+    the whole column read by int()."""
+    table = {str(i): i for i in range(size)}
+    try:
+        return np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
+    except KeyError:
+        return np.fromiter(map(int, cells), np.int64, len(cells))
+
+
 def read_index_csv(path, space: DesignSpace, value: str | None = None):
     """The rows of a CSV with one 0-based index column per axis of `space`
     and, when `value` names it, a float column: (indices, values), an (n, M)
@@ -156,9 +183,12 @@ def read_index_csv(path, space: DesignSpace, value: str | None = None):
     column or a bad cell is a SchemaError naming the file, and for a cell
     its 1-based data row and its column.
 
-    Each column is converted at once; only a file that fails that (a short
-    row, a cell int() or float() rejects, an index beyond int64) is scanned
-    again row by row for its first bad cell."""
+    Each column is converted at once. An index column is looked up in its
+    axis's `{str(i): i}` table; a column holding any other spelling (" 3",
+    "+3", "03", or an index outside its axis) is converted again by int(),
+    so every cell keeps the value int() gives it. Only a file that fails
+    that (a short row, a cell int() or float() rejects, an index beyond
+    int64) is scanned again row by row for its first bad cell."""
     names = [a.name for a in space.axes]
     parsers = {**dict.fromkeys(names, int), **({value: float} if value else {})}
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
@@ -173,7 +203,8 @@ def read_index_csv(path, space: DesignSpace, value: str | None = None):
     shape, n = space.shape(), len(rows)
     try:
         indices = np.stack(
-            [np.fromiter(map(int, columns[position[name]]), np.int64, n) for name in names], axis=1
+            [_index_column(columns[position[name]], size) for name, size in zip(names, shape)],
+            axis=1,
         )
         values = np.fromiter(map(float, columns[position[value]]), float, n) if value else None
     except (IndexError, TypeError, ValueError, OverflowError):

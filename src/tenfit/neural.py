@@ -91,18 +91,17 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1)
 
 
-def _forward_keys(embeddings: np.ndarray, head: list, keys: np.ndarray):
-    """Forward pass of B fits at once over their embeddings (every
-    embedding matrix's (B, I_m, R) stack, concatenated flat), their stacked
-    head arrays (each with a leading B axis) and their gather keys
-    (B, n, R, S, M) into the flat embeddings. Both convolutions are linear
-    maps, over S*M and over R*C, so each is one stacked matmul. The cache
-    holds x as (B, n, S, R, M) and z1, a1 as (B, n, C, R), as transposed
-    views of the layouts the matmuls use."""
+def _forward(x: np.ndarray, head: list):
+    """Forward pass of B fits at once from their gathered inputs x, a
+    C-contiguous (B, n, R, S, M) array (fit b's embedding rows of each
+    cell, component by group by mode), and their stacked head arrays (each
+    with a leading B axis). Both convolutions are linear maps, over S*M and
+    over R*C, so each is one stacked matmul. The cache holds x as
+    (B, n, S, R, M) and z1, a1 as (B, n, C, R), as transposed views of the
+    layouts the matmuls use."""
     mode_k, mode_b, rank_k, rank_b, dense_w, dense_b, out_w, out_b = head
-    n_fits, n, rank = keys.shape[:3]
+    n_fits, n, rank = x.shape[:3]
     channels = mode_k.shape[1]
-    x = embeddings.take(keys)  # (B, n, R, S, M)
     z1 = x.reshape(n_fits, n * rank, -1) @ _t(mode_k.reshape(n_fits, channels, -1))
     z1 += mode_b[:, None]  # (B, n*R, C)
     a1 = np.maximum(z1, 0.0)
@@ -153,15 +152,20 @@ def _backward_keys(head: list, keys: np.ndarray, cache, dpreds, n_embedding: int
 
 def predict_batch(params: dict, shape, indices) -> np.ndarray:
     """Predictions at the cells of an (n, M) index array for one model's
-    arrays, given by name in costco_layout order, over a space of `shape`."""
+    arrays, given by name in costco_layout order, over a space of `shape`.
+    Each embedding matrix's rows are gathered straight into the forward
+    pass's (1, n, R, S, M) input, with no gather keys or flat copy of the
+    embeddings: x holds the values training's gather gives it."""
     indices = check_indices(indices, shape)
     if indices.size == 0:
         return np.zeros(0)
     arrays = list(params.values())
     n_emb = len(arrays) - 8
-    embeddings = np.concatenate(arrays[:n_emb], axis=None)
-    keys = _embedding_keys(indices, shape, n_emb // len(shape), params["rank_kernels"].shape[2])
-    preds, _ = _forward_keys(embeddings, [a[None] for a in arrays[n_emb:]], keys[None])
+    n_groups, n_modes = n_emb // len(shape), len(shape)
+    x = np.empty((1, len(indices), params["rank_kernels"].shape[2], n_groups, n_modes))
+    for k, embedding in enumerate(arrays[:n_emb]):  # group-major, as the layout
+        x[0, :, :, k // n_modes, k % n_modes] = embedding[indices[:, k % n_modes]]
+    preds, _ = _forward(x, [a[None] for a in arrays[n_emb:]])
     return preds[0]
 
 
@@ -194,7 +198,7 @@ def _masked_objective(obs_sets, n_groups: int, rank: int):
     def objective(params, grad=True):
         embeddings = np.concatenate(params[:n_emb], axis=None)
         head = params[n_emb:]
-        preds, cache = _forward_keys(embeddings, head, keys)
+        preds, cache = _forward(embeddings.take(keys), head)  # x: (B, n, R, S, M)
         residuals = preds - values
         losses = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0] / n
         if not grad:
@@ -250,6 +254,11 @@ class NeuralModel:
         return {"config": {name: getattr(self.cfg, name) for name in names}}
 
     def predict(self, indices) -> np.ndarray:
+        """Predictions at the cells of an (n, M) index array, in one forward
+        pass. A cell's prediction can differ in its last bits with the
+        other cells of the call: BLAS blocks the head's stacked matmuls by
+        their row count, which changes the order of the sums. The same
+        query always gives the same bits; CPD's do not depend on it."""
         return predict_batch(self.params, self.shape, indices)
 
 

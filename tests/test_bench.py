@@ -74,8 +74,9 @@ def test_parallel_table_runs(kernels, monkeypatch):
 
 
 def test_io_table_runs(kernels, monkeypatch, tmp_path):
-    """Every entry of the `io` table on tiny grids; the ingest entries draw
-    no random numbers, so the tables after `io` keep their streams."""
+    """Every entry of the `io` table on tiny grids; the ingest and predict
+    entries draw no random numbers, so the tables after `io` keep their
+    streams."""
     monkeypatch.setattr(kernels, "IO_SHAPES", ((2, 3), (3,)))
     monkeypatch.setattr(kernels, "IO_ROUND_S", 0.0)
     rng, twin = np.random.default_rng(3), np.random.default_rng(3)
@@ -84,11 +85,12 @@ def test_io_table_runs(kernels, monkeypatch, tmp_path):
         kernels.observations(shape, int(np.prod(shape)), twin)
     assert rng.bit_generator.state == twin.bit_generator.state
     calls = ["read_index_csv", "read_index_csv_value", "write_index_csv", "load_dataset",
-             "build_design_space", "encode_observations"]
+             "build_design_space", "encode_observations", "predict_cpd", "predict_costco"]
     assert [(entry["call"], entry["rows"]) for entry in table] == [
         (call, rows) for rows in (6, 3) for call in calls
     ]
-    assert all(entry["us_per_row"] > 0 for entry in table)
+    assert all(entry["us_per_row"] > 0 and entry["minor_faults_per_call"] >= 0
+               for entry in table)
 
 
 def test_coldstart_table_runs(kernels, monkeypatch, tmp_path):

@@ -283,6 +283,93 @@ class TestFitPredictEvaluate:
         assert payload["config"] == {"n_init_groups": 2, "conv_channels": 4, "hidden_units": 8}
 
 
+def ingest_rows(tmp_path, name, rows):
+    """Ingest (geometry, thickness, ux, stiffness) rows on their own, as a
+    test CSV is; returns the dataset directory."""
+    csv_path = tmp_path / f"{name}.csv"
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["geometry", "thickness", "ux", "stiffness"])
+        writer.writerows(rows)
+    out = tmp_path / name
+    assert main(["ingest", "--data", str(csv_path), "--outcome", "stiffness",
+                 "--categorical", "geometry", "--out", str(out)]) == 0
+    return out
+
+
+DEMO_ROWS = [(f"g{g}", t, x) for g in range(3) for t in (0.4, 0.8) for x in (1, 2, 3)]
+
+
+class TestEvaluateSeparateTestSet:
+    """`evaluate` on a test CSV ingested on its own, as README's
+    walkthrough does it."""
+
+    def fitted(self, tmp_path):
+        # every 4th cell is held out; both sides cover every axis value
+        train = [(*cell, 0.1 + 0.37 * k % 7.0) for k, cell in enumerate(DEMO_ROWS) if k % 4]
+        model_path = TestFitPredictEvaluate().fit_model(
+            ingest_rows(tmp_path, "train", train), tmp_path
+        )
+        return model_path, tmp_path / "train"
+
+    def test_scored_in_the_model_units(self, tmp_path):
+        from tenfit.metrics import regression_metrics
+        from tenfit.modelio import load_dataset, load_model
+
+        model_path, _ = self.fitted(tmp_path)
+        test = [(*cell, 9.0 - k) for k, cell in enumerate(DEMO_ROWS) if k % 4 == 0]
+        test_dir = ingest_rows(tmp_path, "test", test)
+        out = tmp_path / "metrics.json"
+        assert main(["evaluate", "--model", str(model_path), "--test", str(test_dir),
+                     "--out", str(out)]) == 0
+        model = load_model(model_path)
+        _, obs = load_dataset(test_dir)
+        assert obs.normalizer != model.normalizer
+        original = [row[3] for row in test]  # written in cell order, the order ingest sorts to
+        want = regression_metrics(model.normalizer.normalize(original), model.predict(obs.indices))
+        got = json.loads(out.read_text())
+        assert got["n"] == len(test)
+        for key in ("mae", "rmse", "r2"):
+            assert got[key] == pytest.approx(getattr(want, key), rel=1e-12, abs=1e-15)
+
+    def test_one_distinct_outcome_reaches_scoring(self, tmp_path, capsys):
+        # its values all map back to its y_min; R^2 then has no variance to
+        # divide by, as on any test set of identical targets
+        model_path, _ = self.fitted(tmp_path)
+        test = [(*cell, 1.5) for k, cell in enumerate(DEMO_ROWS) if k % 4 == 0]
+        test_dir = ingest_rows(tmp_path, "test", test)
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(model_path), "--test", str(test_dir),
+                     "--out", str(tmp_path / "metrics.json")])
+        assert one_json_error(code, capsys.readouterr().err) == {
+            "error": "DegenerateDataError", "message": "R^2 is undefined when all targets are identical"
+        }
+
+    def test_a_test_set_in_the_model_units_keeps_its_bits(self, tmp_path):
+        from tenfit.metrics import regression_metrics
+        from tenfit.modelio import load_dataset, load_model
+
+        model_path, train_dir = self.fitted(tmp_path)
+        out = tmp_path / "metrics.json"
+        assert main(["evaluate", "--model", str(model_path), "--test", str(train_dir),
+                     "--out", str(out)]) == 0
+        _, obs = load_dataset(train_dir)
+        want = regression_metrics(obs.values, load_model(model_path).predict(obs.indices))
+        assert out.read_text() == json.dumps(want.to_json(), indent=2)
+
+    def test_other_axis_values_rejected(self, tmp_path, capsys):
+        model_path, _ = self.fitted(tmp_path)
+        test = [(g, t + 0.1, x, 1.0 + x) for g, t, x in DEMO_ROWS]  # same counts, other values
+        test_dir = ingest_rows(tmp_path, "test", test)
+        out = tmp_path / "metrics.json"
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(model_path), "--test", str(test_dir),
+                     "--out", str(out)])
+        message = one_json_error(code, capsys.readouterr().err)["message"]
+        assert message.startswith("test-space axis 1 ('thickness') is not the model's: ")
+        assert not out.exists()
+
+
 class TestFactorsAndFms:
     def test_factor_export(self, dataset_dir, tmp_path):
         model_path = tmp_path / "m.json"

@@ -118,6 +118,9 @@ INDEX_CSV_CORPUS = {
     "repeated_name_last_wins": ("p0,p1,p1,value\n0,abc,2,0.5\n1,-7,3,0.5\n", "value"),
     "repeated_name_last_is_bad": ("p0,p1,value,p1\n0,1,0.5,x\n", "value"),
     "int_syntax": ("p0,p1,value\n 1 ,+2,0.5\n-0,1_0,0.25\n", "value"),
+    "other_spellings": ("p0,p1,value\n 2, 3,0.5\n+2,+3,0.5\n02,03,0.5\n", "value"),
+    "mixed_spellings": ("p0,p1,value\n0,0,0.5\n1, 3,0.5\n2,11,0.5\n0,03,0.5\n", "value"),
+    "mixed_column_then_bad_cell": ("p0,p1,value\n0,+3,0.5\n1,3x,0.25\n", "value"),
     "nan_and_inf": ("p0,p1,value\n0,0,nan\n1,1,-inf\n2,2,Infinity\n0,3, 1.5 \n", "value"),
     "float_index": ("p0,p1,value\n0,1,0.5\n1,1.0,0.5\n", "value"),
     "word_index": ("p0,p1,value\n0,one,0.5\n", "value"),
@@ -176,17 +179,18 @@ class TestIndexCsvCodec:
 NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
 FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308, float("nan"), float("inf")]),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308, 1e16, float("nan"), float("inf")]),
 )
 
 
 @st.composite
 def index_tables(draw):
     """(space, indices, values, value name): random axis names, including
-    ones csv quotes, a random shape and 0 to 12 rows."""
+    ones csv quotes, a random shape of up to 1,200 values per axis (so
+    index labels run to four digits) and 0 to 12 rows."""
     names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
     value = draw(NAMES.filter(lambda name: name not in names))
-    shape = [draw(st.integers(1, 6)) for _ in names]
+    shape = [draw(st.integers(1, 1200)) for _ in names]
     space = DesignSpace(
         axes=tuple(Axis(n, "ordinal", tuple(map(float, range(s)))) for n, s in zip(names, shape)),
         outcome_name="y",
@@ -210,6 +214,16 @@ def test_writer_matches_the_reference_and_reads_back(tmp_path_factory, table):
     got_indices, got_values = read_index_csv(tmp / "new.csv", space, value)
     assert got_indices.dtype == np.int64 and np.array_equal(got_indices, indices)
     assert list(map(repr, got_values.tolist())) == list(map(repr, values.tolist()))
+
+
+@pytest.mark.parametrize("cell, axis", [((0, -1), "p1"), ((2, 0), "p0"), ((1, 3), "p1")])
+def test_writer_rejects_an_index_outside_its_axis(tmp_path, cell, axis):
+    path = tmp_path / "out.csv"
+    path.write_text("old")
+    indices = np.array([[0, 0], cell])
+    with pytest.raises(ContractError, match=f"row 1 of the indices: '{axis}' index"):
+        write_index_csv(path, DesignSpace.from_shape((2, 3)), indices, [0.5, 0.25])
+    assert path.read_text() == "old"
 
 
 class TestDatasetDir:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import full_grid_indices, obs_from_values
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import costco_forward, neural_grad, predict_entry
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
@@ -9,7 +11,7 @@ from tenfit.errors import ContractError, DegenerateDataError
 from tenfit.neural import (
     NeuralModel,
     _embedding_keys,
-    _forward_keys,
+    _forward,
     costco_fit,
     costco_init,
     costco_layout,
@@ -50,13 +52,14 @@ def summing_model(shape, rank, embeddings) -> NeuralModel:
 
 
 def forward(model, indices):
-    """The package's forward pass for one model: predictions plus the cache
-    backward needs, without the batch axis."""
+    """The package's forward pass for one model, on training's gather (the
+    embeddings concatenated flat and taken at their keys): predictions plus
+    the cache backward needs, without the batch axis."""
     arrays = list(model.params.values())
     n_emb = len(arrays) - 8
     keys = _embedding_keys(indices, model.shape, model.cfg.n_init_groups, model.rank)
     embeddings = np.concatenate(arrays[:n_emb], axis=None)
-    preds, cache = _forward_keys(embeddings[None], [a[None] for a in arrays[n_emb:]], keys[None])
+    preds, cache = _forward(embeddings.take(keys)[None], [a[None] for a in arrays[n_emb:]])
     return preds[0], tuple(c[0] for c in cache)
 
 
@@ -139,6 +142,20 @@ class TestForward:
             assert z2.shape == (n, channels)
             assert z3.shape == (n, hidden)
             assert preds.shape == (n,)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_predict_equals_the_keys_gather_bit_for_bit(self, data):
+        # predict gathers each matrix's rows into x itself; training takes
+        # the flat embeddings at their keys; the forward pass is shared
+        shape = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)))
+        rank, groups, channels, hidden = (data.draw(st.integers(1, k)) for k in (6, 4, 6, 9))
+        model = init_model(shape, rank, groups, channels, hidden, data.draw(st.integers(0, 99)))
+        n = data.draw(st.integers(1, 60))
+        rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+        indices = np.column_stack([rng.integers(0, s, size=n) for s in shape])
+        got = model.predict(indices)
+        assert got.tobytes() == forward(model, indices)[0].tobytes()
 
     def test_incompatible_bank_and_head(self):
         # arrays that disagree with the layout in names, shapes or finiteness
