@@ -2,7 +2,6 @@
 
 from .core import (
     Axis,
-    DenseTensor,
     DesignSpace,
     Normalizer,
     ObservationSet,
@@ -15,10 +14,8 @@ from .cpd import (
     FactorSet,
     SmoothnessConfig,
     init_factors,
-    reconstruct_full,
 )
 from .errors import (
-    CapacityError,
     ContractError,
     DegenerateDataError,
     DivergenceError,
@@ -54,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Axis",
-    "DenseTensor",
     "DesignSpace",
     "Normalizer",
     "ObservationSet",
@@ -65,8 +61,6 @@ __all__ = [
     "FactorSet",
     "SmoothnessConfig",
     "init_factors",
-    "reconstruct_full",
-    "CapacityError",
     "ContractError",
     "DegenerateDataError",
     "DivergenceError",

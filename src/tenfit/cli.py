@@ -29,8 +29,9 @@ from .optim import MODEL_KINDS, fit
 
 
 def _read_csv_records(path) -> tuple[list[dict], list[str]]:
-    """Header -> cell records of a CSV's non-blank rows, and the header."""
-    with Path(path).open("r", newline="", encoding="utf-8") as fh:
+    """Header -> cell records of a CSV's non-blank rows, and the header; a
+    UTF-8 byte order mark, as spreadsheets write, is not part of the header."""
+    with Path(path).open("r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if not header:

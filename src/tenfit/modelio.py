@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -121,99 +122,74 @@ def write_index_csv(path, space: DesignSpace, indices, values, value: str = "val
     write_atomic(path, buffer.getvalue())
 
 
-def _cell_error(path, row: int, record: dict, parsers: dict) -> SchemaError:
-    """The SchemaError for the first cell of a CSV record that its parser
-    (column -> int or float) rejects, naming the file, the 1-based data row
-    and the column."""
-    for column, parse in parsers.items():
-        try:
-            parse(record[column])
-        except (TypeError, ValueError):
-            return SchemaError(
-                f"{path}: row {row}, column {column!r}: "
-                f"cannot read {record[column]!r} as {parse.__name__}"
-            )
-    return SchemaError(f"{path}: row {row} is malformed")
-
-
-def _bounds_error(path, row: int, column: str, index: int, size: int) -> SchemaError:
-    """The SchemaError for an index outside its axis of `size` values."""
-    return SchemaError(f"{path}: row {row}, column {column!r}: index {index} not in 0..{size - 1}")
-
-
-def _scan_rows(path, header: list, rows: list, parsers: dict, names: list, value, shape):
-    """The error of the first bad row of a file that failed column-wise
-    reading, found row by row as csv.DictReader records (a short row's
-    missing cells are None): a cell its parser rejects, else the first
-    index outside its axis."""
-    parsed = []
-    for row, cells in enumerate(rows, start=1):
-        record = {**dict(zip(header, cells)), **dict.fromkeys(header[len(cells):])}
-        try:
-            parsed.append([int(record[n]) for n in names])
-            if value:
-                float(record[value])
-        except (TypeError, ValueError):
-            return _cell_error(path, row, record, parsers)
-    for row, cells in enumerate(parsed, start=1):
-        for name, index, size in zip(names, cells, shape):
-            if not 0 <= index < size:
-                return _bounds_error(path, row, name, index, size)
-    return SchemaError(f"{path}: malformed index CSV")
-
-
-def _index_column(cells, size: int) -> np.ndarray:
-    """The int64 array of one index column: each cell looked up in the
-    table of its axis's canonical spellings, or, when a cell is not there,
-    the whole column read by int()."""
+def _read_column(cells, size=None) -> np.ndarray:
+    """One column read at once: floats when `size` is None, else the int64
+    indices of an axis of `size` values, looked up in its `{str(i): i}`
+    table or, when a cell is not there (" 3", "+3", "03", an index outside
+    the axis), all read by int(), with an index outside the axis a
+    ValueError."""
+    if size is None:
+        return np.fromiter(map(float, cells), float, len(cells))
     table = {str(i): i for i in range(size)}
     try:
         return np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
     except KeyError:
-        return np.fromiter(map(int, cells), np.int64, len(cells))
+        column = np.fromiter(map(int, cells), np.int64, len(cells))
+    if ((column < 0) | (column >= size)).any():
+        raise ValueError("an index outside its axis")
+    return column
+
+
+def _first_fault(cells, size=None):
+    """The first bad cell of a column `_read_column` rejects, as (index
+    fault?, 1-based row, what is wrong): a cell that int() (float() when
+    `size` is None) rejects, else an index outside its axis."""
+    parse, parsed = float if size is None else int, []
+    for row, cell in enumerate(cells, start=1):
+        try:
+            parsed.append(parse(cell))
+        except (TypeError, ValueError):
+            return False, row, f"cannot read {cell!r} as {parse.__name__}"
+    row = next(row for row, index in enumerate(parsed, start=1) if not 0 <= index < size)
+    return True, row, f"index {parsed[row - 1]} not in 0..{size - 1}"
 
 
 def read_index_csv(path, space: DesignSpace, value: str | None = None):
     """The rows of a CSV with one 0-based index column per axis of `space`
     and, when `value` names it, a float column: (indices, values), an (n, M)
     int64 array with every index checked against its axis size and an (n,)
-    float array (None without a value column). Blank lines are skipped,
-    other columns are ignored, a repeated column name takes its last
-    column, and cells are read by Python's int() and float(). A missing
+    float array (None without a value column). A UTF-8 byte order mark is
+    dropped, blank lines are skipped, other columns are ignored, a repeated
+    name takes its last column, a short row's missing cells are None, and
+    cells are read by Python's int() and float(), a column at a time; only
+    a column `_read_column` rejects is searched cell by cell. A missing
     column or a bad cell is a SchemaError naming the file, and for a cell
-    its 1-based data row and its column.
-
-    Each column is converted at once. An index column is looked up in its
-    axis's `{str(i): i}` table; a column holding any other spelling (" 3",
-    "+3", "03", or an index outside its axis) is converted again by int(),
-    so every cell keeps the value int() gives it. Only a file that fails
-    that (a short row, a cell int() or float() rejects, an index beyond
-    int64) is scanned again row by row for its first bad cell."""
-    names = [a.name for a in space.axes]
-    parsers = {**dict.fromkeys(names, int), **({value: float} if value else {})}
-    with Path(path).open("r", newline="", encoding="utf-8") as fh:
+    its 1-based data row and its column: the least (row, column) of the
+    cells int() or float() rejects, the value column last, else of the
+    indices outside their axis."""
+    names = [a.name for a in space.axes] + ([value] if value else [])
+    with Path(path).open("r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        missing = [n for n in parsers if n not in header]
+        missing = [n for n in names if n not in header]
         if missing:
             raise SchemaError(f"{path}: CSV is missing columns {missing}")
         rows = [cells for cells in reader if cells]
+    columns = list(itertools.zip_longest(*rows))
+    columns += [(None,) * len(rows)] * (len(header) - len(columns))
     position = {column: p for p, column in enumerate(header)}  # a repeated name: its last
-    columns = list(zip(*rows)) or [()] * len(header)  # as many as the shortest row has
-    shape, n = space.shape(), len(rows)
-    try:
-        indices = np.stack(
-            [_index_column(columns[position[name]], size) for name, size in zip(names, shape)],
-            axis=1,
-        )
-        values = np.fromiter(map(float, columns[position[value]]), float, n) if value else None
-    except (IndexError, TypeError, ValueError, OverflowError):
-        raise _scan_rows(path, header, rows, parsers, names, value, shape) from None
-    bad = np.argwhere((indices < 0) | (indices >= np.asarray(shape)))
-    if len(bad):
-        r, m = bad[0]
-        raise _bounds_error(path, r + 1, names[m], indices[r, m], shape[m])
-    return indices, values
+    arrays, faults = [], []  # faults: (index fault?, row, column order, column, what)
+    for m, (name, size) in enumerate(zip(names, (*space.shape(), None))):
+        cells = columns[position[name]]
+        try:
+            arrays.append(_read_column(cells, size))
+        except (TypeError, ValueError, OverflowError):
+            bounds, row, what = _first_fault(cells, size)
+            faults.append((bounds, row, m, name, what))
+    if faults:
+        _, row, _, name, what = min(faults)
+        raise SchemaError(f"{path}: row {row}, column {name!r}: {what}")
+    return np.stack(arrays[: space.ndim], axis=1), arrays[-1] if value else None
 
 
 def write_dataset(obs: ObservationSet, out_dir) -> dict:
@@ -230,8 +206,21 @@ def write_dataset(obs: ObservationSet, out_dir) -> dict:
     }
 
 
+def _observation_fault(path, indices, values) -> SchemaError | None:
+    """The SchemaError for the first row of an observations file that an
+    ObservationSet rejects: a non-finite value or an earlier row's cell."""
+    first_row = {}
+    for row, (cells, y) in enumerate(zip(map(tuple, indices.tolist()), values.tolist()), 1):
+        if not math.isfinite(y):
+            return SchemaError(f"{path}: row {row}, column 'value': {y!r} is not a finite number")
+        if cells in first_row:
+            return SchemaError(f"{path}: row {row} repeats the cell of row {first_row[cells]}")
+        first_row[cells] = row
+
+
 def load_dataset(path):
-    """Read (space, observations) from an ingest directory."""
+    """Read (space, observations) from an ingest directory; a non-finite
+    value or a repeated cell in obs.csv is a SchemaError naming its row."""
     root = Path(path)
     if not root.is_dir():
         raise SchemaError(f"dataset path {root} is not an ingest directory")
@@ -239,8 +228,13 @@ def load_dataset(path):
     space = schema_from_json(json.loads(path.read_text(encoding="utf-8")), path)
     path = root / NORMALIZER_FILENAME
     normalizer = _normalizer_from_json(json.loads(path.read_text(encoding="utf-8")), path)
-    indices, values = read_index_csv(root / OBSERVATIONS_FILENAME, space, "value")
-    return space, ObservationSet(space=space, indices=indices, values=values, normalizer=normalizer)
+    path = root / OBSERVATIONS_FILENAME
+    indices, values = read_index_csv(path, space, "value")
+    try:
+        obs = ObservationSet(space=space, indices=indices, values=values, normalizer=normalizer)
+    except ContractError as exc:
+        raise _observation_fault(path, indices, values) or exc from None
+    return space, obs
 
 
 def _array_from_json(payload: dict, shape, path, what: str) -> np.ndarray:

@@ -150,25 +150,6 @@ def _backward_keys(head: list, keys: np.ndarray, cache, dpreds, n_embedding: int
     return g_emb, g_head
 
 
-def predict_batch(params: dict, shape, indices) -> np.ndarray:
-    """Predictions at the cells of an (n, M) index array for one model's
-    arrays, given by name in costco_layout order, over a space of `shape`.
-    Each embedding matrix's rows are gathered straight into the forward
-    pass's (1, n, R, S, M) input, with no gather keys or flat copy of the
-    embeddings: x holds the values training's gather gives it."""
-    indices = check_indices(indices, shape)
-    if indices.size == 0:
-        return np.zeros(0)
-    arrays = list(params.values())
-    n_emb = len(arrays) - 8
-    n_groups, n_modes = n_emb // len(shape), len(shape)
-    x = np.empty((1, len(indices), params["rank_kernels"].shape[2], n_groups, n_modes))
-    for k, embedding in enumerate(arrays[:n_emb]):  # group-major, as the layout
-        x[0, :, :, k // n_modes, k % n_modes] = embedding[indices[:, k % n_modes]]
-    preds, _ = _forward(x, [a[None] for a in arrays[n_emb:]])
-    return preds[0]
-
-
 def _masked_objective(obs_sets, n_groups: int, rank: int):
     """Masked-MSE objective over B observation sets of one size, for
     parameter lists stacked in costco_layout order.
@@ -258,8 +239,20 @@ class NeuralModel:
         pass. A cell's prediction can differ in its last bits with the
         other cells of the call: BLAS blocks the head's stacked matmuls by
         their row count, which changes the order of the sums. The same
-        query always gives the same bits; CPD's do not depend on it."""
-        return predict_batch(self.params, self.shape, indices)
+        query always gives the same bits; CPD's do not depend on it. The
+        embedding rows are gathered straight into the (1, n, R, S, M) input
+        x, with the values training's gather keys give it."""
+        indices = check_indices(indices, self.shape)
+        if indices.size == 0:
+            return np.zeros(0)
+        arrays = list(self.params.values())
+        n_groups, n_modes = self.cfg.n_init_groups, len(self.shape)
+        n_emb = n_groups * n_modes
+        x = np.empty((1, len(indices), self.rank, n_groups, n_modes))
+        for k, embedding in enumerate(arrays[:n_emb]):  # group-major, as the layout
+            x[0, :, :, k // n_modes, k % n_modes] = embedding[indices[:, k % n_modes]]
+        preds, _ = _forward(x, [a[None] for a in arrays[n_emb:]])
+        return preds[0]
 
 
 COSTCO_MAX_BATCH_ROWS = 500

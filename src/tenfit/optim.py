@@ -8,10 +8,10 @@ batch of one. The members live in one flat buffer laid out parameter-major:
 the k-th parameter array of every member forms one contiguous (B, *shape_k)
 block (for CPD, each mode's (B*I_m, R) block), so one objective call and one
 Adam step per epoch serve the whole batch, and a member gets the same bits
-as when trained alone. The step updates the flat buffer in place, with
+as when trained alone. `adam_step` updates the flat buffer in place, with
 moment, gradient and scratch buffers allocated once per batch; it makes the
-same IEEE operations in the same order as `adam_step`, which stays the
-reference it matches bit for bit.
+same IEEE operations in the same order as the list-based reference in
+`tests/oracles.py`, which it matches bit for bit.
 
 Restarts are seeded as seed + restart_index. Under early stopping each
 member keeps its own patience counter and best-validation checkpoint: the
@@ -31,7 +31,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -46,49 +46,6 @@ from .errors import (
     WorkerError,
 )
 from .neural import costco_trainable
-
-ParamList = list  # list[np.ndarray]
-
-
-@dataclass
-class AdamState:
-    """First/second moment accumulators, step counter, and hyperparameters."""
-
-    m: ParamList
-    v: ParamList
-    t: int
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def fresh(cls, params: ParamList, lr: float) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            t=0,
-            lr=lr,
-        )
-
-
-def adam_step(params: ParamList, grads: ParamList, state: AdamState):
-    """One bias-corrected Adam update; returns (new params, new state)."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ContractError("params, grads, and state must have matching arity")
-    for p, g, m in zip(params, grads, state.m):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ContractError(f"shape mismatch: {p.shape} vs {g.shape}")
-    t = state.t + 1
-    new_m = [state.beta1 * m + (1 - state.beta1) * g for m, g in zip(state.m, grads)]
-    new_v = [state.beta2 * v + (1 - state.beta2) * g * g for v, g in zip(state.v, grads)]
-    bc1 = 1 - state.beta1**t
-    bc2 = 1 - state.beta2**t
-    new_params = [
-        p - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        for p, m, v in zip(params, new_m, new_v)
-    ]
-    return new_params, replace(state, m=new_m, v=new_v, t=t)
 
 
 @dataclass(frozen=True)
@@ -207,22 +164,23 @@ def _owners(shapes, n_fits: int) -> np.ndarray:
     return np.concatenate([np.repeat(slots, math.prod(shape)) for shape in shapes])
 
 
-def _adam_update(p, g, m, v, scratch, t: int, lr: float) -> None:
-    """Step t of `adam_step` on one flat buffer, in place: p, m and v are
-    updated, and g and scratch are used as work space. Each element goes
-    through the same IEEE operations in the same order, so the bits equal
-    adam_step's."""
-    beta1, beta2, eps = AdamState.beta1, AdamState.beta2, AdamState.eps
-    m *= beta1
-    m += np.multiply(g, 1 - beta1, out=scratch)
-    v *= beta2
-    np.multiply(g, 1 - beta2, out=scratch)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(p, g, m, v, scratch, t: int, lr: float) -> None:
+    """Step t of bias-corrected Adam on one flat buffer, in place: p, m and
+    v are updated, g and scratch are work space. Each element takes the IEEE
+    operations of the textbook update on separate arrays, in their order."""
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1 - ADAM_BETA1, out=scratch)
+    v *= ADAM_BETA2
+    np.multiply(g, 1 - ADAM_BETA2, out=scratch)
     v += np.multiply(scratch, g, out=scratch)
-    np.divide(m, 1 - beta1**t, out=g)
+    np.divide(m, 1 - ADAM_BETA1**t, out=g)
     g *= lr
-    np.divide(v, 1 - beta2**t, out=scratch)
+    np.divide(v, 1 - ADAM_BETA2**t, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += eps
+    scratch += ADAM_EPS
     g /= scratch
     p -= g
 
@@ -283,7 +241,7 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
         if leaving.any():
             leave(leaving, flat, epoch, f"loss at epoch {epoch}")
         np.concatenate(grads, axis=None, out=g)
-        _adam_update(flat, g, m, v, scratch, epoch + 1, cfg.lr)
+        adam_step(flat, g, m, v, scratch, epoch + 1, cfg.lr)
         if early:
             val = val_objective(params, grad=False)
             bad_val = ~np.isfinite(val) & ~leaving

@@ -24,6 +24,10 @@ dict of lists whose sorted keys give the cells. The package must give the
 same indices, value bits and normalizer, or raise the same error, on every
 record set with at most one fault.
 
+`AdamState` and `adam_step` are the list-based, bias-corrected Adam update
+the engine's in-place `optim.adam_step` on flat buffers must match bit for
+bit.
+
 `neural_grad` is not an oracle: it reads the package's own CoSTCo gradient
 for one model, which the finite-difference checks compare.
 """
@@ -32,6 +36,7 @@ import csv
 import io
 import itertools
 import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +44,7 @@ import numpy as np
 from tenfit.core import Normalizer, ObservationSet
 from tenfit.errors import ContractError, DegenerateDataError, SchemaError
 from tenfit.metrics import _congruence_products
-from tenfit.modelio import _cell_error, write_atomic
+from tenfit.modelio import write_atomic
 from tenfit.neural import _masked_objective
 
 
@@ -177,6 +182,38 @@ def exhaustive_fms(a, b):
     return float(products[rows, best_perm].mean()), best_perm
 
 
+@dataclass
+class AdamState:
+    """First/second moment accumulators, step counter, and hyperparameters."""
+
+    m: list
+    v: list
+    t: int
+    lr: float
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+    @classmethod
+    def fresh(cls, params, lr):
+        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params],
+                   t=0, lr=lr)
+
+
+def adam_step(params, grads, state):
+    """One bias-corrected Adam update; returns (new params, new state)."""
+    t = state.t + 1
+    new_m = [state.beta1 * m + (1 - state.beta1) * g for m, g in zip(state.m, grads)]
+    new_v = [state.beta2 * v + (1 - state.beta2) * g * g for v, g in zip(state.v, grads)]
+    bc1 = 1 - state.beta1**t
+    bc2 = 1 - state.beta2**t
+    new_params = [
+        p - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        for p, m, v in zip(params, new_m, new_v)
+    ]
+    return new_params, replace(state, m=new_m, v=new_v, t=t)
+
+
 def write_index_csv(path, space, indices, values, value="value"):
     """Index columns plus one float column, one writerow call per row."""
     buffer = io.StringIO()
@@ -187,11 +224,23 @@ def write_index_csv(path, space, indices, values, value="value"):
     write_atomic(path, buffer.getvalue())
 
 
+def _cell_error(path, row, record, parsers):
+    """The SchemaError for the first cell of a record its parser rejects."""
+    for column, parse in parsers.items():
+        try:
+            parse(record[column])
+        except (TypeError, ValueError):
+            return SchemaError(
+                f"{path}: row {row}, column {column!r}: "
+                f"cannot read {record[column]!r} as {parse.__name__}"
+            )
+
+
 def read_index_csv(path, space, value=None):
     """(indices, values) of an index CSV, one DictReader record per row."""
     names = [a.name for a in space.axes]
     parsers = {**dict.fromkeys(names, int), **({value: float} if value else {})}
-    with Path(path).open("r", newline="", encoding="utf-8") as fh:
+    with Path(path).open("r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         missing = [n for n in parsers if n not in (reader.fieldnames or [])]
         if missing:

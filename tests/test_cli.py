@@ -115,6 +115,17 @@ class TestIngest:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SchemaError"
 
+    def test_byte_order_mark_is_not_part_of_the_first_axis(self, tmp_path):
+        csv_path = tmp_path / "excel.csv"
+        write_demo_csv(csv_path)
+        csv_path.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+        out = tmp_path / "ds"
+        assert main(["ingest", "--data", str(csv_path), "--outcome", "stiffness",
+                     "--categorical", "geometry", "--out", str(out)]) == 0
+        schema = json.loads((out / "schema.json").read_text())
+        assert [(a["name"], a["kind"]) for a in schema["axes"]][0] == ("geometry", "categorical")
+        assert not (out / "obs.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+
     @pytest.mark.parametrize("row, value", [(0, "nan"), (1, "nan"), (0, "inf"), (2, "-inf")])
     def test_non_finite_outcome_names_record_and_column(self, tmp_path, capsys, row, value):
         outcomes = ["1.5", "2.5", "3.5"]

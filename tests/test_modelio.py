@@ -141,6 +141,11 @@ INDEX_CSV_CORPUS = {
     "indices_only_short_row": ("p0,p1,value\n0,1,0.5\n2\n", None),
     "indices_only_bad_value_ignored": ("p0,p1,value\n0,1,abc\n", None),
     "quoted_cells": ('"p0","p1","value"\n"0","1","0.5"\n', "value"),
+    "byte_order_mark": ("\ufeffp0,p1,value\r\n0,1,0.5\r\n", "value"),
+    "later_column_fails_earlier": ("p0,p1,value\n0,x,0.5\ny,1,0.5\n", "value"),
+    "value_column_fails_first": ("p0,p1,value\n0,1,x\n1,y,0.5\n", "value"),
+    "later_column_outside_earlier": ("p0,p1,value\n0,99,0.5\n9,0,0.5\n", "value"),
+    "short_row_before_bad_cell": ("p0,p1,value\n0,1,0.5\n1\nx,2,0.5\n", "value"),
 }
 
 
@@ -238,6 +243,26 @@ class TestDatasetDir:
     def test_non_directory_rejected(self, tmp_path):
         with pytest.raises(SchemaError):
             load_dataset(tmp_path / "missing")
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    def test_non_finite_value_names_file_row_and_column(self, tmp_path, cell):
+        write_dataset(obs_from_values((3, 2), np.linspace(0, 1, 6)), tmp_path / "ds")
+        path = tmp_path / "ds" / "obs.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + f",{cell}"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"obs.csv: row 2, column 'value': {cell} is not a finite number"
+        with pytest.raises(SchemaError, match=message):
+            load_dataset(tmp_path / "ds")
+
+    def test_repeated_cell_names_file_and_row(self, tmp_path):
+        write_dataset(obs_from_values((3, 2), np.linspace(0, 1, 6)), tmp_path / "ds")
+        path = tmp_path / "ds" / "obs.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="obs.csv: row 4 repeats the cell of row 1"):
+            load_dataset(tmp_path / "ds")
 
 
 class TestModelJson:

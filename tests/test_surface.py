@@ -6,6 +6,7 @@ metadata; only the (slow, separate) benchmark smoke test would otherwise
 notice a deletion or a rename that breaks it.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -14,7 +15,8 @@ from pathlib import Path
 import tenfit
 from tenfit import optim
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def traced_table() -> dict:
@@ -41,3 +43,33 @@ def test_fit_keeps_the_arguments_the_tracer_reads():
 def test_every_public_name_resolves():
     missing = [name for name in tenfit.__all__ if not hasattr(tenfit, name)]
     assert not missing
+
+
+def called_names() -> set:
+    """The name of every function or method that code in src/ calls."""
+    names = set()
+    for path in (ROOT / "src" / "tenfit").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                names.add(getattr(func, "attr", None) or getattr(func, "id", None))
+    return names
+
+
+def test_tracer_only_functions_are_the_known_ones():
+    """The traced functions no src/ code calls: they exist only so that the
+    tracer can time them by name. The set may only shrink."""
+    called = called_names()
+    tracer_only = {
+        f"{module_name}.{attr}"
+        for targets in traced_table().values()
+        for module_name, attr in targets
+        if attr.split(".")[-1] not in called
+    }
+    assert tracer_only == {
+        "cpd.masked_mse",
+        "cpd.grad_masked_loss",
+        "cpd.smoothness_penalty",
+        "neural.neural_loss",
+        "neural.costco_fit",
+    }
