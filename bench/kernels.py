@@ -381,7 +381,7 @@ def bench_io(rounds, rng, work_dir):
         space, n = obs.space, obs.n
         cfg = optim.TrainConfig(rank=RANK)  # serve_cli's rank and CoSTCo head sizes
         models = {kind: trainable(kind, shape, cfg) for kind in ("cpd", "costco")}
-        models = {kind: engine.model(engine.init(0), space, None)
+        models = {kind: engine.model(dict(zip(dict(engine.layout), engine.init(0))), space, None)
                   for kind, engine in models.items()}
         path = Path(work_dir) / "grid.csv"
         write_index_csv(path, space, obs.indices, obs.values, "prediction")

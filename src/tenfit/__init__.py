@@ -3,6 +3,7 @@
 from .core import (
     Axis,
     DesignSpace,
+    FittedModel,
     Normalizer,
     ObservationSet,
     build_design_space,
@@ -10,7 +11,6 @@ from .core import (
     uniform_split,
 )
 from .cpd import (
-    CPDModel,
     FactorSet,
     SmoothnessConfig,
     init_factors,
@@ -44,7 +44,6 @@ from .metrics import (
     regression_metrics,
 )
 from .modelio import load_dataset, load_model, save_model, write_dataset
-from .neural import NeuralModel
 from .optim import TrainConfig, TrainReport, fit
 
 __version__ = "0.1.0"
@@ -52,12 +51,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Axis",
     "DesignSpace",
+    "FittedModel",
     "Normalizer",
     "ObservationSet",
     "build_design_space",
     "encode_observations",
     "uniform_split",
-    "CPDModel",
     "FactorSet",
     "SmoothnessConfig",
     "init_factors",
@@ -87,7 +86,6 @@ __all__ = [
     "load_model",
     "save_model",
     "write_dataset",
-    "NeuralModel",
     "TrainConfig",
     "TrainReport",
     "fit",

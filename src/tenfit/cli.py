@@ -10,7 +10,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -23,20 +22,16 @@ from .cpd import CPDModel
 from .errors import ContractError, SchemaError, TenfitError
 from .harness import _TRAIN_KEYS, _train_config_from, run_experiment, run_sweep
 from .metrics import component_expression_export, fms, regression_metrics
-from .modelio import as_float, load_dataset, load_model, read_index_csv, save_model
-from .modelio import write_atomic, write_dataset, write_index_csv
+from .modelio import as_float, load_dataset, load_model, read_csv_rows, read_index_csv
+from .modelio import save_model, write_atomic, write_dataset, write_index_csv
 from .optim import MODEL_KINDS, fit
 
 
 def _read_csv_records(path) -> tuple[list[dict], list[str]]:
-    """Header -> cell records of a CSV's non-blank rows, and the header; a
-    UTF-8 byte order mark, as spreadsheets write, is not part of the header."""
-    with Path(path).open("r", newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if not header:
-            raise SchemaError(f"{path}: missing CSV header")
-        rows = [cells for cells in reader if cells]
+    """Header -> cell records of a CSV's non-blank rows, and the header."""
+    header, rows = read_csv_rows(path)
+    if not header:
+        raise SchemaError(f"{path}: missing CSV header")
     for row, cells in enumerate(rows, start=1):
         if len(cells) != len(header):
             raise SchemaError(f"{path}: row {row} has {len(cells)} cells, the header {len(header)}")

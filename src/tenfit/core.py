@@ -1,5 +1,5 @@
 """Design-space schema, sparse observations, the uniform split, the
-training engine's view of a model kind, and dense tensors.
+training engine's view of a model kind, fitted models, and dense tensors.
 
 A design space is an ordered list of axes (one per design parameter), each
 with an enumerated value list; its Cartesian product defines the tensor
@@ -254,7 +254,7 @@ class Trainable:
     parallel to params, or the losses alone when `grad` is false.
     `val_objective(data_sets)` builds the batched validation loss the same
     way. `model(params, space, normalizer)` builds the fitted model from one
-    fit's arrays in layout order. `max_rows` bounds the training rows of one
+    fit's arrays by layout name. `max_rows` bounds the training rows of one
     batch, and `same_size` says whether one batch needs data sets of one
     size. `row_epoch_us` is the kind's measured cost of one training row
     for one epoch, in us; the engine estimates a batch's work from it to
@@ -269,6 +269,44 @@ class Trainable:
     max_rows: int
     row_epoch_us: float
     same_size: bool = False
+
+
+@dataclass
+class FittedModel:
+    """A fitted model: its kind, its arrays by the names of the kind's
+    `layout(shape, cfg)`, its design space, its training outcomes'
+    normalizer (or None) and the TrainConfig that gives the layout and the
+    kind's `settings()`. Each kind is a subclass with `layout`, `settings()`
+    and `predict(indices)`. Construction is the one check of a model: the
+    layout's names, each array's shape, finite values and settings that fit
+    the space; a fault is a ContractError."""
+
+    kind: str
+    params: dict
+    space: DesignSpace
+    normalizer: Normalizer | None
+    cfg: object
+
+    def __post_init__(self):
+        layout = dict(self.layout(self.shape, self.cfg))
+        if set(self.params) != set(layout):
+            raise ContractError(f"params holds {sorted(self.params, key=str)}, not {list(layout)}")
+        self.params = {name: np.asarray(self.params[name], dtype=float) for name in layout}
+        for name, array in self.params.items():
+            if array.shape != layout[name]:
+                raise ContractError(f"{name} has shape {list(array.shape)} and {array.size} "
+                                    f"values, expected shape {layout[name]}")
+            if not np.isfinite(array).all():
+                raise ContractError(f"{name} holds a non-finite value")
+        self.settings()
+
+    @property
+    def rank(self) -> int:
+        return self.cfg.rank
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.space.shape()
 
 
 @dataclass(frozen=True)

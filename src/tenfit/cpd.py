@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import DenseTensor, DesignSpace, Normalizer, ObservationSet, Trainable, check_indices
+from .core import DenseTensor, FittedModel, ObservationSet, Trainable, check_indices
 from .errors import CapacityError, ContractError, DegenerateDataError
 
 DENSE_CELL_CAP = 10_000_000  # cells reconstruct_full materializes at most
@@ -237,42 +237,41 @@ def grad_masked_loss(
     return [g[0] for g in grads]
 
 
-@dataclass
-class CPDModel:
-    """A fitted factor model plus the context needed to use it standalone."""
-
-    kind: str  # "cpd" | "cpd_s"
-    factors: FactorSet
-    space: DesignSpace
-    normalizer: Normalizer | None = None
-    smoothness: SmoothnessConfig = field(default_factory=SmoothnessConfig)
-
-    @property
-    def rank(self) -> int:
-        return self.factors.rank
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.factors.shape
-
-    @property
-    def params(self) -> dict:
-        """The factors by their layout names (the layout reads only the rank)."""
-        names = [name for name, _ in cpd_layout(self.shape, self)]
-        return dict(zip(names, self.factors.factors))
-
-    def settings(self) -> dict:
-        """The model file's block of CPD-S settings."""
-        return {"smoothness": asdict(self.smoothness)}
-
-    def predict(self, indices) -> np.ndarray:
-        return predict_indices(self.factors, indices)
-
-
 def cpd_layout(shape, cfg) -> list:
     """CPD's named parameter shapes: one (I_m, R) factor matrix per mode,
     named factors/m."""
     return [(f"factors/{m}", (int(size), cfg.rank)) for m, size in enumerate(shape)]
+
+
+def smoothing(kind: str, shape, cfg) -> SmoothnessConfig:
+    """The smoothness penalty of a CPD (kind "cpd", none) or CPD-S ("cpd_s")
+    model of `shape`: cfg's weight on cfg.smooth_modes, or on every mode when
+    it names none. A mode outside the shape is a ContractError."""
+    if kind != "cpd_s":
+        return SmoothnessConfig()
+    modes = cfg.smooth_modes if cfg.smooth_modes is not None else range(len(shape))
+    smoothness = SmoothnessConfig(weight=cfg.smooth_weight, modes=tuple(modes))
+    smoothness.validate_for(len(shape))
+    return smoothness
+
+
+class CPDModel(FittedModel):
+    """A fitted CPD or CPD-S model: a factor matrix factors/m per mode, and
+    CPD-S's smoothing taken from cfg."""
+
+    layout = staticmethod(cpd_layout)
+
+    @property
+    def factors(self) -> FactorSet:
+        """The factor matrices in mode order."""
+        return FactorSet(list(self.params.values()))
+
+    def settings(self) -> dict:
+        """The model file's block of CPD-S settings."""
+        return {"smoothness": asdict(smoothing(self.kind, self.shape, self.cfg))}
+
+    def predict(self, indices) -> np.ndarray:
+        return predict_indices(self.factors, indices)
 
 
 CPD_MAX_BATCH_ROWS = 4_000
@@ -314,21 +313,14 @@ B=9-20, `BENCH_11.json`)."""
 
 def cpd_trainable(shape, cfg, kind: str):
     """The optim engine's view of CPD (kind "cpd") or CPD-S ("cpd_s"):
-    seeded factors trained on the masked MSE plus CPD-S's penalty (on every
-    mode unless `cfg.smooth_modes` names some), with early stopping on the
-    plain masked MSE."""
-    smoothness = SmoothnessConfig()
-    if kind == "cpd_s":
-        modes = cfg.smooth_modes if cfg.smooth_modes is not None else range(len(shape))
-        smoothness = SmoothnessConfig(weight=cfg.smooth_weight, modes=tuple(modes))
+    seeded factors trained on the masked MSE plus CPD-S's `smoothing`, with
+    early stopping on the plain masked MSE."""
     return Trainable(
         layout=cpd_layout(shape, cfg),
         init=lambda seed: init_factors(shape, cfg.rank, seed).factors,
-        objective=lambda sets: masked_objective(sets, cfg.rank, smoothness),
+        objective=lambda sets: masked_objective(sets, cfg.rank, smoothing(kind, shape, cfg)),
         val_objective=lambda sets: masked_objective(sets, cfg.rank),
-        model=lambda params, space, normalizer: CPDModel(
-            kind, FactorSet(params), space, normalizer, smoothness
-        ),
+        model=lambda params, space, norm: CPDModel(kind, params, space, norm, cfg),
         max_rows=CPD_MAX_BATCH_ROWS,
         row_epoch_us=CPD_S_ROW_EPOCH_US if kind == "cpd_s" else CPD_ROW_EPOCH_US,
     )

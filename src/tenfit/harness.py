@@ -444,13 +444,11 @@ def _train_config_from(entry: dict, space: DesignSpace) -> TrainConfig:
     try:
         return TrainConfig(rank=rank, smooth_modes=smooth_modes, **given)
     except ContractError as exc:
-        # a check on one field ends "<check>: <field> is <value>"; name its key
+        # every check ends "<check>: <field> is <value>"; name its key
         check, _, named = str(exc).rpartition(": ")
         field, _, value = named.partition(" is ")
         keys = {f: key for key, (f, _) in _TRAIN_KEYS.items()}
-        if field not in keys:
-            raise
-        raise ContractError(f"{check}: {keys[field]!r} is {value}") from None
+        raise ContractError(f"{check}: {keys.get(field, field)!r} is {value}") from None
 
 
 def _model_kind(value) -> str:
@@ -609,6 +607,10 @@ def run_experiment(config: dict, out_dir) -> dict:
     for what, names in (("plan", [p.name for p in plans]), ("model", [s.name for s in specs])):
         if len(set(names)) != len(names):
             raise ContractError(f"{what} names {names} are not unique")
+    stems = {}  # (plan, model) pairs by the stem of their file names, as _write_cells names them
+    for pair, stem in (((p.name, s.name), f"{p.name}__{s.name}") for p in plans for s in specs):
+        if stems.setdefault(stem, pair) != pair:
+            raise ContractError(f"(plan, model) pairs {stems[stem]} and {pair} both name {stem!r}")
 
     scored: dict[tuple[SamplingPlan, ModelSpec], dict[int, ScoredCell]] = {}
     failures = []

@@ -122,6 +122,14 @@ def write_index_csv(path, space: DesignSpace, indices, values, value: str = "val
     write_atomic(path, buffer.getvalue())
 
 
+def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
+    """A CSV file's header ([] for an empty file) and its non-blank rows; a
+    UTF-8 byte order mark, as spreadsheets write, is not part of the header."""
+    with Path(path).open("r", newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        return next(reader, []), [cells for cells in reader if cells]
+
+
 def _read_column(cells, size=None) -> np.ndarray:
     """One column read at once: floats when `size` is None, else the int64
     indices of an axis of `size` values, looked up in its `{str(i): i}`
@@ -155,26 +163,23 @@ def _first_fault(cells, size=None):
 
 
 def read_index_csv(path, space: DesignSpace, value: str | None = None):
-    """The rows of a CSV with one 0-based index column per axis of `space`
-    and, when `value` names it, a float column: (indices, values), an (n, M)
-    int64 array with every index checked against its axis size and an (n,)
-    float array (None without a value column). A UTF-8 byte order mark is
-    dropped, blank lines are skipped, other columns are ignored, a repeated
-    name takes its last column, a short row's missing cells are None, and
-    cells are read by Python's int() and float(), a column at a time; only
-    a column `_read_column` rejects is searched cell by cell. A missing
+    """The rows, as `read_csv_rows` reads them, of a CSV with one 0-based
+    index column per axis of `space` and, when `value` names it, a float
+    column: (indices, values), an (n, M) int64 array with every index
+    checked against its axis size and an (n,) float array (None without a
+    value column). Other columns are ignored, a repeated name takes its last
+    column, a short row's missing cells are None, and cells are read by
+    Python's int() and float(), a column at a time; only a column
+    `_read_column` rejects is searched cell by cell. A missing
     column or a bad cell is a SchemaError naming the file, and for a cell
     its 1-based data row and its column: the least (row, column) of the
     cells int() or float() rejects, the value column last, else of the
     indices outside their axis."""
     names = [a.name for a in space.axes] + ([value] if value else [])
-    with Path(path).open("r", newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [n for n in names if n not in header]
-        if missing:
-            raise SchemaError(f"{path}: CSV is missing columns {missing}")
-        rows = [cells for cells in reader if cells]
+    header, rows = read_csv_rows(path)
+    missing = [n for n in names if n not in header]
+    if missing:
+        raise SchemaError(f"{path}: CSV is missing columns {missing}")
     columns = list(itertools.zip_longest(*rows))
     columns += [(None,) * len(rows)] * (len(header) - len(columns))
     position = {column: p for p, column in enumerate(header)}  # a repeated name: its last
@@ -237,21 +242,15 @@ def load_dataset(path):
     return space, obs
 
 
-def _array_from_json(payload: dict, shape, path, what: str) -> np.ndarray:
-    """A stored array, checked against the shape the model needs."""
+def _array_from_json(payload, path, name: str) -> np.ndarray:
+    """A stored array, read in its stored shape."""
     try:
-        stored = [int(s) for s in payload["shape"]]
-        data = np.asarray(payload["data"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: {what} is not a stored array ({exc})") from None
-    shape = tuple(shape)
-    if stored != list(shape) or data.shape != (math.prod(shape),):
-        raise SchemaError(
-            f"{path}: {what} has shape {stored} and {data.size} values, expected shape {shape}"
-        )
-    if not np.all(np.isfinite(data)):
-        raise SchemaError(f"{path}: {what} holds a non-finite value")
-    return data.reshape(shape)
+        shape, data = [as_int(s) for s in payload["shape"]], payload["data"]
+        if len(data) != math.prod(shape) or min(shape, default=0) < 0:
+            raise ValueError(f"shape {shape} and {len(data)} values")
+        return np.array(data, dtype=float).reshape(shape)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: {name} is not a stored array ({exc})") from None
 
 
 def _nest(arrays: dict) -> dict:
@@ -286,12 +285,6 @@ def _flatten(node, name: str = "") -> dict:
     return {k: v for key, child in children for k, v in _flatten(child, f"{name}{key}/").items()}
 
 
-def _label(name: str) -> str:
-    """How errors name a layout array: "factor 0" for factors/0."""
-    group, _, rest = name.partition("/")
-    return f"{group[:-1]} {rest}" if rest else name
-
-
 def save_model(model, path) -> None:
     """Write a fitted model (linear or neural) as a single JSON file: its
     kind's settings, and its arrays nested by layout name under "params"."""
@@ -309,10 +302,11 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    """Read a model file written by save_model. The file is checked before
-    use: its format version, and its arrays against its kind's layout for
-    its shape, rank and settings (the same names, each shape, finite
-    values); a file that fails raises a SchemaError naming it."""
+    """Read a model file written by save_model. Its format version is
+    checked and each array read in its stored shape; the model's
+    constructor then checks the arrays against its kind's layout for the
+    file's shape, rank and settings (the same names, each shape, finite
+    values). A file that fails raises a SchemaError naming it."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: a model file holds one JSON object, not {payload!r}")
@@ -343,9 +337,8 @@ def load_model(path):
             f"{path}: rank {cfg.rank} and shape {payload.get('shape')} do not fit the schema "
             f"shape {list(shape)}"
         )
-    trainable = MODEL_KINDS[kind](shape, cfg)
-    layout = dict(trainable.layout)
-    if set(stored) != set(layout):
-        raise SchemaError(f"{path}: params holds {sorted(stored, key=str)}, not {list(layout)}")
-    params = [_array_from_json(stored[n], size, path, _label(n)) for n, size in layout.items()]
-    return trainable.model(params, space, normalizer)
+    params = {name: _array_from_json(array, path, name) for name, array in stored.items()}
+    try:
+        return MODEL_KINDS[kind](shape, cfg).model(params, space, normalizer)
+    except ContractError as exc:
+        raise SchemaError(f"{path}: {exc}") from None

@@ -12,12 +12,11 @@ explicitly so training stays deterministic and the gradients are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .core import DesignSpace, Normalizer, ObservationSet, Trainable, check_indices
+from .core import FittedModel, ObservationSet, Trainable, check_indices
 from .errors import ContractError, DegenerateDataError
 
 
@@ -199,35 +198,11 @@ def neural_loss(model: "NeuralModel", obs: ObservationSet) -> float:
     return float(np.mean((preds - obs.values) ** 2))
 
 
-@dataclass
-class NeuralModel:
-    """A trained neural completion model plus its usage context: its arrays
-    by costco_layout name, and the TrainConfig whose rank and head sizes
-    give that layout."""
+class NeuralModel(FittedModel):
+    """A trained CoSTCo model: its arrays by costco_layout name, whose rank
+    and head sizes come from cfg."""
 
-    params: dict
-    space: DesignSpace
-    normalizer: Normalizer | None
-    cfg: object
-    kind: str = "costco"
-
-    def __post_init__(self):
-        layout = costco_layout(self.space.shape(), self.cfg)
-        if set(self.params) != {name for name, _ in layout}:
-            raise ContractError(f"CoSTCo arrays {sorted(self.params)} are not its layout's")
-        self.params = {name: np.asarray(self.params[name], dtype=float) for name, _ in layout}
-        for name, shape in layout:
-            array = self.params[name]
-            if array.shape != shape or not np.all(np.isfinite(array)):
-                raise ContractError(f"{name} is not a finite {shape} array: {array.shape}")
-
-    @property
-    def rank(self) -> int:
-        return self.cfg.rank
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.space.shape()
+    layout = staticmethod(costco_layout)
 
     def settings(self) -> dict:
         """The model file's block of head sizes."""
@@ -280,17 +255,13 @@ def costco_trainable(shape, cfg):
     TrainConfig: seeded embeddings and head trained jointly on the masked
     MSE, with batches of one training-set size and at most
     COSTCO_MAX_BATCH_ROWS rows."""
-    layout = costco_layout(shape, cfg)
-    names = [name for name, _ in layout]
     objective = partial(_masked_objective, n_groups=cfg.n_init_groups, rank=cfg.rank)
     return Trainable(
-        layout=layout,
+        layout=costco_layout(shape, cfg),
         init=partial(costco_init, shape, cfg),
         objective=objective,
         val_objective=objective,
-        model=lambda params, space, normalizer: NeuralModel(
-            dict(zip(names, params)), space, normalizer, cfg
-        ),
+        model=lambda params, space, norm: NeuralModel("costco", params, space, norm, cfg),
         same_size=True,
         max_rows=COSTCO_MAX_BATCH_ROWS,
         row_epoch_us=COSTCO_ROW_EPOCH_US,

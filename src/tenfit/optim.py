@@ -54,9 +54,9 @@ class TrainConfig:
     only and the three head sizes to CoSTCo only. `smooth_modes=None`
     smooths every mode; configs and `tenfit fit` pass the ordinal axes'
     modes when they name none. Early stopping takes `patience` and a
-    positive `val_fraction` together; either alone is a ContractError. A
-    message that names the value at fault ends `<field> is <value>`, which
-    harness turns into the config key."""
+    positive `val_fraction` together; either alone is a ContractError. Each
+    check's message ends `<field> is <value>`, naming the value at fault,
+    which harness turns into the config key."""
 
     rank: int
     epochs: int = 3000
@@ -72,28 +72,26 @@ class TrainConfig:
     hidden_units: int = 16
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ContractError("rank must be >= 1")
-        if self.epochs < 1:
-            raise ContractError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise ContractError(f"learning rate must be positive: lr is {self.lr!r}")
-        if self.restarts < 1:
-            raise ContractError("restarts must be >= 1")
-        if not 0 <= self.val_fraction < 1:
-            raise ContractError("validation fraction must be in [0, 1)")
-        if self.patience is not None and (self.patience < 1 or self.val_fraction == 0):
-            raise ContractError("patience requires a positive validation fraction")
-        if self.patience is None and self.val_fraction > 0:
-            raise ContractError("a validation fraction requires patience")
-        if self.smooth_weight < 0:
-            raise ContractError(
-                f"smoothness weight must be non-negative: smooth_weight is {self.smooth_weight!r}"
-            )
-        if self.seed < 0:
-            raise ContractError("seed must be >= 0")
-        if min(self.n_init_groups, self.conv_channels, self.hidden_units) < 1:
-            raise ContractError("CoSTCo head sizes must be >= 1")
+        early, weight = self.patience is not None, self.smooth_weight
+        for check, name, ok in (
+            ("rank must be >= 1", "rank", self.rank >= 1),
+            ("epochs must be >= 1", "epochs", self.epochs >= 1),
+            ("learning rate must be finite", "lr", math.isfinite(self.lr)),
+            ("learning rate must be positive", "lr", self.lr > 0),
+            ("restarts must be >= 1", "restarts", self.restarts >= 1),
+            ("validation fraction must be in [0, 1)", "val_fraction", 0 <= self.val_fraction < 1),
+            ("patience must be >= 1", "patience", not early or self.patience >= 1),
+            ("patience requires a positive validation fraction", "val_fraction",
+             not early or self.val_fraction > 0),
+            ("a validation fraction requires patience", "patience", early or not self.val_fraction),
+            ("smoothness weight must be finite", "smooth_weight", math.isfinite(weight)),
+            ("smoothness weight must be non-negative", "smooth_weight", weight >= 0),
+            ("seed must be >= 0", "seed", self.seed >= 0),
+            *(("CoSTCo head sizes must be >= 1", name, getattr(self, name) >= 1)
+              for name in ("n_init_groups", "conv_channels", "hidden_units")),
+        ):
+            if not ok:
+                raise ContractError(f"{check}: {name} is {getattr(self, name)!r}")
 
 
 @dataclass
@@ -510,7 +508,8 @@ def fit_batch(shape, models, train_sets, seeds) -> list:
             seconds=seconds,
             restart_final_losses=finals,
         )
-        outcomes[j][i] = (trainables[j].model(winner.params, obs.space, obs.normalizer), report)
+        params = {name: array for (name, _), array in zip(trainables[j].layout, winner.params)}
+        outcomes[j][i] = (trainables[j].model(params, obs.space, obs.normalizer), report)
     return outcomes
 
 

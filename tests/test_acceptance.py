@@ -9,6 +9,7 @@ when the CSV is absent.
 import math
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +135,7 @@ def _neural_instance(rng, margin=1e-3):
         _, cache = costco_forward(params, picked)
         _, z1, _, z2, _, z3, _ = cache
         if min(np.abs(z1).min(), np.abs(z2).min(), np.abs(z3).min()) > margin:
-            return NeuralModel(params, obs.space, None, cfg), obs
+            return NeuralModel("costco", params, obs.space, None, cfg), obs
 
 
 def test_criterion_3_gradient_correctness():
@@ -155,8 +156,7 @@ def test_criterion_3_gradient_correctness():
         names, params = list(model.params), list(model.params.values())
 
         def loss(arrays):
-            rebuilt = NeuralModel(dict(zip(names, arrays)), obs.space, None, model.cfg)
-            return neural_loss(rebuilt, obs)
+            return neural_loss(replace(model, params=dict(zip(names, arrays))), obs)
 
         analytic = neural_grad(model, obs)
         for k, p in enumerate(params):

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from conftest import full_grid_indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenfit import cli
+from tenfit import cli, harness
 from tenfit.cli import main
 
 
@@ -747,8 +748,8 @@ class TestValidationNeedsPatience:
         config = experiment_config(dataset_dir, epochs=5)
         config["models"][0]["val_fraction"] = 0.2
         payload = one_json_error(*run_config("experiment", config, tmp_path))
-        assert payload == {"error": "ContractError",
-                           "message": "a validation fraction requires patience"}
+        message = "a validation fraction requires patience: 'patience' is None"
+        assert payload == {"error": "ContractError", "message": message}
         assert not (tmp_path / "out").exists()
 
     def test_fit_flag(self, dataset_dir, tmp_path, capsys):
@@ -774,11 +775,50 @@ class TestErrorPathsNameTheirCause:
          ("lambda_smooth", -0.5, "smoothness weight must be non-negative: 'lambda_smooth' is -0.5")],
     )
     def test_train_config_checks(self, dataset_dir, tmp_path, key, value, message):
+        if not message.endswith(f" is {value!r}"):  # the check alone; the message names the key
+            message = f"{message}: {key!r} is {value!r}"
         config = experiment_config(dataset_dir, epochs=5)
         config["models"][0][key] = value
         payload = one_json_error(*run_config("experiment", config, tmp_path))
         assert payload == {"error": "ContractError", "message": message}
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("lr", math.nan, "learning rate must be finite: 'lr' is nan"),
+         ("lr", math.inf, "learning rate must be finite: 'lr' is inf"),
+         ("lambda_smooth", math.inf, "smoothness weight must be finite: 'lambda_smooth' is inf"),
+         ("groups", 0, "CoSTCo head sizes must be >= 1: 'groups' is 0"),
+         ("channels", 0, "CoSTCo head sizes must be >= 1: 'channels' is 0"),
+         ("hidden", 0, "CoSTCo head sizes must be >= 1: 'hidden' is 0"),
+         ("val_fraction", 1.5, "validation fraction must be in [0, 1): 'val_fraction' is 1.5"),
+         ("patience", 0, "patience must be >= 1: 'patience' is 0")],
+    )
+    def test_train_config_check_names_its_key(self, dataset_dir, tmp_path, key, value, message):
+        # json.dumps writes NaN and Infinity, and json.loads reads them back
+        config = experiment_config(dataset_dir, epochs=5)
+        config["models"][0][key] = value
+        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        assert payload == {"error": "ContractError", "message": message}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "kind, flags, message",
+        [("cpd", ["--lr", "nan"], "learning rate must be finite: 'lr' is nan"),
+         ("cpd_s", ["--lambda-smooth", "inf"],
+          "smoothness weight must be finite: 'lambda_smooth' is inf"),
+         ("cpd", ["--patience", "0", "--val-fraction", "0.2"],
+          "patience must be >= 1: 'patience' is 0")],
+        ids=["lr_nan", "lambda_smooth_inf", "patience_0"],
+    )
+    def test_fit_flag_names_its_key(self, dataset_dir, tmp_path, capsys, kind, flags, message):
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        code = main(["fit", "--obs", str(dataset_dir), "--model", kind, "--rank", "2", *flags,
+                     "--out", str(out)])
+        payload = one_json_error(code, capsys.readouterr().err)
+        assert payload == {"error": "ContractError", "message": message}
+        assert not out.exists()
 
     def test_train_config_seed_check(self, dataset_dir, tmp_path, capsys):
         # a model entry takes no seed, so a fit's own seed is set by its flag
@@ -787,7 +827,7 @@ class TestErrorPathsNameTheirCause:
         code = main(["fit", "--obs", str(dataset_dir), "--model", "cpd", "--rank", "2",
                      "--seed", "-1", "--out", str(out)])
         payload = one_json_error(code, capsys.readouterr().err)
-        assert payload == {"error": "ContractError", "message": "seed must be >= 0"}
+        assert payload == {"error": "ContractError", "message": "seed must be >= 0: 'seed' is -1"}
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["experiment", "sweep"])
@@ -851,6 +891,23 @@ class TestErrorPathsNameTheirCause:
         names = ["p", "p"] if what == "plan" else ["cpd", "cpd"]
         assert payload == {"error": "ContractError",
                            "message": f"{what} names {names} are not unique"}
+        assert not (tmp_path / "out").exists()
+
+    def test_pairs_that_share_a_file_name_stem(self, dataset_dir, tmp_path, monkeypatch):
+        # plan "a" with model "b__c" and plan "a__b" with model "c" would
+        # both write the a__b__c files: rejected before any fit
+        def no_fit(*args):
+            raise AssertionError("fit before the config was checked")
+
+        monkeypatch.setattr(harness, "fit_batch", no_fit)
+        config = experiment_config(dataset_dir, epochs=5)
+        config["plans"][0]["name"], config["plans"][1]["name"] = "a", "a__b"
+        config["models"] = [{**config["models"][0], "name": name} for name in ("b__c", "c")]
+        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        assert payload == {
+            "error": "ContractError",
+            "message": "(plan, model) pairs ('a', 'b__c') and ('a__b', 'c') both name 'a__b__c'",
+        }
         assert not (tmp_path / "out").exists()
 
     def test_denormalize_without_a_normalizer(self, dataset_dir, tmp_path, capsys):
@@ -930,7 +987,7 @@ class TestModelFileValidation:
             payload["format_version"] = version
 
         message = self.predict_with(dataset_dir, tmp_path, capsys, damage)
-        assert ("format_version 99" in message) if version == 99 else ("factor 0" in message)
+        assert ("format_version 99" in message) if version == 99 else ("factors/0" in message)
 
     def test_truncated_data_array(self, dataset_dir, tmp_path, capsys):
         def damage(payload):
@@ -938,14 +995,15 @@ class TestModelFileValidation:
             factor["data"] = factor["data"][:-1]
 
         message = self.predict_with(dataset_dir, tmp_path, capsys, damage)
-        assert "factor 1" in message and "3 values" in message
+        assert "factors/1" in message and "3 values" in message
 
     def test_top_level_not_an_object(self, dataset_dir, tmp_path, capsys):
         message = self.predict_with(dataset_dir, tmp_path, capsys, lambda payload: [1, 2])
         assert "[1, 2]" in message
 
     @pytest.mark.parametrize(
-        "kind, array, value", [("costco", "out_w", "nan"), ("cpd", "factor 0", "inf")]
+        "kind, array, value", [("costco", "out_w", "nan"), ("cpd", "factors/0", "inf")],
+        ids=["costco-out_w-nan", "cpd-factor 0-inf"],
     )
     def test_non_finite_array(self, dataset_dir, tmp_path, capsys, kind, array, value):
         def damage(payload):
@@ -965,6 +1023,20 @@ class TestModelFileValidation:
         assert message.endswith(
             "(ContractError: smoothness weight must be non-negative: smooth_weight is -0.5)"
         )
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [("modes", [7], "smoothness modes (7,) invalid for 3 modes"),
+         ("modes", [-1], "smoothness modes (-1,) invalid for 3 modes"),
+         ("weight", math.nan, "smoothness weight must be finite: smooth_weight is nan")],
+        ids=["mode_past_the_last", "negative_mode", "nan_weight"],
+    )
+    def test_bad_smoothing_block(self, dataset_dir, tmp_path, capsys, field, value, named):
+        def damage(payload):
+            payload["smoothness"][field] = value
+
+        message = self.predict_with(dataset_dir, tmp_path, capsys, damage, "cpd_s")
+        assert named in message
 
     def test_shape_disagreeing_with_schema(self, dataset_dir, tmp_path, capsys):
         def damage(payload):

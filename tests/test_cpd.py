@@ -7,6 +7,7 @@ from oracles import predict_entry
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
 from tenfit.cpd import (
+    CPDModel,
     FactorSet,
     SmoothnessConfig,
     grad_masked_loss,
@@ -17,6 +18,7 @@ from tenfit.cpd import (
     smoothness_penalty,
 )
 from tenfit.errors import CapacityError, ContractError, DegenerateDataError
+from tenfit.optim import TrainConfig
 
 
 def outer_product_oracle(factors: FactorSet) -> np.ndarray:
@@ -130,6 +132,55 @@ class TestPredictIndices:
         whole = predict_indices(factors, grid)
         alone = np.concatenate([predict_indices(factors, cell[None]) for cell in grid])
         assert np.array_equal(alone, whole)
+
+
+class TestCPDModel:
+    """Building a CPDModel checks its arrays against the layout of its space
+    and rank, and its smoothed modes against the space."""
+
+    SHAPE = (3, 2, 4)
+
+    def params(self):
+        return {f"factors/{m}": np.ones((size, 2)) for m, size in enumerate(self.SHAPE)}
+
+    def build(self, params, kind="cpd", **settings):
+        space = DesignSpace.from_shape(self.SHAPE)
+        return CPDModel(kind, params, space, None, TrainConfig(rank=2, **settings))
+
+    def test_fitting_arrays_build(self):
+        model = self.build(self.params())
+        assert model.rank == 2 and model.shape == self.SHAPE
+        assert model.factors.shape == self.SHAPE
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [("rows", r"factors/1 has shape \[3, 2\] and 6 values, expected shape \(2, 2\)"),
+         ("rank", r"factors/0 has shape \[3, 1\] and 3 values, expected shape \(3, 2\)"),
+         ("missing", r"params holds \['factors/0', 'factors/1'\], not \['factors/0', "),
+         ("extra", r"params holds \['factors/0', 'factors/1', 'factors/2', 'factors/3'\]"),
+         ("non_finite", "factors/2 holds a non-finite value")],
+        ids=["rows", "rank", "missing", "extra", "non_finite"],
+    )
+    def test_arrays_off_the_layout_are_a_contract_error(self, damage, message):
+        params = self.params()
+        if damage == "rows":
+            params["factors/1"] = np.ones((3, 2))
+        elif damage == "rank":
+            params["factors/0"] = np.ones((3, 1))
+        elif damage == "missing":
+            del params["factors/2"]
+        elif damage == "extra":
+            params["factors/3"] = np.ones((5, 2))
+        else:
+            params["factors/2"][3, 1] = np.inf
+        with pytest.raises(ContractError, match=message):
+            self.build(params)
+
+    @pytest.mark.parametrize("mode", [3, -1])
+    def test_a_smoothed_mode_outside_the_space_is_a_contract_error(self, mode):
+        with pytest.raises(ContractError, match="smoothness modes"):
+            self.build(self.params(), "cpd_s", smooth_modes=(mode,))
+        self.build(self.params(), "cpd", smooth_modes=(mode,))  # CPD does not smooth
 
 
 class TestReconstructFull:

@@ -276,7 +276,7 @@ class TestModelJson:
         assert loaded.kind == "cpd_s"
         assert loaded.space == model.space
         assert loaded.normalizer == model.normalizer
-        assert loaded.smoothness == model.smoothness
+        assert loaded.settings() == model.settings()
         for a, b in zip(loaded.factors.factors, model.factors.factors):
             assert np.array_equal(a, b)
         grid = np.indices(shape).reshape(3, -1).T

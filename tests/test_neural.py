@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import full_grid_indices, obs_from_values
@@ -29,7 +31,8 @@ def head_cfg(rank, n_groups, channels, hidden):
 def model_of(shape, cfg, arrays) -> NeuralModel:
     """A model of `shape` from arrays in layout order."""
     names = [name for name, _ in costco_layout(shape, cfg)]
-    return NeuralModel(dict(zip(names, arrays)), DesignSpace.from_shape(shape), None, cfg)
+    space = DesignSpace.from_shape(shape)
+    return NeuralModel("costco", dict(zip(names, arrays)), space, None, cfg)
 
 
 def init_model(shape, rank, n_groups, channels, hidden, seed) -> NeuralModel:
@@ -68,7 +71,7 @@ def fd_neural_gradient(model, obs, h=1e-6):
     params = list(model.params.values())
 
     def loss_of(plist):
-        return neural_loss(NeuralModel(dict(zip(names, plist)), model.space, None, model.cfg), obs)
+        return neural_loss(replace(model, params=dict(zip(names, plist))), obs)
 
     grads = []
     for k, p in enumerate(params):
@@ -174,7 +177,7 @@ class TestForward:
             else:
                 params[name] = array
             with pytest.raises(ContractError):
-                NeuralModel(params, DesignSpace.from_shape(shape), None, cfg)
+                NeuralModel("costco", params, DesignSpace.from_shape(shape), None, cfg)
 
 
 class TestContainsLinearPredictor:

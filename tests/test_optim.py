@@ -270,14 +270,38 @@ class TestEarlyStopping:
         assert report.epochs_run < 4000
 
     def test_patience_requires_val_fraction(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="requires a positive validation fraction: "
+                                                "val_fraction is 0.0$"):
             TrainConfig(rank=1, patience=5, val_fraction=0.0)
 
     def test_val_fraction_requires_patience(self):
         # without patience the share would be carved from nothing: a fit
         # would silently train on every row and never stop early
-        with pytest.raises(ContractError, match="requires patience"):
+        with pytest.raises(ContractError, match="requires patience: patience is None$"):
             TrainConfig(rank=1, val_fraction=0.5)
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [({"lr": math.nan}, "learning rate must be finite: lr is nan"),
+     ({"lr": math.inf}, "learning rate must be finite: lr is inf"),
+     ({"lr": -1.0}, "learning rate must be positive: lr is -1.0"),
+     ({"smooth_weight": math.inf}, "smoothness weight must be finite: smooth_weight is inf"),
+     ({"smooth_weight": math.nan}, "smoothness weight must be finite: smooth_weight is nan"),
+     ({"patience": 0, "val_fraction": 0.2}, "patience must be >= 1: patience is 0"),
+     ({"val_fraction": 1.0}, "validation fraction must be in [0, 1): val_fraction is 1.0"),
+     ({"n_init_groups": 0}, "CoSTCo head sizes must be >= 1: n_init_groups is 0"),
+     ({"conv_channels": 0}, "CoSTCo head sizes must be >= 1: conv_channels is 0"),
+     ({"hidden_units": -2}, "CoSTCo head sizes must be >= 1: hidden_units is -2"),
+     ({"epochs": 0}, "epochs must be >= 1: epochs is 0"),
+     ({"seed": -1}, "seed must be >= 0: seed is -1")],
+    ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None,
+)
+def test_train_config_check_ends_with_its_field(settings, message):
+    # harness turns the "<field> is <value>" ending into the config key
+    with pytest.raises(ContractError) as caught:
+        TrainConfig(rank=1, **settings)
+    assert str(caught.value) == message
 
 
 class TestPredictSet:

@@ -27,12 +27,15 @@ def traced_table() -> dict:
 
 
 def test_every_traced_name_resolves():
+    # as the tracer patches it: a method from its class's own __dict__, so
+    # an inherited method does not count
     for key, targets in traced_table().items():
         for module_name, attr in targets:
             owner = importlib.import_module(f"tenfit.{module_name}")
-            for part in attr.split("."):
+            *classes, name = attr.split(".")
+            for part in classes:
                 owner = getattr(owner, part)
-            assert callable(owner), (key, module_name, attr)
+            assert callable(vars(owner).get(name)), (key, module_name, attr)
 
 
 def test_fit_keeps_the_arguments_the_tracer_reads():
