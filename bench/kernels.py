@@ -4,11 +4,14 @@ worker processes, the factor match score per call, the index-CSV codec
 per row, and the cold start of the CLI.
 
     python3 bench/kernels.py --out results.json
+    python3 bench/kernels.py --tables objective batch  # those two alone
 
-Run it from the repository root; it imports tenfit from ./src. Six tables:
+Run it from the repository root; it imports tenfit from ./src. Six tables,
+all of them unless `--tables` names some:
 
 - `objective`: the training objective of a model kind's trainable
-  (`cpd.masked_objective`, `neural._masked_objective`) at the sizes the
+  (`cpd.masked_objective`, `neural._masked_objective`), called on the
+  engine's flat parameter-major buffer of its fits, at the sizes the
   benchmark workloads train (experiment_large's 3,456-row fit, serve_cli's
   3,840-row set-up fits, experiment_large's 384-row validation pass, the
   lattice's cpd and cpd_s batches and the OOD sweep's cpd and costco
@@ -156,9 +159,9 @@ BATCH_CASES = [
     ("cpd", LARGE, 3456, (1, 2)),
     ("cpd_s", LATTICE, 216, (1, 3, 9, 12, 20)),
     ("cpd_s", LATTICE, 84, (3, 9, 27)),
-    ("costco", LATTICE, 154, (1, 2, 3, 4, 5, 6)),
-    ("costco", LATTICE, 74, (1, 4, 6, 8, 10, 12)),
-    ("costco", LATTICE, 40, (1, 8, 12, 15, 20)),
+    ("costco", LATTICE, 154, (1, 2, 3, 4, 5, 6, 9, 12)),
+    ("costco", LATTICE, 74, (1, 4, 6, 8, 10, 12, 18, 24)),
+    ("costco", LATTICE, 40, (1, 8, 12, 15, 20, 30, 40)),
 ]
 
 
@@ -205,14 +208,15 @@ def bench_objective(kind, shape, n, n_fits, grad, calls, rounds, rng):
     cfg = optim.TrainConfig(rank=RANK, smooth_weight=0.1, smooth_modes=tuple(range(len(shape))))
     engine = trainable(kind, shape, cfg)
     objective = engine.objective([observations(shape, n, rng) for _ in range(n_fits)])
-    params = [np.stack(arrays) for arrays in zip(*map(engine.init, range(n_fits)))]
+    stacks = [np.stack(arrays) for arrays in zip(*map(engine.init, range(n_fits)))]
+    flat = np.concatenate(stacks, axis=None)  # the engine's parameter-major buffer
     for _ in range(calls):  # warm up
-        objective(params, grad=grad)
+        objective(flat, grad=grad)
     us, faults = [], []
     for _ in range(rounds):
         faults_start, start = minor_faults(), time.perf_counter()
         for _ in range(calls):
-            objective(params, grad=grad)
+            objective(flat, grad=grad)
         us.append((time.perf_counter() - start) / calls * 1e6)
         faults.append((minor_faults() - faults_start) / calls)
     return {
@@ -464,9 +468,14 @@ def bench_coldstart(rounds, rng, work_dir):
             for name, runs in usage.items()]
 
 
+TABLES = ("objective", "batch", "parallel", "fms", "io", "coldstart")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the JSON here (default: stdout only)")
+    parser.add_argument("--tables", nargs="+", choices=TABLES, default=list(TABLES),
+                        help="the tables to run, in their fixed order (default: all six)")
     parser.add_argument("--calls", type=int, default=200, help="objective calls per round")
     parser.add_argument("--rounds", type=int, default=7, help="objective rounds per case")
     parser.add_argument("--batch-rounds", type=int, default=16, help="train_batch rounds")
@@ -475,28 +484,33 @@ def main(argv=None):
                         help="serial/pooled rounds of the parallel table")
     args = parser.parse_args(argv)
 
-    rng = np.random.default_rng(0)
-    result = {"environment": environment(), "objective": {}}
-    for name, kind, shape, n, n_fits, grad in OBJECTIVE_CASES:
-        entry = bench_objective(kind, shape, n, n_fits, grad, args.calls, args.rounds, rng)
-        result["objective"][name] = {"kind": kind, "fits": n_fits, "grad": grad, **entry}
-        print(name, entry, file=sys.stderr)
-    result["batch"] = bench_batch(args.batch_rounds, args.epochs, rng)
-    for entry in result["batch"]:
-        print(entry, file=sys.stderr)
-    result["parallel"] = bench_parallel(args.parallel_rounds, rng)
-    for entry in result["parallel"]:
-        print(entry, file=sys.stderr)
-    result["fms"] = bench_fms(args.rounds, rng)
-    for entry in result["fms"]:
-        print(entry, file=sys.stderr)
+    def rng(table):
+        # each table's own generator, seeded with its position in TABLES, so
+        # its data do not depend on the tables run with it
+        return np.random.default_rng(TABLES.index(table))
+
+    result = {"environment": environment()}
+    if "objective" in args.tables:
+        result["objective"] = {}
+        objective_rng = rng("objective")
+        for name, kind, shape, n, n_fits, grad in OBJECTIVE_CASES:
+            entry = bench_objective(kind, shape, n, n_fits, grad, args.calls, args.rounds,
+                                    objective_rng)
+            result["objective"][name] = {"kind": kind, "fits": n_fits, "grad": grad, **entry}
+            print(name, entry, file=sys.stderr)
+    tables = {
+        "batch": lambda work_dir: bench_batch(args.batch_rounds, args.epochs, rng("batch")),
+        "parallel": lambda work_dir: bench_parallel(args.parallel_rounds, rng("parallel")),
+        "fms": lambda work_dir: bench_fms(args.rounds, rng("fms")),
+        "io": lambda work_dir: bench_io(args.rounds, rng("io"), work_dir),
+        "coldstart": lambda work_dir: bench_coldstart(args.rounds, rng("coldstart"), work_dir),
+    }
     with tempfile.TemporaryDirectory() as work_dir:
-        result["io"] = bench_io(args.rounds, rng, work_dir)
-        result["coldstart"] = bench_coldstart(args.rounds, rng, work_dir)
-    for entry in result["io"]:
-        print(entry, file=sys.stderr)
-    for entry in result["coldstart"]:
-        print(entry, file=sys.stderr)
+        for table, run in tables.items():
+            if table in args.tables:
+                result[table] = run(work_dir)
+                for entry in result[table]:
+                    print(entry, file=sys.stderr)
     text = json.dumps(result, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")

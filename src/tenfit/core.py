@@ -247,18 +247,20 @@ class Trainable:
 
     `layout` names the kind's parameter arrays and gives their shapes, as
     `[(name, shape), ...]`; `init(seed)` gives one fit's arrays in that
-    order. `objective(data_sets)` builds the batched training objective
-    over B data sets:
-    `objective(params, grad=True)` takes the parameter arrays with a leading
-    batch axis and returns `(losses, grads)`, losses of shape (B,) and grads
-    parallel to params, or the losses alone when `grad` is false.
-    `val_objective(data_sets)` builds the batched validation loss the same
-    way. `model(params, space, normalizer)` builds the fitted model from one
-    fit's arrays by layout name. `max_rows` bounds the training rows of one
-    batch, and `same_size` says whether one batch needs data sets of one
-    size. `row_epoch_us` is the kind's measured cost of one training row
-    for one epoch, in us; the engine estimates a batch's work from it to
-    order and place batches.
+    order. B fits train in one flat buffer laid out parameter-major: the
+    k-th array of every fit forms one contiguous (B, *shape_k) block, in
+    layout order (`block_views` gives the blocks). `objective(data_sets)`
+    builds the batched training objective over B data sets:
+    `objective(flat, grad=True)` takes that buffer and returns
+    `(losses, g)`, losses of shape (B,) and g one fresh flat gradient in the
+    same layout, or the losses alone when `grad` is false; a buffer of the
+    wrong length is a ContractError. `val_objective(data_sets)` builds the
+    batched validation loss the same way. `model(params, space, normalizer)`
+    builds the fitted model from one fit's arrays by layout name.
+    `max_rows` bounds the training rows of one batch, and `same_size` says
+    whether one batch needs data sets of one size. `row_epoch_us` is the
+    kind's measured cost of one training row for one epoch, in us; the
+    engine estimates a batch's work from it to order and place batches.
     """
 
     layout: list
@@ -269,6 +271,17 @@ class Trainable:
     max_rows: int
     row_epoch_us: float
     same_size: bool = False
+
+
+def block_views(flat: np.ndarray, shapes, n_fits: int) -> list:
+    """The consecutive (B, *shape) blocks of a flat parameter-major buffer
+    of B fits, as views, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = n_fits * math.prod(shape)
+        views.append(flat[start : start + size].reshape((n_fits, *shape)))
+        start += size
+    return views
 
 
 @dataclass

@@ -2,7 +2,9 @@
 smoothness penalty, and their analytic gradients.
 
 A factor set holds one I_m x R matrix per tensor mode; a predicted entry is
-the sum over components of the product of one factor row per mode.
+the sum over components of the product of one factor row per mode. The
+training objective (`masked_objective`) works on the engine's flat buffer
+of B fits' factors and returns one flat gradient in its layout.
 """
 
 from __future__ import annotations
@@ -10,10 +12,11 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import DenseTensor, FittedModel, ObservationSet, Trainable, check_indices
+from .core import DenseTensor, FittedModel, ObservationSet, Trainable, block_views, check_indices
 from .errors import CapacityError, ContractError, DegenerateDataError
 
 DENSE_CELL_CAP = 10_000_000  # cells reconstruct_full materializes at most
@@ -133,25 +136,28 @@ def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
     once (the masked-CP gradient of CP-WOPT).
 
     `obs_sets` are B observation sets over one space; their sizes may
-    differ. Returns `objective(factors, grad=True)` for a list of
-    (B, I_m, R) factor stacks, fit b's factors at `[b]`: `(losses, grads)`
-    with losses of shape (B,) and grads parallel to the factors, or the
-    losses alone when `grad` is false. The rows of all sets are concatenated
-    and each gathers from its own fit's block of the (B*I_m, R) view of a
-    stack, so one forward pass (prefix products) and one backward pass over a
-    running suffix product serve the batch. Per-fit losses are a bincount
-    over a fit id, each row's gradient is scaled by 2/n of its own fit, and
-    the scatter is one `np.bincount` per mode over keys built here once. A
-    row's prediction sums its components left to right, so every fit gets
-    the same bits whatever its position in the batch. Rows untouched by any
-    observation receive gradient only from the smoothness term. Every call
-    checks the stack shapes and raises ContractError on a mismatch.
+    differ. Returns `objective(flat, grad=True)` for the engine's flat
+    buffer of B fits' factors, parameter-major: mode m's (B, I_m, R) stack,
+    fit b's factors at `[b]`, one block after another in mode order. It
+    gives `(losses, g)` with losses of shape (B,) and g the flat gradient in
+    the same layout, or the losses alone when `grad` is false. The rows of
+    all sets are concatenated and key `[k, i, r]` is the flat position of
+    mode M-1-k's factor entry for row i and component r, in its own fit's
+    block, so one `take` gathers every mode's rows. One forward pass
+    (prefix products) and one backward pass over a running suffix product
+    serve the batch, and one `np.bincount` over the same keys scatters
+    every mode's gradient together with each fit's sum of squared errors.
+    Each row's gradient is scaled by 2/n of its own fit. A row's prediction
+    sums its components left to right, so every fit gets the same bits
+    whatever its position in the batch. Rows untouched by any observation
+    receive gradient only from the smoothness term. A buffer of the wrong
+    length raises ContractError.
 
-    The closure owns its (n, R) and (n,) work arrays and every call writes
-    into them, so a large fit does not allocate (and page-fault) them anew
-    each epoch. A closure is therefore not re-entrant: do not call one from
-    two threads at once. The returned losses and gradients are fresh arrays
-    that never alias the work arrays.
+    The closure owns its (M, n, R) and (n,) work arrays and every call
+    writes into them, so a large fit does not allocate (and page-fault)
+    them anew each epoch. A closure is therefore not re-entrant: do not
+    call one from two threads at once. The returned losses and gradient are
+    fresh arrays that never alias the work arrays.
     """
     cfg = cfg or SmoothnessConfig()
     shape = obs_sets[0].space.shape()
@@ -160,58 +166,72 @@ def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
         raise DegenerateDataError("masked loss is undefined on an empty observation set")
     if any(obs.space.shape() != shape for obs in obs_sets):
         raise ContractError("observation sets of one batch must share their shape")
-    n_fits = len(obs_sets)
+    n_fits, n_modes = len(obs_sets), len(shape)
     counts = np.array([obs.n for obs in obs_sets])
     fit_id = np.repeat(np.arange(n_fits), counts)
     indices = np.concatenate([obs.indices for obs in obs_sets])
     values = np.concatenate([obs.values for obs in obs_sets])
-    cols = [fit_id * size + indices[:, m] for m, size in enumerate(shape)]
-    keys = [(c[:, None] * rank + np.arange(rank)).ravel() for c in cols]
+    starts = np.cumsum([0] + [n_fits * size * rank for size in shape])
+    total = int(starts[-1])
+    # row-major over (row, component): consecutive keys fall in R different
+    # bins, so the scatter's adds do not wait on one another (component-major
+    # keys made it 1.5 times slower)
+    keys = np.stack([
+        (starts[m] + (fit_id * shape[m] + indices[:, m]) * rank)[:, None] + np.arange(rank)
+        for m in reversed(range(n_modes))
+    ])
+    scatter_keys = np.concatenate([keys.ravel(), total + fit_id])
     twos = np.repeat((2.0 / counts)[fit_id][:, None], rank, axis=1)
-    smooth_modes = cfg.modes if cfg.weight > 0 else ()
-    stack_shapes = [(n_fits, size, rank) for size in shape]
+    # each smoothed mode's block of the flat buffer and its stack shape
+    smooth = [(slice(starts[m], starts[m + 1]), (n_fits, shape[m], rank))
+              for m in (cfg.modes if cfg.weight > 0 else ())]
 
     n = len(values)
-    rows = [np.empty((n, rank)) for _ in shape]  # gathered factor rows
-    prefix = rows[:1] + [np.empty((n, rank)) for _ in shape[1:]]
-    suffix, product = np.empty((n, rank)), np.empty((n, rank))
-    residuals, squares = np.empty(n), np.empty(n)
+    rows = np.empty((n_modes, n, rank))  # gathered factor rows, mode M-1 first
+    prefix = [rows[-1], *np.empty((n_modes - 1, n, rank))]
+    # the backward chain d, d*r_{M-1}, ..., each then times its prefix, and
+    # the squared errors: the weights of the one scatter
+    weights = np.empty(n_modes * n * rank + n)
+    chain, squares = weights[:-n].reshape(n_modes, n, rank), weights[-n:]
+    residuals = np.empty(n)
 
-    def scatter(m, weights):
-        flat = np.bincount(keys[m], weights=weights.ravel(), minlength=n_fits * shape[m] * rank)
-        return flat.reshape(n_fits, shape[m], rank)
-
-    def objective(factors, grad=True):
-        if [np.shape(f) for f in factors] != stack_shapes:
-            raise ContractError(f"factor stacks must have shapes {stack_shapes}")
-        for f, c, out in zip(factors, cols, rows):
-            # the shapes were checked, so every key is in range and "clip"
-            # (which writes straight into `out`) never clips
-            f.reshape(-1, rank).take(c, axis=0, out=out, mode="clip")
-        for m in range(1, len(shape)):
-            np.multiply(prefix[m - 1], rows[m], out=prefix[m])
+    def objective(flat, grad=True):
+        if np.shape(flat) != (total,):
+            raise ContractError(f"the flat factor buffer must hold {total} entries "
+                                f"({n_fits} fits of shape {shape} at rank {rank}), "
+                                f"not shape {np.shape(flat)}")
+        # the length was checked, so every key is in range and "clip"
+        # (which writes straight into `rows`) never clips
+        flat.take(keys, out=rows, mode="clip")
+        for m in range(1, n_modes):
+            np.multiply(prefix[m - 1], rows[-1 - m], out=prefix[m])
         _component_sum(prefix[-1], out=residuals)
         np.subtract(residuals, values, out=residuals)
         np.multiply(residuals, residuals, out=squares)
-        losses = np.bincount(fit_id, weights=squares, minlength=n_fits) / counts
-        diffs = [(m, factors[m][:, 1:] - factors[m][:, :-1]) for m in smooth_modes]
+        if grad:
+            np.multiply(residuals[:, None], twos, out=chain[0])  # d loss / d prediction
+            for k in range(1, n_modes):
+                np.multiply(chain[k - 1], rows[k - 1], out=chain[k])
+            for k in range(n_modes - 1):
+                chain[k] *= prefix[n_modes - 2 - k]
+            sums = np.bincount(scatter_keys, weights=weights, minlength=total + n_fits)
+            g, sums = sums[:total], sums[total:]
+        else:
+            sums = np.bincount(fit_id, weights=squares, minlength=n_fits)
+        losses = sums / counts
+        factors = [flat[block].reshape(stack) for block, stack in smooth]
+        diffs = [f[:, 1:] - f[:, :-1] for f in factors]
         if diffs:
-            penalty = sum(np.einsum("bij,bij->b", d, d) for _, d in diffs)
+            penalty = sum(np.einsum("bij,bij->b", d, d) for d in diffs)
             losses = losses + cfg.weight * penalty
         if not grad:
             return losses
-
-        grads = [None] * len(factors)
-        np.multiply(residuals[:, None], twos, out=suffix)  # d loss / d prediction
-        for m in range(len(factors) - 1, 0, -1):
-            grads[m] = scatter(m, np.multiply(prefix[m - 1], suffix, out=product))
-            np.multiply(suffix, rows[m], out=suffix)
-        grads[0] = scatter(0, suffix)
-        for m, d in diffs:
+        for (block, stack), d in zip(smooth, diffs):
             step = (2.0 * cfg.weight) * d
-            grads[m][:, :-1] -= step
-            grads[m][:, 1:] += step
-        return losses, grads
+            grads = g[block].reshape(stack)
+            grads[:, :-1] -= step
+            grads[:, 1:] += step
+        return losses, g
 
     return objective
 
@@ -231,10 +251,14 @@ def grad_masked_loss(
     factors: FactorSet, obs: ObservationSet, cfg: SmoothnessConfig | None = None
 ) -> list[np.ndarray]:
     """Exact gradient of masked_mse + smoothness_penalty w.r.t. every factor
-    entry; factors that disagree with the observation shape raise
-    ContractError."""
-    _, grads = masked_objective([obs], factors.rank, cfg)([f[None] for f in factors.factors])
-    return [g[0] for g in grads]
+    entry, one array per mode, split from the objective's flat gradient;
+    factors that disagree with the observation shape raise ContractError."""
+    if factors.shape != obs.space.shape():
+        raise ContractError(f"factor shape {factors.shape} != observation shape "
+                            f"{obs.space.shape()}")
+    flat = np.concatenate(factors.factors, axis=None)
+    _, g = masked_objective([obs], factors.rank, cfg)(flat)
+    return [view[0] for view in block_views(g, [f.shape for f in factors.factors], 1)]
 
 
 def cpd_layout(shape, cfg) -> list:
@@ -261,9 +285,10 @@ class CPDModel(FittedModel):
 
     layout = staticmethod(cpd_layout)
 
-    @property
+    @cached_property
     def factors(self) -> FactorSet:
-        """The factor matrices in mode order."""
+        """The factor matrices in mode order, built once per model (over the
+        arrays of `params`, not copies)."""
         return FactorSet(list(self.params.values()))
 
     def settings(self) -> dict:
@@ -300,7 +325,9 @@ to train serially when a call's work would not pay for worker processes.
 From `bench/kernels.py`'s `batch` table at R=3 in batches of 1,944 to
 6,912 rows (`BENCH_10.json`): 0.084-0.092 for 216-row fits on the
 270-cell shape, 0.083-0.095 for 768- and 0.085-0.091 for 1,000-row fits
-on the 4,800-cell shape. Smaller batches cost more per row.
+on the 4,800-cell shape. Smaller batches cost more per row. `BENCH_24.json`,
+with the objective's one gather and one scatter, reads 0.092-0.100,
+0.090-0.093 and 0.089-0.091 for the same fits.
 """
 
 CPD_S_ROW_EPOCH_US = 0.12
@@ -308,7 +335,8 @@ CPD_S_ROW_EPOCH_US = 0.12
 `CPD_ROW_EPOCH_US` is CPD's: the smoothness penalty's gradient adds work
 per fit, which per row came to 1.18-1.38 times CPD's cost in
 `bench/kernels.py`'s `batch` table (216-row fits on the 270-cell shape,
-B=9-20, `BENCH_11.json`)."""
+B=9-20, `BENCH_11.json`), and to 1.21-1.29 times in `BENCH_24.json`
+(0.113-0.125)."""
 
 
 def cpd_trainable(shape, cfg, kind: str):

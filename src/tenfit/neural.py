@@ -7,6 +7,9 @@ input channels of a two-stage convolution (first across modes, then across
 components) followed by a dense layer and a scalar output, with rectifiers
 between hidden layers. Forward and backward passes are written out
 explicitly so training stays deterministic and the gradients are exact.
+They write into work arrays that the training objective allocates once and
+reuses; the objective reads the engine's flat buffer of B fits' arrays and
+returns one flat gradient in its layout.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import FittedModel, ObservationSet, Trainable, check_indices
+from .core import FittedModel, ObservationSet, Trainable, block_views, check_indices
 from .errors import ContractError, DegenerateDataError
 
 
@@ -78,114 +81,178 @@ def _embedding_keys(
     )
 
 
-def _rank_matrix(rank_kernels: np.ndarray) -> np.ndarray:
-    """(B, D, C, R) rank kernels as (B, D, R*C) matrices over the rank-major
-    flattening of the mode-conv output."""
-    n_fits, d = rank_kernels.shape[:2]
-    return rank_kernels.transpose(0, 1, 3, 2).reshape(n_fits, d, -1)
-
-
 def _t(a: np.ndarray) -> np.ndarray:
     """Each matrix of a (B, p, q) stack transposed."""
     return a.transpose(0, 2, 1)
 
 
-def _forward(x: np.ndarray, head: list):
+def _sum_rows(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sums over axis 1 of a C-contiguous (B, n, C) array, into the
+    (B, C) `out`. Where C >= 2 this is `np.einsum("bnc->bc")`, which adds
+    the rows in order as `a.sum(axis=1)` does, to the same bits, in fewer
+    steps; at C = 1 `a.sum(axis=1)` sums pairwise, which einsum does not, so
+    it is used there."""
+    if a.shape[2] > 1:
+        return np.einsum("bnc->bc", a, out=out)
+    return a.sum(axis=1, out=out)
+
+
+def _forward_arrays(n_fits: int, n: int, rank: int, channels: int, hidden: int,
+                    backward: bool = True) -> list:
+    """Empty outputs of `_forward` for B fits over n rows: z1 and a1
+    (B, n*R, C), the rank matrix (B, C, R*C), z2 and a2 (B, n, C), z3 and a3
+    (B, n, H) and the predictions (B, n). Without `backward`, which reads
+    each layer's input and output, a1, a2 and a3 are z1, z2 and z3 (each
+    rectifier overwrites its input), so a prediction touches less memory."""
+    z1, z2, z3 = (np.empty((n_fits, rows, width))
+                  for rows, width in ((n * rank, channels), (n, channels), (n, hidden)))
+    a1, a2, a3 = (np.empty_like(z) for z in (z1, z2, z3)) if backward else (z1, z2, z3)
+    rank_matrix = np.empty((n_fits, channels, rank * channels))
+    return [z1, a1, rank_matrix, z2, a2, z3, a3, np.empty((n_fits, n))]
+
+
+def _forward(x: np.ndarray, head: list, arrays: list) -> np.ndarray:
     """Forward pass of B fits at once from their gathered inputs x, a
     C-contiguous (B, n, R, S, M) array (fit b's embedding rows of each
     cell, component by group by mode), and their stacked head arrays (each
-    with a leading B axis). Both convolutions are linear maps, over S*M and
-    over R*C, so each is one stacked matmul. The cache holds x as
-    (B, n, S, R, M) and z1, a1 as (B, n, C, R), as transposed views of the
-    layouts the matmuls use."""
+    with a leading B axis), into `_forward_arrays`' arrays; returns the
+    (B, n) predictions, the last of them. Both convolutions are linear maps,
+    over S*M and over R*C, so each is one stacked matmul; the rank matrix
+    holds the rank kernels as (B, C, R*C) matrices over the rank-major
+    flattening of the mode-conv output."""
     mode_k, mode_b, rank_k, rank_b, dense_w, dense_b, out_w, out_b = head
+    z1, a1, rank_matrix, z2, a2, z3, a3, preds = arrays
     n_fits, n, rank = x.shape[:3]
     channels = mode_k.shape[1]
-    z1 = x.reshape(n_fits, n * rank, -1) @ _t(mode_k.reshape(n_fits, channels, -1))
-    z1 += mode_b[:, None]  # (B, n*R, C)
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1.reshape(n_fits, n, -1) @ _t(_rank_matrix(rank_k)) + rank_b[:, None]
-    a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ _t(dense_w) + dense_b[:, None]
-    a3 = np.maximum(z3, 0.0)
-    preds = (a3 @ out_w[:, :, None])[..., 0] + out_b[:, None]
+    np.matmul(x.reshape(n_fits, n * rank, -1), _t(mode_k.reshape(n_fits, channels, -1)), out=z1)
+    z1 += mode_b[:, None]
+    np.maximum(z1, 0.0, out=a1)
+    np.copyto(rank_matrix.reshape(n_fits, channels, rank, channels), rank_k.transpose(0, 1, 3, 2))
+    np.matmul(a1.reshape(n_fits, n, -1), _t(rank_matrix), out=z2)
+    z2 += rank_b[:, None]
+    np.maximum(z2, 0.0, out=a2)
+    np.matmul(a2, _t(dense_w), out=z3)
+    z3 += dense_b[:, None]
+    np.maximum(z3, 0.0, out=a3)
+    np.matmul(a3, out_w[:, :, None], out=preds.reshape(n_fits, n, 1))
+    preds += out_b[:, None]
+    return preds
 
-    def by_channel(z):
-        return z.reshape(n_fits, n, rank, channels).transpose(0, 1, 3, 2)
 
-    x = x.transpose(0, 1, 3, 2, 4)
-    return preds, (x, by_channel(z1), by_channel(a1), z2, a2, z3, a3)
+def _backward_arrays(n_fits: int, n: int, rank: int, width: int, channels: int,
+                     hidden: int) -> list:
+    """Empty work arrays of `_backward` for B fits over n rows and inputs
+    `width` = S*M wide: dz3 and its boolean rectifier mask (B, n, H), dz2
+    and its mask (B, n, C), dz1 and its mask (B, n*R, C), the rank-kernel
+    gradient as (B, C, R*C) and dx (B, n*R, S*M)."""
+    shapes = [(n_fits, n, hidden), (n_fits, n, channels), (n_fits, n * rank, channels)]
+    arrays = [np.empty(shape, dtype) for shape in shapes for dtype in (float, bool)]
+    return arrays + [np.empty((n_fits, channels, rank * channels)),
+                     np.empty((n_fits, n * rank, width))]
 
 
-def _backward_keys(head: list, keys: np.ndarray, cache, dpreds, n_embedding: int):
-    """Gradients of sum(dpreds * preds) for B fits: the embedding gradient,
-    in the flat order of `keys` (scattered with one bincount over them), and
-    the eight stacked head gradients."""
+def _backward(x, head: list, forward: list, dpreds, arrays: list, g_head: list) -> np.ndarray:
+    """Gradients of sum(dpreds * preds) for B fits, from the inputs x and
+    the arrays of their `_forward`, with `_backward_arrays`' arrays as work
+    space: the eight stacked head gradients are written into `g_head`, and
+    the gradient of x, (B, n*R, S*M) in the element order of x, is returned
+    for the caller to scatter."""
     mode_k, mode_b, rank_k, rank_b, dense_w, dense_b, out_w, out_b = head
-    x, z1, a1, z2, a2, z3, a3 = cache
-    n_fits, n, rank = keys.shape[:3]
+    z1, a1, rank_matrix, z2, a2, z3, a3, _ = forward
+    dz3, on3, dz2, on2, dz1, on1, g_rank, dx = arrays
+    g_mode_k, g_mode_b, g_rank_k, g_rank_b, g_dense_w, g_dense_b, g_out_w, g_out_b = g_head
+    n_fits, n, rank = x.shape[:3]
     channels = mode_k.shape[1]
 
-    g_out_b = dpreds.sum(axis=1)
-    g_out_w = (_t(a3) @ dpreds[:, :, None])[..., 0]
-    dz3 = dpreds[:, :, None] * out_w[:, None, :] * (z3 > 0)
-    g_dense_w = _t(dz3) @ a2
-    g_dense_b = dz3.sum(axis=1)
-    dz2 = (dz3 @ dense_w) * (z2 > 0)
+    dpreds.sum(axis=1, out=g_out_b)
+    np.matmul(_t(a3), dpreds[:, :, None], out=g_out_w.reshape(n_fits, -1, 1))
+    np.multiply(dpreds[:, :, None], out_w[:, None, :], out=dz3)
+    dz3 *= np.greater(z3, 0, out=on3)
+    np.matmul(_t(dz3), a2, out=g_dense_w)
+    _sum_rows(dz3, out=g_dense_b)
+    np.matmul(dz3, dense_w, out=dz2)
+    dz2 *= np.greater(z2, 0, out=on2)
 
-    a1_flat = a1.transpose(0, 1, 3, 2).reshape(n_fits, n, -1)  # (B, n, R*C)
-    g_rank_k = (_t(dz2) @ a1_flat).reshape(rank_k.shape[:2] + (rank, channels))
-    g_rank_k = g_rank_k.transpose(0, 1, 3, 2)
-    g_rank_b = dz2.sum(axis=1)
-    dz1 = (dz2 @ _rank_matrix(rank_k)).reshape(n_fits, n * rank, channels)
-    dz1 *= z1.transpose(0, 1, 3, 2).reshape(n_fits, n * rank, channels) > 0
+    np.matmul(_t(dz2), a1.reshape(n_fits, n, -1), out=g_rank)
+    g_rank_k[...] = g_rank.reshape(n_fits, channels, rank, channels).transpose(0, 1, 3, 2)
+    _sum_rows(dz2, out=g_rank_b)
+    np.matmul(dz2, rank_matrix, out=dz1.reshape(n_fits, n, -1))
+    dz1 *= np.greater(z1, 0, out=on1)
 
-    x_flat = x.transpose(0, 1, 3, 2, 4).reshape(n_fits, n * rank, -1)  # (B, n*R, S*M)
-    g_mode_k = (_t(dz1) @ x_flat).reshape(mode_k.shape)
-    g_mode_b = dz1.sum(axis=1)
-    dx = dz1 @ mode_k.reshape(n_fits, channels, -1)  # same element order as keys
-    g_emb = np.bincount(keys.ravel(), weights=dx.ravel(), minlength=n_fits * n_embedding)
-    g_head = [g_mode_k, g_mode_b, g_rank_k, g_rank_b, g_dense_w, g_dense_b, g_out_w, g_out_b]
-    return g_emb, g_head
+    x_flat = x.reshape(n_fits, n * rank, -1)  # (B, n*R, S*M)
+    np.matmul(_t(dz1), x_flat, out=g_mode_k.reshape(n_fits, channels, -1))
+    _sum_rows(dz1, out=g_mode_b)
+    return np.matmul(dz1, mode_k.reshape(n_fits, channels, -1), out=dx)
 
 
-def _masked_objective(obs_sets, n_groups: int, rank: int):
-    """Masked-MSE objective over B observation sets of one size, for
-    parameter lists stacked in costco_layout order.
+def _masked_objective(obs_sets, cfg):
+    """Masked-MSE objective over B observation sets of one size, for the
+    head sizes of a TrainConfig.
 
-    Returns `objective(params, grad=True)` for a list whose arrays carry fit
-    b's arrays at `[b]`: `(losses, grads)` with losses of shape
-    (B,) and grads parallel to params, or the losses alone when `grad` is
-    false. The gather/scatter keys are built here once and index the
-    embedding stacks concatenated flat, in layout order, so each fit reads
-    and writes only its own embeddings and each matrix's gradient is one
-    contiguous slice of the scatter; the parameter list is sliced directly,
-    with no model built per call."""
+    Returns `objective(flat, grad=True)` for the engine's flat buffer of B
+    fits' arrays in costco_layout order, parameter-major (each array's
+    (B, *shape) stack, fit b's array at `[b]`): `(losses, g)` with losses
+    of shape (B,) and g the flat gradient in the same layout, or the losses
+    alone when `grad` is false. The gather/scatter keys are built here once
+    and index the embedding blocks at the head of the buffer, so each fit
+    reads and writes only its own embeddings; one `np.bincount` over them
+    gives the embedding gradient, and the head gradients go into the tail
+    of its output. The head arrays are views of the buffer, rebuilt only
+    when a call passes another buffer than the last, with no model built
+    per call. A buffer of the wrong length raises ContractError.
+
+    The closure allocates its work arrays on its first call (the backward
+    pass's on its first call with `grad`) and every later call writes into
+    them, so a large fit does not allocate and page-fault them each epoch.
+    A closure is therefore not re-entrant: do not call one from two threads
+    at once. The returned losses and gradient are fresh arrays that never
+    alias the work arrays."""
     shape = obs_sets[0].space.shape()
     n = obs_sets[0].n
     if any(obs.n != n or obs.space.shape() != shape for obs in obs_sets):
         raise ContractError("observation sets of one batch must share their size and shape")
-    n_fits, n_emb = len(obs_sets), n_groups * len(shape)
-    size = n_groups * sum(shape) * rank  # embedding entries per fit
+    n_fits, rank, n_groups = len(obs_sets), cfg.rank, cfg.n_init_groups
+    channels, hidden = cfg.conv_channels, cfg.hidden_units
+    head_shapes = [size for _, size in costco_layout(shape, cfg)[n_groups * len(shape):]]
+    n_emb = n_fits * n_groups * sum(shape) * rank  # embedding entries of the batch
+    total = n_emb + n_fits * sum(math.prod(size) for size in head_shapes)
     keys = np.stack([
         _embedding_keys(obs.indices, shape, n_groups, rank, n_fits, b)
         for b, obs in enumerate(obs_sets)
     ])
     values = np.stack([obs.values for obs in obs_sets])
-    bounds = n_fits * rank * np.cumsum([0] + list(shape) * n_groups)
-    emb_shapes = [(n_fits, i, rank) for i in shape] * n_groups
+    # work arrays, allocated when first needed; g_head holds the head
+    # gradients, and g_views its (B, *shape) blocks
+    x = forward = backward = g_head = g_views = None
+    last = (None, None)  # the last buffer passed and its head views
 
-    def objective(params, grad=True):
-        embeddings = np.concatenate(params[:n_emb], axis=None)
-        head = params[n_emb:]
-        preds, cache = _forward(embeddings.take(keys), head)  # x: (B, n, R, S, M)
-        residuals = preds - values
+    def objective(flat, grad=True):
+        nonlocal x, forward, backward, g_head, g_views, last
+        if np.shape(flat) != (total,):
+            raise ContractError(f"the flat CoSTCo buffer must hold {total} entries "
+                                f"({n_fits} fits of shape {shape}), not shape {np.shape(flat)}")
+        if flat is not last[0]:
+            last = flat, block_views(flat[n_emb:], head_shapes, n_fits)
+        head = last[1]
+        if x is None:
+            x = np.empty(keys.shape)  # (B, n, R, S, M)
+            forward = _forward_arrays(n_fits, n, rank, channels, hidden)
+        # the length was checked, so every key is in range and "clip"
+        # (which writes straight into x) never clips
+        flat.take(keys, out=x, mode="clip")
+        residuals = _forward(x, head, forward) - values
         losses = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0] / n
         if not grad:
             return losses
-        g_emb, g_head = _backward_keys(head, keys, cache, (2.0 / n) * residuals, size)
-        g_embs = [g_emb[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], emb_shapes)]
-        return losses, g_embs + g_head
+        if backward is None:
+            width = n_groups * len(shape)
+            backward = _backward_arrays(n_fits, n, rank, width, channels, hidden)
+            g_head = np.empty(total - n_emb)
+            g_views = block_views(g_head, head_shapes, n_fits)
+        dx = _backward(x, head, forward, (2.0 / n) * residuals, backward, g_views)
+        g = np.bincount(keys.ravel(), weights=dx.ravel(), minlength=total)
+        g[n_emb:] = g_head
+        return losses, g
 
     return objective
 
@@ -226,20 +293,26 @@ class NeuralModel(FittedModel):
         x = np.empty((1, len(indices), self.rank, n_groups, n_modes))
         for k, embedding in enumerate(arrays[:n_emb]):  # group-major, as the layout
             x[0, :, :, k // n_modes, k % n_modes] = embedding[indices[:, k % n_modes]]
-        preds, _ = _forward(x, [a[None] for a in arrays[n_emb:]])
-        return preds[0]
+        head = [a[None] for a in arrays[n_emb:]]
+        work = _forward_arrays(1, len(indices), self.rank, self.cfg.conv_channels,
+                               self.cfg.hidden_units, backward=False)
+        return _forward(x, head, work)[0]
 
 
-COSTCO_MAX_BATCH_ROWS = 500
+COSTCO_MAX_BATCH_ROWS = 1_000
 """Most observed training rows one batched CoSTCo objective call covers.
-A CoSTCo row carries about 15 times the per-call temporaries of a CPD row
+A CoSTCo row carries about 15 times the per-call work arrays of a CPD row
 (its conv inputs and their gradients are R*S*M wide, the hidden layer R*C),
-so its batching gain peaks far earlier than CPD's. Measured with
+so its batching gain ends far earlier than CPD's. Measured with
 `bench/kernels.py`'s `batch` table on the 270-cell shape at R=3, best of 16
-rounds, in us per fit-epoch: at n=154, 250 alone, 146 at B=3 (462 rows),
-148-159 at B=4-5 and 217 at B=6 (924 rows); at n=74, 184 alone, 82-86 at
-B=4-6 (296-444 rows) and 90-110 at B=8-12 (592-888 rows); at n=40, 241
-alone and 55-63 from 320 to 800 rows.
+rounds, in us per fit-epoch (`BENCH_24.json`, the objective reusing its
+work arrays): at n=154, 154 alone, 101 at B=3 (462 rows) and 95-97 from
+770 to 1,848 rows; at n=74, 122 alone, 54 at B=6 (444 rows), 50-52 from
+592 to 888 rows and 52-53 at 1,332-1,776; at n=40, 103 alone, 33.5 at 480
+rows and 32-33 from 600 to 1,600. So a fit-epoch gets 5-7% cheaper from
+about 450 to 800-900 rows and no cheaper past that. The earlier bound of
+500 rows came from `BENCH_10.json`, when per-call temporaries made batches
+past about 460 rows dearer (217 us per fit-epoch at n=154, B=6).
 """
 
 COSTCO_ROW_EPOCH_US = 0.8
@@ -247,7 +320,12 @@ COSTCO_ROW_EPOCH_US = 0.8
 `cpd.CPD_ROW_EPOCH_US` is CPD's: from `bench/kernels.py`'s `batch` table on
 the 270-cell shape at R=3 (`BENCH_10.json`), 0.71-0.87 at n=154 in
 batches of 308 to 924 rows, 0.73-0.91 at n=74 (296-888 rows) and
-0.89-0.99 at n=40 (320-800 rows): about nine times CPD's."""
+0.89-0.99 at n=40 (320-800 rows): about nine times CPD's. `BENCH_24.json`
+reads 0.62-0.73 at n=154 (308-1,848 rows), 0.68-0.81 at n=74 (296-1,776)
+and 0.80-0.89 at n=40 (320-1,600), seven to eight times CPD's. The value
+is kept: the batches' start order and `optim.POOL_MIN_WORK_US` are
+calibrated in its units, and a lower one was not measured against the
+benchmark workloads."""
 
 
 def costco_trainable(shape, cfg):
@@ -255,7 +333,7 @@ def costco_trainable(shape, cfg):
     TrainConfig: seeded embeddings and head trained jointly on the masked
     MSE, with batches of one training-set size and at most
     COSTCO_MAX_BATCH_ROWS rows."""
-    objective = partial(_masked_objective, n_groups=cfg.n_init_groups, rank=cfg.rank)
+    objective = partial(_masked_objective, cfg=cfg)
     return Trainable(
         layout=costco_layout(shape, cfg),
         init=partial(costco_init, shape, cfg),

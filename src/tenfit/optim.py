@@ -2,16 +2,18 @@
 early stopping.
 
 The engine is model-agnostic: anything that can produce a seeded parameter
-list and, for B data sets at once, a batched (losses, gradients) evaluation
-can be trained. Every fit is one member of a batch, and a single fit is the
-batch of one. The members live in one flat buffer laid out parameter-major:
-the k-th parameter array of every member forms one contiguous (B, *shape_k)
-block (for CPD, each mode's (B*I_m, R) block), so one objective call and one
-Adam step per epoch serve the whole batch, and a member gets the same bits
-as when trained alone. `adam_step` updates the flat buffer in place, with
-moment, gradient and scratch buffers allocated once per batch; it makes the
-same IEEE operations in the same order as the list-based reference in
-`tests/oracles.py`, which it matches bit for bit.
+list and, for B data sets at once, a batched (losses, gradient) evaluation
+can be trained (see `core.Trainable`). Every fit is one member of a batch,
+and a single fit is the batch of one. The members live in one flat buffer
+laid out parameter-major: the k-th parameter array of every member forms
+one contiguous (B, *shape_k) block (for CPD, each mode's (B*I_m, R) block),
+so one objective call and one Adam step per epoch serve the whole batch,
+and a member gets the same bits as when trained alone. The objective takes
+the flat buffer and returns one flat gradient in its layout, which goes
+straight to `adam_step`. `adam_step` updates the flat buffer in place, with
+moment and scratch buffers allocated once per batch and the gradient as
+work space; it makes the same IEEE operations in the same order as the
+list-based reference in `tests/oracles.py`, which it matches bit for bit.
 
 Restarts are seeded as seed + restart_index. Under early stopping each
 member keeps its own patience counter and best-validation checkpoint: the
@@ -36,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ObservationSet, Trainable, uniform_split
+from .core import ObservationSet, Trainable, block_views, uniform_split
 from .cpd import cpd_trainable
 from .errors import (
     ContractError,
@@ -146,14 +148,9 @@ class RunResult:
     error: TenfitError | None = None
 
 
-def _views(flat: np.ndarray, shapes, n_fits: int) -> list:
-    """Consecutive (B, *shape) views of a flat buffer, one per shape."""
-    views, start = [], 0
-    for shape in shapes:
-        size = n_fits * math.prod(shape)
-        views.append(flat[start : start + size].reshape((n_fits, *shape)))
-        start += size
-    return views
+def _flat(fits) -> np.ndarray:
+    """The flat parameter-major buffer of B fits' parameter lists."""
+    return np.concatenate([np.stack(arrays) for arrays in zip(*fits)], axis=None, dtype=float)
 
 
 def _owners(shapes, n_fits: int) -> np.ndarray:
@@ -187,22 +184,22 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
     """Train the runs together in one stacked Adam loop; returns one
     RunResult per run.
 
-    Each epoch makes one objective call and one in-place Adam step for all
-    live members. A member leaves the batch through `leave` when its
-    training or validation loss turns non-finite (it diverged), when under
-    early stopping its validation loss has not improved for more than
-    `cfg.patience` epochs, or when its epochs run out. The others go on in
-    a compacted buffer, so their bits do not change. The final training
-    loss is taken at the kept parameters: the best-validation checkpoint
-    under early stopping, else the last step.
+    Each epoch makes one objective call on the flat buffer and one in-place
+    Adam step with the flat gradient it returns, for all live members. A
+    member leaves the batch through `leave` when its training or validation
+    loss turns non-finite (it diverged), when under early stopping its
+    validation loss has not improved for more than `cfg.patience` epochs,
+    or when its epochs run out. The others go on in a compacted buffer, so
+    their bits do not change. The final training loss is taken at the kept
+    parameters: the best-validation checkpoint under early stopping, else
+    the last step.
     """
     n_runs = len(runs)
     inits = [trainable.init(run.seed) for run in runs]
     shapes = [shape for _, shape in trainable.layout]
-    blocks = [np.stack([init[k] for init in inits]) for k in range(len(shapes))]
-    flat = np.concatenate(blocks, axis=None, dtype=float)
-    # Adam moments, the gradient and one scratch array, each as long as flat
-    m, v, g, scratch = (np.zeros_like(flat) for _ in range(4))
+    flat = _flat(inits)
+    # Adam moments and one scratch array, each as long as flat
+    m, v, scratch = (np.zeros_like(flat) for _ in range(3))
     early = cfg.patience is not None
     history = np.zeros((n_runs, cfg.epochs))
     ended: list = [None] * n_runs  # (parameters or DivergenceError, epochs run) per run
@@ -212,12 +209,12 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
         members = [runs[i] for i in live]
         objective = trainable.objective([run.data for run in members])
         val_objective = trainable.val_objective([run.val for run in members]) if early else None
-        return _views(flat, shapes, live.size), _owners(shapes, live.size), objective, val_objective
+        return _owners(shapes, live.size), objective, val_objective
 
     def leave(slots, source, epochs, diverged=None):
         # the runs in `slots` end after `epochs` epochs, kept from `source`
         # or, when `diverged` names their non-finite loss, with that error
-        views = _views(source, shapes, live.size)
+        views = block_views(source, shapes, live.size)
         for slot in np.flatnonzero(slots):
             if diverged is None:
                 outcome = [view[slot].copy() for view in views]
@@ -226,22 +223,21 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
                 outcome = DivergenceError(f"non-finite {diverged} of restart {restart}")
             ended[live[slot]] = (outcome, epochs)
 
-    params, owners, objective, val_objective = build()
+    owners, objective, val_objective = build()
     if early:
         best = flat.copy()
-        best_val = val_objective(params, grad=False)
+        best_val = val_objective(flat, grad=False)
         stale = np.zeros(n_runs, dtype=np.int64)
 
     for epoch in range(cfg.epochs):
-        losses, grads = objective(params)
+        losses, g = objective(flat)
         history[live, epoch] = losses
         leaving = ~np.isfinite(losses)
         if leaving.any():
             leave(leaving, flat, epoch, f"loss at epoch {epoch}")
-        np.concatenate(grads, axis=None, out=g)
         adam_step(flat, g, m, v, scratch, epoch + 1, cfg.lr)
         if early:
-            val = val_objective(params, grad=False)
+            val = val_objective(flat, grad=False)
             bad_val = ~np.isfinite(val) & ~leaving
             if bad_val.any():
                 leave(bad_val, flat, epoch + 1, f"validation loss at epoch {epoch}")
@@ -261,17 +257,18 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
                 break
             elements = staying[owners]
             flat, m, v = flat[elements], m[elements], v[elements]
-            g, scratch = g[: flat.size], scratch[: flat.size]
+            scratch = scratch[: flat.size]
             if early:
                 best, best_val, stale = best[elements], best_val[staying], stale[staying]
-            params, owners, objective, val_objective = build()
+            owners, objective, val_objective = build()
     leave(np.ones(live.size, dtype=bool), best if early else flat, cfg.epochs)
+    del objective, val_objective  # and their work arrays, before the final pass builds its own
 
     finals = np.full(n_runs, math.inf)
     kept = [i for i, (outcome, _) in enumerate(ended) if isinstance(outcome, list)]
     if kept:
-        stacked = [np.stack([ended[i][0][k] for i in kept]) for k in range(len(shapes))]
-        finals[kept] = trainable.objective([runs[i].data for i in kept])(stacked, grad=False)
+        final = trainable.objective([runs[i].data for i in kept])
+        finals[kept] = final(_flat([ended[i][0] for i in kept]), grad=False)
     results = []
     for i, (run, (outcome, epochs)) in enumerate(zip(runs, ended)):
         losses = history[i, :epochs].tolist()

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tenfit.core import Normalizer, ObservationSet
+from tenfit.core import Normalizer, ObservationSet, block_views
 from tenfit.errors import ContractError, DegenerateDataError, SchemaError
 from tenfit.metrics import _congruence_products
 from tenfit.modelio import write_atomic
@@ -162,9 +162,9 @@ def neural_grad(model, obs) -> list:
     NeuralModel, in layout order: one call of the training objective."""
     if obs.n == 0:
         raise DegenerateDataError("gradient is undefined on an empty observation set")
-    objective = _masked_objective([obs], model.cfg.n_init_groups, model.rank)
-    _, grads = objective([p[None] for p in model.params.values()])
-    return [g[0] for g in grads]
+    arrays = list(model.params.values())
+    _, g = _masked_objective([obs], model.cfg)(np.concatenate(arrays, axis=None))
+    return [view[0] for view in block_views(g, [a.shape for a in arrays], 1)]
 
 
 def exhaustive_fms(a, b):

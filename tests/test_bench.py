@@ -2,6 +2,7 @@
 loaded from the script and run on calls small enough for the suite."""
 
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
@@ -57,6 +58,31 @@ def test_objective_entry_runs(kernels, kind):
     entry = kernels.bench_objective(kind, kernels.LATTICE, 20, 2, True, calls=1, rounds=1,
                                     rng=np.random.default_rng(1))
     assert entry["rows"] == 40 and entry["us_per_call"] > 0
+
+
+def test_tables_argument_runs_the_named_tables_alone(kernels, monkeypatch, capsys):
+    """`--tables objective batch` at tiny sizes: those two tables and the
+    environment, and no other table."""
+    monkeypatch.setattr(kernels, "OBJECTIVE_CASES", [
+        ("tiny_cpd_s", "cpd_s", kernels.LATTICE, 12, 2, True),
+        ("tiny_costco", "costco", kernels.LATTICE, 10, 2, False),
+    ])
+    monkeypatch.setattr(kernels, "BATCH_CASES", [("cpd", kernels.LATTICE, 12, (1, 2)),
+                                                 ("costco", kernels.LATTICE, 10, (2,))])
+    kernels.main(["--tables", "objective", "batch", "--calls", "1", "--rounds", "1",
+                  "--batch-rounds", "1", "--epochs", "2"])
+    result = json.loads(capsys.readouterr().out)
+    assert list(result) == ["environment", "objective", "batch"]
+    assert list(result["objective"]) == ["tiny_cpd_s", "tiny_costco"]
+    assert [(entry["kind"], entry["fits"]) for entry in result["batch"]] == [
+        ("cpd", 1), ("cpd", 2), ("costco", 2)]
+    assert all(entry["us_per_fit_epoch"] > 0 for entry in result["batch"])
+
+
+def test_tables_argument_rejects_an_unknown_table(kernels, capsys):
+    with pytest.raises(SystemExit):
+        kernels.main(["--tables", "objectives"])
+    assert "invalid choice: 'objectives'" in capsys.readouterr().err
 
 
 def test_parallel_table_runs(kernels, monkeypatch):

@@ -176,6 +176,17 @@ class TestCPDModel:
         with pytest.raises(ContractError, match=message):
             self.build(params)
 
+    def test_factor_set_is_built_once_and_predicts_the_same_bits(self):
+        rng = np.random.default_rng(6)
+        params = {name: rng.normal(size=a.shape) for name, a in self.params().items()}
+        model = self.build(params)
+        assert model.factors is model.factors
+        assert all(f is a for f, a in zip(model.factors.factors, model.params.values()))
+        grid = full_grid_indices(self.SHAPE)
+        fresh = predict_indices(FactorSet(list(params.values())), grid)
+        assert model.predict(grid).tobytes() == fresh.tobytes()
+        assert model.predict(grid[::-1]).tobytes() == fresh[::-1].tobytes()
+
     @pytest.mark.parametrize("mode", [3, -1])
     def test_a_smoothed_mode_outside_the_space_is_a_contract_error(self, mode):
         with pytest.raises(ContractError, match="smoothness modes"):

@@ -14,6 +14,7 @@ from tenfit.neural import (
     NeuralModel,
     _embedding_keys,
     _forward,
+    _forward_arrays,
     costco_fit,
     costco_init,
     costco_layout,
@@ -56,14 +57,17 @@ def summing_model(shape, rank, embeddings) -> NeuralModel:
 
 def forward(model, indices):
     """The package's forward pass for one model, on training's gather (the
-    embeddings concatenated flat and taken at their keys): predictions plus
-    the cache backward needs, without the batch axis."""
+    embeddings concatenated flat and taken at their keys): predictions, the
+    gathered input x and the arrays backward reads, without the batch
+    axis."""
     arrays = list(model.params.values())
     n_emb = len(arrays) - 8
     keys = _embedding_keys(indices, model.shape, model.cfg.n_init_groups, model.rank)
-    embeddings = np.concatenate(arrays[:n_emb], axis=None)
-    preds, cache = _forward(embeddings.take(keys)[None], [a[None] for a in arrays[n_emb:]])
-    return preds[0], tuple(c[0] for c in cache)
+    x = np.concatenate(arrays[:n_emb], axis=None).take(keys)[None]
+    cfg = model.cfg
+    work = _forward_arrays(1, len(indices), model.rank, cfg.conv_channels, cfg.hidden_units)
+    preds = _forward(x, [a[None] for a in arrays[n_emb:]], work)
+    return preds[0], x[0], [w[0] for w in work]
 
 
 def fd_neural_gradient(model, obs, h=1e-6):
@@ -138,10 +142,10 @@ class TestForward:
             model = init_model(shape, rank, groups, channels, hidden, seed=1)
             indices = full_grid_indices(shape)[:5]
             n = len(indices)
-            preds, cache = forward(model, indices)
-            x, z1, _, z2, _, z3, _ = cache
-            assert x.shape == (n, groups, rank, len(shape))
-            assert z1.shape == (n, channels, rank)
+            preds, x, (z1, _, rank_matrix, z2, _, z3, _, _) = forward(model, indices)
+            assert x.shape == (n, rank, groups, len(shape))
+            assert z1.shape == (n * rank, channels)  # (R, C) per cell
+            assert rank_matrix.shape == (channels, rank * channels)
             assert z2.shape == (n, channels)
             assert z3.shape == (n, hidden)
             assert preds.shape == (n,)

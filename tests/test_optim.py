@@ -5,6 +5,7 @@ import oracles
 import pytest
 from conftest import full_grid_indices, low_rank_values, obs_from_values
 
+from tenfit.core import block_views
 from tenfit.cpd import reconstruct_full
 from tenfit.errors import ContractError, DivergenceError, SplitError
 from tenfit.metrics import regression_metrics
@@ -92,11 +93,12 @@ class TestAdamStep:
 
         objective = trainable.objective([train])
         params = [p[None] for p in trainable.init(9)]
+        shapes = [p.shape[1:] for p in params]
         state, losses = oracles.AdamState.fresh(params, cfg.lr), []
         for _ in range(epochs):
-            (loss,), grads = objective(params)
+            (loss,), g = objective(np.concatenate(params, axis=None))
             losses.append(loss)
-            params, state = oracles.adam_step(params, grads, state)
+            params, state = oracles.adam_step(params, block_views(g, shapes, 1), state)
         assert result.losses == losses
         assert len(result.params) == len(params)
         assert all(np.array_equal(a, b[0]) for a, b in zip(result.params, params))
@@ -172,10 +174,9 @@ class TestFit:
         # restart 1 (seed 0 + 1) starts far out and diverges at its first
         # epoch; restarts 0 and 2 converge and the best of them wins.
         def objective(data_sets):
-            def batch(params, grad=True):
-                x = params[0][:, 0]
-                losses = np.where(np.abs(x) > 100, math.inf, x * x)
-                return (losses, [2.0 * params[0]]) if grad else losses
+            def batch(flat, grad=True):  # one entry per fit
+                losses = np.where(np.abs(flat) > 100, math.inf, flat * flat)
+                return (losses, 2.0 * flat) if grad else losses
 
             return batch
 
@@ -229,16 +230,16 @@ class TestEarlyStopping:
         calls = {"n": 0}
 
         def objective(data_sets):
-            def batch(params, grad=True):
-                losses = params[0][:, 0] ** 2
-                return (losses, [2.0 * params[0]]) if grad else losses
+            def batch(flat, grad=True):  # one entry per fit
+                losses = flat**2
+                return (losses, 2.0 * flat) if grad else losses
 
             return batch
 
         def val_objective(data_sets):
-            def batch(params, grad=False):
+            def batch(flat, grad=False):
                 calls["n"] += 1
-                return (params[0][:, 0] - 1.0) ** 2  # best at x=1, start x=0.9
+                return (flat - 1.0) ** 2  # best at x=1, start x=0.9
 
             return batch
 
@@ -366,17 +367,17 @@ class TestMemberExits:
         calls = {"n": 0}
 
         def objective(data_sets):
-            def batch(params, grad=True):
-                losses = params[0][:, 0] ** 2
-                return (losses, [2.0 * params[0]]) if grad else losses
+            def batch(flat, grad=True):  # one entry per fit
+                losses = flat**2
+                return (losses, 2.0 * flat) if grad else losses
 
             return batch
 
         def val_objective(data_sets):
-            def batch(params, grad=False):
+            def batch(flat, grad=False):
                 calls["n"] += 1  # call 1 scores the initial parameters, call e + 2 epoch e
                 bad = [calls["n"] >= 5 and data is diverging for data in data_sets]
-                return np.where(bad, math.inf, params[0][:, 0] ** 2)
+                return np.where(bad, math.inf, flat**2)
 
             return batch
 
