@@ -15,9 +15,11 @@ all of them unless `--tables` names some:
   benchmark workloads train (experiment_large's 3,456-row fit, serve_cli's
   3,840-row set-up fits, experiment_large's 384-row validation pass, the
   lattice's cpd and cpd_s batches and the OOD sweep's cpd and costco
-  batches). Each entry gives the median over rounds of the us per call and
-  of the minor page faults per call (`resource.getrusage`), measured over a
-  fixed number of calls.
+  batches). Each entry gives the median over rounds of the us per build of
+  the objective (`build_us`: the engine builds it once per batch, and again
+  each time a member leaves an early-stopped batch), of the us per call
+  and of the minor page faults per call (`resource.getrusage`), each
+  measured over a fixed number of builds or calls.
 - `batch`: `optim.train_batch` on B same-size fits, in us per fit-epoch
   and per row-epoch (the best of several rounds), for CPD, CPD-S and
   CoSTCo; these measurements set `cpd.CPD_MAX_BATCH_ROWS`,
@@ -204,16 +206,22 @@ def minor_faults():
 
 def bench_objective(kind, shape, n, n_fits, grad, calls, rounds, rng):
     """The objective of `kind`'s trainable (cpd_s smoothing every mode with
-    weight 0.1) over n_fits sets of n rows, at seeded initial parameters."""
+    weight 0.1) over n_fits sets of n rows, at seeded initial parameters:
+    `calls` builds of it, then `calls` calls of one of them, per round."""
     cfg = optim.TrainConfig(rank=RANK, smooth_weight=0.1, smooth_modes=tuple(range(len(shape))))
     engine = trainable(kind, shape, cfg)
-    objective = engine.objective([observations(shape, n, rng) for _ in range(n_fits)])
+    sets = [observations(shape, n, rng) for _ in range(n_fits)]
+    objective = engine.objective(sets)
     stacks = [np.stack(arrays) for arrays in zip(*map(engine.init, range(n_fits)))]
     flat = np.concatenate(stacks, axis=None)  # the engine's parameter-major buffer
     for _ in range(calls):  # warm up
         objective(flat, grad=grad)
-    us, faults = [], []
+    build_us, us, faults = [], [], []
     for _ in range(rounds):
+        start = time.perf_counter()
+        for _ in range(calls):
+            engine.objective(sets)
+        build_us.append((time.perf_counter() - start) / calls * 1e6)
         faults_start, start = minor_faults(), time.perf_counter()
         for _ in range(calls):
             objective(flat, grad=grad)
@@ -221,6 +229,7 @@ def bench_objective(kind, shape, n, n_fits, grad, calls, rounds, rng):
         faults.append((minor_faults() - faults_start) / calls)
     return {
         "rows": n * n_fits,
+        "build_us": round(statistics.median(build_us), 2),
         "us_per_call": round(statistics.median(us), 2),
         "minor_faults_per_call": round(statistics.median(faults), 2),
     }

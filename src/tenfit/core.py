@@ -1,10 +1,15 @@
 """Design-space schema, sparse observations, the uniform split, the
-training engine's view of a model kind, fitted models, and dense tensors.
+training engine's view of a model kind and its flat parameter buffer,
+fitted models, and dense tensors.
 
 A design space is an ordered list of axes (one per design parameter), each
 with an enumerated value list; its Cartesian product defines the tensor
 shape. Observations are stored in COO form with outcomes min-max normalized
 to [0, 1].
+
+The flat parameter buffer of B fits is described here and nowhere else,
+by `block_starts`, `block_views`, `pack`, `unpack`, `slot_owners` and
+`gather_keys`.
 """
 
 from __future__ import annotations
@@ -249,12 +254,15 @@ class Trainable:
     `[(name, shape), ...]`; `init(seed)` gives one fit's arrays in that
     order. B fits train in one flat buffer laid out parameter-major: the
     k-th array of every fit forms one contiguous (B, *shape_k) block, in
-    layout order (`block_views` gives the blocks). `objective(data_sets)`
-    builds the batched training objective over B data sets:
-    `objective(flat, grad=True)` takes that buffer and returns
+    layout order. This module's buffer helpers are the format's one home.
+    `objective(data_sets)` builds the batched training objective over B
+    data sets: `objective(flat, grad=True)` takes that buffer and returns
     `(losses, g)`, losses of shape (B,) and g one fresh flat gradient in the
     same layout, or the losses alone when `grad` is false; a buffer of the
-    wrong length is a ContractError. `val_objective(data_sets)` builds the
+    wrong length is a ContractError. An objective owns work arrays that
+    every call writes into, so a large fit does not allocate (and
+    page-fault) them each epoch; it is therefore not re-entrant, and what
+    it returns never aliases them. `val_objective(data_sets)` builds the
     batched validation loss the same way. `model(params, space, normalizer)`
     builds the fitted model from one fit's arrays by layout name.
     `max_rows` bounds the training rows of one batch, and `same_size` says
@@ -273,15 +281,44 @@ class Trainable:
     same_size: bool = False
 
 
-def block_views(flat: np.ndarray, shapes, n_fits: int) -> list:
-    """The consecutive (B, *shape) blocks of a flat parameter-major buffer
-    of B fits, as views, one per shape."""
-    views, start = [], 0
+def block_starts(shapes, n_fits: int) -> list:
+    """Each (B, *shape) block's start in a flat buffer of B fits, then its length."""
+    starts = [0]
     for shape in shapes:
-        size = n_fits * math.prod(shape)
-        views.append(flat[start : start + size].reshape((n_fits, *shape)))
-        start += size
-    return views
+        starts.append(starts[-1] + n_fits * math.prod(shape))
+    return starts
+
+
+def block_views(flat: np.ndarray, shapes, n_fits: int) -> list:
+    """The (B, *shape) blocks of a flat buffer of B fits, as views."""
+    starts = block_starts(shapes, n_fits)
+    return [flat[start:end].reshape((n_fits, *shape))
+            for start, end, shape in zip(starts, starts[1:], shapes)]
+
+
+def pack(fits) -> np.ndarray:
+    """The flat buffer of B fits, each a list of arrays in layout order."""
+    return np.concatenate([np.stack(arrays) for arrays in zip(*fits)], axis=None, dtype=float)
+
+
+def unpack(flat: np.ndarray, shapes) -> list:
+    """One fit's arrays, as views, from its own flat buffer: `pack([arrays])` undone."""
+    return [view[0] for view in block_views(flat, shapes, 1)]
+
+
+def slot_owners(shapes, n_fits: int) -> np.ndarray:
+    """Each element's fit, by its batch slot, in a flat buffer of B fits."""
+    slots = np.arange(n_fits)
+    return np.concatenate([np.repeat(slots, math.prod(shape)) for shape in shapes])
+
+
+def gather_keys(start, shape, fit, row) -> np.ndarray:
+    """Flat positions of the R entries of row `row` of fit `fit` in the
+    (B, I, R) block at `start`, `shape` being (I, R): `start`, I, `fit` and
+    `row` broadcast, R last, as C-contiguous int64 (strided keys slow a `take`)."""
+    size, rank = shape
+    first = start + (fit * size + row) * rank
+    return np.ascontiguousarray(np.add.outer(first, np.arange(rank, dtype=np.int64)))
 
 
 @dataclass

@@ -3,8 +3,7 @@ smoothness penalty, and their analytic gradients.
 
 A factor set holds one I_m x R matrix per tensor mode; a predicted entry is
 the sum over components of the product of one factor row per mode. The
-training objective (`masked_objective`) works on the engine's flat buffer
-of B fits' factors and returns one flat gradient in its layout.
+training objective is `masked_objective`.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DenseTensor, FittedModel, ObservationSet, Trainable, block_views, check_indices
+from .core import (DenseTensor, FittedModel, ObservationSet, Trainable, block_starts,
+                   check_indices, gather_keys, pack, unpack)
 from .errors import CapacityError, ContractError, DegenerateDataError
 
 DENSE_CELL_CAP = 10_000_000  # cells reconstruct_full materializes at most
@@ -133,31 +133,22 @@ def smoothness_penalty(factors: FactorSet, cfg: SmoothnessConfig) -> float:
 
 def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
     """Fused masked_mse + smoothness_penalty and its gradient for B fits at
-    once (the masked-CP gradient of CP-WOPT).
+    once (the masked-CP gradient of CP-WOPT): the objective of
+    `core.Trainable` over B observation sets of one space, whose sizes may
+    differ, on the flat buffer of B fits' factors (a (B, I_m, R) block per
+    mode).
 
-    `obs_sets` are B observation sets over one space; their sizes may
-    differ. Returns `objective(flat, grad=True)` for the engine's flat
-    buffer of B fits' factors, parameter-major: mode m's (B, I_m, R) stack,
-    fit b's factors at `[b]`, one block after another in mode order. It
-    gives `(losses, g)` with losses of shape (B,) and g the flat gradient in
-    the same layout, or the losses alone when `grad` is false. The rows of
-    all sets are concatenated and key `[k, i, r]` is the flat position of
-    mode M-1-k's factor entry for row i and component r, in its own fit's
-    block, so one `take` gathers every mode's rows. One forward pass
-    (prefix products) and one backward pass over a running suffix product
-    serve the batch, and one `np.bincount` over the same keys scatters
-    every mode's gradient together with each fit's sum of squared errors.
-    Each row's gradient is scaled by 2/n of its own fit. A row's prediction
-    sums its components left to right, so every fit gets the same bits
-    whatever its position in the batch. Rows untouched by any observation
-    receive gradient only from the smoothness term. A buffer of the wrong
-    length raises ContractError.
-
-    The closure owns its (M, n, R) and (n,) work arrays and every call
-    writes into them, so a large fit does not allocate (and page-fault)
-    them anew each epoch. A closure is therefore not re-entrant: do not
-    call one from two threads at once. The returned losses and gradient are
-    fresh arrays that never alias the work arrays.
+    The rows of all sets are concatenated and key `[k, i, r]`
+    (`core.gather_keys`) is the flat position of mode M-1-k's factor entry
+    for row i and component r, in its own fit's block, so one `take`
+    gathers every mode's rows. One forward pass (prefix products) and one
+    backward pass over a running suffix product serve the batch, and one
+    `np.bincount` over the same keys scatters every mode's gradient
+    together with each fit's sum of squared errors. Each row's gradient is
+    scaled by 2/n of its own fit. A row's prediction sums its components
+    left to right, so every fit gets the same bits whatever its position in
+    the batch. Rows untouched by any observation receive gradient only from
+    the smoothness term. The closure's work arrays are (M, n, R) and (n,).
     """
     cfg = cfg or SmoothnessConfig()
     shape = obs_sets[0].space.shape()
@@ -171,19 +162,18 @@ def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
     fit_id = np.repeat(np.arange(n_fits), counts)
     indices = np.concatenate([obs.indices for obs in obs_sets])
     values = np.concatenate([obs.values for obs in obs_sets])
-    starts = np.cumsum([0] + [n_fits * size * rank for size in shape])
-    total = int(starts[-1])
+    blocks = [(size, rank) for size in shape]
+    starts = block_starts(blocks, n_fits)
+    total = starts[-1]
     # row-major over (row, component): consecutive keys fall in R different
     # bins, so the scatter's adds do not wait on one another (component-major
     # keys made it 1.5 times slower)
-    keys = np.stack([
-        (starts[m] + (fit_id * shape[m] + indices[:, m]) * rank)[:, None] + np.arange(rank)
-        for m in reversed(range(n_modes))
-    ])
+    keys = np.stack([gather_keys(starts[m], blocks[m], fit_id, indices[:, m])
+                     for m in reversed(range(n_modes))])
     scatter_keys = np.concatenate([keys.ravel(), total + fit_id])
     twos = np.repeat((2.0 / counts)[fit_id][:, None], rank, axis=1)
-    # each smoothed mode's block of the flat buffer and its stack shape
-    smooth = [(slice(starts[m], starts[m + 1]), (n_fits, shape[m], rank))
+    # each smoothed mode's block as block_views cuts it, once, not on every call
+    smooth = [(slice(starts[m], starts[m + 1]), (n_fits, *blocks[m]))
               for m in (cfg.modes if cfg.weight > 0 else ())]
 
     n = len(values)
@@ -256,9 +246,8 @@ def grad_masked_loss(
     if factors.shape != obs.space.shape():
         raise ContractError(f"factor shape {factors.shape} != observation shape "
                             f"{obs.space.shape()}")
-    flat = np.concatenate(factors.factors, axis=None)
-    _, g = masked_objective([obs], factors.rank, cfg)(flat)
-    return [view[0] for view in block_views(g, [f.shape for f in factors.factors], 1)]
+    _, g = masked_objective([obs], factors.rank, cfg)(pack([factors.factors]))
+    return unpack(g, [f.shape for f in factors.factors])
 
 
 def cpd_layout(shape, cfg) -> list:

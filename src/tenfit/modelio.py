@@ -25,6 +25,7 @@ SCHEMA_FILENAME = "schema.json"
 OBSERVATIONS_FILENAME = "obs.csv"
 NORMALIZER_FILENAME = "normalizer.json"
 FORMAT_VERSION = 1  # of model files
+MODEL_FILE_KEYS = ("format_version", "kind", "rank", "shape", "schema", "normalizer", "params")
 
 
 def schema_to_json(space: DesignSpace) -> dict:
@@ -306,7 +307,9 @@ def load_model(path):
     checked and each array read in its stored shape; the model's
     constructor then checks the arrays against its kind's layout for the
     file's shape, rank and settings (the same names, each shape, finite
-    values). A file that fails raises a SchemaError naming it."""
+    values). Every key besides MODEL_FILE_KEYS, those of every model file,
+    must equal, as JSON, what the model's `settings()` saves, so no block
+    is dropped unread. A file that fails raises a SchemaError naming it."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: a model file holds one JSON object, not {payload!r}")
@@ -339,6 +342,12 @@ def load_model(path):
         )
     params = {name: _array_from_json(array, path, name) for name, array in stored.items()}
     try:
-        return MODEL_KINDS[kind](shape, cfg).model(params, space, normalizer)
+        model = MODEL_KINDS[kind](shape, cfg).model(params, space, normalizer)
     except ContractError as exc:
         raise SchemaError(f"{path}: {exc}") from None
+    settings = json.loads(json.dumps(model.settings()))
+    for key in [*payload, *settings]:
+        if key not in MODEL_FILE_KEYS and payload.get(key) != settings.get(key):
+            raise SchemaError(f"{path}: {key!r} is {payload.get(key)!r}, but the {kind} model "
+                              f"it holds saves {settings.get(key)!r}")
+    return model

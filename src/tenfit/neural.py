@@ -7,9 +7,8 @@ input channels of a two-stage convolution (first across modes, then across
 components) followed by a dense layer and a scalar output, with rectifiers
 between hidden layers. Forward and backward passes are written out
 explicitly so training stays deterministic and the gradients are exact.
-They write into work arrays that the training objective allocates once and
-reuses; the objective reads the engine's flat buffer of B fits' arrays and
-returns one flat gradient in its layout.
+They write into work arrays that the training objective (`_masked_objective`)
+allocates once and reuses.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import FittedModel, ObservationSet, Trainable, block_views, check_indices
+from .core import (FittedModel, ObservationSet, Trainable, block_starts, block_views,
+                   check_indices, gather_keys)
 from .errors import ContractError, DegenerateDataError
 
 
@@ -45,40 +45,28 @@ def costco_layout(shape, cfg) -> list:
     ]
 
 
+def _embeddings_and_head(items: list, shape, cfg) -> tuple[list, list]:
+    """Items in costco_layout order (its entries, their shapes or a fit's
+    arrays) split into the S*M embeddings, group-major, and the head."""
+    n_emb = cfg.n_init_groups * len(shape)
+    return items[:n_emb], items[n_emb:]
+
+
 def costco_init(shape, cfg, seed: int) -> list:
     """Seeded arrays in layout order: Gaussian(0, 0.5) embeddings drawn
     group by group from `seed`, He-scaled Gaussian kernels drawn from
     `seed + 1`, and small positive biases (they keep the rectifiers
     initially active) with a zero output bias."""
-    layout = costco_layout(shape, cfg)
-    n_emb = len(layout) - 8
+    embeddings, head = _embeddings_and_head(costco_layout(shape, cfg), shape, cfg)
     rng = np.random.default_rng(seed)
-    arrays = [rng.normal(0.0, 0.5, size=size) for _, size in layout[:n_emb]]
+    arrays = [rng.normal(0.0, 0.5, size=size) for _, size in embeddings]
     rng = np.random.default_rng(seed + 1)
-    for name, size in layout[n_emb:]:
+    for name, size in head:
         if name.endswith(("kernels", "_w")):  # fan-in: the axes after the first
             arrays.append(rng.normal(0.0, np.sqrt(2.0 / math.prod(size[1:] or size)), size=size))
         else:
             arrays.append(np.full(size, 0.0 if name == "out_b" else 0.01))
     return arrays
-
-
-def _embedding_keys(
-    indices: np.ndarray, shape, n_groups: int, rank: int, n_fits: int = 1, fit: int = 0
-) -> np.ndarray:
-    """(n, R, S, M) positions of fit `fit`'s gathered embedding entries in
-    the concatenation, in layout order, of the (n_fits, I_m, R) stacks of
-    every embedding matrix: the order of the training engine's flat buffer,
-    and for one fit the concatenation of its matrices. The gather and the
-    gradient scatter share them."""
-    sizes = np.asarray(shape, dtype=np.int64) * rank
-    starts = np.arange(n_groups)[:, None] * sizes.sum() + (np.cumsum(sizes) - sizes)
-    starts = n_fits * starts + fit * sizes
-    return (
-        starts[None, None]
-        + indices[:, None, None, :] * rank
-        + np.arange(rank)[None, :, None, None]
-    )
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -187,39 +175,32 @@ def _backward(x, head: list, forward: list, dpreds, arrays: list, g_head: list) 
 
 def _masked_objective(obs_sets, cfg):
     """Masked-MSE objective over B observation sets of one size, for the
-    head sizes of a TrainConfig.
+    head sizes of a TrainConfig: the objective of `core.Trainable` on the
+    flat buffer of B fits' arrays in costco_layout order.
 
-    Returns `objective(flat, grad=True)` for the engine's flat buffer of B
-    fits' arrays in costco_layout order, parameter-major (each array's
-    (B, *shape) stack, fit b's array at `[b]`): `(losses, g)` with losses
-    of shape (B,) and g the flat gradient in the same layout, or the losses
-    alone when `grad` is false. The gather/scatter keys are built here once
-    and index the embedding blocks at the head of the buffer, so each fit
-    reads and writes only its own embeddings; one `np.bincount` over them
-    gives the embedding gradient, and the head gradients go into the tail
-    of its output. The head arrays are views of the buffer, rebuilt only
-    when a call passes another buffer than the last, with no model built
-    per call. A buffer of the wrong length raises ContractError.
-
+    The gather/scatter keys (`core.gather_keys`) are built here once and
+    index the embedding blocks at the head of the buffer, so each fit reads
+    and writes only its own embeddings; one `np.bincount` over them gives
+    the embedding gradient, and the head gradients go into the tail of its
+    output. The head arrays are views of the buffer, rebuilt only when a
+    call passes another buffer than the last, with no model built per call.
     The closure allocates its work arrays on its first call (the backward
-    pass's on its first call with `grad`) and every later call writes into
-    them, so a large fit does not allocate and page-fault them each epoch.
-    A closure is therefore not re-entrant: do not call one from two threads
-    at once. The returned losses and gradient are fresh arrays that never
-    alias the work arrays."""
+    pass's on its first call with `grad`)."""
     shape = obs_sets[0].space.shape()
     n = obs_sets[0].n
     if any(obs.n != n or obs.space.shape() != shape for obs in obs_sets):
         raise ContractError("observation sets of one batch must share their size and shape")
-    n_fits, rank, n_groups = len(obs_sets), cfg.rank, cfg.n_init_groups
+    n_fits, rank, n_groups, n_modes = len(obs_sets), cfg.rank, cfg.n_init_groups, len(shape)
     channels, hidden = cfg.conv_channels, cfg.hidden_units
-    head_shapes = [size for _, size in costco_layout(shape, cfg)[n_groups * len(shape):]]
-    n_emb = n_fits * n_groups * sum(shape) * rank  # embedding entries of the batch
-    total = n_emb + n_fits * sum(math.prod(size) for size in head_shapes)
-    keys = np.stack([
-        _embedding_keys(obs.indices, shape, n_groups, rank, n_fits, b)
-        for b, obs in enumerate(obs_sets)
-    ])
+    shapes = [size for _, size in costco_layout(shape, cfg)]
+    embedding_shapes, head_shapes = _embeddings_and_head(shapes, shape, cfg)
+    starts = block_starts(shapes, n_fits)
+    n_emb, total = starts[len(embedding_shapes)], starts[-1]  # embedding entries come first
+    # every embedding block's keys at once, (B, n, S, M, R), then laid out as x
+    grid = np.reshape(starts[:len(embedding_shapes)], (n_groups, n_modes))  # group-major
+    rows, fits = np.stack([obs.indices for obs in obs_sets])[:, :, None], np.arange(n_fits)
+    keys = gather_keys(grid, (np.array(shape), rank), fits[:, None, None, None], rows)
+    keys = np.ascontiguousarray(keys.transpose(0, 1, 4, 2, 3))  # (B, n, R, S, M)
     values = np.stack([obs.values for obs in obs_sets])
     # work arrays, allocated when first needed; g_head holds the head
     # gradients, and g_views its (B, *shape) blocks
@@ -245,8 +226,7 @@ def _masked_objective(obs_sets, cfg):
         if not grad:
             return losses
         if backward is None:
-            width = n_groups * len(shape)
-            backward = _backward_arrays(n_fits, n, rank, width, channels, hidden)
+            backward = _backward_arrays(n_fits, n, rank, n_groups * n_modes, channels, hidden)
             g_head = np.empty(total - n_emb)
             g_views = block_views(g_head, head_shapes, n_fits)
         dx = _backward(x, head, forward, (2.0 / n) * residuals, backward, g_views)
@@ -287,16 +267,14 @@ class NeuralModel(FittedModel):
         indices = check_indices(indices, self.shape)
         if indices.size == 0:
             return np.zeros(0)
-        arrays = list(self.params.values())
-        n_groups, n_modes = self.cfg.n_init_groups, len(self.shape)
-        n_emb = n_groups * n_modes
-        x = np.empty((1, len(indices), self.rank, n_groups, n_modes))
-        for k, embedding in enumerate(arrays[:n_emb]):  # group-major, as the layout
+        embeddings, head = _embeddings_and_head(list(self.params.values()), self.shape, self.cfg)
+        n_modes = len(self.shape)
+        x = np.empty((1, len(indices), self.rank, self.cfg.n_init_groups, n_modes))
+        for k, embedding in enumerate(embeddings):  # group-major, as the layout
             x[0, :, :, k // n_modes, k % n_modes] = embedding[indices[:, k % n_modes]]
-        head = [a[None] for a in arrays[n_emb:]]
         work = _forward_arrays(1, len(indices), self.rank, self.cfg.conv_channels,
                                self.cfg.hidden_units, backward=False)
-        return _forward(x, head, work)[0]
+        return _forward(x, [a[None] for a in head], work)[0]
 
 
 COSTCO_MAX_BATCH_ROWS = 1_000

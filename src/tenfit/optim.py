@@ -5,15 +5,13 @@ The engine is model-agnostic: anything that can produce a seeded parameter
 list and, for B data sets at once, a batched (losses, gradient) evaluation
 can be trained (see `core.Trainable`). Every fit is one member of a batch,
 and a single fit is the batch of one. The members live in one flat buffer
-laid out parameter-major: the k-th parameter array of every member forms
-one contiguous (B, *shape_k) block (for CPD, each mode's (B*I_m, R) block),
-so one objective call and one Adam step per epoch serve the whole batch,
-and a member gets the same bits as when trained alone. The objective takes
-the flat buffer and returns one flat gradient in its layout, which goes
-straight to `adam_step`. `adam_step` updates the flat buffer in place, with
-moment and scratch buffers allocated once per batch and the gradient as
-work space; it makes the same IEEE operations in the same order as the
-list-based reference in `tests/oracles.py`, which it matches bit for bit.
+in `core`'s format, so one objective call and one Adam step per epoch
+serve the whole batch, and a member gets the same bits as when trained
+alone. `adam_step` updates the flat buffer in place with the objective's
+flat gradient, with moment and scratch buffers allocated once per batch
+and the gradient as work space; it makes the same IEEE operations in the
+same order as the list-based reference in `tests/oracles.py`, which it
+matches bit for bit.
 
 Restarts are seeded as seed + restart_index. Under early stopping each
 member keeps its own patience counter and best-validation checkpoint: the
@@ -38,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ObservationSet, Trainable, block_views, uniform_split
+from .core import ObservationSet, Trainable, block_views, pack, slot_owners, uniform_split
 from .cpd import cpd_trainable
 from .errors import (
     ContractError,
@@ -148,17 +146,6 @@ class RunResult:
     error: TenfitError | None = None
 
 
-def _flat(fits) -> np.ndarray:
-    """The flat parameter-major buffer of B fits' parameter lists."""
-    return np.concatenate([np.stack(arrays) for arrays in zip(*fits)], axis=None, dtype=float)
-
-
-def _owners(shapes, n_fits: int) -> np.ndarray:
-    """The batch slot of every element of a flat buffer."""
-    slots = np.arange(n_fits)
-    return np.concatenate([np.repeat(slots, math.prod(shape)) for shape in shapes])
-
-
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -195,9 +182,8 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
     the last step.
     """
     n_runs = len(runs)
-    inits = [trainable.init(run.seed) for run in runs]
     shapes = [shape for _, shape in trainable.layout]
-    flat = _flat(inits)
+    flat = pack(trainable.init(run.seed) for run in runs)
     # Adam moments and one scratch array, each as long as flat
     m, v, scratch = (np.zeros_like(flat) for _ in range(3))
     early = cfg.patience is not None
@@ -209,7 +195,7 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
         members = [runs[i] for i in live]
         objective = trainable.objective([run.data for run in members])
         val_objective = trainable.val_objective([run.val for run in members]) if early else None
-        return _owners(shapes, live.size), objective, val_objective
+        return slot_owners(shapes, live.size), objective, val_objective
 
     def leave(slots, source, epochs, diverged=None):
         # the runs in `slots` end after `epochs` epochs, kept from `source`
@@ -268,7 +254,7 @@ def train_batch(trainable: Trainable, runs: list, cfg: TrainConfig) -> list:
     kept = [i for i, (outcome, _) in enumerate(ended) if isinstance(outcome, list)]
     if kept:
         final = trainable.objective([runs[i].data for i in kept])
-        finals[kept] = final(_flat([ended[i][0] for i in kept]), grad=False)
+        finals[kept] = final(pack([ended[i][0] for i in kept]), grad=False)
     results = []
     for i, (run, (outcome, epochs)) in enumerate(zip(runs, ended)):
         losses = history[i, :epochs].tolist()

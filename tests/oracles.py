@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tenfit.core import Normalizer, ObservationSet, block_views
+from tenfit.core import Normalizer, ObservationSet, pack, unpack
 from tenfit.errors import ContractError, DegenerateDataError, SchemaError
 from tenfit.metrics import _congruence_products
 from tenfit.modelio import write_atomic
@@ -163,8 +163,8 @@ def neural_grad(model, obs) -> list:
     if obs.n == 0:
         raise DegenerateDataError("gradient is undefined on an empty observation set")
     arrays = list(model.params.values())
-    _, g = _masked_objective([obs], model.cfg)(np.concatenate(arrays, axis=None))
-    return [view[0] for view in block_views(g, [a.shape for a in arrays], 1)]
+    _, g = _masked_objective([obs], model.cfg)(pack([arrays]))
+    return unpack(g, [a.shape for a in arrays])
 
 
 def exhaustive_fms(a, b):

@@ -57,7 +57,7 @@ def test_parallel_sides_give_equal_losses(kernels, monkeypatch):
 def test_objective_entry_runs(kernels, kind):
     entry = kernels.bench_objective(kind, kernels.LATTICE, 20, 2, True, calls=1, rounds=1,
                                     rng=np.random.default_rng(1))
-    assert entry["rows"] == 40 and entry["us_per_call"] > 0
+    assert entry["rows"] == 40 and entry["build_us"] > 0 and entry["us_per_call"] > 0
 
 
 def test_tables_argument_runs_the_named_tables_alone(kernels, monkeypatch, capsys):

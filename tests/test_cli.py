@@ -1052,6 +1052,26 @@ class TestModelFileValidation:
         message = self.predict_with(dataset_dir, tmp_path, capsys, damage)
         assert "params holds" in message and "factors/2" in message
 
+    @pytest.mark.parametrize(
+        "kind, key, block, named",
+        [("cpd", "smoothness", {"weight": 0.7, "modes": [1]},
+          "'smoothness' is {'weight': 0.7, 'modes': [1]}, but the cpd model it holds saves "
+          "{'weight': 0.0, 'modes': []}"),
+         ("cpd", "config", {"hidden_units": 3},
+          "'config' is {'hidden_units': 3}, but the cpd model it holds saves None"),
+         ("costco", "smoothness", {"weight": 0.0, "modes": []},
+          "'smoothness' is {'weight': 0.0, 'modes': []}, but the costco model it holds saves "
+          "None")],
+        ids=["cpd-smoothing", "cpd-head-sizes", "costco-smoothing"],
+    )
+    def test_settings_block_the_model_would_ignore(self, dataset_dir, tmp_path, capsys, kind,
+                                                   key, block, named):
+        # loading it would drop the block silently: saving again writes another
+        def damage(payload):
+            payload[key] = block
+
+        assert named in self.predict_with(dataset_dir, tmp_path, capsys, damage, kind)
+
     @pytest.mark.parametrize("bad", sorted(BAD_NORMALIZERS))
     def test_bad_normalizer_block(self, dataset_dir, tmp_path, capsys, bad):
         def damage(payload):

@@ -12,8 +12,14 @@ from tenfit.core import (
     DesignSpace,
     Normalizer,
     ObservationSet,
+    block_starts,
+    block_views,
     build_design_space,
     encode_observations,
+    gather_keys,
+    pack,
+    slot_owners,
+    unpack,
 )
 from tenfit.errors import ContractError, DegenerateDataError, SchemaError, TenfitError
 
@@ -363,6 +369,60 @@ class TestObservationSetInvariants:
         )
         wider = obs.renormalized(Normalizer(0.0, 8.0))
         assert wider.values == pytest.approx([0.25, 0.5, 0.75])
+
+
+@st.composite
+def buffer_layouts(draw):
+    """A layout of 3-9 array shapes, 0-d to 3-d, holding at least one 0-d
+    array (as CoSTCo's out_b) and two (I, R) matrices of one R (as its
+    embeddings), with 1-6 fits and a seed for their values."""
+    shapes = draw(st.lists(st.lists(st.integers(1, 4), max_size=3).map(tuple), max_size=6))
+    rank = draw(st.integers(1, 4))
+    for shape in ((), (draw(st.integers(1, 6)), rank), (draw(st.integers(1, 6)), rank)):
+        shapes.insert(draw(st.integers(0, len(shapes))), shape)
+    return shapes, rank, draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=buffer_layouts())
+def test_flat_buffer_helpers_describe_one_format(case):
+    shapes, rank, n_fits, seed = case
+    rng = np.random.default_rng(seed)
+    fits = [[rng.normal(size=shape) for shape in shapes] for _ in range(n_fits)]
+    flat = pack(fits)
+    starts = block_starts(shapes, n_fits)
+    views = block_views(flat, shapes, n_fits)
+    assert starts[0] == 0 and starts[-1] == flat.size
+    owners = slot_owners(shapes, n_fits)
+    assert owners.shape == flat.shape
+    owners = block_views(owners, shapes, n_fits)
+    for k, (shape, view) in enumerate(zip(shapes, views)):
+        assert view.shape == (n_fits, *shape) and np.shares_memory(view, flat)
+        assert np.array_equal(view.ravel(), flat[starts[k]:starts[k + 1]])
+        for b in range(n_fits):
+            assert np.array_equal(view[b], fits[b][k])  # packing round-trips
+            assert np.all(owners[k][b] == b)
+    for arrays in fits:
+        assert all(map(np.array_equal, unpack(pack([arrays]), shapes), arrays))
+
+    for k, shape in enumerate(shapes):
+        if len(shape) != 2:
+            continue
+        fit, row = rng.integers(0, n_fits, size=7), rng.integers(0, shape[0], size=7)
+        # a strided (B, n) row array, as CoSTCo gathers B fits' rows at once
+        rows = rng.integers(0, shape[0], size=(5, n_fits)).T
+        for keys, want in ((gather_keys(starts[k], shape, fit, row), views[k][fit, row]),
+                           (gather_keys(starts[k], shape, np.arange(n_fits)[:, None], rows),
+                            views[k][np.arange(n_fits)[:, None], rows])):
+            assert keys.dtype == np.int64 and keys.flags.c_contiguous
+            assert np.array_equal(flat[keys], want)
+    # every (I, R) block of one R at once, their starts and I broadcast
+    blocks = [k for k, shape in enumerate(shapes) if shape[1:] == (rank,)]
+    sizes = np.array([shapes[k][0] for k in blocks])
+    rows, fits = rng.integers(0, sizes, size=(n_fits, 5, len(blocks))), np.arange(n_fits)
+    keys = gather_keys(np.array(starts)[blocks], (sizes, rank), fits[:, None, None], rows)
+    want = np.stack([views[k][fits[:, None], rows[..., j]] for j, k in enumerate(blocks)], 2)
+    assert keys.flags.c_contiguous and np.array_equal(flat[keys], want)
 
 
 class TestDenseTensor:

@@ -3,7 +3,7 @@ import pytest
 from conftest import full_grid_indices
 from oracles import costco_loss_and_grad, cpd_loss_and_grad
 
-from tenfit.core import DesignSpace, Normalizer, ObservationSet, block_views
+from tenfit.core import DesignSpace, Normalizer, ObservationSet, block_views, pack, unpack
 from tenfit.cpd import SmoothnessConfig, masked_objective
 from tenfit.errors import ContractError
 from tenfit.neural import _masked_objective, _sum_rows, costco_init, costco_layout
@@ -33,7 +33,7 @@ def random_observations(rng, shape, n):
 
 def unflatten(g, arrays):
     """One fit's flat gradient split into arrays shaped as `arrays`."""
-    return [view[0] for view in block_views(g, [a.shape for a in arrays], 1)]
+    return unpack(g, [a.shape for a in arrays])
 
 
 def test_fused_objectives_match_reference_kernels():
@@ -137,7 +137,7 @@ def test_objectives_reject_a_buffer_of_the_wrong_length_or_not_flat(kind):
     sets = [random_observations(rng, shape, 12) for _ in range(2)]
     trainable = MODEL_KINDS[kind](shape, cfg)
     objective = trainable.objective(sets)
-    flat = np.concatenate([np.stack(a) for a in zip(*map(trainable.init, (0, 1)))], axis=None)
+    flat = pack(map(trainable.init, (0, 1)))
     objective(flat)
     for wrong in (flat[:-1], np.append(flat, 0.0), flat[None], flat[: flat.size // 2]):
         for grad in (True, False):
@@ -154,8 +154,7 @@ def test_costco_objective_results_outlive_the_next_call():
     sets = [random_observations(rng, shape, 17) for _ in range(2)]
     objective = _masked_objective(sets, cfg)
     first, second = ([costco_init(shape, cfg, seed) for seed in seeds] for seeds in ((0, 1), (2, 3)))
-    stacked = [np.concatenate([np.stack(a) for a in zip(*fits)], axis=None)
-               for fits in (first, second)]
+    stacked = [pack(fits) for fits in (first, second)]
     losses, g = objective(stacked[0])
     val_losses = objective(stacked[0], grad=False)
     kept = losses.copy(), val_losses.copy(), g.copy()

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import costco_forward, neural_grad, predict_entry
 
-from tenfit.core import DesignSpace, Normalizer, ObservationSet
+from tenfit.core import DesignSpace, Normalizer, ObservationSet, block_starts, gather_keys, pack
 from tenfit.cpd import FactorSet
 from tenfit.errors import ContractError, DegenerateDataError
 from tenfit.neural import (
     NeuralModel,
-    _embedding_keys,
+    _embeddings_and_head,
     _forward,
     _forward_arrays,
     costco_fit,
@@ -57,16 +57,19 @@ def summing_model(shape, rank, embeddings) -> NeuralModel:
 
 def forward(model, indices):
     """The package's forward pass for one model, on training's gather (the
-    embeddings concatenated flat and taken at their keys): predictions, the
-    gathered input x and the arrays backward reads, without the batch
-    axis."""
-    arrays = list(model.params.values())
-    n_emb = len(arrays) - 8
-    keys = _embedding_keys(indices, model.shape, model.cfg.n_init_groups, model.rank)
-    x = np.concatenate(arrays[:n_emb], axis=None).take(keys)[None]
-    cfg = model.cfg
+    model's one-fit buffer taken at the embeddings' gather keys):
+    predictions, the gathered input x and the arrays backward reads,
+    without the batch axis."""
+    cfg, arrays = model.cfg, list(model.params.values())
+    embeddings, head = _embeddings_and_head(arrays, model.shape, cfg)
+    starts, n_modes = block_starts([a.shape for a in arrays], 1), len(model.shape)
+    keys = np.empty((len(indices), model.rank, cfg.n_init_groups, n_modes), dtype=np.int64)
+    for k, embedding in enumerate(embeddings):  # group-major, as the layout
+        keys[..., k // n_modes, k % n_modes] = gather_keys(starts[k], embedding.shape, 0,
+                                                           indices[:, k % n_modes])
+    x = pack([arrays]).take(keys)[None]
     work = _forward_arrays(1, len(indices), model.rank, cfg.conv_channels, cfg.hidden_units)
-    preds = _forward(x, [a[None] for a in arrays[n_emb:]], work)
+    preds = _forward(x, [a[None] for a in head], work)
     return preds[0], x[0], [w[0] for w in work]
 
 
