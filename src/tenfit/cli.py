@@ -20,7 +20,7 @@ import numpy as np
 from .core import CATEGORICAL, ORDINAL, build_design_space, encode_observations
 from .cpd import CPDModel
 from .errors import ContractError, SchemaError, TenfitError
-from .harness import _TRAIN_KEYS, _train_config_from, run_experiment, run_sweep
+from .harness import _FIT_KEYS, model_spec_from_config, run_experiment, run_sweep
 from .metrics import component_expression_export, fms, regression_metrics
 from .modelio import as_float, load_dataset, load_model, read_csv_rows, read_index_csv
 from .modelio import save_model, write_atomic, write_dataset, write_index_csv
@@ -83,9 +83,9 @@ def cmd_ingest(args) -> dict:
 
 def cmd_fit(args) -> dict:
     space, obs = load_dataset(args.obs)
-    smooth_modes = _split_csv_list(args.smooth_modes) if args.smooth_modes else None
-    cfg = _train_config_from({**vars(args), "smooth_modes": smooth_modes}, space)
-    model, report = fit(space.shape(), obs, cfg, args.model)
+    options = {key: value for key, value in vars(args).items() if key in _FIT_KEYS}
+    spec = model_spec_from_config(options, space, "the fit options", _FIT_KEYS)
+    model, report = fit(space.shape(), obs, spec.cfg, spec.kind)
     save_model(model, args.out)
     report_path = Path(args.out).with_suffix(".report.json")
     write_atomic(report_path, json.dumps(report.to_json()))
@@ -206,14 +206,17 @@ def build_parser() -> argparse.ArgumentParser:
         "fit", help="train one model on a dataset directory", argument_default=argparse.SUPPRESS
     )
     p.add_argument("--obs", required=True, help="dataset directory from ingest")
-    p.add_argument("--model", required=True, choices=MODEL_KINDS)
+    p.add_argument("--model", dest="kind", required=True, choices=MODEL_KINDS)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--smooth-modes", dest="smooth_modes", default="", help="axis names (default: ordinal axes)")
-    heads = {"groups": "initialization groups", "channels": "conv channels", "hidden": "dense width"}
-    for key, (_, cast) in _TRAIN_KEYS.items():  # one flag per config key
-        kind = float if cast is as_float else int
-        text = f"costco: {heads[key]}" if key in heads else None
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
+    p.add_argument("--smooth-modes", dest="smooth_modes", type=lambda text: _split_csv_list(text)
+                   if text else None, help="cpd_s only: axis names (default: ordinal axes)")
+    heads = {"lambda_smooth": "smoothness weight", "groups": "initialization groups",
+             "channels": "conv channels", "hidden": "dense width"}
+    for key, (cast, _, *kinds) in _FIT_KEYS.items():  # one flag per other key of the options
+        if key not in ("kind", "name", "rank", "smooth_modes"):
+            text = f"{kinds[0]} only: {heads[key]}" if kinds else None
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text,
+                           type=float if cast is as_float else int)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_fit)
 

@@ -171,7 +171,7 @@ def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
     keys = np.stack([gather_keys(starts[m], blocks[m], fit_id, indices[:, m])
                      for m in reversed(range(n_modes))])
     scatter_keys = np.concatenate([keys.ravel(), total + fit_id])
-    twos = np.repeat((2.0 / counts)[fit_id][:, None], rank, axis=1)
+    twos = (2.0 / counts)[fit_id]
     # each smoothed mode's block as block_views cuts it, once, not on every call
     smooth = [(slice(starts[m], starts[m + 1]), (n_fits, *blocks[m]))
               for m in (cfg.modes if cfg.weight > 0 else ())]
@@ -199,7 +199,10 @@ def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
         np.subtract(residuals, values, out=residuals)
         np.multiply(residuals, residuals, out=squares)
         if grad:
-            np.multiply(residuals[:, None], twos, out=chain[0])  # d loss / d prediction
+            # d loss / d prediction, into each of the R lanes (faster than a broadcast)
+            np.multiply(residuals, twos, out=residuals)
+            for r in range(rank):
+                chain[0][:, r] = residuals
             for k in range(1, n_modes):
                 np.multiply(chain[k - 1], rows[k - 1], out=chain[k])
             for k in range(n_modes - 1):
@@ -231,8 +234,9 @@ def _component_sum(products: np.ndarray, out: np.ndarray | None = None) -> np.nd
     (into `out` when given)."""
     if out is None:
         out = np.empty(products.shape[0])
-    out[:] = products[:, 0]
-    for r in range(1, products.shape[1]):
+    second = products[:, 1] if products.shape[1] > 1 else -0.0  # x + -0.0 is x, bit for bit
+    np.add(products[:, 0], second, out=out)
+    for r in range(2, products.shape[1]):
         out += products[:, r]
     return out
 

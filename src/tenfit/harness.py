@@ -16,12 +16,12 @@ grids, factor exports and the factor match score.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import DesignSpace, Normalizer, ObservationSet, uniform_split
+from .core import ORDINAL, DesignSpace, Normalizer, ObservationSet, uniform_split
 from .cpd import CPDModel
 from .errors import ContractError, SplitError, StratumExhaustedError, TenfitError
 from .metrics import component_expression_export, fms, regression_metrics
@@ -56,34 +56,22 @@ class RegionSpec:
 
     def mask(self, obs: ObservationSet) -> np.ndarray:
         """Per-row boolean: does the observation project into the region?"""
-        ia = obs.space.axis_position(self.axis_a)
-        ib = obs.space.axis_position(self.axis_b)
-        a = obs.indices[:, ia]
-        b = obs.indices[:, ib]
-        return (
-            (a >= self.a_range[0])
-            & (a <= self.a_range[1])
-            & (b >= self.b_range[0])
-            & (b <= self.b_range[1])
-        )
+        a, b = (obs.indices[:, obs.space.axis_position(n)] for n in (self.axis_a, self.axis_b))
+        (a_lo, a_hi), (b_lo, b_hi) = self.a_range, self.b_range
+        return (a >= a_lo) & (a <= a_hi) & (b >= b_lo) & (b <= b_hi)
 
     def to_json(self) -> dict:
-        return {
-            "axis_a": self.axis_a,
-            "axis_b": self.axis_b,
-            "a_range": list(self.a_range),
-            "b_range": list(self.b_range),
-        }
+        return {"axis_a": self.axis_a, "axis_b": self.axis_b,
+                "a_range": list(self.a_range), "b_range": list(self.b_range)}
 
 
 def region_from_values(
     space: DesignSpace, axis_a: str, axis_b: str, a_values, b_values
 ) -> RegionSpec:
     """Build a RegionSpec from (lo, hi) axis-value labels instead of indices."""
-    ax_a = space.axes[space.axis_position(axis_a)]
-    ax_b = space.axes[space.axis_position(axis_b)]
-    a_range = (ax_a.index_of(a_values[0]), ax_a.index_of(a_values[1]))
-    b_range = (ax_b.index_of(b_values[0]), ax_b.index_of(b_values[1]))
+    a, b = (space.axes[space.axis_position(name)] for name in (axis_a, axis_b))
+    a_range = (a.index_of(a_values[0]), a.index_of(a_values[1]))
+    b_range = (b.index_of(b_values[0]), b.index_of(b_values[1]))
     return RegionSpec(axis_a=axis_a, axis_b=axis_b, a_range=a_range, b_range=b_range)
 
 
@@ -373,149 +361,160 @@ def ood_sweep(
 _REQUIRED = object()
 
 
-def _read(entry: dict, key: str, cast=None, default=_REQUIRED):
-    """`entry[key]`, passed through `cast` if given, or `default` when the
-    key is absent. A missing required key, or a value `cast` rejects,
-    raises a ContractError naming the key."""
-    if key not in entry:
-        if default is _REQUIRED:
-            raise ContractError(f"config needs a {key!r} value")
-        return default
-    try:
-        return entry[key] if cast is None else cast(entry[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ContractError(f"config value {entry[key]!r} of {key!r} is not valid") from None
+def _one_of(names):
+    """A cast to one of `names`."""
+    def cast(value):
+        if value not in names:
+            raise ValueError(f"{value!r} is not one of {list(names)}")
+        return value
+    return cast
 
 
-def _object(entry, what: str) -> dict:
-    if not isinstance(entry, dict):
-        raise ContractError(f"{what} must be a JSON object, not {entry!r}")
-    return entry
+def _list_of(cast=None, size=None, empty=False):
+    """A cast to a tuple from a JSON list (a string is not a list), non-empty
+    unless `empty`, of `size` items when given, each passed through `cast`."""
+    def read(values):
+        if (not isinstance(values, (list, tuple)) or not (values or empty)
+                or size not in (None, len(values))):
+            raise ValueError(f"{values!r} is not a list of {size or 'some'} items")
+        return tuple(values if cast is None else map(cast, values))
+    return read
 
 
-def _name(entry: dict, default: str) -> str:
+def _optional(cast):
+    return lambda value: None if value is None else cast(value)
+
+
+def _name(name) -> str:
     """A plan or model name; it becomes part of output file names."""
-    name = entry.get("name", default)
     if not isinstance(name, str) or "/" in name or "\0" in name:
         raise ContractError(f"name {name!r} is not a usable file name")
     return name
 
 
-def _pair(values) -> tuple:
-    lo, hi = values
-    return lo, hi
+# The keys of each config object: key -> (cast, default, *the kinds that read
+# it; none: every kind). A cast of None keeps the value as it is. A key left
+# out takes its default, or stays out when that is None (so TrainConfig's own
+# default applies); a _REQUIRED one must be given.
+_MODEL_KEYS = {
+    "kind": (_one_of(MODEL_KINDS), _REQUIRED), "name": (_name, None), "rank": (as_int, _REQUIRED),
+    "epochs": (as_int, None), "lr": (as_float, None), "restarts": (as_int, None),
+    "patience": (_optional(as_int), None), "val_fraction": (as_float, None),
+    "lambda_smooth": (as_float, None, "cpd_s"),
+    "smooth_modes": (_optional(_list_of(empty=True)), None, "cpd_s"),
+    **{key: (as_int, None, "costco") for key in ("groups", "channels", "hidden")},
+}
+_RUN_KEYS = {  # the keys experiment and sweep configs share
+    "dataset": (Path, _REQUIRED), "seed": (as_int, 0), "iterations": (as_int, 10),
+    "normalization": (None, "train"),  # checked when the scoring loop starts
+}
+_EXPERIMENT_KEYS = {**_RUN_KEYS, **{key: (_list_of(), _REQUIRED) for key in ("plans", "models")}}
+_SWEEP_KEYS = {  # one TrainConfig serves every listed model kind
+    "models": (_list_of(_one_of(MODEL_KINDS)), ("cpd",)), **_RUN_KEYS,
+    "region": (None, _REQUIRED), "n_in": (as_int, _REQUIRED),
+    "n_out_list": (_list_of(as_int), _REQUIRED),
+    **{key: spec for key, spec in _MODEL_KEYS.items() if key not in ("kind", "name")},
+}
+_FIT_KEYS = {**_MODEL_KEYS, "seed": _RUN_KEYS["seed"]}  # `tenfit fit`'s options
+_PLAN_KEYS = {
+    "kind": (_one_of(("uniform", "biased")), _REQUIRED), "name": (_name, None),
+    "fraction": (as_float, _REQUIRED, "uniform"), "region": (None, _REQUIRED, "biased"),
+    "n_in": (as_int, _REQUIRED, "biased"), "n_out": (as_int, _REQUIRED, "biased"),
+}
+_REGION_KEYS = {  # by inclusive index intervals ("ranges"), or by value labels ("values")
+    "axis_a": (None, _REQUIRED), "axis_b": (None, _REQUIRED),
+    **{f"{ab}_range": (_list_of(as_int, 2), _REQUIRED, "ranges") for ab in "ab"},
+    **{f"{ab}_values": (_list_of(None, 2), _REQUIRED, "values") for ab in "ab"},
+}
+_FIELDS = {"lambda_smooth": "smooth_weight", "groups": "n_init_groups",  # keys named for
+           "channels": "conv_channels", "hidden": "hidden_units"}  # another TrainConfig field
 
 
-def _entries(values) -> list:
-    """A non-empty JSON list (a string is not a list of entries)."""
-    if not isinstance(values, list) or not values:
-        raise ValueError(f"{values!r} is not a non-empty list")
+def _read_object(entry, keys: dict, where: str, kind: str | None = None, kinds=()) -> dict:
+    """A config object of `kinds` read through its table `keys`, or of the
+    kinds key `kind` (first in its table) names. A ContractError names the
+    key at fault and `where` the object sits."""
+    if not isinstance(entry, dict):
+        raise ContractError(f"{where} must be a JSON object, not {entry!r}")
+    for key in entry:
+        if key not in keys:
+            import difflib  # here, not at the top: it adds ~0.2 MB to every run
+            close = difflib.get_close_matches(str(key), keys, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ContractError(f"unknown key {key!r} in {where}{hint}")
+    values = {}
+    for key, (cast, default, *readers) in keys.items():
+        if readers and not set(readers) & set(kinds):
+            if key in entry:
+                raise ContractError(f"{key!r} in {where} is ignored by {' and '.join(kinds)}: "
+                                    f"only {' and '.join(readers)} read it")
+        elif key in entry:
+            try:
+                values[key] = entry[key] if cast is None else cast(entry[key])
+            except (TypeError, ValueError, OverflowError):
+                raise ContractError(
+                    f"config value {entry[key]!r} of {key!r} in {where} is not valid") from None
+        elif default is _REQUIRED:
+            raise ContractError(f"{where} needs a {key!r} value")
+        elif default is not None:
+            values[key] = default
+        if key == kind:
+            kinds = (values[key],) if isinstance(values[key], str) else values[key]
     return values
 
 
-# config key -> (TrainConfig field, cast); an absent key keeps the field's default
-_TRAIN_KEYS = {
-    "epochs": ("epochs", as_int),
-    "lr": ("lr", as_float),
-    "lambda_smooth": ("smooth_weight", as_float),
-    "seed": ("seed", as_int),
-    "restarts": ("restarts", as_int),
-    "patience": ("patience", lambda v: None if v is None else as_int(v)),
-    "val_fraction": ("val_fraction", as_float),
-    "groups": ("n_init_groups", as_int),
-    "channels": ("conv_channels", as_int),
-    "hidden": ("hidden_units", as_int),
-}
-
-
-def _train_config_from(entry: dict, space: DesignSpace) -> TrainConfig:
-    """The TrainConfig of a model entry, of a sweep config, or of the
-    `tenfit fit` options (smooth_modes as a list of axis names; none means
-    the ordinal axes)."""
-
-    def modes(names):
-        if isinstance(names, str):
-            raise TypeError(f"{names!r} is not a list of axis names")
-        return space.ordinal_modes() if names is None else tuple(map(space.axis_position, names))
-
-    given = {f: _read(entry, key, cast) for key, (f, cast) in _TRAIN_KEYS.items() if key in entry}
-    rank = _read(entry, "rank", as_int)
-    smooth_modes = _read(entry, "smooth_modes", modes, space.ordinal_modes())
+def _train_config(values: dict, space: DesignSpace) -> TrainConfig:
+    """The TrainConfig of a model entry's, a sweep config's or `tenfit
+    fit`'s values. smooth_modes names ordinal axes; none means all of them."""
+    names = values.get("smooth_modes")
+    modes = space.ordinal_modes() if names is None else tuple(map(space.axis_position, names))
+    for name, mode in zip(names or (), modes):
+        if space.axes[mode].kind != ORDINAL:
+            raise ContractError(f"smooth_modes names the categorical axis {name!r}: CPD-S "
+                                f"smooths ordinal axes only")
+    given = {_FIELDS.get(key, key): value for key, value in values.items()}
+    given = {f.name: given[f.name] for f in fields(TrainConfig) if f.name in given}
     try:
-        return TrainConfig(rank=rank, smooth_modes=smooth_modes, **given)
+        return TrainConfig(**{**given, "smooth_modes": modes})
     except ContractError as exc:
         # every check ends "<check>: <field> is <value>"; name its key
         check, _, named = str(exc).rpartition(": ")
         field, _, value = named.partition(" is ")
-        keys = {f: key for key, (f, _) in _TRAIN_KEYS.items()}
+        keys = {f: key for key, f in _FIELDS.items()}
         raise ContractError(f"{check}: {keys.get(field, field)!r} is {value}") from None
 
 
-def _model_kind(value) -> str:
-    if value not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {value!r}")
-    return value
+def model_spec_from_config(entry: dict, space: DesignSpace, where: str = "model entry",
+                           keys: dict = _MODEL_KEYS) -> ModelSpec:
+    """A model entry of an experiment config, or with _FIT_KEYS the `tenfit
+    fit` options. An entry takes no `seed`: iteration i of every model is
+    seeded with the config's top-level seed + i."""
+    values = _read_object(entry, keys, where, kind="kind")
+    kind = values["kind"]
+    return ModelSpec(name=values.get("name", kind), kind=kind, cfg=_train_config(values, space))
 
 
-def model_spec_from_config(entry: dict, space: DesignSpace) -> ModelSpec:
-    """A model entry of an experiment config. It takes no `seed`: iteration
-    i of every model is seeded with the config's top-level seed + i."""
-    kind = _read(_object(entry, "model entry"), "kind", _model_kind)
-    if "seed" in entry:
-        raise ContractError("a model entry takes no 'seed'; set the config's top-level 'seed'")
-    return ModelSpec(name=_name(entry, kind), kind=kind, cfg=_train_config_from(entry, space))
-
-
-def region_from_config(entry: dict, space: DesignSpace) -> RegionSpec:
-    axis_a, axis_b = (_read(_object(entry, "region"), key) for key in ("axis_a", "axis_b"))
-    if "a_values" in entry or "b_values" in entry:
-        region = region_from_values(
-            space,
-            axis_a,
-            axis_b,
-            _read(entry, "a_values", _pair),
-            _read(entry, "b_values", _pair),
-        )
-    else:
-        region = RegionSpec(
-            axis_a=axis_a,
-            axis_b=axis_b,
-            a_range=_read(entry, "a_range", lambda v: tuple(map(as_int, _pair(v)))),
-            b_range=_read(entry, "b_range", lambda v: tuple(map(as_int, _pair(v)))),
-        )
+def region_from_config(entry: dict, space: DesignSpace, where: str = "region") -> RegionSpec:
+    by = "values" if isinstance(entry, dict) and {*entry} & {"a_values", "b_values"} else "ranges"
+    values = _read_object(entry, _REGION_KEYS, where, kinds=(by,))
+    region = region_from_values(space, **values) if by == "values" else RegionSpec(**values)
     region.validate(space)
     return region
 
 
-def plan_from_config(entry: dict, space: DesignSpace) -> SamplingPlan:
-    kind = _object(entry, "plan").get("kind")
-    if kind == "uniform":
-        return SamplingPlan(
-            kind="uniform",
-            fraction=_read(entry, "fraction", as_float),
-            name=_name(entry, "uniform"),
-        )
-    if kind == "biased":
-        return SamplingPlan(
-            kind="biased",
-            region=region_from_config(_read(entry, "region"), space),
-            n_in=_read(entry, "n_in", as_int),
-            n_out=_read(entry, "n_out", as_int),
-            name=_name(entry, "biased"),
-        )
-    raise ContractError(f"unknown plan kind {kind!r}")
+def plan_from_config(entry: dict, space: DesignSpace, where: str = "plan") -> SamplingPlan:
+    values = _read_object(entry, _PLAN_KEYS, where, kind="kind")
+    if "region" in values:
+        values["region"] = region_from_config(values["region"], space, f"{where}.region")
+    return SamplingPlan(**values)
 
 
-def _read_run(config: dict):
-    """The keys experiment and sweep configs share: the dataset's space and
-    observations, the iteration count, the base seed and the normalization
-    scope (checked when the scoring loop starts)."""
-    space, obs = load_dataset(_read(_object(config, "config"), "dataset", Path))
-    seed = _read(config, "seed", as_int, 0)
-    if seed < 0:
+def _read_run(config, keys: dict, kind=None):
+    """An experiment or sweep config's values, and its dataset's space and observations."""
+    values = _read_object(config, keys, "config", kind)
+    if values["seed"] < 0:
         raise ContractError("seed must be >= 0")
-    iterations = _read(config, "iterations", as_int, 10)
-    return space, obs, iterations, seed, config.get("normalization", "train")
+    return values, *load_dataset(values["dataset"])
 
 
 def _failure(plan: str, model, iteration, exc: TenfitError) -> dict:
@@ -601,9 +600,10 @@ def run_experiment(config: dict, out_dir) -> dict:
     failed cell, factor export or factor match is recorded in `failures`
     and skipped.
     """
-    space, obs, iterations, seed, scope = _read_run(config)
-    plans = [plan_from_config(p, space) for p in _read(config, "plans", _entries)]
-    specs = [model_spec_from_config(m, space) for m in _read(config, "models", _entries)]
+    run, space, obs = _read_run(config, _EXPERIMENT_KEYS)
+    iterations, seed, scope = run["iterations"], run["seed"], run["normalization"]
+    plans = [plan_from_config(p, space, f"plans[{i}]") for i, p in enumerate(run["plans"])]
+    specs = [model_spec_from_config(m, space, f"models[{i}]") for i, m in enumerate(run["models"])]
     for what, names in (("plan", [p.name for p in plans]), ("model", [s.name for s in specs])):
         if len(set(names)) != len(names):
             raise ContractError(f"{what} names {names} are not unique")
@@ -643,17 +643,9 @@ def run_experiment(config: dict, out_dir) -> dict:
 def run_sweep(config: dict, out_dir) -> dict:
     """Execute an OOD sweep config and persist the table; every model shares
     the config's one TrainConfig."""
-    space, obs, iterations, _, scope = _read_run(config)
-    kinds = _read(config, "models", lambda v: [_model_kind(k) for k in _entries(v)], ["cpd"])
-    table = ood_sweep(
-        obs,
-        region_from_config(_read(config, "region"), space),
-        n_in=_read(config, "n_in", as_int),
-        n_out_list=_read(config, "n_out_list", lambda v: [as_int(k) for k in _entries(v)]),
-        cfg=_train_config_from(config, space),
-        model_kinds=kinds,
-        iterations=iterations,
-        normalization=scope,
-    )
+    run, space, obs = _read_run(config, _SWEEP_KEYS, kind="models")
+    region, cfg = region_from_config(run["region"], space), _train_config(run, space)
+    table = ood_sweep(obs, region, run["n_in"], run["n_out_list"], cfg, run["models"],
+                      run["iterations"], run["normalization"])
     _write_json(Path(out_dir) / "sweep.json", table)
     return table

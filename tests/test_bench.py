@@ -4,6 +4,8 @@ loaded from the script and run on calls small enough for the suite."""
 import importlib.util
 import json
 import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from tenfit import optim
 from tenfit.neural import COSTCO_ROW_EPOCH_US
 
 SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "kernels.py"
+SAME_BYTES = SCRIPT.with_name("same_bytes.py")
 
 
 @pytest.fixture
@@ -128,3 +131,28 @@ def test_coldstart_table_runs(kernels, monkeypatch, tmp_path):
     assert [entry["command"] for entry in table] == commands
     assert all(entry["wall_ms"] > 0 and entry["max_rss_mb"] > 0 for entry in table)
     assert (tmp_path / "preds.csv").is_file() and (tmp_path / "fms.json").is_file()
+
+
+def test_same_bytes_reports_a_one_ulp_change(tmp_path):
+    """`bench/same_bytes.py`'s fit job against a copy of src/ (no git call):
+    the copy writes the same bytes, and a residual moved by one ulp in the
+    copy's CPD objective is reported, with exit code 1."""
+    src = tmp_path / "src"
+    shutil.copytree(SCRIPT.parents[1] / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+
+    def same_bytes():
+        argv = [sys.executable, str(SAME_BYTES), "--base", str(src), "--seeds", "0",
+                "--jobs", "fit"]
+        return subprocess.run(argv, capture_output=True, text=True, timeout=300)
+
+    proc = same_bytes()
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("same_bytes: 11/11 files identical")
+    kernel = src / "tenfit" / "cpd.py"
+    line = "        np.subtract(residuals, values, out=residuals)\n"
+    assert kernel.read_text().count(line) == 1
+    kernel.write_text(kernel.read_text().replace(
+        line, line + "        residuals[0] = np.nextafter(residuals[0], np.inf)\n"))
+    proc = same_bytes()
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "differs: fit/seed0/cpd.json" in proc.stdout.splitlines()

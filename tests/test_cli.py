@@ -84,6 +84,12 @@ def sweep_config(dataset_dir, epochs=60):
     }
 
 
+def kind_reading(key):
+    """A model kind whose entries read `key`: cpd, unless it ignores the key."""
+    _, _, *readers = harness._MODEL_KEYS[key]
+    return readers[0] if readers else "cpd"
+
+
 def run_config(command, config, tmp_path):
     """Exit code and stderr of `tenfit <command>` on a config written to disk."""
     config_path = tmp_path / f"{command}.json"
@@ -516,7 +522,10 @@ class TestConfigErrors:
     )
     def test_bad_value_names_its_key(self, dataset_dir, tmp_path, command, path, value):
         build = experiment_config if command == "experiment" else sweep_config
-        config = replace_field(build(dataset_dir, epochs=5), path, value)
+        config = build(dataset_dir, epochs=5)
+        if path[:1] == ("models",) and len(path) == 3:
+            config["models"][0]["kind"] = kind_reading(path[-1])
+        config = replace_field(config, path, value)
         payload = one_json_error(*run_config(command, config, tmp_path))
         assert payload["error"] == "ContractError"
         named = repr(path[-1]) if path else "config must be a JSON object"
@@ -763,6 +772,100 @@ class TestValidationNeedsPatience:
         assert not out.exists() and not out.with_suffix(".report.json").exists()
 
 
+class TestStrictKeys:
+    """A key that its object's table lacks, or that the object's kind
+    ignores, is a ContractError naming the key and where it sits, reported
+    as one line of JSON before any output is written."""
+
+    @pytest.mark.parametrize(
+        "path, key, value, where, close",
+        [((), "itterations", 2, "config", "iterations"),
+         ((), "normalisation", "global", "config", "normalization"),
+         (("models", 0), "epoch", 5, "models[0]", "epochs"),
+         (("models", 0), "learning_rate", 0.5, "models[0]", None),
+         (("models", 0), "lamda_smooth", 1.0, "models[0]", "lambda_smooth"),
+         (("plans", 0), "fracton", 0.1, "plans[0]", "fraction"),
+         (("plans", 1, "region"), "a_rnge", [0, 1], "plans[1].region", "a_range")],
+        ids=["itterations", "normalisation", "epoch", "learning_rate", "lamda_smooth", "fracton",
+             "a_rnge"],
+    )
+    def test_misspelled_key(self, dataset_dir, tmp_path, path, key, value, where, close):
+        config = replace_field(experiment_config(dataset_dir, epochs=5), (*path, key), value)
+        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        hint = f"; did you mean {close!r}?" if close else ""
+        assert payload == {"error": "ContractError",
+                           "message": f"unknown key {key!r} in {where}{hint}"}
+        assert not (tmp_path / "out").exists()
+
+    def test_misspelled_sweep_key(self, dataset_dir, tmp_path):
+        config = {**sweep_config(dataset_dir, epochs=5), "n_out": [2, 4]}
+        payload = one_json_error(*run_config("sweep", config, tmp_path))
+        assert payload["message"] == "unknown key 'n_out' in config; did you mean 'n_out_list'?"
+
+    @pytest.mark.parametrize(
+        "kind, key, value, reader",
+        [("cpd", "lambda_smooth", 0.5, "cpd_s"), ("cpd", "smooth_modes", ["ux"], "cpd_s"),
+         *((kind, key, 2, "costco") for kind in ("cpd", "cpd_s")
+           for key in ("groups", "channels", "hidden"))],
+    )
+    def test_key_its_kind_ignores(self, dataset_dir, tmp_path, kind, key, value, reader):
+        config = experiment_config(dataset_dir, epochs=5)
+        config["models"][0].update({"kind": kind, key: value})
+        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        message = f"{key!r} in models[0] is ignored by {kind}: only {reader} read it"
+        assert payload == {"error": "ContractError", "message": message}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "path, key, value, message",
+        [(("plans", 0), "n_in", 4, "'n_in' in plans[0] is ignored by uniform: only biased read it"),
+         (("plans", 1, "region"), "b_values", [1, 2],
+          "'a_range' in plans[1].region is ignored by values: only ranges read it")],
+        ids=["uniform_plan_n_in", "region_ranges_and_values"],
+    )
+    def test_key_its_plan_or_region_form_ignores(self, dataset_dir, tmp_path, path, key, value,
+                                                 message):
+        config = replace_field(experiment_config(dataset_dir, epochs=5), (*path, key), value)
+        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        assert payload == {"error": "ContractError", "message": message}
+
+    def test_sweep_key_read_by_any_listed_kind(self, dataset_dir, tmp_path):
+        # one TrainConfig serves every model of a sweep
+        config = {**sweep_config(dataset_dir, epochs=5), "groups": 2}
+        payload = one_json_error(*run_config("sweep", config, tmp_path))
+        assert payload["message"] == "'groups' in config is ignored by cpd: only costco read it"
+        config["models"] = ["cpd", "costco"]
+        code, err = run_config("sweep", config, tmp_path)
+        assert code == 0, err
+
+    def test_fit_flag_its_model_ignores(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        code = main(["fit", "--obs", str(dataset_dir), "--model", "cpd", "--rank", "2",
+                     "--lambda-smooth", "0.5", "--out", str(out)])
+        printed = capsys.readouterr()
+        message = "'lambda_smooth' in the fit options is ignored by cpd: only cpd_s read it"
+        assert printed.out == ""
+        assert one_json_error(code, printed.err) == {"error": "ContractError", "message": message}
+        assert not out.exists()
+
+    def test_smoothing_a_categorical_axis(self, dataset_dir, tmp_path, capsys):
+        # CPD-S smooths ordinal axes: neighbouring values of a categorical
+        # axis are in no order, so a first difference along it means nothing
+        message = ("smooth_modes names the categorical axis 'geometry': "
+                   "CPD-S smooths ordinal axes only")
+        config = experiment_config(dataset_dir, epochs=5)
+        config["models"][0].update(kind="cpd_s", smooth_modes=["ux", "geometry"])
+        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        assert payload == {"error": "ContractError", "message": message}
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        code = main(["fit", "--obs", str(dataset_dir), "--model", "cpd_s", "--rank", "2",
+                     "--smooth-modes", "geometry", "--out", str(out)])
+        assert one_json_error(code, capsys.readouterr().err)["message"] == message
+        assert not out.exists()
+
+
 class TestErrorPathsNameTheirCause:
     """Config, option and model errors that exit 1 with one line of JSON
     naming the key, option or file at fault, before any output is written."""
@@ -778,7 +881,7 @@ class TestErrorPathsNameTheirCause:
         if not message.endswith(f" is {value!r}"):  # the check alone; the message names the key
             message = f"{message}: {key!r} is {value!r}"
         config = experiment_config(dataset_dir, epochs=5)
-        config["models"][0][key] = value
+        config["models"][0].update({"kind": kind_reading(key), key: value})
         payload = one_json_error(*run_config("experiment", config, tmp_path))
         assert payload == {"error": "ContractError", "message": message}
         assert not (tmp_path / "out").exists()
@@ -797,7 +900,7 @@ class TestErrorPathsNameTheirCause:
     def test_train_config_check_names_its_key(self, dataset_dir, tmp_path, key, value, message):
         # json.dumps writes NaN and Infinity, and json.loads reads them back
         config = experiment_config(dataset_dir, epochs=5)
-        config["models"][0][key] = value
+        config["models"][0].update({"kind": kind_reading(key), key: value})
         payload = one_json_error(*run_config("experiment", config, tmp_path))
         assert payload == {"error": "ContractError", "message": message}
         assert not (tmp_path / "out").exists()

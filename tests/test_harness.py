@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from tenfit.harness import (
 )
 from tenfit.metrics import regression_metrics
 from tenfit.modelio import write_dataset
-from tenfit.optim import TrainConfig, fit, fit_batch
+from tenfit.optim import MODEL_KINDS, TrainConfig, fit, fit_batch
 
 
 def random_obs(shape, n, seed, low=0.0, high=1.0):
@@ -645,14 +647,16 @@ class TestConfigFloats:
          ("val_fraction", None)],
     )
     def test_bool_or_string_names_its_key(self, key, value):
+        entry = {"kind": "cpd_s", "rank": 2, key: value}
         with pytest.raises(ContractError, match=repr(key)):
-            harness._train_config_from({"rank": 2, key: value}, DesignSpace.from_shape((3, 2)))
+            harness.model_spec_from_config(entry, DesignSpace.from_shape((3, 2)))
 
     def test_numbers_are_taken(self):
-        cfg = harness._train_config_from(
-            {"rank": 2, "lr": 0.1, "lambda_smooth": 1, "val_fraction": 0.25, "patience": 3},
+        cfg = harness.model_spec_from_config(
+            {"kind": "cpd_s", "rank": 2, "lr": 0.1, "lambda_smooth": 1, "val_fraction": 0.25,
+             "patience": 3},
             DesignSpace.from_shape((3, 2)),
-        )
+        ).cfg
         assert (cfg.lr, cfg.smooth_weight, cfg.val_fraction) == (0.1, 1.0, 0.25)
 
     @pytest.mark.parametrize("fraction", [True, "0.5"])
@@ -660,3 +664,22 @@ class TestConfigFloats:
         with pytest.raises(ContractError, match="'fraction'"):
             harness.plan_from_config({"kind": "uniform", "fraction": fraction},
                                      DesignSpace.from_shape((3, 2)))
+
+
+def test_readme_lists_every_config_key():
+    """README's "Config keys" lists hold each object's table, per kind and
+    in the table's order."""
+    def read_by(keys, kind):
+        return [key for key, (_, _, *kinds) in keys.items() if not kinds or kind in kinds]
+
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    listed = {name: re.findall(r"`(\w+)`", keys) for name, keys in
+              re.findall(r"^- \*\*(.+?)\*\*: (.+?)(?=^\S|\Z)", section, re.M | re.S)}
+    assert listed == {
+        "experiment": list(harness._EXPERIMENT_KEYS),
+        "sweep": list(harness._SWEEP_KEYS),
+        **{f"model entry, {kind}": read_by(harness._MODEL_KEYS, kind) for kind in MODEL_KINDS},
+        **{f"plan, {kind}": read_by(harness._PLAN_KEYS, kind) for kind in ("uniform", "biased")},
+        **{f"region, by {by}": read_by(harness._REGION_KEYS, by) for by in ("ranges", "values")},
+    }
