@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ORDINAL, DesignSpace, Normalizer, ObservationSet, uniform_split
+from .core import DesignSpace, Normalizer, ObservationSet, uniform_split
 from .cpd import CPDModel
 from .errors import ContractError, SplitError, StratumExhaustedError, TenfitError
 from .metrics import component_expression_export, fms, regression_metrics
@@ -56,22 +56,34 @@ class RegionSpec:
 
     def mask(self, obs: ObservationSet) -> np.ndarray:
         """Per-row boolean: does the observation project into the region?"""
-        a, b = (obs.indices[:, obs.space.axis_position(n)] for n in (self.axis_a, self.axis_b))
-        (a_lo, a_hi), (b_lo, b_hi) = self.a_range, self.b_range
-        return (a >= a_lo) & (a <= a_hi) & (b >= b_lo) & (b <= b_hi)
+        ia = obs.space.axis_position(self.axis_a)
+        ib = obs.space.axis_position(self.axis_b)
+        a = obs.indices[:, ia]
+        b = obs.indices[:, ib]
+        return (
+            (a >= self.a_range[0])
+            & (a <= self.a_range[1])
+            & (b >= self.b_range[0])
+            & (b <= self.b_range[1])
+        )
 
     def to_json(self) -> dict:
-        return {"axis_a": self.axis_a, "axis_b": self.axis_b,
-                "a_range": list(self.a_range), "b_range": list(self.b_range)}
+        return {
+            "axis_a": self.axis_a,
+            "axis_b": self.axis_b,
+            "a_range": list(self.a_range),
+            "b_range": list(self.b_range),
+        }
 
 
 def region_from_values(
     space: DesignSpace, axis_a: str, axis_b: str, a_values, b_values
 ) -> RegionSpec:
     """Build a RegionSpec from (lo, hi) axis-value labels instead of indices."""
-    a, b = (space.axes[space.axis_position(name)] for name in (axis_a, axis_b))
-    a_range = (a.index_of(a_values[0]), a.index_of(a_values[1]))
-    b_range = (b.index_of(b_values[0]), b.index_of(b_values[1]))
+    ax_a = space.axes[space.axis_position(axis_a)]
+    ax_b = space.axes[space.axis_position(axis_b)]
+    a_range = (ax_a.index_of(a_values[0]), ax_a.index_of(a_values[1]))
+    b_range = (ax_b.index_of(b_values[0]), ax_b.index_of(b_values[1]))
     return RegionSpec(axis_a=axis_a, axis_b=axis_b, a_range=a_range, b_range=b_range)
 
 
@@ -469,7 +481,7 @@ def _train_config(values: dict, space: DesignSpace) -> TrainConfig:
     names = values.get("smooth_modes")
     modes = space.ordinal_modes() if names is None else tuple(map(space.axis_position, names))
     for name, mode in zip(names or (), modes):
-        if space.axes[mode].kind != ORDINAL:
+        if mode not in space.ordinal_modes():
             raise ContractError(f"smooth_modes names the categorical axis {name!r}: CPD-S "
                                 f"smooths ordinal axes only")
     given = {_FIELDS.get(key, key): value for key, value in values.items()}
@@ -645,7 +657,15 @@ def run_sweep(config: dict, out_dir) -> dict:
     the config's one TrainConfig."""
     run, space, obs = _read_run(config, _SWEEP_KEYS, kind="models")
     region, cfg = region_from_config(run["region"], space), _train_config(run, space)
-    table = ood_sweep(obs, region, run["n_in"], run["n_out_list"], cfg, run["models"],
-                      run["iterations"], run["normalization"])
+    table = ood_sweep(
+        obs,
+        region,
+        n_in=run["n_in"],
+        n_out_list=run["n_out_list"],
+        cfg=cfg,
+        model_kinds=run["models"],
+        iterations=run["iterations"],
+        normalization=run["normalization"],
+    )
     _write_json(Path(out_dir) / "sweep.json", table)
     return table

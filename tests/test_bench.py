@@ -5,7 +5,6 @@ import importlib.util
 import json
 import os
 import shutil
-import subprocess
 import sys
 from pathlib import Path
 
@@ -136,23 +135,24 @@ def test_coldstart_table_runs(kernels, monkeypatch, tmp_path):
 def test_same_bytes_reports_a_one_ulp_change(tmp_path):
     """`bench/same_bytes.py`'s fit job against a copy of src/ (no git call):
     the copy writes the same bytes, and a residual moved by one ulp in the
-    copy's CPD objective is reported, with exit code 1."""
+    copy's CPD objective is reported."""
+    spec = importlib.util.spec_from_file_location("same_bytes", SAME_BYTES)
+    same_bytes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_bytes)
     src = tmp_path / "src"
     shutil.copytree(SCRIPT.parents[1] / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
 
-    def same_bytes():
-        argv = [sys.executable, str(SAME_BYTES), "--base", str(src), "--seeds", "0",
-                "--jobs", "fit"]
-        return subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    def compare(run):
+        sides = {"base": src, "head": same_bytes.ROOT / "src"}
+        for side, side_src in sides.items():
+            assert same_bytes.run_side(side_src, ("fit",), [0], tmp_path / run / side) == []
+        return same_bytes.compare(tmp_path / run / "base", tmp_path / run / "head")
 
-    proc = same_bytes()
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("same_bytes: 11/11 files identical")
+    assert compare("same") == (11, [])
     kernel = src / "tenfit" / "cpd.py"
     line = "        np.subtract(residuals, values, out=residuals)\n"
     assert kernel.read_text().count(line) == 1
     kernel.write_text(kernel.read_text().replace(
         line, line + "        residuals[0] = np.nextafter(residuals[0], np.inf)\n"))
-    proc = same_bytes()
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "differs: fit/seed0/cpd.json" in proc.stdout.splitlines()
+    total, lines = compare("ulp")
+    assert total == 11 and "differs: fit/seed0/cpd.json" in lines
