@@ -5,6 +5,7 @@ they write.
     python3 bench/same_bytes.py --base HEAD~1             # seeds 0 and 1
     python3 bench/same_bytes.py --base HEAD~1 --seeds 0-3
     python3 bench/same_bytes.py --base path/to/src
+    python3 bench/same_bytes.py --base HEAD --env OPENBLAS_CORETYPE=Prescott
 
 Run it from anywhere in the repository. `--base` is a git revision, whose
 `src/` is extracted with `git archive` (no network) into a temporary
@@ -20,9 +21,12 @@ seed, with only that side's `src/` on the import path and one BLAS thread:
 - `fit`: `tenfit fit` for cpd, cpd_s, costco and an early-stopped cpd on
   the lattice-shaped benchmark data of the seed.
 
-It prints every file that differs or that only one side wrote, and exits 1
-on any difference or failed job. A `.report.json` file is compared without
-its `seconds` key, the wall time of the fit; every other byte counts.
+`--env KEY=VALUE` (repeatable) sets a variable in the working tree's
+children only, so a tree can be compared with itself under, say, another
+BLAS kernel. It prints every file that differs or that only one side wrote,
+and exits 1 on any difference or failed job. A `.report.json` file is
+compared without its `seconds` key, the wall time of the fit; every other
+byte counts.
 """
 
 from __future__ import annotations
@@ -97,12 +101,14 @@ def base_src(base: str, scratch: Path) -> Path:
     return scratch / "src"
 
 
-def run_side(src: Path, jobs, seeds, out: Path) -> list[str]:
-    """Run every job at every seed on `src`, each in a child process, and
+def run_side(src: Path, jobs, seeds, out: Path, extra_env=()) -> list[str]:
+    """Run every job at every seed on `src`, each in a child process whose
+    environment also holds the `(key, value)` pairs of `extra_env`, and
     return the error of each job that failed."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")})
+    env.update(extra_env)
     failed = []
     for job in jobs:
         for seed in seeds[:1] if job == "digest" else seeds:
@@ -147,12 +153,22 @@ def seed_range(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def env_pair(text: str) -> tuple[str, str]:
+    key, sep, value = text.partition("=")
+    if not key or not sep:
+        raise argparse.ArgumentTypeError(f"{text!r} is not KEY=VALUE")
+    return key, value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True,
                         help="git revision, or a directory holding a copy of src/")
     parser.add_argument("--seeds", type=seed_range, default="0-1",
                         help="seeds, as 0-1 or 3 (default: 0-1)")
+    parser.add_argument("--env", type=env_pair, action="append", default=[],
+                        metavar="KEY=VALUE", help="set a variable on the working tree's "
+                        "side only (repeatable)")
     parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)  # JOB SEED OUT, on --base
     args = parser.parse_args(argv)
     if args.child:
@@ -169,7 +185,8 @@ def main(argv=None) -> int:
         sides = {"base": base_src(args.base, scratch), "head": ROOT / "src"}
         failed = []
         for side, src in sides.items():
-            failed += run_side(src, JOBS, args.seeds, scratch / side)
+            extra_env = args.env if side == "head" else ()
+            failed += run_side(src, JOBS, args.seeds, scratch / side, extra_env)
         total, lines = compare(scratch / "base", scratch / "head")
     for line in failed + lines:
         print(line)

@@ -20,7 +20,7 @@ import numpy as np
 from .core import CATEGORICAL, ORDINAL, build_design_space, encode_observations
 from .cpd import CPDModel
 from .errors import ContractError, SchemaError, TenfitError
-from .harness import _FIT_KEYS, model_spec_from_config, run_experiment, run_sweep
+from .harness import _FIT_KEYS, _flag, model_spec_from_config, run_experiment, run_sweep
 from .metrics import component_expression_export, fms, regression_metrics
 from .modelio import as_float, load_dataset, load_model, read_csv_rows, read_index_csv
 from .modelio import save_model, write_atomic, write_dataset, write_index_csv
@@ -84,7 +84,7 @@ def cmd_ingest(args) -> dict:
 def cmd_fit(args) -> dict:
     space, obs = load_dataset(args.obs)
     options = {key: value for key, value in vars(args).items() if key in _FIT_KEYS}
-    spec = model_spec_from_config(options, space, "the fit options", _FIT_KEYS)
+    spec = model_spec_from_config(options, space, "the fit options", flags=True)
     model, report = fit(space.shape(), obs, spec.cfg, spec.kind)
     save_model(model, args.out)
     report_path = Path(args.out).with_suffix(".report.json")
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key, (cast, _, *kinds) in _FIT_KEYS.items():  # one flag per other key of the options
         if key not in ("kind", "name", "rank", "smooth_modes"):
             text = f"{kinds[0]} only: {heads[key]}" if kinds else None
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text,
+            p.add_argument(_flag(key), dest=key, help=text,
                            type=float if cast is as_float else int)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_fit)

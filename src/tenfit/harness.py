@@ -397,6 +397,15 @@ def _optional(cast):
     return lambda value: None if value is None else cast(value)
 
 
+def _sweep_kinds(kinds) -> tuple:
+    """A sweep's model kinds, each listed once: they share one TrainConfig,
+    so a repeat would fit the same model twice."""
+    kinds = _list_of(_one_of(MODEL_KINDS))(kinds)
+    if len(set(kinds)) != len(kinds):
+        raise ContractError(f"model kinds {list(kinds)} are not distinct")
+    return kinds
+
+
 def _name(name) -> str:
     """A plan or model name; it becomes part of output file names."""
     if not isinstance(name, str) or "/" in name or "\0" in name:
@@ -422,7 +431,7 @@ _RUN_KEYS = {  # the keys experiment and sweep configs share
 }
 _EXPERIMENT_KEYS = {**_RUN_KEYS, **{key: (_list_of(), _REQUIRED) for key in ("plans", "models")}}
 _SWEEP_KEYS = {  # one TrainConfig serves every listed model kind
-    "models": (_list_of(_one_of(MODEL_KINDS)), ("cpd",)), **_RUN_KEYS,
+    "models": (_sweep_kinds, ("cpd",)), **_RUN_KEYS,
     "region": (None, _REQUIRED), "n_in": (as_int, _REQUIRED),
     "n_out_list": (_list_of(as_int), _REQUIRED),
     **{key: spec for key, spec in _MODEL_KEYS.items() if key not in ("kind", "name")},
@@ -442,10 +451,13 @@ _FIELDS = {"lambda_smooth": "smooth_weight", "groups": "n_init_groups",  # keys 
            "channels": "conv_channels", "hidden": "hidden_units"}  # another TrainConfig field
 
 
-def _read_object(entry, keys: dict, where: str, kind: str | None = None, kinds=()) -> dict:
+def _read_object(entry, keys: dict, where: str, kind: str | None = None, kinds=(),
+                 label=None) -> dict:
     """A config object of `kinds` read through its table `keys`, or of the
     kinds key `kind` (first in its table) names. A ContractError names the
-    key at fault and `where` the object sits."""
+    key at fault and `where` the object sits, or the key as `label(key)`
+    gives it."""
+    label = label or (lambda key: f"{key!r} in {where}")
     if not isinstance(entry, dict):
         raise ContractError(f"{where} must be a JSON object, not {entry!r}")
     for key in entry:
@@ -453,19 +465,19 @@ def _read_object(entry, keys: dict, where: str, kind: str | None = None, kinds=(
             import difflib  # here, not at the top: it adds ~0.2 MB to every run
             close = difflib.get_close_matches(str(key), keys, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ContractError(f"unknown key {key!r} in {where}{hint}")
+            raise ContractError(f"unknown key {label(key)}{hint}")
     values = {}
     for key, (cast, default, *readers) in keys.items():
         if readers and not set(readers) & set(kinds):
             if key in entry:
-                raise ContractError(f"{key!r} in {where} is ignored by {' and '.join(kinds)}: "
+                raise ContractError(f"{label(key)} is ignored by {' and '.join(kinds)}: "
                                     f"only {' and '.join(readers)} read it")
         elif key in entry:
             try:
                 values[key] = entry[key] if cast is None else cast(entry[key])
             except (TypeError, ValueError, OverflowError):
                 raise ContractError(
-                    f"config value {entry[key]!r} of {key!r} in {where} is not valid") from None
+                    f"config value {entry[key]!r} of {label(key)} is not valid") from None
         elif default is _REQUIRED:
             raise ContractError(f"{where} needs a {key!r} value")
         elif default is not None:
@@ -475,9 +487,10 @@ def _read_object(entry, keys: dict, where: str, kind: str | None = None, kinds=(
     return values
 
 
-def _train_config(values: dict, space: DesignSpace) -> TrainConfig:
+def _train_config(values: dict, space: DesignSpace, label=repr) -> TrainConfig:
     """The TrainConfig of a model entry's, a sweep config's or `tenfit
-    fit`'s values. smooth_modes names ordinal axes; none means all of them."""
+    fit`'s values; a failed check names its key as `label(key)` gives it.
+    smooth_modes names ordinal axes; none means all of them."""
     names = values.get("smooth_modes")
     modes = space.ordinal_modes() if names is None else tuple(map(space.axis_position, names))
     for name, mode in zip(names or (), modes):
@@ -493,17 +506,25 @@ def _train_config(values: dict, space: DesignSpace) -> TrainConfig:
         check, _, named = str(exc).rpartition(": ")
         field, _, value = named.partition(" is ")
         keys = {f: key for key, f in _FIELDS.items()}
-        raise ContractError(f"{check}: {keys.get(field, field)!r} is {value}") from None
+        raise ContractError(f"{check}: {label(keys.get(field, field))} is {value}") from None
+
+
+def _flag(key: str) -> str:
+    """The `tenfit fit` flag of an option key."""
+    return "--" + key.replace("_", "-")
 
 
 def model_spec_from_config(entry: dict, space: DesignSpace, where: str = "model entry",
-                           keys: dict = _MODEL_KEYS) -> ModelSpec:
-    """A model entry of an experiment config, or with _FIT_KEYS the `tenfit
-    fit` options. An entry takes no `seed`: iteration i of every model is
-    seeded with the config's top-level seed + i."""
-    values = _read_object(entry, keys, where, kind="kind")
+                           flags: bool = False) -> ModelSpec:
+    """A model entry of an experiment config, or with `flags` the `tenfit
+    fit` options (_FIT_KEYS), which its errors name by their flags. An
+    entry takes no `seed`: iteration i of every model is seeded with the
+    config's top-level seed + i."""
+    keys, label = (_FIT_KEYS, _flag) if flags else (_MODEL_KEYS, None)
+    values = _read_object(entry, keys, where, kind="kind", label=label)
     kind = values["kind"]
-    return ModelSpec(name=values.get("name", kind), kind=kind, cfg=_train_config(values, space))
+    cfg = _train_config(values, space, label or repr)
+    return ModelSpec(name=values.get("name", kind), kind=kind, cfg=cfg)
 
 
 def region_from_config(entry: dict, space: DesignSpace, where: str = "region") -> RegionSpec:

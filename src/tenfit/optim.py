@@ -22,11 +22,13 @@ fails only when every restart of it diverges.
 
 The batches of one `fit_batch` call, of every model it trains, are
 independent; when their estimated work pays for it, they train in forked
-worker processes, with the same bits as serially.
+worker processes, one per usable CPU, that live for the call and take the
+batches in turn, with the same bits as serially.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -300,14 +302,19 @@ results back, exit and reaping (`bench/kernels.py`'s `parallel` table,
 `startup` entry: two one-epoch CoSTCo batches took 17.6 and 15.7 ms in
 two workers against 6.1 and 5.8 ms serially in `BENCH_17.json`'s two
 runs, 8.2 and 7.5 ms a worker in its parent runs, when tenfit loaded
-SciPy at import). The constant keeps the 7.5 ms of `BENCH_11.json`. The multiple of 4 comes
-from the same table's `break_even` entries, two CoSTCo batches at 10 to
-80 epochs trained serially and in workers: in `BENCH_11.json` the workers
-lost at 8.6 ms of estimated work (27.9 against 20.5 ms) and won from
-17 ms on (34.4 against 37.9 ms); two earlier runs of the table on a
-busier host put the crossing at about 25 and 34 ms. Near the threshold
-either path costs within a few ms of the other. The threshold is in
-`_work`'s estimated units, which leave out the per-call cost."""
+SciPy at import). That cost is paid once per worker per call, not once
+per batch: a call forks at most one worker per usable CPU, and each
+takes batches until none is left. The constant keeps the 7.5 ms of
+`BENCH_11.json`. The multiple of 4 comes from the same table's
+`break_even` entries, two CoSTCo batches at 10 to 80 epochs trained
+serially and in workers: in `BENCH_11.json` the workers lost at 8.6 ms of
+estimated work (27.9 against 20.5 ms) and won from 17 ms on (34.4 against
+37.9 ms); two earlier runs of the table on a busier host put the crossing
+at about 25 and 34 ms. Those entries have two batches, which took two
+workers also when each batch had its own, so the crossing, and this
+value, hold for the per-call workers. Near the threshold either path
+costs within a few ms of the other. The threshold is in `_work`'s
+estimated units, which leave out the per-call cost."""
 
 
 def _work(job) -> float:
@@ -321,63 +328,63 @@ def _work(job) -> float:
     return sum(run.data.n for run in runs) * cfg.epochs * trainable.row_epoch_us
 
 
-def _train_in_worker(send, job) -> None:
-    """A forked worker's body: train one batch job and send back its
-    results, or the exception that ended it."""
-    try:
-        payload = train_batch(*job)
-    except Exception as exc:  # the parent raises it, as the serial loop would
-        payload = exc
-    send.send(payload)
-
-
 def _train_in_workers(jobs: list, workers: int) -> list:
-    """Train each batch job, a `(trainable, runs, cfg)` triple, in a forked
-    process, at most `workers` at a time and the longest estimated work
-    first; returns one RunResult list per job, in job order, as the serial
-    loop does. Fork hands a worker its inputs without pickling them
-    (trainables hold closures).
+    """Train the batch jobs, `(trainable, runs, cfg)` triples, in at most
+    `workers` forked processes that live for this call, the longest
+    estimated work first, each job to the next free worker; returns one
+    RunResult list per job, in job order, as the serial loop does. Fork
+    hands the workers their inputs without pickling them (trainables hold
+    closures). A worker that dies fails only the batch it was training: its
+    runs get a WorkerError naming the batch and the exit status, and a new
+    worker takes the jobs left. An exception raised in a worker is raised
+    here, the first in job order."""
+    from multiprocessing import connection, get_context
 
-    A worker that ends without sending its results fails its own batch
-    only: each of its runs gets a WorkerError naming the batch and the exit
-    status. An exception raised in a worker is raised here, the first in
-    job order.
-    """
-    import multiprocessing
-    from multiprocessing.connection import wait
+    def serve(conn):  # a worker's body: train each job the parent sends until it sends None
+        for i in iter(conn.recv, None):
+            try:
+                conn.send(train_batch(*jobs[i]))
+            except Exception as exc:  # the parent raises it, as the serial loop would
+                conn.send(exc)
 
-    context = multiprocessing.get_context("fork")
+    context = get_context("fork")
     outcomes: list = [None] * len(jobs)
     todo = sorted(range(len(jobs)), key=lambda i: -_work(jobs[i]))
-    running: dict = {}  # receiving end of a worker's pipe -> (job, process)
+    pool: dict = {}  # the parent's end of each live worker's pipe -> its process
+    running: dict = {}  # the parent's end of a busy worker's pipe -> its job
     try:
         while todo or running:
             while todo and len(running) < workers:
-                i = todo.pop(0)
-                receive, send = context.Pipe(duplex=False)
-                process = context.Process(target=_train_in_worker, args=(send, jobs[i]))
-                process.start()
-                send.close()  # the worker then holds the only writing end
-                running[receive] = (i, process)
-            for receive in wait(list(running)):
-                i, process = running.pop(receive)
+                conn = next((conn for conn in pool if conn not in running), None)
+                if conn is None:  # fork a worker; it holds the only other end of its pipe
+                    conn, end = context.Pipe()
+                    pool[conn] = context.Process(target=serve, args=(end,))
+                    pool[conn].start()
+                    end.close()
+                running[conn] = todo.pop(0)
+                with contextlib.suppress(OSError):  # a dead worker fails the job below
+                    conn.send(running[conn])
+            for conn in connection.wait(list(running)):
+                i = running.pop(conn)
                 try:
-                    outcomes[i] = receive.recv()
+                    outcomes[i] = conn.recv()
                 except (EOFError, OSError):  # the worker ended before sending
-                    pass
-                receive.close()
-                process.join()
-                if outcomes[i] is None:
-                    error = WorkerError(
-                        f"the worker process training batch {i} of {len(jobs)} exited "
-                        f"with status {process.exitcode} before returning its results"
-                    )
+                    process = pool.pop(conn)
+                    process.join()
+                    conn.close()
+                    error = WorkerError(f"the worker process training batch {i} of {len(jobs)} "
+                                        f"exited with status {process.exitcode} before returning "
+                                        "its results")
                     outcomes[i] = [RunResult(None, math.inf, [], error) for _ in jobs[i][1]]
-    finally:  # on an interrupt, leave no worker behind
-        for receive, (_, process) in running.items():
-            process.kill()
+    finally:  # stop every worker, and then reap them, so that they exit together
+        for conn, process in pool.items():
+            if conn in running:  # an interrupt: kill the busy ones
+                process.kill()
+            with contextlib.suppress(OSError):  # a dead worker reads nothing
+                conn.send(None)
+        for conn, process in pool.items():
+            conn.close()  # a worker stopped while sending its results then fails its send
             process.join()
-            receive.close()
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
@@ -426,17 +433,18 @@ def fit_batch(shape, models, train_sets, seeds) -> list:
 
     The batches of every model train together. With more than one batch,
     more than one usable CPU (the process's CPU affinity) and an estimated
-    work of at least POOL_MIN_WORK_US, they train in `min(batches, usable
-    CPUs)` forked worker processes, the longest estimated work first, and
-    their results are gathered in (model, batch) order, so the outputs are
-    bit for bit those of the serial loop whatever the worker count. Where
-    fork is unavailable or other threads are running (a child could
-    inherit a lock one of them holds), the batches train one after another
-    in this process. A worker that dies fails its batch's runs with a
-    WorkerError; a fit with a restart that survives in another batch keeps
-    that restart. `seconds` in a report is the wall time of this whole
-    call, workers included, so it covers every model: in an experiment or
-    a sweep, every model of the scoring loop.
+    work of at least POOL_MIN_WORK_US, the call forks `min(batches, usable
+    CPUs)` worker processes, which take the batches in turn, the longest
+    estimated work first, and end with the call; the results are gathered in
+    (model, batch) order, so the outputs are bit for bit those of the serial
+    loop whatever the worker count. Where fork is unavailable or other
+    threads are running (a child could inherit a lock one of them holds),
+    the batches train one after another in this process. A worker that dies
+    fails the runs of the batch it was training with a WorkerError, and a
+    new worker takes the batches left; a fit with a restart that survives in
+    another batch keeps that restart. `seconds` in a report is the wall time
+    of this whole call, workers included, so it covers every model: in an
+    experiment or a sweep, every model of the scoring loop.
     """
     start = time.perf_counter()
     for model_kind, _ in models:

@@ -6,6 +6,8 @@ alone, whatever its batch mates do, including stopping early or diverging.
 """
 
 import math
+import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 from dataclasses import replace
@@ -298,20 +300,73 @@ def test_pool_starts_the_longest_estimated_work_first(monkeypatch, tmp_path):
     assert [len(job_results) for job_results in results] == [3, 2, 1]  # in job order
 
 
-@needs_fork
-def test_dead_worker_is_a_recorded_failure(monkeypatch):
-    shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
-    monkeypatch.setattr("tenfit.cpd.CPD_MAX_BATCH_ROWS", 30)  # one batch per restart
-    (serial,) = run_with_cpus(monkeypatch, 1, shape, [("cpd", cfg)], trains, seeds)
+def logging_batches(monkeypatch, log, dies=lambda batch: False):
+    """Patch `optim.train_batch`, which forked workers inherit, to append
+    "<pid> <training rows> <fit>.<restart> ..." to `log` for each batch, and
+    to end the process with status 3 on a batch for which `dies` holds."""
     train_batch = optim.train_batch
 
-    def dying(trainable, batch, cfg):  # forked workers inherit this patch
-        if any(run.fit == 1 or (run.fit == 2 and run.restart == 1) for run in batch):
+    def logged(trainable, batch, cfg):
+        runs = " ".join(f"{run.fit}.{run.restart}" for run in batch)
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {sum(run.data.n for run in batch)} {runs}\n")
+        if dies(batch):
             os._exit(3)
         return train_batch(trainable, batch, cfg)
 
-    monkeypatch.setattr(optim, "train_batch", dying)
+    monkeypatch.setattr(optim, "train_batch", logged)
+
+
+def batches_by_worker(log) -> dict:
+    """The (training rows, runs) of each batch that each process trained,
+    in its order."""
+    by_pid: dict = {}
+    for line in log.read_text().splitlines():
+        pid, rows, *runs = line.split()
+        by_pid.setdefault(int(pid), []).append((int(rows), " ".join(runs)))
+    return by_pid
+
+
+@needs_fork
+def test_pool_forks_one_worker_per_usable_cpu(monkeypatch, tmp_path):
+    shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
+    monkeypatch.setattr("tenfit.cpd.CPD_MAX_BATCH_ROWS", 30)  # one batch per restart
+    (serial,) = run_with_cpus(monkeypatch, 1, shape, [("cpd", cfg)], trains, seeds)
+    log = tmp_path / "trained"
+    logging_batches(monkeypatch, log)
+    calls = pooled_calls(monkeypatch)
+    (pooled,) = run_with_cpus(monkeypatch, 2, shape, [("cpd", cfg)], trains, seeds)
+    assert calls == [6]
+    by_worker = {pid: [rows for rows, _ in batches]
+                 for pid, batches in batches_by_worker(log).items()}
+    assert len(by_worker) == 2 and os.getpid() not in by_worker  # 6 batches, 2 workers
+    rows = sorted((n for worker in by_worker.values() for n in worker), reverse=True)
+    assert rows == [26, 26, 24, 24, 20, 20]  # each fit's 2 restarts, 80% of its set
+    # longest first: the two longest start the workers, and each worker's
+    # next batch is never longer than its last
+    assert sorted(worker[0] for worker in by_worker.values()) == rows[:2]
+    assert all(worker == sorted(worker, reverse=True) for worker in by_worker.values())
+    assert_same_outcomes(pooled, serial)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_dead_worker_is_a_recorded_failure(monkeypatch, tmp_path):
+    shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
+    monkeypatch.setattr("tenfit.cpd.CPD_MAX_BATCH_ROWS", 30)  # one batch per restart
+    (serial,) = run_with_cpus(monkeypatch, 1, shape, [("cpd", cfg)], trains, seeds)
+    log = tmp_path / "trained"
+    logging_batches(monkeypatch, log, lambda batch: any(
+        run.fit == 1 or (run.fit == 2 and run.restart == 1) for run in batch))
     (outcomes,) = run_with_cpus(monkeypatch, 2, shape, [("cpd", cfg)], trains, seeds)
+    # each batch that dies is the last of its own worker; new workers train
+    # the batches left
+    by_worker = batches_by_worker(log)
+    assert sorted(runs for batches in by_worker.values() for _, runs in batches) == [
+        "0.0", "0.1", "1.0", "1.1", "2.0", "2.1"]
+    last = {batches[-1][1] for batches in by_worker.values()}
+    assert {"1.0", "1.1", "2.1"} <= last and os.getpid() not in by_worker
+    assert multiprocessing.active_children() == []
     assert isinstance(outcomes[1], WorkerError)
     assert "exited with status 3" in str(outcomes[1])
     assert "batch 2 of 6" in str(outcomes[1])
@@ -357,6 +412,33 @@ def test_worker_exception_is_raised_as_serially(monkeypatch):
     for cpus in (1, 2):
         with pytest.raises(ContractError, match="^bad batch of fit 1$"):
             run_with_cpus(monkeypatch, cpus, shape, [("cpd", cfg)], trains, seeds)
+
+
+@needs_fork
+def test_no_worker_outlives_an_error_or_an_interrupt(monkeypatch):
+    shape, trains, cfg, seeds = early_stopped_cpd_case(monkeypatch)
+    monkeypatch.setattr("tenfit.cpd.CPD_MAX_BATCH_ROWS", 30)  # one batch per restart
+    train_batch = optim.train_batch
+
+    def failing(trainable, batch, cfg):  # not a TenfitError
+        if batch[0].fit == 1:
+            raise RuntimeError("bad batch")
+        return train_batch(trainable, batch, cfg)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optim, "train_batch", failing)
+        with pytest.raises(RuntimeError, match="^bad batch$"):
+            run_with_cpus(monkeypatch, 2, shape, [("cpd", cfg)], trains, seeds)
+    assert multiprocessing.active_children() == []
+
+    def interrupted(connections, timeout=None):  # the parent's wait, while workers train
+        assert len(multiprocessing.active_children()) == 2
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_with_cpus(monkeypatch, 2, shape, [("cpd", cfg)], trains, seeds)
+    assert multiprocessing.active_children() == []
 
 
 def forbid_fork(monkeypatch):

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -132,13 +133,18 @@ def test_coldstart_table_runs(kernels, monkeypatch, tmp_path):
     assert (tmp_path / "preds.csv").is_file() and (tmp_path / "fms.json").is_file()
 
 
+def load_same_bytes():
+    spec = importlib.util.spec_from_file_location("same_bytes", SAME_BYTES)
+    same_bytes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_bytes)
+    return same_bytes
+
+
 def test_same_bytes_reports_a_one_ulp_change(tmp_path):
     """`bench/same_bytes.py`'s fit job against a copy of src/ (no git call):
     the copy writes the same bytes, and a residual moved by one ulp in the
     copy's CPD objective is reported."""
-    spec = importlib.util.spec_from_file_location("same_bytes", SAME_BYTES)
-    same_bytes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(same_bytes)
+    same_bytes = load_same_bytes()
     src = tmp_path / "src"
     shutil.copytree(SCRIPT.parents[1] / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
 
@@ -156,3 +162,31 @@ def test_same_bytes_reports_a_one_ulp_change(tmp_path):
         line, line + "        residuals[0] = np.nextafter(residuals[0], np.inf)\n"))
     total, lines = compare("ulp")
     assert total == 11 and "differs: fit/seed0/cpd.json" in lines
+
+
+def test_same_bytes_env_reaches_the_head_side_only(monkeypatch, capsys):
+    """`--env KEY=VALUE` is in the environment of the working tree's
+    children and not of the base's. Each child is replaced by a stand-in
+    that writes the variable it sees, so the compare reports one file per
+    job as different."""
+    same_bytes = load_same_bytes()
+    monkeypatch.delenv("SAME_BYTES_PROBE", raising=False)
+    seen = {}
+
+    def child(argv, env, **kwargs):  # stands in for `same_bytes.py ... --child JOB SEED OUT`
+        out = Path(argv[-1])
+        side, job = out.parts[-3:-1]
+        seen[side, job] = env.get("SAME_BYTES_PROBE")
+        (out / "probe").write_text(str(seen[side, job]))
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(same_bytes.subprocess, "run", child)
+    base = ["--base", str(same_bytes.ROOT / "src"), "--seeds", "0"]  # a directory: no git call
+    assert same_bytes.main(base) == 0
+    assert set(seen.values()) == {None}
+    capsys.readouterr()
+    assert same_bytes.main([*base, "--env", "SAME_BYTES_PROBE=on"]) == 1
+    assert seen == {(side, job): "on" if side == "head" else None
+                    for side in ("base", "head") for job in same_bytes.JOBS}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"differs: {job}/seed0/probe" for job in sorted(same_bytes.JOBS)]

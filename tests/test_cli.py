@@ -838,13 +838,21 @@ class TestStrictKeys:
         code, err = run_config("sweep", config, tmp_path)
         assert code == 0, err
 
+    def test_sweep_repeated_kind_is_the_error(self, dataset_dir, tmp_path):
+        # the repeat is reported before a key that the repeated kind ignores
+        config = {**sweep_config(dataset_dir, epochs=5), "models": ["cpd", "cpd"], "groups": 2}
+        payload = one_json_error(*run_config("sweep", config, tmp_path))
+        assert payload == {"error": "ContractError",
+                           "message": "model kinds ['cpd', 'cpd'] are not distinct"}
+        assert not (tmp_path / "out").exists()
+
     def test_fit_flag_its_model_ignores(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "m.json"
         capsys.readouterr()
         code = main(["fit", "--obs", str(dataset_dir), "--model", "cpd", "--rank", "2",
                      "--lambda-smooth", "0.5", "--out", str(out)])
         printed = capsys.readouterr()
-        message = "'lambda_smooth' in the fit options is ignored by cpd: only cpd_s read it"
+        message = "--lambda-smooth is ignored by cpd: only cpd_s read it"
         assert printed.out == ""
         assert one_json_error(code, printed.err) == {"error": "ContractError", "message": message}
         assert not out.exists()
@@ -907,12 +915,14 @@ class TestErrorPathsNameTheirCause:
 
     @pytest.mark.parametrize(
         "kind, flags, message",
-        [("cpd", ["--lr", "nan"], "learning rate must be finite: 'lr' is nan"),
+        [("cpd", ["--lr", "nan"], "learning rate must be finite: --lr is nan"),
+         ("cpd", ["--lr", "-1"], "learning rate must be positive: --lr is -1.0"),
          ("cpd_s", ["--lambda-smooth", "inf"],
-          "smoothness weight must be finite: 'lambda_smooth' is inf"),
+          "smoothness weight must be finite: --lambda-smooth is inf"),
          ("cpd", ["--patience", "0", "--val-fraction", "0.2"],
-          "patience must be >= 1: 'patience' is 0")],
-        ids=["lr_nan", "lambda_smooth_inf", "patience_0"],
+          "patience must be >= 1: --patience is 0"),
+         ("cpd", ["--rank", "0"], "rank must be >= 1: --rank is 0")],
+        ids=["lr_nan", "lr_negative", "lambda_smooth_inf", "patience_0", "rank_0"],
     )
     def test_fit_flag_names_its_key(self, dataset_dir, tmp_path, capsys, kind, flags, message):
         out = tmp_path / "m.json"
@@ -930,7 +940,7 @@ class TestErrorPathsNameTheirCause:
         code = main(["fit", "--obs", str(dataset_dir), "--model", "cpd", "--rank", "2",
                      "--seed", "-1", "--out", str(out)])
         payload = one_json_error(code, capsys.readouterr().err)
-        assert payload == {"error": "ContractError", "message": "seed must be >= 0: 'seed' is -1"}
+        assert payload == {"error": "ContractError", "message": "seed must be >= 0: --seed is -1"}
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["experiment", "sweep"])
