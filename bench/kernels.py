@@ -73,7 +73,9 @@ all of them unless `--tables` names some:
   temporary directory.
 
 BLAS/OpenMP threads are pinned to 1, as in perfbench. The output records
-the Python, numpy and BLAS versions, nproc and the git commit.
+the Python, numpy and BLAS versions, nproc, the git commit and a sha256 of
+the imported tenfit package's sources (`src_sha256`), which names the code
+measured also in a `git archive` copy, where the commit reads null.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = THREADS
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -104,6 +107,7 @@ import numpy as np  # noqa: E402
 from tenfit import optim  # noqa: E402
 from tenfit.core import CATEGORICAL, ORDINAL, DesignSpace, Normalizer  # noqa: E402
 from tenfit.core import ObservationSet, build_design_space, encode_observations  # noqa: E402
+from tenfit.core import pack  # noqa: E402
 from tenfit.cpd import FactorSet  # noqa: E402
 from tenfit.metrics import fms  # noqa: E402
 from tenfit.modelio import load_dataset, read_index_csv, save_model  # noqa: E402
@@ -177,6 +181,18 @@ def git_sha():
     return out.stdout.strip() or None
 
 
+def src_sha256(package: Path) -> str:
+    """sha256 over a package's .py files in sorted path order, each file's
+    path relative to the package and its bytes: it names the code measured
+    also in a tree without .git, where git_sha is None."""
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(package).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def environment():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -186,6 +202,7 @@ def environment():
         "blas_threads": THREADS,
         "nproc": os.cpu_count(),
         "git_sha": git_sha(),
+        "src_sha256": src_sha256(Path(optim.__file__).parent),
     }
 
 
@@ -212,8 +229,7 @@ def bench_objective(kind, shape, n, n_fits, grad, calls, rounds, rng):
     engine = trainable(kind, shape, cfg)
     sets = [observations(shape, n, rng) for _ in range(n_fits)]
     objective = engine.objective(sets)
-    stacks = [np.stack(arrays) for arrays in zip(*map(engine.init, range(n_fits)))]
-    flat = np.concatenate(stacks, axis=None)  # the engine's parameter-major buffer
+    flat = pack([engine.init(seed) for seed in range(n_fits)])
     for _ in range(calls):  # warm up
         objective(flat, grad=grad)
     build_us, us, faults = [], [], []

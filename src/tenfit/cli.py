@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import CATEGORICAL, ORDINAL, build_design_space, encode_observations
-from .cpd import CPDModel
 from .errors import ContractError, SchemaError, TenfitError
 from .harness import _FIT_KEYS, _flag, model_spec_from_config, run_experiment, run_sweep
 from .metrics import component_expression_export, fms, regression_metrics
@@ -149,7 +148,7 @@ def cmd_evaluate(args) -> dict:
 
 def cmd_factors(args) -> dict:
     model = load_model(args.model)
-    if not isinstance(model, CPDModel):
+    if not hasattr(model, "factors"):
         raise ContractError("factor export needs a linear model (cpd or cpd_s)")
     return component_expression_export(
         model.factors,
@@ -164,7 +163,7 @@ def cmd_fms(args) -> dict:
     model_a = load_model(args.a)
     model_b = load_model(args.b)
     for label, model in (("--a", model_a), ("--b", model_b)):
-        if not isinstance(model, CPDModel):
+        if not hasattr(model, "factors"):
             raise ContractError(f"{label} must be a linear model (cpd or cpd_s)")
     comparison = fms(model_a.factors, model_b.factors).to_json()
     write_atomic(args.out, json.dumps(comparison, indent=2))

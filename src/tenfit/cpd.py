@@ -297,16 +297,13 @@ CPD_MAX_BATCH_ROWS = 4_000
 (CoSTCo sets its own, see `neural.COSTCO_MAX_BATCH_ROWS`). The runs of a
 batch are split to stay at or under it; a run larger than it trains alone.
 Batching removes per-call overhead until a fit-epoch stops getting
-cheaper, which happens between about 2,000 and 4,000 rows; past that the
-cost is flat up to 6,912 rows (the objective reuses its work buffers, so
-there is no cliff). Measured with `bench/kernels.py`'s `batch` table at
-R=3, best of 16 rounds, in us per fit-epoch (numpy 2.4, OpenBLAS on one
-thread, 2-vCPU KVM guest): at n=216, 67.5 alone, 26.0 at B=9 (1,944 rows)
-and 23.7-26.6 from 2,592 to 6,696 rows; at n=768 on a 4,800-cell shape,
-111 alone and 78.8-84.5 from 2,304 to 6,912 rows (a separate 16-round
-sweep read 97.7 at 2,304 and 76.6 at 3,840); at n=1,000, 128 alone and
-103-112 from 2,000 to 6,000 rows. Two fits of 3,456 rows train apart: B=2
-was no cheaper per fit-epoch (365 against 363).
+cheaper, between about 2,000 and 4,000 rows; past that the cost is flat up
+to 6,912 rows. From `bench/kernels.py`'s `batch` table at R=3
+(`BENCH_4.json`), in us per fit-epoch: 216-row fits 67.5 alone and
+23.7-26.6 from 1,944 to 6,696 rows, 768-row fits 111 alone and 78.8-84.5
+from 2,304 to 6,912, 1,000-row fits 128 alone and 103-112 from 2,000 to
+6,000. Two fits of 3,456 rows train apart: B=2 was no cheaper per
+fit-epoch (365 against 363).
 """
 
 CPD_ROW_EPOCH_US = 0.09
@@ -316,11 +313,8 @@ set their own, see `CPD_S_ROW_EPOCH_US` and
 training rows x epochs x this cost, to start the longest batches first and
 to train serially when a call's work would not pay for worker processes.
 From `bench/kernels.py`'s `batch` table at R=3 in batches of 1,944 to
-6,912 rows (`BENCH_10.json`): 0.084-0.092 for 216-row fits on the
-270-cell shape, 0.083-0.095 for 768- and 0.085-0.091 for 1,000-row fits
-on the 4,800-cell shape. Smaller batches cost more per row. `BENCH_24.json`,
-with the objective's one gather and one scatter, reads 0.092-0.100,
-0.090-0.093 and 0.089-0.091 for the same fits.
+6,912 rows (`BENCH_10.json`): 0.083-0.095 for 216-, 768- and 1,000-row
+fits. Smaller batches cost more per row.
 """
 
 CPD_S_ROW_EPOCH_US = 0.12
@@ -328,8 +322,7 @@ CPD_S_ROW_EPOCH_US = 0.12
 `CPD_ROW_EPOCH_US` is CPD's: the smoothness penalty's gradient adds work
 per fit, which per row came to 1.18-1.38 times CPD's cost in
 `bench/kernels.py`'s `batch` table (216-row fits on the 270-cell shape,
-B=9-20, `BENCH_11.json`), and to 1.21-1.29 times in `BENCH_24.json`
-(0.113-0.125)."""
+B=9-20, `BENCH_11.json`)."""
 
 
 def cpd_trainable(shape, cfg, kind: str):

@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import DesignSpace, Normalizer, ObservationSet, uniform_split
-from .cpd import CPDModel
 from .errors import ContractError, SplitError, StratumExhaustedError, TenfitError
 from .metrics import component_expression_export, fms, regression_metrics
 from .modelio import as_float, as_int, load_dataset, write_atomic
@@ -495,8 +494,8 @@ def _train_config(values: dict, space: DesignSpace, label=repr) -> TrainConfig:
     modes = space.ordinal_modes() if names is None else tuple(map(space.axis_position, names))
     for name, mode in zip(names or (), modes):
         if mode not in space.ordinal_modes():
-            raise ContractError(f"smooth_modes names the categorical axis {name!r}: CPD-S "
-                                f"smooths ordinal axes only")
+            raise ContractError(f"{label('smooth_modes')} names the categorical axis {name!r}: "
+                                f"CPD-S smooths ordinal axes only")
     given = {_FIELDS.get(key, key): value for key, value in values.items()}
     given = {f.name: given[f.name] for f in fields(TrainConfig) if f.name in given}
     try:
@@ -582,7 +581,7 @@ def _write_cells(out: Path, scored: dict, failures: list) -> dict:
             grids = [per_cell_errors(c.preds, c.test, plan.region) for c in cells.values()]
             _write_json(out / "grids" / f"{stem}.json", aggregate_error_grids(grids).to_json())
         best = min(cells.values(), key=lambda cell: cell.report.final_loss).model
-        if isinstance(best, CPDModel):
+        if hasattr(best, "factors"):
             try:
                 component_expression_export(best.factors, best.space, out / "factors" / stem)
             except TenfitError as exc:

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +38,7 @@ class MetricsReport:
     mape_excluded: int
 
     def to_json(self) -> dict:
-        return {
-            "r2": self.r2,
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "mape": self.mape,
-            "n": self.n,
-            "mape_excluded": self.mape_excluded,
-        }
+        return asdict(self)
 
 
 def regression_metrics(y, yhat) -> MetricsReport:

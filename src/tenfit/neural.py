@@ -281,16 +281,13 @@ COSTCO_MAX_BATCH_ROWS = 1_000
 """Most observed training rows one batched CoSTCo objective call covers.
 A CoSTCo row carries about 15 times the per-call work arrays of a CPD row
 (its conv inputs and their gradients are R*S*M wide, the hidden layer R*C),
-so its batching gain ends far earlier than CPD's. Measured with
-`bench/kernels.py`'s `batch` table on the 270-cell shape at R=3, best of 16
-rounds, in us per fit-epoch (`BENCH_24.json`, the objective reusing its
-work arrays): at n=154, 154 alone, 101 at B=3 (462 rows) and 95-97 from
-770 to 1,848 rows; at n=74, 122 alone, 54 at B=6 (444 rows), 50-52 from
-592 to 888 rows and 52-53 at 1,332-1,776; at n=40, 103 alone, 33.5 at 480
-rows and 32-33 from 600 to 1,600. So a fit-epoch gets 5-7% cheaper from
-about 450 to 800-900 rows and no cheaper past that. The earlier bound of
-500 rows came from `BENCH_10.json`, when per-call temporaries made batches
-past about 460 rows dearer (217 us per fit-epoch at n=154, B=6).
+so its batching gain ends far earlier than CPD's. From `bench/kernels.py`'s
+`batch` table on the 270-cell shape at R=3 (`BENCH_24.json`), in us per
+fit-epoch: 154-row fits 154 alone, 101 at 462 rows and 95-97 from 770 to
+1,848; 74-row fits 122 alone, 54 at 444 rows and 50-53 from 592 to 1,776;
+40-row fits 103 alone, 33.5 at 480 rows and 32-33 from 600 to 1,600. So a
+fit-epoch gets 5-7% cheaper from about 450 to 800-900 rows and no cheaper
+past that.
 """
 
 COSTCO_ROW_EPOCH_US = 0.8
@@ -298,11 +295,9 @@ COSTCO_ROW_EPOCH_US = 0.8
 `cpd.CPD_ROW_EPOCH_US` is CPD's: from `bench/kernels.py`'s `batch` table on
 the 270-cell shape at R=3 (`BENCH_10.json`), 0.71-0.87 at n=154 in
 batches of 308 to 924 rows, 0.73-0.91 at n=74 (296-888 rows) and
-0.89-0.99 at n=40 (320-800 rows): about nine times CPD's. `BENCH_24.json`
-reads 0.62-0.73 at n=154 (308-1,848 rows), 0.68-0.81 at n=74 (296-1,776)
-and 0.80-0.89 at n=40 (320-1,600), seven to eight times CPD's. The value
-is kept: the batches' start order and `optim.POOL_MIN_WORK_US` are
-calibrated in its units, and a lower one was not measured against the
+0.89-0.99 at n=40 (320-800 rows). It stays above `BENCH_24.json`'s
+0.62-0.89: the batches' start order and `optim.POOL_MIN_WORK_US` are
+calibrated in its units, and a lower value was not measured against the
 benchmark workloads."""
 
 

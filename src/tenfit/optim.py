@@ -296,33 +296,25 @@ def _usable_cpus() -> int:
 
 POOL_MIN_WORK_US = 4 * 7_500
 """The least estimated work, in us, for which a call trains its batches in
-worker processes; below it they train serially. A worker adds about
-5-6 ms: fork, the copy-on-write faults of its first writes, sending its
-results back, exit and reaping (`bench/kernels.py`'s `parallel` table,
-`startup` entry: two one-epoch CoSTCo batches took 17.6 and 15.7 ms in
-two workers against 6.1 and 5.8 ms serially in `BENCH_17.json`'s two
-runs, 8.2 and 7.5 ms a worker in its parent runs, when tenfit loaded
-SciPy at import). That cost is paid once per worker per call, not once
-per batch: a call forks at most one worker per usable CPU, and each
-takes batches until none is left. The constant keeps the 7.5 ms of
-`BENCH_11.json`. The multiple of 4 comes from the same table's
-`break_even` entries, two CoSTCo batches at 10 to 80 epochs trained
-serially and in workers: in `BENCH_11.json` the workers lost at 8.6 ms of
-estimated work (27.9 against 20.5 ms) and won from 17 ms on (34.4 against
-37.9 ms); two earlier runs of the table on a busier host put the crossing
-at about 25 and 34 ms. Those entries have two batches, which took two
-workers also when each batch had its own, so the crossing, and this
-value, hold for the per-call workers. Near the threshold either path
-costs within a few ms of the other. The threshold is in `_work`'s
-estimated units, which leave out the per-call cost."""
+worker processes; below it they train serially. A worker costs 5-8 ms to
+fork, fault in its first writes, send back its results, exit and be
+reaped (`bench/kernels.py`'s `parallel` table, `startup` entry:
+`BENCH_17.json`), paid once per call, which forks at most one worker per
+usable CPU; 7,500 us is `BENCH_11.json`'s cost per worker. The
+multiple of 4 comes from the same table's `break_even` entries, two
+CoSTCo batches at 10 to 80 epochs trained serially and in two workers, as
+a call with two batches forks them: in `BENCH_11.json` the workers lost at
+8.6 ms of estimated work (27.9 against 20.5 ms) and won from 17 ms on
+(34.4 against 37.9 ms). Near the threshold either path costs within a few
+ms of the other. The threshold is in `_work`'s estimated units, which
+leave out the per-call cost."""
 
 
 def _work(job) -> float:
     """A batch job's estimated training time in us: its training rows x
     epochs x its kind's cost per row-epoch. It has no per-call term, so
     small batches take 1.5-2.4 times it (`BENCH_11.json`'s `parallel`
-    table: 117 ms serially for one CoSTCo batch estimated at 73.9 ms, 260.7
-    for `lattice_mixed` at 175.5); the pool's start order and
+    table, `serial_ms` against `est_work_ms`); the pool's start order and
     POOL_MIN_WORK_US are calibrated in these estimated units."""
     trainable, runs, cfg = job
     return sum(run.data.n for run in runs) * cfg.epochs * trainable.row_epoch_us

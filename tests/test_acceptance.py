@@ -9,23 +9,16 @@ when the CSV is absent.
 import math
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import copy_factors, full_grid_indices, low_rank_values, obs_from_values
-from conftest import permute_components
+from conftest import as_row_set, copy_factors, fd_cpd_gradient, fd_neural_gradient
+from conftest import low_rank_values, obs_from_values, permute_components, random_cpd_instance
+from conftest import random_obs, random_region
 from oracles import costco_forward, exhaustive_fms, neural_grad
 
-from tenfit.core import DesignSpace, Normalizer, ObservationSet
-from tenfit.cpd import (
-    FactorSet,
-    SmoothnessConfig,
-    grad_masked_loss,
-    masked_mse,
-    smoothness_penalty,
-)
+from tenfit.cpd import FactorSet, grad_masked_loss
 from tenfit.harness import (
     RegionSpec,
     biased_split,
@@ -35,7 +28,7 @@ from tenfit.harness import (
 )
 from tenfit.metrics import fms, regression_metrics
 from tenfit.modelio import write_dataset
-from tenfit.neural import NeuralModel, costco_init, costco_layout, neural_loss
+from tenfit.neural import NeuralModel, costco_init, costco_layout
 from tenfit.optim import TrainConfig, fit
 
 
@@ -79,60 +72,15 @@ def test_criterion_2_lattice_shaped_noisy_recovery():
     )
 
 
-def _random_cpd_instance(rng):
-    ndim = int(rng.integers(2, 4))
-    shape = tuple(int(rng.integers(2, 5)) for _ in range(ndim))
-    rank = int(rng.integers(1, 4))
-    factors = FactorSet([rng.normal(0, 0.8, size=(s, rank)) for s in shape])
-    grid = full_grid_indices(shape)
-    picked = rng.choice(len(grid), size=int(rng.integers(1, len(grid) + 1)), replace=False)
-    obs = ObservationSet(
-        space=DesignSpace.from_shape(shape),
-        indices=grid[picked],
-        values=rng.uniform(-1, 1, size=len(picked)),
-        normalizer=Normalizer(0.0, 1.0),
-    )
-    if rng.random() < 0.5:
-        cfg = SmoothnessConfig()
-    else:
-        modes = tuple(m for m in range(ndim) if rng.random() < 0.7)
-        cfg = SmoothnessConfig(weight=float(rng.uniform(0.01, 0.5)), modes=modes)
-    return factors, obs, cfg
-
-
-def _cpd_fd_gradient(factors, obs, cfg, h=1e-5):
-    def loss(fs):
-        return masked_mse(fs, obs) + smoothness_penalty(fs, cfg)
-
-    grads = []
-    for m, matrix in enumerate(factors.factors):
-        g = np.zeros_like(matrix)
-        for i in range(matrix.shape[0]):
-            for r in range(matrix.shape[1]):
-                plus, minus = copy_factors(factors), copy_factors(factors)
-                plus.factors[m][i, r] += h
-                minus.factors[m][i, r] -= h
-                g[i, r] = (loss(plus) - loss(minus)) / (2 * h)
-        grads.append(g)
-    return grads
-
-
 def _neural_instance(rng, margin=1e-3):
     shape = (3, 3, 3)
-    grid = full_grid_indices(shape)
-    picked = grid[rng.choice(len(grid), size=8, replace=False)]
-    obs = ObservationSet(
-        space=DesignSpace.from_shape(shape),
-        indices=picked,
-        values=rng.uniform(0, 1, size=8),
-        normalizer=Normalizer(0.0, 1.0),
-    )
+    obs = random_obs(shape, 8, rng)
     while True:  # keep pre-activations off the rectifier kinks
         seed = int(rng.integers(1 << 30))
         cfg = TrainConfig(rank=2, n_init_groups=2, conv_channels=4, hidden_units=6)
         names = [name for name, _ in costco_layout(shape, cfg)]
         params = dict(zip(names, costco_init(shape, cfg, seed)))
-        _, cache = costco_forward(params, picked)
+        _, cache = costco_forward(params, obs.indices)
         _, z1, _, z2, _, z3, _ = cache
         if min(np.abs(z1).min(), np.abs(z2).min(), np.abs(z3).min()) > margin:
             return NeuralModel("costco", params, obs.space, None, cfg), obs
@@ -142,33 +90,21 @@ def test_criterion_3_gradient_correctness():
     rng = np.random.default_rng(321)
     worst_cpd = 0.0
     for _ in range(100):
-        factors, obs, cfg = _random_cpd_instance(rng)
+        factors, obs, cfg = random_cpd_instance(rng)
         analytic = grad_masked_loss(factors, obs, cfg)
-        numeric = _cpd_fd_gradient(factors, obs, cfg, h=1e-5)
+        numeric = fd_cpd_gradient(factors, obs, cfg, h=1e-5)
         for a, f in zip(analytic, numeric):
             denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
             worst_cpd = max(worst_cpd, float(np.max(np.abs(a - f) / denom)))
 
     worst_neural = 0.0
-    h = 1e-5
     for _ in range(20):
         model, obs = _neural_instance(rng)
-        names, params = list(model.params), list(model.params.values())
-
-        def loss(arrays):
-            return neural_loss(replace(model, params=dict(zip(names, arrays))), obs)
-
         analytic = neural_grad(model, obs)
-        for k, p in enumerate(params):
-            for j in range(p.size):
-                plus = [q.copy() for q in params]
-                plus[k].ravel()[j] += h
-                minus = [q.copy() for q in params]
-                minus[k].ravel()[j] -= h
-                fd = (loss(plus) - loss(minus)) / (2 * h)
-                a = analytic[k].ravel()[j]
-                denom = max(abs(a), abs(fd), 1e-6)
-                worst_neural = max(worst_neural, abs(a - fd) / denom)
+        numeric = fd_neural_gradient(model, obs, h=1e-5)
+        for a, f in zip(analytic, numeric):
+            denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
+            worst_neural = max(worst_neural, float(np.max(np.abs(a - f) / denom)))
 
     ok = worst_cpd <= 1e-4 and worst_neural <= 1e-3
     _report(
@@ -257,27 +193,12 @@ def test_criterion_5_fms_suite():
 def test_criterion_6_biased_split_contract():
     rng = np.random.default_rng(135)
     sizes = (6, 5, 4, 3)
-    grid = full_grid_indices(sizes)
-    picked = grid[rng.choice(len(grid), size=220, replace=False)]
-    obs = ObservationSet(
-        space=DesignSpace.from_shape(sizes),
-        indices=picked,
-        values=rng.uniform(0, 1, size=220),
-        normalizer=Normalizer(0.0, 1.0),
-    )
+    obs = random_obs(sizes, 220, rng)
     plans_checked = 0
     for _ in range(200):
         if plans_checked == 50:
             break
-        axes = rng.choice(4, size=2, replace=False)
-        a_lo = int(rng.integers(0, sizes[axes[0]]))
-        a_hi = int(rng.integers(a_lo, sizes[axes[0]]))
-        b_lo = int(rng.integers(0, sizes[axes[1]]))
-        b_hi = int(rng.integers(b_lo, sizes[axes[1]]))
-        region = RegionSpec(
-            axis_a=f"p{axes[0]}", axis_b=f"p{axes[1]}",
-            a_range=(a_lo, a_hi), b_range=(b_lo, b_hi),
-        )
+        region = random_region(rng, sizes)
         in_available = int(region.mask(obs).sum())
         n_in = int(rng.integers(0, in_available + 1))
         n_out = int(rng.integers(0, obs.n - in_available + 1))
@@ -287,13 +208,14 @@ def test_criterion_6_biased_split_contract():
         train, test = biased_split(obs, region, n_in, n_out, seed)
         train2, test2 = biased_split(obs, region, n_in, n_out, seed)
 
-        rows = lambda o: {tuple(i) + (v,) for i, v in zip(o.indices, o.values)}
+        rows = as_row_set
         assert rows(train) == rows(train2) and rows(test) == rows(test2)  # deterministic
         assert train.n == n_in + n_out
         assert rows(train) | rows(test) == rows(obs)  # partition
         assert not rows(train) & rows(test)
         # independent membership filter: manual interval checks, row by row
-        in_a, in_b = int(axes[0]), int(axes[1])
+        in_a, in_b = int(region.axis_a[1:]), int(region.axis_b[1:])  # axis "p<m>" is mode m
+        (a_lo, a_hi), (b_lo, b_hi) = region.a_range, region.b_range
         inside = lambda idx: a_lo <= idx[in_a] <= a_hi and b_lo <= idx[in_b] <= b_hi
         assert sum(inside(idx) for idx in train.indices) == n_in
         assert sum(not inside(idx) for idx in train.indices) == n_out
@@ -410,15 +332,7 @@ def test_criterion_8_external_lattice_dataset(tmp_path):
 
 def test_criterion_9_costco_capacity_and_determinism():
     shape = (4, 4, 4)
-    rng = np.random.default_rng(42)
-    grid = full_grid_indices(shape)
-    picked = grid[rng.choice(len(grid), size=50, replace=False)]
-    obs = ObservationSet(
-        space=DesignSpace.from_shape(shape),
-        indices=picked,
-        values=rng.uniform(0, 1, size=50),
-        normalizer=Normalizer(0.0, 1.0),
-    )
+    obs = random_obs(shape, 50, seed=42)
     cfg = TrainConfig(
         rank=3, epochs=3000, lr=0.01, seed=7, n_init_groups=3, conv_channels=8, hidden_units=16
     )

@@ -56,6 +56,18 @@ def test_parallel_sides_give_equal_losses(kernels, monkeypatch):
     assert optim.POOL_MIN_WORK_US == threshold  # the forced threshold is put back
 
 
+def test_src_sha256_names_the_sources_without_git(kernels, monkeypatch, tmp_path):
+    """Two copies of the package give one digest, and a one-byte edit
+    another, with no git call."""
+    monkeypatch.setattr(kernels.subprocess, "run", None)  # a git call would raise
+    package = Path(optim.__file__).parent
+    a, b = (shutil.copytree(package, tmp_path / side / "tenfit") for side in "ab")
+    assert kernels.src_sha256(a) == kernels.src_sha256(b) == kernels.src_sha256(package)
+    text = (b / "core.py").read_bytes()
+    (b / "core.py").write_bytes(text[:-1] + bytes([text[-1] ^ 1]))  # its last byte changed
+    assert kernels.src_sha256(a) != kernels.src_sha256(b)
+
+
 @pytest.mark.parametrize("kind", ["cpd", "cpd_s", "costco"])
 def test_objective_entry_runs(kernels, kind):
     entry = kernels.bench_objective(kind, kernels.LATTICE, 20, 2, True, calls=1, rounds=1,

@@ -860,17 +860,18 @@ class TestStrictKeys:
     def test_smoothing_a_categorical_axis(self, dataset_dir, tmp_path, capsys):
         # CPD-S smooths ordinal axes: neighbouring values of a categorical
         # axis are in no order, so a first difference along it means nothing
-        message = ("smooth_modes names the categorical axis 'geometry': "
-                   "CPD-S smooths ordinal axes only")
+        # the error names the key as the config spells it, or the flag
+        message = "names the categorical axis 'geometry': CPD-S smooths ordinal axes only"
         config = experiment_config(dataset_dir, epochs=5)
         config["models"][0].update(kind="cpd_s", smooth_modes=["ux", "geometry"])
         payload = one_json_error(*run_config("experiment", config, tmp_path))
-        assert payload == {"error": "ContractError", "message": message}
+        assert payload == {"error": "ContractError", "message": f"'smooth_modes' {message}"}
         out = tmp_path / "m.json"
         capsys.readouterr()
         code = main(["fit", "--obs", str(dataset_dir), "--model", "cpd_s", "--rank", "2",
                      "--smooth-modes", "geometry", "--out", str(out)])
-        assert one_json_error(code, capsys.readouterr().err)["message"] == message
+        error = one_json_error(code, capsys.readouterr().err)
+        assert error["message"] == f"--smooth-modes {message}"
         assert not out.exists()
 
 

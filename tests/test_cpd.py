@@ -2,7 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import copy_factors, full_grid_indices, obs_from_values, permute_components
+from conftest import fd_cpd_gradient, full_grid_indices, obs_from_values, permute_components
+from conftest import random_cpd_instance
 from oracles import predict_entry
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
@@ -30,48 +31,6 @@ def outer_product_oracle(factors: FactorSet) -> np.ndarray:
             component = np.multiply.outer(component, f[:, r])
         total += component
     return total
-
-
-def fd_gradient(factors, obs, cfg, h=1e-5):
-    """Central finite differences of the full training objective."""
-
-    def loss(fs):
-        return masked_mse(fs, obs) + smoothness_penalty(fs, cfg)
-
-    grads = []
-    for m, matrix in enumerate(factors.factors):
-        g = np.zeros_like(matrix)
-        for i in range(matrix.shape[0]):
-            for r in range(matrix.shape[1]):
-                plus = copy_factors(factors)
-                plus.factors[m][i, r] += h
-                minus = copy_factors(factors)
-                minus.factors[m][i, r] -= h
-                g[i, r] = (loss(plus) - loss(minus)) / (2 * h)
-        grads.append(g)
-    return grads
-
-
-def random_instance(rng):
-    ndim = int(rng.integers(2, 4))
-    shape = tuple(int(rng.integers(2, 5)) for _ in range(ndim))
-    rank = int(rng.integers(1, 4))
-    factors = FactorSet([rng.normal(0, 0.8, size=(s, rank)) for s in shape])
-    grid = full_grid_indices(shape)
-    n_obs = int(rng.integers(1, len(grid) + 1))
-    picked = rng.choice(len(grid), size=n_obs, replace=False)
-    obs = ObservationSet(
-        space=DesignSpace.from_shape(shape),
-        indices=grid[picked],
-        values=rng.uniform(-1, 1, size=n_obs),
-        normalizer=Normalizer(0.0, 1.0),
-    )
-    if rng.random() < 0.5:
-        cfg = SmoothnessConfig()
-    else:
-        modes = tuple(m for m in range(ndim) if rng.random() < 0.7)
-        cfg = SmoothnessConfig(weight=float(rng.uniform(0.01, 0.5)), modes=modes)
-    return factors, obs, cfg
 
 
 class TestInitFactors:
@@ -317,9 +276,9 @@ class TestGradMaskedLoss:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(77)
         for _ in range(25):
-            factors, obs, cfg = random_instance(rng)
+            factors, obs, cfg = random_cpd_instance(rng)
             analytic = grad_masked_loss(factors, obs, cfg)
-            numeric = fd_gradient(factors, obs, cfg)
+            numeric = fd_cpd_gradient(factors, obs, cfg)
             for a, f in zip(analytic, numeric):
                 denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
                 assert np.max(np.abs(a - f) / denom) <= 1e-4

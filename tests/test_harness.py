@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import full_grid_indices, low_rank_values, obs_from_values
+from conftest import as_row_set, low_rank_values, obs_from_values, random_obs, random_region
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,22 +27,6 @@ from tenfit.harness import (
 from tenfit.metrics import regression_metrics
 from tenfit.modelio import write_dataset
 from tenfit.optim import MODEL_KINDS, TrainConfig, fit, fit_batch
-
-
-def random_obs(shape, n, seed, low=0.0, high=1.0):
-    rng = np.random.default_rng(seed)
-    grid = full_grid_indices(shape)
-    picked = rng.choice(len(grid), size=n, replace=False)
-    return ObservationSet(
-        space=DesignSpace.from_shape(shape),
-        indices=grid[picked],
-        values=rng.uniform(low, high, size=n),
-        normalizer=Normalizer(low, high),
-    )
-
-
-def as_row_set(obs):
-    return {tuple(i) + (v,) for i, v in zip(obs.indices, obs.values)}
 
 
 class TestUniformSplit:
@@ -135,16 +119,7 @@ class TestBiasedSplit:
         rng = np.random.default_rng(18)
         obs = random_obs((6, 5, 4, 3), 300, seed=19)
         for _ in range(20):
-            axes = rng.choice(4, size=2, replace=False)
-            sizes = (6, 5, 4, 3)
-            a_lo = int(rng.integers(0, sizes[axes[0]]))
-            a_hi = int(rng.integers(a_lo, sizes[axes[0]]))
-            b_lo = int(rng.integers(0, sizes[axes[1]]))
-            b_hi = int(rng.integers(b_lo, sizes[axes[1]]))
-            region = RegionSpec(
-                axis_a=f"p{axes[0]}", axis_b=f"p{axes[1]}",
-                a_range=(a_lo, a_hi), b_range=(b_lo, b_hi),
-            )
+            region = random_region(rng, (6, 5, 4, 3))
             available_in = int(region.mask(obs).sum())
             available_out = obs.n - available_in
             n_in = int(rng.integers(0, available_in + 1))

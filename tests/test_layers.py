@@ -7,6 +7,9 @@ share a layer, so neither imports the other). A function-level import of a
 package module would hide a cycle; the one allowed is `neural.costco_fit`'s
 import of `optim`, a thin wrapper kept because perfbench's tracer names it.
 
+`cli` and `harness` import neither model module: they reach the model
+kinds through `optim.MODEL_KINDS` and ask a model for its `factors`.
+
 No module imports scipy: the factor match score's assignment solver is
 ported into `metrics`, and scipy is a test-only reference for it.
 
@@ -97,6 +100,15 @@ def test_only_costco_fit_imports_at_call_time():
         if function is not None
     }
     assert call_time == CALL_TIME_ALLOWED
+
+
+def test_cli_and_harness_reach_model_kinds_through_optim_alone():
+    for module in ("cli", "harness"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        assert not {name for name, _ in package_imports(tree)} & {"cpd", "neural"}, module
+        from_optim = {alias.name for node, _ in imports(tree) if isinstance(node, ast.ImportFrom)
+                      and node.level and node.module == "optim" for alias in node.names}
+        assert "MODEL_KINDS" in from_optim, module
 
 
 def test_no_module_imports_scipy():

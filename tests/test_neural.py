@@ -1,8 +1,6 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
-from conftest import full_grid_indices, obs_from_values
+from conftest import fd_neural_gradient, full_grid_indices, obs_from_values, random_obs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import costco_forward, neural_grad, predict_entry
@@ -71,27 +69,6 @@ def forward(model, indices):
     work = _forward_arrays(1, len(indices), model.rank, cfg.conv_channels, cfg.hidden_units)
     preds = _forward(x, [a[None] for a in head], work)
     return preds[0], x[0], [w[0] for w in work]
-
-
-def fd_neural_gradient(model, obs, h=1e-6):
-    names = list(model.params)
-    params = list(model.params.values())
-
-    def loss_of(plist):
-        return neural_loss(replace(model, params=dict(zip(names, plist))), obs)
-
-    grads = []
-    for k, p in enumerate(params):
-        g = np.zeros_like(p)
-        flat = g.ravel()
-        for j in range(p.size):
-            plus = [q.copy() for q in params]
-            plus[k].ravel()[j] += h
-            minus = [q.copy() for q in params]
-            minus[k].ravel()[j] -= h
-            flat[j] = (loss_of(plus) - loss_of(minus)) / (2 * h)
-        grads.append(g)
-    return grads
 
 
 def preactivation_margin(model, indices):
@@ -221,19 +198,11 @@ class TestNeuralGrad:
 
     def test_matches_finite_differences_away_from_kinks(self):
         shape = (3, 3, 3)
-        rng = np.random.default_rng(0)
-        indices = full_grid_indices(shape)
-        picked = indices[rng.choice(len(indices), size=8, replace=False)]
-        obs = ObservationSet(
-            space=DesignSpace.from_shape(shape),
-            indices=picked,
-            values=rng.uniform(0, 1, size=8),
-            normalizer=Normalizer(0, 1),
-        )
+        obs = random_obs(shape, 8, seed=0)
         seed = 0
         while True:  # resample until pre-activations clear the kink margin
             model = init_model(shape, 2, 2, 4, 6, seed=seed)
-            if preactivation_margin(model, picked) > 1e-3:
+            if preactivation_margin(model, obs.indices) > 1e-3:
                 break
             seed += 1
         analytic = neural_grad(model, obs)
@@ -273,15 +242,7 @@ class TestNeuralGrad:
 class TestCostcoFit:
     def test_overfits_small_random_tensor(self):
         shape = (4, 4, 4)
-        rng = np.random.default_rng(42)
-        grid = full_grid_indices(shape)
-        picked = grid[rng.choice(len(grid), size=50, replace=False)]
-        obs = ObservationSet(
-            space=DesignSpace.from_shape(shape),
-            indices=picked,
-            values=rng.uniform(0, 1, size=50),
-            normalizer=Normalizer(0, 1),
-        )
+        obs = random_obs(shape, 50, seed=42)
         cfg = TrainConfig(
             rank=3, epochs=3000, lr=0.01, seed=7, n_init_groups=3, conv_channels=8, hidden_units=16
         )
