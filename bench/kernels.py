@@ -226,7 +226,7 @@ def bench_objective(kind, shape, n, n_fits, grad, calls, rounds, rng):
     weight 0.1) over n_fits sets of n rows, at seeded initial parameters:
     `calls` builds of it, then `calls` calls of one of them, per round."""
     cfg = optim.TrainConfig(rank=RANK, smooth_weight=0.1, smooth_modes=tuple(range(len(shape))))
-    engine = trainable(kind, shape, cfg)
+    engine = optim.MODEL_KINDS[kind](shape, cfg)
     sets = [observations(shape, n, rng) for _ in range(n_fits)]
     objective = engine.objective(sets)
     flat = pack([engine.init(seed) for seed in range(n_fits)])
@@ -251,10 +251,6 @@ def bench_objective(kind, shape, n, n_fits, grad, calls, rounds, rng):
     }
 
 
-def trainable(kind, shape, cfg):
-    return optim.MODEL_KINDS[kind](shape, cfg)
-
-
 def bench_batch(rounds, epochs, rng):
     """us per fit-epoch of every BATCH_CASES entry, the best of `rounds`;
     each round runs every entry once, so a slow spell of the host hits all
@@ -262,7 +258,7 @@ def bench_batch(rounds, epochs, rng):
     entries = []
     for kind, shape, n, sizes in BATCH_CASES:
         cfg = optim.TrainConfig(rank=RANK, epochs=epochs, lr=0.01)
-        engine = trainable(kind, shape, cfg)
+        engine = optim.MODEL_KINDS[kind](shape, cfg)
         for n_fits in sizes:
             runs = [
                 optim.Run(fit=b, restart=0, seed=b, data=observations(shape, n, rng))
@@ -301,7 +297,7 @@ def estimated_work_ms(call):
     the kind's cost per row-epoch."""
     shape, models, sets, _ = call
     rows = sum(s.n for s in sets)
-    return sum(rows * cfg.restarts * cfg.epochs * trainable(kind, shape, cfg).row_epoch_us
+    return sum(rows * cfg.restarts * cfg.epochs * optim.MODEL_KINDS[kind](shape, cfg).row_epoch_us
                for kind, cfg in models) / 1e3
 
 
@@ -409,7 +405,7 @@ def bench_io(rounds, rng, work_dir):
         obs = observations(shape, int(np.prod(shape)), rng)
         space, n = obs.space, obs.n
         cfg = optim.TrainConfig(rank=RANK)  # serve_cli's rank and CoSTCo head sizes
-        models = {kind: trainable(kind, shape, cfg) for kind in ("cpd", "costco")}
+        models = {kind: optim.MODEL_KINDS[kind](shape, cfg) for kind in ("cpd", "costco")}
         models = {kind: engine.model(dict(zip(dict(engine.layout), engine.init(0))), space, None)
                   for kind, engine in models.items()}
         path = Path(work_dir) / "grid.csv"

@@ -8,14 +8,18 @@ they write.
     python3 bench/same_bytes.py --base HEAD --env OPENBLAS_CORETYPE=Prescott
 
 Run it from anywhere in the repository. `--base` is a git revision, whose
-`src/` is extracted with `git archive` (no network) into a temporary
-directory, or a directory that holds a copy of a `src/` tree (its `tenfit/`
-package), used as it is. Each job runs in a child process per side and
-seed, with only that side's `src/` on the import path and one BLAS thread:
+`src/`, `perfbench/` and `tests/` are extracted with `git archive` (no
+network) into a temporary directory, or a directory that holds a copy of a
+`src/` tree (its `tenfit/` package), used as it is. Each job runs in a child
+process per side and seed, with only that side's `src/` on the import path
+and one BLAS thread. A child imports the workloads and `test_outputs` from
+the `perfbench/` and `tests/` beside its `src/`; a directory `--base`
+without both beside it uses the working tree's. So each side runs its own
+copies when a change edits them. The jobs:
 
 - `experiment_lattice`, `sweep_ood`, `experiment_large`, `serve_cli`: the
-  benchmark workload's `setup()` and one `op()`, from the working tree's
-  `perfbench/`, which is imported and never written;
+  benchmark workload's `setup()` and one `op()`, from `perfbench/`, which is
+  imported and never written;
 - `digest`: `tests/test_outputs.py`'s pinned experiment and sweep (its
   seeds are fixed, so it runs once, not per seed);
 - `fit`: `tenfit fit` for cpd, cpd_s, costco and an early-stopped cpd on
@@ -57,9 +61,13 @@ FITS = {  # the `tenfit fit` runs of the fit job: output name -> flags
 }
 
 
-def run_job(job: str, seed: int, out: Path) -> None:
-    """Write the files of one job at one seed under `out` (in the child)."""
-    sys.path[1:1] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
+def run_job(job: str, seed: int, out: Path, src: Path) -> None:
+    """Write the files of one job at one seed under `out` (in the child),
+    with `perfbench/` and `tests/` from the tree that holds `src`, or from
+    the working tree when either is missing there."""
+    own = src.parent
+    tree = own if all((own / name).is_dir() for name in ("perfbench", "tests")) else ROOT
+    sys.path[1:1] = [str(tree / "perfbench"), str(tree / "tests")]
     if job == "digest":
         from test_outputs import output_digests
 
@@ -87,11 +95,12 @@ def run_job(job: str, seed: int, out: Path) -> None:
 
 def base_src(base: str, scratch: Path) -> Path:
     """The `src/` tree of `base`: a directory holding `tenfit/`, or the
-    `src/` of a git revision, extracted under `scratch`."""
+    `src/` of a git revision, extracted under `scratch` with its
+    `perfbench/` and `tests/`."""
     if (Path(base) / "tenfit").is_dir():
         return Path(base).resolve()
-    git = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", base, "src"],
-                         capture_output=True)
+    git = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", base, "src",
+                          "perfbench", "tests"], capture_output=True)
     if git.returncode != 0:
         raise SystemExit(f"git archive {base}: {git.stderr.decode().strip()}")
     with tarfile.open(fileobj=io.BytesIO(git.stdout)) as tar:
@@ -177,7 +186,7 @@ def main(argv=None) -> int:
 
         if not Path(tenfit.__file__).resolve().is_relative_to(Path(args.base).resolve()):
             raise SystemExit(f"imported {tenfit.__file__}, not the tree under {args.base}")
-        run_job(job, int(seed), Path(out))
+        run_job(job, int(seed), Path(out), Path(args.base))
         return 0
 
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as scratch:

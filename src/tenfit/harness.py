@@ -24,7 +24,7 @@ import numpy as np
 from .core import DesignSpace, Normalizer, ObservationSet, uniform_split
 from .errors import ContractError, SplitError, StratumExhaustedError, TenfitError
 from .metrics import component_expression_export, fms, regression_metrics
-from .modelio import as_float, as_int, load_dataset, write_atomic
+from .modelio import as_float, as_int, load_dataset, record_json, write_atomic
 from .optim import MODEL_KINDS, TrainConfig, TrainReport, fit_batch
 
 
@@ -66,13 +66,7 @@ class RegionSpec:
             & (b <= self.b_range[1])
         )
 
-    def to_json(self) -> dict:
-        return {
-            "axis_a": self.axis_a,
-            "axis_b": self.axis_b,
-            "a_range": list(self.a_range),
-            "b_range": list(self.b_range),
-        }
+    to_json = record_json
 
 
 def region_from_values(

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .core import DesignSpace
 from .cpd import FactorSet
 from .errors import ContractError, DegenerateDataError
-from .modelio import write_atomic
+from .modelio import record_json, write_atomic
 
 MAPE_ZERO_TOLERANCE = 1e-8
 
@@ -37,8 +37,7 @@ class MetricsReport:
     n: int
     mape_excluded: int
 
-    def to_json(self) -> dict:
-        return asdict(self)
+    to_json = record_json
 
 
 def regression_metrics(y, yhat) -> MetricsReport:
@@ -73,12 +72,7 @@ class FactorComparison:
     permutation: tuple[int, ...]
     per_component: tuple[float, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "fms": self.fms,
-            "permutation": list(self.permutation),
-            "per_component": list(self.per_component),
-        }
+    to_json = record_json
 
 
 def _unit_columns(matrix: np.ndarray) -> np.ndarray:

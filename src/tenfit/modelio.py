@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +28,15 @@ FORMAT_VERSION = 1  # of model files
 MODEL_FILE_KEYS = ("format_version", "kind", "rank", "shape", "schema", "normalizer", "params")
 
 
+def record_json(record) -> dict:
+    """A dataclass record's fields, each tuple as a list, so the result equals
+    its own JSON round trip; not `asdict`, which deep-copies every value."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
+
 def schema_to_json(space: DesignSpace) -> dict:
-    return {
-        "axes": [
-            {"name": a.name, "kind": a.kind, "values": list(a.values)} for a in space.axes
-        ],
-        "outcome": space.outcome_name,
-    }
+    return {"axes": [record_json(a) for a in space.axes], "outcome": space.outcome_name}
 
 
 def schema_from_json(payload: dict, path) -> DesignSpace:
@@ -204,7 +206,7 @@ def write_dataset(obs: ObservationSet, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / SCHEMA_FILENAME, json.dumps(schema_to_json(obs.space), indent=2))
     write_index_csv(out / OBSERVATIONS_FILENAME, obs.space, obs.indices, obs.values)
-    write_atomic(out / NORMALIZER_FILENAME, json.dumps(asdict(obs.normalizer), indent=2))
+    write_atomic(out / NORMALIZER_FILENAME, json.dumps(record_json(obs.normalizer), indent=2))
     return {
         "schema": str(out / SCHEMA_FILENAME),
         "observations": str(out / OBSERVATIONS_FILENAME),
@@ -295,7 +297,7 @@ def save_model(model, path) -> None:
         "rank": model.rank,
         "shape": list(model.shape),
         "schema": schema_to_json(model.space),
-        "normalizer": asdict(model.normalizer) if model.normalizer is not None else None,
+        "normalizer": record_json(model.normalizer) if model.normalizer is not None else None,
         **model.settings(),
         "params": _nest(model.params),
     }

@@ -202,3 +202,22 @@ def test_same_bytes_env_reaches_the_head_side_only(monkeypatch, capsys):
                     for side in ("base", "head") for job in same_bytes.JOBS}
     lines = capsys.readouterr().out.splitlines()
     assert lines[:-1] == [f"differs: {job}/seed0/probe" for job in sorted(same_bytes.JOBS)]
+
+
+def test_same_bytes_base_imports_its_own_perfbench(tmp_path):
+    """A base `src/` with `perfbench/` and `tests/` beside it, as a git
+    revision is extracted, runs its children on those copies and not on the
+    working tree's (no git call): a failure planted in each copy is the one
+    reported."""
+    same_bytes = load_same_bytes()
+    for name in ("src", "perfbench", "tests"):
+        shutil.copytree(same_bytes.ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    for name in ("perfbench/workloads.py", "tests/test_outputs.py"):
+        module = tmp_path / name
+        module.write_text(module.read_text() + f'raise SystemExit("the copy of {name}")\n')
+    src = tmp_path / "src"
+    assert same_bytes.run_side(src, ("digest", "fit"), [0], tmp_path / "out") == [
+        f"digest seed 0 on {src}: the copy of tests/test_outputs.py",
+        f"fit seed 0 on {src}: the copy of perfbench/workloads.py",
+    ]

@@ -159,6 +159,16 @@ class TestIngest:
         assert payload == {"error": "SchemaError", "message": message}
         assert not out.exists()
 
+    def test_undeclared_non_numeric_column_is_categorical(self, tmp_path):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("a,b,y\n1,x,0.5\n2,3,1.5\n")  # b: one numeric value, one not
+        out = tmp_path / "ds"
+        assert main(["ingest", "--data", str(csv_path), "--outcome", "y", "--out", str(out)]) == 0
+        schema = json.loads((out / "schema.json").read_text())
+        assert [(a["name"], a["kind"], a["values"]) for a in schema["axes"]] == [
+            ("a", "ordinal", [1.0, 2.0]), ("b", "categorical", ["3", "x"])
+        ]
+
 
 class TestFitPredictEvaluate:
     def fit_model(self, dataset_dir, tmp_path, kind="cpd", extra=()):
@@ -240,10 +250,7 @@ class TestFitPredictEvaluate:
         capsys.readouterr()
         code = main(["predict", "--model", str(model_path), "--indices", str(indices_path),
                      "--out", str(tmp_path / "preds.csv")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        payload = json.loads(err)
+        payload = one_json_error(code, capsys.readouterr().err)
         assert payload["error"] == "SchemaError"
         assert "indices.csv" in payload["message"]
         assert "row 2" in payload["message"] and "'thickness'" in payload["message"]
@@ -741,10 +748,7 @@ class TestErrorReporting:
         capsys.readouterr()
         code = main(["fit", "--obs", str(dataset_dir), "--model", "cpd",
                      "--rank", "2", "--out", str(tmp_path / "m.json")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        payload = json.loads(err)
+        payload = one_json_error(code, capsys.readouterr().err)
         assert payload["error"] == "SchemaError"
         assert "obs.csv" in payload["message"] and "row 3" in payload["message"]
 
@@ -1067,6 +1071,81 @@ class TestErrorPathsNameTheirCause:
         assert not out.exists()
 
 
+class TestFailuresWriteNothing:
+    """Failures that exit 1 with one line of JSON before anything is written."""
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [("", [], "{csv}: missing CSV header"),
+         (None, ["--ordinal", "nope"], "declared axis 'nope' not in CSV header"),
+         (None, ["--ordinal", "thickness,ux", "--categorical", "ux"],
+          "axes listed as both kinds: ['ux']")],
+        ids=["empty_csv", "undeclared_axis", "axis_of_both_kinds"],
+    )
+    def test_ingest(self, tmp_path, capsys, text, flags, message):
+        csv_path = tmp_path / "demo.csv"
+        if text is None:
+            write_demo_csv(csv_path)
+        else:
+            csv_path.write_text(text)
+        out = tmp_path / "ds"
+        code = main(["ingest", "--data", str(csv_path), "--outcome", "stiffness", *flags,
+                     "--out", str(out)])
+        payload = one_json_error(code, capsys.readouterr().err)
+        assert payload == {"error": "SchemaError", "message": message.format(csv=csv_path)}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [(("iterations",), 0, "iterations must be >= 1"),
+         (("plans", 1, "n_in"), -1, "stratum counts must be non-negative"),
+         (("plans", 1, "region", "a_range"), [2, 1], "region a_range (2, 1) is empty or negative")],
+        ids=["no_iterations", "negative_n_in", "empty_a_range"],
+    )
+    def test_experiment_config(self, dataset_dir, tmp_path, path, value, message):
+        config = replace_field(experiment_config(dataset_dir, epochs=5), path, value)
+        payload = one_json_error(*run_config("experiment", config, tmp_path))
+        assert payload == {"error": "ContractError", "message": message}
+        assert not (tmp_path / "out").exists()
+
+    def test_factors_quantile_outside_0_1(self, dataset_dir, tmp_path, capsys):
+        model_path = TestFitPredictEvaluate().fit_model(dataset_dir, tmp_path)
+        out = tmp_path / "factors"
+        capsys.readouterr()
+        code = main(["factors", "--model", str(model_path), "--quantile", "1.5", "--out", str(out)])
+        assert one_json_error(code, capsys.readouterr().err) == {
+            "error": "ContractError", "message": "quantile must lie in [0, 1]"
+        }
+        assert not out.exists()
+
+    def test_fms_of_models_of_different_shapes(self, dataset_dir, tmp_path, capsys):
+        write_demo_csv(tmp_path / "small.csv", n_geometries=2)
+        assert main(["ingest", "--data", str(tmp_path / "small.csv"), "--outcome", "stiffness",
+                     "--categorical", "geometry", "--out", str(tmp_path / "small")]) == 0
+        fitted = TestFitPredictEvaluate()
+        large = fitted.fit_model(dataset_dir, tmp_path)
+        small = fitted.fit_model(tmp_path / "small", tmp_path, "cpd_s")
+        out = tmp_path / "fms.json"
+        capsys.readouterr()
+        code = main(["fms", "--a", str(large), "--b", str(small), "--out", str(out)])
+        assert one_json_error(code, capsys.readouterr().err) == {
+            "error": "ContractError", "message": "factor shapes differ: (3, 2, 3) vs (2, 2, 3)"
+        }
+        assert not out.exists()
+
+    def test_fit_on_a_dataset_without_rows(self, dataset_dir, tmp_path, capsys):
+        obs_path = dataset_dir / "obs.csv"
+        obs_path.write_text(obs_path.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        code = main(["fit", "--obs", str(dataset_dir), "--model", "cpd", "--rank", "2",
+                     "--out", str(out)])
+        assert one_json_error(code, capsys.readouterr().err) == {
+            "error": "DegenerateDataError", "message": "cannot fit on an empty observation set"
+        }
+        assert not out.exists() and not out.with_suffix(".report.json").exists()
+
+
 class TestModelFileValidation:
     """A damaged model file is a SchemaError naming it, reported by the CLI as
     one line of JSON, never a traceback from predict."""
@@ -1083,10 +1162,7 @@ class TestModelFileValidation:
         capsys.readouterr()
         code = main(["predict", "--model", str(model_path), "--indices", str(indices_path),
                      "--out", str(tmp_path / "preds.csv")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        payload = json.loads(err)
+        payload = one_json_error(code, capsys.readouterr().err)
         assert payload["error"] == "SchemaError"
         assert f"{kind}.json" in payload["message"]
         return payload["message"]

@@ -13,6 +13,9 @@ kinds through `optim.MODEL_KINDS` and ask a model for its `factors`.
 No module imports scipy: the factor match score's assignment solver is
 ported into `metrics`, and scipy is a test-only reference for it.
 
+Every name that a module of `src/tenfit/`, `bench/` or `tests/` imports is
+used in it or named in its `__all__`.
+
 These rules are checked on the source text, so nothing is imported. One
 test runs a fresh interpreter through the CLI's ingest, fit, predict, fms
 and an experiment that scores factors, and sees that no scipy module loads.
@@ -122,6 +125,35 @@ def test_no_module_imports_scipy():
             found.update((path.stem, function, name) for name in names
                          if name.split(".")[0] == "scipy")
     assert found == set()
+
+
+def unused_imports(tree: ast.Module) -> list:
+    """Names that an import binds but the module never reads or lists in `__all__`."""
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node, _ in imports(tree)
+        if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and type(n.ctx) is ast.Load}
+    exported = {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]
+        for name in ast.literal_eval(node.value)
+    }
+    return sorted(bound - read - exported)
+
+
+def test_every_import_is_used():
+    root = SRC.parents[1]
+    unused = {
+        str(path.relative_to(root)): names
+        for folder in (SRC, root / "bench", root / "tests")
+        for path in sorted(folder.glob("*.py"))
+        if (names := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert unused == {}
 
 
 CHILD = """

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -17,7 +18,10 @@ from tenfit.core import (
     build_design_space,
     encode_observations,
 )
+from tenfit.cpd import FactorSet
 from tenfit.errors import ContractError, SchemaError
+from tenfit.harness import RegionSpec
+from tenfit.metrics import fms, regression_metrics
 from tenfit.modelio import (
     load_dataset,
     load_model,
@@ -28,7 +32,7 @@ from tenfit.modelio import (
     write_dataset,
     write_index_csv,
 )
-from tenfit.optim import TrainConfig, fit
+from tenfit.optim import TrainConfig, TrainReport, fit
 
 
 def sample_space():
@@ -72,6 +76,22 @@ class TestSchemaJson:
         (tmp_path / "schema.json").write_text('{"axes": "nope"}')
         with pytest.raises(SchemaError):
             load_dataset(tmp_path)
+
+    def test_to_json_equals_its_json_round_trip(self):
+        # a tuple left in would load back as a list, and inf would not dump
+        factors = FactorSet([np.eye(3, 2), np.ones((2, 2))])
+        report = TrainReport(losses=[1.0, 0.5], final_loss=0.5, restart=0, epochs_run=2,
+                             seconds=0.1, restart_final_losses=[0.5, math.inf])
+        results = {
+            "TrainReport": report.to_json(),
+            "MetricsReport": regression_metrics([1.0, 2.0, 4.0], [1.5, 1.5, 3.0]).to_json(),
+            "FactorComparison": fms(factors, factors).to_json(),
+            "RegionSpec": RegionSpec("geometry", "thickness", (0, 1), (1, 2)).to_json(),
+            "schema": schema_to_json(sample_space()),
+        }
+        for name, result in results.items():
+            assert result == json.loads(json.dumps(result, allow_nan=False)), name
+        assert results["TrainReport"]["restart_final_losses"] == [0.5, None]
 
 
 class TestObservationsCsv:

@@ -33,6 +33,30 @@ def synthetic_split(shape, rank, seed, observed_fraction=0.7):
     return uniform_split(obs, observed_fraction, seed=seed)
 
 
+def toy_trainable(init, val_objective=None, diverge_above=math.inf) -> Trainable:
+    """A one-number kind for engine tests: restart seed s starts at
+    init(s), the training loss is x**2, or inf where |x| > diverge_above,
+    and the validation loss is the training loss unless val_objective is
+    given."""
+
+    def objective(data_sets):
+        def batch(flat, grad=True):  # one entry per fit
+            losses = np.where(np.abs(flat) > diverge_above, math.inf, flat * flat)
+            return (losses, 2.0 * flat) if grad else losses
+
+        return batch
+
+    return Trainable(
+        layout=[("x", (1,))],
+        init=lambda seed: [np.array([init(seed)])],
+        objective=objective,
+        val_objective=val_objective or objective,
+        model=lambda params, space, normalizer: params,
+        max_rows=100,
+        row_epoch_us=1.0,
+    )
+
+
 def adam_steps(p, grad, steps: int, lr: float):
     """p and its second moments after `steps` in-place adam_step calls on
     the flat buffer p, the gradient at each step given by grad(p)."""
@@ -173,22 +197,8 @@ class TestFit:
     def test_diverged_restart_is_skipped(self, monkeypatch):
         # restart 1 (seed 0 + 1) starts far out and diverges at its first
         # epoch; restarts 0 and 2 converge and the best of them wins.
-        def objective(data_sets):
-            def batch(flat, grad=True):  # one entry per fit
-                losses = np.where(np.abs(flat) > 100, math.inf, flat * flat)
-                return (losses, 2.0 * flat) if grad else losses
-
-            return batch
-
-        trainable = Trainable(
-            layout=[("x", (1,))],
-            init=lambda seed: [np.array([1000.0 if seed == 1 else 1.0 + seed])],
-            objective=objective,
-            val_objective=objective,
-            model=lambda params, space, normalizer: params,
-            max_rows=100,
-            row_epoch_us=1.0,
-        )
+        trainable = toy_trainable(lambda seed: 1000.0 if seed == 1 else 1.0 + seed,
+                                  diverge_above=100)
         monkeypatch.setitem(optim.MODEL_KINDS, "toy", lambda shape, cfg: trainable)
         cfg = TrainConfig(rank=1, epochs=50, lr=0.1, restarts=3, seed=0)
         (((params, report),),) = fit_batch((2,), [("toy", cfg)], [UNUSED_DATA], [cfg.seed])
@@ -227,31 +237,13 @@ class TestEarlyStopping:
     def test_returns_best_validation_checkpoint(self):
         # train loss always improves while validation worsens from the start:
         # the kept checkpoint must be the best (initial) one.
-        calls = {"n": 0}
-
-        def objective(data_sets):
-            def batch(flat, grad=True):  # one entry per fit
-                losses = flat**2
-                return (losses, 2.0 * flat) if grad else losses
-
-            return batch
-
         def val_objective(data_sets):
             def batch(flat, grad=False):
-                calls["n"] += 1
                 return (flat - 1.0) ** 2  # best at x=1, start x=0.9
 
             return batch
 
-        trainable = Trainable(
-            layout=[("x", (1,))],
-            init=lambda seed: [np.array([0.9])],
-            objective=objective,
-            val_objective=val_objective,
-            model=lambda params, space, normalizer: params,
-            max_rows=100,
-            row_epoch_us=1.0,
-        )
+        trainable = toy_trainable(lambda seed: 0.9, val_objective)
         cfg = TrainConfig(rank=1, epochs=500, lr=0.05, patience=4, val_fraction=0.5)
         run = Run(fit=0, restart=0, seed=0, data=UNUSED_DATA, val=UNUSED_DATA)
         (result,) = train_batch(trainable, [run], cfg)
@@ -366,13 +358,6 @@ class TestMemberExits:
         diverging = obs_from_values((2,), [0.0, 1.0])
         calls = {"n": 0}
 
-        def objective(data_sets):
-            def batch(flat, grad=True):  # one entry per fit
-                losses = flat**2
-                return (losses, 2.0 * flat) if grad else losses
-
-            return batch
-
         def val_objective(data_sets):
             def batch(flat, grad=False):
                 calls["n"] += 1  # call 1 scores the initial parameters, call e + 2 epoch e
@@ -381,15 +366,7 @@ class TestMemberExits:
 
             return batch
 
-        trainable = Trainable(
-            layout=[("x", (1,))],
-            init=lambda seed: [np.array([1.0 + seed])],
-            objective=objective,
-            val_objective=val_objective,
-            model=lambda params, space, normalizer: params,
-            max_rows=100,
-            row_epoch_us=1.0,
-        )
+        trainable = toy_trainable(lambda seed: 1.0 + seed, val_objective)
         cfg = TrainConfig(rank=1, epochs=10, lr=0.1, restarts=2, patience=5, val_fraction=0.5)
         runs = [Run(0, 0, 0, UNUSED_DATA, diverging), Run(0, 1, 1, UNUSED_DATA, UNUSED_DATA)]
         failed, kept = train_batch(trainable, runs, cfg)
