@@ -22,8 +22,9 @@ copies when a change edits them. The jobs:
   imported and never written;
 - `digest`: `tests/test_outputs.py`'s pinned experiment and sweep (its
   seeds are fixed, so it runs once, not per seed);
-- `fit`: `tenfit fit` for cpd, cpd_s, costco and an early-stopped cpd on
-  the lattice-shaped benchmark data of the seed.
+- `fit`: `tenfit fit` for cpd, cpd_s (on the ordinal axes, and on
+  `--smooth-modes` named out of order with a repeat), costco and an
+  early-stopped cpd on the lattice-shaped benchmark data of the seed.
 
 `--env KEY=VALUE` (repeatable) sets a variable in the working tree's
 children only, so a tree can be compared with itself under, say, another
@@ -55,6 +56,8 @@ FITS = {  # the `tenfit fit` runs of the fit job: output name -> flags
             "--restarts", "2"],
     "cpd_s": ["--model", "cpd_s", "--rank", "3", "--epochs", "200", "--lr", "0.02",
               "--lambda-smooth", "0.002"],
+    "cpd_s_modes": ["--model", "cpd_s", "--rank", "3", "--epochs", "200", "--lr", "0.02",
+                    "--smooth-modes", "uz,thickness,uz"],  # saved sorted, each once
     "costco": ["--model", "costco", "--rank", "3", "--epochs", "20", "--lr", "0.02"],
     "cpd_early": ["--model", "cpd", "--rank", "3", "--epochs", "400", "--lr", "0.03",
                   "--patience", "20", "--val-fraction", "0.2"],

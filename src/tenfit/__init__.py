@@ -12,7 +12,6 @@ from .core import (
 )
 from .cpd import (
     FactorSet,
-    SmoothnessConfig,
     init_factors,
 )
 from .errors import (
@@ -58,7 +57,6 @@ __all__ = [
     "encode_observations",
     "uniform_split",
     "FactorSet",
-    "SmoothnessConfig",
     "init_factors",
     "ContractError",
     "DegenerateDataError",

@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -257,8 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None) -> int:
+    """Run one command. A failure prints one JSON line on stderr and returns
+    1. While the command runs in the main thread, SIGTERM unwinds it as
+    SIGINT does (so a worker pool's cleanup runs); an interrupted command
+    prints one JSON line and returns 128 + the signal's number."""
     args = build_parser().parse_args(argv)
+    in_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _interrupt) if in_main else None
     try:
         print(json.dumps(args.func(args), indent=2))
         return 0
@@ -266,6 +278,14 @@ def main(argv=None) -> int:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        payload = {"error": "Interrupted", "message": f"stopped by {signal.Signals(signum).name}"}
+        print(json.dumps(payload), file=sys.stderr)
+        return 128 + signum
+    finally:
+        if in_main:
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
 
 
 if __name__ == "__main__":

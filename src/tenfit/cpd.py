@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,23 +51,6 @@ class FactorSet:
     @property
     def ndim(self) -> int:
         return len(self.factors)
-
-
-@dataclass(frozen=True)
-class SmoothnessConfig:
-    """First-difference penalty weight and the modes it applies to."""
-
-    weight: float = 0.0
-    modes: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ContractError("smoothness weight must be non-negative")
-        object.__setattr__(self, "modes", tuple(sorted(set(int(m) for m in self.modes))))
-
-    def validate_for(self, ndim: int) -> None:
-        if any(m < 0 or m >= ndim for m in self.modes):
-            raise ContractError(f"smoothness modes {self.modes} invalid for {ndim} modes")
 
 
 def init_factors(shape, rank: int, seed: int) -> FactorSet:
@@ -118,25 +101,24 @@ def masked_mse(factors: FactorSet, obs: ObservationSet) -> float:
     return float(np.mean(residuals**2))
 
 
-def smoothness_penalty(factors: FactorSet, cfg: SmoothnessConfig) -> float:
-    """weight * sum over penalized modes of squared first differences between
-    adjacent factor rows."""
-    cfg.validate_for(factors.ndim)
-    if cfg.weight == 0 or not cfg.modes:
+def smoothness_penalty(factors: FactorSet, weight: float, modes) -> float:
+    """weight * sum over the penalized modes of squared first differences
+    between adjacent factor rows."""
+    if weight == 0 or not modes:
         return 0.0
     total = 0.0
-    for m in cfg.modes:
+    for m in modes:
         diffs = np.diff(factors.factors[m], axis=0)
         total += float(np.sum(diffs**2))
-    return cfg.weight * total
+    return weight * total
 
 
-def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
-    """Fused masked_mse + smoothness_penalty and its gradient for B fits at
-    once (the masked-CP gradient of CP-WOPT): the objective of
-    `core.Trainable` over B observation sets of one space, whose sizes may
-    differ, on the flat buffer of B fits' factors (a (B, I_m, R) block per
-    mode).
+def masked_objective(obs_sets, rank: int, weight: float = 0.0, modes=()):
+    """Fused masked_mse + smoothness_penalty (weight on modes, as `smoothing`
+    gives them) and its gradient for B fits at once (the masked-CP gradient
+    of CP-WOPT): the objective of `core.Trainable` over B observation sets
+    of one space, whose sizes may differ, on the flat buffer of B fits'
+    factors (a (B, I_m, R) block per mode).
 
     The rows of all sets are concatenated and key `[k, i, r]`
     (`core.gather_keys`) is the flat position of mode M-1-k's factor entry
@@ -150,9 +132,7 @@ def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
     the batch. Rows untouched by any observation receive gradient only from
     the smoothness term. The closure's work arrays are (M, n, R) and (n,).
     """
-    cfg = cfg or SmoothnessConfig()
     shape = obs_sets[0].space.shape()
-    cfg.validate_for(len(shape))
     if any(obs.n == 0 for obs in obs_sets):
         raise DegenerateDataError("masked loss is undefined on an empty observation set")
     if any(obs.space.shape() != shape for obs in obs_sets):
@@ -174,7 +154,7 @@ def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
     twos = (2.0 / counts)[fit_id]
     # each smoothed mode's block as block_views cuts it, once, not on every call
     smooth = [(slice(starts[m], starts[m + 1]), (n_fits, *blocks[m]))
-              for m in (cfg.modes if cfg.weight > 0 else ())]
+              for m in (modes if weight > 0 else ())]
 
     n = len(values)
     rows = np.empty((n_modes, n, rank))  # gathered factor rows, mode M-1 first
@@ -216,11 +196,11 @@ def masked_objective(obs_sets, rank: int, cfg: SmoothnessConfig | None = None):
         diffs = [f[:, 1:] - f[:, :-1] for f in factors]
         if diffs:
             penalty = sum(np.einsum("bij,bij->b", d, d) for d in diffs)
-            losses = losses + cfg.weight * penalty
+            losses = losses + weight * penalty
         if not grad:
             return losses
         for (block, stack), d in zip(smooth, diffs):
-            step = (2.0 * cfg.weight) * d
+            step = (2.0 * weight) * d
             grads = g[block].reshape(stack)
             grads[:, :-1] -= step
             grads[:, 1:] += step
@@ -241,16 +221,15 @@ def _component_sum(products: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def grad_masked_loss(
-    factors: FactorSet, obs: ObservationSet, cfg: SmoothnessConfig | None = None
-) -> list[np.ndarray]:
+def grad_masked_loss(factors: FactorSet, obs: ObservationSet, weight: float = 0.0,
+                     modes=()) -> list[np.ndarray]:
     """Exact gradient of masked_mse + smoothness_penalty w.r.t. every factor
     entry, one array per mode, split from the objective's flat gradient;
     factors that disagree with the observation shape raise ContractError."""
     if factors.shape != obs.space.shape():
         raise ContractError(f"factor shape {factors.shape} != observation shape "
                             f"{obs.space.shape()}")
-    _, g = masked_objective([obs], factors.rank, cfg)(pack([factors.factors]))
+    _, g = masked_objective([obs], factors.rank, weight, modes)(pack([factors.factors]))
     return unpack(g, [f.shape for f in factors.factors])
 
 
@@ -260,16 +239,18 @@ def cpd_layout(shape, cfg) -> list:
     return [(f"factors/{m}", (int(size), cfg.rank)) for m, size in enumerate(shape)]
 
 
-def smoothing(kind: str, shape, cfg) -> SmoothnessConfig:
+def smoothing(kind: str, space, cfg) -> tuple[float, tuple[int, ...]]:
     """The smoothness penalty of a CPD (kind "cpd", none) or CPD-S ("cpd_s")
-    model of `shape`: cfg's weight on cfg.smooth_modes, or on every mode when
-    it names none. A mode outside the shape is a ContractError."""
+    model on `space`, as (weight, modes): cfg.smooth_weight on the modes of
+    cfg.smooth_modes, sorted and each once, or on the space's ordinal axes
+    when it names none. A mode outside the space is a ContractError."""
     if kind != "cpd_s":
-        return SmoothnessConfig()
-    modes = cfg.smooth_modes if cfg.smooth_modes is not None else range(len(shape))
-    smoothness = SmoothnessConfig(weight=cfg.smooth_weight, modes=tuple(modes))
-    smoothness.validate_for(len(shape))
-    return smoothness
+        return 0.0, ()
+    named = cfg.smooth_modes
+    modes = space.ordinal_modes() if named is None else tuple(sorted(set(map(int, named))))
+    if any(m < 0 or m >= space.ndim for m in modes):
+        raise ContractError(f"smoothness modes {modes} invalid for {space.ndim} modes")
+    return cfg.smooth_weight, modes
 
 
 class CPDModel(FittedModel):
@@ -286,7 +267,8 @@ class CPDModel(FittedModel):
 
     def settings(self) -> dict:
         """The model file's block of CPD-S settings."""
-        return {"smoothness": asdict(smoothing(self.kind, self.shape, self.cfg))}
+        weight, modes = smoothing(self.kind, self.space, self.cfg)
+        return {"smoothness": {"weight": weight, "modes": modes}}
 
     def predict(self, indices) -> np.ndarray:
         return predict_indices(self.factors, indices)
@@ -332,7 +314,8 @@ def cpd_trainable(shape, cfg, kind: str):
     return Trainable(
         layout=cpd_layout(shape, cfg),
         init=lambda seed: init_factors(shape, cfg.rank, seed).factors,
-        objective=lambda sets: masked_objective(sets, cfg.rank, smoothing(kind, shape, cfg)),
+        objective=lambda sets: masked_objective(sets, cfg.rank,
+                                                *smoothing(kind, sets[0].space, cfg)),
         val_objective=lambda sets: masked_objective(sets, cfg.rank),
         model=lambda params, space, norm: CPDModel(kind, params, space, norm, cfg),
         max_rows=CPD_MAX_BATCH_ROWS,

@@ -40,18 +40,19 @@ class RegionSpec:
 
     def __post_init__(self):
         if self.axis_a == self.axis_b:
-            raise ContractError("region axes must be distinct")
-        for name, (lo, hi) in (("a", self.a_range), ("b", self.b_range)):
+            raise ContractError(f"region axes must be distinct: axis_b is {self.axis_b!r}")
+        for field, (lo, hi) in (("a_range", self.a_range), ("b_range", self.b_range)):
             if lo < 0 or hi < lo:
-                raise ContractError(f"region {name}_range ({lo}, {hi}) is empty or negative")
+                raise ContractError(f"region interval must be non-empty and non-negative: "
+                                    f"{field} is {(lo, hi)!r}")
 
     def validate(self, space: DesignSpace) -> None:
-        for name, (lo, hi) in ((self.axis_a, self.a_range), (self.axis_b, self.b_range)):
+        for field, name, (lo, hi) in (("a_range", self.axis_a, self.a_range),
+                                      ("b_range", self.axis_b, self.b_range)):
             size = space.axes[space.axis_position(name)].size
             if hi >= size:
-                raise ContractError(
-                    f"region interval ({lo}, {hi}) exceeds axis {name!r} of size {size}"
-                )
+                raise ContractError(f"region interval exceeds axis {name!r} of size {size}: "
+                                    f"{field} is {(lo, hi)!r}")
 
     def mask(self, obs: ObservationSet) -> np.ndarray:
         """Per-row boolean: does the observation project into the region?"""
@@ -92,16 +93,22 @@ class SamplingPlan:
     name: str | None = None
 
     def __post_init__(self):
+        # each check's message ends `<field> is <value>`, as TrainConfig's do
         if self.kind == "uniform":
             if self.fraction is None or not 0 < self.fraction < 1:
-                raise ContractError("uniform plan needs a train fraction in (0, 1)")
+                raise ContractError(f"uniform plan needs a train fraction in (0, 1): "
+                                    f"fraction is {self.fraction!r}")
         elif self.kind == "biased":
-            if self.region is None or self.n_in is None or self.n_out is None:
-                raise ContractError("biased plan needs region, n_in, and n_out")
-            if self.n_in < 0 or self.n_out < 0:
-                raise ContractError("stratum counts must be non-negative")
+            for field in ("region", "n_in", "n_out"):
+                if getattr(self, field) is None:
+                    raise ContractError(f"biased plan needs region, n_in and n_out: "
+                                        f"{field} is None")
+            for field in ("n_in", "n_out"):
+                if getattr(self, field) < 0:
+                    raise ContractError(f"stratum counts must be non-negative: "
+                                        f"{field} is {getattr(self, field)!r}")
         else:
-            raise ContractError(f"unknown plan kind {self.kind!r}")
+            raise ContractError(f"plan kind must be uniform or biased: kind is {self.kind!r}")
         if self.name is None:
             object.__setattr__(self, "name", self.kind)
 
@@ -450,7 +457,7 @@ def _read_object(entry, keys: dict, where: str, kind: str | None = None, kinds=(
     kinds key `kind` (first in its table) names. A ContractError names the
     key at fault and `where` the object sits, or the key as `label(key)`
     gives it."""
-    label = label or (lambda key: f"{key!r} in {where}")
+    label = label or _where(where)
     if not isinstance(entry, dict):
         raise ContractError(f"{where} must be a JSON object, not {entry!r}")
     for key in entry:
@@ -480,26 +487,41 @@ def _read_object(entry, keys: dict, where: str, kind: str | None = None, kinds=(
     return values
 
 
+def _where(where: str):
+    """The label of a key of the config object at `where`."""
+    return lambda key: f"{key!r} in {where}"
+
+
+def _checked(build, values: dict, label, keys=None):
+    """build(), a record made from a config object's `values`. Each check of
+    TrainConfig, SamplingPlan and RegionSpec ends "<check>: <field> is
+    <value>"; a failed one is raised naming, as `label(key)` gives it, the
+    key that set the field (`keys` maps those named otherwise) and the value
+    read for that key."""
+    try:
+        return build()
+    except ContractError as exc:
+        check, _, named = str(exc).rpartition(": ")
+        field, _, value = named.partition(" is ")
+        key = (keys or {}).get(field, field)
+        value = repr(values[key]) if key in values else value
+        raise ContractError(f"{check}: {label(key)} is {value}") from None
+
+
 def _train_config(values: dict, space: DesignSpace, label=repr) -> TrainConfig:
     """The TrainConfig of a model entry's, a sweep config's or `tenfit
     fit`'s values; a failed check names its key as `label(key)` gives it.
-    smooth_modes names ordinal axes; none means all of them."""
+    smooth_modes names ordinal axes (`cpd.smoothing` resolves none)."""
     names = values.get("smooth_modes")
-    modes = space.ordinal_modes() if names is None else tuple(map(space.axis_position, names))
-    for name, mode in zip(names or (), modes):
+    modes = None if names is None else tuple(map(space.axis_position, names))
+    for name, mode in zip(names or (), modes or ()):
         if mode not in space.ordinal_modes():
             raise ContractError(f"{label('smooth_modes')} names the categorical axis {name!r}: "
                                 f"CPD-S smooths ordinal axes only")
     given = {_FIELDS.get(key, key): value for key, value in values.items()}
     given = {f.name: given[f.name] for f in fields(TrainConfig) if f.name in given}
-    try:
-        return TrainConfig(**{**given, "smooth_modes": modes})
-    except ContractError as exc:
-        # every check ends "<check>: <field> is <value>"; name its key
-        check, _, named = str(exc).rpartition(": ")
-        field, _, value = named.partition(" is ")
-        keys = {f: key for key, f in _FIELDS.items()}
-        raise ContractError(f"{check}: {label(keys.get(field, field))} is {value}") from None
+    return _checked(lambda: TrainConfig(**{**given, "smooth_modes": modes}), values, label,
+                    {f: key for key, f in _FIELDS.items()})
 
 
 def _flag(key: str) -> str:
@@ -523,16 +545,21 @@ def model_spec_from_config(entry: dict, space: DesignSpace, where: str = "model 
 def region_from_config(entry: dict, space: DesignSpace, where: str = "region") -> RegionSpec:
     by = "values" if isinstance(entry, dict) and {*entry} & {"a_values", "b_values"} else "ranges"
     values = _read_object(entry, _REGION_KEYS, where, kinds=(by,))
-    region = region_from_values(space, **values) if by == "values" else RegionSpec(**values)
-    region.validate(space)
-    return region
+
+    def build():
+        region = region_from_values(space, **values) if by == "values" else RegionSpec(**values)
+        region.validate(space)
+        return region
+
+    keys = {f"{ab}_range": f"{ab}_values" for ab in "ab"} if by == "values" else None
+    return _checked(build, values, _where(where), keys)
 
 
 def plan_from_config(entry: dict, space: DesignSpace, where: str = "plan") -> SamplingPlan:
     values = _read_object(entry, _PLAN_KEYS, where, kind="kind")
     if "region" in values:
         values["region"] = region_from_config(values["region"], space, f"{where}.region")
-    return SamplingPlan(**values)
+    return _checked(lambda: SamplingPlan(**values), values, _where(where))
 
 
 def _read_run(config, keys: dict, kind=None):

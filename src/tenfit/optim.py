@@ -54,11 +54,10 @@ from .neural import costco_trainable
 class TrainConfig:
     """Knobs for a full-batch Adam fit. The smoothness fields apply to CPD-S
     only and the three head sizes to CoSTCo only. `smooth_modes=None`
-    smooths every mode; configs and `tenfit fit` pass the ordinal axes'
-    modes when they name none. Early stopping takes `patience` and a
-    positive `val_fraction` together; either alone is a ContractError. Each
-    check's message ends `<field> is <value>`, naming the value at fault,
-    which harness turns into the config key."""
+    smooths the ordinal axes (see `cpd.smoothing`). Early stopping takes
+    `patience` and a positive `val_fraction` together; either alone is a
+    ContractError. Each check's message ends `<field> is <value>`, naming
+    the value at fault, which harness turns into the config key."""
 
     rank: int
     epochs: int = 3000
@@ -322,15 +321,19 @@ def _train_in_workers(jobs: list, workers: int) -> list:
     closures). A worker that dies fails only the batch it was training: its
     runs get a WorkerError naming the batch and the exit status, and a new
     worker takes the jobs left. An exception raised in a worker is raised
-    here, the first in job order."""
+    here, the first in job order. An interrupt kills the busy workers; a
+    worker whose parent dies ends at its next send or receive."""
     from multiprocessing import connection, get_context
 
     def serve(conn):  # a worker's body: train each job the parent sends until it sends None
-        for i in iter(conn.recv, None):
-            try:
-                conn.send(train_batch(*jobs[i]))
-            except Exception as exc:  # the parent raises it, as the serial loop would
-                conn.send(exc)
+        for parent_end in pool:  # its own included, so that a dead parent reads as EOF
+            parent_end.close()
+        with contextlib.suppress(EOFError, OSError):  # the parent died: end quietly
+            for i in iter(conn.recv, None):
+                try:
+                    conn.send(train_batch(*jobs[i]))
+                except Exception as exc:  # the parent raises it, as the serial loop would
+                    conn.send(exc)
 
     context = get_context("fork")
     outcomes: list = [None] * len(jobs)

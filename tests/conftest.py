@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet
-from tenfit.cpd import FactorSet, SmoothnessConfig, init_factors, masked_mse, reconstruct_full
+from tenfit.cpd import FactorSet, init_factors, masked_mse, reconstruct_full
 from tenfit.cpd import smoothness_penalty
 from tenfit.harness import RegionSpec
 from tenfit.neural import neural_loss
@@ -55,10 +55,10 @@ def random_cpd_instance(rng):
     factors = FactorSet([rng.normal(0, 0.8, size=(s, rank)) for s in shape])
     obs = random_obs(shape, int(rng.integers(1, math.prod(shape) + 1)), rng, low=-1.0)
     if rng.random() < 0.5:
-        cfg = SmoothnessConfig()
+        cfg = (0.0, ())
     else:
         modes = tuple(m for m in range(ndim) if rng.random() < 0.7)
-        cfg = SmoothnessConfig(weight=float(rng.uniform(0.01, 0.5)), modes=modes)
+        cfg = (float(rng.uniform(0.01, 0.5)), modes)
     return factors, obs, cfg
 
 
@@ -66,7 +66,7 @@ def fd_cpd_gradient(factors, obs, cfg, h=1e-5):
     """Central finite differences of the full CPD training objective."""
 
     def loss(fs):
-        return masked_mse(fs, obs) + smoothness_penalty(fs, cfg)
+        return masked_mse(fs, obs) + smoothness_penalty(fs, *cfg)
 
     grads = []
     for m, matrix in enumerate(factors.factors):

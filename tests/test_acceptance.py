@@ -91,7 +91,7 @@ def test_criterion_3_gradient_correctness():
     worst_cpd = 0.0
     for _ in range(100):
         factors, obs, cfg = random_cpd_instance(rng)
-        analytic = grad_masked_loss(factors, obs, cfg)
+        analytic = grad_masked_loss(factors, obs, *cfg)
         numeric = fd_cpd_gradient(factors, obs, cfg, h=1e-5)
         for a, f in zip(analytic, numeric):
             denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)

@@ -3,7 +3,12 @@ import csv
 import io
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +19,8 @@ from hypothesis import strategies as st
 
 from tenfit import cli, harness
 from tenfit.cli import main
+from tenfit.modelio import load_dataset, save_model
+from tenfit.optim import TrainConfig, fit
 
 
 def write_demo_csv(path, n_geometries=3, thicknesses=(0.4, 0.8), lengths=(1, 2, 3)):
@@ -209,6 +216,22 @@ class TestFitPredictEvaluate:
         report = json.loads(model_path.with_suffix(".report.json").read_text())
         assert len(report["restart_final_losses"]) == 3
         assert report["final_loss"] == min(report["restart_final_losses"])
+
+    @pytest.mark.parametrize("flags, modes", [((), None),
+                                              (("--smooth-modes", "ux,thickness,ux"), (2, 1, 2))],
+                             ids=["ordinal_axes", "named_out_of_order"])
+    def test_cpd_s_smooths_the_same_modes_from_python_and_the_cli(self, dataset_dir, tmp_path,
+                                                                   flags, modes):
+        # geometry is categorical: by default both smooth thickness and ux,
+        # and named modes are saved sorted, each once
+        saved = json.loads(self.fit_model(dataset_dir, tmp_path, "cpd_s", flags).read_text())
+        assert saved["smoothness"] == {"weight": 0.1, "modes": [1, 2]}
+        space, obs = load_dataset(dataset_dir)
+        cfg = TrainConfig(rank=2, epochs=1, smooth_weight=0.1, smooth_modes=modes)
+        model, _ = fit(space.shape(), obs, cfg, "cpd_s")
+        save_model(model, tmp_path / "python.json")
+        python = json.loads((tmp_path / "python.json").read_text())
+        assert python["smoothness"] == saved["smoothness"]
 
     def test_predict_round_trip(self, dataset_dir, tmp_path):
         model_path = self.fit_model(dataset_dir, tmp_path)
@@ -1098,9 +1121,18 @@ class TestFailuresWriteNothing:
     @pytest.mark.parametrize(
         "path, value, message",
         [(("iterations",), 0, "iterations must be >= 1"),
-         (("plans", 1, "n_in"), -1, "stratum counts must be non-negative"),
-         (("plans", 1, "region", "a_range"), [2, 1], "region a_range (2, 1) is empty or negative")],
-        ids=["no_iterations", "negative_n_in", "empty_a_range"],
+         (("plans", 1, "n_in"), -1,
+          "stratum counts must be non-negative: 'n_in' in plans[1] is -1"),
+         (("plans", 1, "region", "a_range"), [2, 1], "region interval must be non-empty and "
+          "non-negative: 'a_range' in plans[1].region is (2, 1)"),
+         (("plans", 1, "region"),
+          {"axis_a": "geometry", "axis_b": "ux", "a_values": ["g1", "g0"], "b_values": [1, 2]},
+          "region interval must be non-empty and non-negative: 'a_values' in plans[1].region "
+          "is ('g1', 'g0')"),
+         (("plans", 1, "region", "b_range"), [1, 3], "region interval exceeds axis 'ux' of "
+          "size 3: 'b_range' in plans[1].region is (1, 3)")],
+        ids=["no_iterations", "negative_n_in", "empty_a_range", "reversed_a_values",
+             "b_range_past_its_axis"],
     )
     def test_experiment_config(self, dataset_dir, tmp_path, path, value, message):
         config = replace_field(experiment_config(dataset_dir, epochs=5), path, value)
@@ -1144,6 +1176,79 @@ class TestFailuresWriteNothing:
             "error": "DegenerateDataError", "message": "cannot fit on an empty observation set"
         }
         assert not out.exists() and not out.with_suffix(".report.json").exists()
+
+
+# A child process runs an experiment whose batches, one run each, train in
+# two workers through a stand-in train_batch that logs its pid and sleeps;
+# the test stops the child once both workers are busy.
+STOPPED_CHILD = """
+import os, sys, time
+from tenfit import cli, cpd, optim
+
+train_batch = optim.train_batch
+
+
+def slow(trainable, batch, cfg):  # forked workers inherit this patch
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(0.5)
+    return train_batch(trainable, batch, cfg)
+
+
+optim.train_batch, optim._usable_cpus, optim.POOL_MIN_WORK_US = slow, lambda: 2, 0
+cpd.CPD_MAX_BATCH_ROWS = 1
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def running(pid) -> bool:
+    """Is the process alive, not a zombie waiting to be reaped?"""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and Path("/proc/self/stat").exists()),
+                    reason="needs os.fork and /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_a_stopped_experiment_leaves_no_worker(dataset_dir, tmp_path, signum):
+    config = experiment_config(dataset_dir, epochs=5)
+    config["iterations"] = 4  # 8 batches of 0.5 s in 2 workers
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    log, err, out = tmp_path / "pids", tmp_path / "stderr", tmp_path / "out"
+    argv = ["experiment", "--config", str(tmp_path / "config.json"), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    pids: set = set()
+    with err.open("w") as stderr:  # a file: workers left alive would hold a pipe open
+        child = subprocess.Popen([sys.executable, "-c", STOPPED_CHILD, str(log), *argv],
+                                 env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+    try:
+        deadline = time.monotonic() + 60
+        while len(pids) < 2 and child.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+            pids = set(map(int, log.read_text().split())) if log.exists() else set()
+        assert len(pids) == 2 and child.poll() is None  # both workers busy
+        child.send_signal(signum)
+        code = child.wait(timeout=30)
+        deadline = time.monotonic() + 2
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(running, pids))
+    finally:
+        child.kill()
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+    assert child.pid not in pids
+    if signum == signal.SIGTERM:
+        assert code == 143
+        assert err.read_text().count("\n") == 1
+        assert json.loads(err.read_text()) == {"error": "Interrupted",
+                                               "message": "stopped by SIGTERM"}
+    else:
+        assert code == -signal.SIGKILL and err.read_text() == ""  # the workers end quietly
+    assert not out.exists()
 
 
 class TestModelFileValidation:

@@ -10,7 +10,6 @@ from tenfit.core import DesignSpace, Normalizer, ObservationSet
 from tenfit.cpd import (
     CPDModel,
     FactorSet,
-    SmoothnessConfig,
     grad_masked_loss,
     init_factors,
     masked_mse,
@@ -220,37 +219,35 @@ class TestMaskedMse:
 class TestSmoothnessPenalty:
     def test_zero_weight(self):
         factors = init_factors((4, 3), 2, seed=0)
-        assert smoothness_penalty(factors, SmoothnessConfig(weight=0.0, modes=(0, 1))) == 0.0
+        assert smoothness_penalty(factors, 0.0, (0, 1)) == 0.0
 
     def test_constant_rows(self):
         factors = FactorSet([np.ones((4, 2)), np.ones((3, 2))])
-        assert smoothness_penalty(factors, SmoothnessConfig(weight=1.0, modes=(0, 1))) == 0.0
+        assert smoothness_penalty(factors, 1.0, (0, 1)) == 0.0
 
     def test_hand_case(self):
         factors = FactorSet([np.array([[1.0, 0.0], [0.0, 1.0]]), np.ones((2, 2))])
-        cfg = SmoothnessConfig(weight=1.0, modes=(0,))
-        assert smoothness_penalty(factors, cfg) == 2.0
+        assert smoothness_penalty(factors, 1.0, (0,)) == 2.0
 
     def test_zero_iff_constant_rows(self):
         rng = np.random.default_rng(3)
-        cfg = SmoothnessConfig(weight=0.5, modes=(0,))
         for _ in range(20):
             matrix = rng.normal(size=(4, 2))
             factors = FactorSet([matrix, rng.normal(size=(3, 2))])
-            penalty = smoothness_penalty(factors, cfg)
+            penalty = smoothness_penalty(factors, 0.5, (0,))
             constant = np.allclose(matrix, matrix[0])
             assert (penalty == 0.0) == constant
 
     def test_single_row_mode_contributes_zero(self):
         factors = FactorSet([np.array([[5.0, -1.0]]), np.ones((3, 2))])
-        assert smoothness_penalty(factors, SmoothnessConfig(weight=1.0, modes=(0,))) == 0.0
+        assert smoothness_penalty(factors, 1.0, (0,)) == 0.0
 
 
 class TestGradMaskedLoss:
     def test_perfect_fit_zero_gradient(self):
         factors = init_factors((3, 3), 2, seed=4)
         obs = obs_from_values((3, 3), reconstruct_full(factors).array)
-        grads = grad_masked_loss(factors, obs, SmoothnessConfig())
+        grads = grad_masked_loss(factors, obs)
         assert all(np.allclose(g, 0.0, atol=1e-12) for g in grads)
 
     def test_hand_chain_rule(self):
@@ -260,7 +257,7 @@ class TestGradMaskedLoss:
         obs = ObservationSet(
             space=space, indices=np.array([[0, 0]]), values=np.array([0.0]), normalizer=Normalizer(0, 1)
         )
-        grads = grad_masked_loss(factors, obs, SmoothnessConfig())
+        grads = grad_masked_loss(factors, obs)
         assert grads[0][0, 0] == pytest.approx(8.0, rel=1e-12)
         assert grads[1][0, 0] == pytest.approx(4.0, rel=1e-12)
 
@@ -270,14 +267,14 @@ class TestGradMaskedLoss:
         obs = ObservationSet(
             space=space, indices=np.array([[0, 0]]), values=np.array([0.5]), normalizer=Normalizer(0, 1)
         )
-        grads_plain = grad_masked_loss(factors, obs, SmoothnessConfig())
+        grads_plain = grad_masked_loss(factors, obs)
         assert np.allclose(grads_plain[0][2:], 0.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(77)
         for _ in range(25):
             factors, obs, cfg = random_cpd_instance(rng)
-            analytic = grad_masked_loss(factors, obs, cfg)
+            analytic = grad_masked_loss(factors, obs, *cfg)
             numeric = fd_cpd_gradient(factors, obs, cfg)
             for a, f in zip(analytic, numeric):
                 denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
@@ -295,7 +292,7 @@ class TestGradMaskedLoss:
         with pytest.raises(DegenerateDataError):
             masked_mse(factors, empty)
         with pytest.raises(DegenerateDataError):
-            grad_masked_loss(factors, empty, SmoothnessConfig())
+            grad_masked_loss(factors, empty)
 
     def test_shape_mismatch_rejected(self):
         obs = obs_from_values((2, 3), np.arange(6.0))

@@ -4,7 +4,7 @@ from conftest import full_grid_indices
 from oracles import costco_loss_and_grad, cpd_loss_and_grad
 
 from tenfit.core import DesignSpace, Normalizer, ObservationSet, block_views, pack, unpack
-from tenfit.cpd import SmoothnessConfig, masked_objective
+from tenfit.cpd import masked_objective
 from tenfit.errors import ContractError
 from tenfit.neural import _masked_objective, _sum_rows, costco_init, costco_layout
 from tenfit.optim import MODEL_KINDS, TrainConfig
@@ -52,12 +52,12 @@ def test_fused_objectives_match_reference_kernels():
         factors = [rng.normal(0, 0.8, size=(s, rank)) for s in shape]
         weight = float(rng.uniform(0.01, 0.5))
         for modes in ((), tuple(range(ndim)), (0, ndim - 1)):
-            cfg = SmoothnessConfig(weight=weight if modes else 0.0, modes=modes)
-            objective = masked_objective([obs], rank, cfg)
+            cfg = (weight if modes else 0.0, modes)
+            objective = masked_objective([obs], rank, *cfg)
             (loss,), g = objective(np.concatenate(factors, axis=None))
             grads = unflatten(g, factors)
             ref_loss, ref_grads = cpd_loss_and_grad(
-                factors, obs.indices, obs.values, cfg.weight, cfg.modes
+                factors, obs.indices, obs.values, *cfg
             )
             assert objective(np.concatenate(factors, axis=None), grad=False) == loss
             assert [g.shape for g in grads] == [g.shape for g in ref_grads]
@@ -83,14 +83,14 @@ def test_fused_objectives_match_reference_kernels():
     assert worst <= TOLERANCE, f"worst relative error {worst:.2e}"
 
 
-@pytest.mark.parametrize("cfg", [SmoothnessConfig(), SmoothnessConfig(weight=0.2, modes=(0, 2))])
+@pytest.mark.parametrize("cfg", [(0.0, ()), (0.2, (0, 2))])
 def test_cpd_objective_results_outlive_the_next_call(cfg):
     # the closure reuses its work arrays; what one call returns must not
     # change when the next call runs on other factors
     rng = np.random.default_rng(7)
     shape, rank = (4, 3, 5), 3
     sets = [random_observations(rng, shape, n) for n in (20, 31)]
-    objective = masked_objective(sets, rank, cfg)
+    objective = masked_objective(sets, rank, *cfg)
     first = [rng.normal(0, 0.8, size=(2, s, rank)) for s in shape]
     second = [rng.normal(0, 0.8, size=(2, s, rank)) for s in shape]
     losses, g = objective(np.concatenate(first, axis=None))
@@ -104,7 +104,7 @@ def test_cpd_objective_results_outlive_the_next_call(cfg):
     grads_2 = block_views(g_2, [s.shape[1:] for s in second], 2)
     for b, obs in enumerate(sets):
         ref_loss, ref_grads = cpd_loss_and_grad(
-            [f[b] for f in second], obs.indices, obs.values, cfg.weight, cfg.modes
+            [f[b] for f in second], obs.indices, obs.values, *cfg
         )
         assert rel_err(losses_2[b], ref_loss) <= TOLERANCE
         assert all(rel_err(grad[b], r) <= TOLERANCE for grad, r in zip(grads_2, ref_grads))
